@@ -14,7 +14,10 @@
 
 use rkvc_bench::{workspace_root, Harness};
 use rkvc_core::experiments::{run_by_id, RunOptions};
-use rkvc_kvcache::{GearCache, GearParams, KiviCache, KiviParams, KvCache};
+use rkvc_kvcache::{
+    AttendBatch, AttendScratch, CompressionConfig, GearCache, GearParams, KiviCache, KiviParams,
+    KvCache,
+};
 use rkvc_model::{vocab, GenerateParams, ModelConfig, TinyLm};
 use rkvc_tensor::json::{JsonValue, ToJson};
 use rkvc_tensor::{par, seeded_rng, Matrix};
@@ -181,6 +184,73 @@ fn bench_fused_decode(h: &mut Harness) {
     par::set_threads(None);
 }
 
+/// Policies of the `prefill_attention_1024tok` group, at the paper's
+/// hyper-parameters (the benchmark's `gen_long` set).
+fn prefill_attention_policies() -> [(&'static str, CompressionConfig); 5] {
+    [
+        ("fp16", CompressionConfig::Fp16),
+        ("kivi4", CompressionConfig::kivi(4)),
+        ("gear4", CompressionConfig::gear(4)),
+        ("h2o", CompressionConfig::h2o(64, 448)),
+        ("stream", CompressionConfig::streaming(4, 508)),
+    ]
+}
+
+fn bench_prefill_attention(h: &mut Harness) {
+    // One KV head ingesting a 1024-token prompt at head_dim 64: the
+    // per-token append/attend loop (the default `extend_attend`, and
+    // what every policy ran before query blocking) against the policy's
+    // own `extend_attend`. FP16/KIVI/GEAR block queries against a stable
+    // past; H2O/StreamingLLM keep the per-token default, so their pair
+    // reads ~1.0 and records the noise floor of the comparison.
+    let (hd, n) = (64usize, 1024usize);
+    let mut rng = seeded_rng(0xa77e);
+    let mut rows = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+    let (keys, values, queries) = (rows(n * hd), rows(n * hd), rows(n * hd));
+    let batch = AttendBatch {
+        head_dim: hd,
+        n_tokens: n,
+        pos0: 0,
+        scale: 1.0 / (hd as f32).sqrt(),
+        group: 1,
+        keys: &keys,
+        values: &values,
+        kv_stride: hd,
+        queries: &queries,
+        q_stride: hd,
+    };
+    par::set_threads(Some(1));
+    let mut g = h.group("prefill_attention_1024tok");
+    g.sample_size(15);
+    let mut out = vec![0.0f32; n * hd];
+    let (mut scores, mut weights) = (Vec::new(), Vec::new());
+    let mut scratch = AttendScratch::default();
+    for (name, cfg) in prefill_attention_policies() {
+        g.bench_function(format!("{name}_per_token"), |b| {
+            b.iter(|| {
+                let mut cache = cfg.build(hd);
+                out.fill(0.0);
+                for t in 0..n {
+                    cache.append(&keys[t * hd..][..hd], &values[t * hd..][..hd], t);
+                    let o = &mut out[t * hd..][..hd];
+                    cache.attend(&queries[t * hd..][..hd], batch.scale, &mut scores, &mut weights, o);
+                }
+                black_box(out[n * hd - 1])
+            })
+        });
+        g.bench_function(format!("{name}_extend_attend"), |b| {
+            b.iter(|| {
+                let mut cache = cfg.build(hd);
+                out.fill(0.0);
+                cache.extend_attend(black_box(&batch), &mut scratch, &mut out);
+                black_box(out[n * hd - 1])
+            })
+        });
+    }
+    g.finish();
+    par::set_threads(None);
+}
+
 fn bench_microkernel(h: &mut Harness) {
     // Register-tiled 4x8 microkernel vs the row-blocked streaming kernel
     // it replaced inside the same decomposition, pinned to one thread so
@@ -298,6 +368,7 @@ fn main() {
     bench_matmul(&mut h, &sweep);
     bench_prefill(&mut h, &sweep);
     bench_fused_decode(&mut h);
+    bench_prefill_attention(&mut h);
     bench_microkernel(&mut h);
     bench_single_stream_decode(&mut h);
     bench_dispatch(&mut h);
@@ -352,6 +423,36 @@ fn main() {
             speedup_min(&h, "fig1_grid_quick", "t1", &format!("t{top}")).to_json(),
         ),
     ]);
+    // Before/after pairs of the query-blocked prefill, each side with its
+    // run-to-run spread ((p95 - min) / median) so a ratio can be read
+    // against the noise it was measured in; `speedup_min` compares the
+    // fastest samples, which sit below scheduler and allocator noise.
+    let record = |name: &str| {
+        h.records()
+            .iter()
+            .find(|r| r.group == "prefill_attention_1024tok" && r.name == name)
+    };
+    let prefill_attention = JsonValue::object(
+        prefill_attention_policies()
+            .iter()
+            .filter_map(|(name, _)| {
+                let before = record(&format!("{name}_per_token"))?;
+                let after = record(&format!("{name}_extend_attend"))?;
+                let spread = |r: &rkvc_bench::BenchRecord| (r.p95_ns - r.min_ns) / r.median_ns;
+                Some((
+                    *name,
+                    JsonValue::object(vec![
+                        ("per_token_ms", (before.median_ns / 1e6).to_json()),
+                        ("per_token_spread", spread(before).to_json()),
+                        ("extend_attend_ms", (after.median_ns / 1e6).to_json()),
+                        ("extend_attend_spread", spread(after).to_json()),
+                        ("speedup", (before.median_ns / after.median_ns).to_json()),
+                        ("speedup_min", (before.min_ns / after.min_ns).to_json()),
+                    ]),
+                ))
+            })
+            .collect(),
+    );
     let doc = JsonValue::object(vec![
         ("suite", "par_scaling".to_json()),
         ("machine_parallelism", machine.to_json()),
@@ -370,6 +471,7 @@ fn main() {
                 .to_json(),
         ),
         ("speedups", speedups),
+        ("prefill_attention_1024tok", prefill_attention),
         ("records", h.records().to_json()),
     ]);
     let path = workspace_root().join("BENCH_par.json");

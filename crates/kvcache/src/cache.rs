@@ -1,6 +1,24 @@
-//! The per-(layer, head) KV cache abstraction.
+//! The per-(layer, head) KV cache abstraction and the attention kernels
+//! every policy shares.
+//!
+//! Three kernels carry all dense attention arithmetic in this crate, so
+//! the term order that makes results bit-reproducible is written down
+//! once:
+//!
+//! * [`dots_into`] — one query against a run of dense rows, four rows
+//!   at a time;
+//! * [`score_tile`] — a block of queries against the same run, four key
+//!   rows by eight transposed queries, so a key is read once per block
+//!   instead of once per query;
+//! * [`axpy_rows`] — the softmax-weighted value sum, rows ascending.
+//!
+//! Each `(row, query)` score is the ascending-channel fold from `0.0`
+//! (what `rkvc_tensor::seq_sum_f32` computes), scaled once the dot is
+//! complete; each output channel accumulates its rows oldest first.
+//! Blocking only changes which element advances next, never the order
+//! of one element's terms.
 
-use rkvc_tensor::{seq_sum_f32, softmax_into, Matrix};
+use rkvc_tensor::{round_slice_to_f16, softmax_into, softmax_slice, Matrix};
 
 use crate::CacheStats;
 
@@ -33,19 +51,117 @@ impl KvView {
     }
 }
 
+/// `n_tokens` consecutive tokens of one KV head, handed to
+/// [`KvCache::extend_attend`]: each token's key/value row and the
+/// `group` query vectors (the GQA group sharing this KV head) that attend
+/// right after the token's own append.
+///
+/// Rows are addressed by stride so the model can pass its projection
+/// buffers as they are: token `t`'s key is `keys[t * kv_stride..][..head_dim]`
+/// and its `g`-th query is
+/// `queries[t * q_stride + g * head_dim..][..head_dim]`.
+#[derive(Debug, Clone, Copy)]
+pub struct AttendBatch<'a> {
+    /// Head dimension of every key, value and query vector.
+    pub head_dim: usize,
+    /// Number of tokens to append and attend.
+    pub n_tokens: usize,
+    /// Sequence position of the first token.
+    pub pos0: usize,
+    /// Score scale (`1 / sqrt(head_dim)`).
+    pub scale: f32,
+    /// Query vectors per token.
+    pub group: usize,
+    /// Key rows, `kv_stride` apart.
+    pub keys: &'a [f32],
+    /// Value rows, `kv_stride` apart.
+    pub values: &'a [f32],
+    /// Distance between consecutive tokens' key (and value) rows.
+    pub kv_stride: usize,
+    /// Query rows: `group` contiguous vectors per token, tokens
+    /// `q_stride` apart.
+    pub queries: &'a [f32],
+    /// Distance between consecutive tokens' query groups.
+    pub q_stride: usize,
+}
+
+impl<'a> AttendBatch<'a> {
+    fn key(&self, t: usize) -> &'a [f32] {
+        &self.keys[t * self.kv_stride..][..self.head_dim]
+    }
+
+    fn value(&self, t: usize) -> &'a [f32] {
+        &self.values[t * self.kv_stride..][..self.head_dim]
+    }
+
+    fn query(&self, t: usize, g: usize) -> &'a [f32] {
+        &self.queries[t * self.q_stride + g * self.head_dim..][..self.head_dim]
+    }
+
+    /// Range of query `(t, g)`'s output vector in the batch's `out`.
+    fn out_range(&self, t: usize, g: usize) -> std::ops::Range<usize> {
+        let start = (t * self.group + g) * self.head_dim;
+        start..start + self.head_dim
+    }
+
+    /// Runs token `t`'s query group against `cache`, one query at a
+    /// time.
+    fn attend_group<C: KvCache + ?Sized>(
+        &self,
+        cache: &mut C,
+        t: usize,
+        scratch: &mut AttendScratch,
+        out: &mut [f32],
+    ) {
+        for g in 0..self.group {
+            cache.attend(
+                self.query(t, g),
+                self.scale,
+                &mut scratch.scores,
+                &mut scratch.weights,
+                &mut out[self.out_range(t, g)],
+            );
+        }
+    }
+}
+
+/// Reusable attention working memory, owned by the caller of
+/// [`KvCache::extend_attend`] (one per KV head that may run concurrently)
+/// so no call allocates once the buffers have grown to the context
+/// length.
+#[derive(Debug, Default)]
+pub struct AttendScratch {
+    /// Single-query scores.
+    scores: Vec<f32>,
+    /// Single-query softmax weights.
+    weights: Vec<f32>,
+    /// Transposed queries of the current block: entry `lg * head_dim + c`
+    /// holds channel `c` of queries `8 lg .. 8 lg + 8` (zero-padded).
+    lanes: Vec<[f32; LANES]>,
+    /// The current block's score (then weight) rows, one per query,
+    /// `retained rows` apart.
+    block: Vec<f32>,
+}
+
 /// A single attention head's KV cache with a pluggable compression policy.
 ///
-/// The model drives the cache through three hooks:
+/// The model drives the cache through one call per layer and step,
+/// [`extend_attend`](KvCache::extend_attend), which is defined in terms of
+/// three hooks:
 ///
-/// 1. [`append`](KvCache::append) — called once per token (prefill and
-///    decode) with the freshly computed key/value vectors.
-/// 2. [`observe_attention`](KvCache::observe_attention) — called after each
-///    attention computation with the post-softmax weights over the current
-///    view (oldest row first). Score-based policies (H2O, SnapKV) accumulate
-///    importance from these.
-/// 3. [`finish_prefill`](KvCache::finish_prefill) — called once when the
-///    prompt has been fully ingested. Prefill-compressing policies (SnapKV)
+/// 1. [`append`](KvCache::append) — once per token (prefill and decode)
+///    with the freshly computed key/value vectors.
+/// 2. [`attend`](KvCache::attend) — once per query head, right after the
+///    token's append; it ends with
+///    [`observe_attention`](KvCache::observe_attention), handing the
+///    post-softmax weights over the attended rows (oldest first) to
+///    score-based policies (H2O, TOVA, SnapKV).
+/// 3. [`finish_prefill`](KvCache::finish_prefill) — once when the prompt
+///    has been fully ingested. Prefill-compressing policies (SnapKV)
 ///    act here.
+///
+/// [`view`](KvCache::view) materializes the retained entries for
+/// inspection and for the test oracles; it is on no hot path.
 pub trait KvCache: std::fmt::Debug + Send {
     /// Appends the key/value vectors for the token at sequence position
     /// `pos`.
@@ -56,7 +172,9 @@ pub trait KvCache: std::fmt::Debug + Send {
     /// head dimension fixed at construction.
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize);
 
-    /// Materializes the retained entries for attention.
+    /// Materializes a copy of the retained entries (dequantizing where the
+    /// storage is compressed). For inspection, eviction baselines and
+    /// oracles: attention itself reads the storage in place.
     fn view(&self) -> KvView;
 
     /// Materializes the entries relevant to a specific query vector.
@@ -69,33 +187,43 @@ pub trait KvCache: std::fmt::Debug + Send {
         self.view()
     }
 
+    /// The retained rows in place, for policies whose storage *is* the
+    /// `(keys, values)` matrix pair that [`view`](KvCache::view) would
+    /// copy — same rows, same order. The default [`attend`](KvCache::attend)
+    /// reads these instead of cloning a view; policies that attend over
+    /// something else (compressed chunks, a per-query selection) return
+    /// `None`.
+    fn dense_rows(&self) -> Option<(&Matrix, &Matrix)> {
+        None
+    }
+
     /// Feeds back the post-softmax attention weights of the latest query
-    /// over the rows of the last [`view`](KvCache::view) (same order).
+    /// over the rows it attended (same order).
     ///
     /// Policies that do not use attention scores ignore this.
     fn observe_attention(&mut self, _weights: &[f32]) {}
 
     /// Runs one query head's full attention against the cache:
-    /// score dots over the retained keys, softmax, the
-    /// [`observe_attention`](KvCache::observe_attention) feedback call,
-    /// and the weighted value sum accumulated into `out` (`+=`, caller
-    /// zeroes). `scores`/`weights` are caller-owned scratch reused across
-    /// tokens.
+    /// score dots over the retained keys, softmax, the weighted value sum
+    /// accumulated into `out` (`+=`, caller zeroes), and the
+    /// [`observe_attention`](KvCache::observe_attention) feedback call.
+    /// `scores`/`weights` are caller-owned scratch reused across tokens;
+    /// on return `weights` holds the softmax weights.
     ///
-    /// The default materializes
-    /// [`view_for_query`](KvCache::view_for_query) and runs the naive
-    /// loops — the exact sequence the model's per-token oracle performed
-    /// inline — so every policy behaves bit-identically whether the
-    /// model calls `attend` or replays the view-based steps itself.
-    /// Quantizing policies (KIVI, GEAR) override this with fused kernels
-    /// that decode packed codes in-register as they are consumed,
-    /// skipping the full-precision view; the override contract is
-    /// bitwise equality with this default.
+    /// The default reads [`dense_rows`](KvCache::dense_rows) in place, or
+    /// failing that materializes
+    /// [`view_for_query`](KvCache::view_for_query), and runs the shared
+    /// kernels of this module over them — bit for bit the naive
+    /// score/softmax/weighted-sum loops over a materialized view, which is
+    /// what the oracle tests replay. Quantizing policies (KIVI, GEAR)
+    /// override this with fused kernels that decode packed codes as they
+    /// are consumed; the override contract is bitwise equality with the
+    /// naive loops over [`view`](KvCache::view).
     ///
     /// # Panics
     ///
-    /// Implementations panic if `query.len()` or `out.len()` differ from
-    /// the head dimension fixed at construction.
+    /// Every implementation panics if `query.len()` or `out.len()` differ
+    /// from the head dimension fixed at construction.
     fn attend(
         &mut self,
         query: &[f32],
@@ -104,20 +232,43 @@ pub trait KvCache: std::fmt::Debug + Send {
         weights: &mut Vec<f32>,
         out: &mut [f32],
     ) {
-        let view = self.view_for_query(query);
-        scores.clear();
-        for r in 0..view.len() {
-            // Ascending-channel fold from 0.0: `seq_sum_f32` is
-            // bit-identical to the `.sum()` the inline loop used.
-            let dot = seq_sum_f32(view.keys.row(r).iter().zip(query).map(|(a, b)| a * b));
-            scores.push(dot * scale);
-        }
-        softmax_into(scores, weights);
-        self.observe_attention(weights);
-        for (r, &w) in weights.iter().enumerate() {
-            for (o, v) in out.iter_mut().zip(view.values.row(r)) {
-                *o += w * v;
+        match self.dense_rows() {
+            Some((keys, values)) => attend_rows(keys, values, query, scale, scores, weights, out),
+            None => {
+                let view = self.view_for_query(query);
+                attend_rows(&view.keys, &view.values, query, scale, scores, weights, out);
             }
+        }
+        self.observe_attention(weights);
+    }
+
+    /// Appends `batch.n_tokens` consecutive tokens, attending each token's
+    /// query group right after its own append (so a query sees its own
+    /// token and everything older, never a later one), and accumulates
+    /// query `(t, g)`'s output into
+    /// `out[(t * group + g) * head_dim..][..head_dim]` (`+=`, caller
+    /// zeroes). Decode is the `n_tokens == 1` case and prefill the
+    /// whole-prompt case of the same call.
+    ///
+    /// The default is the per-token loop — `append`, then one
+    /// [`attend`](KvCache::attend) per query — and defines the semantics.
+    /// Policies whose retained past stays put between flushes (FP16,
+    /// KIVI, GEAR, StreamingLLM until its window is full) override it to
+    /// run whole blocks of queries against that past at once, decoding
+    /// each compressed chunk once per block instead of once per query;
+    /// the override contract is bitwise equality with this loop.
+    /// Policies steered by per-query feedback
+    /// (H2O, TOVA, SnapKV's observation window, Quest's per-query
+    /// selection) keep the default: their past changes with every query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch.head_dim` differs from the head dimension fixed at
+    /// construction, or if a slice of `batch` or `out` is too short.
+    fn extend_attend(&mut self, batch: &AttendBatch<'_>, scratch: &mut AttendScratch, out: &mut [f32]) {
+        for t in 0..batch.n_tokens {
+            self.append(batch.key(t), batch.value(t), batch.pos0 + t);
+            batch.attend_group(self, t, scratch, out);
         }
     }
 
@@ -163,9 +314,386 @@ pub trait KvCache: std::fmt::Debug + Send {
     fn name(&self) -> String;
 }
 
+/// Appends `row` to `m` rounded through IEEE binary16 — the storage
+/// precision of every full-precision row in this crate — rounding in
+/// place after the push instead of through a temporary copy.
+pub(crate) fn push_f16_row(m: &mut Matrix, row: &[f32]) {
+    m.push_row(row);
+    round_slice_to_f16(m.row_mut(m.rows() - 1));
+}
+
+/// Single-query attention over dense rows: scores, softmax, weighted
+/// value sum into `out`. The one place the query/output width contract of
+/// [`KvCache::attend`] is checked for the dense policies.
+fn attend_rows(
+    keys: &Matrix,
+    values: &Matrix,
+    query: &[f32],
+    scale: f32,
+    scores: &mut Vec<f32>,
+    weights: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    assert_eq!(query.len(), keys.cols(), "query dim mismatch");
+    assert_eq!(out.len(), values.cols(), "output dim mismatch");
+    scores.clear();
+    scores.resize(keys.rows(), 0.0);
+    dots_into(keys.as_slice(), query, scale, scores);
+    softmax_into(scores, weights);
+    axpy_rows(values.as_slice(), weights, out);
+}
+
+/// `scores[r] = dot(rows[r], query) * scale` over the row-major run
+/// `rows` (`scores.len()` rows of `query.len()` channels).
+///
+/// Four rows advance together so four independent accumulator chains
+/// overlap; every dot is still its own ascending-channel fold from `0.0`,
+/// scaled after it completes.
+pub(crate) fn dots_into(rows: &[f32], query: &[f32], scale: f32, scores: &mut [f32]) {
+    let hd = query.len();
+    assert_eq!(rows.len(), scores.len() * hd, "row run does not match the score slots");
+    if hd == 0 {
+        scores.fill(0.0 * scale);
+        return;
+    }
+    let mut row_quads = rows.chunks_exact(4 * hd);
+    let mut score_quads = scores.chunks_exact_mut(4);
+    for (quad, s) in row_quads.by_ref().zip(score_quads.by_ref()) {
+        let (k0, rest) = quad.split_at(hd);
+        let (k1, rest) = rest.split_at(hd);
+        let (k2, k3) = rest.split_at(hd);
+        let mut acc = [0.0f32; 4];
+        for ((((&a0, &a1), &a2), &a3), &q) in k0.iter().zip(k1).zip(k2).zip(k3).zip(query) {
+            acc[0] += a0 * q;
+            acc[1] += a1 * q;
+            acc[2] += a2 * q;
+            acc[3] += a3 * q;
+        }
+        for (s, a) in s.iter_mut().zip(acc) {
+            *s = a * scale;
+        }
+    }
+    for (row, s) in row_quads.remainder().chunks_exact(hd).zip(score_quads.into_remainder()) {
+        let mut acc = 0.0f32;
+        for (&a, &q) in row.iter().zip(query) {
+            acc += a * q;
+        }
+        *s = acc * scale;
+    }
+}
+
+/// Channels whose partial sums [`axpy_rows`] holds in registers while the
+/// rows stream past: 32 f32 are eight 4-wide vectors, half the baseline
+/// x86-64 register file, leaving room for the streamed row and the
+/// broadcast weight.
+const PANEL: usize = 32;
+
+/// `out[c] += Σ_r weights[r] * rows[r][c]` over the row-major run `rows`
+/// (`weights.len()` rows of `out.len()` channels), rows ascending — the
+/// accumulation order of the naive row-by-row weighted sum, with the
+/// output panel kept in registers instead of reloaded per row.
+pub(crate) fn axpy_rows(rows: &[f32], weights: &[f32], out: &mut [f32]) {
+    let hd = out.len();
+    assert_eq!(rows.len(), weights.len() * hd, "row run does not match the weights");
+    if hd == 0 {
+        return;
+    }
+    let mut c0 = 0;
+    let mut panels = out.chunks_exact_mut(PANEL);
+    for panel in panels.by_ref() {
+        let mut acc = [0.0f32; PANEL];
+        acc.copy_from_slice(panel);
+        for (row, &w) in rows.chunks_exact(hd).zip(weights) {
+            for (a, &v) in acc.iter_mut().zip(&row[c0..c0 + PANEL]) {
+                *a += w * v;
+            }
+        }
+        panel.copy_from_slice(&acc);
+        c0 += PANEL;
+    }
+    let tail = panels.into_remainder();
+    if !tail.is_empty() {
+        for (row, &w) in rows.chunks_exact(hd).zip(weights) {
+            for (o, &v) in tail.iter_mut().zip(&row[c0..]) {
+                *o += w * v;
+            }
+        }
+    }
+}
+
+/// Query lanes of the cross-query score tile. Fixed (and zero-padded)
+/// rather than the live query count: a runtime lane count does not
+/// vectorize.
+const LANES: usize = 8;
+
+/// Most queries one block may hold. Bounds the block's score matrix at
+/// `MAX_BLOCK_QUERIES x retained rows` floats.
+const MAX_BLOCK_QUERIES: usize = 32;
+
+/// Dots of `R` key rows against eight queries at once: `acc[r][l]` is
+/// `dot(rows[r], query l)`, each the ascending-channel fold from `0.0`.
+/// `lanes[c]` holds channel `c` of the eight queries, so one channel step
+/// is `R` broadcasts against two 4-wide vectors and the `R x 8`
+/// accumulators stay in registers (`R = 4`: eight vectors, as in the
+/// matmul microkernel).
+#[inline]
+fn score_tile<const R: usize>(rows: [&[f32]; R], lanes: &[[f32; LANES]]) -> [[f32; LANES]; R] {
+    let rows = rows.map(|row| &row[..lanes.len()]);
+    let mut acc = [[0.0f32; LANES]; R];
+    for (c, q) in lanes.iter().enumerate() {
+        for (acc_row, row) in acc.iter_mut().zip(rows) {
+            let a = row[c];
+            for (o, &qv) in acc_row.iter_mut().zip(q) {
+                *o += a * qv;
+            }
+        }
+    }
+    acc
+}
+
+/// Policies whose retained past stays put between flushes, which lets
+/// [`extend_attend_blocked`] run a block of queries against it at once.
+///
+/// Implementors never reorder or drop retained rows outside a flush and
+/// ignore [`KvCache::observe_attention`] — a block's queries are scored
+/// together, so per-query feedback could not act between them.
+pub(crate) trait BlockRows: KvCache {
+    /// How many appends may follow the latest one before an append
+    /// rewrites retained rows (a flush): the rest of the current block.
+    fn quiet_appends(&self) -> usize;
+
+    /// Calls `f` on the retained key rows, oldest first, as dense
+    /// row-major runs (`head_dim` channels per row). Compressed chunks
+    /// are decoded into a cache-owned tile, once per call — the values
+    /// [`KvCache::view`] would hold, bit for bit. The default serves the
+    /// dense policies, whose [`KvCache::dense_rows`] are one run.
+    fn key_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
+        if let Some((keys, _)) = self.dense_rows() {
+            f(keys.as_slice());
+        }
+    }
+
+    /// [`key_runs`](BlockRows::key_runs) for the value rows.
+    fn value_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
+        if let Some((_, values)) = self.dense_rows() {
+            f(values.as_slice());
+        }
+    }
+}
+
+/// Tokens per query block of the dense policies, which never flush and
+/// so may pick the length: 16 keeps the per-query triangle (on average
+/// half a block of rows) small next to the shared past.
+pub(crate) const DENSE_BLOCK_TOKENS: usize = 16;
+
+/// [`KvCache::extend_attend`] for [`BlockRows`] policies: the batch is
+/// cut into blocks that end right before an append that would flush, and
+/// each block's queries run against the cache together.
+///
+/// A block's tokens are all appended first (none of them flushes, by
+/// construction), so of the `total` rows then retained, the last `m - 1`
+/// are the block's own later tokens: token `i` of the block attends rows
+/// `0 .. total - (m - 1) + i`. Rows every query sees go through the
+/// cross-query [`score_tile`]; the triangle a later query sees and an
+/// earlier one does not goes through [`dots_into`] per query. Softmax and
+/// [`axpy_rows`] then run per query over exactly the rows the per-token
+/// loop would have attended, in the same order — only the interleaving
+/// across queries differs, so outputs are bit-identical to the default
+/// [`KvCache::extend_attend`].
+///
+/// A block of one token (decode, or a policy configured to flush on
+/// every append) takes the single-query [`KvCache::attend`]: the tile
+/// pays for eight lanes whatever it is given.
+pub(crate) fn extend_attend_blocked<C: BlockRows>(
+    cache: &mut C,
+    batch: &AttendBatch<'_>,
+    scratch: &mut AttendScratch,
+    out: &mut [f32],
+) {
+    let hd = batch.head_dim;
+    // Zero-width heads have no rows to block over: one token at a time.
+    let max_tokens = if hd == 0 { 1 } else { (MAX_BLOCK_QUERIES / batch.group.max(1)).max(1) };
+    let mut t0 = 0;
+    while t0 < batch.n_tokens {
+        // The first append may flush; what follows it may not.
+        cache.append(batch.key(t0), batch.value(t0), batch.pos0 + t0);
+        let ahead = batch.n_tokens - t0 - 1;
+        let m = 1 + cache.quiet_appends().min(ahead).min(max_tokens - 1);
+        if m == 1 {
+            batch.attend_group(cache, t0, scratch, out);
+            t0 += 1;
+            continue;
+        }
+        for t in t0 + 1..t0 + m {
+            cache.append(batch.key(t), batch.value(t), batch.pos0 + t);
+        }
+        let mut block = QueryBlock::new(batch, t0, m, cache.len(), scratch);
+        let mut r0 = 0;
+        cache.key_runs(&mut |rows| {
+            block.score_run(r0, rows);
+            r0 += rows.len() / hd;
+        });
+        block.softmax();
+        let mut r0 = 0;
+        cache.value_runs(&mut |rows| {
+            block.accumulate_run(r0, rows, out);
+            r0 += rows.len() / hd;
+        });
+        t0 += m;
+    }
+}
+
+/// One block of [`extend_attend_blocked`]: tokens `t0 .. t0 + m` of the
+/// batch against `total` retained rows, the last `m - 1` of which are
+/// the block's own later tokens.
+struct QueryBlock<'a> {
+    batch: &'a AttendBatch<'a>,
+    t0: usize,
+    m: usize,
+    /// Retained rows after the block's appends; also the stride of the
+    /// score matrix.
+    total: usize,
+    /// Rows every query of the block attends.
+    shared: usize,
+    lanes: &'a [[f32; LANES]],
+    /// `m * group` score rows, `total` apart; softmax turns them into the
+    /// weight rows in place.
+    scores: &'a mut [f32],
+}
+
+impl<'a> QueryBlock<'a> {
+    fn new(
+        batch: &'a AttendBatch<'a>,
+        t0: usize,
+        m: usize,
+        total: usize,
+        scratch: &'a mut AttendScratch,
+    ) -> Self {
+        let hd = batch.head_dim;
+        let n_queries = m * batch.group;
+        let AttendScratch { lanes, block, .. } = scratch;
+        lanes.clear();
+        lanes.resize(n_queries.div_ceil(LANES) * hd, [0.0; LANES]);
+        for j in 0..n_queries {
+            let query = batch.query(t0 + j / batch.group, j % batch.group);
+            let tile = &mut lanes[j / LANES * hd..][..hd];
+            for (lane, &q) in tile.iter_mut().zip(query) {
+                lane[j % LANES] = q;
+            }
+        }
+        // Every slot a query attends is written before it is read.
+        block.resize(n_queries * total, 0.0);
+        QueryBlock {
+            batch,
+            t0,
+            m,
+            total,
+            shared: total - (m - 1),
+            lanes,
+            scores: block,
+        }
+    }
+
+    /// Rows query `j`'s token attends: the shared past plus the block
+    /// tokens up to and including its own.
+    fn visible(&self, j: usize) -> usize {
+        self.shared + j / self.batch.group
+    }
+
+    /// Scores the key run `rows`, whose first row is retained row `r0`.
+    fn score_run(&mut self, r0: usize, rows: &[f32]) {
+        let hd = self.batch.head_dim;
+        let end = r0 + rows.len() / hd;
+        let shared_end = end.min(self.shared);
+        if r0 < shared_end {
+            self.score_shared(r0, &rows[..(shared_end - r0) * hd]);
+        }
+        // The in-block triangle: row `shared + i - 1` is token `i`'s own.
+        let tri0 = r0.max(self.shared);
+        for i in 1..self.m {
+            let tri_end = end.min(self.shared + i);
+            if tri0 >= tri_end {
+                continue;
+            }
+            let run = &rows[(tri0 - r0) * hd..(tri_end - r0) * hd];
+            for g in 0..self.batch.group {
+                let j = i * self.batch.group + g;
+                let slots = &mut self.scores[j * self.total..][tri0..tri_end];
+                dots_into(run, self.batch.query(self.t0 + i, g), self.batch.scale, slots);
+            }
+        }
+    }
+
+    /// The shared part of a key run through the cross-query tile.
+    fn score_shared(&mut self, r0: usize, rows: &[f32]) {
+        let hd = self.batch.head_dim;
+        let mut r = r0;
+        let mut quads = rows.chunks_exact(4 * hd);
+        for quad in quads.by_ref() {
+            let (k0, rest) = quad.split_at(hd);
+            let (k1, rest) = rest.split_at(hd);
+            let (k2, k3) = rest.split_at(hd);
+            for (lg, lanes) in self.lanes.chunks_exact(hd).enumerate() {
+                let acc = score_tile([k0, k1, k2, k3], lanes);
+                self.store_tile(r, lg, &acc);
+            }
+            r += 4;
+        }
+        for row in quads.remainder().chunks_exact(hd) {
+            for (lg, lanes) in self.lanes.chunks_exact(hd).enumerate() {
+                let acc = score_tile([row], lanes);
+                self.store_tile(r, lg, &acc);
+            }
+            r += 1;
+        }
+    }
+
+    /// Scales a finished tile and scatters it into the score rows of
+    /// lane group `lg`, dropping the padding lanes.
+    fn store_tile<const R: usize>(&mut self, r: usize, lg: usize, acc: &[[f32; LANES]; R]) {
+        let n_queries = self.m * self.batch.group;
+        let scale = self.batch.scale;
+        for l in 0..LANES.min(n_queries - lg * LANES) {
+            let slots = &mut self.scores[(lg * LANES + l) * self.total + r..][..R];
+            for (s, acc_row) in slots.iter_mut().zip(acc) {
+                *s = acc_row[l] * scale;
+            }
+        }
+    }
+
+    /// Softmax of every query's score row over the rows it attends.
+    fn softmax(&mut self) {
+        for j in 0..self.m * self.batch.group {
+            let visible = self.visible(j);
+            softmax_slice(&mut self.scores[j * self.total..][..visible]);
+        }
+    }
+
+    /// Accumulates the value run `rows` (first row: retained row `r0`)
+    /// into every query's output, each over the part of the run it
+    /// attends.
+    fn accumulate_run(&self, r0: usize, rows: &[f32], out: &mut [f32]) {
+        let hd = self.batch.head_dim;
+        let end = r0 + rows.len() / hd;
+        for j in 0..self.m * self.batch.group {
+            let seen_end = end.min(self.visible(j));
+            if r0 >= seen_end {
+                continue;
+            }
+            let (t, g) = (self.t0 + j / self.batch.group, j % self.batch.group);
+            axpy_rows(
+                &rows[..(seen_end - r0) * hd],
+                &self.scores[j * self.total..][r0..seen_end],
+                &mut out[self.batch.out_range(t, g)],
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rkvc_tensor::seq_sum_f32;
 
     #[test]
     fn view_len_tracks_positions() {
@@ -176,5 +704,38 @@ mod tests {
         };
         assert_eq!(v.len(), 3);
         assert!(!v.is_empty());
+    }
+
+    fn ramp(n: usize, seed: f32) -> Vec<f32> {
+        (0..n).map(|i| ((i as f32 + seed) * 0.37).sin()).collect()
+    }
+
+    /// The kernels are bitwise the naive folds, for widths on both sides
+    /// of the 4-row, 8-lane and 32-channel blockings.
+    #[test]
+    fn kernels_match_naive_folds() {
+        for hd in [1usize, 3, 8, 31, 32, 33, 64, 70] {
+            for n in [0usize, 1, 3, 4, 5, 9] {
+                let rows = ramp(n * hd, 1.0);
+                let q = ramp(hd, 2.0);
+                let mut scores = vec![f32::NAN; n];
+                dots_into(&rows, &q, 0.25, &mut scores);
+                let w = ramp(n, 3.0);
+                let mut out = ramp(hd, 4.0);
+                let mut naive_out = out.clone();
+                axpy_rows(&rows, &w, &mut out);
+                for r in 0..n {
+                    let row = &rows[r * hd..(r + 1) * hd];
+                    let dot = seq_sum_f32(row.iter().zip(&q).map(|(a, b)| a * b));
+                    assert_eq!(scores[r].to_bits(), (dot * 0.25).to_bits());
+                    for (o, v) in naive_out.iter_mut().zip(row) {
+                        *o += w[r] * v;
+                    }
+                }
+                for (a, b) in out.iter().zip(&naive_out) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
     }
 }

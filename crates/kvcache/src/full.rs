@@ -1,8 +1,9 @@
 //! The FP16 full-precision baseline cache.
 
-use rkvc_tensor::{round_slice_to_f16, Matrix};
+use rkvc_tensor::Matrix;
 
-use crate::{CacheStats, KvCache, KvView};
+use crate::cache::{extend_attend_blocked, push_f16_row, BlockRows, DENSE_BLOCK_TOKENS};
+use crate::{AttendBatch, AttendScratch, CacheStats, KvCache, KvView};
 
 /// Full-precision (FP16) KV cache — the paper's baseline.
 ///
@@ -40,16 +41,18 @@ impl FullPrecisionCache {
     }
 }
 
+impl BlockRows for FullPrecisionCache {
+    fn quiet_appends(&self) -> usize {
+        DENSE_BLOCK_TOKENS - 1
+    }
+}
+
 impl KvCache for FullPrecisionCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
         assert_eq!(key.len(), self.head_dim, "key dim mismatch");
         assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        let mut k = key.to_vec();
-        let mut v = value.to_vec();
-        round_slice_to_f16(&mut k);
-        round_slice_to_f16(&mut v);
-        self.keys.push_row(&k);
-        self.values.push_row(&v);
+        push_f16_row(&mut self.keys, key);
+        push_f16_row(&mut self.values, value);
         self.positions.push(pos);
     }
 
@@ -59,6 +62,14 @@ impl KvCache for FullPrecisionCache {
             values: self.values.clone(),
             positions: self.positions.clone(),
         }
+    }
+
+    fn dense_rows(&self) -> Option<(&Matrix, &Matrix)> {
+        Some((&self.keys, &self.values))
+    }
+
+    fn extend_attend(&mut self, batch: &AttendBatch<'_>, scratch: &mut AttendScratch, out: &mut [f32]) {
+        extend_attend_blocked(self, batch, scratch, out);
     }
 
     fn len(&self) -> usize {

@@ -8,10 +8,11 @@
 //! `dequant(Q) + U·V + sparse` — near-lossless at the cost of extra compute,
 //! which is precisely the overhead the paper measures in Figure 3.
 
-use rkvc_tensor::{low_rank_approximate, round_slice_to_f16, round_to_f16, seq_sum_f32, softmax_into, Matrix};
+use rkvc_tensor::{low_rank_approximate, round_to_f16, softmax_into, Matrix};
 
+use crate::cache::{axpy_rows, dots_into, extend_attend_blocked, push_f16_row, BlockRows};
 use crate::quantizer::{GroupLayout, QuantizedMatrix, SupportedBits};
-use crate::{CacheError, CacheStats, KvCache, KvView};
+use crate::{AttendBatch, AttendScratch, CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters for [`GearCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,12 +125,11 @@ impl CorrectedTensor {
     }
 
     /// Reconstructs every row of this chunk into `scratch`, row `r` of
-    /// the chunk landing in row `r` of the scratch tile. The tile is
-    /// chunk-sized — `buffer × head_dim`, a fixed L1-resident block
-    /// independent of context length — so decoding stays bounded while
-    /// the dot/axpy loops that follow read distinct rows (restoring the
-    /// cross-row instruction-level parallelism a single shared row
-    /// buffer serializes away).
+    /// the chunk landing in row `r` of the scratch tile, and returns the
+    /// reconstructed rows as one dense run for the shared dot/axpy
+    /// kernels. The tile is chunk-sized — `buffer × head_dim`, a fixed
+    /// L1-resident block independent of context length — so decoding
+    /// stays bounded while the kernels that follow read distinct rows.
     ///
     /// Three tile-wide passes, each preserving the term order of
     /// [`CorrectedTensor::reconstruct`] exactly: the low-rank product
@@ -141,7 +141,7 @@ impl CorrectedTensor {
     /// `dequantize().add(..)`; then the outliers (sorted by
     /// `(row, col)`) add in, in list order. The tile equals
     /// `reconstruct()` bit for bit.
-    fn fused_tile_into(&self, scratch: &mut Matrix) {
+    fn fused_tile_into<'t>(&self, scratch: &'t mut Matrix) -> &'t [f32] {
         let rows = self.low_rank_u.rows();
         // k-outer keeps each element's terms ascending-k while binding
         // the V row once per rank component instead of once per row.
@@ -178,33 +178,7 @@ impl CorrectedTensor {
             let v = scratch.get(o.row, o.col) + o.value;
             scratch.set(o.row, o.col, v);
         }
-    }
-
-    /// Batch fused score primitive: pushes
-    /// `dot(reconstruct().row(r), q) * scale` for every row, ascending.
-    /// Each dot is the ascending-channel fold from `0.0` over the
-    /// reconstructed row — bit-identical to the view path.
-    fn fused_rows_dots(&self, q: &[f32], scale: f32, scores: &mut Vec<f32>, scratch: &mut Matrix) {
-        self.fused_tile_into(scratch);
-        for r in 0..self.low_rank_u.rows() {
-            let mut acc = 0.0f32;
-            for (&v, &qv) in scratch.row(r).iter().zip(q) {
-                acc += v * qv;
-            }
-            scores.push(acc * scale);
-        }
-    }
-
-    /// Batch fused weighted-sum: `out[c] += w[r] * reconstruct(r, c)`
-    /// for every row, ascending `r` — the view path's accumulation
-    /// order, term for term.
-    fn fused_rows_axpy(&self, w: &[f32], out: &mut [f32], scratch: &mut Matrix) {
-        self.fused_tile_into(scratch);
-        for (r, &wr) in w.iter().enumerate() {
-            for (o, &v) in out.iter_mut().zip(scratch.row(r)) {
-                *o += wr * v;
-            }
-        }
+        &scratch.as_slice()[..rows * scratch.cols()]
     }
 
     fn memory_bytes(&self) -> usize {
@@ -265,6 +239,10 @@ pub struct GearCache {
     buf_keys: Matrix,
     buf_values: Matrix,
     buf_positions: Vec<usize>,
+    // Reconstruction tile (`buffer x head_dim`, allocated at the first
+    // flush): attention rebuilds one chunk at a time here. Working
+    // memory, not retained state.
+    tile: Matrix,
     seen: usize,
     err_sum: f64,
     err_count: u64,
@@ -296,6 +274,7 @@ impl GearCache {
             buf_keys: Matrix::zeros(0, head_dim),
             buf_values: Matrix::zeros(0, head_dim),
             buf_positions: Vec::new(),
+            tile: Matrix::zeros(0, head_dim),
             seen: 0,
             err_sum: 0.0,
             err_count: 0,
@@ -345,9 +324,8 @@ impl GearCache {
     fn maybe_flush(&mut self) {
         while self.buf_positions.len() >= 2 * self.params.buffer {
             let n = self.params.buffer;
-            let rows: Vec<usize> = (0..n).collect();
-            let key_chunk = self.buf_keys.select_rows(&rows);
-            let val_chunk = self.buf_values.select_rows(&rows);
+            let key_chunk = self.buf_keys.drain_front_rows(n);
+            let val_chunk = self.buf_values.drain_front_rows(n);
             let positions: Vec<usize> = self.buf_positions.drain(0..n).collect();
 
             let (ck, ek) = CorrectedTensor::build(&key_chunk, self.bits, &self.params);
@@ -355,16 +333,36 @@ impl GearCache {
             self.err_sum += (ek + ev) as f64 * 0.5;
             self.err_count += 1;
 
+            if self.chunks.is_empty() {
+                self.tile = Matrix::zeros(n, self.head_dim);
+            }
             self.chunks.push(GearChunk {
                 keys: ck,
                 values: cv,
                 positions,
             });
-
-            let keep: Vec<usize> = (n..self.buf_keys.rows()).collect();
-            self.buf_keys = self.buf_keys.select_rows(&keep);
-            self.buf_values = self.buf_values.select_rows(&keep);
         }
+    }
+}
+
+impl BlockRows for GearCache {
+    fn quiet_appends(&self) -> usize {
+        // The buffer flushes on reaching `2 * buffer` rows.
+        (2 * self.params.buffer - 1).saturating_sub(self.buf_positions.len())
+    }
+
+    fn key_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
+        for chunk in &self.chunks {
+            f(chunk.keys.fused_tile_into(&mut self.tile));
+        }
+        f(self.buf_keys.as_slice());
+    }
+
+    fn value_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
+        for chunk in &self.chunks {
+            f(chunk.values.fused_tile_into(&mut self.tile));
+        }
+        f(self.buf_values.as_slice());
     }
 }
 
@@ -372,12 +370,8 @@ impl KvCache for GearCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
         assert_eq!(key.len(), self.head_dim, "key dim mismatch");
         assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        let mut k = key.to_vec();
-        let mut v = value.to_vec();
-        round_slice_to_f16(&mut k);
-        round_slice_to_f16(&mut v);
-        self.buf_keys.push_row(&k);
-        self.buf_values.push_row(&v);
+        push_f16_row(&mut self.buf_keys, key);
+        push_f16_row(&mut self.buf_values, value);
         self.buf_positions.push(pos);
         self.seen += 1;
         self.maybe_flush();
@@ -429,39 +423,39 @@ impl KvCache for GearCache {
         out: &mut [f32],
     ) {
         assert_eq!(query.len(), self.head_dim, "query dim mismatch");
+        assert_eq!(out.len(), self.head_dim, "output dim mismatch");
         // Fused score loop: each chunk is reconstructed (code decode +
-        // low-rank term + outlier cursor) into one chunk-sized scratch
-        // tile — `buffer × head_dim`, fixed and L1-resident — as the
-        // dots consume it; nothing of token-dimension size is
-        // materialized. Row order (flushed chunks in order, then the
-        // buffer) and each dot's ascending-channel fold match the view
-        // path exactly.
-        let mut scratch = Matrix::zeros(self.params.buffer, self.head_dim);
+        // low-rank term + outliers) into the chunk-sized tile —
+        // `buffer × head_dim`, fixed and L1-resident — as the dots
+        // consume it; nothing of token-dimension size is materialized.
+        // Row order (flushed chunks in order, then the buffer) and each
+        // dot's ascending-channel fold match the view path exactly.
         scores.clear();
-        for chunk in &self.chunks {
-            chunk.keys.fused_rows_dots(query, scale, scores, &mut scratch);
-        }
-        for r in 0..self.buf_keys.rows() {
-            let dot = seq_sum_f32(self.buf_keys.row(r).iter().zip(query).map(|(a, b)| a * b));
-            scores.push(dot * scale);
-        }
-        softmax_into(scores, weights);
-        self.observe_attention(weights);
-        // Fused weighted sum: reconstruction feeds the output
-        // accumulation directly, same term order as the view path.
-        let mut wi = 0;
+        scores.resize(self.len(), 0.0);
+        let mut r0 = 0;
         for chunk in &self.chunks {
             let n = chunk.positions.len();
-            chunk.values.fused_rows_axpy(&weights[wi..wi + n], out, &mut scratch);
-            wi += n;
+            let rows = chunk.keys.fused_tile_into(&mut self.tile);
+            dots_into(rows, query, scale, &mut scores[r0..r0 + n]);
+            r0 += n;
         }
-        for r in 0..self.buf_values.rows() {
-            let w = weights[wi];
-            wi += 1;
-            for (o, v) in out.iter_mut().zip(self.buf_values.row(r)) {
-                *o += w * v;
-            }
+        dots_into(self.buf_keys.as_slice(), query, scale, &mut scores[r0..]);
+        softmax_into(scores, weights);
+        // Fused weighted sum: reconstruction feeds the output
+        // accumulation directly, same term order as the view path.
+        let mut r0 = 0;
+        for chunk in &self.chunks {
+            let n = chunk.positions.len();
+            let rows = chunk.values.fused_tile_into(&mut self.tile);
+            axpy_rows(rows, &weights[r0..r0 + n], out);
+            r0 += n;
         }
+        axpy_rows(self.buf_values.as_slice(), &weights[r0..], out);
+        self.observe_attention(weights);
+    }
+
+    fn extend_attend(&mut self, batch: &AttendBatch<'_>, scratch: &mut AttendScratch, out: &mut [f32]) {
+        extend_attend_blocked(self, batch, scratch, out);
     }
 
     fn len(&self) -> usize {
@@ -526,7 +520,7 @@ rkvc_tensor::json_struct!(GearParams {
 mod tests {
     use super::*;
     use crate::{KiviCache, KiviParams};
-    use rkvc_tensor::seeded_rng;
+    use rkvc_tensor::{round_slice_to_f16, seeded_rng};
 
     fn fill(cache: &mut dyn KvCache, n: usize, dim: usize, seed: u64) {
         let mut rng = seeded_rng(seed);

@@ -8,10 +8,11 @@
 //! group. This windowed design is exactly what the paper flags as awkward for
 //! PagedAttention (two tensor types per page).
 
-use rkvc_tensor::{round_slice_to_f16, seq_sum_f32, softmax_into, Matrix};
+use rkvc_tensor::{softmax_into, Matrix};
 
+use crate::cache::{axpy_rows, dots_into, extend_attend_blocked, push_f16_row, BlockRows};
 use crate::quantizer::{GroupLayout, QuantizedMatrix, SupportedBits};
-use crate::{CacheError, CacheStats, KvCache, KvView};
+use crate::{AttendBatch, AttendScratch, CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters for [`KiviCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +79,10 @@ pub struct KiviCache {
     res_keys: Matrix,
     res_values: Matrix,
     res_positions: Vec<usize>,
+    // Decode tile of the query-blocked path (`group_size x head_dim`,
+    // allocated at the first flush): one chunk at a time is dequantized
+    // here per block of queries. Working memory, not retained state.
+    tile: Matrix,
     seen: usize,
     // Quantization error accounting.
     err_sum: f64,
@@ -104,6 +109,7 @@ impl KiviCache {
             res_keys: Matrix::zeros(0, head_dim),
             res_values: Matrix::zeros(0, head_dim),
             res_positions: Vec::new(),
+            tile: Matrix::zeros(0, head_dim),
             seen: 0,
             err_sum: 0.0,
             err_count: 0,
@@ -159,8 +165,8 @@ impl KiviCache {
     fn maybe_flush(&mut self) {
         while self.res_positions.len() >= self.params.residual + self.params.group_size {
             let g = self.params.group_size;
-            let key_chunk = self.res_keys.select_rows(&(0..g).collect::<Vec<_>>());
-            let val_chunk = self.res_values.select_rows(&(0..g).collect::<Vec<_>>());
+            let key_chunk = self.res_keys.drain_front_rows(g);
+            let val_chunk = self.res_values.drain_front_rows(g);
             let positions: Vec<usize> = self.res_positions.drain(0..g).collect();
 
             let qk = QuantizedMatrix::quantize(&key_chunk, GroupLayout::PerChannel, self.bits);
@@ -175,17 +181,38 @@ impl KiviCache {
             }
             self.err_count += err.len() as u64;
 
+            if self.chunks.is_empty() {
+                self.tile = Matrix::zeros(g, self.head_dim);
+            }
             self.chunks.push(QuantChunk {
                 keys: qk,
                 values: qv,
                 positions,
             });
-
-            // Drop the flushed rows from the residual matrices.
-            let keep: Vec<usize> = (g..self.res_keys.rows()).collect();
-            self.res_keys = self.res_keys.select_rows(&keep);
-            self.res_values = self.res_values.select_rows(&keep);
         }
+    }
+}
+
+impl BlockRows for KiviCache {
+    fn quiet_appends(&self) -> usize {
+        // The window flushes on reaching `residual + group_size` rows.
+        (self.params.residual + self.params.group_size - 1).saturating_sub(self.res_positions.len())
+    }
+
+    fn key_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
+        for chunk in &self.chunks {
+            chunk.keys.dequantize_rows_into(&mut self.tile);
+            f(&self.tile.as_slice()[..chunk.positions.len() * self.head_dim]);
+        }
+        f(self.res_keys.as_slice());
+    }
+
+    fn value_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
+        for chunk in &self.chunks {
+            chunk.values.dequantize_rows_into(&mut self.tile);
+            f(&self.tile.as_slice()[..chunk.positions.len() * self.head_dim]);
+        }
+        f(self.res_values.as_slice());
     }
 }
 
@@ -193,12 +220,8 @@ impl KvCache for KiviCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
         assert_eq!(key.len(), self.head_dim, "key dim mismatch");
         assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        let mut k = key.to_vec();
-        let mut v = value.to_vec();
-        round_slice_to_f16(&mut k);
-        round_slice_to_f16(&mut v);
-        self.res_keys.push_row(&k);
-        self.res_values.push_row(&v);
+        push_f16_row(&mut self.res_keys, key);
+        push_f16_row(&mut self.res_values, value);
         self.res_positions.push(pos);
         self.seen += 1;
         self.maybe_flush();
@@ -250,21 +273,20 @@ impl KvCache for KiviCache {
         out: &mut [f32],
     ) {
         assert_eq!(query.len(), self.head_dim, "query dim mismatch");
+        assert_eq!(out.len(), self.head_dim, "output dim mismatch");
         // Fused score loop: per-channel key groups decode in-register as
         // the dot consumes them — no f32 view is materialized. Row order
         // (flushed chunks in flush order, then the residual window) and
         // each dot's ascending-channel fold match the view path exactly,
-        // so the scores are bit-identical to the default `attend`.
+        // so the scores are bit-identical to the naive loops over `view`.
         scores.clear();
         for chunk in &self.chunks {
             chunk.keys.fused_dots_into(query, scale, scores);
         }
-        for r in 0..self.res_keys.rows() {
-            let dot = seq_sum_f32(self.res_keys.row(r).iter().zip(query).map(|(a, b)| a * b));
-            scores.push(dot * scale);
-        }
+        let quantized = scores.len();
+        scores.resize(quantized + self.res_keys.rows(), 0.0);
+        dots_into(self.res_keys.as_slice(), query, scale, &mut scores[quantized..]);
         softmax_into(scores, weights);
-        self.observe_attention(weights);
         // Fused weighted sum: per-token value groups decode in-register
         // into the output accumulation, same term order as the view path.
         let mut wi = 0;
@@ -273,13 +295,12 @@ impl KvCache for KiviCache {
             chunk.values.fused_axpy_rows(&weights[wi..wi + n], out);
             wi += n;
         }
-        for r in 0..self.res_values.rows() {
-            let w = weights[wi];
-            wi += 1;
-            for (o, v) in out.iter_mut().zip(self.res_values.row(r)) {
-                *o += w * v;
-            }
-        }
+        axpy_rows(self.res_values.as_slice(), &weights[wi..], out);
+        self.observe_attention(weights);
+    }
+
+    fn extend_attend(&mut self, batch: &AttendBatch<'_>, scratch: &mut AttendScratch, out: &mut [f32]) {
+        extend_attend_blocked(self, batch, scratch, out);
     }
 
     fn len(&self) -> usize {

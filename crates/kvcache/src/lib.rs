@@ -52,7 +52,7 @@ mod streaming;
 mod think;
 mod tova;
 
-pub use cache::{KvCache, KvView};
+pub use cache::{AttendBatch, AttendScratch, KvCache, KvView};
 pub use config::{CompressionConfig, CompressionFamily, PyramidKvParams};
 pub use full::FullPrecisionCache;
 pub use gear::{GearCache, GearParams};

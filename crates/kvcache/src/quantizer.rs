@@ -211,6 +211,14 @@ const fn code_value_table<const PER: usize>(nbits: u32) -> [[f32; PER]; 256] {
     t
 }
 
+/// Stores a decoded value, or with `ADD` adds the slot's previous content
+/// to it — decoded value as the left operand, the element order of
+/// `dequantize().add(correction)`.
+#[inline(always)]
+fn put<const ADD: bool>(slot: &mut f32, decoded: f32) {
+    *slot = if ADD { decoded + *slot } else { decoded };
+}
+
 static CODE_VALUES_B1: [[f32; 8]; 256] = code_value_table::<8>(1);
 static CODE_VALUES_B2: [[f32; 4]; 256] = code_value_table::<4>(2);
 static CODE_VALUES_B4: [[f32; 2]; 256] = code_value_table::<2>(4);
@@ -653,52 +661,91 @@ impl QuantizedMatrix {
     /// `scratch`: `scratch[r][c] = dequant(r, c) + scratch[r][c]`, the
     /// dequantized value as the left operand — row for row what
     /// [`QuantizedMatrix::add_dequant_row`] computes, in one call. The
-    /// decode tile is set up once for the whole matrix instead of once
-    /// per row, which matters when rows are short: GEAR reconstructs
-    /// `buffer`-row chunks of `head_dim` values, and re-zeroing the
-    /// per-call code tile dominated the per-row primitive's cost.
+    /// decode is set up once for the whole matrix instead of once per
+    /// row, which matters when rows are short: GEAR reconstructs
+    /// `buffer`-row chunks of `head_dim` values.
     ///
     /// # Panics
     ///
     /// Panics if `scratch` has fewer rows than `self` or a different
     /// column count.
     pub fn add_dequant_rows(&self, scratch: &mut Matrix) {
-        assert!(self.rows <= scratch.rows(), "add_dequant_rows row overflow");
-        assert_eq!(scratch.cols(), self.cols, "add_dequant_rows width mismatch");
+        self.decode_rows::<true>(scratch);
+    }
+
+    /// Writes the dequantized matrix into the leading rows of `tile` —
+    /// element for element what [`QuantizedMatrix::dequantize`] returns,
+    /// into caller-owned storage. The query-blocked attention path
+    /// decodes each flushed chunk through this once per block of queries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` has fewer rows than `self` or a different column
+    /// count.
+    pub fn dequantize_rows_into(&self, tile: &mut Matrix) {
+        self.decode_rows::<false>(tile);
+    }
+
+    /// Monomorphizes the whole-matrix decode on the bit width (uniform
+    /// across groups by construction — `quantize` packs every group at
+    /// one width) so it runs without per-group dispatch.
+    fn decode_rows<const ADD: bool>(&self, tile: &mut Matrix) {
+        assert!(self.rows <= tile.rows(), "decode_rows row overflow");
+        assert_eq!(tile.cols(), self.cols, "decode_rows width mismatch");
         let Some(g0) = self.groups.first() else { return };
-        let mut codes = [0i32; CODE_TILE];
+        match g0.bits {
+            SupportedBits::B1 => self.decode_rows_with::<8, ADD>(&CODE_VALUES_B1, tile),
+            SupportedBits::B2 => self.decode_rows_with::<4, ADD>(&CODE_VALUES_B2, tile),
+            SupportedBits::B4 => self.decode_rows_with::<2, ADD>(&CODE_VALUES_B4, tile),
+            SupportedBits::B8 => self.decode_rows_with::<1, ADD>(&CODE_VALUES_B8, tile),
+        }
+    }
+
+    /// Decodes every element as `code_value * scale + zero` through the
+    /// code-values table and either stores it (`ADD = false`) or adds the
+    /// slot's previous content to it (`ADD = true`, decoded value as the
+    /// left operand). The table's trailing entries for a partial last
+    /// byte fall off the end of the row (`PerToken`) or the group
+    /// (`PerChannel`).
+    fn decode_rows_with<const PER: usize, const ADD: bool>(
+        &self,
+        table: &[[f32; PER]; 256],
+        tile: &mut Matrix,
+    ) {
         match self.layout {
-            // Monomorphized on the bit width (uniform across groups by
-            // construction — `quantize` packs every group at one width)
-            // so the per-row decode runs without per-group dispatch.
-            GroupLayout::PerToken => match g0.bits {
-                SupportedBits::B1 => {
-                    Self::add_dequant_rows_pt::<8>(&self.groups, &CODE_VALUES_B1, scratch)
-                }
-                SupportedBits::B2 => {
-                    Self::add_dequant_rows_pt::<4>(&self.groups, &CODE_VALUES_B2, scratch)
-                }
-                SupportedBits::B4 => {
-                    Self::add_dequant_rows_pt::<2>(&self.groups, &CODE_VALUES_B4, scratch)
-                }
-                SupportedBits::B8 => {
-                    Self::add_dequant_rows_pt::<1>(&self.groups, &CODE_VALUES_B8, scratch)
-                }
-            },
-            GroupLayout::PerChannel => {
-                for (c, g) in self.groups.iter().enumerate() {
-                    let per = g.bits.values_per_byte();
+            GroupLayout::PerToken => {
+                for (r, g) in self.groups.iter().enumerate() {
+                    debug_assert_eq!(g.bits.values_per_byte(), PER, "mixed bit widths");
                     let (scale, zero) = (g.scale, g.zero);
-                    let mut r0 = 0;
-                    for byte_tile in g.packed.chunks(CODE_TILE / per) {
-                        let padded = byte_tile.len() * per;
-                        unpack_codes(byte_tile, g.bits, &mut codes[..padded]);
-                        let n = padded.min(g.len - r0);
-                        for (i, &code) in codes[..n].iter().enumerate() {
-                            let v = (code as f32 * scale + zero) + scratch.get(r0 + i, c);
-                            scratch.set(r0 + i, c, v);
+                    // Whole bytes first (fixed-width, unrolled), then the
+                    // partial last byte.
+                    let mut chunks = tile.row_mut(r).chunks_exact_mut(PER);
+                    for (o_chunk, &byte) in chunks.by_ref().zip(&g.packed) {
+                        for (o, &cf) in o_chunk.iter_mut().zip(&table[byte as usize]) {
+                            put::<ADD>(o, cf * scale + zero);
                         }
-                        r0 += n;
+                    }
+                    let rem = chunks.into_remainder();
+                    if !rem.is_empty() {
+                        let byte = g.packed[g.packed.len() - 1];
+                        for (o, &cf) in rem.iter_mut().zip(&table[byte as usize]) {
+                            put::<ADD>(o, cf * scale + zero);
+                        }
+                    }
+                }
+            }
+            GroupLayout::PerChannel => {
+                let cols = self.cols;
+                let data = tile.as_mut_slice();
+                for (c, g) in self.groups.iter().enumerate() {
+                    debug_assert_eq!(g.bits.values_per_byte(), PER, "mixed bit widths");
+                    let (scale, zero) = (g.scale, g.zero);
+                    for (b, &byte) in g.packed.iter().enumerate() {
+                        let r0 = b * PER;
+                        let live = g.len.saturating_sub(r0);
+                        for (i, &cf) in table[byte as usize].iter().enumerate().take(live) {
+                            put::<ADD>(&mut data[(r0 + i) * cols + c], cf * scale + zero);
+                        }
                     }
                 }
             }
@@ -762,34 +809,6 @@ impl QuantizedMatrix {
                 let d = &table[g.packed[g.packed.len() - 1] as usize];
                 for (o, &cf) in rem.iter_mut().zip(d) {
                     *o += wr * (cf * scale + zero);
-                }
-            }
-        }
-    }
-
-    /// `PerToken` arm of [`QuantizedMatrix::add_dequant_rows`],
-    /// monomorphized per bit width with the matching code-values table.
-    fn add_dequant_rows_pt<const PER: usize>(
-        groups: &[QuantizedGroup],
-        table: &[[f32; PER]; 256],
-        scratch: &mut Matrix,
-    ) {
-        for (r, g) in groups.iter().enumerate() {
-            debug_assert_eq!(g.bits.values_per_byte(), PER, "mixed bit widths");
-            let (scale, zero) = (g.scale, g.zero);
-            let row = scratch.row_mut(r);
-            let mut chunks = row.chunks_exact_mut(PER);
-            for (o_chunk, &byte) in chunks.by_ref().zip(&g.packed) {
-                let d = &table[byte as usize];
-                for (o, &cf) in o_chunk.iter_mut().zip(d) {
-                    *o = (cf * scale + zero) + *o;
-                }
-            }
-            let rem = chunks.into_remainder();
-            if !rem.is_empty() {
-                let d = &table[g.packed[g.packed.len() - 1] as usize];
-                for (o, &cf) in rem.iter_mut().zip(d) {
-                    *o = (cf * scale + zero) + *o;
                 }
             }
         }

@@ -12,8 +12,9 @@
 //! the savings are attention traffic and compute — and crucially, no
 //! information is ever lost, so negative samples largely disappear.
 
-use rkvc_tensor::{round_slice_to_f16, Matrix};
+use rkvc_tensor::Matrix;
 
+use crate::cache::push_f16_row;
 use crate::{CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters for [`QuestCache`].
@@ -128,12 +129,8 @@ impl KvCache for QuestCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
         assert_eq!(key.len(), self.head_dim, "key dim mismatch");
         assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        let mut k = key.to_vec();
-        let mut v = value.to_vec();
-        round_slice_to_f16(&mut k);
-        round_slice_to_f16(&mut v);
-        self.keys.push_row(&k);
-        self.values.push_row(&v);
+        push_f16_row(&mut self.keys, key);
+        push_f16_row(&mut self.values, value);
         self.positions.push(pos);
         self.seen += 1;
 

@@ -8,9 +8,10 @@
 //! observation window itself. Decode-time tokens are appended without
 //! eviction. The appendix (Figure 9) measures its throughput profile.
 
-use rkvc_tensor::{round_slice_to_f16, Matrix};
+use rkvc_tensor::Matrix;
 use std::collections::VecDeque;
 
+use crate::cache::push_f16_row;
 use crate::{CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters for [`SnapKvCache`].
@@ -135,12 +136,8 @@ impl KvCache for SnapKvCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
         assert_eq!(key.len(), self.head_dim, "key dim mismatch");
         assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        let mut k = key.to_vec();
-        let mut v = value.to_vec();
-        round_slice_to_f16(&mut k);
-        round_slice_to_f16(&mut v);
-        self.keys.push_row(&k);
-        self.values.push_row(&v);
+        push_f16_row(&mut self.keys, key);
+        push_f16_row(&mut self.values, value);
         self.positions.push(pos);
         self.seen += 1;
     }
@@ -153,14 +150,24 @@ impl KvCache for SnapKvCache {
         }
     }
 
+    fn dense_rows(&self) -> Option<(&Matrix, &Matrix)> {
+        Some((&self.keys, &self.values))
+    }
+
     fn observe_attention(&mut self, weights: &[f32]) {
         if self.prefill_done {
             return; // SnapKV only votes during prefill.
         }
-        self.observations.push_back(weights.to_vec());
-        while self.observations.len() > self.params.obs_window {
-            self.observations.pop_front();
-        }
+        // The window is a ring: once full, the vector retiring from the
+        // front is refilled and becomes the newest entry.
+        let mut obs = if self.observations.len() >= self.params.obs_window {
+            self.observations.pop_front().unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        obs.clear();
+        obs.extend_from_slice(weights);
+        self.observations.push_back(obs);
     }
 
     fn finish_prefill(&mut self) {

@@ -6,9 +6,10 @@
 //! no attention scores at all — the structured pattern the paper credits for
 //! its near-baseline prefill throughput.
 
-use rkvc_tensor::{round_slice_to_f16, Matrix};
+use rkvc_tensor::Matrix;
 
-use crate::{CacheError, CacheStats, KvCache, KvView};
+use crate::cache::{extend_attend_blocked, push_f16_row, BlockRows, DENSE_BLOCK_TOKENS};
+use crate::{AttendBatch, AttendScratch, CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters for [`StreamingLlmCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,25 +89,28 @@ impl StreamingLlmCache {
     }
 }
 
+impl BlockRows for StreamingLlmCache {
+    fn quiet_appends(&self) -> usize {
+        // An FP16 cache until the budget is full; from then on every
+        // append evicts, so blocks shrink to one token.
+        self.params.budget().saturating_sub(self.positions.len()).min(DENSE_BLOCK_TOKENS - 1)
+    }
+}
+
 impl KvCache for StreamingLlmCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
         assert_eq!(key.len(), self.head_dim, "key dim mismatch");
         assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        let mut k = key.to_vec();
-        let mut v = value.to_vec();
-        round_slice_to_f16(&mut k);
-        round_slice_to_f16(&mut v);
-        self.keys.push_row(&k);
-        self.values.push_row(&v);
+        push_f16_row(&mut self.keys, key);
+        push_f16_row(&mut self.values, value);
         self.positions.push(pos);
         self.seen += 1;
 
         while self.positions.len() > self.params.budget() {
             // Evict the oldest token that is not a sink.
             let idx = self.params.sinks.min(self.positions.len() - 1);
-            let keep: Vec<usize> = (0..self.positions.len()).filter(|&i| i != idx).collect();
-            self.keys = self.keys.select_rows(&keep);
-            self.values = self.values.select_rows(&keep);
+            self.keys.remove_row(idx);
+            self.values.remove_row(idx);
             self.positions.remove(idx);
             self.evicted += 1;
         }
@@ -118,6 +122,14 @@ impl KvCache for StreamingLlmCache {
             values: self.values.clone(),
             positions: self.positions.clone(),
         }
+    }
+
+    fn dense_rows(&self) -> Option<(&Matrix, &Matrix)> {
+        Some((&self.keys, &self.values))
+    }
+
+    fn extend_attend(&mut self, batch: &AttendBatch<'_>, scratch: &mut AttendScratch, out: &mut [f32]) {
+        extend_attend_blocked(self, batch, scratch, out);
     }
 
     fn len(&self) -> usize {

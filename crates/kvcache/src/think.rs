@@ -7,8 +7,9 @@
 //! the paper's query-driven criterion, documented here) and prune at the end
 //! of prefill; pruned channels read back as zero.
 
-use rkvc_tensor::{round_slice_to_f16, Matrix};
+use rkvc_tensor::Matrix;
 
+use crate::cache::push_f16_row;
 use crate::{CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters for [`ThinkCache`].
@@ -94,17 +95,14 @@ impl KvCache for ThinkCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
         assert_eq!(key.len(), self.head_dim, "key dim mismatch");
         assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        let mut k = key.to_vec();
-        let mut v = value.to_vec();
-        round_slice_to_f16(&mut k);
-        round_slice_to_f16(&mut v);
+        push_f16_row(&mut self.keys, key);
+        push_f16_row(&mut self.values, value);
         // Channels pruned at prefill stay pruned for decode appends — the
         // policy's constant-width storage.
+        let stored = self.keys.row_mut(self.keys.rows() - 1);
         for &c in &self.pruned {
-            k[c] = 0.0;
+            stored[c] = 0.0;
         }
-        self.keys.push_row(&k);
-        self.values.push_row(&v);
         self.positions.push(pos);
         self.seen += 1;
     }
@@ -115,6 +113,10 @@ impl KvCache for ThinkCache {
             values: self.values.clone(),
             positions: self.positions.clone(),
         }
+    }
+
+    fn dense_rows(&self) -> Option<(&Matrix, &Matrix)> {
+        Some((&self.keys, &self.values))
     }
 
     fn finish_prefill(&mut self) {

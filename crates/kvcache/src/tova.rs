@@ -6,8 +6,9 @@
 //! score, no protected window. Implemented here as an extension algorithm
 //! for the ablation studies.
 
-use rkvc_tensor::{round_slice_to_f16, Matrix};
+use rkvc_tensor::Matrix;
 
+use crate::cache::push_f16_row;
 use crate::{CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters for [`TovaCache`].
@@ -77,9 +78,8 @@ impl TovaCache {
     }
 
     fn remove_row(&mut self, idx: usize) {
-        let keep: Vec<usize> = (0..self.positions.len()).filter(|&i| i != idx).collect();
-        self.keys = self.keys.select_rows(&keep);
-        self.values = self.values.select_rows(&keep);
+        self.keys.remove_row(idx);
+        self.values.remove_row(idx);
         self.positions.remove(idx);
         self.evicted += 1;
     }
@@ -89,12 +89,8 @@ impl KvCache for TovaCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
         assert_eq!(key.len(), self.head_dim, "key dim mismatch");
         assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        let mut k = key.to_vec();
-        let mut v = value.to_vec();
-        round_slice_to_f16(&mut k);
-        round_slice_to_f16(&mut v);
-        self.keys.push_row(&k);
-        self.values.push_row(&v);
+        push_f16_row(&mut self.keys, key);
+        push_f16_row(&mut self.values, value);
         self.positions.push(pos);
         self.seen += 1;
         // If no attention feedback arrives before the next append (a
@@ -110,6 +106,10 @@ impl KvCache for TovaCache {
             values: self.values.clone(),
             positions: self.positions.clone(),
         }
+    }
+
+    fn dense_rows(&self) -> Option<(&Matrix, &Matrix)> {
+        Some((&self.keys, &self.values))
     }
 
     fn observe_attention(&mut self, weights: &[f32]) {

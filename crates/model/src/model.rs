@@ -1,6 +1,6 @@
 //! TinyLM forward pass and generation sessions.
 
-use rkvc_kvcache::{CacheStats, CompressionConfig, KvCache};
+use rkvc_kvcache::{AttendBatch, AttendScratch, CacheStats, CompressionConfig, KvCache};
 use rkvc_tensor::{silu, Matrix};
 
 use crate::vocab::TokenId;
@@ -65,7 +65,10 @@ impl TinyLm {
             caches,
             pos: 0,
             prev_token: crate::vocab::BOS,
-            scratch: Scratch::default(),
+            scratch: Scratch {
+                attend: (0..self.cfg.n_kv_heads).map(|_| AttendScratch::default()).collect(),
+                ..Scratch::default()
+            },
         }
     }
 }
@@ -102,18 +105,20 @@ fn vec_mat_into(v: &[f32], m: &Matrix, out: &mut Vec<f32>) {
 const ATTN_OPS_PER_CACHED_ELEM: usize = 4;
 
 /// Runs one KV head's work for `n_tokens` consecutive tokens: append the
-/// new K/V rows, then attend for every query head in the head's group.
+/// new K/V rows, attending for every query head in the head's group right
+/// after each token's append — one [`KvCache::extend_attend`] call, for
+/// decode (`n_tokens == 1`) and prefill alike.
 ///
 /// This is the unit both [`Session::forward`] and the batched
 /// [`Session::prefill`] fan across [`rkvc_tensor::par`]: units touch
-/// disjoint caches and disjoint output stripes, and within a unit tokens
-/// are processed strictly in order, so each cache observes exactly the
-/// same call sequence — and produces exactly the same bits — as the
-/// seed's token-at-a-time loop, at any thread count.
+/// disjoint caches, disjoint scratch and disjoint output stripes, and a
+/// cache's `extend_attend` is bit-identical to its own per-token
+/// append/attend loop (the policies that run blocks of queries against a
+/// stable past pin that with oracle tests), so generations match the
+/// seed's token-at-a-time loop at any thread count.
 #[allow(clippy::too_many_arguments)]
 fn run_kv_unit(
-    cache: &mut dyn KvCache,
-    kvh: usize,
+    unit: &mut KvUnit<'_>,
     n_tokens: usize,
     pos0: usize,
     scale: f32,
@@ -124,34 +129,29 @@ fn run_kv_unit(
     k_all: &[f32],
     v_all: &[f32],
     kv_stride: usize,
-    out: &mut [f32],
 ) {
-    let unit_width = group_size * hd;
-    // One score/weight scratch pair for the whole unit, threaded through
-    // `attend`: the per-(token, head) `Vec` allocations this replaces
-    // dominated short-context decode.
-    let mut scores: Vec<f32> = Vec::new();
-    let mut weights: Vec<f32> = Vec::new();
-    for t in 0..n_tokens {
-        cache.append(
-            &k_all[t * kv_stride + kvh * hd..][..hd],
-            &v_all[t * kv_stride + kvh * hd..][..hd],
-            pos0 + t,
-        );
-        for g in 0..group_size {
-            let h = kvh * group_size + g;
-            let q = &q_all[t * q_stride + h * hd..][..hd];
-            let o = &mut out[t * unit_width + g * hd..][..hd];
-            // `attend` runs score dots, softmax, the observe_attention
-            // feedback, and the weighted value sum. The default trait
-            // impl replays exactly the view-based loops that used to
-            // live inline here; KIVI/GEAR override it with fused kernels
-            // that decode packed chunks in-register — bit-identical by
-            // their oracle tests, so generations match the seed's
-            // token-at-a-time loop at any thread count.
-            cache.attend(q, scale, &mut scores, &mut weights, o);
-        }
-    }
+    let batch = AttendBatch {
+        head_dim: hd,
+        n_tokens,
+        pos0,
+        scale,
+        group: group_size,
+        keys: &k_all[unit.kvh * hd..],
+        values: &v_all[unit.kvh * hd..],
+        kv_stride,
+        queries: &q_all[unit.kvh * group_size * hd..],
+        q_stride,
+    };
+    unit.cache.extend_attend(&batch, unit.attend, unit.out);
+}
+
+/// One KV head's share of a layer's attention: its cache, its attention
+/// scratch and its stripe of the output.
+struct KvUnit<'a> {
+    kvh: usize,
+    cache: &'a mut dyn KvCache,
+    attend: &'a mut AttendScratch,
+    out: &'a mut [f32],
 }
 
 /// Reusable per-session activation buffers; [`Session::forward`] used to
@@ -167,6 +167,9 @@ struct Scratch {
     gate: Vec<f32>,
     up: Vec<f32>,
     hidden: Vec<f32>,
+    /// Attention working memory, one per KV head (the units of a layer
+    /// run concurrently), reused across layers and tokens.
+    attend: Vec<AttendScratch>,
 }
 
 /// A generation session: the mutable KV caches and stream position for one
@@ -223,42 +226,29 @@ impl Session<'_> {
             // Attention, one unit per KV head: append this token's K/V,
             // then attend for the unit's query heads. Query-aware policies
             // (Quest) select a per-query subset inside `view_for_query`;
-            // static policies return their full view. Units own disjoint
-            // caches and disjoint `attn` stripes, so they fan across the
-            // pool once the cache is long enough to pay for it.
+            // static policies attend over their storage in place. Units
+            // own disjoint caches and disjoint `attn` stripes, so they fan
+            // across the pool once the cache is long enough to pay for it.
             self.scratch.attn.clear();
             self.scratch.attn.resize(cfg.n_heads * hd, 0.0);
             let q_all = &self.scratch.q;
             let k_all = &self.scratch.k;
             let v_all = &self.scratch.v;
             let pos = self.pos;
-            let mut units: Vec<(usize, &mut Box<dyn KvCache>, &mut [f32])> = self.caches[l]
+            let mut units: Vec<KvUnit<'_>> = self.caches[l]
                 .iter_mut()
+                .zip(self.scratch.attend.iter_mut())
                 .zip(self.scratch.attn.chunks_mut(gs * hd))
                 .enumerate()
-                .map(|(kvh, (cache, out))| (kvh, cache, out))
+                .map(|(kvh, ((cache, attend), out))| KvUnit { kvh, cache: cache.as_mut(), attend, out })
                 .collect();
             let grain = rkvc_tensor::par::grain_for(
                 units.len(),
                 ATTN_OPS_PER_CACHED_ELEM * (pos + 1) * gs * hd,
             );
             rkvc_tensor::par::par_chunks_mut(&mut units, grain, |_, chunk| {
-                for (kvh, cache, out) in chunk.iter_mut() {
-                    run_kv_unit(
-                        cache.as_mut(),
-                        *kvh,
-                        1,
-                        pos,
-                        scale,
-                        gs,
-                        hd,
-                        q_all,
-                        0,
-                        k_all,
-                        v_all,
-                        0,
-                        out,
-                    );
+                for unit in chunk.iter_mut() {
+                    run_kv_unit(unit, 1, pos, scale, gs, hd, q_all, 0, k_all, v_all, 0);
                 }
             });
 
@@ -345,18 +335,14 @@ impl Session<'_> {
 
             // Per-KV-head units, each consuming the whole prompt in token
             // order into its own output stripe.
-            struct PrefillUnit<'a> {
-                kvh: usize,
-                cache: &'a mut Box<dyn KvCache>,
-                out: &'a mut [f32],
-            }
-            let mut units: Vec<PrefillUnit<'_>> = self.caches[l]
+            let mut units: Vec<KvUnit<'_>> = self.caches[l]
                 .iter_mut()
+                .zip(self.scratch.attend.iter_mut())
                 .zip(unit_outs.iter_mut())
                 .enumerate()
-                .map(|(kvh, (cache, out))| {
+                .map(|(kvh, ((cache, attend), out))| {
                     out.fill(0.0);
-                    PrefillUnit { kvh, cache, out }
+                    KvUnit { kvh, cache: cache.as_mut(), attend, out }
                 })
                 .collect();
             let grain = rkvc_tensor::par::grain_for(
@@ -364,10 +350,9 @@ impl Session<'_> {
                 ATTN_OPS_PER_CACHED_ELEM * n * (pos0 + n) * gs * hd,
             );
             rkvc_tensor::par::par_chunks_mut(&mut units, grain, |_, chunk| {
-                for u in chunk.iter_mut() {
+                for unit in chunk.iter_mut() {
                     run_kv_unit(
-                        u.cache.as_mut(),
-                        u.kvh,
+                        unit,
                         n,
                         pos0,
                         scale,
@@ -378,7 +363,6 @@ impl Session<'_> {
                         k_all.as_slice(),
                         v_all.as_slice(),
                         k_all.cols(),
-                        &mut *u.out,
                     );
                 }
             });
@@ -614,8 +598,12 @@ mod tests {
     /// The batched prefill must be bit-identical to the seed's
     /// token-at-a-time loop — logits, retained positions, and cache
     /// statistics — for every compression policy and at every thread
-    /// count, because each per-head cache observes the same ordered call
-    /// sequence either way.
+    /// count, because each per-head cache's `extend_attend` over the
+    /// whole prompt equals its own per-token append/attend sequence. The
+    /// prompt spans several query blocks and flush periods of each
+    /// blocked policy (FP16 blocks of 16, KIVI flushing every 8, GEAR
+    /// every 8, StreamingLLM blocked until its window fills), and the
+    /// score-feedback policies (H2O) evict throughout.
     #[test]
     fn batched_prefill_matches_per_token_oracle() {
         let policies = [
@@ -626,36 +614,54 @@ mod tests {
                 group_size: 8,
                 residual: 8,
             }),
+            CompressionConfig::Gear(rkvc_kvcache::GearParams {
+                buffer: 8,
+                outlier_ratio: 0.05,
+                rank_ratio: 0.1,
+                ..Default::default()
+            }),
+            CompressionConfig::h2o(4, 12),
         ];
-        let model = TinyLm::new(ModelConfig::induction_mha());
         let prompt: Vec<TokenId> = {
             let mut p = vec![vocab::BOS];
-            p.extend((0..40).map(|i| vocab::CONTENT_START + (i % 16)));
+            p.extend((0..70).map(|i| vocab::CONTENT_START + (i % 16)));
             p
         };
-        for cfg in &policies {
-            let mut per_token = model.start_session(cfg);
-            let oracle = per_token.prefill_per_token(&prompt);
-            for threads in [1usize, 2, 4] {
-                rkvc_tensor::par::set_threads(Some(threads));
-                let mut batched = model.start_session(cfg);
-                let logits = batched.prefill(&prompt);
-                assert_eq!(logits.len(), oracle.len());
-                for (a, b) in logits.iter().zip(&oracle) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "logits diverged for {cfg:?} at {threads} threads"
-                    );
+        // A follow-up turn prefilled onto the non-empty caches, as
+        // multi-turn serving does.
+        let follow_up: Vec<TokenId> = (0..21).map(|i| vocab::CONTENT_START + (i * 5 % 16)).collect();
+        for model_cfg in [ModelConfig::induction_mha(), ModelConfig::induction_gqa()] {
+            let model = TinyLm::new(model_cfg);
+            for cfg in &policies {
+                let mut per_token = model.start_session(cfg);
+                per_token.prefill_per_token(&prompt);
+                let oracle = per_token.prefill_per_token(&follow_up);
+                for threads in [1usize, 2, 4] {
+                    rkvc_tensor::par::set_threads(Some(threads));
+                    let mut batched = model.start_session(cfg);
+                    batched.prefill(&prompt);
+                    let logits = batched.prefill(&follow_up);
+                    assert_eq!(logits.len(), oracle.len());
+                    for (a, b) in logits.iter().zip(&oracle) {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "logits diverged for {cfg:?} at {threads} threads"
+                        );
+                    }
+                    assert_eq!(batched.position(), per_token.position());
+                    assert_eq!(batched.cache_stats(), per_token.cache_stats());
+                    for layer in 0..model.config().n_layers {
+                        for kvh in 0..model.config().n_kv_heads {
+                            assert_eq!(
+                                batched.retained_positions(layer, kvh),
+                                per_token.retained_positions(layer, kvh)
+                            );
+                        }
+                    }
                 }
-                assert_eq!(batched.position(), per_token.position());
-                assert_eq!(batched.kv_memory_bytes(), per_token.kv_memory_bytes());
-                assert_eq!(
-                    batched.retained_positions(0, 0),
-                    per_token.retained_positions(0, 0)
-                );
+                rkvc_tensor::par::set_threads(None);
             }
-            rkvc_tensor::par::set_threads(None);
         }
     }
 

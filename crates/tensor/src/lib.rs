@@ -32,7 +32,7 @@ pub use lowrank::{low_rank_approximate, LowRankFactors};
 pub use matrix::Matrix;
 pub use ops::{
     argmax, rms_norm, rope_rotate, seq_sum_f32, seq_sum_f64, silu, softmax_in_place, softmax_into,
-    softmax_row, top_k,
+    softmax_row, softmax_slice, top_k,
 };
 pub use rng::{seeded_rng, xavier_matrix, SeededRng};
 

@@ -26,7 +26,11 @@ pub fn softmax_into(logits: &[f32], out: &mut Vec<f32>) {
     softmax_slice(out);
 }
 
-fn softmax_slice(row: &mut [f32]) {
+/// Numerically stable softmax of one row in place — the kernel behind
+/// [`softmax_row`] and [`softmax_into`], for callers that already hold
+/// the scores in the buffer the weights should end up in (the
+/// query-blocked attention score matrix).
+pub fn softmax_slice(row: &mut [f32]) {
     if row.is_empty() {
         return;
     }

@@ -36,8 +36,10 @@
 #      (the prefix-shared, tiered block-manager experiment), ext_slo
 #      (the multi-turn session / SLO-aware scheduling sweep), and
 #      ext_fleet (the sharded, autoscaled replica-fleet sweep, whose
-#      replicas simulate in parallel) with RKVC_THREADS=1 and
-#      RKVC_THREADS=4, plus fig1, ext_prefix, ext_slo, and ext_fleet at
+#      replicas simulate in parallel), and appendix_c (the longest
+#      consumer of the query-blocked prefill / zero-copy attend path)
+#      with RKVC_THREADS=1 and RKVC_THREADS=4, plus fig1, table6,
+#      ext_prefix, ext_slo, ext_fleet, and appendix_c at
 #      RKVC_THREADS=3 (an odd pool width, catching chunk-decomposition
 #      bugs that powers of two hide); the emitted JSON must be
 #      byte-identical, proving experiment output is a pure function of
@@ -96,7 +98,7 @@ tmp1=$(mktemp -d)
 tmp3=$(mktemp -d)
 tmp4=$(mktemp -d)
 trap 'rm -rf "$tmp1" "$tmp3" "$tmp4"' EXIT
-for exp in fig1 table6 table8 ext_prefix ext_slo ext_fleet; do
+for exp in fig1 table6 table8 ext_prefix ext_slo ext_fleet appendix_c; do
     RKVC_THREADS=1 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
         --exp "$exp" --scale quick --out "$tmp1"
     RKVC_THREADS=4 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
@@ -111,13 +113,15 @@ done
 # session follow-up injection and SLO-aware admission are the newest
 # event-loop surfaces, and ext_fleet because its epoch-barrier replica
 # fan-out is the one place par_chunks_mut runs whole simulators in
-# parallel — the exact surface an odd width would shear.
-for exp in fig1 table6 ext_prefix ext_slo ext_fleet; do
+# parallel — the exact surface an odd width would shear — and
+# appendix_c because its generation loops spend the longest in the
+# per-KV-head units that run the query-blocked prefill.
+for exp in fig1 table6 ext_prefix ext_slo ext_fleet appendix_c; do
     RKVC_THREADS=3 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
         --exp "$exp" --scale quick --out "$tmp3"
     diff "$tmp1/$exp.json" "$tmp3/$exp.json"
 done
 diff -r "$tmp1" "$tmp4"
-echo "ok: fig1 + table6 + table8 + ext_prefix + ext_slo + ext_fleet JSON byte-identical across worker-pool widths (incl. odd width 3)"
+echo "ok: fig1 + table6 + table8 + ext_prefix + ext_slo + ext_fleet + appendix_c JSON byte-identical across worker-pool widths (incl. odd width 3)"
 
 echo "hermetic check passed"
