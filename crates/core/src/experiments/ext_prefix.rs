@@ -97,11 +97,7 @@ pub fn serve_prefix_workload(
             .with_shared_prefix(r.group, r.prefix_len),
         );
     }
-    while s.has_work() {
-        if !s.step() {
-            break;
-        }
-    }
+    s.run_until_idle();
     let peak_batch = s.peak_batch();
     let stats = *s.block_stats();
     let metrics = ServingMetrics::from_completed(&s.into_completed());

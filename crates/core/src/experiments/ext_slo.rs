@@ -12,7 +12,7 @@
 //! (within-SLO tokens/s) without sacrificing interactive tail latency.
 //!
 //! The session trace is causal: turn `k + 1` only arrives one think-time
-//! after turn `k` completes ([`Engine::run_sessions`]), and a completed
+//! after turn `k` completes ([`Engine::run`]'s follow-up hook), and a completed
 //! non-final turn parks its KV in the shared pool so the next turn
 //! re-references the history instead of re-prefilling it. The parked
 //! blocks ride the same content-hash machinery as `ext_prefix`'s
@@ -102,7 +102,7 @@ pub fn serve_sessions(
     let mut engine = Engine::new(vec![server]);
     // Single server; the oracle response length stands in for the router's
     // prediction so SPF has something to order by.
-    let done = engine.run_sessions(
+    let done = engine.run(
         trace.initial_requests(),
         |_, r| (0, r.response_len as f64),
         |c| trace.follow_up(c),

@@ -3,8 +3,9 @@
 //! `Cluster` is a thin driver over the discrete-event
 //! [`Engine`](crate::Engine): it validates the arrival stream, supplies
 //! the routing decision as the engine's dispatch closure, and leaves all
-//! admission/decode/preemption mechanics to the shared server core.
+//! admission/decode/preemption mechanics to [`ServerSim`].
 
+use crate::request::first_unsorted_arrival;
 use crate::{CompletedRequest, Engine, ServerSim, SimRequest};
 
 /// Routing policies from Table 8.
@@ -114,8 +115,7 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Picks the lowest-score server for `req` under `policy` — the routing
-/// rule shared by [`Cluster::route`] and the engine dispatch closure.
+/// Picks the lowest-score server for `req` under `policy`.
 fn route_among(
     servers: &[ServerSim],
     policy: RoutingPolicy,
@@ -187,21 +187,6 @@ impl Cluster {
         Ok(Cluster { servers, policy })
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
-    }
-
-    /// Server count.
-    pub fn size(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Picks a destination server for `req` under the configured policy.
-    pub fn route(&self, req: &SimRequest, predictor: &dyn RoutePredictor) -> usize {
-        route_among(&self.servers, self.policy, req, predictor)
-    }
-
     /// Runs the full arrival stream to completion on the discrete-event
     /// engine and returns every request's measured latency. At each
     /// arrival instant the engine has every server's state current (all
@@ -218,24 +203,23 @@ impl Cluster {
         requests: Vec<SimRequest>,
         predictor: &dyn RoutePredictor,
     ) -> Result<Vec<CompletedRequest>, ClusterError> {
-        let mut last = f64::NEG_INFINITY;
-        for (index, req) in requests.iter().enumerate() {
-            if req.arrival_s < last {
-                return Err(ClusterError::UnsortedArrivals {
-                    index,
-                    arrival_s: req.arrival_s,
-                    prev_s: last,
-                });
-            }
-            last = req.arrival_s;
+        if let Some((index, arrival_s, prev_s)) = first_unsorted_arrival(&requests) {
+            return Err(ClusterError::UnsortedArrivals {
+                index,
+                arrival_s,
+                prev_s,
+            });
         }
         let policy = self.policy;
-        let done = Engine::new(self.servers).run_stream(requests, |servers, req| {
-            let dst = route_among(servers, policy, req, predictor);
-            let predicted = predictor.predicted_response_len(&servers[dst], req);
-            (dst, predicted)
-        });
-        Ok(done)
+        Ok(Engine::new(self.servers).run(
+            requests,
+            |servers, req| {
+                let dst = route_among(servers, policy, req, predictor);
+                let predicted = predictor.predicted_response_len(&servers[dst], req);
+                (dst, predicted)
+            },
+            |_| None,
+        ))
     }
 }
 

@@ -1,14 +1,7 @@
-//! Discrete-event serving engine.
+//! Discrete-event serving engine, in two parts:
 //!
-//! The seed simulator was two copies of the same lockstep loop: `ServerSim`
-//! stepped itself, and `Cluster` re-implemented admission ordering around
-//! it. This module replaces both with one discrete-event core:
-//!
-//! * [`ServerCore`] holds all per-server state and the single copy of the
-//!   iteration logic (admissions + one decode step), parameterized by a
-//!   [`Scheduler`](crate::Scheduler). Its arithmetic is ported
-//!   operation-for-operation from the seed loop so the FCFS scheduler is a
-//!   bit-compatible oracle of the old behaviour.
+//! * [`ServerSim`] (in `server.rs`) holds all per-server state and the
+//!   single copy of the iteration logic (admissions + one decode step).
 //! * [`Engine`] owns a set of servers and a binary-heap event queue keyed
 //!   on `(sim_time_bits, rank, seq)`. Time bits come from
 //!   [`SimClock::ordinal`] (an order-preserving integer image of the f64
@@ -34,19 +27,13 @@
 //!
 //! A request that can never fit in the block pool made the seed loop spin
 //! forever. The engine instead parks the server (its iteration reports no
-//! progress and is not rescheduled), so `run_stream` terminates and the
+//! progress and is not rescheduled), so [`Engine::run`] terminates and the
 //! unserviceable request is simply absent from the completions.
 
-use rkvc_gpu::{decode_memory_bytes, DeploymentSpec};
-use rkvc_kvcache::CompressionConfig;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-use crate::blocks::{prefix_hash_chain, session_hash_chain};
-use crate::tier::{DemotePolicy, RefillPolicy};
-use crate::{
-    BlockError, BlockManager, CompletedRequest, ServerSim, ServingConfig, SimClock, SimRequest,
-};
+use crate::{CompletedRequest, ServerSim, SimClock, SimRequest};
 
 /// Idle-server wake-up for a queued arrival (the seed's inclusive gate).
 pub(crate) const RANK_IDLE_START: u8 = 0;
@@ -54,725 +41,6 @@ pub(crate) const RANK_IDLE_START: u8 = 0;
 pub(crate) const RANK_ARRIVAL: u8 = 1;
 /// A busy server's next iteration (the seed's strict gate).
 pub(crate) const RANK_DECODE: u8 = 2;
-
-/// A request waiting in a server's queue — either freshly routed
-/// (`generated == 0`) or preempted mid-decode and awaiting recompute.
-#[derive(Debug, Clone)]
-// rkvc-allow(C001): parameter type of the pub Scheduler trait; pluggable schedulers implement against it
-pub struct Waiting {
-    pub(crate) req: SimRequest,
-    pub(crate) predicted_len: f64,
-    pub(crate) generated: usize,
-    pub(crate) ttft_s: Option<f64>,
-    pub(crate) queue_delay_s: Option<f64>,
-    pub(crate) preemptions: usize,
-    pub(crate) queue_seq: u64,
-    /// The sequence's private KV blocks sit on the L2 (host) tier; it must
-    /// be refilled (or recomputed) before it can decode again.
-    pub(crate) spilled: bool,
-}
-
-impl Waiting {
-    /// The underlying request.
-    pub fn request(&self) -> &SimRequest {
-        &self.req
-    }
-
-    /// Arrival time (seconds).
-    pub fn arrival_s(&self) -> f64 {
-        self.req.arrival_s
-    }
-
-    /// Response length the router predicted for this request on this
-    /// server (schedulers may order by it).
-    pub fn predicted_len(&self) -> f64 {
-        self.predicted_len
-    }
-
-    /// Tokens already generated before a preemption (0 for fresh requests).
-    pub fn generated(&self) -> usize {
-        self.generated
-    }
-
-    /// Times this request has been preempted.
-    pub fn preemptions(&self) -> usize {
-        self.preemptions
-    }
-
-    /// Monotone enqueue counter — the deterministic tie-break.
-    pub fn queue_seq(&self) -> u64 {
-        self.queue_seq
-    }
-
-    /// Whether the request's KV is parked on the spill tier.
-    pub fn spilled(&self) -> bool {
-        self.spilled
-    }
-}
-
-/// A sequence resident in the running batch.
-#[derive(Debug, Clone)]
-// rkvc-allow(C001): parameter type of the pub Scheduler trait; pluggable schedulers implement against it
-pub struct RunningSeq {
-    pub(crate) req: SimRequest,
-    pub(crate) target_len: usize,
-    pub(crate) generated: usize,
-    pub(crate) kv_len: usize,
-    pub(crate) ttft_s: f64,
-    pub(crate) queue_delay_s: f64,
-    pub(crate) predicted_len: f64,
-    pub(crate) preemptions: usize,
-    pub(crate) admit_seq: u64,
-    pub(crate) queue_seq: u64,
-}
-
-impl RunningSeq {
-    /// The underlying request.
-    pub fn request(&self) -> &SimRequest {
-        &self.req
-    }
-
-    /// Tokens generated so far.
-    pub fn generated(&self) -> usize {
-        self.generated
-    }
-
-    /// Tokens this sequence will generate in total.
-    pub fn target_len(&self) -> usize {
-        self.target_len
-    }
-
-    /// Logical KV length (prompt + generated).
-    pub fn kv_len(&self) -> usize {
-        self.kv_len
-    }
-
-    /// Response length predicted at routing time.
-    pub fn predicted_len(&self) -> f64 {
-        self.predicted_len
-    }
-
-    /// Monotone admission counter — "youngest" means the largest value.
-    pub fn admit_seq(&self) -> u64 {
-        self.admit_seq
-    }
-
-    /// Monotone enqueue counter carried over from the queue.
-    pub fn queue_seq(&self) -> u64 {
-        self.queue_seq
-    }
-
-    /// Whether the sequence has produced its full response this iteration.
-    pub fn is_finished(&self) -> bool {
-        self.generated >= self.target_len
-    }
-}
-
-/// A completed (non-final) conversation turn whose KV stays resident: its
-/// sequence remains registered in the block pool so the follow-up turn's
-/// shared registration re-references the published blocks instead of
-/// re-prefilling the history.
-#[derive(Debug, Clone, Copy)]
-struct ParkedSession {
-    /// The conversation this cache belongs to.
-    session: u64,
-    /// The completed request still owning the blocks.
-    owner: u64,
-}
-
-/// All per-server simulation state plus the one copy of the iteration
-/// logic. [`ServerSim`](crate::ServerSim) is a thin public wrapper.
-#[derive(Debug, Clone)]
-pub(crate) struct ServerCore {
-    pub(crate) id: usize,
-    pub(crate) dep: DeploymentSpec,
-    pub(crate) algo: CompressionConfig,
-    pub(crate) cfg: ServingConfig,
-    pub(crate) clock: SimClock,
-    pub(crate) queue: VecDeque<Waiting>,
-    pub(crate) running: Vec<RunningSeq>,
-    pub(crate) completed: Vec<CompletedRequest>,
-    pub(crate) blocks: BlockManager,
-    /// Peak concurrent running batch — the server's effective capacity at
-    /// this pool size.
-    pub(crate) peak_batch: usize,
-    /// Resident session caches in completion (= LRU) order. Reclaimable:
-    /// pool pressure evicts from the front before any running sequence
-    /// pays a preemption.
-    parked: VecDeque<ParkedSession>,
-    admit_counter: u64,
-    queue_counter: u64,
-    /// Progressing iterations executed so far — a pure observability
-    /// counter (fleet stall detection); never feeds back into simulation.
-    pub(crate) iterations: u64,
-    /// Whether `queue` is sorted ascending by arrival time (`total_cmp`
-    /// order). True for event-driven and fleet dispatch, where arrivals
-    /// enqueue in global time order — the fast paths key off it. Goes
-    /// false on an out-of-order enqueue/preempt and resets when the queue
-    /// drains.
-    queue_sorted: bool,
-    /// Completions already offered to the driver's follow-up hook — the
-    /// incremental-drain watermark replacing per-event `seen` rescans.
-    completed_offered: usize,
-    /// Finished-index scratch reused across decode iterations (the
-    /// per-iteration `Vec` allocation is measurable at fleet scale).
-    finished_scratch: Vec<usize>,
-}
-
-impl ServerCore {
-    /// Builds a server core; `cfg` must already be validated.
-    pub(crate) fn new(
-        id: usize,
-        dep: DeploymentSpec,
-        algo: CompressionConfig,
-        cfg: ServingConfig,
-    ) -> Self {
-        // Free memory after weights + runtime overhead, divided into blocks
-        // at the policy's steady-state bytes/token (unless the config pins
-        // the pool size directly, e.g. to create block pressure in
-        // scheduler ablations).
-        let capacity_tokens = match cfg.pool_tokens {
-            Some(tokens) => tokens,
-            None => {
-                let fixed =
-                    decode_memory_bytes(&dep.llm, dep.engine, &algo, 1, 1, dep.tensor_parallel, 1);
-                let free = dep
-                    .gpu
-                    .hbm_bytes()
-                    .saturating_sub(fixed.weights + fixed.activations + fixed.workspace);
-                let per_token = rkvc_gpu::kv_bytes_per_token(&dep.llm, &algo, dep.tensor_parallel);
-                (free as f64 / per_token.max(1.0)) as usize
-            }
-        };
-        let blocks = BlockManager::with_tier(
-            (capacity_tokens / cfg.block_tokens).max(1),
-            cfg.block_tokens,
-            cfg.tier.map_or(0, |t| t.l2_blocks),
-        );
-        ServerCore {
-            id,
-            dep,
-            algo,
-            cfg,
-            clock: SimClock::ZERO,
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            completed: Vec::new(),
-            blocks,
-            peak_batch: 0,
-            parked: VecDeque::new(),
-            admit_counter: 0,
-            queue_counter: 0,
-            iterations: 0,
-            queue_sorted: true,
-            completed_offered: 0,
-            finished_scratch: Vec::new(),
-        }
-    }
-
-    /// Frees the least-recently-parked session cache (preferring sessions
-    /// other than `keep` — evicting a conversation's own cache right
-    /// before its follow-up registers would waste the reuse). Returns
-    /// whether anything was freed.
-    fn evict_parked(&mut self, keep: Option<u64>) -> bool {
-        let pos = self
-            .parked
-            .iter()
-            .position(|p| keep != Some(p.session))
-            .or(if self.parked.is_empty() { None } else { Some(0) });
-        match pos.and_then(|p| self.parked.remove(p)) {
-            Some(p) => {
-                // Parked owners are registered by construction.
-                let _ = self.blocks.free_seq(p.owner);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Releases the parked cache of `session`, if any — called once the
-    /// follow-up turn holds its own references to the shared blocks.
-    fn unpark_session(&mut self, session: u64) {
-        if let Some(pos) = self.parked.iter().position(|p| p.session == session) {
-            if let Some(p) = self.parked.remove(pos) {
-                let _ = self.blocks.free_seq(p.owner);
-            }
-        }
-    }
-
-    /// Parks a completed non-final session turn: publishes its full blocks
-    /// under the session hash chain and keeps the sequence registered so
-    /// the next turn re-references them. Returns `false` (the caller frees
-    /// the sequence instead) when nothing could be published.
-    fn park_session(&mut self, r: &RunningSeq) -> bool {
-        let Some(s) = r.req.session else {
-            return false;
-        };
-        let blocks = self.retained(r.kv_len) / self.cfg.block_tokens;
-        let hashes = session_hash_chain(
-            r.req.prefix_group,
-            r.req.prefix_len,
-            s.session,
-            self.cfg.block_tokens,
-            blocks,
-        );
-        match self.blocks.publish_seq(r.req.id, &hashes) {
-            Ok(n) if n > 0 => {
-                self.parked.push_back(ParkedSession {
-                    session: s.session,
-                    owner: r.req.id,
-                });
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Requests waiting + running.
-    pub(crate) fn load(&self) -> usize {
-        self.queue.len() + self.running.len()
-    }
-
-    /// Mean KV length of the running batch (0 when idle). An integer mean,
-    /// so it is independent of batch iteration order.
-    pub(crate) fn mean_kv_len(&self) -> usize {
-        if self.running.is_empty() {
-            return 0;
-        }
-        self.running.iter().map(|r| r.kv_len).sum::<usize>() / self.running.len()
-    }
-
-    /// Whether any work remains.
-    pub(crate) fn has_work(&self) -> bool {
-        !self.queue.is_empty() || !self.running.is_empty()
-    }
-
-    /// Earliest arrival among queued requests (the idle wake-up time).
-    /// O(1) on an arrival-sorted queue — this runs once per scheduled
-    /// event, so the fallback scan made event cost O(queue depth).
-    pub(crate) fn earliest_queued_arrival(&self) -> Option<f64> {
-        if self.queue_sorted {
-            return self.queue.front().map(|w| w.req.arrival_s);
-        }
-        self.queue
-            .iter()
-            .map(|w| w.req.arrival_s)
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
-    /// Completions not yet offered to the driver's follow-up hook:
-    /// advances the watermark and returns the fresh index range.
-    pub(crate) fn take_new_completions(&mut self) -> std::ops::Range<usize> {
-        let range = self.completed_offered..self.completed.len();
-        self.completed_offered = self.completed.len();
-        range
-    }
-
-    /// Marks every completion to date as already offered — each drive pass
-    /// hands follow-up hooks only completions it produced itself.
-    pub(crate) fn reset_completion_watermark(&mut self) {
-        self.completed_offered = self.completed.len();
-    }
-
-    /// Releases every parked session cache (a draining replica spills its
-    /// parked KV — follow-up turns will re-prefill elsewhere).
-    pub(crate) fn release_parked(&mut self) {
-        while let Some(p) = self.parked.pop_front() {
-            // Parked owners are registered by construction.
-            let _ = self.blocks.free_seq(p.owner);
-        }
-    }
-
-    /// Tokens the policy actually retains for a sequence at logical KV
-    /// length `n` (eviction policies cap it).
-    fn retained(&self, n: usize) -> usize {
-        match self.algo {
-            CompressionConfig::H2O(p) => n.min(p.budget()),
-            CompressionConfig::Streaming(p) => n.min(p.budget()),
-            CompressionConfig::SnapKv(p) => n.min(p.budget + p.obs_window),
-            CompressionConfig::Tova(p) => n.min(p.budget),
-            CompressionConfig::PyramidKv(p) => n.min(p.mean_budget() + p.obs_window),
-            _ => n,
-        }
-    }
-
-    /// Adds a request to the queue with the router's length prediction.
-    pub(crate) fn enqueue(&mut self, req: SimRequest, predicted_len: f64) {
-        let queue_seq = self.queue_counter;
-        self.queue_counter += 1;
-        match self.queue.back() {
-            None => self.queue_sorted = true,
-            Some(back) => {
-                if back.req.arrival_s.total_cmp(&req.arrival_s) == std::cmp::Ordering::Greater {
-                    self.queue_sorted = false;
-                }
-            }
-        }
-        self.queue.push_back(Waiting {
-            req,
-            predicted_len,
-            generated: 0,
-            ttft_s: None,
-            queue_delay_s: None,
-            preemptions: 0,
-            queue_seq,
-            spilled: false,
-        });
-    }
-
-    /// Evicts `running[victim]` back to the head of the queue. With a
-    /// spill tier its private blocks demote to L2 (the DMA charges this
-    /// server's clock synchronously) and re-admission refills them;
-    /// otherwise — no tier, `DemotePolicy::Drop`, or a full host tier —
-    /// the blocks are released and re-admission recomputes the full
-    /// context, exactly as the seed did. `finished` indices past the
-    /// victim shift down with the removal.
-    fn preempt(&mut self, victim: usize, finished: &mut [usize]) {
-        let r = self.running.remove(victim);
-        let spilled = match self.cfg.tier {
-            Some(t) if t.demote == DemotePolicy::Spill => {
-                match self.blocks.demote_seq(r.req.id) {
-                    Ok(mv) => {
-                        let dma = self.dep.kv_transfer_time(
-                            &self.algo,
-                            mv.tokens,
-                            t.pcie_gbs,
-                            t.transfer_latency_s,
-                        );
-                        self.clock.advance(dma);
-                        true
-                    }
-                    Err(_) => {
-                        // Host tier full (or unknown seq): fall back to
-                        // evict-and-recompute.
-                        let _ = self.blocks.free_seq(r.req.id);
-                        false
-                    }
-                }
-            }
-            _ => {
-                // Running sequences are registered by construction.
-                let _ = self.blocks.free_seq(r.req.id);
-                false
-            }
-        };
-        for f in finished.iter_mut() {
-            if *f > victim {
-                *f -= 1;
-            }
-        }
-        match self.queue.front() {
-            None => self.queue_sorted = true,
-            Some(front) => {
-                if r.req.arrival_s.total_cmp(&front.req.arrival_s) == std::cmp::Ordering::Greater {
-                    self.queue_sorted = false;
-                }
-            }
-        }
-        self.queue.push_front(Waiting {
-            req: r.req,
-            predicted_len: r.predicted_len,
-            generated: r.generated,
-            ttft_s: Some(r.ttft_s),
-            queue_delay_s: Some(r.queue_delay_s),
-            preemptions: r.preemptions + 1,
-            queue_seq: r.queue_seq,
-            spilled,
-        });
-    }
-
-    /// Runs one scheduler iteration: admissions (prefill, or recompute for
-    /// preempted sequences) + one decode step over the batch.
-    ///
-    /// Returns `false` if nothing could run — the server is idle, the next
-    /// request has not arrived, or the head of the queue can never fit in
-    /// the block pool.
-    pub(crate) fn iteration(&mut self) -> bool {
-        let sched = self.cfg.scheduler.policy(self.cfg.slo_policy);
-
-        // Admit while there is room. A request is admissible once it has
-        // arrived (the clock jumps to the pick's arrival when idle).
-        let mut admitted = false;
-        while self.running.len() < self.cfg.max_batch {
-            let view = crate::QueueView::new(&self.queue, self.queue_sorted);
-            let Some(pick) = sched.admit_pick(&view, self.clock, &self.cfg.slo) else {
-                break;
-            };
-            let Some(waiting) = self.queue.get(pick) else {
-                break;
-            };
-            let arrival = SimClock::from_secs(waiting.req.arrival_s);
-            if arrival > self.clock {
-                if self.running.is_empty() && !admitted {
-                    // Idle: jump to the arrival.
-                    self.clock.raise_to(arrival);
-                } else {
-                    break;
-                }
-            }
-            let context = waiting.req.prompt_len + waiting.generated;
-            let picked_id = waiting.req.id;
-            let spilled = waiting.spilled;
-            let prefix_group = waiting.req.prefix_group;
-            let prefix_len = waiting.req.prefix_len;
-            let session = waiting.req.session;
-            let retained = self.retained(context);
-            // Restore or allocate the pick's KV blocks. Each arm leaves the
-            // pool untouched on failure, so breaking to wait for
-            // completions is always safe.
-            let mut refilled_tokens = 0usize;
-            let mut recompute_spilled = false;
-            let mut shared_tokens = 0usize;
-            if spilled {
-                let refill = self.cfg.tier.map_or(RefillPolicy::Transfer, |t| t.refill);
-                match refill {
-                    RefillPolicy::Transfer => {
-                        let mut outcome = self.blocks.refill_seq(picked_id);
-                        while outcome.is_err() && self.evict_parked(None) {
-                            outcome = self.blocks.refill_seq(picked_id);
-                        }
-                        match outcome {
-                            Ok(mv) => refilled_tokens = mv.tokens,
-                            Err(_) => break, // No L1 room; wait for completions.
-                        }
-                    }
-                    RefillPolicy::Recompute => {
-                        // Discard the spilled copy and re-register for a
-                        // full recompute.
-                        if self.blocks.free_seq(picked_id).is_err() {
-                            break;
-                        }
-                        let mut outcome = self.blocks.register_seq(picked_id, retained);
-                        while outcome.is_err() && self.evict_parked(None) {
-                            outcome = self.blocks.register_seq(picked_id, retained);
-                        }
-                        if outcome.is_err() {
-                            // Its blocks are gone: future admissions go
-                            // through the plain recompute path.
-                            if let Some(wm) = self.queue.get_mut(pick) {
-                                wm.spilled = false;
-                            }
-                            break;
-                        }
-                        recompute_spilled = true;
-                    }
-                }
-            } else if self.cfg.prefix_sharing
-                && session.map_or(false, |s| s.carried_tokens > 0)
-            {
-                // A follow-up conversation turn: walk the session hash
-                // chain (shared system prefix, then this session's private
-                // history) onto whatever KV the previous turn parked. When
-                // the cache was evicted in between, the walk misses and the
-                // whole history is re-prefilled — correctness never depends
-                // on residency.
-                let sid = session.map_or(0, |s| s.session);
-                let carried = session.map_or(0, |s| s.carried_tokens);
-                let shareable = carried.min(retained) / self.cfg.block_tokens;
-                let hashes = session_hash_chain(
-                    prefix_group,
-                    prefix_len,
-                    sid,
-                    self.cfg.block_tokens,
-                    shareable,
-                );
-                let mut outcome = self.blocks.register_seq_shared(picked_id, retained, &hashes);
-                while outcome.is_err() && self.evict_parked(Some(sid)) {
-                    outcome = self.blocks.register_seq_shared(picked_id, retained, &hashes);
-                }
-                match outcome {
-                    Ok(r) => shared_tokens = r.shared_tokens,
-                    Err(_) => break, // No KV room; wait for completions.
-                }
-                // This turn now holds its own references to the carried
-                // blocks; the previous turn's parked owner can go.
-                self.unpark_session(sid);
-            } else if self.cfg.prefix_sharing && prefix_len > 0 {
-                // Prefix blocks are content-determined, so a preempted
-                // sequence re-shares them on re-admission just like a
-                // fresh one. Only whole blocks that survive the retention
-                // cap are shareable.
-                let shareable = prefix_len.min(retained) / self.cfg.block_tokens;
-                let hashes = prefix_hash_chain(prefix_group, self.cfg.block_tokens, shareable);
-                let mut outcome = self.blocks.register_seq_shared(picked_id, retained, &hashes);
-                while outcome.is_err() && self.evict_parked(None) {
-                    outcome = self.blocks.register_seq_shared(picked_id, retained, &hashes);
-                }
-                match outcome {
-                    Ok(r) => shared_tokens = r.shared_tokens,
-                    Err(_) => break, // No KV room; wait for completions.
-                }
-            } else {
-                let mut outcome = self.blocks.register_seq(picked_id, retained);
-                while outcome.is_err() && self.evict_parked(None) {
-                    outcome = self.blocks.register_seq(picked_id, retained);
-                }
-                if outcome.is_err() {
-                    break; // No KV room; wait for completions.
-                }
-            }
-            let Some(w) = self.queue.remove(pick) else {
-                // Unreachable (`pick` was just read); undo the registration
-                // rather than leak it.
-                let _ = self.blocks.free_seq(picked_id);
-                break;
-            };
-            let queue_delay = match w.queue_delay_s {
-                Some(q) => q,
-                None => self.clock.since(arrival),
-            };
-            let cost = if spilled && !recompute_spilled {
-                // Refill DMA: the spilled blocks stream back over PCIe.
-                match self.cfg.tier {
-                    Some(t) => self.dep.kv_transfer_time(
-                        &self.algo,
-                        refilled_tokens,
-                        t.pcie_gbs,
-                        t.transfer_latency_s,
-                    ),
-                    None => 0.0, // Unreachable: sequences spill only with a tier.
-                }
-            } else if w.generated == 0 {
-                // Shared prefix KV is already resident — prefill covers
-                // only the private remainder.
-                let compute = if shared_tokens > 0 {
-                    w.req.prompt_len.saturating_sub(shared_tokens).max(1)
-                } else {
-                    w.req.prompt_len
-                };
-                self.dep.prefill(&self.algo, 1, compute).total()
-            } else {
-                // Preempted: recompute the context before resuming,
-                // charged through the roofline model. With sharing, the
-                // prefix KV is already resident and only the remainder is
-                // recomputed.
-                let compute = if shared_tokens > 0 {
-                    context.saturating_sub(shared_tokens).max(1)
-                } else {
-                    context
-                };
-                self.dep.recompute(&self.algo, 1, compute).total()
-            };
-            self.clock.advance(cost);
-            let ttft = match w.ttft_s {
-                Some(t) => t,
-                None => self.clock.since(arrival),
-            };
-            let target = w.req.response_len_on(self.id).max(1);
-            let admit_seq = self.admit_counter;
-            self.admit_counter += 1;
-            self.running.push(RunningSeq {
-                kv_len: context,
-                target_len: target,
-                generated: w.generated,
-                ttft_s: ttft,
-                queue_delay_s: queue_delay,
-                predicted_len: w.predicted_len,
-                preemptions: w.preemptions,
-                admit_seq,
-                queue_seq: w.queue_seq,
-                req: w.req,
-            });
-            admitted = true;
-        }
-
-        if self.running.len() > self.peak_batch {
-            self.peak_batch = self.running.len();
-        }
-        if self.running.is_empty() {
-            if admitted {
-                self.iterations += 1;
-            }
-            return admitted;
-        }
-
-        // One decode iteration over the whole batch.
-        let batch = self.running.len();
-        let kv = self.mean_kv_len();
-        let step = self.dep.decode_step(&self.algo, batch, kv).total();
-        self.clock.advance(step);
-
-        let mut finished = std::mem::take(&mut self.finished_scratch);
-        finished.clear();
-        let mut i = 0;
-        'grow: while i < self.running.len() {
-            self.running[i].generated += 1;
-            self.running[i].kv_len += 1;
-            let seq = self.running[i].req.id;
-            // Grow or cap the sequence's block allocation. Append may hit a
-            // full pool — a preemptive scheduler then evicts a victim and
-            // retries; otherwise the sequence runs on at its capped
-            // footprint and the follow-up truncate is a no-op error, not an
-            // abort.
-            let mut append = self.blocks.append_token(seq);
-            while let Err(BlockError::OutOfBlocks { .. }) = append {
-                if self.running[i].is_finished() {
-                    // Finishing this iteration anyway; don't evict for it.
-                    break;
-                }
-                // Parked session caches are reclaimable — drop one before
-                // any running sequence pays a preemption (or runs capped).
-                if self.evict_parked(None) {
-                    append = self.blocks.append_token(seq);
-                    continue;
-                }
-                let Some(victim) = sched.preempt_victim(&self.running, i) else {
-                    break;
-                };
-                if victim == i {
-                    // The grower itself is evicted: this iteration's token
-                    // is rolled back and regenerated after recompute.
-                    self.running[i].generated -= 1;
-                    self.running[i].kv_len -= 1;
-                    self.preempt(i, &mut finished);
-                    continue 'grow; // `i` now names the next sequence.
-                }
-                self.preempt(victim, &mut finished);
-                if victim < i {
-                    i -= 1;
-                }
-                append = self.blocks.append_token(seq);
-            }
-            let retained = self.retained(self.running[i].kv_len);
-            let _ = self.blocks.truncate_seq(seq, retained);
-            if self.running[i].is_finished() {
-                finished.push(i);
-            }
-            i += 1;
-        }
-        for &i in finished.iter().rev() {
-            let r = self.running.swap_remove(i);
-            // A non-final conversation turn parks its KV (publish + stay
-            // registered) for the follow-up turn; everything else frees.
-            // Running sequences are registered by construction.
-            let parked = self.cfg.prefix_sharing
-                && matches!(r.req.session, Some(s) if !s.last_turn)
-                && self.park_session(&r);
-            if !parked {
-                let _ = self.blocks.free_seq(r.req.id);
-            }
-            let mut done = CompletedRequest {
-                id: r.req.id,
-                server_id: self.id,
-                arrival_s: r.req.arrival_s,
-                ttft_s: r.ttft_s,
-                e2e_s: self.clock.since(SimClock::from_secs(r.req.arrival_s)),
-                generated: r.generated,
-                queue_delay_s: r.queue_delay_s,
-                preemptions: r.preemptions,
-                slo: r.req.slo,
-                slo_ok: false,
-                session: r.req.session,
-            };
-            done.slo_ok = self.cfg.slo.target(done.slo).met(done.ttft_s, done.tbot_s());
-            self.completed.push(done);
-        }
-        finished.clear();
-        self.finished_scratch = finished;
-        self.iterations += 1;
-        true
-    }
-}
 
 /// One scheduled event. Ordering ignores the payload: events compare by
 /// `(time, rank, seq)` only, which is a total order because `time` is the
@@ -813,20 +81,66 @@ impl Ord for Event {
     }
 }
 
+/// The event heap plus its bookkeeping: the monotone push counter that
+/// makes event order total, and one "iteration already pending" flag per
+/// server. Owned by the engine so repeated runs reuse the allocations.
+#[derive(Debug, Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Event>>,
+    scheduled: Vec<bool>,
+    next_seq: u64,
+}
+
+impl EventQueue {
+    fn reset(&mut self, servers: usize) {
+        self.heap.clear();
+        self.scheduled.clear();
+        self.scheduled.resize(servers, false);
+        self.next_seq = 0;
+    }
+
+    fn push(&mut self, time: u64, rank: u8, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Event {
+            time,
+            rank,
+            seq,
+            kind,
+        }));
+    }
+
+    fn push_arrival(&mut self, req: SimRequest) {
+        let time = SimClock::from_secs(req.arrival_s).ordinal();
+        self.push(time, RANK_ARRIVAL, EventKind::Arrival(req));
+    }
+
+    /// Pushes server `idx`'s next iteration event if it has work and none
+    /// is pending. The event time/rank reproduce the seed's gates: busy
+    /// servers fire at their clock (strict vs. arrivals), idle servers
+    /// wake at the earliest queued arrival (inclusive vs. arrivals).
+    fn schedule(&mut self, servers: &[ServerSim], idx: usize) {
+        if self.scheduled[idx] {
+            return;
+        }
+        let Some((time, rank)) = servers[idx].next_iteration_event() else {
+            return;
+        };
+        self.push(time, rank, EventKind::Iteration(idx));
+        self.scheduled[idx] = true;
+    }
+}
+
 /// The discrete-event driver: a set of servers plus the event queue.
 ///
 /// [`Cluster`](crate::Cluster) is a thin wrapper that validates its arrival
-/// stream and supplies a routing closure; standalone [`ServerSim`] drives
-/// its own core directly (a single-server event loop degenerates to the
-/// iteration sequence).
+/// stream and supplies a routing closure; a standalone [`ServerSim`]
+/// drives itself (a single-server event loop degenerates to the iteration
+/// sequence).
 #[derive(Debug)]
 pub struct Engine {
     servers: Vec<ServerSim>,
-    /// Event heap, owned by the engine so repeated drive passes (e.g.
-    /// epoch-batched session runs) reuse its allocation instead of
-    /// rebuilding it per pass.
-    heap: BinaryHeap<Reverse<Event>>,
-    scheduled: Vec<bool>,
+    events: EventQueue,
 }
 
 impl Engine {
@@ -834,8 +148,7 @@ impl Engine {
     pub fn new(servers: Vec<ServerSim>) -> Self {
         Engine {
             servers,
-            heap: BinaryHeap::new(),
-            scheduled: Vec::new(),
+            events: EventQueue::default(),
         }
     }
 
@@ -845,40 +158,25 @@ impl Engine {
     }
 
     /// Runs an arrival stream (must be sorted by `arrival_s`; `Cluster`
-    /// validates this) to completion. `dispatch` is called at each arrival
-    /// instant — after every server has processed the iterations due before
-    /// it — and returns the destination server index plus the predicted
-    /// response length the scheduler may order by.
+    /// validates this) to completion and returns every completion the
+    /// servers hold, sorted by request id.
     ///
-    /// Completions are returned sorted by request id. Requests that can
-    /// never fit a server's block pool are dropped (see module docs on
-    /// stalls), so the result may be shorter than the input.
-    pub fn run_stream<F>(mut self, requests: Vec<SimRequest>, mut dispatch: F) -> Vec<CompletedRequest>
-    where
-        F: FnMut(&[ServerSim], &SimRequest) -> (usize, f64),
-    {
-        self.drive(requests, &mut dispatch, &mut |_| None);
-        let mut done: Vec<CompletedRequest> = self
-            .servers
-            .into_iter()
-            .flat_map(|s| s.into_completed())
-            .collect();
-        done.sort_by_key(|c| c.id);
-        done
-    }
-
-    /// [`run_stream`](Self::run_stream) plus causally generated follow-up
-    /// arrivals: after every completion, `follow_up` may return the next
-    /// turn of that conversation, which enters the cluster as a fresh
+    /// `dispatch` is called at each arrival instant — after every server
+    /// has processed the iterations due before it — and returns the
+    /// destination server index plus the predicted response length the
+    /// scheduler may order by. After every completion, `follow_up` may
+    /// return the next turn of that conversation, which enters as a fresh
     /// arrival at its own (later) time — turn `k` is scheduled only once
     /// turn `k − 1` has finished, so think-time gaps are measured from
-    /// actual completion instants, never precomputed. Unlike `run_stream`
-    /// the engine is borrowed, leaving server state (block pools, dedup
-    /// counters, peaks) inspectable after the run.
+    /// actual completion instants, never precomputed. Follow-ups may land
+    /// anywhere at or after the completion that spawned them; a plain
+    /// stream passes `|_| None`.
     ///
-    /// The initial `requests` must be sorted by `arrival_s`; follow-ups
-    /// may land anywhere at or after the completion that spawned them.
-    pub fn run_sessions<F, G>(
+    /// Requests that can never fit a server's block pool are dropped (see
+    /// module docs on stalls), so the result may be shorter than the
+    /// input. The engine is borrowed, leaving server state (block pools,
+    /// dedup counters, peaks) inspectable after the run.
+    pub fn run<F, G>(
         &mut self,
         requests: Vec<SimRequest>,
         mut dispatch: F,
@@ -888,7 +186,54 @@ impl Engine {
         F: FnMut(&[ServerSim], &SimRequest) -> (usize, f64),
         G: FnMut(&CompletedRequest) -> Option<SimRequest>,
     {
-        self.drive(requests, &mut dispatch, &mut follow_up);
+        let n = self.servers.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        self.events.reset(n);
+        // Each run offers `follow_up` only its own completions: align the
+        // per-server watermark with whatever completed before it.
+        for s in &mut self.servers {
+            s.reset_completion_watermark();
+        }
+        // Arrivals enter the heap one at a time, each pushed when its
+        // predecessor dispatches.
+        let mut rest = requests.into_iter();
+        if let Some(req) = rest.next() {
+            self.events.push_arrival(req);
+        }
+
+        while let Some(Reverse(ev)) = self.events.heap.pop() {
+            match ev.kind {
+                EventKind::Arrival(req) => {
+                    let (dst, predicted) = dispatch(&self.servers, &req);
+                    let dst = dst.min(n - 1);
+                    self.servers[dst].enqueue_predicted(req, predicted);
+                    self.events.schedule(&self.servers, dst);
+                    if let Some(next) = rest.next() {
+                        self.events.push_arrival(next);
+                    }
+                }
+                EventKind::Iteration(idx) => {
+                    self.events.scheduled[idx] = false;
+                    let progressed = self.servers[idx].iteration();
+                    // New completions may spawn their sessions' next turns:
+                    // an incremental drain from the server's watermark, so
+                    // per-event cost scales with fresh completions only.
+                    for i in self.servers[idx].take_new_completions() {
+                        if let Some(req) = follow_up(&self.servers[idx].completed()[i]) {
+                            self.events.push_arrival(req);
+                        }
+                    }
+                    // On no-progress the server is parked: rescheduling
+                    // would spin on a request that can never fit.
+                    if progressed {
+                        self.events.schedule(&self.servers, idx);
+                    }
+                }
+            }
+        }
+
         let mut done: Vec<CompletedRequest> = self
             .servers
             .iter()
@@ -897,131 +242,14 @@ impl Engine {
         done.sort_by_key(|c| c.id);
         done
     }
-
-    /// The event loop shared by [`run_stream`](Self::run_stream) and
-    /// [`run_sessions`](Self::run_sessions). Completions land in each
-    /// server's `completed` buffer; the caller collects them.
-    fn drive(
-        &mut self,
-        requests: Vec<SimRequest>,
-        dispatch: &mut dyn FnMut(&[ServerSim], &SimRequest) -> (usize, f64),
-        follow_up: &mut dyn FnMut(&CompletedRequest) -> Option<SimRequest>,
-    ) {
-        let n = self.servers.len();
-        if n == 0 {
-            return;
-        }
-        self.heap.clear();
-        self.scheduled.clear();
-        self.scheduled.resize(n, false);
-        let mut push_seq: u64 = 0;
-        // Each pass offers `follow_up` only its own completions: align the
-        // per-server watermark with whatever completed before this drive.
-        for s in &mut self.servers {
-            s.reset_completion_watermark();
-        }
-        let mut rest = requests.into_iter();
-
-        if let Some(req) = rest.next() {
-            self.heap.push(Reverse(Event {
-                time: SimClock::from_secs(req.arrival_s).ordinal(),
-                rank: RANK_ARRIVAL,
-                seq: push_seq,
-                kind: EventKind::Arrival(req),
-            }));
-            push_seq += 1;
-        }
-
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            match ev.kind {
-                EventKind::Arrival(req) => {
-                    let (dst, predicted) = dispatch(&self.servers, &req);
-                    let dst = dst.min(n - 1);
-                    self.servers[dst].enqueue_predicted(req, predicted);
-                    schedule(
-                        &self.servers,
-                        dst,
-                        &mut self.heap,
-                        &mut self.scheduled,
-                        &mut push_seq,
-                    );
-                    if let Some(next) = rest.next() {
-                        self.heap.push(Reverse(Event {
-                            time: SimClock::from_secs(next.arrival_s).ordinal(),
-                            rank: RANK_ARRIVAL,
-                            seq: push_seq,
-                            kind: EventKind::Arrival(next),
-                        }));
-                        push_seq += 1;
-                    }
-                }
-                EventKind::Iteration(idx) => {
-                    self.scheduled[idx] = false;
-                    let progressed = self.servers[idx].iteration();
-                    // New completions may spawn their sessions' next turns:
-                    // an incremental drain from the server's watermark, so
-                    // per-event cost scales with fresh completions only.
-                    for i in self.servers[idx].take_new_completions() {
-                        let next = follow_up(&self.servers[idx].completed()[i]);
-                        if let Some(req) = next {
-                            self.heap.push(Reverse(Event {
-                                time: SimClock::from_secs(req.arrival_s).ordinal(),
-                                rank: RANK_ARRIVAL,
-                                seq: push_seq,
-                                kind: EventKind::Arrival(req),
-                            }));
-                            push_seq += 1;
-                        }
-                    }
-                    if progressed {
-                        schedule(
-                            &self.servers,
-                            idx,
-                            &mut self.heap,
-                            &mut self.scheduled,
-                            &mut push_seq,
-                        );
-                    }
-                    // On no-progress the server is parked: rescheduling
-                    // would spin on a request that can never fit.
-                }
-            }
-        }
-    }
-}
-
-/// Pushes server `idx`'s next iteration event if it has work and none is
-/// pending. The event time/rank reproduce the seed's gates: busy servers
-/// fire at their clock (strict vs. arrivals), idle servers wake at the
-/// earliest queued arrival (inclusive vs. arrivals).
-fn schedule(
-    servers: &[ServerSim],
-    idx: usize,
-    heap: &mut BinaryHeap<Reverse<Event>>,
-    scheduled: &mut [bool],
-    push_seq: &mut u64,
-) {
-    if scheduled[idx] {
-        return;
-    }
-    let Some((time, rank)) = servers[idx].next_iteration_event() else {
-        return;
-    };
-    heap.push(Reverse(Event {
-        time,
-        rank,
-        seq: *push_seq,
-        kind: EventKind::Iteration(idx),
-    }));
-    *push_seq += 1;
-    scheduled[idx] = true;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OraclePredictor, RoutePredictor, SchedulerConfig};
-    use rkvc_gpu::{EngineKind, GpuSpec, LlmSpec};
+    use crate::{OraclePredictor, RoutePredictor, SchedulerConfig, ServingConfig};
+    use rkvc_gpu::{DeploymentSpec, EngineKind, GpuSpec, LlmSpec};
+    use rkvc_kvcache::CompressionConfig;
 
     fn dep() -> DeploymentSpec {
         DeploymentSpec {
@@ -1048,6 +276,32 @@ mod tests {
             .collect()
     }
 
+    /// Bitwise equality of two completion lists (latencies compared as bit
+    /// patterns, not float values).
+    fn assert_same_completions(a: &[CompletedRequest], b: &[CompletedRequest]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!((x.id, x.server_id), (y.id, y.server_id));
+            assert_eq!(x.ttft_s.to_bits(), y.ttft_s.to_bits());
+            assert_eq!(x.e2e_s.to_bits(), y.e2e_s.to_bits());
+            assert_eq!(x.queue_delay_s.to_bits(), y.queue_delay_s.to_bits());
+            assert_eq!((x.generated, x.preemptions), (y.generated, y.preemptions));
+        }
+    }
+
+    /// The collection the removed `run_stream` performed after the same
+    /// event loop: consume the servers, each one's completions id-sorted,
+    /// concatenate in server order, sort by id.
+    fn run_stream_collect(engine: Engine) -> Vec<CompletedRequest> {
+        let mut done: Vec<CompletedRequest> = engine
+            .servers
+            .into_iter()
+            .flat_map(|s| s.into_completed())
+            .collect();
+        done.sort_by_key(|c| c.id);
+        done
+    }
+
     #[test]
     fn engine_single_server_matches_direct_drive() {
         // Simultaneous arrivals: all dispatch events fire before the first
@@ -1056,35 +310,36 @@ mod tests {
         // modes legitimately differ — an upfront queue lets the seed loop
         // admit requests mid-iteration that the event stream has not
         // delivered yet.)
-        let done_engine = Engine::new(vec![server(0, SchedulerConfig::Fcfs, None)]).run_stream(
+        let mut engine = Engine::new(vec![server(0, SchedulerConfig::Fcfs, None)]);
+        let done_engine = engine.run(
             stream(12, 0.0),
             |servers, req| {
                 (0, OraclePredictor.predicted_response_len(&servers[0], req))
             },
+            |_| None,
         );
         let mut direct = server(0, SchedulerConfig::Fcfs, None);
         for r in stream(12, 0.0) {
             direct.enqueue(r);
         }
         let done_direct = direct.run_to_completion();
-        assert_eq!(done_engine.len(), done_direct.len());
-        for (a, b) in done_engine.iter().zip(&done_direct) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.ttft_s.to_bits(), b.ttft_s.to_bits());
-            assert_eq!(a.e2e_s.to_bits(), b.e2e_s.to_bits());
-        }
+        assert_eq!(done_direct.len(), 12);
+        assert_same_completions(&done_engine, &done_direct);
+        // A `|_| None` hook makes `run` the old `run_stream`.
+        assert_same_completions(&done_engine, &run_stream_collect(engine));
     }
 
     #[test]
     fn unserviceable_request_is_dropped_not_spun() {
         // A prompt larger than the whole pool can never be admitted; the
         // seed loop would spin forever, the engine terminates without it.
-        let done = Engine::new(vec![server(0, SchedulerConfig::Fcfs, Some(128))]).run_stream(
+        let done = Engine::new(vec![server(0, SchedulerConfig::Fcfs, Some(128))]).run(
             vec![
                 SimRequest::new(0, 0.0, 4096, 8),
                 SimRequest::new(1, 1.0, 64, 8),
             ],
             |_, _| (0, 8.0),
+            |_| None,
         );
         // Request 0 is parked at the head of the FCFS queue, so neither
         // completes — but the run terminates.
@@ -1095,10 +350,11 @@ mod tests {
     fn preemptive_scheduler_records_preemptions_under_pressure() {
         // A pool this small forces decode-time evictions once several
         // sequences grow together.
-        let done = Engine::new(vec![server(0, SchedulerConfig::Preemptive, Some(2048))])
-            .run_stream(stream(8, 0.0), |servers, req| {
-                (0, OraclePredictor.predicted_response_len(&servers[0], req))
-            });
+        let done = Engine::new(vec![server(0, SchedulerConfig::Preemptive, Some(2048))]).run(
+            stream(8, 0.0),
+            |servers, req| (0, OraclePredictor.predicted_response_len(&servers[0], req)),
+            |_| None,
+        );
         assert_eq!(done.len(), 8);
         let total: usize = done.iter().map(|c| c.preemptions).sum();
         assert!(total > 0, "expected preemptions under block pressure");
@@ -1133,12 +389,12 @@ mod tests {
         ServerSim::with_config(0, dep(), CompressionConfig::Fp16, cfg).expect("valid config")
     }
 
-    /// Drives a two-turn conversation through `run_sessions`: turn 1 is
+    /// Drives a two-turn conversation through `Engine::run`: turn 1 is
     /// emitted by the follow-up hook after turn 0 completes, with the full
     /// turn-0 context carried as its prompt prefix.
     fn run_two_turn_session(engine: &mut Engine) -> Vec<CompletedRequest> {
         let turn0 = session_turn(0, 0.0, 256, 7, 0, 0, false);
-        engine.run_sessions(
+        engine.run(
             vec![turn0],
             |_, req| (0, req.response_len as f64),
             |c| {
@@ -1215,7 +471,7 @@ mod tests {
             .collect();
         let mut reqs = vec![turn0];
         reqs.append(&mut singles);
-        let done = engine.run_sessions(reqs, |_, req| (0, req.response_len as f64), |_| None);
+        let done = engine.run(reqs, |_, req| (0, req.response_len as f64), |_| None);
         // All four complete: the parked session-7 cache was evicted to
         // make room (its follow-up never comes — no leak, no deadlock).
         assert_eq!(done.len(), 4);
@@ -1224,20 +480,20 @@ mod tests {
     #[test]
     fn preemptive_run_is_bit_reproducible() {
         let run = || {
-            Engine::new(vec![server(0, SchedulerConfig::Preemptive, Some(2048))])
-                .run_stream(stream(8, 0.0), |servers, req| {
-                    (0, OraclePredictor.predicted_response_len(&servers[0], req))
-                })
+            let mut engine =
+                Engine::new(vec![server(0, SchedulerConfig::Preemptive, Some(2048))]);
+            let done = engine.run(
+                stream(8, 0.0),
+                |servers, req| (0, OraclePredictor.predicted_response_len(&servers[0], req)),
+                |_| None,
+            );
+            (done, engine)
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.e2e_s.to_bits(), y.e2e_s.to_bits());
-            assert_eq!(x.ttft_s.to_bits(), y.ttft_s.to_bits());
-            assert_eq!(x.queue_delay_s.to_bits(), y.queue_delay_s.to_bits());
-            assert_eq!(x.preemptions, y.preemptions);
-        }
+        let (a, engine_a) = run();
+        let (b, _) = run();
+        assert!(a.iter().any(|c| c.preemptions > 0));
+        assert_same_completions(&a, &b);
+        // A `|_| None` hook makes `run` the old `run_stream`.
+        assert_same_completions(&a, &run_stream_collect(engine_a));
     }
 }

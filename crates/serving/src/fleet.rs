@@ -4,17 +4,18 @@
 //! consults global state on every arrival — exact, but serial and
 //! O(log total-events) per event, which caps runs at ~10⁴ requests. The
 //! fleet layer trades the global heap for *sharded dispatch*
-//! ([`Sharder`](crate::Sharder)): each request's destination is a function
-//! of its stable shard key and the active-replica list, so between
-//! telemetry epochs the replicas share nothing and their event loops run
-//! **in parallel** over [`rkvc_tensor::par`].
+//! ([`ShardPolicy::slot`]): each request's destination is a function of
+//! the dispatch count, its stable shard key and the active-replica list —
+//! never of any replica's load — so between telemetry epochs the replicas
+//! share nothing and their event loops run **in parallel** over
+//! [`rkvc_tensor::par`].
 //!
 //! # Epoch-barrier determinism
 //!
 //! A run is a sequence of fixed-width simulated-time epochs. Per epoch:
 //!
 //! 1. every arrival before the epoch boundary is dispatched (in global
-//!    arrival order, through the sharder — deterministic);
+//!    arrival order, through the shard policy — deterministic);
 //! 2. every non-retired replica advances its own discrete-event loop to
 //!    the boundary, fanned across the worker pool ([`par_chunks_mut`] with
 //!    grain 1 — replica `i`'s simulation depends only on replica `i`);
@@ -40,7 +41,8 @@ use rkvc_kvcache::CompressionConfig;
 use rkvc_tensor::par::par_chunks_mut;
 
 use crate::scaling::{AutoscaleConfig, Autoscaler, FleetTelemetry, ScaleAction};
-use crate::shard::{shard_key, ShardPolicy, Sharder};
+use crate::request::first_unsorted_arrival;
+use crate::shard::{shard_key, ShardPolicy};
 use crate::{
     CompletedRequest, ConfigError, ServerSim, ServingConfig, ServingMetrics, SimRequest,
     SloMetrics,
@@ -218,10 +220,9 @@ pub struct Fleet {
     algo: CompressionConfig,
     replicas: Vec<ReplicaSlot>,
     /// Indices into `replicas` of dispatchable replicas, in join order —
-    /// the sharder's bucket array. Drains pop from the back (the newest
-    /// bucket, jump hashing's cheap shrink direction).
+    /// the shard policy's bucket array. Drains pop from the back (the
+    /// newest bucket, jump hashing's cheap shrink direction).
     active: Vec<usize>,
-    sharder: Box<dyn Sharder>,
     autoscaler: Option<Autoscaler>,
 }
 
@@ -237,36 +238,32 @@ impl Fleet {
         cfg: FleetConfig,
     ) -> Result<Self, FleetError> {
         cfg.validate()?;
-        let mut replicas = Vec::with_capacity(cfg.replicas);
-        let mut active = Vec::with_capacity(cfg.replicas);
-        for id in 0..cfg.replicas {
-            let sim = ServerSim::with_config(id, dep.clone(), algo, cfg.serving)
-                .map_err(FleetError::Config)?;
-            active.push(id);
-            replicas.push(ReplicaSlot {
-                sim,
-                state: ReplicaState::Active,
-            });
-        }
-        Ok(Fleet {
-            sharder: cfg.sharding.sharder(),
+        let mut fleet = Fleet {
             autoscaler: cfg.autoscale.clone().map(Autoscaler::new),
+            replicas: Vec::with_capacity(cfg.replicas),
+            active: Vec::with_capacity(cfg.replicas),
             cfg,
             dep,
             algo,
-            replicas,
-            active,
-        })
+        };
+        for _ in 0..fleet.cfg.replicas {
+            fleet.add_replica(0.0).map_err(FleetError::Config)?;
+        }
+        Ok(fleet)
     }
 
-    /// Replicas ever created (active + draining + retired).
-    pub fn size(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Currently dispatchable replicas.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
+    /// Appends a fresh active replica whose clock starts at `now_s` — a
+    /// scale-up joins *at* the epoch boundary, where the fleet stands.
+    fn add_replica(&mut self, now_s: f64) -> Result<(), ConfigError> {
+        let id = self.replicas.len();
+        let mut sim = ServerSim::with_config(id, self.dep.clone(), self.algo, self.cfg.serving)?;
+        sim.advance_to(now_s);
+        self.replicas.push(ReplicaSlot {
+            sim,
+            state: ReplicaState::Active,
+        });
+        self.active.push(id);
+        Ok(())
     }
 
     /// Runs the arrival stream to completion (must be sorted by
@@ -278,16 +275,12 @@ impl Fleet {
     ///
     /// [`FleetError::UnsortedArrivals`] if the stream is out of order.
     pub fn run(mut self, requests: Vec<SimRequest>) -> Result<FleetOutcome, FleetError> {
-        let mut last = f64::NEG_INFINITY;
-        for (index, req) in requests.iter().enumerate() {
-            if req.arrival_s < last {
-                return Err(FleetError::UnsortedArrivals {
-                    index,
-                    arrival_s: req.arrival_s,
-                    prev_s: last,
-                });
-            }
-            last = req.arrival_s;
+        if let Some((index, arrival_s, prev_s)) = first_unsorted_arrival(&requests) {
+            return Err(FleetError::UnsortedArrivals {
+                index,
+                arrival_s,
+                prev_s,
+            });
         }
 
         let epoch_s = self.cfg.epoch_s;
@@ -302,26 +295,20 @@ impl Fleet {
 
         loop {
             // 1. Dispatch every arrival strictly before the boundary, in
-            // global arrival order (round-robin state advances
-            // deterministically; jump hashing is stateless).
-            let mut dispatched_this = 0usize;
-            while let Some(req) = pending.peek() {
-                if req.arrival_s >= epoch_end {
-                    break;
-                }
-                let Some(req) = pending.next() else {
-                    break;
-                };
-                let slot = self.sharder.shard(shard_key(&req), self.active.len());
-                let Some(&dst) = self.active.get(slot) else {
-                    break; // Unreachable: sharders stay in range.
-                };
-                let replica = &mut self.replicas[dst];
-                let predicted = req.response_len_on(replica.sim.id()) as f64;
-                replica.sim.enqueue_predicted(req, predicted);
-                dispatched_this += 1;
+            // global arrival order (round robin rotates on the running
+            // dispatch count; jump hashing reads only the key).
+            let dispatched_before = dispatched;
+            // (`!(>=)`, not `<`: a NaN arrival dispatches instead of wedging
+            // the epoch loop behind it.)
+            while let Some(req) = pending.next_if(|r| !(r.arrival_s >= epoch_end)) {
+                let n = self.active.len();
+                let slot = self.cfg.sharding.slot(dispatched, shard_key(&req), n);
+                // In range by construction; the clamp keeps indexing total.
+                let dst = self.active[slot.min(n - 1)];
+                self.replicas[dst].sim.enqueue(req);
+                dispatched += 1;
             }
-            dispatched += dispatched_this;
+            let dispatched_this = dispatched - dispatched_before;
 
             // 2. Advance every live replica to the boundary — the parallel
             // region. Grain 1: each replica is one independent unit of
@@ -373,20 +360,10 @@ impl Fleet {
                     ScaleAction::Hold => {}
                     ScaleAction::Add(k) => {
                         for _ in 0..k {
-                            let id = self.replicas.len();
-                            let Ok(mut sim) =
-                                ServerSim::with_config(id, self.dep.clone(), self.algo, self.cfg.serving)
-                            else {
-                                break; // Config was validated; unreachable.
-                            };
-                            // A fresh replica joins *at* the boundary: its
-                            // clock starts where the fleet stands.
-                            sim.advance_to(epoch_end);
-                            self.replicas.push(ReplicaSlot {
-                                sim,
-                                state: ReplicaState::Active,
-                            });
-                            self.active.push(id);
+                            // The config was validated in `new`: cannot fail.
+                            if self.add_replica(epoch_end).is_err() {
+                                break;
+                            }
                         }
                     }
                     ScaleAction::Drain(k) => {

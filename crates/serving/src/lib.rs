@@ -11,14 +11,17 @@
 //!   on `(sim_time_bits, rank, seq)` for reproducible tie-breaks, driving
 //!   per-server iteration events and cluster arrivals on one simulated
 //!   [`SimClock`].
-//! * [`Scheduler`] — pluggable admission/preemption policies:
-//!   [`FcfsScheduler`] (bit-compatible with the seed lockstep loop),
-//!   [`SpfScheduler`] (shortest-predicted-first via the router's length
-//!   predictions), and [`PreemptiveScheduler`] (evict-and-recompute the
-//!   youngest sequence when the block pool runs dry, recompute charged
-//!   through the `rkvc_gpu` roofline model).
+//! * [`Scheduler`] — an admission/preemption policy as data: a label, an
+//!   [`AdmitOrder`] (arrival order, shortest-predicted-first via the
+//!   router's length predictions, or deadline-slack EDF) and a
+//!   [`VictimRule`] (never preempt, or evict-and-recompute the youngest /
+//!   the youngest Batch-class sequence when the block pool runs dry,
+//!   recompute charged through the `rkvc_gpu` roofline model).
+//!   [`SchedulerConfig::policy`] is the table of shipped combinations;
+//!   `fcfs` is bit-compatible with the seed lockstep loop.
 //! * [`ServerSim`] — one GPU (or TP group) running iteration-level
-//!   continuous batching over the [`rkvc_gpu`] cost model; emits per-request
+//!   continuous batching over the [`rkvc_gpu`] cost model: all per-server
+//!   state and the one copy of the iteration logic; emits per-request
 //!   TTFT / queue-delay / end-to-end latency. Configured via
 //!   [`ServingConfig`] (batch width, KV block size, pool pinning,
 //!   scheduler).
@@ -31,18 +34,18 @@
 //! * **Sessions & SLOs** — every request carries an [`SloClass`]
 //!   (Interactive / Standard / Batch with per-class TTFT/TBT targets,
 //!   [`SloTargets`]) and may belong to a multi-turn conversation
-//!   ([`SessionRef`]). [`Engine::run_sessions`] schedules follow-up turns
-//!   causally (turn `k` arrives only after turn `k − 1` completes), and a
+//!   ([`SessionRef`]). [`Engine::run`]'s follow-up hook schedules later
+//!   turns causally (turn `k` arrives only after turn `k − 1` completes), and a
 //!   completed non-final turn *parks* its KV — published under a
 //!   session-scoped hash chain ([`session_hash_chain`]) and re-referenced
-//!   by the next turn instead of re-prefilled. [`SloPolicy::Aware`] swaps
-//!   the SPF/preemptive schedulers for deadline-slack admission and
-//!   Batch-first victim selection; [`SloMetrics`] reports per-class
+//!   by the next turn instead of re-prefilled. [`SloPolicy::Aware`] selects
+//!   the SPF/preemptive rows with deadline-slack admission and Batch-first
+//!   victim selection; [`SloMetrics`] reports per-class
 //!   attainment and the resulting *goodput* (within-SLO tokens/s).
 //! * [`Fleet`] — sharded, epoch-parallel replica simulation for 10⁴–10⁶
-//!   request runs: a [`Sharder`] (round-robin or jump consistent hashing
-//!   over session/prefix-group keys) dispatches each request to one
-//!   replica, replicas advance independently between telemetry epochs
+//!   request runs: a [`ShardPolicy`] (round-robin or jump consistent
+//!   hashing over session/prefix-group keys) dispatches each request to
+//!   one replica, replicas advance independently between telemetry epochs
 //!   (fanned across [`rkvc_tensor::par`], byte-identical at any
 //!   `RKVC_THREADS`), and an optional [`Autoscaler`] adds or drains
 //!   replicas on queue-depth / p99-TTFT signals sampled at epoch
@@ -112,18 +115,13 @@ pub use blocks::{
 };
 pub use clock::SimClock;
 pub use cluster::{Cluster, ClusterError, OraclePredictor, RoutePredictor, RoutingPolicy};
-pub use engine::{Engine, RunningSeq, Waiting};
+pub use engine::Engine;
 pub use fleet::{Fleet, FleetConfig, FleetError, FleetOutcome};
 pub use metrics::{ClassMetrics, LatencySummary, ServingMetrics, SloMetrics};
 pub use request::{CompletedRequest, SessionRef, SimRequest};
 pub use scaling::{AutoscaleConfig, Autoscaler, FleetTelemetry, ScaleAction};
-pub use scheduler::{
-    FcfsScheduler, PreemptiveScheduler, QueueView, Scheduler, SchedulerConfig,
-    SloPreemptiveScheduler, SloSpfScheduler, SpfScheduler,
-};
-pub use shard::{
-    jump_hash, shard_key, JumpHashSharder, RoundRobinSharder, ShardPolicy, Sharder,
-};
+pub use scheduler::{AdmitOrder, Scheduler, SchedulerConfig, VictimRule};
+pub use shard::{jump_hash, shard_key, ShardPolicy};
 pub use server::{ConfigError, ServerSim, ServingConfig};
 pub use slo::{SloClass, SloPolicy, SloTarget, SloTargets};
 pub use tier::{DemotePolicy, RefillPolicy, TierConfig};

@@ -110,6 +110,16 @@ impl SimRequest {
     }
 }
 
+/// The first request that arrives before its predecessor, as `(index,
+/// arrival_s, prev_s)` — the cluster and fleet drivers both require an
+/// arrival-sorted stream and report this through their own error types.
+pub(crate) fn first_unsorted_arrival(requests: &[SimRequest]) -> Option<(usize, f64, f64)> {
+    let i = requests
+        .windows(2)
+        .position(|w| w[1].arrival_s < w[0].arrival_s)?;
+    Some((i + 1, requests[i + 1].arrival_s, requests[i].arrival_s))
+}
+
 /// A finished request with its measured latencies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletedRequest {

@@ -1,17 +1,19 @@
-//! Pluggable admission/preemption policies for the serving engine.
+//! Admission/preemption policies for the serving engine, as data.
 //!
 //! A [`Scheduler`] makes exactly two decisions inside
-//! [`ServerCore::iteration`](crate::engine): which queued request to try
-//! admitting next, and — when the block pool runs dry mid-decode — which
-//! running sequence to evict. Everything else (costing, block accounting,
-//! event ordering) is shared engine code, so policies stay tiny and every
+//! [`ServerSim`](crate::ServerSim)'s iteration: which queued request to
+//! try admitting next ([`AdmitOrder`]), and — when the block pool runs dry
+//! mid-decode — which running sequence to evict ([`VictimRule`]).
+//! Everything else (costing, block accounting, event ordering) is shared
+//! engine code, so a policy is a pair of small `Copy` enums and every
 //! policy inherits the engine's bit-reproducibility: all tie-breaks go
 //! through monotone counters, never iteration order of a map or float
 //! equality.
 
 use std::collections::VecDeque;
 
-use crate::{RunningSeq, SimClock, SloPolicy, SloTargets, Waiting};
+use crate::server::{RunningSeq, Waiting};
+use crate::{SimClock, SloPolicy, SloTargets};
 
 /// A scheduler's read-only view of a server queue, annotated with whether
 /// the queue is known to be sorted ascending by arrival time (`total_cmp`
@@ -22,60 +24,25 @@ use crate::{RunningSeq, SimClock, SloPolicy, SloTargets, Waiting};
 /// unsorted fallback reproduces the full scans bit-for-bit, so policies
 /// behave identically either way.
 #[derive(Debug, Clone, Copy)]
-// rkvc-allow(C001): parameter type of the pub Scheduler trait; pluggable schedulers implement against it
-pub struct QueueView<'a> {
+pub(crate) struct QueueView<'a> {
     queue: &'a VecDeque<Waiting>,
     sorted: bool,
 }
 
 impl<'a> QueueView<'a> {
     /// Wraps a queue; `sorted` asserts ascending-arrival order.
-    pub fn new(queue: &'a VecDeque<Waiting>, sorted: bool) -> Self {
+    pub(crate) fn new(queue: &'a VecDeque<Waiting>, sorted: bool) -> Self {
         QueueView { queue, sorted }
-    }
-
-    /// Queue length.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// The waiting entry at `idx`.
-    pub fn get(&self, idx: usize) -> Option<&'a Waiting> {
-        self.queue.get(idx)
-    }
-
-    /// All waiting entries with their queue indices.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &'a Waiting)> + '_ {
-        self.queue.iter().enumerate()
-    }
-
-    /// End of the arrived prefix on a sorted queue (binary search over the
-    /// deque — arrived entries form a prefix by the sort invariant).
-    fn arrived_prefix(&self, clock: SimClock) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.queue.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if SimClock::from_secs(self.queue[mid].arrival_s()) <= clock {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
     }
 
     /// Entries that have arrived by `clock`, with their queue indices —
     /// the admission candidates. Sublinear in queue depth on a sorted
     /// queue (only the arrived prefix is walked).
-    pub fn arrived(&self, clock: SimClock) -> impl Iterator<Item = (usize, &'a Waiting)> + '_ {
+    fn arrived(&self, clock: SimClock) -> impl Iterator<Item = (usize, &'a Waiting)> + '_ {
         let end = if self.sorted {
-            self.arrived_prefix(clock)
+            // Arrived entries form a prefix by the sort invariant.
+            self.queue
+                .partition_point(|w| SimClock::from_secs(w.req.arrival_s) <= clock)
         } else {
             self.queue.len()
         };
@@ -85,24 +52,24 @@ impl<'a> QueueView<'a> {
             .iter()
             .enumerate()
             .take(end)
-            .filter(move |(_, w)| SimClock::from_secs(w.arrival_s()) <= clock)
+            .filter(move |(_, w)| SimClock::from_secs(w.req.arrival_s) <= clock)
     }
 
     /// Index of the earliest future arrival (ties by enqueue order) — the
     /// idle wake-up fallback every non-FCFS policy shares so idle servers
     /// wake exactly like FCFS. O(ties-at-minimum) on a sorted queue.
-    pub fn earliest_future(&self) -> Option<usize> {
+    fn earliest_future(&self) -> Option<usize> {
         if self.sorted {
             let first = self.queue.front()?;
             let mut best_idx = 0usize;
-            let mut best_seq = first.queue_seq();
+            let mut best_seq = first.queue_seq;
             for (i, w) in self.queue.iter().enumerate().skip(1) {
-                if w.arrival_s().total_cmp(&first.arrival_s()) != std::cmp::Ordering::Equal {
+                if w.req.arrival_s.total_cmp(&first.req.arrival_s) != std::cmp::Ordering::Equal {
                     break;
                 }
-                if w.queue_seq() < best_seq {
+                if w.queue_seq < best_seq {
                     best_idx = i;
-                    best_seq = w.queue_seq();
+                    best_seq = w.queue_seq;
                 }
             }
             return Some(best_idx);
@@ -111,256 +78,149 @@ impl<'a> QueueView<'a> {
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
-                a.arrival_s()
-                    .total_cmp(&b.arrival_s())
-                    .then(a.queue_seq().cmp(&b.queue_seq()))
+                a.req
+                    .arrival_s
+                    .total_cmp(&b.req.arrival_s)
+                    .then(a.queue_seq.cmp(&b.queue_seq))
             })
             .map(|(idx, _)| idx)
     }
 }
 
-/// An admission + preemption policy. Implementations must be determinstic
-/// pure functions of their arguments — the engine calls them at
-/// reproducible instants and expects reproducible answers.
-pub trait Scheduler: std::fmt::Debug + Sync {
-    /// Human-readable policy name (used in experiment tables and benches).
-    fn label(&self) -> &'static str;
+/// Which queued request is tried next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmitOrder {
+    /// Queue order: the head, arrived or not (an idle server jumps its
+    /// clock to it). The seed lockstep simulator's rule.
+    Arrival,
+    /// Among requests that have already arrived, the one the router's
+    /// length predictor expects to finish soonest (ties by enqueue order).
+    /// Predictions arrive through the [`RoutePredictor`](crate::RoutePredictor)
+    /// seam: the cluster stamps each request at routing time, so this
+    /// consumes `rkvc_core`'s length predictor without a new dependency.
+    ShortestPredicted,
+    /// Earliest-deadline-first with *deadline restart*. Arrived requests
+    /// are ordered by their effective TTFT deadline — an Interactive
+    /// arrival with a 2 s first-token budget outranks a Batch job with
+    /// hours of slack, regardless of arrival order — breaking ties by
+    /// predicted length and then enqueue order. A request whose deadline
+    /// has already passed cannot contribute goodput no matter when it
+    /// runs, so its priority is *restarted*: it competes as if it had just
+    /// arrived (effective deadline = now + class target). Naive EDF
+    /// collapses under overload because it serves the most-overdue
+    /// (hopeless) work first and starves the still-winnable; pushing blown
+    /// work to the back instead lets it rot behind slack-rich Batch
+    /// admissions and blows up the interactive tail. The restart rule sits
+    /// between the two: blown work degrades to class-priority order with
+    /// shortest-first within the class — never ahead of a feasible tighter
+    /// deadline, never behind a looser one.
+    Deadline,
+}
 
+/// Which running sequence is evicted (pushed back to the head of the
+/// queue, blocks freed or spilled) when the pool runs dry mid-decode. On
+/// re-admission the engine charges a full-context recompute through the
+/// [`rkvc_gpu`](rkvc_gpu::DeploymentSpec::recompute) roofline model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VictimRule {
+    /// Nobody: the growing sequence runs on at a capped KV footprint (the
+    /// seed behaviour).
+    Never,
+    /// The youngest sequence (largest admission counter — the vLLM
+    /// recompute-preemption heuristic).
+    Youngest,
+    /// The youngest *Batch* sequence before any Standard, and Standard
+    /// before Interactive: the recompute penalty lands on the class with
+    /// the loosest deadline, which is the one that can absorb it.
+    BatchFirstYoungest,
+}
+
+/// An admission + preemption policy: a label and the two rules. Built by
+/// [`SchedulerConfig::policy`]; the engine calls it at reproducible
+/// instants and both decisions are pure functions of their arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scheduler {
+    /// Policy name (experiment tables and benches).
+    pub label: &'static str,
+    /// Admission ordering.
+    pub admit: AdmitOrder,
+    /// Preemption victim rule.
+    pub victim: VictimRule,
+}
+
+impl Scheduler {
     /// Index into `queue` of the next request to try admitting, or `None`
     /// to stop admitting this iteration. The engine applies the arrival
     /// gate itself: a pick that has not yet arrived admits only on an idle
-    /// server (which jumps its clock to the arrival). `slo` carries the
-    /// server's per-class targets; SLO-blind policies ignore it.
-    fn admit_pick(&self, queue: &QueueView<'_>, clock: SimClock, slo: &SloTargets)
-        -> Option<usize>;
-
-    /// Victim among `running` to evict when the pool runs dry while
-    /// `grower` tries to append a token, or `None` to let `grower` run on
-    /// at a capped KV footprint (the seed behaviour). Must not name a
-    /// finished sequence (its blocks free at the end of the iteration
-    /// anyway).
-    fn preempt_victim(&self, running: &[RunningSeq], grower: usize) -> Option<usize>;
-}
-
-/// First-come-first-served: admit in arrival order, never preempt. This is
-/// the seed lockstep simulator's policy, bit-compatible with it — the
-/// oracle the engine refactor is verified against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FcfsScheduler;
-
-impl Scheduler for FcfsScheduler {
-    fn label(&self) -> &'static str {
-        "fcfs"
-    }
-
-    fn admit_pick(
-        &self,
-        queue: &QueueView<'_>,
-        _clock: SimClock,
-        _slo: &SloTargets,
-    ) -> Option<usize> {
-        if queue.is_empty() {
-            None
-        } else {
-            Some(0)
-        }
-    }
-
-    fn preempt_victim(&self, _running: &[RunningSeq], _grower: usize) -> Option<usize> {
-        None
-    }
-}
-
-/// Shortest-predicted-first: among requests that have already arrived,
-/// admit the one the router's length predictor expects to finish soonest
-/// (ties broken by enqueue order). With nothing arrived yet, falls back to
-/// the earliest arrival so idle servers wake exactly like FCFS. Never
-/// preempts.
-///
-/// Predictions flow in through the existing
-/// [`RoutePredictor`](crate::RoutePredictor) seam: the cluster stamps each
-/// request with `predicted_response_len` at routing time, so this policy
-/// consumes `rkvc_core`'s length predictor without a new dependency.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpfScheduler;
-
-impl Scheduler for SpfScheduler {
-    fn label(&self) -> &'static str {
-        "spf"
-    }
-
-    fn admit_pick(
-        &self,
-        queue: &QueueView<'_>,
-        clock: SimClock,
-        _slo: &SloTargets,
-    ) -> Option<usize> {
-        let arrived = queue.arrived(clock).min_by(|(_, a), (_, b)| {
-            a.predicted_len()
-                .total_cmp(&b.predicted_len())
-                .then(a.queue_seq().cmp(&b.queue_seq()))
-        });
-        if let Some((idx, _)) = arrived {
-            return Some(idx);
-        }
-        queue.earliest_future()
-    }
-
-    fn preempt_victim(&self, _running: &[RunningSeq], _grower: usize) -> Option<usize> {
-        None
-    }
-}
-
-/// Shared SLO-aware admission ordering: earliest-deadline-first with
-/// *deadline restart*. Arrived requests are ordered by their effective
-/// TTFT deadline — an Interactive arrival with a 2 s first-token budget
-/// outranks a Batch job with hours of slack, regardless of arrival order
-/// — breaking ties by predicted length and then enqueue order. A request
-/// whose deadline has already passed cannot contribute goodput no matter
-/// when it runs, so its priority is *restarted*: it competes as if it had
-/// just arrived (effective deadline = now + class target). Naive EDF
-/// collapses under overload because it serves the most-overdue (hopeless)
-/// work first and starves the still-winnable; pushing blown work to the
-/// back instead lets it rot behind slack-rich Batch admissions and blows
-/// up the interactive tail. The restart rule sits between the two: blown
-/// work degrades to class-priority order with shortest-first within the
-/// class — never ahead of a feasible tighter deadline, never behind a
-/// looser one.
-fn slo_admit_pick(queue: &QueueView<'_>, clock: SimClock, slo: &SloTargets) -> Option<usize> {
-    let eff_deadline = |w: &Waiting| {
-        let deadline = slo.ttft_deadline(w.request().slo, w.arrival_s());
-        if SimClock::from_secs(deadline) < clock {
-            slo.ttft_deadline(w.request().slo, clock.secs())
-        } else {
-            deadline
-        }
-    };
-    let arrived = queue.arrived(clock).min_by(|(_, a), (_, b)| {
-        eff_deadline(a)
-            .total_cmp(&eff_deadline(b))
-            .then(a.predicted_len().total_cmp(&b.predicted_len()))
-            .then(a.queue_seq().cmp(&b.queue_seq()))
-    });
-    if let Some((idx, _)) = arrived {
-        return Some(idx);
-    }
-    queue.earliest_future()
-}
-
-/// Deadline-slack ("SLO-aware") shortest-predicted-first: admission is
-/// the shared deadline-restart earliest-deadline-first ordering
-/// ([`slo_admit_pick`]). Never preempts (the SLO-blind SPF contract).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SloSpfScheduler;
-
-impl Scheduler for SloSpfScheduler {
-    fn label(&self) -> &'static str {
-        "spf+slo"
-    }
-
-    fn admit_pick(
+    /// server (which jumps its clock to the arrival). With nothing arrived
+    /// yet every ordering falls back to the earliest arrival, so idle
+    /// servers wake exactly like FCFS. `slo` carries the server's
+    /// per-class targets; only [`AdmitOrder::Deadline`] reads it.
+    pub(crate) fn admit_pick(
         &self,
         queue: &QueueView<'_>,
         clock: SimClock,
         slo: &SloTargets,
     ) -> Option<usize> {
-        slo_admit_pick(queue, clock, slo)
-    }
-
-    fn preempt_victim(&self, _running: &[RunningSeq], _grower: usize) -> Option<usize> {
-        None
-    }
-}
-
-/// FCFS admission plus evict-and-recompute preemption: when the pool runs
-/// dry mid-decode, the youngest sequence (largest admission counter, the
-/// vLLM recompute-preemption heuristic) is pushed back to the head of the
-/// queue and its blocks are freed. On re-admission the engine charges a
-/// full-context recompute through the
-/// [`rkvc_gpu`](rkvc_gpu::DeploymentSpec::recompute) roofline model.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PreemptiveScheduler;
-
-impl Scheduler for PreemptiveScheduler {
-    fn label(&self) -> &'static str {
-        "preemptive"
-    }
-
-    fn admit_pick(
-        &self,
-        queue: &QueueView<'_>,
-        _clock: SimClock,
-        _slo: &SloTargets,
-    ) -> Option<usize> {
-        if queue.is_empty() {
-            None
-        } else {
-            Some(0)
-        }
-    }
-
-    fn preempt_victim(&self, running: &[RunningSeq], _grower: usize) -> Option<usize> {
-        let mut unfinished = 0usize;
-        let mut youngest: Option<(usize, u64)> = None;
-        for (idx, r) in running.iter().enumerate() {
-            if r.is_finished() {
-                continue;
+        let arrived = match self.admit {
+            AdmitOrder::Arrival => return if queue.queue.is_empty() { None } else { Some(0) },
+            AdmitOrder::ShortestPredicted => queue.arrived(clock).min_by(|(_, a), (_, b)| {
+                a.predicted_len
+                    .total_cmp(&b.predicted_len)
+                    .then(a.queue_seq.cmp(&b.queue_seq))
+            }),
+            AdmitOrder::Deadline => {
+                let eff_deadline = |w: &Waiting| {
+                    let deadline = slo.ttft_deadline(w.req.slo, w.req.arrival_s);
+                    if SimClock::from_secs(deadline) < clock {
+                        slo.ttft_deadline(w.req.slo, clock.secs())
+                    } else {
+                        deadline
+                    }
+                };
+                queue.arrived(clock).min_by(|(_, a), (_, b)| {
+                    eff_deadline(a)
+                        .total_cmp(&eff_deadline(b))
+                        .then(a.predicted_len.total_cmp(&b.predicted_len))
+                        .then(a.queue_seq.cmp(&b.queue_seq))
+                })
             }
-            unfinished += 1;
-            let key = r.admit_seq();
-            if youngest.map_or(true, |(_, best)| key > best) {
-                youngest = Some((idx, key));
-            }
+        };
+        match arrived {
+            Some((idx, _)) => Some(idx),
+            None => queue.earliest_future(),
         }
-        // With at most one unfinished sequence there is nothing sensible to
-        // evict (evicting the grower for itself would thrash), so run
-        // capped like the seed.
-        if unfinished < 2 {
-            return None;
-        }
-        youngest.map(|(idx, _)| idx)
-    }
-}
-
-/// SLO-aware preemptive scheduling: deadline-restart
-/// earliest-TTFT-deadline admission ([`slo_admit_pick`] — an Interactive
-/// arrival jumps the queue) and class-preferring victim selection — when the pool runs dry, evict the youngest *Batch*
-/// sequence before touching Standard, and Standard before Interactive.
-/// The recompute penalty lands on the traffic with the loosest deadline,
-/// which is exactly the class that can absorb it without losing its SLO.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SloPreemptiveScheduler;
-
-impl Scheduler for SloPreemptiveScheduler {
-    fn label(&self) -> &'static str {
-        "preemptive+slo"
     }
 
-    fn admit_pick(
-        &self,
-        queue: &QueueView<'_>,
-        clock: SimClock,
-        slo: &SloTargets,
-    ) -> Option<usize> {
-        slo_admit_pick(queue, clock, slo)
-    }
-
-    fn preempt_victim(&self, running: &[RunningSeq], _grower: usize) -> Option<usize> {
+    /// Victim among `running` to evict when the pool runs dry while a
+    /// sequence tries to append a token, or `None` to let it run on
+    /// capped. Never names a finished sequence (its blocks free at the end
+    /// of the iteration anyway).
+    pub(crate) fn preempt_victim(&self, running: &[RunningSeq]) -> Option<usize> {
+        let by_class = match self.victim {
+            VictimRule::Never => return None,
+            VictimRule::Youngest => false,
+            VictimRule::BatchFirstYoungest => true,
+        };
         let mut unfinished = 0usize;
-        // Maximal (class rank, admit_seq): most-sacrificable class first,
-        // youngest within the class — deterministic because admit_seq is
-        // unique.
+        // Maximal (class rank, admit_seq): most-sacrificable class first
+        // (rank 0 throughout when classes are ignored), youngest within it
+        // — deterministic because admit_seq is unique.
         let mut victim: Option<(usize, (u8, u64))> = None;
         for (idx, r) in running.iter().enumerate() {
             if r.is_finished() {
                 continue;
             }
             unfinished += 1;
-            let key = (r.request().slo.victim_rank(), r.admit_seq());
+            let rank = if by_class { r.req.slo.victim_rank() } else { 0 };
+            let key = (rank, r.admit_seq);
             if victim.map_or(true, |(_, best)| key > best) {
                 victim = Some((idx, key));
             }
         }
+        // With at most one unfinished sequence there is nothing sensible to
+        // evict (evicting the grower for itself would thrash), so run
+        // capped like the seed.
         if unfinished < 2 {
             return None;
         }
@@ -393,23 +253,37 @@ impl SchedulerConfig {
         ]
     }
 
-    /// The policy object for the given SLO mode. FCFS is definitionally
-    /// arrival-ordered, so it has no aware variant; the SLO-blind SPF and
-    /// preemptive orderings are the bitwise oracles the aware variants
-    /// are diffed against.
-    pub fn policy(self, slo: SloPolicy) -> &'static dyn Scheduler {
-        match (self, slo) {
-            (SchedulerConfig::Fcfs, _) => &FcfsScheduler,
-            (SchedulerConfig::ShortestPredictedFirst, SloPolicy::Blind) => &SpfScheduler,
-            (SchedulerConfig::ShortestPredictedFirst, SloPolicy::Aware) => &SloSpfScheduler,
-            (SchedulerConfig::Preemptive, SloPolicy::Blind) => &PreemptiveScheduler,
-            (SchedulerConfig::Preemptive, SloPolicy::Aware) => &SloPreemptiveScheduler,
+    /// The policy for the given SLO mode — the whole scheduler zoo as one
+    /// table. FCFS is definitionally arrival-ordered, so it has no aware
+    /// variant (and is bit-compatible with the seed lockstep loop, the
+    /// oracle the engine is verified against); the SLO-blind SPF and
+    /// preemptive rows are the bitwise oracles the aware rows are diffed
+    /// against.
+    pub fn policy(self, slo: SloPolicy) -> Scheduler {
+        use {AdmitOrder::*, VictimRule::*};
+        let (label, admit, victim) = match (self, slo) {
+            (SchedulerConfig::Fcfs, _) => ("fcfs", Arrival, Never),
+            (SchedulerConfig::ShortestPredictedFirst, SloPolicy::Blind) => {
+                ("spf", ShortestPredicted, Never)
+            }
+            (SchedulerConfig::ShortestPredictedFirst, SloPolicy::Aware) => {
+                ("spf+slo", Deadline, Never)
+            }
+            (SchedulerConfig::Preemptive, SloPolicy::Blind) => ("preemptive", Arrival, Youngest),
+            (SchedulerConfig::Preemptive, SloPolicy::Aware) => {
+                ("preemptive+slo", Deadline, BatchFirstYoungest)
+            }
+        };
+        Scheduler {
+            label,
+            admit,
+            victim,
         }
     }
 
     /// Table/bench label (the scheduler family, independent of SLO mode).
     pub fn label(self) -> &'static str {
-        self.policy(SloPolicy::Blind).label()
+        self.policy(SloPolicy::Blind).label
     }
 
     /// Parses a CLI-style name (`fcfs`, `spf`, `preemptive`).
@@ -432,6 +306,7 @@ rkvc_tensor::json_unit_enum!(SchedulerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SloClass;
 
     fn waiting(id: u64, arrival_s: f64, predicted_len: f64, queue_seq: u64) -> Waiting {
         Waiting {
@@ -456,6 +331,48 @@ mod tests {
         QueueView::new(q, false)
     }
 
+    const FCFS: SchedulerConfig = SchedulerConfig::Fcfs;
+    const SPF: SchedulerConfig = SchedulerConfig::ShortestPredictedFirst;
+    const PREEMPTIVE: SchedulerConfig = SchedulerConfig::Preemptive;
+
+    fn blind(cfg: SchedulerConfig) -> Scheduler {
+        cfg.policy(SloPolicy::Blind)
+    }
+
+    fn aware(cfg: SchedulerConfig) -> Scheduler {
+        cfg.policy(SloPolicy::Aware)
+    }
+
+    #[test]
+    fn policy_table_pins_all_six_cells() {
+        use {AdmitOrder::*, VictimRule::*};
+        let cells = [
+            (FCFS, SloPolicy::Blind, "fcfs", Arrival, Never),
+            (FCFS, SloPolicy::Aware, "fcfs", Arrival, Never),
+            (SPF, SloPolicy::Blind, "spf", ShortestPredicted, Never),
+            (SPF, SloPolicy::Aware, "spf+slo", Deadline, Never),
+            (PREEMPTIVE, SloPolicy::Blind, "preemptive", Arrival, Youngest),
+            (
+                PREEMPTIVE,
+                SloPolicy::Aware,
+                "preemptive+slo",
+                Deadline,
+                BatchFirstYoungest,
+            ),
+        ];
+        for (cfg, slo, label, admit, victim) in cells {
+            assert_eq!(
+                cfg.policy(slo),
+                Scheduler {
+                    label,
+                    admit,
+                    victim
+                },
+                "{cfg:?} x {slo:?}"
+            );
+        }
+    }
+
     #[test]
     fn fcfs_always_picks_the_head() {
         let q: VecDeque<Waiting> = vec![
@@ -465,12 +382,12 @@ mod tests {
         .into();
         let t = targets();
         assert_eq!(
-            FcfsScheduler.admit_pick(&view(&q), SimClock::from_secs(1.0), &t),
+            blind(FCFS).admit_pick(&view(&q), SimClock::from_secs(1.0), &t),
             Some(0)
         );
         let empty = VecDeque::new();
         assert_eq!(
-            FcfsScheduler.admit_pick(&view(&empty), SimClock::ZERO, &t),
+            blind(FCFS).admit_pick(&view(&empty), SimClock::ZERO, &t),
             None
         );
     }
@@ -485,12 +402,12 @@ mod tests {
         .into();
         let t = targets();
         assert_eq!(
-            SpfScheduler.admit_pick(&view(&q), SimClock::from_secs(1.0), &t),
+            blind(SPF).admit_pick(&view(&q), SimClock::from_secs(1.0), &t),
             Some(1)
         );
         // Before anything arrives: earliest arrival wins, not shortest.
         assert_eq!(
-            SpfScheduler.admit_pick(&view(&q), SimClock::from_secs(-1.0), &t),
+            blind(SPF).admit_pick(&view(&q), SimClock::from_secs(-1.0), &t),
             Some(0)
         );
     }
@@ -504,7 +421,7 @@ mod tests {
         .into();
         // Equal predictions: lower queue_seq wins regardless of position.
         assert_eq!(
-            SpfScheduler.admit_pick(&view(&q), SimClock::from_secs(1.0), &targets()),
+            blind(SPF).admit_pick(&view(&q), SimClock::from_secs(1.0), &targets()),
             Some(1)
         );
     }
@@ -528,16 +445,12 @@ mod tests {
             let clock = SimClock::from_secs(clock_s);
             let sorted = QueueView::new(&q, true);
             let unsorted = QueueView::new(&q, false);
-            for sched in [
-                &SpfScheduler as &dyn Scheduler,
-                &SloSpfScheduler,
-                &FcfsScheduler,
-            ] {
+            for sched in [blind(SPF), aware(SPF), blind(FCFS)] {
                 assert_eq!(
                     sched.admit_pick(&sorted, clock, &t),
                     sched.admit_pick(&unsorted, clock, &t),
                     "{} at clock {clock_s}",
-                    sched.label()
+                    sched.label
                 );
             }
             assert_eq!(sorted.earliest_future(), unsorted.earliest_future());
@@ -567,7 +480,7 @@ mod tests {
         arrival_s: f64,
         predicted_len: f64,
         queue_seq: u64,
-        class: crate::SloClass,
+        class: SloClass,
     ) -> Waiting {
         let mut w = waiting(id, arrival_s, predicted_len, queue_seq);
         w.req = w.req.with_slo(class);
@@ -576,7 +489,6 @@ mod tests {
 
     #[test]
     fn slo_spf_admits_by_ttft_deadline_not_length() {
-        use crate::SloClass;
         // A long Interactive request vs. a short Batch job, both arrived.
         let q: VecDeque<Waiting> = vec![
             waiting_class(0, 0.0, 500.0, 0, SloClass::Interactive),
@@ -586,11 +498,11 @@ mod tests {
         let t = targets();
         // Blind SPF chases the short job; aware SPF honours the deadline.
         assert_eq!(
-            SpfScheduler.admit_pick(&view(&q), SimClock::from_secs(1.0), &t),
+            blind(SPF).admit_pick(&view(&q), SimClock::from_secs(1.0), &t),
             Some(1)
         );
         assert_eq!(
-            SloSpfScheduler.admit_pick(&view(&q), SimClock::from_secs(1.0), &t),
+            aware(SPF).admit_pick(&view(&q), SimClock::from_secs(1.0), &t),
             Some(0)
         );
         // Idle fallback matches SPF: earliest future arrival.
@@ -600,15 +512,13 @@ mod tests {
         ]
         .into();
         assert_eq!(
-            SloSpfScheduler.admit_pick(&view(&future), SimClock::ZERO, &t),
+            aware(SPF).admit_pick(&view(&future), SimClock::ZERO, &t),
             Some(1)
         );
     }
 
-    #[test]
-    fn slo_preemptive_evicts_batch_before_interactive() {
-        use crate::SloClass;
-        let running_seq = |id: u64, admit_seq: u64, class: SloClass| RunningSeq {
+    fn running_seq(id: u64, admit_seq: u64, class: SloClass) -> RunningSeq {
+        RunningSeq {
             req: crate::SimRequest::new(id, 0.0, 128, 32).with_slo(class),
             target_len: 32,
             generated: 1,
@@ -619,20 +529,36 @@ mod tests {
             preemptions: 0,
             admit_seq,
             queue_seq: id,
-        };
+        }
+    }
+
+    #[test]
+    fn slo_preemptive_evicts_batch_before_interactive() {
         let running = vec![
             running_seq(0, 0, SloClass::Interactive),
             running_seq(1, 1, SloClass::Batch),
             running_seq(2, 2, SloClass::Interactive), // youngest overall
         ];
         // Blind: youngest (admit_seq 2). Aware: the Batch sequence.
-        assert_eq!(PreemptiveScheduler.preempt_victim(&running, 0), Some(2));
-        assert_eq!(SloPreemptiveScheduler.preempt_victim(&running, 0), Some(1));
+        assert_eq!(blind(PREEMPTIVE).preempt_victim(&running), Some(2));
+        assert_eq!(aware(PREEMPTIVE).preempt_victim(&running), Some(1));
         // Single unfinished sequence: nobody preempts.
-        assert_eq!(
-            SloPreemptiveScheduler.preempt_victim(&running[..1], 0),
-            None
-        );
+        assert_eq!(aware(PREEMPTIVE).preempt_victim(&running[..1]), None);
+    }
+
+    #[test]
+    fn never_rule_names_no_victim_even_with_two_unfinished_sequences() {
+        let running = vec![
+            running_seq(0, 0, SloClass::Standard),
+            running_seq(1, 1, SloClass::Batch),
+        ];
+        assert!(running.iter().all(|r| !r.is_finished()));
+        for sched in [blind(FCFS), blind(SPF), aware(SPF)] {
+            assert_eq!(sched.victim, VictimRule::Never);
+            assert_eq!(sched.preempt_victim(&running), None, "{}", sched.label);
+        }
+        // The same batch under a preempting rule does name one.
+        assert_eq!(blind(PREEMPTIVE).preempt_victim(&running), Some(1));
     }
 
     #[test]
@@ -643,20 +569,9 @@ mod tests {
         assert_eq!(SchedulerConfig::parse("nope"), None);
         assert_eq!(SchedulerConfig::default(), SchedulerConfig::Fcfs);
         // Aware variants are distinct policies for SPF/preemptive, and the
-        // same FCFS object either way.
-        assert_eq!(
-            SchedulerConfig::Fcfs.policy(SloPolicy::Aware).label(),
-            "fcfs"
-        );
-        assert_eq!(
-            SchedulerConfig::ShortestPredictedFirst
-                .policy(SloPolicy::Aware)
-                .label(),
-            "spf+slo"
-        );
-        assert_eq!(
-            SchedulerConfig::Preemptive.policy(SloPolicy::Aware).label(),
-            "preemptive+slo"
-        );
+        // same FCFS policy either way.
+        assert_eq!(aware(FCFS), blind(FCFS));
+        assert_eq!(aware(SPF).label, "spf+slo");
+        assert_eq!(aware(PREEMPTIVE).label, "preemptive+slo");
     }
 }

@@ -1,13 +1,19 @@
-//! Single-deployment continuous-batching server: a thin driver over the
-//! discrete-event core in [`engine`](crate::engine).
+//! Single-deployment continuous-batching server: [`ServerSim`] holds all
+//! per-server state and the one copy of the iteration logic. A standalone
+//! server drives itself ([`ServerSim::run_to_completion`]);
+//! [`Engine`](crate::Engine) and [`Fleet`](crate::Fleet) drive sets of them.
 
-use rkvc_gpu::DeploymentSpec;
+use rkvc_gpu::{decode_memory_bytes, DeploymentSpec};
 use rkvc_kvcache::CompressionConfig;
+use std::collections::VecDeque;
 
-use crate::engine::{ServerCore, RANK_DECODE, RANK_IDLE_START};
+use crate::blocks::{prefix_hash_chain, session_hash_chain};
+use crate::engine::{RANK_DECODE, RANK_IDLE_START};
+use crate::scheduler::QueueView;
+use crate::tier::{DemotePolicy, RefillPolicy};
 use crate::{
-    BlockManager, BlockPoolStats, CompletedRequest, SchedulerConfig, SimClock, SimRequest,
-    SloPolicy, SloTargets, TierConfig,
+    BlockError, BlockManager, BlockPoolStats, CompletedRequest, SchedulerConfig, SimClock,
+    SimRequest, SloPolicy, SloTargets, TierConfig,
 };
 
 /// Construction-time serving parameters, validated by
@@ -140,18 +146,105 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// A request waiting in a server's queue — either freshly routed
+/// (`generated == 0`) or preempted mid-decode and awaiting recompute.
+#[derive(Debug, Clone)]
+pub(crate) struct Waiting {
+    pub(crate) req: SimRequest,
+    /// Response length the router predicted for this request on this
+    /// server (schedulers may order by it).
+    pub(crate) predicted_len: f64,
+    /// Tokens already generated before a preemption (0 for fresh requests).
+    pub(crate) generated: usize,
+    pub(crate) ttft_s: Option<f64>,
+    pub(crate) queue_delay_s: Option<f64>,
+    pub(crate) preemptions: usize,
+    /// Monotone enqueue counter — the deterministic tie-break.
+    pub(crate) queue_seq: u64,
+    /// The sequence's private KV blocks sit on the L2 (host) tier; it must
+    /// be refilled (or recomputed) before it can decode again.
+    pub(crate) spilled: bool,
+}
+
+/// A sequence resident in the running batch.
+#[derive(Debug, Clone)]
+pub(crate) struct RunningSeq {
+    pub(crate) req: SimRequest,
+    pub(crate) target_len: usize,
+    pub(crate) generated: usize,
+    /// Logical KV length (prompt + generated).
+    pub(crate) kv_len: usize,
+    pub(crate) ttft_s: f64,
+    pub(crate) queue_delay_s: f64,
+    pub(crate) predicted_len: f64,
+    pub(crate) preemptions: usize,
+    /// Monotone admission counter — "youngest" means the largest value.
+    pub(crate) admit_seq: u64,
+    /// Monotone enqueue counter carried over from the queue.
+    pub(crate) queue_seq: u64,
+}
+
+impl RunningSeq {
+    /// Whether the sequence has produced its full response this iteration.
+    pub(crate) fn is_finished(&self) -> bool {
+        self.generated >= self.target_len
+    }
+}
+
+/// A completed (non-final) conversation turn whose KV stays resident: its
+/// sequence remains registered in the block pool so the follow-up turn's
+/// shared registration re-references the published blocks instead of
+/// re-prefilling the history.
+#[derive(Debug, Clone, Copy)]
+struct ParkedSession {
+    /// The conversation this cache belongs to.
+    session: u64,
+    /// The completed request still owning the blocks.
+    owner: u64,
+}
+
 /// One GPU (or tensor-parallel group) running iteration-level continuous
-/// batching, costed by the [`rkvc_gpu`] analytical model.
-///
-/// The simulation logic — admissions (prefill), one decode iteration at
-/// the batch's current KV profile, and scheduler-driven preemption — lives
-/// in the discrete-event core ([`engine`](crate::engine)); this type is
-/// the public handle that drives a single server's core directly. With the
-/// default (FCFS) scheduler the behaviour is bit-compatible with the seed
-/// lockstep simulator.
+/// batching, costed by the [`rkvc_gpu`] analytical model: admissions
+/// (prefill), one decode iteration at the batch's current KV profile, and
+/// preemption — whom to admit and whom to evict being the
+/// [`Scheduler`](crate::Scheduler) policy value's two decisions. The
+/// arithmetic is ported operation-for-operation from the seed lockstep
+/// loop, so the default (FCFS) policy is a bit-compatible oracle of it.
 #[derive(Debug, Clone)]
 pub struct ServerSim {
-    core: ServerCore,
+    id: usize,
+    dep: DeploymentSpec,
+    algo: CompressionConfig,
+    cfg: ServingConfig,
+    clock: SimClock,
+    queue: VecDeque<Waiting>,
+    running: Vec<RunningSeq>,
+    completed: Vec<CompletedRequest>,
+    blocks: BlockManager,
+    /// Peak concurrent running batch — the server's effective capacity at
+    /// this pool size.
+    peak_batch: usize,
+    /// Resident session caches in completion (= LRU) order. Reclaimable:
+    /// pool pressure evicts from the front before any running sequence
+    /// pays a preemption.
+    parked: VecDeque<ParkedSession>,
+    admit_counter: u64,
+    queue_counter: u64,
+    /// Progressing iterations executed so far — a pure observability
+    /// counter (fleet stall detection); never feeds back into simulation.
+    iterations: u64,
+    /// Whether `queue` is sorted ascending by arrival time (`total_cmp`
+    /// order). True for event-driven and fleet dispatch, where arrivals
+    /// enqueue in global time order — the fast paths key off it. Goes
+    /// false on an out-of-order enqueue/preempt and resets when the queue
+    /// drains.
+    queue_sorted: bool,
+    /// Completions already offered to the driver's follow-up hook — the
+    /// incremental-drain watermark replacing per-event `seen` rescans.
+    completed_offered: usize,
+    /// Finished-index scratch reused across decode iterations (the
+    /// per-iteration `Vec` allocation is measurable at fleet scale).
+    finished_scratch: Vec<usize>,
 }
 
 impl ServerSim {
@@ -161,9 +254,7 @@ impl ServerSim {
     pub fn new(id: usize, dep: DeploymentSpec, algo: CompressionConfig, max_batch: usize) -> Self {
         // The default-shaped config is valid for every max_batch >= 1; a
         // zero width admits nothing, exactly as it did in the seed.
-        ServerSim {
-            core: ServerCore::new(id, dep, algo, ServingConfig::with_max_batch(max_batch)),
-        }
+        Self::build(id, dep, algo, ServingConfig::with_max_batch(max_batch))
     }
 
     /// Creates a server with an explicit, validated serving config.
@@ -178,79 +269,130 @@ impl ServerSim {
         cfg: ServingConfig,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        Ok(ServerSim {
-            core: ServerCore::new(id, dep, algo, cfg),
-        })
+        Ok(Self::build(id, dep, algo, cfg))
+    }
+
+    fn build(id: usize, dep: DeploymentSpec, algo: CompressionConfig, cfg: ServingConfig) -> Self {
+        // Free memory after weights + runtime overhead, divided into blocks
+        // at the policy's steady-state bytes/token (unless the config pins
+        // the pool size directly, e.g. to create block pressure in
+        // scheduler ablations).
+        let capacity_tokens = match cfg.pool_tokens {
+            Some(tokens) => tokens,
+            None => {
+                let fixed =
+                    decode_memory_bytes(&dep.llm, dep.engine, &algo, 1, 1, dep.tensor_parallel, 1);
+                let free = dep
+                    .gpu
+                    .hbm_bytes()
+                    .saturating_sub(fixed.weights + fixed.activations + fixed.workspace);
+                let per_token = rkvc_gpu::kv_bytes_per_token(&dep.llm, &algo, dep.tensor_parallel);
+                (free as f64 / per_token.max(1.0)) as usize
+            }
+        };
+        let blocks = BlockManager::with_tier(
+            (capacity_tokens / cfg.block_tokens).max(1),
+            cfg.block_tokens,
+            cfg.tier.map_or(0, |t| t.l2_blocks),
+        );
+        ServerSim {
+            id,
+            dep,
+            algo,
+            cfg,
+            clock: SimClock::ZERO,
+            queue: VecDeque::new(),
+            running: Vec::new(),
+            completed: Vec::new(),
+            blocks,
+            peak_batch: 0,
+            parked: VecDeque::new(),
+            admit_counter: 0,
+            queue_counter: 0,
+            iterations: 0,
+            queue_sorted: true,
+            completed_offered: 0,
+            finished_scratch: Vec::new(),
+        }
     }
 
     /// Server id.
     pub fn id(&self) -> usize {
-        self.core.id
+        self.id
     }
 
     /// The compression policy this server runs.
     pub fn algo(&self) -> &CompressionConfig {
-        &self.core.algo
+        &self.algo
     }
 
     /// The deployment this server models.
     pub fn deployment(&self) -> &DeploymentSpec {
-        &self.core.dep
+        &self.dep
     }
 
     /// The serving configuration.
     pub fn config(&self) -> &ServingConfig {
-        &self.core.cfg
+        &self.cfg
     }
 
     /// Current simulated time (seconds).
     pub fn clock_s(&self) -> f64 {
-        self.core.clock.secs()
+        self.clock.secs()
     }
 
     /// Requests waiting + running.
     pub fn load(&self) -> usize {
-        self.core.load()
+        self.queue.len() + self.running.len()
     }
 
     /// Currently running batch size.
     pub fn batch_size(&self) -> usize {
-        self.core.running.len()
+        self.running.len()
     }
 
     /// KV block-pool utilization in `[0, 1]` — the "memory usage" signal the
     /// paper's load-balancing baseline routes on.
     pub fn memory_utilization(&self) -> f64 {
-        self.core.blocks.utilization()
+        self.blocks.utilization()
     }
 
-    /// Mean KV length of the running batch (0 when idle).
+    /// Mean KV length of the running batch (0 when idle). An integer mean,
+    /// so it is independent of batch iteration order.
     pub fn mean_kv_len(&self) -> usize {
-        self.core.mean_kv_len()
-    }
-
-    /// The KV block pool (inspection: tiers, sharing, fragmentation).
-    pub fn blocks(&self) -> &BlockManager {
-        &self.core.blocks
+        if self.running.is_empty() {
+            return 0;
+        }
+        self.running.iter().map(|r| r.kv_len).sum::<usize>() / self.running.len()
     }
 
     /// Cumulative block-pool counters (dedup ratio, CoW copies,
     /// demotions/refills, peaks).
     pub fn block_stats(&self) -> &BlockPoolStats {
-        self.core.blocks.stats()
+        self.blocks.stats()
     }
 
     /// Peak concurrent running batch over the run — the server's
     /// *effective capacity* at this pool size (spilled-but-registered
     /// sequences do not count; they are not decoding).
     pub fn peak_batch(&self) -> usize {
-        self.core.peak_batch
+        self.peak_batch
     }
 
     /// Progressing scheduler iterations executed so far — the fleet's
     /// stall detector and the event-cost denominator in benches.
     pub fn iterations(&self) -> u64 {
-        self.core.iterations
+        self.iterations
+    }
+
+    /// Whether any work remains.
+    pub fn has_work(&self) -> bool {
+        !self.queue.is_empty() || !self.running.is_empty()
+    }
+
+    /// Completed requests so far.
+    pub fn completed(&self) -> &[CompletedRequest] {
+        &self.completed
     }
 
     /// Submits a request (its `arrival_s` must not precede the clock of the
@@ -259,106 +401,550 @@ impl ServerSim {
     /// server — cluster runs stamp the router's prediction instead via
     /// [`enqueue_predicted`](Self::enqueue_predicted).
     pub fn enqueue(&mut self, req: SimRequest) {
-        let predicted = req.response_len_on(self.core.id) as f64;
-        self.core.enqueue(req, predicted);
+        let predicted = req.response_len_on(self.id) as f64;
+        self.enqueue_predicted(req, predicted);
     }
 
     /// Submits a request with the router's predicted response length (what
     /// prediction-driven schedulers order by).
     pub fn enqueue_predicted(&mut self, req: SimRequest, predicted_len: f64) {
-        self.core.enqueue(req, predicted_len);
+        let queue_seq = self.queue_counter;
+        self.queue_counter += 1;
+        match self.queue.back() {
+            None => self.queue_sorted = true,
+            Some(back) => {
+                if back.req.arrival_s.total_cmp(&req.arrival_s) == std::cmp::Ordering::Greater {
+                    self.queue_sorted = false;
+                }
+            }
+        }
+        self.queue.push_back(Waiting {
+            req,
+            predicted_len,
+            generated: 0,
+            ttft_s: None,
+            queue_delay_s: None,
+            preemptions: 0,
+            queue_seq,
+            spilled: false,
+        });
     }
 
-    /// Whether any work remains.
-    pub fn has_work(&self) -> bool {
-        self.core.has_work()
+    /// Advances the simulation until time `t` (or until idle past `t`).
+    pub fn advance_to(&mut self, t: f64) {
+        let target = SimClock::from_secs(t);
+        while self.clock < target && self.has_work() {
+            // Don't run ahead of `t` into requests that arrive later.
+            if self.running.is_empty()
+                && self
+                    .earliest_queued_arrival()
+                    .map_or(true, |a| SimClock::from_secs(a) > target)
+            {
+                break;
+            }
+            if !self.iteration() {
+                break; // Unserviceable head-of-queue; don't spin.
+            }
+        }
+        self.clock.raise_to(target);
     }
 
-    /// Runs one scheduler iteration: admissions (prefill) + one decode step.
-    ///
-    /// Returns `false` if nothing could run (idle, the next request has
-    /// not arrived yet, or the head of the queue can never fit the pool).
-    pub fn step(&mut self) -> bool {
-        self.core.iteration()
+    /// Iterates until no work remains or nothing more can run (a request
+    /// that can never fit the pool parks the server — it is not spun on).
+    /// Leaves the server inspectable: peaks, block stats and
+    /// [`completed`](Self::completed) describe the finished run.
+    pub fn run_until_idle(&mut self) {
+        while self.has_work() && self.iteration() {}
     }
 
-    /// `step`, named for the engine's event loop.
-    pub(crate) fn iteration(&mut self) -> bool {
-        self.core.iteration()
+    /// [`run_until_idle`](Self::run_until_idle), then
+    /// [`into_completed`](Self::into_completed).
+    pub fn run_to_completion(mut self) -> Vec<CompletedRequest> {
+        self.run_until_idle();
+        self.into_completed()
     }
 
-    /// Completions not yet offered to a driver's follow-up hook (advances
-    /// the watermark).
+    /// Consumes the server, returning its completions sorted by id.
+    pub fn into_completed(mut self) -> Vec<CompletedRequest> {
+        self.completed.sort_by_key(|c| c.id);
+        self.completed
+    }
+
+    /// Completions not yet offered to the driver's follow-up hook:
+    /// advances the watermark and returns the fresh index range.
     pub(crate) fn take_new_completions(&mut self) -> std::ops::Range<usize> {
-        self.core.take_new_completions()
+        let range = self.completed_offered..self.completed.len();
+        self.completed_offered = self.completed.len();
+        range
     }
 
-    /// Marks all completions to date as already offered.
+    /// Marks every completion to date as already offered — each drive pass
+    /// hands follow-up hooks only completions it produced itself.
     pub(crate) fn reset_completion_watermark(&mut self) {
-        self.core.reset_completion_watermark();
+        self.completed_offered = self.completed.len();
     }
 
-    /// Releases every parked session cache (drain-time KV spill).
+    /// Releases every parked session cache (a draining replica spills its
+    /// parked KV — follow-up turns will re-prefill elsewhere).
     pub(crate) fn release_parked(&mut self) {
-        self.core.release_parked();
+        while self.evict_parked(None) {}
     }
 
     /// The `(time_ordinal, rank)` of this server's next iteration event,
     /// or `None` when it has no work. See the rank table in
     /// [`engine`](crate::engine).
     pub(crate) fn next_iteration_event(&self) -> Option<(u64, u8)> {
-        if !self.core.running.is_empty() {
-            return Some((self.core.clock.ordinal(), RANK_DECODE));
+        if !self.running.is_empty() {
+            return Some((self.clock.ordinal(), RANK_DECODE));
         }
-        let arrival = SimClock::from_secs(self.core.earliest_queued_arrival()?);
-        if arrival > self.core.clock {
+        let arrival = SimClock::from_secs(self.earliest_queued_arrival()?);
+        if arrival > self.clock {
             Some((arrival.ordinal(), RANK_IDLE_START))
         } else {
-            Some((self.core.clock.ordinal(), RANK_DECODE))
+            Some((self.clock.ordinal(), RANK_DECODE))
         }
     }
 
-    /// Advances the simulation until time `t` (or until idle past `t`).
-    pub fn advance_to(&mut self, t: f64) {
-        let target = SimClock::from_secs(t);
-        while self.core.clock < target && self.core.has_work() {
-            // Don't run ahead of `t` into requests that arrive later.
-            if self.core.running.is_empty()
-                && self
-                    .core
-                    .earliest_queued_arrival()
-                    .map_or(true, |a| SimClock::from_secs(a) > target)
+    /// Earliest arrival among queued requests (the idle wake-up time).
+    /// O(1) on an arrival-sorted queue — this runs once per scheduled
+    /// event, so the fallback scan made event cost O(queue depth).
+    fn earliest_queued_arrival(&self) -> Option<f64> {
+        if self.queue_sorted {
+            return self.queue.front().map(|w| w.req.arrival_s);
+        }
+        self.queue
+            .iter()
+            .map(|w| w.req.arrival_s)
+            .min_by(|a, b| a.total_cmp(b))
+    }
+
+    /// Frees the least-recently-parked session cache (preferring sessions
+    /// other than `keep` — evicting a conversation's own cache right
+    /// before its follow-up registers would waste the reuse). Returns
+    /// whether anything was freed.
+    fn evict_parked(&mut self, keep: Option<u64>) -> bool {
+        let pos = self
+            .parked
+            .iter()
+            .position(|p| keep != Some(p.session))
+            .or(if self.parked.is_empty() { None } else { Some(0) });
+        match pos.and_then(|p| self.parked.remove(p)) {
+            Some(p) => {
+                // Parked owners are registered by construction.
+                let _ = self.blocks.free_seq(p.owner);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Runs a block-pool operation, evicting parked session caches (LRU,
+    /// sparing `keep`) and retrying until it succeeds or nothing is left
+    /// to evict. `op` must leave the pool untouched on failure.
+    fn retry_evicting_parked<T>(
+        &mut self,
+        keep: Option<u64>,
+        mut op: impl FnMut(&mut BlockManager) -> Result<T, BlockError>,
+    ) -> Result<T, BlockError> {
+        let mut outcome = op(&mut self.blocks);
+        while outcome.is_err() && self.evict_parked(keep) {
+            outcome = op(&mut self.blocks);
+        }
+        outcome
+    }
+
+    /// Releases the parked cache of `session`, if any — called once the
+    /// follow-up turn holds its own references to the shared blocks.
+    fn unpark_session(&mut self, session: u64) {
+        if let Some(pos) = self.parked.iter().position(|p| p.session == session) {
+            if let Some(p) = self.parked.remove(pos) {
+                let _ = self.blocks.free_seq(p.owner);
+            }
+        }
+    }
+
+    /// Parks a completed non-final session turn: publishes its full blocks
+    /// under the session hash chain and keeps the sequence registered so
+    /// the next turn re-references them. Returns `false` (the caller frees
+    /// the sequence instead) when nothing could be published.
+    fn park_session(&mut self, r: &RunningSeq) -> bool {
+        let Some(s) = r.req.session else {
+            return false;
+        };
+        let blocks = self.retained(r.kv_len) / self.cfg.block_tokens;
+        let hashes = session_hash_chain(
+            r.req.prefix_group,
+            r.req.prefix_len,
+            s.session,
+            self.cfg.block_tokens,
+            blocks,
+        );
+        match self.blocks.publish_seq(r.req.id, &hashes) {
+            Ok(n) if n > 0 => {
+                self.parked.push_back(ParkedSession {
+                    session: s.session,
+                    owner: r.req.id,
+                });
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Tokens the policy actually retains for a sequence at logical KV
+    /// length `n` (eviction policies cap it).
+    fn retained(&self, n: usize) -> usize {
+        match self.algo {
+            CompressionConfig::H2O(p) => n.min(p.budget()),
+            CompressionConfig::Streaming(p) => n.min(p.budget()),
+            CompressionConfig::SnapKv(p) => n.min(p.budget + p.obs_window),
+            CompressionConfig::Tova(p) => n.min(p.budget),
+            CompressionConfig::PyramidKv(p) => n.min(p.mean_budget() + p.obs_window),
+            _ => n,
+        }
+    }
+
+    /// Evicts `running[victim]` back to the head of the queue. With a
+    /// spill tier its private blocks demote to L2 (the DMA charges this
+    /// server's clock synchronously) and re-admission refills them;
+    /// otherwise — no tier, `DemotePolicy::Drop`, or a full host tier —
+    /// the blocks are released and re-admission recomputes the full
+    /// context, exactly as the seed did. `finished` indices past the
+    /// victim shift down with the removal.
+    fn preempt(&mut self, victim: usize, finished: &mut [usize]) {
+        let r = self.running.remove(victim);
+        let spilled = match self.cfg.tier {
+            Some(t) if t.demote == DemotePolicy::Spill => {
+                match self.blocks.demote_seq(r.req.id) {
+                    Ok(mv) => {
+                        let dma = self.dep.kv_transfer_time(
+                            &self.algo,
+                            mv.tokens,
+                            t.pcie_gbs,
+                            t.transfer_latency_s,
+                        );
+                        self.clock.advance(dma);
+                        true
+                    }
+                    Err(_) => {
+                        // Host tier full (or unknown seq): fall back to
+                        // evict-and-recompute.
+                        let _ = self.blocks.free_seq(r.req.id);
+                        false
+                    }
+                }
+            }
+            _ => {
+                // Running sequences are registered by construction.
+                let _ = self.blocks.free_seq(r.req.id);
+                false
+            }
+        };
+        for f in finished.iter_mut() {
+            if *f > victim {
+                *f -= 1;
+            }
+        }
+        match self.queue.front() {
+            None => self.queue_sorted = true,
+            Some(front) => {
+                if r.req.arrival_s.total_cmp(&front.req.arrival_s) == std::cmp::Ordering::Greater {
+                    self.queue_sorted = false;
+                }
+            }
+        }
+        self.queue.push_front(Waiting {
+            req: r.req,
+            predicted_len: r.predicted_len,
+            generated: r.generated,
+            ttft_s: Some(r.ttft_s),
+            queue_delay_s: Some(r.queue_delay_s),
+            preemptions: r.preemptions + 1,
+            queue_seq: r.queue_seq,
+            spilled,
+        });
+    }
+
+    /// Runs one scheduler iteration: admissions (prefill, or recompute for
+    /// preempted sequences) + one decode step over the batch.
+    ///
+    /// Returns `false` if nothing could run — the server is idle, the next
+    /// request has not arrived, or the head of the queue can never fit in
+    /// the block pool.
+    pub(crate) fn iteration(&mut self) -> bool {
+        let sched = self.cfg.scheduler.policy(self.cfg.slo_policy);
+
+        // Admit while there is room. A request is admissible once it has
+        // arrived (the clock jumps to the pick's arrival when idle).
+        let mut admitted = false;
+        while self.running.len() < self.cfg.max_batch {
+            let view = QueueView::new(&self.queue, self.queue_sorted);
+            let Some(pick) = sched.admit_pick(&view, self.clock, &self.cfg.slo) else {
+                break;
+            };
+            let Some(waiting) = self.queue.get(pick) else {
+                break;
+            };
+            let arrival = SimClock::from_secs(waiting.req.arrival_s);
+            if arrival > self.clock {
+                if self.running.is_empty() && !admitted {
+                    // Idle: jump to the arrival.
+                    self.clock.raise_to(arrival);
+                } else {
+                    break;
+                }
+            }
+            let context = waiting.req.prompt_len + waiting.generated;
+            let picked_id = waiting.req.id;
+            let spilled = waiting.spilled;
+            let prefix_group = waiting.req.prefix_group;
+            let prefix_len = waiting.req.prefix_len;
+            let session = waiting.req.session;
+            let retained = self.retained(context);
+            // Restore or allocate the pick's KV blocks. Each arm leaves the
+            // pool untouched on failure, so breaking to wait for
+            // completions is always safe.
+            let mut refilled_tokens = 0usize;
+            let mut recompute_spilled = false;
+            let mut shared_tokens = 0usize;
+            if spilled {
+                let refill = self.cfg.tier.map_or(RefillPolicy::Transfer, |t| t.refill);
+                match refill {
+                    RefillPolicy::Transfer => {
+                        match self.retry_evicting_parked(None, |b| b.refill_seq(picked_id)) {
+                            Ok(mv) => refilled_tokens = mv.tokens,
+                            Err(_) => break, // No L1 room; wait for completions.
+                        }
+                    }
+                    RefillPolicy::Recompute => {
+                        // Discard the spilled copy and re-register for a
+                        // full recompute.
+                        if self.blocks.free_seq(picked_id).is_err() {
+                            break;
+                        }
+                        let fresh = self
+                            .retry_evicting_parked(None, |b| b.register_seq(picked_id, retained));
+                        if fresh.is_err() {
+                            // Its blocks are gone: future admissions go
+                            // through the plain recompute path.
+                            if let Some(wm) = self.queue.get_mut(pick) {
+                                wm.spilled = false;
+                            }
+                            break;
+                        }
+                        recompute_spilled = true;
+                    }
+                }
+            } else if self.cfg.prefix_sharing
+                && session.map_or(false, |s| s.carried_tokens > 0)
             {
+                // A follow-up conversation turn: walk the session hash
+                // chain (shared system prefix, then this session's private
+                // history) onto whatever KV the previous turn parked. When
+                // the cache was evicted in between, the walk misses and the
+                // whole history is re-prefilled — correctness never depends
+                // on residency.
+                let sid = session.map_or(0, |s| s.session);
+                let carried = session.map_or(0, |s| s.carried_tokens);
+                let shareable = carried.min(retained) / self.cfg.block_tokens;
+                let hashes = session_hash_chain(
+                    prefix_group,
+                    prefix_len,
+                    sid,
+                    self.cfg.block_tokens,
+                    shareable,
+                );
+                let shared = self.retry_evicting_parked(Some(sid), |b| {
+                    b.register_seq_shared(picked_id, retained, &hashes)
+                });
+                match shared {
+                    Ok(r) => shared_tokens = r.shared_tokens,
+                    Err(_) => break, // No KV room; wait for completions.
+                }
+                // This turn now holds its own references to the carried
+                // blocks; the previous turn's parked owner can go.
+                self.unpark_session(sid);
+            } else if self.cfg.prefix_sharing && prefix_len > 0 {
+                // Prefix blocks are content-determined, so a preempted
+                // sequence re-shares them on re-admission just like a
+                // fresh one. Only whole blocks that survive the retention
+                // cap are shareable.
+                let shareable = prefix_len.min(retained) / self.cfg.block_tokens;
+                let hashes = prefix_hash_chain(prefix_group, self.cfg.block_tokens, shareable);
+                let shared = self.retry_evicting_parked(None, |b| {
+                    b.register_seq_shared(picked_id, retained, &hashes)
+                });
+                match shared {
+                    Ok(r) => shared_tokens = r.shared_tokens,
+                    Err(_) => break, // No KV room; wait for completions.
+                }
+            } else {
+                let fresh =
+                    self.retry_evicting_parked(None, |b| b.register_seq(picked_id, retained));
+                if fresh.is_err() {
+                    break; // No KV room; wait for completions.
+                }
+            }
+            let Some(w) = self.queue.remove(pick) else {
+                // Unreachable (`pick` was just read); undo the registration
+                // rather than leak it.
+                let _ = self.blocks.free_seq(picked_id);
                 break;
-            }
-            if !self.core.iteration() {
-                break; // Unserviceable head-of-queue; don't spin.
-            }
+            };
+            let queue_delay = match w.queue_delay_s {
+                Some(q) => q,
+                None => self.clock.since(arrival),
+            };
+            let cost = if spilled && !recompute_spilled {
+                // Refill DMA: the spilled blocks stream back over PCIe.
+                match self.cfg.tier {
+                    Some(t) => self.dep.kv_transfer_time(
+                        &self.algo,
+                        refilled_tokens,
+                        t.pcie_gbs,
+                        t.transfer_latency_s,
+                    ),
+                    None => 0.0, // Unreachable: sequences spill only with a tier.
+                }
+            } else if w.generated == 0 {
+                // Shared prefix KV is already resident — prefill covers
+                // only the private remainder.
+                let compute = if shared_tokens > 0 {
+                    w.req.prompt_len.saturating_sub(shared_tokens).max(1)
+                } else {
+                    w.req.prompt_len
+                };
+                self.dep.prefill(&self.algo, 1, compute).total()
+            } else {
+                // Preempted: recompute the context before resuming,
+                // charged through the roofline model. With sharing, the
+                // prefix KV is already resident and only the remainder is
+                // recomputed.
+                let compute = if shared_tokens > 0 {
+                    context.saturating_sub(shared_tokens).max(1)
+                } else {
+                    context
+                };
+                self.dep.recompute(&self.algo, 1, compute).total()
+            };
+            self.clock.advance(cost);
+            let ttft = match w.ttft_s {
+                Some(t) => t,
+                None => self.clock.since(arrival),
+            };
+            let target = w.req.response_len_on(self.id).max(1);
+            let admit_seq = self.admit_counter;
+            self.admit_counter += 1;
+            self.running.push(RunningSeq {
+                kv_len: context,
+                target_len: target,
+                generated: w.generated,
+                ttft_s: ttft,
+                queue_delay_s: queue_delay,
+                predicted_len: w.predicted_len,
+                preemptions: w.preemptions,
+                admit_seq,
+                queue_seq: w.queue_seq,
+                req: w.req,
+            });
+            admitted = true;
         }
-        self.core.clock.raise_to(target);
-    }
 
-    /// Runs until every queued request has completed and returns them
-    /// (requests that can never fit the pool are dropped, not spun on).
-    pub fn run_to_completion(mut self) -> Vec<CompletedRequest> {
-        while self.core.has_work() {
-            if !self.core.iteration() {
-                break;
-            }
+        if self.running.len() > self.peak_batch {
+            self.peak_batch = self.running.len();
         }
-        self.core.completed.sort_by_key(|c| c.id);
-        self.core.completed
-    }
+        if self.running.is_empty() {
+            if admitted {
+                self.iterations += 1;
+            }
+            return admitted;
+        }
 
-    /// Completed requests so far.
-    pub fn completed(&self) -> &[CompletedRequest] {
-        &self.core.completed
-    }
+        // One decode iteration over the whole batch.
+        let batch = self.running.len();
+        let kv = self.mean_kv_len();
+        let step = self.dep.decode_step(&self.algo, batch, kv).total();
+        self.clock.advance(step);
 
-    /// Consumes the server, returning its completions.
-    pub fn into_completed(mut self) -> Vec<CompletedRequest> {
-        self.core.completed.sort_by_key(|c| c.id);
-        self.core.completed
+        let mut finished = std::mem::take(&mut self.finished_scratch);
+        finished.clear();
+        let mut i = 0;
+        'grow: while i < self.running.len() {
+            self.running[i].generated += 1;
+            self.running[i].kv_len += 1;
+            let seq = self.running[i].req.id;
+            // Grow or cap the sequence's block allocation. Append may hit a
+            // full pool — a preemptive scheduler then evicts a victim and
+            // retries; otherwise the sequence runs on at its capped
+            // footprint and the follow-up truncate is a no-op error, not an
+            // abort.
+            let mut append = self.blocks.append_token(seq);
+            while let Err(BlockError::OutOfBlocks { .. }) = append {
+                if self.running[i].is_finished() {
+                    // Finishing this iteration anyway; don't evict for it.
+                    break;
+                }
+                // Parked session caches are reclaimable — drop one before
+                // any running sequence pays a preemption (or runs capped).
+                if self.evict_parked(None) {
+                    append = self.blocks.append_token(seq);
+                    continue;
+                }
+                let Some(victim) = sched.preempt_victim(&self.running) else {
+                    break;
+                };
+                if victim == i {
+                    // The grower itself is evicted: this iteration's token
+                    // is rolled back and regenerated after recompute.
+                    self.running[i].generated -= 1;
+                    self.running[i].kv_len -= 1;
+                    self.preempt(i, &mut finished);
+                    continue 'grow; // `i` now names the next sequence.
+                }
+                self.preempt(victim, &mut finished);
+                if victim < i {
+                    i -= 1;
+                }
+                append = self.blocks.append_token(seq);
+            }
+            let retained = self.retained(self.running[i].kv_len);
+            let _ = self.blocks.truncate_seq(seq, retained);
+            if self.running[i].is_finished() {
+                finished.push(i);
+            }
+            i += 1;
+        }
+        for &i in finished.iter().rev() {
+            let r = self.running.swap_remove(i);
+            // A non-final conversation turn parks its KV (publish + stay
+            // registered) for the follow-up turn; everything else frees.
+            // Running sequences are registered by construction.
+            let parked = self.cfg.prefix_sharing
+                && matches!(r.req.session, Some(s) if !s.last_turn)
+                && self.park_session(&r);
+            if !parked {
+                let _ = self.blocks.free_seq(r.req.id);
+            }
+            let mut done = CompletedRequest {
+                id: r.req.id,
+                server_id: self.id,
+                arrival_s: r.req.arrival_s,
+                ttft_s: r.ttft_s,
+                e2e_s: self.clock.since(SimClock::from_secs(r.req.arrival_s)),
+                generated: r.generated,
+                queue_delay_s: r.queue_delay_s,
+                preemptions: r.preemptions,
+                slo: r.req.slo,
+                slo_ok: false,
+                session: r.req.session,
+            };
+            done.slo_ok = self.cfg.slo.target(done.slo).met(done.ttft_s, done.tbot_s());
+            self.completed.push(done);
+        }
+        finished.clear();
+        self.finished_scratch = finished;
+        self.iterations += 1;
+        true
     }
 }
 
@@ -446,7 +1032,7 @@ mod tests {
                 s.enqueue(SimRequest::new(i, 0.0, 4096, 32));
             }
             // Admit as much as possible in the first iterations.
-            s.step();
+            s.iteration();
             s.batch_size()
         };
         let fp16 = mk(CompressionConfig::Fp16);
@@ -467,7 +1053,7 @@ mod tests {
         let mut s = ServerSim::new(0, dep(), CompressionConfig::Fp16, 8);
         assert_eq!(s.memory_utilization(), 0.0);
         s.enqueue(SimRequest::new(0, 0.0, 2048, 64));
-        s.step();
+        s.iteration();
         assert!(s.memory_utilization() > 0.0);
     }
 
@@ -559,7 +1145,7 @@ mod tests {
         // spans two blocks, so utilization is 2/64.
         let mut coarse = coarse;
         coarse.enqueue(SimRequest::new(0, 0.0, 65, 8));
-        coarse.step();
+        coarse.iteration();
         assert!((coarse.memory_utilization() - 2.0 / 64.0).abs() < 1e-12);
     }
 
@@ -576,7 +1162,7 @@ mod tests {
         for i in 0..8 {
             s.enqueue(SimRequest::new(i, 0.0, 512, 8));
         }
-        s.step();
+        s.iteration();
         // 1024-token pool fits two 512-token prompts at most.
         assert!(s.batch_size() <= 2, "batch {}", s.batch_size());
     }

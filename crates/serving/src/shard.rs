@@ -1,24 +1,26 @@
 //! Request sharding for the fleet layer.
 //!
-//! A [`Sharder`] decides, at dispatch time, which of the fleet's *active*
-//! replicas absorbs a request — replacing the cluster router's
+//! A [`ShardPolicy`] decides, at dispatch time, which of the fleet's
+//! *active* replicas absorbs a request — replacing the cluster router's
 //! route-every-request scan over global server state with an O(1) (or
-//! O(log n)) function of a stable *shard key*. Because the decision
-//! depends only on the key and the active-replica count, sharded dispatch
-//! is trivially deterministic and per-replica simulation can proceed in
-//! parallel between telemetry epochs (see [`fleet`](crate::fleet)).
+//! O(log n)) function ([`ShardPolicy::slot`]) of the dispatch count, a
+//! stable *shard key* and the active-replica count. Because the decision
+//! reads no replica state, sharded dispatch is trivially deterministic and
+//! per-replica simulation can proceed in parallel between telemetry epochs
+//! (see [`fleet`](crate::fleet)).
 //!
 //! Two policies:
 //!
-//! * [`RoundRobinSharder`] — cycles over the active set. Perfectly
+//! * [`ShardPolicy::RoundRobin`] — cycles over the active set. Perfectly
 //!   balanced (±1 request) but key-oblivious: requests sharing a system
 //!   prompt scatter across replicas, so every replica stores its own copy
 //!   of the prefix and the pool's dedup win evaporates.
-//! * [`JumpHashSharder`] — Lamping–Veach jump consistent hashing over the
-//!   session/prefix-group key ([`shard_key`]). Same-key requests land on
-//!   the same replica (prefix dedup survives sharding), and growing the
-//!   active set from `n` to `n + 1` remaps only ~`1/(n + 1)` of the keys —
-//!   the property that makes autoscaling cheap for a stateful cache.
+//! * [`ShardPolicy::ConsistentHash`] — Lamping–Veach jump consistent
+//!   hashing ([`jump_hash`]) over the session/prefix-group key
+//!   ([`shard_key`]). Same-key requests land on the same replica (prefix
+//!   dedup survives sharding), and growing the active set from `n` to
+//!   `n + 1` remaps only ~`1/(n + 1)` of the keys — the property that
+//!   makes autoscaling cheap for a stateful cache.
 
 use crate::SimRequest;
 
@@ -71,56 +73,6 @@ pub fn shard_key(req: &SimRequest) -> u64 {
     }
 }
 
-/// A dispatch policy over the fleet's active replica list. `active_len` is
-/// the current number of active replicas (≥ 1); the return value is an
-/// index into that list. Implementations must be deterministic functions
-/// of their own state and the arguments — never of wall clock or thread
-/// schedule.
-pub trait Sharder: std::fmt::Debug + Send {
-    /// Policy name for tables and benches.
-    fn label(&self) -> &'static str;
-
-    /// Picks the active-list slot for `key`. Must return a value in
-    /// `[0, active_len)` for any `active_len >= 1`.
-    fn shard(&mut self, key: u64, active_len: usize) -> usize;
-}
-
-/// Key-oblivious round-robin: request `k` goes to slot `k mod n`. Balanced
-/// to ±1 by construction, but destroys key locality.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinSharder {
-    next: u64,
-}
-
-impl Sharder for RoundRobinSharder {
-    fn label(&self) -> &'static str {
-        "round_robin"
-    }
-
-    fn shard(&mut self, _key: u64, active_len: usize) -> usize {
-        if active_len == 0 {
-            return 0;
-        }
-        let slot = (self.next % active_len as u64) as usize;
-        self.next = self.next.wrapping_add(1);
-        slot
-    }
-}
-
-/// Stateless jump-consistent-hash sharding over [`shard_key`]s.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JumpHashSharder;
-
-impl Sharder for JumpHashSharder {
-    fn label(&self) -> &'static str {
-        "consistent_hash"
-    }
-
-    fn shard(&mut self, key: u64, active_len: usize) -> usize {
-        jump_hash(key, active_len)
-    }
-}
-
 /// Which sharding policy a fleet runs — the config-level knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
@@ -145,11 +97,15 @@ impl ShardPolicy {
         }
     }
 
-    /// Builds the policy's sharder state.
-    pub fn sharder(self) -> Box<dyn Sharder> {
+    /// The active-list slot for a request with shard key `key`, given
+    /// that `dispatched` requests went out before it: a value in
+    /// `[0, active_len)` for any `active_len >= 1` (0 for an empty list,
+    /// which keeps the function total). A pure function of its arguments —
+    /// never of replica state, wall clock or thread schedule.
+    pub fn slot(self, dispatched: usize, key: u64, active_len: usize) -> usize {
         match self {
-            ShardPolicy::RoundRobin => Box::new(RoundRobinSharder::default()),
-            ShardPolicy::ConsistentHash => Box::new(JumpHashSharder),
+            ShardPolicy::RoundRobin => dispatched % active_len.max(1),
+            ShardPolicy::ConsistentHash => jump_hash(key, active_len),
         }
     }
 }
@@ -197,12 +153,15 @@ mod tests {
     }
 
     #[test]
-    fn policies_round_trip_labels_and_build_sharders() {
+    fn policies_round_trip_labels_and_stay_in_range() {
         for p in ShardPolicy::all() {
-            let mut s = p.sharder();
-            assert_eq!(s.label(), p.label());
-            assert!(s.shard(123, 4) < 4);
+            assert!(p.slot(9, 123, 4) < 4);
+            assert_eq!(p.slot(9, 123, 0), 0, "{}", p.label());
         }
+        assert_eq!(ShardPolicy::RoundRobin.label(), "round_robin");
+        assert_eq!(ShardPolicy::ConsistentHash.label(), "consistent_hash");
+        assert_eq!(ShardPolicy::RoundRobin.slot(9, 123, 4), 1);
+        assert_eq!(ShardPolicy::ConsistentHash.slot(9, 123, 4), jump_hash(123, 4));
         assert_eq!(ShardPolicy::default(), ShardPolicy::ConsistentHash);
     }
 }

@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use rkvc_gpu::{DeploymentSpec, EngineKind, GpuSpec, LlmSpec};
 use rkvc_kvcache::CompressionConfig;
 use rkvc_serving::{
-    prefix_hash_chain, BlockManager, BlockTier, BlockView, SchedulerConfig, ServerSim,
-    ServingConfig, SimRequest, TierConfig,
+    prefix_hash_chain, BlockManager, BlockTier, BlockView, CompletedRequest, SchedulerConfig,
+    ServerSim, ServingConfig, SimRequest, TierConfig,
 };
 use rkvc_tensor::par;
 
@@ -20,6 +20,18 @@ fn dep() -> DeploymentSpec {
         llm: LlmSpec::llama2_7b(),
         engine: EngineKind::LmDeploy,
         tensor_parallel: 1,
+    }
+}
+
+/// Bitwise equality of two completion streams.
+fn same(a: &[CompletedRequest], b: &[CompletedRequest]) {
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(b) {
+        assert_eq!(a.id, b.id);
+        assert_eq!(a.e2e_s.to_bits(), b.e2e_s.to_bits());
+        assert_eq!(a.ttft_s.to_bits(), b.ttft_s.to_bits());
+        assert_eq!(a.queue_delay_s.to_bits(), b.queue_delay_s.to_bits());
+        assert_eq!(a.preemptions, b.preemptions);
     }
 }
 
@@ -281,7 +293,8 @@ rkvc_tensor::det_cases! {
 
     /// A preemption-heavy serving run is a pure function of its inputs:
     /// the free-block state and the completion stream must be
-    /// bit-identical whatever `RKVC_THREADS` says.
+    /// bit-identical whatever `RKVC_THREADS` says — and whichever of the
+    /// three ways of running a server dry produced them.
     fn free_block_state_is_invariant_across_thread_counts(rng, cases = 8) {
         let n = rng.gen_range(6usize..14);
         let pool = rng.gen_range(1600usize..2600);
@@ -295,8 +308,7 @@ rkvc_tensor::det_cases! {
                 )
             })
             .collect();
-        let serve = |threads: Option<usize>| {
-            par::set_threads(threads);
+        let make = || {
             let cfg = ServingConfig {
                 max_batch: 8,
                 pool_tokens: Some(pool),
@@ -308,23 +320,29 @@ rkvc_tensor::det_cases! {
             for r in &requests {
                 s.enqueue(r.clone());
             }
-            while s.has_work() && s.step() {}
+            s
+        };
+        let serve = |threads: Option<usize>| {
+            par::set_threads(threads);
+            let mut s = make();
+            s.run_until_idle();
             let util = s.memory_utilization();
+            let end_s = s.clock_s();
             let done = s.into_completed();
             par::set_threads(None);
-            (done, util.to_bits())
+            (done, util.to_bits(), end_s)
         };
-        let (done1, util1) = serve(Some(1));
-        let (done4, util4) = serve(Some(4));
+        let (done1, util1, end_s) = serve(Some(1));
+        let (done4, util4, _) = serve(Some(4));
         assert_eq!(util1, util4, "post-run pool state must not depend on threads");
-        assert_eq!(done1.len(), done4.len());
-        for (a, b) in done1.iter().zip(&done4) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.e2e_s.to_bits(), b.e2e_s.to_bits());
-            assert_eq!(a.ttft_s.to_bits(), b.ttft_s.to_bits());
-            assert_eq!(a.queue_delay_s.to_bits(), b.queue_delay_s.to_bits());
-            assert_eq!(a.preemptions, b.preemptions);
-        }
+        same(&done1, &done4);
+        // `run_until_idle` + `into_completed` is `run_to_completion`, and
+        // advancing past the last completion finishes the same work.
+        same(&done1, &make().run_to_completion());
+        let mut advanced = make();
+        advanced.advance_to(end_s + 1.0);
+        assert_eq!(advanced.clock_s(), end_s + 1.0);
+        same(&done1, &advanced.into_completed());
     }
 
     /// A sharing-heavy, tiered run (shared system prompts, host spill on
@@ -366,7 +384,7 @@ rkvc_tensor::det_cases! {
             for r in &requests {
                 s.enqueue(r.clone());
             }
-            while s.has_work() && s.step() {}
+            s.run_until_idle();
             let util = s.memory_utilization();
             let stats = *s.block_stats();
             let done = s.into_completed();
@@ -380,16 +398,7 @@ rkvc_tensor::det_cases! {
         assert_eq!(util1, util4, "pool state must not depend on threads");
         assert_eq!(stats1, stats3, "sharing counters must not depend on threads");
         assert_eq!(stats1, stats4, "sharing counters must not depend on threads");
-        assert_eq!(done1.len(), done3.len());
-        assert_eq!(done1.len(), done4.len());
-        for other in [&done3, &done4] {
-            for (a, b) in done1.iter().zip(other.iter()) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.e2e_s.to_bits(), b.e2e_s.to_bits());
-                assert_eq!(a.ttft_s.to_bits(), b.ttft_s.to_bits());
-                assert_eq!(a.queue_delay_s.to_bits(), b.queue_delay_s.to_bits());
-                assert_eq!(a.preemptions, b.preemptions);
-            }
-        }
+        same(&done1, &done3);
+        same(&done1, &done4);
     }
 }

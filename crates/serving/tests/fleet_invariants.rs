@@ -1,11 +1,11 @@
 //! Property tests for the fleet layer's dispatch and scaling machinery:
 //! jump consistent hashing's minimal-remap guarantee, round-robin's
-//! balance guarantee, and the sharder/autoscaler contracts the fleet's
-//! epoch loop relies on.
+//! balance guarantee, and the shard-policy/autoscaler contracts the
+//! fleet's epoch loop relies on.
 
 use rkvc_serving::{
-    jump_hash, shard_key, AutoscaleConfig, Autoscaler, FleetTelemetry, JumpHashSharder,
-    RoundRobinSharder, ScaleAction, ShardPolicy, Sharder, SimRequest,
+    jump_hash, shard_key, AutoscaleConfig, Autoscaler, FleetTelemetry, ScaleAction, ShardPolicy,
+    SimRequest,
 };
 
 rkvc_tensor::det_cases! {
@@ -57,37 +57,43 @@ rkvc_tensor::det_cases! {
         }
     }
 
-    /// Round-robin dispatch over a fixed active set is balanced to within
-    /// one request across replicas, regardless of key skew.
-    fn round_robin_is_balanced_to_within_one(rng, cases = 24) {
-        let n = rng.gen_range(1usize..24);
-        let total = rng.gen_range(50usize..2000);
-        let mut sharder = RoundRobinSharder::default();
-        let mut counts = vec![0usize; n];
-        for _ in 0..total {
-            // Keys are irrelevant to round-robin; feed it skewed ones.
-            let slot = sharder.shard(rng.next_u64() % 3, n);
-            counts[slot] += 1;
+    /// Round-robin dispatch is `dispatched mod active_len`, so it is
+    /// balanced to within one request across replicas regardless of key
+    /// skew — and stays so on each side of an autoscaler resize, wherever
+    /// the running dispatch count stands when the active set changes.
+    fn round_robin_is_balanced_to_within_one_across_a_resize(rng, cases = 24) {
+        let mut dispatched = 0usize;
+        for _phase in 0..2 {
+            let n = rng.gen_range(1usize..24);
+            let total = rng.gen_range(50usize..2000);
+            let mut counts = vec![0usize; n];
+            for _ in 0..total {
+                // Keys are irrelevant to round-robin; feed it skewed ones.
+                let slot = ShardPolicy::RoundRobin.slot(dispatched, rng.next_u64() % 3, n);
+                assert_eq!(slot, dispatched % n);
+                counts[slot] += 1;
+                dispatched += 1;
+            }
+            let lo = counts.iter().min().copied().unwrap_or(0);
+            let hi = counts.iter().max().copied().unwrap_or(0);
+            assert!(
+                hi - lo <= 1,
+                "round-robin spread {lo}..{hi} over {n} replicas for {total} requests"
+            );
         }
-        let lo = counts.iter().min().copied().unwrap_or(0);
-        let hi = counts.iter().max().copied().unwrap_or(0);
-        assert!(
-            hi - lo <= 1,
-            "round-robin spread {lo}..{hi} over {n} replicas for {total} requests"
-        );
     }
 
-    /// Jump-hash dispatch is a pure function of (key, active count): the
-    /// stateless sharder gives the same slot on every call, and every
-    /// slot is in range.
-    fn jump_hash_sharder_is_stateless_and_in_range(rng, cases = 16) {
+    /// Consistent-hash dispatch is a pure function of (key, active count):
+    /// the dispatch count never enters, the slot is `jump_hash`'s bucket,
+    /// and every slot is in range.
+    fn consistent_hash_slot_ignores_the_dispatch_count_and_is_in_range(rng, cases = 16) {
         let n = rng.gen_range(1usize..32);
-        let mut sharder = JumpHashSharder;
-        for _ in 0..500 {
+        for d in 0..500 {
             let key = rng.next_u64();
-            let a = sharder.shard(key, n);
-            let b = sharder.shard(key, n);
+            let a = ShardPolicy::ConsistentHash.slot(d, key, n);
+            let b = ShardPolicy::ConsistentHash.slot(d + 1 + rng.gen_range(0usize..1000), key, n);
             assert_eq!(a, b);
+            assert_eq!(a, jump_hash(key, n));
             assert!(a < n);
         }
     }
@@ -96,16 +102,14 @@ rkvc_tensor::det_cases! {
 #[test]
 fn shard_keys_group_requests_the_way_dispatch_needs() {
     // Same prefix group => same key (dedup stays on one replica); distinct
-    // groups spread. The policies build their advertised sharders.
+    // groups spread. Every policy places them in range.
     let a = SimRequest::new(0, 0.0, 512, 32).with_shared_prefix(7, 128);
     let b = SimRequest::new(1, 1.0, 700, 64).with_shared_prefix(7, 128);
     let c = SimRequest::new(2, 2.0, 512, 32).with_shared_prefix(8, 128);
     assert_eq!(shard_key(&a), shard_key(&b));
     assert_ne!(shard_key(&a), shard_key(&c));
     for policy in ShardPolicy::all() {
-        let mut s: Box<dyn Sharder> = policy.sharder();
-        assert_eq!(s.label(), policy.label());
-        assert!(s.shard(shard_key(&a), 5) < 5);
+        assert!(policy.slot(3, shard_key(&a), 5) < 5, "{}", policy.label());
     }
 }
 

@@ -19,7 +19,7 @@
 //!   turn's prompt re-opening with the full accumulated history. Turn
 //!   `k + 1` is materialized causally from turn `k`'s completion via
 //!   [`SessionTrace::follow_up`] — the input to the serving engine's
-//!   session-aware `run_sessions` loop.
+//!   `Engine::run` follow-up hook.
 //! * [`semantic`] — token-overlap F1 scoring (the stand-in for the paper's
 //!   ChatGPT-reference semantic score in Table 4).
 //! * [`length`] — the paper's response-length difference statistic

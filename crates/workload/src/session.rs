@@ -5,7 +5,7 @@
 //! and only then sends the follow-up — so turn `k`'s arrival depends on
 //! turn `k − 1`'s completion time, which depends on scheduling. A
 //! precomputed arrival trace cannot express that; the engine's
-//! `run_sessions` follow-up hook can, and [`SessionTrace::follow_up`] is
+//! `Engine::run` follow-up hook can, and [`SessionTrace::follow_up`] is
 //! exactly that hook. Second, each turn's prompt re-opens with the *entire
 //! accumulated conversation* (system prefix + every earlier turn), so
 //! without KV reuse prefill cost grows quadratically in turns — the reuse
@@ -222,7 +222,7 @@ pub fn sample_sessions(cfg: &SessionWorkloadConfig) -> Vec<SessionSpec> {
         .collect()
 }
 
-/// Drives sampled sessions through `Engine::run_sessions`: supplies turn 0
+/// Drives sampled sessions through `Engine::run`: supplies turn 0
 /// of every conversation as the initial arrival stream, then materializes
 /// turn `k + 1` from turn `k`'s completion (plus the sampled think time) —
 /// the causal coupling a static trace cannot express.
@@ -286,7 +286,7 @@ impl SessionTrace {
     }
 
     /// Turn 0 of every session, in session-start order — the initial
-    /// arrival stream for `Engine::run_sessions`.
+    /// arrival stream for `Engine::run`.
     pub fn initial_requests(&self) -> Vec<SimRequest> {
         self.specs
             .iter()

@@ -70,7 +70,7 @@ fn run_sessions_demo(cfg: ServingConfig, turns: usize) {
     let server = ServerSim::with_config(0, dep(), CompressionConfig::Fp16, cfg)
         .expect("demo config is valid");
     let mut engine = Engine::new(vec![server]);
-    let done = engine.run_sessions(
+    let done = engine.run(
         trace.initial_requests(),
         |_, r| (0, r.response_len as f64),
         |c| trace.follow_up(c),

@@ -32,7 +32,9 @@
 #   3. `cargo test -q --offline --workspace` — the full test suite
 #      passes offline.
 #   4. thread-count invariance — `repro` regenerates fig1, table6,
-#      table8 (the serving-engine cluster experiment), ext_prefix
+#      table8 (the serving-engine cluster experiment), ext_scheduler
+#      (the only experiment that runs the youngest-victim preemption
+#      rule through the cluster heap), ext_prefix
 #      (the prefix-shared, tiered block-manager experiment), ext_slo
 #      (the multi-turn session / SLO-aware scheduling sweep), and
 #      ext_fleet (the sharded, autoscaled replica-fleet sweep, whose
@@ -98,7 +100,7 @@ tmp1=$(mktemp -d)
 tmp3=$(mktemp -d)
 tmp4=$(mktemp -d)
 trap 'rm -rf "$tmp1" "$tmp3" "$tmp4"' EXIT
-for exp in fig1 table6 table8 ext_prefix ext_slo ext_fleet appendix_c; do
+for exp in fig1 table6 table8 ext_scheduler ext_prefix ext_slo ext_fleet appendix_c; do
     RKVC_THREADS=1 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
         --exp "$exp" --scale quick --out "$tmp1"
     RKVC_THREADS=4 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
@@ -122,6 +124,6 @@ for exp in fig1 table6 ext_prefix ext_slo ext_fleet appendix_c; do
     diff "$tmp1/$exp.json" "$tmp3/$exp.json"
 done
 diff -r "$tmp1" "$tmp4"
-echo "ok: fig1 + table6 + table8 + ext_prefix + ext_slo + ext_fleet + appendix_c JSON byte-identical across worker-pool widths (incl. odd width 3)"
+echo "ok: fig1 + table6 + table8 + ext_scheduler + ext_prefix + ext_slo + ext_fleet + appendix_c JSON byte-identical across worker-pool widths (incl. odd width 3)"
 
 echo "hermetic check passed"

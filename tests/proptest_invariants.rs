@@ -9,9 +9,9 @@ use rethink_kv_compression::kvcache::{
     SupportedBits,
 };
 use rethink_kv_compression::serving::{
-    BlockManager, ClassMetrics, CompletedRequest, Engine, LatencySummary, Scheduler,
-    SchedulerConfig, ServerSim, ServingConfig, SloClass, SloMetrics, SloPolicy,
-    SloPreemptiveScheduler, SloSpfScheduler, SloTarget, SloTargets,
+    AdmitOrder, BlockManager, ClassMetrics, CompletedRequest, Engine, LatencySummary,
+    SchedulerConfig, ServerSim, ServingConfig, SloClass, SloMetrics, SloPolicy, SloTarget,
+    SloTargets, VictimRule,
 };
 use rethink_kv_compression::tensor::{det::SeededRng, round_to_f16, Matrix};
 use rethink_kv_compression::workload::{
@@ -151,7 +151,7 @@ rkvc_tensor::det_cases! {
         )
         .expect("valid session property config");
         let mut engine = Engine::new(vec![server]);
-        let done = engine.run_sessions(
+        let done = engine.run(
             trace.initial_requests(),
             |_, r| (0, r.response_len as f64),
             |c| trace.follow_up(c),
@@ -380,18 +380,17 @@ rkvc_tensor::det_cases! {
 
     fn slo_targets_classify_latencies_consistently(rng) {
         // The policy() mapping hands out exactly the named aware
-        // scheduler objects, and a target classifies a latency pair the
-        // same way whether reached through `SloTargets::target` or the
-        // per-class field.
+        // policies, and a target classifies a latency pair the same way
+        // whether reached through `SloTargets::target` or the per-class
+        // field.
+        let spf = SchedulerConfig::ShortestPredictedFirst.policy(SloPolicy::Aware);
+        assert_eq!(spf.label, "spf+slo");
+        assert_eq!((spf.admit, spf.victim), (AdmitOrder::Deadline, VictimRule::Never));
+        let preemptive = SchedulerConfig::Preemptive.policy(SloPolicy::Aware);
+        assert_eq!(preemptive.label, "preemptive+slo");
         assert_eq!(
-            SchedulerConfig::ShortestPredictedFirst
-                .policy(SloPolicy::Aware)
-                .label(),
-            Scheduler::label(&SloSpfScheduler)
-        );
-        assert_eq!(
-            SchedulerConfig::Preemptive.policy(SloPolicy::Aware).label(),
-            Scheduler::label(&SloPreemptiveScheduler)
+            (preemptive.admit, preemptive.victim),
+            (AdmitOrder::Deadline, VictimRule::BatchFirstYoungest)
         );
         let targets = SloTargets::default();
         let class = match rng.gen_range(0u32..3) {
