@@ -20,7 +20,7 @@ use rkvc_kvcache::{
 };
 use rkvc_model::{vocab, GenerateParams, ModelConfig, TinyLm};
 use rkvc_tensor::json::{JsonValue, ToJson};
-use rkvc_tensor::{par, seeded_rng, Matrix};
+use rkvc_tensor::{f16_bits_to_f32, f32_to_f16_bits, par, round_slice_to_f16, seeded_rng, Matrix};
 use std::hint::black_box;
 
 /// Deterministic dense-ish matrix for the matmul benches.
@@ -86,6 +86,67 @@ fn bench_prefill(h: &mut Harness, threads: &[usize]) {
         });
     }
     par::set_threads(None);
+    g.finish();
+}
+
+/// Policies of the `prefill_short_96tok` group: one whose cache may drop
+/// the last layer's unread queries and one that has to run them.
+fn prefill_short_policies() -> [(&'static str, CompressionConfig); 2] {
+    [("fp16", CompressionConfig::Fp16), ("h2o", CompressionConfig::h2o(64, 448))]
+}
+
+fn bench_prefill_short(h: &mut Harness) {
+    // The benchmark's `gen_short` prompt shape (~95 tokens): per-token
+    // cost is matmul and append, not attention, so this is where the
+    // observable-only last layer and the FP16 round show.
+    let model = TinyLm::new(ModelConfig::induction_mha());
+    let prompt = copy_prompt(93);
+    par::set_threads(Some(1));
+    let mut g = h.group("prefill_short_96tok");
+    g.sample_size(30);
+    for (name, cfg) in prefill_short_policies() {
+        g.bench_function(format!("{name}_per_token"), |b| {
+            b.iter(|| {
+                let mut s = model.start_session(&cfg);
+                black_box(s.prefill_per_token(black_box(&prompt)).len())
+            })
+        });
+        g.bench_function(format!("{name}_batched"), |b| {
+            b.iter(|| {
+                let mut s = model.start_session(&cfg);
+                black_box(s.prefill(black_box(&prompt)).len())
+            })
+        });
+    }
+    g.finish();
+    par::set_threads(None);
+}
+
+fn bench_f16_round(h: &mut Harness) {
+    // One appended K or V row at head_dim 64: the pack/unpack round trip
+    // every append used to run per element against the branch-free
+    // `round_slice_to_f16` that replaced it (same bits, all 2^32 inputs).
+    let mut rng = seeded_rng(0xf16);
+    let row: Vec<f32> = (0..64).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+    let mut buf = row.clone();
+    let mut g = h.group("f16_round_row64");
+    g.sample_size(200);
+    g.bench_function("bits_round_trip", |b| {
+        b.iter(|| {
+            buf.copy_from_slice(black_box(&row));
+            for v in buf.iter_mut() {
+                *v = f16_bits_to_f32(f32_to_f16_bits(*v));
+            }
+            black_box(buf[63])
+        })
+    });
+    g.bench_function("round_slice", |b| {
+        b.iter(|| {
+            buf.copy_from_slice(black_box(&row));
+            round_slice_to_f16(&mut buf);
+            black_box(buf[63])
+        })
+    });
     g.finish();
 }
 
@@ -218,6 +279,7 @@ fn bench_prefill_attention(h: &mut Harness) {
         kv_stride: hd,
         queries: &queries,
         q_stride: hd,
+        read_from: 0,
     };
     par::set_threads(Some(1));
     let mut g = h.group("prefill_attention_1024tok");
@@ -345,6 +407,29 @@ fn speedup(h: &Harness, group: &str, base: &str, new: &str) -> f64 {
     med(base) / med(new)
 }
 
+fn find_record<'h>(h: &'h Harness, group: &str, name: &str) -> Option<&'h rkvc_bench::BenchRecord> {
+    h.records().iter().find(|r| r.group == group && r.name == name)
+}
+
+/// Run-to-run spread of one record: `(p95 - min) / median`.
+fn spread(r: &rkvc_bench::BenchRecord) -> f64 {
+    (r.p95_ns - r.min_ns) / r.median_ns
+}
+
+/// One before/after pair of `group` with each side's [`spread`], so the
+/// ratio can be read against the noise it was measured in.
+fn before_after(h: &Harness, group: &str, before: &str, after: &str) -> Option<JsonValue> {
+    let (before, after) = (find_record(h, group, before)?, find_record(h, group, after)?);
+    Some(JsonValue::object(vec![
+        ("before_ns", before.median_ns.to_json()),
+        ("before_spread", spread(before).to_json()),
+        ("after_ns", after.median_ns.to_json()),
+        ("after_spread", spread(after).to_json()),
+        ("speedup", (before.median_ns / after.median_ns).to_json()),
+        ("speedup_min", (before.min_ns / after.min_ns).to_json()),
+    ]))
+}
+
 /// `min(group/base) / min(group/new)` — the noise-robust variant for
 /// comparisons whose sides take microseconds each: on a busy host the
 /// median absorbs scheduler interference many times the workload itself,
@@ -367,6 +452,8 @@ fn main() {
     let mut h = Harness::new("par_scaling");
     bench_matmul(&mut h, &sweep);
     bench_prefill(&mut h, &sweep);
+    bench_prefill_short(&mut h);
+    bench_f16_round(&mut h);
     bench_fused_decode(&mut h);
     bench_prefill_attention(&mut h);
     bench_microkernel(&mut h);
@@ -427,18 +514,13 @@ fn main() {
     // run-to-run spread ((p95 - min) / median) so a ratio can be read
     // against the noise it was measured in; `speedup_min` compares the
     // fastest samples, which sit below scheduler and allocator noise.
-    let record = |name: &str| {
-        h.records()
-            .iter()
-            .find(|r| r.group == "prefill_attention_1024tok" && r.name == name)
-    };
+    let record = |name: &str| find_record(&h, "prefill_attention_1024tok", name);
     let prefill_attention = JsonValue::object(
         prefill_attention_policies()
             .iter()
             .filter_map(|(name, _)| {
                 let before = record(&format!("{name}_per_token"))?;
                 let after = record(&format!("{name}_extend_attend"))?;
-                let spread = |r: &rkvc_bench::BenchRecord| (r.p95_ns - r.min_ns) / r.median_ns;
                 Some((
                     *name,
                     JsonValue::object(vec![
@@ -453,6 +535,22 @@ fn main() {
             })
             .collect(),
     );
+    let prefill_short = JsonValue::object(
+        prefill_short_policies()
+            .iter()
+            .filter_map(|(name, _)| {
+                let pair = before_after(
+                    &h,
+                    "prefill_short_96tok",
+                    &format!("{name}_per_token"),
+                    &format!("{name}_batched"),
+                )?;
+                Some((*name, pair))
+            })
+            .collect(),
+    );
+    let f16_round = before_after(&h, "f16_round_row64", "bits_round_trip", "round_slice")
+        .unwrap_or(JsonValue::Null);
     let doc = JsonValue::object(vec![
         ("suite", "par_scaling".to_json()),
         ("machine_parallelism", machine.to_json()),
@@ -472,6 +570,8 @@ fn main() {
         ),
         ("speedups", speedups),
         ("prefill_attention_1024tok", prefill_attention),
+        ("prefill_short_96tok", prefill_short),
+        ("f16_round_row64", f16_round),
         ("records", h.records().to_json()),
     ]);
     let path = workspace_root().join("BENCH_par.json");

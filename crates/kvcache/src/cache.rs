@@ -60,6 +60,11 @@ impl KvView {
 /// buffers as they are: token `t`'s key is `keys[t * kv_stride..][..head_dim]`
 /// and its `g`-th query is
 /// `queries[t * q_stride + g * head_dim..][..head_dim]`.
+///
+/// The caller reads attention outputs only from token
+/// [`read_from`](AttendBatch::read_from) on. Every token is appended and
+/// every query must be valid whatever that index is — it only says which
+/// outputs are dead, and a cache is free to not compute those.
 #[derive(Debug, Clone, Copy)]
 pub struct AttendBatch<'a> {
     /// Head dimension of every key, value and query vector.
@@ -83,6 +88,11 @@ pub struct AttendBatch<'a> {
     pub queries: &'a [f32],
     /// Distance between consecutive tokens' query groups.
     pub q_stride: usize,
+    /// First token whose attention output the caller reads: the output
+    /// stripes of tokens `0..read_from` are left exactly as passed in.
+    /// `0` (decode, and every prefill layer that feeds another) reads
+    /// them all; `read_from >= n_tokens` reads none.
+    pub read_from: usize,
 }
 
 impl<'a> AttendBatch<'a> {
@@ -105,7 +115,9 @@ impl<'a> AttendBatch<'a> {
     }
 
     /// Runs token `t`'s query group against `cache`, one query at a
-    /// time.
+    /// time. A token before [`read_from`](AttendBatch::read_from) still
+    /// attends — the cache may steer itself by the weights — but into
+    /// scratch, not into `out`.
     fn attend_group<C: KvCache + ?Sized>(
         &self,
         cache: &mut C,
@@ -113,14 +125,16 @@ impl<'a> AttendBatch<'a> {
         scratch: &mut AttendScratch,
         out: &mut [f32],
     ) {
+        let AttendScratch { scores, weights, unread, .. } = scratch;
         for g in 0..self.group {
-            cache.attend(
-                self.query(t, g),
-                self.scale,
-                &mut scratch.scores,
-                &mut scratch.weights,
-                &mut out[self.out_range(t, g)],
-            );
+            let out = if t < self.read_from {
+                unread.clear();
+                unread.resize(self.head_dim, 0.0);
+                &mut unread[..]
+            } else {
+                &mut out[self.out_range(t, g)]
+            };
+            cache.attend(self.query(t, g), self.scale, scores, weights, out);
         }
     }
 }
@@ -135,6 +149,8 @@ pub struct AttendScratch {
     scores: Vec<f32>,
     /// Single-query softmax weights.
     weights: Vec<f32>,
+    /// Where a query attends when nobody reads its output.
+    unread: Vec<f32>,
     /// Transposed queries of the current block: entry `lg * head_dim + c`
     /// holds channel `c` of queries `8 lg .. 8 lg + 8` (zero-padded).
     lanes: Vec<[f32; LANES]>,
@@ -247,11 +263,21 @@ pub trait KvCache: std::fmt::Debug + Send {
     /// token and everything older, never a later one), and accumulates
     /// query `(t, g)`'s output into
     /// `out[(t * group + g) * head_dim..][..head_dim]` (`+=`, caller
-    /// zeroes). Decode is the `n_tokens == 1` case and prefill the
-    /// whole-prompt case of the same call.
+    /// zeroes) for every token from `batch.read_from` on; the stripes of
+    /// earlier tokens are not touched. Decode is the `n_tokens == 1` case
+    /// and prefill the whole-prompt case of the same call.
+    ///
+    /// `read_from` removes outputs, never state: after the call
+    /// [`view`](KvCache::view), [`stats`](KvCache::stats) and everything
+    /// else a later call can observe equal what `read_from == 0` leaves,
+    /// bit for bit, and so do the stripes that are written. A policy may
+    /// therefore skip an unread query only if the query could not have
+    /// changed it.
     ///
     /// The default is the per-token loop — `append`, then one
-    /// [`attend`](KvCache::attend) per query — and defines the semantics.
+    /// [`attend`](KvCache::attend) per query, unread ones included,
+    /// because a policy on this loop may be steered by any of them — and
+    /// defines the semantics.
     /// Policies whose retained past stays put between flushes (FP16,
     /// KIVI, GEAR, StreamingLLM until its window is full) override it to
     /// run whole blocks of queries against that past at once, decoding
@@ -260,6 +286,8 @@ pub trait KvCache: std::fmt::Debug + Send {
     /// Policies steered by per-query feedback
     /// (H2O, TOVA, SnapKV's observation window, Quest's per-query
     /// selection) keep the default: their past changes with every query.
+    /// The same split decides who may drop unread queries: the blocked
+    /// driver only appends them, the default loop cannot.
     ///
     /// # Panics
     ///
@@ -456,7 +484,10 @@ fn score_tile<const R: usize>(rows: [&[f32]; R], lanes: &[[f32; LANES]]) -> [[f3
 ///
 /// Implementors never reorder or drop retained rows outside a flush and
 /// ignore [`KvCache::observe_attention`] — a block's queries are scored
-/// together, so per-query feedback could not act between them.
+/// together, so per-query feedback could not act between them. For the
+/// same reason a query whose output nobody reads
+/// ([`AttendBatch::read_from`]) leaves no trace in them, and the driver
+/// does not run it.
 pub(crate) trait BlockRows: KvCache {
     /// How many appends may follow the latest one before an append
     /// rewrites retained rows (a flush): the rest of the current block.
@@ -504,6 +535,10 @@ pub(crate) const DENSE_BLOCK_TOKENS: usize = 16;
 /// A block of one token (decode, or a policy configured to flush on
 /// every append) takes the single-query [`KvCache::attend`]: the tile
 /// pays for eight lanes whatever it is given.
+///
+/// Tokens before `batch.read_from` are appended and nothing else — a
+/// [`BlockRows`] cache cannot tell a query that ran from one that did
+/// not — so blocks start at the first token that is read.
 pub(crate) fn extend_attend_blocked<C: BlockRows>(
     cache: &mut C,
     batch: &AttendBatch<'_>,
@@ -517,6 +552,10 @@ pub(crate) fn extend_attend_blocked<C: BlockRows>(
     while t0 < batch.n_tokens {
         // The first append may flush; what follows it may not.
         cache.append(batch.key(t0), batch.value(t0), batch.pos0 + t0);
+        if t0 < batch.read_from {
+            t0 += 1;
+            continue;
+        }
         let ahead = batch.n_tokens - t0 - 1;
         let m = 1 + cache.quiet_appends().min(ahead).min(max_tokens - 1);
         if m == 1 {

@@ -49,6 +49,24 @@ struct Outlier {
     value: f32,
 }
 
+/// Flat indices of the `n` largest-magnitude entries of `error`, equal
+/// magnitudes going to the lower index, in no particular order.
+///
+/// The order (`|error|` descending, then index ascending) is total, so
+/// the set is unique: it is the first `n` of a stable descending sort by
+/// magnitude, found by selection instead of by sorting all
+/// `2 * buffer * head_dim` entries. Per-token quantization errors tie
+/// often; the index tie-break is what keeps the pick reproducible.
+fn largest_magnitude_cells(error: &[f32], n: usize) -> Vec<usize> {
+    let mut cells: Vec<(usize, f32)> =
+        error.iter().enumerate().map(|(i, &v)| (i, v.abs())).collect();
+    if n < cells.len() {
+        cells.select_nth_unstable_by(n, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        cells.truncate(n);
+    }
+    cells.into_iter().map(|(i, _)| i).collect()
+}
+
 /// One quantized-and-corrected tensor (K or V of a chunk).
 #[derive(Debug, Clone)]
 struct CorrectedTensor {
@@ -65,16 +83,10 @@ impl CorrectedTensor {
 
         // Extract the top-s% |error| entries as exact outliers.
         let n_outliers = ((error.len() as f32 * params.outlier_ratio).round() as usize).max(1);
-        let mut indexed: Vec<(usize, f32)> = error
-            .as_slice()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i, v.abs()))
-            .collect();
-        indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         let cols = error.cols();
-        let mut outliers = Vec::with_capacity(n_outliers);
-        for &(flat, _) in indexed.iter().take(n_outliers) {
+        let picked = largest_magnitude_cells(error.as_slice(), n_outliers);
+        let mut outliers = Vec::with_capacity(picked.len());
+        for flat in picked {
             let row = flat / cols;
             let col = flat % cols;
             outliers.push(Outlier {
@@ -528,6 +540,34 @@ mod tests {
             let k: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
             cache.append(&k, &v, pos);
+        }
+    }
+
+    rkvc_tensor::det_cases! {
+        /// The selection picks the set the stable descending sort by
+        /// magnitude used to, on errors drawn from a few levels so that
+        /// ties straddle the cut (per-token quantization at 4 bits leaves
+        /// errors on a coarse grid, signed and often equal).
+        fn outlier_pick_matches_the_stable_sort(rng, cases = 200) {
+            let len = rng.gen_range(0usize..80);
+            let levels = rng.gen_range(1usize..6);
+            let error: Vec<f32> = (0..len)
+                .map(|_| {
+                    let magnitude = rng.gen_range(0usize..levels) as f32 * 0.125;
+                    if rng.gen_bool(0.5) { -magnitude } else { magnitude }
+                })
+                .collect();
+            let n = rng.gen_range(0usize..len + 3);
+
+            let mut sorted: Vec<(usize, f32)> =
+                error.iter().enumerate().map(|(i, &v)| (i, v.abs())).collect();
+            sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            let mut want: Vec<usize> = sorted.iter().take(n).map(|&(i, _)| i).collect();
+            want.sort_unstable();
+
+            let mut got = largest_magnitude_cells(&error, n);
+            got.sort_unstable();
+            assert_eq!(got, want, "n = {n} of {error:?}");
         }
     }
 

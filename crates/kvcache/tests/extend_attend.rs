@@ -12,6 +12,10 @@
 //! * **per-token** — `append` + `attend`, the default `extend_attend`.
 //! * **batched** — one `extend_attend` call per turn (query-blocked for
 //!   FP16/KIVI/GEAR, and for StreamingLLM while its window fills).
+//!
+//! A fourth run repeats the batched route with `AttendBatch::read_from`
+//! past the first token and must differ from it only in the output
+//! stripes it was told nobody reads.
 
 use rkvc_kvcache::{
     AttendBatch, AttendScratch, CacheStats, CompressionConfig, GearParams, H2OCache, H2OParams,
@@ -125,7 +129,7 @@ impl Turn {
         }
     }
 
-    fn batch(&self) -> AttendBatch<'_> {
+    fn batch(&self, read_from: usize) -> AttendBatch<'_> {
         AttendBatch {
             head_dim: self.hd,
             n_tokens: self.n,
@@ -137,6 +141,7 @@ impl Turn {
             kv_stride: self.kv_stride,
             queries: &self.queries,
             q_stride: self.q_stride,
+            read_from,
         }
     }
 
@@ -198,9 +203,15 @@ impl Turn {
         out
     }
 
-    fn run_batched(&self, cache: &mut dyn KvCache, scratch: &mut AttendScratch) -> Vec<f32> {
+    /// One `extend_attend` call whose caller reads tokens `read_from..`.
+    fn run_batched(
+        &self,
+        cache: &mut dyn KvCache,
+        scratch: &mut AttendScratch,
+        read_from: usize,
+    ) -> Vec<f32> {
         let mut out = self.zeroed_out();
-        cache.extend_attend(&self.batch(), scratch, &mut out);
+        cache.extend_attend(&self.batch(read_from), scratch, &mut out);
         out
     }
 }
@@ -236,7 +247,7 @@ fn check_routes(cfg: &CompressionConfig, hd: usize, turns: &[Turn]) {
         let what = format!("{cfg} hd={hd} group={} turn {i} n={}", turn.group, turn.n);
         let want = turn.run_naive(naive.as_mut());
         let got_tok = turn.run_per_token(per_token.as_mut());
-        let got_batch = turn.run_batched(batched.as_mut(), &mut scratch);
+        let got_batch = turn.run_batched(batched.as_mut(), &mut scratch, 0);
         assert_bits_eq(&got_tok, &want, &format!("{what}: attend vs naive"));
         assert_bits_eq(&got_batch, &want, &format!("{what}: extend_attend vs naive"));
         for cache in [&mut naive, &mut per_token, &mut batched] {
@@ -309,13 +320,67 @@ rkvc_tensor::det_cases! {
             let sharp = rng.gen_bool(0.3);
             let turn = Turn::new(rng, hd, group, n, pos0, sharp);
             let want = turn.run_naive(&mut naive);
-            let got = turn.run_batched(&mut batched, &mut scratch);
+            let got = turn.run_batched(&mut batched, &mut scratch, 0);
             assert_bits_eq(&got, &want, "h2o outputs");
             assert_same_state(&batched, &naive, "h2o state");
             for i in 0..naive.len() {
                 assert_eq!(batched.score(i).to_bits(), naive.score(i).to_bits(), "h2o score {i}");
             }
             pos0 += n;
+        }
+    }
+
+    /// `read_from` removes outputs and nothing else. For every variant
+    /// and a first-read token on each side of a block boundary, at the
+    /// start and at the very end of the turn: the stripes that are read
+    /// and everything a later call can observe — the retained rows, the
+    /// statistics, H2O's accumulated scores, the outputs of the next
+    /// turn — are bit-equal to the run that reads every token, and the
+    /// unread stripes are still the `+0.0` the caller put there. The
+    /// default-loop policies can only pass by running the unread queries;
+    /// the blocked ones pass without.
+    fn read_from_only_removes_outputs(rng, cases = 24) {
+        let hd = HEAD_DIMS[rng.gen_range(0usize..HEAD_DIMS.len())];
+        let group = [1usize, 2, 4][rng.gen_range(0usize..3)];
+        let sharp = rng.gen_bool(0.3);
+        for (cfg, block) in every_variant(rng) {
+            let n = 3 * block + 2 + rng.gen_range(0usize..9);
+            let prefix = rng.gen_range(0usize..2 * block + 1);
+            let warm_up = Turn::new(rng, hd, group, prefix, 0, sharp);
+            let turn = Turn::new(rng, hd, group, n, prefix, sharp);
+            let next = Turn::new(rng, hd, group, 2, prefix + n, sharp);
+            let mut scratch = AttendScratch::default();
+
+            let mut all_read = cfg.build(hd);
+            warm_up.run_batched(all_read.as_mut(), &mut scratch, 0);
+            let want = turn.run_batched(all_read.as_mut(), &mut scratch, 0);
+            let want_next = next.run_batched(all_read.as_mut(), &mut scratch, 0);
+
+            for read_from in [0, 1, block - 1, block, block + 1, n - 1] {
+                let what = format!("{cfg} hd={hd} group={group} n={n} read_from={read_from}");
+                let mut cache = cfg.build(hd);
+                warm_up.run_batched(cache.as_mut(), &mut scratch, 0);
+                let got = turn.run_batched(cache.as_mut(), &mut scratch, read_from);
+                let (unread, read) = got.split_at(read_from * group * hd);
+                assert!(unread.iter().all(|v| v.to_bits() == 0), "{what}: unread stripe written");
+                assert_bits_eq(read, &want[unread.len()..], &format!("{what}: read stripes"));
+                let got_next = next.run_batched(cache.as_mut(), &mut scratch, 0);
+                assert_bits_eq(&got_next, &want_next, &format!("{what}: next turn"));
+                assert_same_state(cache.as_ref(), all_read.as_ref(), &what);
+            }
+        }
+
+        let params = H2OParams { heavy: rng.gen_range(1usize..4), recent: rng.gen_range(1usize..8) };
+        let turn = Turn::new(rng, hd, group, 20, 0, sharp);
+        let mut scratch = AttendScratch::default();
+        let mut all_read = H2OCache::new(hd, params).unwrap();
+        turn.run_batched(&mut all_read, &mut scratch, 0);
+        for read_from in [1, 19] {
+            let mut cache = H2OCache::new(hd, params).unwrap();
+            turn.run_batched(&mut cache, &mut scratch, read_from);
+            for i in 0..all_read.len() {
+                assert_eq!(cache.score(i).to_bits(), all_read.score(i).to_bits(), "h2o score {i}");
+            }
         }
     }
 }
@@ -334,7 +399,7 @@ fn extend_attend_is_thread_count_invariant() {
             let mut cache = cfg.build(33);
             let mut scratch = AttendScratch::default();
             let turn = Turn::new(&mut rng, 33, 2, 70, 0, false);
-            outs.push(turn.run_batched(cache.as_mut(), &mut scratch));
+            outs.push(turn.run_batched(cache.as_mut(), &mut scratch, 0));
         }
         match &reference {
             None => reference = Some(outs),

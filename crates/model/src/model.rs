@@ -96,6 +96,17 @@ fn vec_mat_into(v: &[f32], m: &Matrix, out: &mut Vec<f32>) {
     }
 }
 
+/// The residual add for the rows a layer carries forward: `delta`'s rows
+/// are the last `delta.rows()` rows of `x`, and come back as `x + delta`.
+fn add_to_tail_rows(x: &Matrix, mut delta: Matrix) -> Matrix {
+    debug_assert_eq!(x.cols(), delta.cols());
+    let tail = &x.as_slice()[(x.rows() - delta.rows()) * x.cols()..];
+    for (d, &xv) in delta.as_mut_slice().iter_mut().zip(tail) {
+        *d += xv;
+    }
+    delta
+}
+
 /// Estimated scalar operations one KV-head unit spends attending one
 /// query over one cached position: a multiply-add for the score dot plus
 /// a multiply-add for the value accumulation. Feeds
@@ -107,7 +118,8 @@ const ATTN_OPS_PER_CACHED_ELEM: usize = 4;
 /// Runs one KV head's work for `n_tokens` consecutive tokens: append the
 /// new K/V rows, attending for every query head in the head's group right
 /// after each token's append — one [`KvCache::extend_attend`] call, for
-/// decode (`n_tokens == 1`) and prefill alike.
+/// decode (`n_tokens == 1`) and prefill alike. Only the outputs of tokens
+/// `read_from..` are read afterwards ([`AttendBatch::read_from`]).
 ///
 /// This is the unit both [`Session::forward`] and the batched
 /// [`Session::prefill`] fan across [`rkvc_tensor::par`]: units touch
@@ -120,6 +132,7 @@ const ATTN_OPS_PER_CACHED_ELEM: usize = 4;
 fn run_kv_unit(
     unit: &mut KvUnit<'_>,
     n_tokens: usize,
+    read_from: usize,
     pos0: usize,
     scale: f32,
     group_size: usize,
@@ -141,6 +154,7 @@ fn run_kv_unit(
         kv_stride,
         queries: &q_all[unit.kvh * group_size * hd..],
         q_stride,
+        read_from,
     };
     unit.cache.extend_attend(&batch, unit.attend, unit.out);
 }
@@ -248,7 +262,7 @@ impl Session<'_> {
             );
             rkvc_tensor::par::par_chunks_mut(&mut units, grain, |_, chunk| {
                 for unit in chunk.iter_mut() {
-                    run_kv_unit(unit, 1, pos, scale, gs, hd, q_all, 0, k_all, v_all, 0);
+                    run_kv_unit(unit, 1, 0, pos, scale, gs, hd, q_all, 0, k_all, v_all, 0);
                 }
             });
 
@@ -292,6 +306,17 @@ impl Session<'_> {
     /// [`Session::prefill_per_token`] — the property
     /// `batched_prefill_matches_per_token_oracle` pins down.
     ///
+    /// Only what generation can observe is computed. A layer hands the
+    /// next one its rows `live_from..n`: all of them below the last layer,
+    /// whose K/V projections read every row, and row `n - 1` alone out of
+    /// the last layer, because `lm_head` reads nothing else. K, V and Q
+    /// are projected and handed to the caches for every token in every
+    /// layer — a cache must see every append, and a score-driven policy
+    /// every query — with [`AttendBatch::read_from`] set to `live_from`,
+    /// so the cache decides which dead queries it can skip; the attention
+    /// gather, `wo`, both residual adds and the MLP run on the live rows
+    /// only.
+    ///
     /// # Panics
     ///
     /// Panics if `prompt` is empty or contains an out-of-vocabulary token.
@@ -320,21 +345,24 @@ impl Session<'_> {
             }
         }
 
-        // Per-unit output stripes and the gathered attention matrix are
-        // allocated once and reused across layers: units accumulate with
-        // `+=`, so stripes are re-zeroed per layer, and `attn` is fully
-        // overwritten by the gather.
+        // Per-unit output stripes are allocated once and reused across
+        // layers: units accumulate with `+=`, so stripes are re-zeroed per
+        // layer.
+        let width = gs * hd;
         let mut unit_outs: Vec<Vec<f32>> =
-            (0..cfg.n_kv_heads).map(|_| vec![0.0f32; n * gs * hd]).collect();
-        let mut attn = Matrix::zeros(n, cfg.n_heads * hd);
+            (0..cfg.n_kv_heads).map(|_| vec![0.0f32; n * width]).collect();
         for (l, lw) in w.layers.iter().enumerate() {
+            let live_from = if l + 1 == w.layers.len() { n - 1 } else { 0 };
+
             // Whole-prompt projections through the blocked kernel.
             let q_all = x.matmul(&lw.wq);
             let k_all = x.matmul(&lw.wk);
             let v_all = x.matmul(&lw.wv);
 
             // Per-KV-head units, each consuming the whole prompt in token
-            // order into its own output stripe.
+            // order into its own output stripe. The grain estimate counts
+            // the queries whose outputs are read, so a unit left with one
+            // live query is not dispatched as if it attended `n`.
             let mut units: Vec<KvUnit<'_>> = self.caches[l]
                 .iter_mut()
                 .zip(self.scratch.attend.iter_mut())
@@ -347,13 +375,14 @@ impl Session<'_> {
                 .collect();
             let grain = rkvc_tensor::par::grain_for(
                 units.len(),
-                ATTN_OPS_PER_CACHED_ELEM * n * (pos0 + n) * gs * hd,
+                ATTN_OPS_PER_CACHED_ELEM * (n - live_from) * (pos0 + n) * width,
             );
             rkvc_tensor::par::par_chunks_mut(&mut units, grain, |_, chunk| {
                 for unit in chunk.iter_mut() {
                     run_kv_unit(
                         unit,
                         n,
+                        live_from,
                         pos0,
                         scale,
                         gs,
@@ -366,22 +395,22 @@ impl Session<'_> {
                     );
                 }
             });
+            let mut attn = Matrix::zeros(n - live_from, cfg.n_heads * hd);
             for u in &units {
-                let width = gs * hd;
-                for t in 0..n {
-                    attn.row_mut(t)[u.kvh * width..(u.kvh + 1) * width]
+                for t in live_from..n {
+                    attn.row_mut(t - live_from)[u.kvh * width..(u.kvh + 1) * width]
                         .copy_from_slice(&u.out[t * width..(t + 1) * width]);
                 }
             }
             drop(units);
 
             // Residual add of the attention output, then the SwiGLU MLP,
-            // all positions at once.
-            x = x.add(&attn.matmul(&lw.wo));
+            // all live positions at once.
+            x = add_to_tail_rows(&x, attn.matmul(&lw.wo));
             let gate = x.matmul(&lw.w_gate);
             let up = x.matmul(&lw.w_up);
             let hidden = Matrix::from_vec(
-                n,
+                x.rows(),
                 cfg.mlp_hidden,
                 gate.as_slice()
                     .iter()
@@ -389,7 +418,7 @@ impl Session<'_> {
                     .map(|(&g, &u)| silu(g) * u)
                     .collect(),
             );
-            x = x.add(&hidden.matmul(&lw.w_down));
+            x = add_to_tail_rows(&x, hidden.matmul(&lw.w_down));
         }
 
         self.prev_token = prompt[n - 1];
@@ -400,7 +429,7 @@ impl Session<'_> {
             }
         }
         // Only the final position's logits are observable.
-        vec_mat(x.row(n - 1), &w.lm_head)
+        vec_mat(x.row(x.rows() - 1), &w.lm_head)
     }
 
     /// Reference prompt path: the seed's token-at-a-time forward loop,
@@ -603,7 +632,12 @@ mod tests {
     /// prompt spans several query blocks and flush periods of each
     /// blocked policy (FP16 blocks of 16, KIVI flushing every 8, GEAR
     /// every 8, StreamingLLM blocked until its window fills), and the
-    /// score-feedback policies (H2O) evict throughout.
+    /// policies on the default loop (H2O, TOVA, SnapKV, PyramidKV, Quest,
+    /// ThinK) evict, select or observe throughout — in the last layer
+    /// too, where the model reads one query's output and they must still
+    /// see all of them. The four-layer model checks that only the last
+    /// layer is trimmed; the one-token prompt and follow-up are the case
+    /// where the trimmed layer's only live row is also its first.
     #[test]
     fn batched_prefill_matches_per_token_oracle() {
         let policies = [
@@ -621,42 +655,79 @@ mod tests {
                 ..Default::default()
             }),
             CompressionConfig::h2o(4, 12),
+            CompressionConfig::SnapKv(rkvc_kvcache::SnapKvParams {
+                budget: 12,
+                obs_window: 4,
+                kernel: 3,
+            }),
+            CompressionConfig::tova(14),
+            CompressionConfig::quest(4, 3),
+            CompressionConfig::think(0.5),
+            CompressionConfig::PyramidKv(rkvc_kvcache::PyramidKvParams {
+                first_layer_budget: 20,
+                last_layer_budget: 8,
+                obs_window: 4,
+            }),
         ];
-        let prompt: Vec<TokenId> = {
+        let long_prompt: Vec<TokenId> = {
             let mut p = vec![vocab::BOS];
             p.extend((0..70).map(|i| vocab::CONTENT_START + (i % 16)));
             p
         };
         // A follow-up turn prefilled onto the non-empty caches, as
         // multi-turn serving does.
-        let follow_up: Vec<TokenId> = (0..21).map(|i| vocab::CONTENT_START + (i * 5 % 16)).collect();
-        for model_cfg in [ModelConfig::induction_mha(), ModelConfig::induction_gqa()] {
+        let long_follow_up: Vec<TokenId> =
+            (0..21).map(|i| vocab::CONTENT_START + (i * 5 % 16)).collect();
+        let turns = [
+            (&long_prompt[..], &long_follow_up[..]),
+            (&long_prompt[..1], &long_follow_up[..1]),
+        ];
+        for model_cfg in [
+            ModelConfig::induction_mha(),
+            ModelConfig::induction_gqa(),
+            ModelConfig::induction_mha_deep(),
+        ] {
             let model = TinyLm::new(model_cfg);
-            for cfg in &policies {
+            for (cfg, (prompt, follow_up)) in
+                policies.iter().flat_map(|cfg| turns.iter().map(move |turn| (cfg, *turn)))
+            {
+                let heads = || {
+                    (0..model_cfg.n_layers)
+                        .flat_map(|layer| (0..model_cfg.n_kv_heads).map(move |kvh| (layer, kvh)))
+                };
                 let mut per_token = model.start_session(cfg);
-                per_token.prefill_per_token(&prompt);
-                let oracle = per_token.prefill_per_token(&follow_up);
+                let oracle_first = per_token.prefill_per_token(prompt);
+                let oracle = per_token.prefill_per_token(follow_up);
+                let oracle_stats = per_token.cache_stats();
+                let oracle_retained: Vec<Vec<usize>> =
+                    heads().map(|(layer, kvh)| per_token.retained_positions(layer, kvh)).collect();
+                // One more token: decode reads the rows themselves, not
+                // only which positions were kept.
+                let next = vocab::CONTENT_START + 3;
+                let oracle_next = per_token.decode(next);
                 for threads in [1usize, 2, 4] {
                     rkvc_tensor::par::set_threads(Some(threads));
+                    let what = format!(
+                        "{cfg:?}, {} layers, {}+{} tokens, {threads} threads",
+                        model_cfg.n_layers,
+                        prompt.len(),
+                        follow_up.len()
+                    );
                     let mut batched = model.start_session(cfg);
-                    batched.prefill(&prompt);
-                    let logits = batched.prefill(&follow_up);
-                    assert_eq!(logits.len(), oracle.len());
-                    for (a, b) in logits.iter().zip(&oracle) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "logits diverged for {cfg:?} at {threads} threads"
-                        );
-                    }
-                    assert_eq!(batched.position(), per_token.position());
-                    assert_eq!(batched.cache_stats(), per_token.cache_stats());
-                    for layer in 0..model.config().n_layers {
-                        for kvh in 0..model.config().n_kv_heads {
-                            assert_eq!(
-                                batched.retained_positions(layer, kvh),
-                                per_token.retained_positions(layer, kvh)
-                            );
+                    let first = batched.prefill(prompt);
+                    let logits = batched.prefill(follow_up);
+                    assert_eq!(batched.position() + 1, per_token.position());
+                    assert_eq!(batched.cache_stats(), oracle_stats, "{what}");
+                    let retained: Vec<Vec<usize>> =
+                        heads().map(|(layer, kvh)| batched.retained_positions(layer, kvh)).collect();
+                    assert_eq!(retained, oracle_retained, "{what}");
+                    let after = batched.decode(next);
+                    for (got, want) in
+                        [(&first, &oracle_first), (&logits, &oracle), (&after, &oracle_next)]
+                    {
+                        assert_eq!(got.len(), want.len());
+                        for (a, b) in got.iter().zip(want) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "logits diverged for {what}");
                         }
                     }
                 }

@@ -30,18 +30,24 @@
 #      RUSTFLAGS="-D warnings" — every lib, bin, test, example, and
 #      bench compiles warning-free with the network unreachable.
 #   3. `cargo test -q --offline --workspace` — the full test suite
-#      passes offline.
+#      passes offline — then, once and in release, rkvc-tensor's
+#      `#[ignore]`d exhaustive test: the branch-free `round_to_f16`
+#      against the binary16 packing round trip on all 2^32 `f32` bit
+#      patterns (about 15 s optimised, hours otherwise).
 #   4. thread-count invariance — `repro` regenerates fig1, table6,
 #      table8 (the serving-engine cluster experiment), ext_scheduler
 #      (the only experiment that runs the youngest-victim preemption
 #      rule through the cluster heap), ext_prefix
 #      (the prefix-shared, tiered block-manager experiment), ext_slo
-#      (the multi-turn session / SLO-aware scheduling sweep), and
+#      (the multi-turn session / SLO-aware scheduling sweep),
 #      ext_fleet (the sharded, autoscaled replica-fleet sweep, whose
-#      replicas simulate in parallel), and appendix_c (the longest
-#      consumer of the query-blocked prefill / zero-copy attend path)
+#      replicas simulate in parallel), appendix_c (the longest
+#      consumer of the query-blocked prefill / zero-copy attend path),
+#      and ext_granularity (the only quick experiment that prefills
+#      through SnapKV, ThinK and PyramidKV, the policies that must run
+#      the last layer's unread queries)
 #      with RKVC_THREADS=1 and RKVC_THREADS=4, plus fig1, table6,
-#      ext_prefix, ext_slo, ext_fleet, and appendix_c at
+#      ext_prefix, ext_slo, ext_fleet, appendix_c, and ext_granularity at
 #      RKVC_THREADS=3 (an odd pool width, catching chunk-decomposition
 #      bugs that powers of two hide); the emitted JSON must be
 #      byte-identical, proving experiment output is a pure function of
@@ -94,13 +100,14 @@ RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-target
 
 echo "== gate 3: offline test suite =="
 cargo test -q --offline --workspace
+cargo test -q --release --offline -p rkvc-tensor -- --ignored
 
 echo "== gate 4: thread-count invariance (RKVC_THREADS=1 vs 3 vs 4) =="
 tmp1=$(mktemp -d)
 tmp3=$(mktemp -d)
 tmp4=$(mktemp -d)
 trap 'rm -rf "$tmp1" "$tmp3" "$tmp4"' EXIT
-for exp in fig1 table6 table8 ext_scheduler ext_prefix ext_slo ext_fleet appendix_c; do
+for exp in fig1 table6 table8 ext_scheduler ext_prefix ext_slo ext_fleet appendix_c ext_granularity; do
     RKVC_THREADS=1 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
         --exp "$exp" --scale quick --out "$tmp1"
     RKVC_THREADS=4 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
@@ -115,15 +122,17 @@ done
 # session follow-up injection and SLO-aware admission are the newest
 # event-loop surfaces, and ext_fleet because its epoch-barrier replica
 # fan-out is the one place par_chunks_mut runs whole simulators in
-# parallel — the exact surface an odd width would shear — and
+# parallel — the exact surface an odd width would shear —
 # appendix_c because its generation loops spend the longest in the
-# per-KV-head units that run the query-blocked prefill.
-for exp in fig1 table6 ext_prefix ext_slo ext_fleet appendix_c; do
+# per-KV-head units that run the query-blocked prefill, and
+# ext_granularity because its policies take the per-token side of that
+# prefill, whose last-layer grain is sized for the one query read.
+for exp in fig1 table6 ext_prefix ext_slo ext_fleet appendix_c ext_granularity; do
     RKVC_THREADS=3 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
         --exp "$exp" --scale quick --out "$tmp3"
     diff "$tmp1/$exp.json" "$tmp3/$exp.json"
 done
 diff -r "$tmp1" "$tmp4"
-echo "ok: fig1 + table6 + table8 + ext_scheduler + ext_prefix + ext_slo + ext_fleet + appendix_c JSON byte-identical across worker-pool widths (incl. odd width 3)"
+echo "ok: fig1 + table6 + table8 + ext_scheduler + ext_prefix + ext_slo + ext_fleet + appendix_c + ext_granularity JSON byte-identical across worker-pool widths (incl. odd width 3)"
 
 echo "hermetic check passed"
