@@ -40,3 +40,17 @@ pub fn planted_sums(values: &[f32]) -> f32 {
     let c = std::collections::HashMap::<u32, u32>::new().get(&0).copied().unwrap();
     a + b + c as f32
 }
+
+// A CPU-feature-gated kernel entered outside the unsafe allowlist: the
+// `#[target_feature]` fn itself is safe to declare, but reaching it from
+// ordinary code takes an `unsafe` call, which U001 confines.
+#[target_feature(enable = "avx2")]
+fn planted_wide(values: &mut [f32]) {
+    values.iter_mut().for_each(|v| *v += 1.0);
+}
+
+pub fn planted_dispatch(values: &mut [f32]) {
+    if std::arch::is_x86_feature_detected!("avx2") {
+        unsafe { planted_wide(values) };
+    }
+}

@@ -42,6 +42,7 @@ fn planted_fixture_reports_every_lint_at_exact_lines() {
             (37, "D006", false), // fold with a float seed
             (40, "D002", true),  // HashMap under the first stacked directive
             (40, "E001", true),  // unwrap under the second stacked directive
+            (54, "U001", false), // unsafe call into a #[target_feature] fn outside the allowlist
         ]
     );
 }

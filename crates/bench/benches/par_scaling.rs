@@ -3,7 +3,7 @@
 //!
 //! Every comparison pits the predecessor path (naive matmul, per-token
 //! prefill, materialize-a-full-f32-view-then-attend) against the current
-//! path (register-tiled microkernel over the pool, layer-batched prefill,
+//! path (packed-panel GEMM over the pool, layer-batched prefill,
 //! fused dequant-attention straight off the packed codes), plus an
 //! explicit `RKVC_THREADS` sweep. On top of the usual
 //! `results/bench_par_scaling.json`, this suite writes a machine-readable
@@ -20,7 +20,9 @@ use rkvc_kvcache::{
 };
 use rkvc_model::{vocab, GenerateParams, ModelConfig, TinyLm};
 use rkvc_tensor::json::{JsonValue, ToJson};
-use rkvc_tensor::{f16_bits_to_f32, f32_to_f16_bits, par, round_slice_to_f16, seeded_rng, Matrix};
+use rkvc_tensor::{
+    f16_bits_to_f32, f32_to_f16_bits, par, round_slice_to_f16, seeded_rng, Matrix, PackedMatrix,
+};
 use std::hint::black_box;
 
 /// Deterministic dense-ish matrix for the matmul benches.
@@ -313,10 +315,83 @@ fn bench_prefill_attention(h: &mut Harness) {
     par::set_threads(None);
 }
 
+/// The 4x8 zero-skipping microkernel over an unpacked, k-panelled `b`
+/// that `Matrix::matmul` ran before the packed-panel GEMM replaced it —
+/// kept here, for whole 4x8 tiles only, as the measured "before" of
+/// `packed_matmul_80x208x128`.
+fn micro_4x8_parent(a: &Matrix, b: &Matrix) -> Matrix {
+    const K_PANEL: usize = 64;
+    let (rows, k, cols) = (a.rows(), a.cols(), b.cols());
+    assert!(rows % 4 == 0 && cols % 8 == 0, "whole tiles only");
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut out = vec![0.0f32; rows * cols];
+    for k0 in (0..k).step_by(K_PANEL) {
+        let k_end = (k0 + K_PANEL).min(k);
+        let b_panel = &b[k0 * cols..k_end * cols];
+        for i in (0..rows).step_by(4) {
+            let ar = |r: usize| &a[(i + r) * k + k0..(i + r) * k + k_end];
+            let a_rows = [ar(0), ar(1), ar(2), ar(3)];
+            for j in (0..cols).step_by(8) {
+                let mut acc = [[0.0f32; 8]; 4];
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    acc_row.copy_from_slice(&out[(i + r) * cols + j..][..8]);
+                }
+                for (kk, b_row) in b_panel.chunks_exact(cols).enumerate() {
+                    let b_tile = &b_row[j..j + 8];
+                    for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+                        let av = a_row[kk];
+                        if av != 0.0 {
+                            for (o, &bv) in acc_row.iter_mut().zip(b_tile) {
+                                *o += av * bv;
+                            }
+                        }
+                    }
+                }
+                for (r, acc_row) in acc.iter().enumerate() {
+                    out[(i + r) * cols + j..][..8].copy_from_slice(acc_row);
+                }
+            }
+        }
+    }
+    Matrix::from_vec(rows, cols, out)
+}
+
+fn bench_packed(h: &mut Harness) {
+    // The prefill projection of an 80-token prompt (x * wk) and the
+    // decode row of the same product, one thread: the kernel each ran
+    // before packing against the packed-panel kernel at the host's ISA.
+    let a = bench_matrix(80, 208, 0x9a31);
+    let row = bench_matrix(1, 208, 0x9a32);
+    let b = bench_matrix(208, 128, 0x9a33);
+    let w = PackedMatrix::try_pack(&b).expect("finite bench weights");
+    assert_eq!(micro_4x8_parent(&a, &b), a.matmul_packed(&w));
+    par::set_threads(Some(1));
+    let mut g = h.group("packed_matmul_80x208x128");
+    g.sample_size(20);
+    g.bench_function("micro_4x8_parent", |ben| {
+        ben.iter(|| micro_4x8_parent(black_box(&a), black_box(&b)))
+    });
+    g.bench_function("packed", |ben| {
+        ben.iter(|| black_box(&a).matmul_packed(black_box(&w)))
+    });
+    g.finish();
+    let mut g = h.group("packed_gemv_1x208x128");
+    g.sample_size(20);
+    g.bench_function("row_stream_parent", |ben| {
+        ben.iter(|| black_box(&row).matmul_blocked(black_box(&b)))
+    });
+    g.bench_function("packed", |ben| {
+        ben.iter(|| black_box(&row).matmul_packed(black_box(&w)))
+    });
+    g.finish();
+    par::set_threads(None);
+}
+
 fn bench_microkernel(h: &mut Harness) {
-    // Register-tiled 4x8 microkernel vs the row-blocked streaming kernel
-    // it replaced inside the same decomposition, pinned to one thread so
-    // the ratio is pure kernel quality, not pool scaling.
+    // `Matrix::matmul` (pack on the fly, then the packed-panel kernel)
+    // and the register-tiled transposed kernel vs the row-streaming and
+    // serial-dot tiers retained beside them, pinned to one thread so the
+    // ratio is pure kernel quality, not pool scaling.
     let a = bench_matrix(96, 128, 0x9a21);
     let b = bench_matrix(128, 96, 0x9a22);
     let bt = bench_matrix(96, 128, 0x9a23);
@@ -457,6 +532,7 @@ fn main() {
     bench_fused_decode(&mut h);
     bench_prefill_attention(&mut h);
     bench_microkernel(&mut h);
+    bench_packed(&mut h);
     bench_single_stream_decode(&mut h);
     bench_dispatch(&mut h);
     bench_fig1_grid(&mut h, &sweep);
@@ -551,9 +627,14 @@ fn main() {
     );
     let f16_round = before_after(&h, "f16_round_row64", "bits_round_trip", "round_slice")
         .unwrap_or(JsonValue::Null);
+    let packed_matmul = before_after(&h, "packed_matmul_80x208x128", "micro_4x8_parent", "packed")
+        .unwrap_or(JsonValue::Null);
+    let packed_gemv = before_after(&h, "packed_gemv_1x208x128", "row_stream_parent", "packed")
+        .unwrap_or(JsonValue::Null);
     let doc = JsonValue::object(vec![
         ("suite", "par_scaling".to_json()),
         ("machine_parallelism", machine.to_json()),
+        ("isa", rkvc_tensor::detected_isa().to_json()),
         ("thread_sweep", sweep.to_json()),
         ("pool_dispatch_ns", pool_dispatch_ns.to_json()),
         ("spawn_dispatch_ns", spawn_dispatch_ns.to_json()),
@@ -572,6 +653,8 @@ fn main() {
         ("prefill_attention_1024tok", prefill_attention),
         ("prefill_short_96tok", prefill_short),
         ("f16_round_row64", f16_round),
+        ("packed_matmul_80x208x128", packed_matmul),
+        ("packed_gemv_1x208x128", packed_gemv),
         ("records", h.records().to_json()),
     ]);
     let path = workspace_root().join("BENCH_par.json");

@@ -11,14 +11,16 @@ use super::common::{tiny_llama, tiny_mistral};
 use super::{ExperimentResult, RunOptions};
 use crate::report::{fmt_pct, Table};
 
-/// Measures the `D` distribution of one algorithm against the FP16
-/// baseline.
-pub(crate) fn measure_d(
+/// Measures the `D` distribution of every sweep configuration against
+/// one FP16 baseline: the baseline depends only on the requests and the
+/// seed, so it is generated once for the whole sweep, not once per
+/// configuration. Returns one [`LengthStats`] per entry of `configs`.
+pub(crate) fn measure_sweep<'a>(
     model: &TinyLm,
-    algo: &CompressionConfig,
+    configs: impl IntoIterator<Item = &'a CompressionConfig>,
     n: usize,
     seed: u64,
-) -> LengthStats {
+) -> Vec<LengthStats> {
     let requests = sample_conversations(&ShareGptConfig::tiny_scale(n, seed), 64);
     let gen = |cfg: &CompressionConfig, salt: u64| -> Vec<usize> {
         requests
@@ -34,14 +36,17 @@ pub(crate) fn measure_d(
             .collect()
     };
     let base = gen(&CompressionConfig::Fp16, 0);
-    let comp = gen(algo, 1);
-    LengthStats::from_pairs(base.into_iter().zip(comp))
+    configs
+        .into_iter()
+        .map(|algo| LengthStats::from_pairs(base.iter().copied().zip(gen(algo, 1))))
+        .collect()
 }
 
 /// Runs the Figure 4 sweep for one model.
 pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> ExperimentResult {
     let n = opts.pick(24, 500);
     let sweep = compression_ratio_sweep();
+    let stats = measure_sweep(model, sweep.iter().map(|a| &a.config), n, opts.seed);
     let mut t = Table::new(
         format!("Fig4 D-distribution across compression ratios ({id})"),
         &["config", "mean D", "std D", "% longer (D<0)", "% D<=-50%"],
@@ -50,8 +55,7 @@ pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> Expe
         format!("Fig4 D histograms, bins over [-2, 1] ({id})"),
         &["config", "histogram counts"],
     );
-    for algo in &sweep {
-        let stats = measure_d(model, &algo.config, n, opts.seed);
+    for (algo, stats) in sweep.iter().zip(&stats) {
         t.push_row(vec![
             algo.label.clone(),
             format!("{:.3}", stats.mean()),
@@ -101,18 +105,9 @@ mod tests {
         let opts = RunOptions::quick();
         let model = tiny_llama();
         let n = 24;
-        let wide = measure_d(
-            &model,
-            &rkvc_workload::scaled_streaming(32),
-            n,
-            opts.seed,
-        );
-        let narrow = measure_d(
-            &model,
-            &rkvc_workload::scaled_streaming(64),
-            n,
-            opts.seed,
-        );
+        let configs = [rkvc_workload::scaled_streaming(32), rkvc_workload::scaled_streaming(64)];
+        let stats = measure_sweep(&model, &configs, n, opts.seed);
+        let (wide, narrow) = (&stats[0], &stats[1]);
         assert!(
             wide.std_dev() >= narrow.std_dev() * 0.8,
             "tighter budget should not be dramatically narrower: {} vs {}",

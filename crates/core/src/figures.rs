@@ -168,11 +168,11 @@ pub(crate) fn fig4_svg(opts: &RunOptions) -> String {
     let model = tiny_llama();
     let n = opts.pick(24, 300);
     let sweep = rkvc_workload::compression_ratio_sweep();
+    let stats = fig4::measure_sweep(&model, sweep.iter().map(|a| &a.config), n, opts.seed);
     let mut cats = Vec::new();
     let mut std_pts = Vec::new();
     let mut longer_pts = Vec::new();
-    for (i, algo) in sweep.iter().enumerate() {
-        let stats = fig4::measure_d(&model, &algo.config, n, opts.seed);
+    for (i, (algo, stats)) in sweep.iter().zip(&stats).enumerate() {
         cats.push(algo.label.clone());
         std_pts.push((i as f64, stats.std_dev()));
         longer_pts.push((i as f64, stats.frac_le(-1e-9)));

@@ -133,7 +133,8 @@ impl ModelConfig {
     /// # Panics
     ///
     /// Panics (with a descriptive message) when heads don't divide evenly,
-    /// `pos_dim` is odd, or the induction layer is out of range. Called by
+    /// `pos_dim` is odd, the induction layer is out of range, or a weight
+    /// scale is not finite. Called by
     /// [`crate::TinyLm::new`].
     pub fn validate(&self) {
         assert!(self.n_heads >= 1 && self.n_kv_heads >= 1, "need at least one head");
@@ -150,6 +151,10 @@ impl ModelConfig {
         assert!(
             self.vocab_size > vocab::CONTENT_START,
             "vocab must include content symbols"
+        );
+        assert!(
+            self.beta.is_finite() && self.gain.is_finite() && self.noise_scale.is_finite(),
+            "beta, gain and noise_scale must be finite"
         );
     }
 }

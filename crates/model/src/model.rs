@@ -73,29 +73,6 @@ impl TinyLm {
     }
 }
 
-/// Row-vector × matrix product.
-fn vec_mat(v: &[f32], m: &Matrix) -> Vec<f32> {
-    let mut out = Vec::new();
-    vec_mat_into(v, m, &mut out);
-    out
-}
-
-/// Row-vector × matrix product into a reusable buffer — bit-identical to
-/// [`vec_mat`] without the per-call allocation.
-fn vec_mat_into(v: &[f32], m: &Matrix, out: &mut Vec<f32>) {
-    debug_assert_eq!(v.len(), m.rows());
-    out.clear();
-    out.resize(m.cols(), 0.0);
-    for (r, &x) in v.iter().enumerate() {
-        if x == 0.0 {
-            continue;
-        }
-        for (o, w) in out.iter_mut().zip(m.row(r)) {
-            *o += x * w;
-        }
-    }
-}
-
 /// The residual add for the rows a layer carries forward: `delta`'s rows
 /// are the last `delta.rows()` rows of `x`, and come back as `x + delta`.
 fn add_to_tail_rows(x: &Matrix, mut delta: Matrix) -> Matrix {
@@ -233,9 +210,9 @@ impl Session<'_> {
 
         for (l, lw) in w.layers.iter().enumerate() {
             // Projections.
-            vec_mat_into(&self.scratch.x, &lw.wq, &mut self.scratch.q);
-            vec_mat_into(&self.scratch.x, &lw.wk, &mut self.scratch.k);
-            vec_mat_into(&self.scratch.x, &lw.wv, &mut self.scratch.v);
+            lw.wq.vec_mul_into(&self.scratch.x, &mut self.scratch.q);
+            lw.wk.vec_mul_into(&self.scratch.x, &mut self.scratch.k);
+            lw.wv.vec_mul_into(&self.scratch.x, &mut self.scratch.v);
 
             // Attention, one unit per KV head: append this token's K/V,
             // then attend for the unit's query heads. Query-aware policies
@@ -267,14 +244,14 @@ impl Session<'_> {
             });
 
             // Residual add of the attention output.
-            vec_mat_into(&self.scratch.attn, &lw.wo, &mut self.scratch.proj);
+            lw.wo.vec_mul_into(&self.scratch.attn, &mut self.scratch.proj);
             for (xi, oi) in self.scratch.x.iter_mut().zip(&self.scratch.proj) {
                 *xi += oi;
             }
 
             // SwiGLU MLP with residual.
-            vec_mat_into(&self.scratch.x, &lw.w_gate, &mut self.scratch.gate);
-            vec_mat_into(&self.scratch.x, &lw.w_up, &mut self.scratch.up);
+            lw.w_gate.vec_mul_into(&self.scratch.x, &mut self.scratch.gate);
+            lw.w_up.vec_mul_into(&self.scratch.x, &mut self.scratch.up);
             self.scratch.hidden.clear();
             self.scratch.hidden.extend(
                 self.scratch
@@ -283,7 +260,7 @@ impl Session<'_> {
                     .zip(&self.scratch.up)
                     .map(|(&g, &u)| silu(g) * u),
             );
-            vec_mat_into(&self.scratch.hidden, &lw.w_down, &mut self.scratch.proj);
+            lw.w_down.vec_mul_into(&self.scratch.hidden, &mut self.scratch.proj);
             for (xi, oi) in self.scratch.x.iter_mut().zip(&self.scratch.proj) {
                 *xi += oi;
             }
@@ -291,13 +268,13 @@ impl Session<'_> {
 
         self.prev_token = token;
         self.pos += 1;
-        vec_mat(&self.scratch.x, &w.lm_head)
+        w.lm_head.vec_mul(&self.scratch.x)
     }
 
     /// Ingests a whole prompt, returning the logits after its last token and
     /// signalling `finish_prefill` to every cache (SnapKV compresses here).
     ///
-    /// The prompt is batched layer by layer through the blocked matmul:
+    /// The prompt is batched layer by layer through the packed matmul:
     /// all positions are projected at once, each KV head then consumes its
     /// tokens strictly in order, and logits are computed only for the final
     /// position (the only observable ones). Each per-head cache sees the
@@ -354,10 +331,10 @@ impl Session<'_> {
         for (l, lw) in w.layers.iter().enumerate() {
             let live_from = if l + 1 == w.layers.len() { n - 1 } else { 0 };
 
-            // Whole-prompt projections through the blocked kernel.
-            let q_all = x.matmul(&lw.wq);
-            let k_all = x.matmul(&lw.wk);
-            let v_all = x.matmul(&lw.wv);
+            // Whole-prompt projections through the packed-panel kernel.
+            let q_all = x.matmul_packed(&lw.wq);
+            let k_all = x.matmul_packed(&lw.wk);
+            let v_all = x.matmul_packed(&lw.wv);
 
             // Per-KV-head units, each consuming the whole prompt in token
             // order into its own output stripe. The grain estimate counts
@@ -406,9 +383,9 @@ impl Session<'_> {
 
             // Residual add of the attention output, then the SwiGLU MLP,
             // all live positions at once.
-            x = add_to_tail_rows(&x, attn.matmul(&lw.wo));
-            let gate = x.matmul(&lw.w_gate);
-            let up = x.matmul(&lw.w_up);
+            x = add_to_tail_rows(&x, attn.matmul_packed(&lw.wo));
+            let gate = x.matmul_packed(&lw.w_gate);
+            let up = x.matmul_packed(&lw.w_up);
             let hidden = Matrix::from_vec(
                 x.rows(),
                 cfg.mlp_hidden,
@@ -418,7 +395,7 @@ impl Session<'_> {
                     .map(|(&g, &u)| silu(g) * u)
                     .collect(),
             );
-            x = add_to_tail_rows(&x, hidden.matmul(&lw.w_down));
+            x = add_to_tail_rows(&x, hidden.matmul_packed(&lw.w_down));
         }
 
         self.prev_token = prompt[n - 1];
@@ -429,7 +406,7 @@ impl Session<'_> {
             }
         }
         // Only the final position's logits are observable.
-        vec_mat(x.row(x.rows() - 1), &w.lm_head)
+        w.lm_head.vec_mul(x.row(x.rows() - 1))
     }
 
     /// Reference prompt path: the seed's token-at-a-time forward loop,

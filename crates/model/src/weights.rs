@@ -5,27 +5,29 @@
 //! small deterministic random weights so the full transformer code path is
 //! exercised without disturbing the mechanism.
 
-use rkvc_tensor::{seeded_rng, Matrix, SeededRng};
+use rkvc_tensor::{seeded_rng, Matrix, PackedMatrix, SeededRng};
 
 use crate::ModelConfig;
 
-/// Per-layer projection weights.
+/// Per-layer projection weights, stored only in the packed-panel layout
+/// the matmul kernel reads (they are immutable and only ever the
+/// right-hand operand of a product).
 #[derive(Debug, Clone)]
 pub(crate) struct LayerWeights {
     /// Query projection, `d_model x (n_heads * head_dim)`.
-    pub wq: Matrix,
+    pub wq: PackedMatrix,
     /// Key projection, `d_model x (n_kv_heads * head_dim)`.
-    pub wk: Matrix,
+    pub wk: PackedMatrix,
     /// Value projection, `d_model x (n_kv_heads * head_dim)`.
-    pub wv: Matrix,
+    pub wv: PackedMatrix,
     /// Output projection, `(n_heads * head_dim) x d_model`.
-    pub wo: Matrix,
+    pub wo: PackedMatrix,
     /// MLP gate projection, `d_model x mlp_hidden`.
-    pub w_gate: Matrix,
+    pub w_gate: PackedMatrix,
     /// MLP up projection, `d_model x mlp_hidden`.
-    pub w_up: Matrix,
+    pub w_up: PackedMatrix,
     /// MLP down projection, `mlp_hidden x d_model`.
-    pub w_down: Matrix,
+    pub w_down: PackedMatrix,
 }
 
 /// Full model weights.
@@ -35,8 +37,8 @@ pub(crate) struct ModelWeights {
     pub codes: Matrix,
     /// Transformer layers.
     pub layers: Vec<LayerWeights>,
-    /// Language-model head, `d_model x vocab_size`.
-    pub lm_head: Matrix,
+    /// Language-model head, `d_model x vocab_size`, packed like the layers.
+    pub lm_head: PackedMatrix,
 }
 
 fn noise_matrix(rows: usize, cols: usize, scale: f32, rng: &mut SeededRng) -> Matrix {
@@ -44,6 +46,11 @@ fn noise_matrix(rows: usize, cols: usize, scale: f32, rng: &mut SeededRng) -> Ma
         .map(|_| rng.gen_range(-scale..=scale))
         .collect();
     Matrix::from_vec(rows, cols, data)
+}
+
+/// Packs a constructed weight matrix for the kernel.
+fn pack(m: &Matrix) -> PackedMatrix {
+    PackedMatrix::try_pack(m).expect("constructed weights are finite (ModelConfig::validate)")
 }
 
 /// Random unit codes: each token gets a dense direction on the unit sphere.
@@ -111,13 +118,13 @@ impl ModelWeights {
             }
 
             layers.push(LayerWeights {
-                wq,
-                wk,
-                wv,
-                wo,
-                w_gate: noise_matrix(d, cfg.mlp_hidden, cfg.noise_scale, &mut rng),
-                w_up: noise_matrix(d, cfg.mlp_hidden, cfg.noise_scale, &mut rng),
-                w_down: noise_matrix(cfg.mlp_hidden, d, cfg.noise_scale, &mut rng),
+                wq: pack(&wq),
+                wk: pack(&wk),
+                wv: pack(&wv),
+                wo: pack(&wo),
+                w_gate: pack(&noise_matrix(d, cfg.mlp_hidden, cfg.noise_scale, &mut rng)),
+                w_up: pack(&noise_matrix(d, cfg.mlp_hidden, cfg.noise_scale, &mut rng)),
+                w_down: pack(&noise_matrix(cfg.mlp_hidden, d, cfg.noise_scale, &mut rng)),
             });
         }
 
@@ -130,9 +137,9 @@ impl ModelWeights {
         }
 
         ModelWeights {
+            lm_head: pack(&lm_head),
             codes,
             layers,
-            lm_head,
         }
     }
 }
@@ -191,7 +198,7 @@ mod tests {
         let cfg = ModelConfig::induction_mha();
         let w = ModelWeights::build(&cfg);
         let other = (cfg.induction_layer + 1) % cfg.n_layers;
-        assert!(w.layers[other].wq.max_abs() <= cfg.noise_scale + 1e-6);
+        assert!(w.layers[other].wq.unpack().max_abs() <= cfg.noise_scale + 1e-6);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Dense f32 tensor math substrate for the `rethink-kv-compression` workspace.
 //!
 //! This crate provides the minimal linear-algebra toolkit the reproduction
-//! needs: a row-major [`Matrix`] with GEMM/softmax/norm kernels, IEEE-754
+//! needs: a row-major [`Matrix`] with GEMM/softmax/norm kernels (and
+//! [`PackedMatrix`], the packed right-hand operand of the [`gemm`] kernel
+//! that runs them at the host's vector width), IEEE-754
 //! binary16 round-tripping (to faithfully simulate FP16 KV-cache storage),
 //! and a power-iteration low-rank factorizer (used by the GEAR error
 //! corrector).
@@ -19,6 +21,7 @@
 
 pub mod check;
 pub mod det;
+pub mod gemm;
 mod half;
 pub mod json;
 mod lowrank;
@@ -27,6 +30,7 @@ mod ops;
 pub mod par;
 mod rng;
 
+pub use gemm::{detected_isa, matmul_packed_baseline, PackedMatrix};
 pub use half::{f16_bits_to_f32, f32_to_f16_bits, round_to_f16, round_slice_to_f16};
 pub use lowrank::{low_rank_approximate, LowRankFactors};
 pub use matrix::Matrix;

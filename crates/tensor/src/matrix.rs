@@ -1,5 +1,6 @@
 //! Row-major dense f32 matrix.
 
+use crate::gemm::PackedMatrix;
 use crate::json::{self, FromJson, JsonError, JsonValue, ToJson};
 
 /// A row-major dense matrix of `f32` values.
@@ -55,16 +56,12 @@ impl FromJson for Matrix {
 /// Output rows per parallel chunk in the blocked matmul kernels.
 const MATMUL_ROW_BLOCK: usize = 8;
 
-/// `k`-panel width: a panel of the right-hand matrix
-/// (`K_PANEL x cols` floats) stays cache-resident while a block of
-/// output rows streams over it.
-const K_PANEL: usize = 64;
-
-/// Register-tile height of the microkernel: output rows whose partial
-/// sums stay in the accumulator block.
+/// Register-tile height of the transposed microkernel — and of both
+/// [`crate::gemm`] instantiations, so also the fewest rows for which
+/// [`Matrix::matmul`] packs its right-hand operand.
 const MR: usize = 4;
 
-/// Register-tile width of the microkernel: output columns per
+/// Register-tile width of the transposed microkernel: output columns per
 /// accumulator block. `MR x NR = 32` f32 accumulators occupy eight
 /// 4-wide vector registers on the baseline x86-64/SSE2 target (half the
 /// register file), leaving room for the streamed `b` tile and the
@@ -82,12 +79,12 @@ const NR: usize = 8;
 // the plain-matmul value as before.
 
 /// Per multiply-add estimate for the register-tiled microkernels
-/// ([`Matrix::matmul`], [`Matrix::matmul_transposed`]): one multiply plus
+/// ([`Matrix::matmul_packed`], [`Matrix::matmul_transposed`]): one multiply plus
 /// one add, with operand loads and the accumulator spill amortized across
 /// the `MR x NR` tile. The row-streaming kernel behind
 /// [`Matrix::matmul_blocked`] retires MACs at essentially the same rate
 /// (its j-inner loop vectorizes and streams), so it shares the constant.
-const MICRO_OPS_PER_MAC: usize = 2;
+pub(crate) const MICRO_OPS_PER_MAC: usize = 2;
 
 /// Per multiply-add estimate for the serial-dot kernel retained in
 /// [`Matrix::matmul_transposed_blocked`]: a single scalar accumulator
@@ -99,11 +96,11 @@ const SCALAR_DOT_OPS_PER_MAC: usize = 6;
 
 /// Rows per parallel chunk for a matmul-shaped kernel: sized by
 /// [`crate::par::grain_for`] from the per-row flop estimate, snapped up to
-/// [`MATMUL_ROW_BLOCK`] so each chunk amortizes its k-panel sweep. Returns
+/// [`MATMUL_ROW_BLOCK`] so each chunk is whole register-tile stripes. Returns
 /// `rows` (single chunk → inline) whenever the whole product is below the
 /// dispatch threshold. Pure in the shape, so the inline/parallel decision
 /// is thread-count-invariant.
-fn matmul_rows_per_chunk(rows: usize, row_ops: usize) -> usize {
+pub(crate) fn matmul_rows_per_chunk(rows: usize, row_ops: usize) -> usize {
     let rpc = crate::par::grain_for(rows, row_ops);
     if rpc >= rows {
         rows
@@ -113,143 +110,20 @@ fn matmul_rows_per_chunk(rows: usize, row_ops: usize) -> usize {
 }
 
 /// Accumulates `a[i0.., :] * b` into `out_chunk` (a block of contiguous
-/// output rows), tiling over k-panels. Panels ascend, and within a panel
-/// every output element adds its terms in ascending-`k` order in place —
-/// exactly the naive i-k-j association, so results are bit-identical to
-/// [`Matrix::matmul_naive`] for any block size.
+/// output rows), one output row at a time: every output element adds its
+/// terms in ascending-`k` order in place with the naive zero-skip —
+/// exactly the i-k-j association of [`Matrix::matmul_naive`], non-finite
+/// `b` entries included.
 fn matmul_rows_into(a: &[f32], a_cols: usize, b: &[f32], cols: usize, i0: usize, out_chunk: &mut [f32]) {
-    let rows_here = out_chunk.len() / cols;
-    for k0 in (0..a_cols).step_by(K_PANEL) {
-        let k_end = (k0 + K_PANEL).min(a_cols);
-        for i in 0..rows_here {
-            let a_row = &a[(i0 + i) * a_cols..(i0 + i + 1) * a_cols];
-            let out_row = &mut out_chunk[i * cols..(i + 1) * cols];
-            for (k, &av) in a_row.iter().enumerate().take(k_end).skip(k0) {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[k * cols..k * cols + cols];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
+    for (i, out_row) in out_chunk.chunks_exact_mut(cols).enumerate() {
+        let a_row = &a[(i0 + i) * a_cols..(i0 + i + 1) * a_cols];
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(cols)) {
+            if av == 0.0 {
+                continue;
             }
-        }
-    }
-}
-
-/// Scalar tail for the microkernel: accumulates columns `j0..` of one
-/// output row over the k-panel `k0..k_end`, ascending `k` with the naive
-/// zero-skip. This is the same per-element term order as the register
-/// tile, so full tiles and tails compose into one bit-exact kernel.
-fn matmul_row_tail(
-    a: &[f32],
-    a_cols: usize,
-    b: &[f32],
-    cols: usize,
-    ai: usize,
-    k0: usize,
-    k_end: usize,
-    j0: usize,
-    out_row: &mut [f32],
-) {
-    let a_row = &a[ai * a_cols..(ai + 1) * a_cols];
-    for (k, &av) in a_row.iter().enumerate().take(k_end).skip(k0) {
-        if av == 0.0 {
-            continue;
-        }
-        let b_row = &b[k * cols + j0..(k + 1) * cols];
-        for (o, &bv) in out_row[j0..].iter_mut().zip(b_row) {
-            *o += av * bv;
-        }
-    }
-}
-
-/// Register-tiled inner kernel for [`Matrix::matmul`]: within each
-/// k-panel the output is walked in `MR x NR` tiles whose 16 partial sums
-/// live in a register accumulator block, amortizing loads and stores
-/// across the tile instead of re-touching the output row once per `k`
-/// like [`matmul_rows_into`]. Tiling only changes *which element* is
-/// advanced next — every output element still adds its terms in
-/// ascending-`k` order with the `av == 0.0` skip of
-/// [`Matrix::matmul_naive`] applied per `(row, k)` — and spilling an
-/// accumulator between k-panels stores the exact f32, so the result is
-/// bit-identical to the naive oracle for any tile or panel size.
-fn matmul_rows_into_micro(
-    a: &[f32],
-    a_cols: usize,
-    b: &[f32],
-    cols: usize,
-    i0: usize,
-    out_chunk: &mut [f32],
-) {
-    let rows_here = out_chunk.len() / cols;
-    for k0 in (0..a_cols).step_by(K_PANEL) {
-        let k_end = (k0 + K_PANEL).min(a_cols);
-        let b_panel = &b[k0 * cols..k_end * cols];
-        let mut i = 0;
-        while i + MR <= rows_here {
-            // Panel sub-rows of the MR `a` rows, bound once per stripe so
-            // the k loop below is pure pointer bumps with no index math
-            // or bounds checks on the hot operands.
-            let ar = |r: usize| &a[(i0 + i + r) * a_cols + k0..(i0 + i + r) * a_cols + k_end];
-            let (a0, a1, a2, a3) = (ar(0), ar(1), ar(2), ar(3));
-            let mut j = 0;
-            while j + NR <= cols {
-                let mut acc0 = [0.0f32; NR];
-                let mut acc1 = [0.0f32; NR];
-                let mut acc2 = [0.0f32; NR];
-                let mut acc3 = [0.0f32; NR];
-                acc0.copy_from_slice(&out_chunk[i * cols + j..][..NR]);
-                acc1.copy_from_slice(&out_chunk[(i + 1) * cols + j..][..NR]);
-                acc2.copy_from_slice(&out_chunk[(i + 2) * cols + j..][..NR]);
-                acc3.copy_from_slice(&out_chunk[(i + 3) * cols + j..][..NR]);
-                for (((&av0, &av1), (&av2, &av3)), b_row) in a0
-                    .iter()
-                    .zip(a1)
-                    .zip(a2.iter().zip(a3))
-                    .zip(b_panel.chunks_exact(cols))
-                {
-                    let b_tile = &b_row[j..j + NR];
-                    if av0 != 0.0 {
-                        for (o, &bv) in acc0.iter_mut().zip(b_tile) {
-                            *o += av0 * bv;
-                        }
-                    }
-                    if av1 != 0.0 {
-                        for (o, &bv) in acc1.iter_mut().zip(b_tile) {
-                            *o += av1 * bv;
-                        }
-                    }
-                    if av2 != 0.0 {
-                        for (o, &bv) in acc2.iter_mut().zip(b_tile) {
-                            *o += av2 * bv;
-                        }
-                    }
-                    if av3 != 0.0 {
-                        for (o, &bv) in acc3.iter_mut().zip(b_tile) {
-                            *o += av3 * bv;
-                        }
-                    }
-                }
-                out_chunk[i * cols + j..][..NR].copy_from_slice(&acc0);
-                out_chunk[(i + 1) * cols + j..][..NR].copy_from_slice(&acc1);
-                out_chunk[(i + 2) * cols + j..][..NR].copy_from_slice(&acc2);
-                out_chunk[(i + 3) * cols + j..][..NR].copy_from_slice(&acc3);
-                j += NR;
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
             }
-            if j < cols {
-                // Column remainder of the stripe: scalar, same order.
-                for r in 0..MR {
-                    let out_row = &mut out_chunk[(i + r) * cols..(i + r + 1) * cols];
-                    matmul_row_tail(a, a_cols, b, cols, i0 + i + r, k0, k_end, j, out_row);
-                }
-            }
-            i += MR;
-        }
-        // Row remainder below the last full stripe: scalar rows.
-        for r in i..rows_here {
-            let out_row = &mut out_chunk[r * cols..(r + 1) * cols];
-            matmul_row_tail(a, a_cols, b, cols, i0 + r, k0, k_end, 0, out_row);
         }
     }
 }
@@ -453,50 +327,33 @@ impl Matrix {
         self.data
     }
 
-    /// Matrix product `self * other`, via the register-tiled microkernel.
-    ///
-    /// The kernel tiles over output-row blocks and k-panels so the
-    /// streamed panel of `other` stays cache-resident, walks each panel
-    /// in `MR x NR` register-accumulator tiles, and fans row blocks
-    /// across [`crate::par`] when the product is large enough to amortize
-    /// the pool. Each output element still accumulates its terms in
-    /// ascending-`k` order with the same zero-skip as
-    /// [`Matrix::matmul_naive`], so the result is bit-identical to the
-    /// naive oracle (and to [`Matrix::matmul_blocked`]) at every thread
-    /// count.
+    /// Matrix product `self * other`: `other` is packed on the fly and
+    /// the product runs through [`Matrix::matmul_packed`] (see
+    /// [`crate::gemm`]). With fewer rows than one register tile the pack
+    /// cannot pay for itself, and a non-finite `other` cannot be packed
+    /// at all; both go through the row-streaming kernel of
+    /// [`Matrix::matmul_blocked`] instead. Every route is bit-identical
+    /// to [`Matrix::matmul_naive`] at every thread count.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        if self.rows == 0 || self.cols == 0 || other.cols == 0 {
-            return out;
+        if self.rows >= MR {
+            if let Ok(packed) = PackedMatrix::try_pack(other) {
+                return self.matmul_packed(&packed);
+            }
         }
-        let cols = other.cols;
-        // Row blocks only split *which elements a worker owns*; every
-        // element's accumulation order is fixed, so the split (and hence
-        // the parallel grain) cannot change bits.
-        let grain = matmul_rows_per_chunk(self.rows, MICRO_OPS_PER_MAC * self.cols * cols) * cols;
-        crate::par::par_chunks_mut(&mut out.data, grain, |chunk_idx, out_chunk| {
-            let i0 = chunk_idx * (grain / cols);
-            matmul_rows_into_micro(&self.data, self.cols, &other.data, cols, i0, out_chunk);
-        });
-        out
+        self.matmul_blocked(other)
     }
 
-    /// Matrix product via the pre-microkernel row-streaming blocked
-    /// kernel: k-panelled and pool-dispatched like [`Matrix::matmul`],
-    /// but re-touching the full output row once per `k` instead of
-    /// holding an `MR x NR` accumulator tile in registers. Retained as
-    /// the mid-tier baseline the `microkernel_matmul_*` bench groups
-    /// measure against; bit-identical to [`Matrix::matmul`] and
-    /// [`Matrix::matmul_naive`].
+    /// Matrix product via the row-streaming kernel: pool-dispatched like
+    /// [`Matrix::matmul_packed`], but re-touching the full output row
+    /// once per `k` instead of holding an accumulator tile in registers.
+    /// It is what [`Matrix::matmul`] runs for products too short to pack,
+    /// and the mid-tier baseline the `microkernel_matmul_*` bench groups
+    /// measure against; bit-identical to [`Matrix::matmul_naive`] for any
+    /// operands, non-finite ones included.
     ///
     /// # Panics
     ///

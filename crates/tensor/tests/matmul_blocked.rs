@@ -1,5 +1,6 @@
-//! Matmul kernels (register-tiled microkernel and the retained blocked
-//! baselines) vs the naive oracles: exact (bitwise) equality over
+//! Matmul kernels (`matmul` over the packed-panel GEMM, the register-tiled
+//! transposed microkernel, and the retained blocked baselines) vs the
+//! naive oracles: exact (bitwise) equality over
 //! adversarial shapes and thread counts.
 
 use rkvc_tensor::{par, seeded_rng, Matrix};
@@ -56,7 +57,7 @@ rkvc_tensor::det_cases! {
 
 /// Odd fixed shapes the blocked kernel must not mis-tile: 1x1, empty
 /// inner dimension, tall/skinny, and sizes that are not a multiple of the
-/// row block or k-panel.
+/// row block or register tile.
 #[test]
 fn edge_shapes_match_oracle_exactly() {
     let mut rng = seeded_rng(0xED6E_0001);

@@ -33,7 +33,11 @@
 #      passes offline — then, once and in release, rkvc-tensor's
 #      `#[ignore]`d exhaustive test: the branch-free `round_to_f16`
 #      against the binary16 packing round trip on all 2^32 `f32` bit
-#      patterns (about 15 s optimised, hours otherwise).
+#      patterns (about 15 s optimised, hours otherwise) — and, also in
+#      release, the packed-GEMM bit-identity file `packed_gemm`: the
+#      baseline and AVX2 kernel instantiations are what the optimiser
+#      vectorises, so the build users run is the one that must match
+#      `matmul_naive`.
 #   4. thread-count invariance — `repro` regenerates fig1, table6,
 #      table8 (the serving-engine cluster experiment), ext_scheduler
 #      (the only experiment that runs the youngest-victim preemption
@@ -101,6 +105,7 @@ RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-target
 echo "== gate 3: offline test suite =="
 cargo test -q --offline --workspace
 cargo test -q --release --offline -p rkvc-tensor -- --ignored
+cargo test -q --release --offline -p rkvc-tensor --test packed_gemm
 
 echo "== gate 4: thread-count invariance (RKVC_THREADS=1 vs 3 vs 4) =="
 tmp1=$(mktemp -d)
