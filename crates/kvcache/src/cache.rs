@@ -283,21 +283,18 @@ pub trait KvCache: std::fmt::Debug + Send {
     /// run whole blocks of queries against that past at once, decoding
     /// each compressed chunk once per block instead of once per query;
     /// the override contract is bitwise equality with this loop.
-    /// Policies steered by per-query feedback
+    /// Retention rules steered by per-query feedback
     /// (H2O, TOVA, SnapKV's observation window, Quest's per-query
-    /// selection) keep the default: their past changes with every query.
+    /// selection) run this loop: their past changes with every query.
     /// The same split decides who may drop unread queries: the blocked
-    /// driver only appends them, the default loop cannot.
+    /// driver only appends them, this loop cannot.
     ///
     /// # Panics
     ///
     /// Panics if `batch.head_dim` differs from the head dimension fixed at
     /// construction, or if a slice of `batch` or `out` is too short.
     fn extend_attend(&mut self, batch: &AttendBatch<'_>, scratch: &mut AttendScratch, out: &mut [f32]) {
-        for t in 0..batch.n_tokens {
-            self.append(batch.key(t), batch.value(t), batch.pos0 + t);
-            batch.attend_group(self, t, scratch, out);
-        }
+        extend_attend_per_token(self, batch, scratch, out);
     }
 
     /// Signals that the prompt has been fully ingested.
@@ -337,9 +334,21 @@ pub trait KvCache: std::fmt::Debug + Send {
 
     /// Aggregate statistics (retention, memory, quantization error).
     fn stats(&self) -> CacheStats;
+}
 
-    /// Short algorithm name, e.g. `"kivi-4"`.
-    fn name(&self) -> String;
+/// The default [`KvCache::extend_attend`], as a function so that a cache
+/// whose policy is a run-time value ([`DenseCache`](crate::DenseCache))
+/// can choose between it and [`extend_attend_blocked`].
+pub(crate) fn extend_attend_per_token<C: KvCache + ?Sized>(
+    cache: &mut C,
+    batch: &AttendBatch<'_>,
+    scratch: &mut AttendScratch,
+    out: &mut [f32],
+) {
+    for t in 0..batch.n_tokens {
+        cache.append(batch.key(t), batch.value(t), batch.pos0 + t);
+        batch.attend_group(cache, t, scratch, out);
+    }
 }
 
 /// Appends `row` to `m` rounded through IEEE binary16 — the storage

@@ -2,9 +2,8 @@
 
 
 use crate::{
-    FullPrecisionCache, GearCache, GearParams, H2OCache, H2OParams, KiviCache, KiviParams,
-    KvCache, QuestCache, QuestParams, SnapKvCache, SnapKvParams, StreamingLlmCache,
-    StreamingParams, ThinkCache, ThinkParams, TovaCache, TovaParams,
+    CacheError, DenseCache, GearCache, GearParams, H2OParams, KiviCache, KiviParams, KvCache,
+    QuestParams, Retention, SnapKvParams, StreamingParams, ThinkParams, TovaParams,
 };
 
 /// Hyper-parameters for the PyramidKV layer-level budget allocator
@@ -44,9 +43,11 @@ impl PyramidKvParams {
         (b.round() as usize).max(1)
     }
 
-    /// Mean budget across layers (memory-accounting proxy).
+    /// Mean budget across layers (memory-accounting proxy). Each half is
+    /// taken first so the sum cannot overflow on a decoded config.
     pub fn mean_budget(&self) -> usize {
-        (self.first_layer_budget + self.last_layer_budget) / 2
+        let (a, b) = (self.first_layer_budget, self.last_layer_budget);
+        a / 2 + b / 2 + (a % 2 + b % 2) / 2
     }
 }
 
@@ -85,7 +86,8 @@ impl std::fmt::Display for CompressionFamily {
 ///
 /// let cfg = CompressionConfig::h2o(64, 448);
 /// let cache = cfg.build(64);
-/// assert_eq!(cache.name(), "h2o-512");
+/// assert_eq!(cfg.label(), "h2o-512");
+/// assert!(cache.is_empty());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CompressionConfig {
@@ -190,7 +192,38 @@ impl CompressionConfig {
         ]
     }
 
+    /// The one `CompressionConfig` → cache table: the quantizers have their
+    /// own storage, everything else is a [`Retention`] rule on the dense
+    /// store. PyramidKV is SnapKV's rule with the budget `pyramid_budget`
+    /// picks for the layer being built.
+    fn build_with(
+        &self,
+        head_dim: usize,
+        pyramid_budget: impl FnOnce(PyramidKvParams) -> usize,
+    ) -> Result<Box<dyn KvCache>, CacheError> {
+        let rule = match *self {
+            CompressionConfig::Kivi(p) => return Ok(Box::new(KiviCache::new(head_dim, p)?)),
+            CompressionConfig::Gear(p) => return Ok(Box::new(GearCache::new(head_dim, p)?)),
+            CompressionConfig::Fp16 => Retention::KeepAll,
+            CompressionConfig::Streaming(p) => Retention::SinkWindow(p),
+            CompressionConfig::H2O(p) => Retention::HeavyHitters(p),
+            CompressionConfig::Tova(p) => Retention::LeastAttended(p),
+            CompressionConfig::SnapKv(p) => Retention::PrefillVote(p),
+            CompressionConfig::Think(p) => Retention::ChannelPrune(p),
+            CompressionConfig::Quest(p) => Retention::PageSelect(p),
+            CompressionConfig::PyramidKv(p) => Retention::PrefillVote(SnapKvParams {
+                budget: pyramid_budget(p),
+                obs_window: p.obs_window,
+                kernel: 5,
+            }),
+        };
+        Ok(Box::new(DenseCache::new(head_dim, rule)?))
+    }
+
     /// Instantiates a cache for one attention head of dimension `head_dim`.
+    /// Layer-level policies (PyramidKV) get their layer-agnostic fallback,
+    /// the mean budget; callers that know the layer use
+    /// [`try_build_for_layer`](CompressionConfig::try_build_for_layer).
     ///
     /// # Errors
     ///
@@ -198,30 +231,8 @@ impl CompressionConfig {
     /// configuration carries invalid parameters (e.g. a config deserialized
     /// from untrusted JSON; the per-algorithm constructors on
     /// `CompressionConfig` never produce such values).
-    pub fn try_build(&self, head_dim: usize) -> Result<Box<dyn KvCache>, crate::CacheError> {
-        Ok(match *self {
-            CompressionConfig::Fp16 => Box::new(FullPrecisionCache::new(head_dim)),
-            CompressionConfig::Kivi(p) => Box::new(KiviCache::new(head_dim, p)?),
-            CompressionConfig::Gear(p) => Box::new(GearCache::new(head_dim, p)?),
-            CompressionConfig::H2O(p) => Box::new(H2OCache::new(head_dim, p)?),
-            CompressionConfig::Streaming(p) => Box::new(StreamingLlmCache::new(head_dim, p)?),
-            CompressionConfig::SnapKv(p) => Box::new(SnapKvCache::new(head_dim, p)?),
-            CompressionConfig::Tova(p) => Box::new(TovaCache::new(head_dim, p)?),
-            CompressionConfig::Quest(p) => Box::new(QuestCache::new(head_dim, p)?),
-            CompressionConfig::Think(p) => Box::new(ThinkCache::new(head_dim, p)?),
-            CompressionConfig::PyramidKv(p) => {
-                // Layer-agnostic fallback: the mean budget. Callers that
-                // know the layer use `build_for_layer`.
-                Box::new(SnapKvCache::new(
-                    head_dim,
-                    SnapKvParams {
-                        budget: p.mean_budget(),
-                        obs_window: p.obs_window,
-                        kernel: 5,
-                    },
-                )?)
-            }
-        })
+    pub fn try_build(&self, head_dim: usize) -> Result<Box<dyn KvCache>, CacheError> {
+        self.build_with(head_dim, |p| p.mean_budget())
     }
 
     /// Instantiates a cache for one attention head of dimension `head_dim`,
@@ -257,18 +268,8 @@ impl CompressionConfig {
         head_dim: usize,
         layer: usize,
         n_layers: usize,
-    ) -> Result<Box<dyn KvCache>, crate::CacheError> {
-        match *self {
-            CompressionConfig::PyramidKv(p) => Ok(Box::new(SnapKvCache::new(
-                head_dim,
-                SnapKvParams {
-                    budget: p.budget_for_layer(layer, n_layers),
-                    obs_window: p.obs_window,
-                    kernel: 5,
-                },
-            )?)),
-            _ => self.try_build(head_dim),
-        }
+    ) -> Result<Box<dyn KvCache>, CacheError> {
+        self.build_with(head_dim, |p| p.budget_for_layer(layer, n_layers))
     }
 
     /// Panicking convenience wrapper over
@@ -449,6 +450,80 @@ mod tests {
         assert_eq!(cfg, back);
     }
 
+    fn decode(json: &str) -> CompressionConfig {
+        rkvc_tensor::json::from_str(json).unwrap_or_else(|e| panic!("{json}: {e}"))
+    }
+
+    /// Every documented bad parameter of every variant, decoded from JSON
+    /// as an untrusted manifest would be: both build entry points return
+    /// the typed error with its message, and nothing panics, the label
+    /// included. (`Fp16` has no parameter to get wrong; it must build.)
+    #[test]
+    fn bad_parameters_from_json_are_typed_errors_on_both_build_paths() {
+        let invalid = CacheError::InvalidParameter;
+        let cases = [
+            (r#"{"Kivi":{"bits":3,"group_size":32,"residual":128}}"#, CacheError::UnsupportedBits(3)),
+            (r#"{"Kivi":{"bits":4,"group_size":0,"residual":128}}"#, invalid("group_size must be >= 1")),
+            (
+                r#"{"Gear":{"bits":4,"outlier_ratio":-0.1,"rank_ratio":0.02,"buffer":16}}"#,
+                invalid("outlier_ratio must be in [0, 1]"),
+            ),
+            (
+                r#"{"Gear":{"bits":4,"outlier_ratio":0.02,"rank_ratio":1.5,"buffer":16}}"#,
+                invalid("rank_ratio must be in [0, 1]"),
+            ),
+            (
+                r#"{"Gear":{"bits":4,"outlier_ratio":0.02,"rank_ratio":0.02,"buffer":0}}"#,
+                invalid("buffer must be >= 1"),
+            ),
+            (r#"{"H2O":{"heavy":0,"recent":0}}"#, invalid("heavy + recent must be >= 1")),
+            (r#"{"Streaming":{"sinks":0,"recent":0}}"#, invalid("sinks + recent must be >= 1")),
+            (r#"{"SnapKv":{"budget":0,"obs_window":32,"kernel":5}}"#, invalid("budget must be >= 1")),
+            (r#"{"SnapKv":{"budget":8,"obs_window":0,"kernel":5}}"#, invalid("obs_window must be >= 1")),
+            (r#"{"SnapKv":{"budget":8,"obs_window":32,"kernel":4}}"#, invalid("kernel must be odd and >= 1")),
+            (r#"{"SnapKv":{"budget":8,"obs_window":32,"kernel":0}}"#, invalid("kernel must be odd and >= 1")),
+            (r#"{"Tova":{"budget":0}}"#, invalid("budget must be >= 1")),
+            (r#"{"Think":{"keep_ratio":0.0}}"#, invalid("keep_ratio must be in (0, 1]")),
+            (r#"{"Think":{"keep_ratio":1.5}}"#, invalid("keep_ratio must be in (0, 1]")),
+            (
+                r#"{"PyramidKv":{"first_layer_budget":96,"last_layer_budget":32,"obs_window":0}}"#,
+                invalid("obs_window must be >= 1"),
+            ),
+            (r#"{"Quest":{"page_size":0,"top_k_pages":4}}"#, invalid("page_size must be >= 1")),
+            (r#"{"Quest":{"page_size":16,"top_k_pages":0}}"#, invalid("top_k_pages must be >= 1")),
+        ];
+        for (json, want) in cases {
+            let cfg = decode(json);
+            assert_eq!(cfg.try_build(8).unwrap_err(), want, "{json}");
+            assert_eq!(cfg.try_build_for_layer(8, 1, 4).unwrap_err(), want, "{json}");
+            assert!(!cfg.to_string().is_empty(), "{json}");
+        }
+        assert!(decode(r#""Fp16""#).try_build_for_layer(8, 1, 4).is_ok());
+    }
+
+    /// Budgets whose arithmetic does not fit `usize` are construction
+    /// errors, and their labels saturate instead of overflowing. The Quest
+    /// geometry is reachable from JSON (integers decode up to `i64::MAX`),
+    /// the others only from code.
+    #[test]
+    fn overflowing_budgets_are_errors_and_their_labels_saturate() {
+        let max = usize::MAX;
+        let cases = [
+            (
+                decode(r#"{"Quest":{"page_size":4611686018427387904,"top_k_pages":4}}"#),
+                "page_size * top_k_pages overflows usize",
+                format!("quest-{max}"),
+            ),
+            (CompressionConfig::tova(max), "budget + 1 overflows usize", format!("tova-{max}")),
+            (CompressionConfig::h2o(1, max), "heavy + recent overflows usize", format!("h2o-{max}")),
+            (CompressionConfig::streaming(max, 1), "sinks + recent overflows usize", format!("stream-{max}")),
+        ];
+        for (cfg, msg, label) in cases {
+            assert_eq!(cfg.to_string(), label);
+            assert_eq!(cfg.try_build(8).unwrap_err(), CacheError::InvalidParameter(msg), "{label}");
+        }
+    }
+
     #[test]
     fn paper_suite_has_five_entries() {
         assert_eq!(CompressionConfig::paper_suite().len(), 5);
@@ -471,6 +546,8 @@ mod pyramid_tests {
         let mid = p.budget_for_layer(1, 4);
         assert!(mid < 96 && mid > 32, "{mid}");
         assert_eq!(p.mean_budget(), 64);
+        let odd_max = PyramidKvParams { first_layer_budget: usize::MAX, last_layer_budget: 33, ..p };
+        assert_eq!(odd_max.mean_budget(), usize::MAX / 2 + 17); // No overflow on the way.
         // Degenerate single-layer model gets the base budget.
         assert_eq!(p.budget_for_layer(0, 1), 96);
     }

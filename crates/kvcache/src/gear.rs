@@ -515,10 +515,6 @@ impl KvCache for GearCache {
             },
         }
     }
-
-    fn name(&self) -> String {
-        format!("gear-{}", self.params.bits)
-    }
 }
 
 rkvc_tensor::json_struct!(GearParams {

@@ -350,10 +350,6 @@ impl KvCache for KiviCache {
             },
         }
     }
-
-    fn name(&self) -> String {
-        format!("kivi-{}", self.params.bits)
-    }
 }
 
 rkvc_tensor::json_struct!(KiviParams { bits, group_size, residual });

@@ -2,21 +2,23 @@
 //! MLSys 2025 study *"Rethinking Key-Value Cache Compression Techniques for
 //! Large Language Model Serving"*.
 //!
-//! The crate provides a per-(layer, head) [`KvCache`] trait plus the five
-//! algorithms the paper evaluates, each with the paper's hyper-parameters:
+//! The crate provides a per-(layer, head) [`KvCache`] trait and three
+//! cache types behind it, one per storage format, each with the paper's
+//! hyper-parameters:
 //!
-//! * [`FullPrecisionCache`] — the FP16 baseline (values round-tripped through
-//!   IEEE binary16).
+//! * [`DenseCache`] — full-width rows rounded through IEEE binary16, kept
+//!   or evicted by a [`Retention`] rule. The rule is the whole difference
+//!   between the FP16 baseline (`KeepAll`) and the sparsity family:
+//!   StreamingLLM (`SinkWindow`), H2O (`HeavyHitters`), TOVA
+//!   (`LeastAttended`), SnapKV and PyramidKV (`PrefillVote`), ThinK
+//!   (`ChannelPrune`) and Quest (`PageSelect`).
 //! * [`KiviCache`] — per-channel key / per-token value quantization with a
 //!   full-precision residual window (Liu et al., 2024).
 //! * [`GearCache`] — uniform quantization plus sparse-outlier and low-rank
 //!   error correction (Kang et al., 2024).
-//! * [`H2OCache`] — heavy-hitter eviction driven by accumulated attention
-//!   scores (Zhang et al., 2024).
-//! * [`StreamingLlmCache`] — attention sinks + recent window (Xiao et al.,
-//!   2023).
-//! * [`SnapKvCache`] — prefill-time clustered selection of important
-//!   positions (Li et al., 2024).
+//!
+//! Experiments name none of them: a [`CompressionConfig`] (ten variants,
+//! serializable) builds the right one as a `Box<dyn KvCache>`.
 //!
 //! All quantization is *real*: values are packed into `u8` words at
 //! 1/2/4/8 bits and dequantized on read, so compression genuinely perturbs
@@ -40,31 +42,22 @@
 
 mod cache;
 mod config;
-mod full;
+mod dense;
 mod gear;
-mod h2o;
 mod kivi;
 mod quantizer;
-mod quest;
-mod snapkv;
 mod stats;
-mod streaming;
-mod think;
-mod tova;
 
 pub use cache::{AttendBatch, AttendScratch, KvCache, KvView};
 pub use config::{CompressionConfig, CompressionFamily, PyramidKvParams};
-pub use full::FullPrecisionCache;
+pub use dense::{
+    DenseCache, H2OParams, QuestParams, Retention, SnapKvParams, StreamingParams, ThinkParams,
+    TovaParams,
+};
 pub use gear::{GearCache, GearParams};
-pub use h2o::{H2OCache, H2OParams};
 pub use kivi::{KiviCache, KiviParams};
 pub use quantizer::{dequantize_group, quantize_group, GroupLayout, QuantizedGroup, QuantizedMatrix, SupportedBits};
-pub use quest::{QuestCache, QuestParams};
-pub use snapkv::{SnapKvCache, SnapKvParams};
 pub use stats::CacheStats;
-pub use streaming::{StreamingLlmCache, StreamingParams};
-pub use think::{ThinkCache, ThinkParams};
-pub use tova::{TovaCache, TovaParams};
 
 /// Error type for cache configuration problems.
 #[derive(Debug, Clone, PartialEq, Eq)]

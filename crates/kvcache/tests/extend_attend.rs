@@ -18,9 +18,9 @@
 //! stripes it was told nobody reads.
 
 use rkvc_kvcache::{
-    AttendBatch, AttendScratch, CacheStats, CompressionConfig, GearParams, H2OCache, H2OParams,
-    KiviParams, KvCache, PyramidKvParams, QuestParams, SnapKvParams, StreamingParams, ThinkParams,
-    TovaParams,
+    AttendBatch, AttendScratch, CacheStats, CompressionConfig, DenseCache, GearParams, H2OParams,
+    KiviParams, KvCache, PyramidKvParams, QuestParams, Retention, SnapKvParams, StreamingParams,
+    ThinkParams, TovaParams,
 };
 use rkvc_tensor::{par, softmax_into, SeededRng};
 
@@ -312,8 +312,8 @@ rkvc_tensor::det_cases! {
         let hd = HEAD_DIMS[rng.gen_range(0usize..HEAD_DIMS.len())];
         let group = [1usize, 2, 4][rng.gen_range(0usize..3)];
         let params = H2OParams { heavy: rng.gen_range(1usize..4), recent: rng.gen_range(1usize..8) };
-        let mut naive = H2OCache::new(hd, params).unwrap();
-        let mut batched = H2OCache::new(hd, params).unwrap();
+        let mut naive = DenseCache::new(hd, Retention::HeavyHitters(params)).unwrap();
+        let mut batched = DenseCache::new(hd, Retention::HeavyHitters(params)).unwrap();
         let mut scratch = AttendScratch::default();
         let mut pos0 = 0;
         for n in [rng.gen_range(1usize..30), rng.gen_range(1usize..30)] {
@@ -373,10 +373,10 @@ rkvc_tensor::det_cases! {
         let params = H2OParams { heavy: rng.gen_range(1usize..4), recent: rng.gen_range(1usize..8) };
         let turn = Turn::new(rng, hd, group, 20, 0, sharp);
         let mut scratch = AttendScratch::default();
-        let mut all_read = H2OCache::new(hd, params).unwrap();
+        let mut all_read = DenseCache::new(hd, Retention::HeavyHitters(params)).unwrap();
         turn.run_batched(&mut all_read, &mut scratch, 0);
         for read_from in [1, 19] {
-            let mut cache = H2OCache::new(hd, params).unwrap();
+            let mut cache = DenseCache::new(hd, Retention::HeavyHitters(params)).unwrap();
             turn.run_batched(&mut cache, &mut scratch, read_from);
             for i in 0..all_read.len() {
                 assert_eq!(cache.score(i).to_bits(), all_read.score(i).to_bits(), "h2o score {i}");

@@ -124,8 +124,8 @@ pub fn argmax(values: &[f32]) -> usize {
     best
 }
 
-/// Indices of the `k` largest elements, in descending value order.
-// rkvc-allow(C001): reference kernel surface of the hermetic tensor crate, exercised by its unit tests
+/// Indices of the `k` largest elements, in descending value order (equal
+/// values keep ascending index order).
 pub fn top_k(values: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..values.len()).collect();
     idx.sort_by(|&a, &b| values[b].partial_cmp(&values[a]).unwrap_or(std::cmp::Ordering::Equal));

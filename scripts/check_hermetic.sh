@@ -47,9 +47,11 @@
 #      ext_fleet (the sharded, autoscaled replica-fleet sweep, whose
 #      replicas simulate in parallel), appendix_c (the longest
 #      consumer of the query-blocked prefill / zero-copy attend path),
-#      and ext_granularity (the only quick experiment that prefills
+#      ext_granularity (the only quick experiment that prefills
 #      through SnapKV, ThinK and PyramidKV, the policies that must run
-#      the last layer's unread queries)
+#      the last layer's unread queries), and ext_quest (the only
+#      experiment that runs TOVA and Quest: per-query eviction and
+#      `view_for_query` selection through the one DenseCache)
 #      with RKVC_THREADS=1 and RKVC_THREADS=4, plus fig1, table6,
 #      ext_prefix, ext_slo, ext_fleet, appendix_c, and ext_granularity at
 #      RKVC_THREADS=3 (an odd pool width, catching chunk-decomposition
@@ -112,7 +114,7 @@ tmp1=$(mktemp -d)
 tmp3=$(mktemp -d)
 tmp4=$(mktemp -d)
 trap 'rm -rf "$tmp1" "$tmp3" "$tmp4"' EXIT
-for exp in fig1 table6 table8 ext_scheduler ext_prefix ext_slo ext_fleet appendix_c ext_granularity; do
+for exp in fig1 table6 table8 ext_scheduler ext_prefix ext_slo ext_fleet appendix_c ext_granularity ext_quest; do
     RKVC_THREADS=1 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
         --exp "$exp" --scale quick --out "$tmp1"
     RKVC_THREADS=4 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
@@ -138,6 +140,6 @@ for exp in fig1 table6 ext_prefix ext_slo ext_fleet appendix_c ext_granularity; 
     diff "$tmp1/$exp.json" "$tmp3/$exp.json"
 done
 diff -r "$tmp1" "$tmp4"
-echo "ok: fig1 + table6 + table8 + ext_scheduler + ext_prefix + ext_slo + ext_fleet + appendix_c + ext_granularity JSON byte-identical across worker-pool widths (incl. odd width 3)"
+echo "ok: fig1 + table6 + table8 + ext_scheduler + ext_prefix + ext_slo + ext_fleet + appendix_c + ext_granularity + ext_quest JSON byte-identical across worker-pool widths (incl. odd width 3)"
 
 echo "hermetic check passed"

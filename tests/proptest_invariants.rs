@@ -5,8 +5,8 @@
 //! failures replay exactly from the printed seed.
 
 use rethink_kv_compression::kvcache::{
-    dequantize_group, quantize_group, CompressionConfig, GearParams, KiviParams, SnapKvParams,
-    SupportedBits,
+    dequantize_group, quantize_group, CompressionConfig, GearParams, KiviParams, PyramidKvParams,
+    SnapKvParams, SupportedBits,
 };
 use rethink_kv_compression::serving::{
     AdmitOrder, BlockManager, ClassMetrics, CompletedRequest, Engine, LatencySummary,
@@ -28,8 +28,10 @@ fn random_bits(rng: &mut SeededRng) -> SupportedBits {
     }
 }
 
+/// Any of the ten `CompressionConfig` variants, at budgets small enough
+/// that a few dozen tokens trigger every eviction, flush and selection.
 fn random_algo(rng: &mut SeededRng) -> CompressionConfig {
-    match rng.gen_range(0u32..6) {
+    match rng.gen_range(0u32..10) {
         0 => CompressionConfig::Fp16,
         1 => CompressionConfig::streaming(rng.gen_range(1usize..6), rng.gen_range(1usize..12)),
         2 => CompressionConfig::h2o(rng.gen_range(1usize..6), rng.gen_range(1usize..12)),
@@ -44,11 +46,19 @@ fn random_algo(rng: &mut SeededRng) -> CompressionConfig {
             rank_ratio: 0.2,
             buffer: 4,
         }),
-        _ => CompressionConfig::SnapKv(SnapKvParams {
+        5 => CompressionConfig::SnapKv(SnapKvParams {
             budget: rng.gen_range(2usize..10),
             obs_window: 2,
             kernel: 3,
         }),
+        6 => CompressionConfig::tova(rng.gen_range(1usize..12)),
+        7 => CompressionConfig::think([0.25f32, 0.5, 1.0][rng.gen_range(0usize..3)]),
+        8 => CompressionConfig::PyramidKv(PyramidKvParams {
+            first_layer_budget: rng.gen_range(6usize..12),
+            last_layer_budget: rng.gen_range(1usize..6),
+            obs_window: 2,
+        }),
+        _ => CompressionConfig::quest(rng.gen_range(1usize..6), rng.gen_range(1usize..4)),
     }
 }
 
@@ -230,10 +240,17 @@ rkvc_tensor::det_cases! {
         assert!(view.positions.iter().all(|&p| p < n));
         assert_eq!(view.keys.rows(), cache.len());
         assert_eq!(view.values.rows(), cache.len());
-        // Stats agree with the cache.
+        // Stats agree with the cache, and every token seen is accounted
+        // for: retained or evicted, against the FP16 bytes of all of them.
         let stats = cache.stats();
         assert_eq!(stats.tokens_retained, cache.len());
         assert_eq!(stats.memory_bytes, cache.memory_bytes());
+        assert_eq!(stats.tokens_seen, stats.tokens_retained + stats.tokens_evicted, "{algo}");
+        assert_eq!(stats.fp16_baseline_bytes, 2 * n * 8 * 2, "{algo}");
+        // The config that built it survives its manifest form.
+        use rethink_kv_compression::tensor::json;
+        let back: CompressionConfig = json::from_str(&json::to_string(&algo)).unwrap();
+        assert_eq!(back, algo);
     }
 
     fn eviction_budgets_are_hard_caps(rng) {
@@ -358,10 +375,7 @@ rkvc_tensor::det_cases! {
         let pattern_len = rng.gen_range(2usize..6);
         // Skip the heavyweight quantizers in this fuzz loop (covered by
         // their own tests); keep the fast policies.
-        let fast = matches!(
-            algo,
-            CC::Fp16 | CC::Streaming(_) | CC::H2O(_) | CC::SnapKv(_)
-        );
+        let fast = !matches!(algo, CC::Kivi(_) | CC::Gear(_));
         if fast {
             let model = TinyLm::new(ModelConfig::induction_mha());
             let mut prompt = vec![vocab::BOS];
