@@ -15,7 +15,7 @@
 use rkvc_bench::{workspace_root, Harness};
 use rkvc_core::experiments::{run_by_id, RunOptions};
 use rkvc_kvcache::{
-    AttendBatch, AttendScratch, CompressionConfig, GearCache, GearParams, KiviCache, KiviParams,
+    AttendBatch, AttendScratch, ChunkedCache, Codec, CompressionConfig, GearParams, KiviParams,
     KvCache,
 };
 use rkvc_model::{vocab, GenerateParams, ModelConfig, TinyLm};
@@ -194,8 +194,10 @@ fn bench_fused_decode(h: &mut Harness) {
     // attend is sequential by design.
     let mut rng = seeded_rng(0xdec0de);
     let head_dim = 16;
-    let mut kivi = KiviCache::new(head_dim, KiviParams::default()).expect("valid params");
-    let mut gear = GearCache::new(head_dim, GearParams::default()).expect("valid params");
+    let mut kivi =
+        ChunkedCache::new(head_dim, Codec::Kivi(KiviParams::default())).expect("valid params");
+    let mut gear =
+        ChunkedCache::new(head_dim, Codec::Gear(GearParams::default())).expect("valid params");
     for pos in 0..4096 {
         let k: Vec<f32> = (0..head_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let v: Vec<f32> = (0..head_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();

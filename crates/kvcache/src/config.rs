@@ -2,7 +2,7 @@
 
 
 use crate::{
-    CacheError, DenseCache, GearCache, GearParams, H2OParams, KiviCache, KiviParams, KvCache,
+    CacheError, ChunkedCache, Codec, DenseCache, GearParams, H2OParams, KiviParams, KvCache,
     QuestParams, Retention, SnapKvParams, StreamingParams, ThinkParams, TovaParams,
 };
 
@@ -192,18 +192,22 @@ impl CompressionConfig {
         ]
     }
 
-    /// The one `CompressionConfig` → cache table: the quantizers have their
-    /// own storage, everything else is a [`Retention`] rule on the dense
-    /// store. PyramidKV is SnapKV's rule with the budget `pyramid_budget`
-    /// picks for the layer being built.
+    /// The one `CompressionConfig` → cache table: the quantizers are a
+    /// [`Codec`] on the chunked store, everything else is a [`Retention`]
+    /// rule on the dense store. PyramidKV is SnapKV's rule with the budget
+    /// `pyramid_budget` picks for the layer being built.
     fn build_with(
         &self,
         head_dim: usize,
         pyramid_budget: impl FnOnce(PyramidKvParams) -> usize,
     ) -> Result<Box<dyn KvCache>, CacheError> {
         let rule = match *self {
-            CompressionConfig::Kivi(p) => return Ok(Box::new(KiviCache::new(head_dim, p)?)),
-            CompressionConfig::Gear(p) => return Ok(Box::new(GearCache::new(head_dim, p)?)),
+            CompressionConfig::Kivi(p) => {
+                return Ok(Box::new(ChunkedCache::new(head_dim, Codec::Kivi(p))?));
+            }
+            CompressionConfig::Gear(p) => {
+                return Ok(Box::new(ChunkedCache::new(head_dim, Codec::Gear(p))?));
+            }
             CompressionConfig::Fp16 => Retention::KeepAll,
             CompressionConfig::Streaming(p) => Retention::SinkWindow(p),
             CompressionConfig::H2O(p) => Retention::HeavyHitters(p),
@@ -504,11 +508,23 @@ mod tests {
     /// Budgets whose arithmetic does not fit `usize` are construction
     /// errors, and their labels saturate instead of overflowing. The Quest
     /// geometry is reachable from JSON (integers decode up to `i64::MAX`),
-    /// the others only from code.
+    /// the others only from code. The two quantizers used to build and
+    /// then panic on their first append, the flush threshold wrapping.
     #[test]
     fn overflowing_budgets_are_errors_and_their_labels_saturate() {
         let max = usize::MAX;
+        let flush_overflow = "window + chunk length overflows usize";
         let cases = [
+            (
+                CompressionConfig::Kivi(KiviParams { bits: 4, group_size: 1, residual: max }),
+                flush_overflow,
+                "kivi-4".to_owned(),
+            ),
+            (
+                CompressionConfig::Gear(GearParams { buffer: max / 2 + 1, ..Default::default() }),
+                flush_overflow,
+                "gear-4".to_owned(),
+            ),
             (
                 decode(r#"{"Quest":{"page_size":4611686018427387904,"top_k_pages":4}}"#),
                 "page_size * top_k_pages overflows usize",
@@ -520,7 +536,9 @@ mod tests {
         ];
         for (cfg, msg, label) in cases {
             assert_eq!(cfg.to_string(), label);
-            assert_eq!(cfg.try_build(8).unwrap_err(), CacheError::InvalidParameter(msg), "{label}");
+            let want = CacheError::InvalidParameter(msg);
+            assert_eq!(cfg.try_build(8).unwrap_err(), want, "{label}");
+            assert_eq!(cfg.try_build_for_layer(8, 1, 4).unwrap_err(), want, "{label}");
         }
     }
 

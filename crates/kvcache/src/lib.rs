@@ -2,8 +2,8 @@
 //! MLSys 2025 study *"Rethinking Key-Value Cache Compression Techniques for
 //! Large Language Model Serving"*.
 //!
-//! The crate provides a per-(layer, head) [`KvCache`] trait and three
-//! cache types behind it, one per storage format, each with the paper's
+//! The crate provides a per-(layer, head) [`KvCache`] trait and two cache
+//! types behind it, one per storage format, each with the paper's
 //! hyper-parameters:
 //!
 //! * [`DenseCache`] — full-width rows rounded through IEEE binary16, kept
@@ -12,10 +12,10 @@
 //!   StreamingLLM (`SinkWindow`), H2O (`HeavyHitters`), TOVA
 //!   (`LeastAttended`), SnapKV and PyramidKV (`PrefillVote`), ThinK
 //!   (`ChannelPrune`) and Quest (`PageSelect`).
-//! * [`KiviCache`] — per-channel key / per-token value quantization with a
-//!   full-precision residual window (Liu et al., 2024).
-//! * [`GearCache`] — uniform quantization plus sparse-outlier and low-rank
-//!   error correction (Kang et al., 2024).
+//! * [`ChunkedCache`] — a full-precision window of recent tokens in front
+//!   of immutable compressed chunks, packed by a [`Codec`]. The codec is
+//!   the whole difference within the quantization family: `Kivi` and
+//!   `Gear`.
 //!
 //! Experiments name none of them: a [`CompressionConfig`] (ten variants,
 //! serializable) builds the right one as a `Box<dyn KvCache>`.
@@ -41,21 +41,19 @@
 //! ```
 
 mod cache;
+mod chunked;
 mod config;
 mod dense;
-mod gear;
-mod kivi;
 mod quantizer;
 mod stats;
 
 pub use cache::{AttendBatch, AttendScratch, KvCache, KvView};
+pub use chunked::{ChunkedCache, Codec, GearParams, KiviParams};
 pub use config::{CompressionConfig, CompressionFamily, PyramidKvParams};
 pub use dense::{
     DenseCache, H2OParams, QuestParams, Retention, SnapKvParams, StreamingParams, ThinkParams,
     TovaParams,
 };
-pub use gear::{GearCache, GearParams};
-pub use kivi::{KiviCache, KiviParams};
 pub use quantizer::{dequantize_group, quantize_group, GroupLayout, QuantizedGroup, QuantizedMatrix, SupportedBits};
 pub use stats::CacheStats;
 

@@ -113,11 +113,9 @@ impl QuantizedGroup {
         ((byte >> shift) as u32) & self.bits.max_code()
     }
 
-    /// Dequantizes the single value at index `i` in-register:
+    /// Dequantizes the single value at index `i`:
     /// `code(i) * scale + zero`, the exact f32 that
-    /// [`dequantize_group`] writes at position `i`. This is the primitive
-    /// the fused attention kernels consume — no group-sized buffer is
-    /// materialized.
+    /// [`dequantize_group`] writes at position `i`.
     ///
     /// # Panics
     ///
@@ -138,9 +136,8 @@ impl QuantizedGroup {
     }
 
     /// The packed code words, `values_per_byte()` codes per byte in
-    /// little-endian bit order. Exposed so attention kernels (and the
-    /// fused-vs-oracle tests) can consume the compressed representation
-    /// directly.
+    /// little-endian bit order. Exposed so the fused-vs-oracle tests can
+    /// check the compressed representation directly.
     pub fn packed(&self) -> &[u8] {
         &self.packed
     }
@@ -151,39 +148,6 @@ impl QuantizedGroup {
     /// format (FP16 constants).
     pub fn resident_bytes(&self) -> usize {
         self.packed.len() + 2 * std::mem::size_of::<f32>()
-    }
-}
-
-/// Codes decoded per tile by the fused kernels. A multiple of every
-/// supported `values_per_byte` (8/4/2/1), so a tile always covers whole
-/// packed bytes; 64 i32 slots keep the scratch inside four cache lines
-/// of stack.
-const CODE_TILE: usize = 64;
-
-/// Unpacks whole bytes into `codes`, LSB-first — exactly the bit order
-/// [`QuantizedGroup::code`] reads. `codes.len()` must be
-/// `bytes.len() * values_per_byte`. Monomorphized per bit width so the
-/// per-byte peel loop fully unrolls.
-#[inline]
-fn unpack_bytes<const NBITS: u32>(bytes: &[u8], codes: &mut [i32]) {
-    let per = (8 / NBITS) as usize;
-    let mask = (1u32 << NBITS) - 1;
-    for (chunk, &byte) in codes.chunks_exact_mut(per).zip(bytes) {
-        let mut word = byte as u32;
-        for c in chunk {
-            *c = (word & mask) as i32;
-            word >>= NBITS;
-        }
-    }
-}
-
-#[inline]
-fn unpack_codes(bytes: &[u8], bits: SupportedBits, codes: &mut [i32]) {
-    match bits {
-        SupportedBits::B1 => unpack_bytes::<1>(bytes, codes),
-        SupportedBits::B2 => unpack_bytes::<2>(bytes, codes),
-        SupportedBits::B4 => unpack_bytes::<4>(bytes, codes),
-        SupportedBits::B8 => unpack_bytes::<8>(bytes, codes),
     }
 }
 
@@ -397,261 +361,81 @@ impl QuantizedMatrix {
         self.layout
     }
 
-    /// Borrow of group `i` (a column group under `PerChannel`, a row
-    /// group under `PerToken`) — the chunk-iteration handle fused
-    /// attention kernels use to reach packed codes and constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds for the layout's group count.
-    pub fn group(&self, i: usize) -> &QuantizedGroup {
-        &self.groups[i]
+    /// Number of rows (tokens).
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
     }
 
-    /// Dequantized element `(r, c)` — exactly the f32 that
-    /// [`QuantizedMatrix::dequantize`] writes at `(r, c)`, decoded
-    /// in-register from the packed code.
+    /// Fused score kernel of a `PerChannel` matrix: with `scores` zeroed
+    /// by the caller, `scores[r] = dot(dequant(r, ..), q) * scale` for
+    /// every row `r`, each packed code decoded in-register as the dots
+    /// consume it.
+    ///
+    /// The accumulation runs column-major: column `c`'s group is walked
+    /// once front to back, adding `dequant(r, c) * q[c]` into score slot
+    /// `r`. Every slot still receives its terms in ascending-`c` order
+    /// starting from `0.0` and is scaled only after its dot completes —
+    /// exactly the fold of the naive loop over a materialized row — so
+    /// the scores are bit-identical to
+    /// `dot(self.dequantize().row(r), q) * scale` while each packed word
+    /// streams sequentially instead of being re-indexed per row.
     ///
     /// # Panics
     ///
-    /// Panics if `(r, c)` is out of bounds.
-    #[inline]
-    pub fn dequant_at(&self, r: usize, c: usize) -> f32 {
-        match self.layout {
-            GroupLayout::PerChannel => self.groups[c].dequant(r),
-            GroupLayout::PerToken => self.groups[r].dequant(c),
-        }
-    }
-
-    /// Fused score primitive: the dot product of dequantized row `r`
-    /// with `q`, decoding each packed code in-register as it is
-    /// consumed. Accumulation is the ascending-channel fold from `0.0`
-    /// that the view-based score loop uses over a materialized row, so
-    /// the result is bit-identical to
-    /// `dot(self.dequantize().row(r), q)`.
-    ///
-    /// The decode is hoisted out of the hot loop: under `PerChannel` the
-    /// byte index and shift depend only on `r`, and under `PerToken` the
-    /// packed words are walked once with codes peeled off LSB-first —
-    /// both reproduce exactly [`QuantizedGroup::code`]'s unpacking,
-    /// element by element, without its per-element index arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows` or `q.len() != cols`.
-    pub fn fused_row_dot(&self, r: usize, q: &[f32]) -> f32 {
-        assert_eq!(q.len(), self.cols, "fused_row_dot width mismatch");
-        assert!(r < self.rows, "fused_row_dot row out of bounds");
-        let mut acc = 0.0f32;
-        match self.layout {
-            GroupLayout::PerChannel => {
-                let Some(g0) = self.groups.first() else { return acc };
-                let per = g0.bits.values_per_byte();
-                let shift = (r % per) * g0.bits.bits() as usize;
-                let mask = g0.bits.max_code();
-                let byte = r / per;
-                for (g, &qv) in self.groups.iter().zip(q) {
-                    let code = ((g.packed[byte] >> shift) as u32) & mask;
-                    acc += (code as f32 * g.scale + g.zero) * qv;
-                }
-            }
-            GroupLayout::PerToken => {
-                let g = &self.groups[r];
-                let per = g.bits.values_per_byte();
-                let nbits = g.bits.bits() as u32;
-                let mask = g.bits.max_code();
-                for (q_chunk, &byte) in q.chunks(per).zip(&g.packed) {
-                    let mut word = byte as u32;
-                    for &qv in q_chunk {
-                        acc += ((word & mask) as f32 * g.scale + g.zero) * qv;
-                        word >>= nbits;
-                    }
-                }
-            }
-        }
-        acc
-    }
-
-    /// Fused weighted-sum primitive: `out[c] += w * dequant(r, c)` for
-    /// every channel, decoding codes in-register with the same hoisted
-    /// unpacking as [`QuantizedMatrix::fused_row_dot`]. Identical term
-    /// values and per-element order as the view-based weighted sum over
-    /// a materialized row, so accumulation into `out` is bit-exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows` or `out.len() != cols`.
-    pub fn fused_row_axpy(&self, r: usize, w: f32, out: &mut [f32]) {
-        assert_eq!(out.len(), self.cols, "fused_row_axpy width mismatch");
-        assert!(r < self.rows, "fused_row_axpy row out of bounds");
-        match self.layout {
-            GroupLayout::PerChannel => {
-                let Some(g0) = self.groups.first() else { return };
-                let per = g0.bits.values_per_byte();
-                let shift = (r % per) * g0.bits.bits() as usize;
-                let mask = g0.bits.max_code();
-                let byte = r / per;
-                for (g, o) in self.groups.iter().zip(out) {
-                    let code = ((g.packed[byte] >> shift) as u32) & mask;
-                    *o += w * (code as f32 * g.scale + g.zero);
-                }
-            }
-            GroupLayout::PerToken => {
-                let g = &self.groups[r];
-                let per = g.bits.values_per_byte();
-                let nbits = g.bits.bits() as u32;
-                let mask = g.bits.max_code();
-                for (o_chunk, &byte) in out.chunks_mut(per).zip(&g.packed) {
-                    let mut word = byte as u32;
-                    for o in o_chunk {
-                        *o += w * ((word & mask) as f32 * g.scale + g.zero);
-                        word >>= nbits;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batch fused score primitive: pushes `dot(dequant(r, ..), q) *
-    /// scale` for every row `r` in ascending order — one call per chunk
-    /// instead of one [`QuantizedMatrix::fused_row_dot`] call per row.
-    ///
-    /// Under `PerChannel` the accumulation runs column-major: column
-    /// `c`'s group is walked once front to back, adding
-    /// `dequant(r, c) * q[c]` into score slot `r`. Every slot still
-    /// receives its terms in ascending-`c` order starting from `0.0` and
-    /// is scaled only after its dot completes — exactly the per-element
-    /// fold of the row-major primitive — so the scores are bit-identical
-    /// while each packed word streams sequentially instead of being
-    /// re-indexed per row. Under `PerToken` rows are walked in turn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q.len() != cols`.
-    pub fn fused_dots_into(&self, q: &[f32], scale: f32, scores: &mut Vec<f32>) {
+    /// Panics if the layout is not `PerChannel`, `q.len() != cols` or
+    /// `scores.len() != rows`.
+    pub fn fused_dots_into(&self, q: &[f32], scale: f32, scores: &mut [f32]) {
+        assert_eq!(self.layout, GroupLayout::PerChannel, "fused_dots_into streams per-channel codes");
         assert_eq!(q.len(), self.cols, "fused_dots_into width mismatch");
-        match self.layout {
-            GroupLayout::PerChannel => {
-                let base = scores.len();
-                scores.resize(base + self.rows, 0.0);
-                let seg = &mut scores[base..];
-                if let Some(g0) = self.groups.first() {
-                    match g0.bits {
-                        SupportedBits::B1 => {
-                            Self::fused_dots_pc::<8>(&self.groups, &CODE_VALUES_B1, q, seg)
-                        }
-                        SupportedBits::B2 => {
-                            Self::fused_dots_pc::<4>(&self.groups, &CODE_VALUES_B2, q, seg)
-                        }
-                        SupportedBits::B4 => {
-                            Self::fused_dots_pc::<2>(&self.groups, &CODE_VALUES_B4, q, seg)
-                        }
-                        SupportedBits::B8 => {
-                            Self::fused_dots_pc::<1>(&self.groups, &CODE_VALUES_B8, q, seg)
-                        }
-                    }
+        assert_eq!(scores.len(), self.rows, "fused_dots_into score count mismatch");
+        if let Some(g0) = self.groups.first() {
+            match g0.bits {
+                SupportedBits::B1 => {
+                    Self::fused_dots_pc::<8>(&self.groups, &CODE_VALUES_B1, q, scores)
                 }
-                for s in seg {
-                    *s *= scale;
+                SupportedBits::B2 => {
+                    Self::fused_dots_pc::<4>(&self.groups, &CODE_VALUES_B2, q, scores)
                 }
-            }
-            GroupLayout::PerToken => {
-                for r in 0..self.rows {
-                    scores.push(self.fused_row_dot(r, q) * scale);
+                SupportedBits::B4 => {
+                    Self::fused_dots_pc::<2>(&self.groups, &CODE_VALUES_B4, q, scores)
+                }
+                SupportedBits::B8 => {
+                    Self::fused_dots_pc::<1>(&self.groups, &CODE_VALUES_B8, q, scores)
                 }
             }
         }
+        for s in scores {
+            *s *= scale;
+        }
     }
 
-    /// Batch fused weighted-sum: `out[c] += w[r] * dequant(r, c)` for
-    /// every row, ascending `r`. Each output element accumulates exactly
-    /// the terms, in exactly the order, of calling
-    /// [`QuantizedMatrix::fused_row_axpy`] row by row (under
-    /// `PerChannel` the row loop runs innermost per column, which
-    /// preserves each element's ascending-`r` term order while streaming
-    /// the column's packed words once).
+    /// Fused weighted-sum kernel of a `PerToken` matrix:
+    /// `out[c] += w[r] * dequant(r, c)` for every row, ascending `r`,
+    /// decoding codes in-register. Each output element accumulates
+    /// exactly the terms, in exactly the order, of the naive weighted sum
+    /// over the rows of `self.dequantize()`.
     ///
     /// # Panics
     ///
-    /// Panics if `w.len() != rows` or `out.len() != cols`.
+    /// Panics if the layout is not `PerToken`, `w.len() != rows` or
+    /// `out.len() != cols`.
     pub fn fused_axpy_rows(&self, w: &[f32], out: &mut [f32]) {
+        assert_eq!(self.layout, GroupLayout::PerToken, "fused_axpy_rows streams per-token codes");
         assert_eq!(w.len(), self.rows, "fused_axpy_rows weight count mismatch");
         assert_eq!(out.len(), self.cols, "fused_axpy_rows width mismatch");
-        match self.layout {
-            GroupLayout::PerChannel => {
-                for (g, o) in self.groups.iter().zip(out.iter_mut()) {
-                    let per = g.bits.values_per_byte();
-                    let nbits = g.bits.bits() as u32;
-                    let mask = g.bits.max_code();
-                    let mut acc = *o;
-                    for (w_chunk, &byte) in w.chunks(per).zip(&g.packed) {
-                        let mut word = byte as u32;
-                        for &wr in w_chunk {
-                            acc += wr * ((word & mask) as f32 * g.scale + g.zero);
-                            word >>= nbits;
-                        }
-                    }
-                    *o = acc;
+        if let Some(g0) = self.groups.first() {
+            match g0.bits {
+                SupportedBits::B1 => {
+                    Self::fused_axpy_pt::<8>(&self.groups, &CODE_VALUES_B1, w, out)
                 }
-            }
-            GroupLayout::PerToken => {
-                if let Some(g0) = self.groups.first() {
-                    match g0.bits {
-                        SupportedBits::B1 => {
-                            Self::fused_axpy_pt::<8>(&self.groups, &CODE_VALUES_B1, w, out)
-                        }
-                        SupportedBits::B2 => {
-                            Self::fused_axpy_pt::<4>(&self.groups, &CODE_VALUES_B2, w, out)
-                        }
-                        SupportedBits::B4 => {
-                            Self::fused_axpy_pt::<2>(&self.groups, &CODE_VALUES_B4, w, out)
-                        }
-                        SupportedBits::B8 => {
-                            Self::fused_axpy_pt::<1>(&self.groups, &CODE_VALUES_B8, w, out)
-                        }
-                    }
+                SupportedBits::B2 => {
+                    Self::fused_axpy_pt::<4>(&self.groups, &CODE_VALUES_B2, w, out)
                 }
-            }
-        }
-    }
-
-    /// Adds the dequantized row `r` into `buf`: `buf[c] = dequant(r, c)
-    /// + buf[c]`, with the dequantized value as the left operand —
-    /// exactly the element order of `dequantize().add(correction)`, which
-    /// is what the GEAR fused kernels rebuild row by row. Decoding uses
-    /// the same hoisted unpacking as [`QuantizedMatrix::fused_row_dot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows` or `buf.len() != cols`.
-    pub fn add_dequant_row(&self, r: usize, buf: &mut [f32]) {
-        assert_eq!(buf.len(), self.cols, "add_dequant_row width mismatch");
-        assert!(r < self.rows, "add_dequant_row row out of bounds");
-        match self.layout {
-            GroupLayout::PerChannel => {
-                let Some(g0) = self.groups.first() else { return };
-                let per = g0.bits.values_per_byte();
-                let shift = (r % per) * g0.bits.bits() as usize;
-                let mask = g0.bits.max_code();
-                let byte = r / per;
-                for (g, o) in self.groups.iter().zip(buf) {
-                    let code = ((g.packed[byte] >> shift) as u32) & mask;
-                    *o = (code as f32 * g.scale + g.zero) + *o;
+                SupportedBits::B4 => {
+                    Self::fused_axpy_pt::<2>(&self.groups, &CODE_VALUES_B4, w, out)
                 }
-            }
-            GroupLayout::PerToken => {
-                let g = &self.groups[r];
-                let per = g.bits.values_per_byte();
-                let (scale, zero) = (g.scale, g.zero);
-                let mut codes = [0i32; CODE_TILE];
-                for (o_tile, byte_tile) in
-                    buf.chunks_mut(CODE_TILE).zip(g.packed.chunks(CODE_TILE / per))
-                {
-                    let padded = byte_tile.len() * per;
-                    unpack_codes(byte_tile, g.bits, &mut codes[..padded]);
-                    for (o, &code) in o_tile.iter_mut().zip(&codes) {
-                        *o = (code as f32 * scale + zero) + *o;
-                    }
+                SupportedBits::B8 => {
+                    Self::fused_axpy_pt::<1>(&self.groups, &CODE_VALUES_B8, w, out)
                 }
             }
         }
@@ -659,11 +443,11 @@ impl QuantizedMatrix {
 
     /// Adds the whole dequantized matrix into the leading rows of
     /// `scratch`: `scratch[r][c] = dequant(r, c) + scratch[r][c]`, the
-    /// dequantized value as the left operand — row for row what
-    /// [`QuantizedMatrix::add_dequant_row`] computes, in one call. The
-    /// decode is set up once for the whole matrix instead of once per
-    /// row, which matters when rows are short: GEAR reconstructs
-    /// `buffer`-row chunks of `head_dim` values.
+    /// dequantized value as the left operand — exactly the element order
+    /// of `dequantize().add(correction)`, which is what GEAR's
+    /// reconstruction rebuilds. The decode is set up once for the whole
+    /// matrix instead of once per row, which matters when rows are
+    /// short: GEAR reconstructs `buffer`-row chunks of `head_dim` values.
     ///
     /// # Panics
     ///
@@ -752,7 +536,7 @@ impl QuantizedMatrix {
         }
     }
 
-    /// `PerChannel` arm of [`QuantizedMatrix::fused_dots_into`],
+    /// Body of [`QuantizedMatrix::fused_dots_into`],
     /// monomorphized per bit width with the matching code-values table.
     /// Column-major over `seg` (one score slot per row): each packed
     /// byte is decoded by one table load, and every slot still receives
@@ -784,10 +568,10 @@ impl QuantizedMatrix {
         }
     }
 
-    /// `PerToken` arm of [`QuantizedMatrix::fused_axpy_rows`],
+    /// Body of [`QuantizedMatrix::fused_axpy_rows`],
     /// monomorphized per bit width with the matching code-values table.
     /// Rows ascend, channels within a row ascend — the exact term order
-    /// of the row-by-row primitive.
+    /// of the naive row-by-row weighted sum.
     fn fused_axpy_pt<const PER: usize>(
         groups: &[QuantizedGroup],
         table: &[[f32; PER]; 256],
@@ -814,18 +598,6 @@ impl QuantizedMatrix {
         }
     }
 }
-
-rkvc_tensor::json_unit_enum!(SupportedBits { B1, B2, B4, B8 });
-rkvc_tensor::json_unit_enum!(GroupLayout { PerChannel, PerToken });
-
-rkvc_tensor::json_struct!(QuantizedGroup {
-    packed,
-    scale,
-    zero,
-    len,
-    bits,
-});
-rkvc_tensor::json_struct!(QuantizedMatrix { groups, layout, rows, cols });
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,8 @@
 //! one shared KV cache), plus thread-count invariance of the fused path.
 
 use rkvc_kvcache::{
-    GearCache, GearParams, GroupLayout, KiviCache, KiviParams, KvCache, KvView, QuantizedMatrix,
-    SupportedBits,
+    quantize_group, ChunkedCache, Codec, GearParams, GroupLayout, KiviParams, KvCache, KvView,
+    QuantizedMatrix, SupportedBits,
 };
 use rkvc_tensor::{par, seeded_rng, softmax_into, Matrix, SeededRng};
 
@@ -61,7 +61,8 @@ rkvc_tensor::det_cases! {
         let residual = [1usize, 3, 8][rng.gen_range(0usize..3)];
         let n = rng.gen_range(16usize..56);
         let q_heads = rng.gen_range(1usize..4);
-        let mut c = KiviCache::new(hd, KiviParams { bits, group_size, residual }).unwrap();
+        let mut c =
+            ChunkedCache::new(hd, Codec::Kivi(KiviParams { bits, group_size, residual })).unwrap();
         fill(&mut c, rng, n, hd);
         let scale = 1.0 / (hd as f32).sqrt();
         let view = c.view_uncached();
@@ -87,9 +88,9 @@ rkvc_tensor::det_cases! {
         let rank_ratio = [0.02f32, 0.25, 1.0][rng.gen_range(0usize..3)];
         let n = rng.gen_range(16usize..56);
         let q_heads = rng.gen_range(1usize..4);
-        let mut c = GearCache::new(
+        let mut c = ChunkedCache::new(
             hd,
-            GearParams { bits, outlier_ratio, rank_ratio, buffer },
+            Codec::Gear(GearParams { bits, outlier_ratio, rank_ratio, buffer }),
         )
         .unwrap();
         fill(&mut c, rng, n, hd);
@@ -106,10 +107,10 @@ rkvc_tensor::det_cases! {
         }
     }
 
-    /// The chunk-iteration API (`group`/`packed`/`scale`/`zero`) exposes
-    /// exactly the compressed representation `dequantize()` decodes:
-    /// manual bit-unpacking from the packed words reproduces every
-    /// element, and the fused row primitives match dense-row math.
+    /// The packed representation is exactly what `dequantize()` decodes:
+    /// manual bit-unpacking of each group's packed words reproduces every
+    /// element, and the four kernels that read a quantized matrix match
+    /// dense-row math over `dequantize()`.
     fn chunk_iteration_api_matches_dequantize(rng, cases = 48) {
         let rows = rng.gen_range(1usize..12);
         let cols = rng.gen_range(1usize..12);
@@ -120,19 +121,10 @@ rkvc_tensor::det_cases! {
         assert_eq!(qm.layout(), layout);
         let dense = qm.dequantize();
 
-        // Element equality through the in-register path.
-        for r in 0..rows {
-            for c in 0..cols {
-                assert_eq!(
-                    qm.dequant_at(r, c).to_bits(),
-                    dense.get(r, c).to_bits(),
-                    "dequant_at({r},{c})"
-                );
-            }
-        }
-
-        // Manual decode from the packed words: the group handle exposes
-        // everything a fused kernel needs.
+        // Manual decode from the packed words of each group (a column
+        // under `PerChannel`, a row under `PerToken`): the group handle
+        // exposes everything a fused kernel needs, and decodes to the
+        // matrix's elements.
         let n_groups = match layout {
             GroupLayout::PerChannel => cols,
             GroupLayout::PerToken => rows,
@@ -140,7 +132,10 @@ rkvc_tensor::det_cases! {
         let nbits = bits.bits() as usize;
         let per = bits.values_per_byte();
         for gi in 0..n_groups {
-            let g = qm.group(gi);
+            let g = match layout {
+                GroupLayout::PerChannel => quantize_group(&m.col(gi), bits),
+                GroupLayout::PerToken => quantize_group(m.row(gi), bits),
+            };
             assert_eq!(g.bits(), bits);
             for i in 0..g.len() {
                 let byte = g.packed()[i / per];
@@ -148,67 +143,64 @@ rkvc_tensor::det_cases! {
                 assert_eq!(code, g.code(i), "packed decode");
                 let manual = code as f32 * g.scale() + g.zero();
                 assert_eq!(manual.to_bits(), g.dequant(i).to_bits(), "manual dequant");
+                let element = match layout {
+                    GroupLayout::PerChannel => dense.get(i, gi),
+                    GroupLayout::PerToken => dense.get(gi, i),
+                };
+                assert_eq!(manual.to_bits(), element.to_bits(), "group {gi} element {i}");
             }
             // Packed codes at true size + two f32 constants.
             assert_eq!(g.resident_bytes(), g.len().div_ceil(per) + 8);
         }
 
-        // Fused row primitives against dense-row math.
+        // The whole-matrix decode into caller storage equals the oracle.
+        let mut tile = Matrix::from_vec(rows + 1, cols, random_vec(rng, (rows + 1) * cols));
+        let below = tile.row(rows).to_vec();
+        qm.dequantize_rows_into(&mut tile);
+        for r in 0..rows {
+            assert_bits_eq(tile.row(r), dense.row(r), "dequantize_rows_into");
+        }
+        assert_bits_eq(tile.row(rows), &below, "dequantize_rows_into past the last row");
+
+        // Streaming kernels — one call per chunk, each on the layout it
+        // serves — against dense-row math.
         let q = random_vec(rng, cols);
-        for r in 0..rows {
-            let mut dot = 0.0f32;
-            for (c, &qv) in q.iter().enumerate() {
-                dot += dense.get(r, c) * qv;
+        match layout {
+            GroupLayout::PerChannel => {
+                let scale = rng.gen_range(0.1f32..2.0);
+                let mut scores = vec![0.0f32; rows];
+                qm.fused_dots_into(&q, scale, &mut scores);
+                for (r, s) in scores.iter().enumerate() {
+                    let mut dot = 0.0f32;
+                    for (c, &qv) in q.iter().enumerate() {
+                        dot += dense.get(r, c) * qv;
+                    }
+                    assert_eq!(s.to_bits(), (dot * scale).to_bits(), "fused_dots_into");
+                }
             }
-            assert_eq!(qm.fused_row_dot(r, &q).to_bits(), dot.to_bits(), "fused_row_dot");
-            let w = rng.gen_range(-1.0f32..1.0);
-            let mut out_fused = random_vec(rng, cols);
-            let mut out_dense = out_fused.clone();
-            qm.fused_row_axpy(r, w, &mut out_fused);
-            for (c, o) in out_dense.iter_mut().enumerate() {
-                *o += w * dense.get(r, c);
+            GroupLayout::PerToken => {
+                let w = random_vec(rng, rows);
+                let mut out_fused = random_vec(rng, cols);
+                let mut out_dense = out_fused.clone();
+                qm.fused_axpy_rows(&w, &mut out_fused);
+                for (r, &wr) in w.iter().enumerate() {
+                    for (c, o) in out_dense.iter_mut().enumerate() {
+                        *o += wr * dense.get(r, c);
+                    }
+                }
+                assert_bits_eq(&out_fused, &out_dense, "fused_axpy_rows");
             }
-            assert_bits_eq(&out_fused, &out_dense, "fused_row_axpy");
         }
 
-        // Batch kernels — one call per chunk — equal folding the per-row
-        // primitives, bit for bit, and append after existing entries.
-        let scale = rng.gen_range(0.1f32..2.0);
-        let mut scores = vec![rng.gen_range(-1.0f32..1.0)];
-        let base = scores.len();
-        qm.fused_dots_into(&q, scale, &mut scores);
-        assert_eq!(scores.len(), base + rows, "fused_dots_into appends");
-        for r in 0..rows {
-            assert_eq!(
-                scores[base + r].to_bits(),
-                (qm.fused_row_dot(r, &q) * scale).to_bits(),
-                "fused_dots_into"
-            );
-        }
-
-        let w = random_vec(rng, rows);
-        let mut out_batch = random_vec(rng, cols);
-        let mut out_rows = out_batch.clone();
-        qm.fused_axpy_rows(&w, &mut out_batch);
-        for (r, &wr) in w.iter().enumerate() {
-            qm.fused_row_axpy(r, wr, &mut out_rows);
-        }
-        assert_bits_eq(&out_batch, &out_rows, "fused_axpy_rows");
-
-        // Dequant-add, row and tile forms: the dequantized value is the
-        // left operand of each element's add.
+        // Dequant-add: the dequantized value is the left operand of each
+        // element's add.
         let orig = Matrix::from_vec(rows, cols, random_vec(rng, rows * cols));
-        let mut tile_batch = orig.clone();
-        let mut tile_rows = orig.clone();
-        qm.add_dequant_rows(&mut tile_batch);
-        for r in 0..rows {
-            qm.add_dequant_row(r, tile_rows.row_mut(r));
-        }
+        let mut added = orig.clone();
+        qm.add_dequant_rows(&mut added);
         for r in 0..rows {
             for c in 0..cols {
                 let expect = dense.get(r, c) + orig.get(r, c);
-                assert_eq!(tile_batch.get(r, c).to_bits(), expect.to_bits(), "add_dequant_rows");
-                assert_eq!(tile_rows.get(r, c).to_bits(), expect.to_bits(), "add_dequant_row");
+                assert_eq!(added.get(r, c).to_bits(), expect.to_bits(), "add_dequant_rows");
             }
         }
     }
@@ -223,13 +215,13 @@ fn fused_attend_is_thread_count_invariant() {
     let hd = 16;
     let scale = 0.25;
     let build = |rng: &mut SeededRng| {
-        let mut kivi = KiviCache::new(
+        let mut kivi = ChunkedCache::new(
             hd,
-            KiviParams { bits: 2, group_size: 5, residual: 3 },
+            Codec::Kivi(KiviParams { bits: 2, group_size: 5, residual: 3 }),
         )
         .unwrap();
-        let mut gear = GearCache::new(hd, GearParams { bits: 4, buffer: 7, ..Default::default() })
-            .unwrap();
+        let gear_params = GearParams { bits: 4, buffer: 7, ..Default::default() };
+        let mut gear = ChunkedCache::new(hd, Codec::Gear(gear_params)).unwrap();
         let mut rng2 = seeded_rng(0xF05E_0002);
         fill(&mut kivi, &mut rng2, 48, hd);
         let mut rng3 = seeded_rng(0xF05E_0002);
@@ -265,9 +257,10 @@ fn fused_attend_is_thread_count_invariant() {
 fn resident_bytes_drop_reflected_in_stats() {
     let mut rng = seeded_rng(0xF05E_0003);
     let hd = 16;
-    let mut kivi = KiviCache::new(hd, KiviParams { bits: 2, group_size: 8, residual: 8 }).unwrap();
-    let mut gear = GearCache::new(hd, GearParams { bits: 2, buffer: 8, ..Default::default() })
-        .unwrap();
+    let kivi_params = KiviParams { bits: 2, group_size: 8, residual: 8 };
+    let mut kivi = ChunkedCache::new(hd, Codec::Kivi(kivi_params)).unwrap();
+    let gear_params = GearParams { bits: 2, buffer: 8, ..Default::default() };
+    let mut gear = ChunkedCache::new(hd, Codec::Gear(gear_params)).unwrap();
     fill(&mut kivi, &mut rng, 128, hd);
     let mut rng2 = seeded_rng(0xF05E_0003);
     fill(&mut gear, &mut rng2, 128, hd);

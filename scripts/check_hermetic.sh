@@ -37,7 +37,12 @@
 #      release, the packed-GEMM bit-identity file `packed_gemm`: the
 #      baseline and AVX2 kernel instantiations are what the optimiser
 #      vectorises, so the build users run is the one that must match
-#      `matmul_naive`.
+#      `matmul_naive`. For the same reason rkvc-kvcache's
+#      `fused_attention` and `extend_attend` run again in release (≈1 s
+#      on top of gate 2's build): the workspace pass above compiles them
+#      at the dev profile's opt-level, and "the streaming kernels, the
+#      chunk tile and the naive loops over `view_uncached` give the same
+#      bits" is a statement about the vectorised code.
 #   4. thread-count invariance — `repro` regenerates fig1, table6,
 #      table8 (the serving-engine cluster experiment), ext_scheduler
 #      (the only experiment that runs the youngest-victim preemption
@@ -108,6 +113,7 @@ echo "== gate 3: offline test suite =="
 cargo test -q --offline --workspace
 cargo test -q --release --offline -p rkvc-tensor -- --ignored
 cargo test -q --release --offline -p rkvc-tensor --test packed_gemm
+cargo test -q --release --offline -p rkvc-kvcache --test fused_attention --test extend_attend
 
 echo "== gate 4: thread-count invariance (RKVC_THREADS=1 vs 3 vs 4) =="
 tmp1=$(mktemp -d)
