@@ -13,7 +13,6 @@
 //! file records that context instead of hiding it.
 
 use rkvc_bench::{workspace_root, Harness};
-use rkvc_core::experiments::{run_by_id, RunOptions};
 use rkvc_kvcache::{
     AttendBatch, AttendScratch, ChunkedCache, Codec, CompressionConfig, GearParams, KiviParams,
     KvCache,
@@ -455,23 +454,6 @@ fn bench_dispatch(h: &mut Harness) {
     par::set_threads(None);
 }
 
-fn bench_fig1_grid(h: &mut Harness, threads: &[usize]) {
-    let opts = RunOptions::quick();
-    let mut g = h.group("fig1_grid_quick");
-    // The whole quick grid is tens of microseconds (dispatch-gated
-    // inline), so medians at small sample counts are dominated by timer
-    // noise; a larger sample keeps the t1-vs-topt ratio honest.
-    g.sample_size(60);
-    for &t in threads {
-        par::set_threads(Some(t));
-        g.bench_function(format!("t{t}"), |b| {
-            b.iter(|| run_by_id("fig1", black_box(&opts)).expect("fig1 exists").tables.len())
-        });
-    }
-    par::set_threads(None);
-    g.finish();
-}
-
 /// `median(group/base) / median(group/new)` — how many times faster the
 /// new path is.
 fn speedup(h: &Harness, group: &str, base: &str, new: &str) -> f64 {
@@ -537,7 +519,6 @@ fn main() {
     bench_packed(&mut h);
     bench_single_stream_decode(&mut h);
     bench_dispatch(&mut h);
-    bench_fig1_grid(&mut h, &sweep);
 
     let median_ns = |group: &str, name: &str| -> f64 {
         h.records()
@@ -582,10 +563,6 @@ fn main() {
             "microkernel_matmul_transposed_vs_blocked",
             speedup(&h, "microkernel_matmul_96x128x96", "blocked_transposed", "micro_transposed")
                 .to_json(),
-        ),
-        (
-            "fig1_grid_topt_vs_t1",
-            speedup_min(&h, "fig1_grid_quick", "t1", &format!("t{top}")).to_json(),
         ),
     ]);
     // Before/after pairs of the query-blocked prefill, each side with its

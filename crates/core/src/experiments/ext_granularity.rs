@@ -11,11 +11,11 @@
 //! concrete.
 
 use rkvc_kvcache::CompressionConfig;
-use rkvc_model::{GenerateParams, TinyLm};
 use rkvc_workload::{generate_suite, LongBenchConfig, TaskType};
 
-use super::common::tiny_llama;
+use super::common::{steady_state_bytes, tiny_llama};
 use super::{ExperimentResult, RunOptions};
+use crate::negative::evaluate_suite;
 use crate::report::Table;
 
 /// One representative per granularity family, budgeted to roughly 64
@@ -47,7 +47,7 @@ fn pyramid() -> CompressionConfig {
 
 /// Runs the granularity comparison.
 pub fn run(opts: &RunOptions) -> ExperimentResult {
-    let model: TinyLm = tiny_llama();
+    let model = tiny_llama();
     let cfg = LongBenchConfig {
         samples_per_task: opts.pick(4, 20),
         context_len: opts.pick(120, 224),
@@ -67,26 +67,28 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         &headers_ref,
     );
 
-    // Evaluate per task type.
-    let run_algo = |cfg: &CompressionConfig, samples: &[&rkvc_workload::TaskSample]| -> f64 {
-        rkvc_tensor::seq_sum_f64(samples.iter().map(|s| {
-            let out = model.generate(&s.prompt, cfg, &GenerateParams::greedy(s.max_new_tokens));
-            s.scorer.score(&out.tokens)
-        })) / samples.len().max(1) as f64
-    };
-
+    // One scored suite (FP16 baseline + each representative per sample);
+    // a row averages its task's samples in suite order.
+    let algos: Vec<_> = reps
+        .iter()
+        .map(|(_, label, cfg)| ((*label).to_owned(), *cfg))
+        .collect();
+    let scores = evaluate_suite(&model, &suite, &algos);
     for task in TaskType::all() {
-        let samples: Vec<_> = suite.iter().filter(|s| s.task == task).collect();
+        let samples: Vec<_> = scores.iter().filter(|s| s.task == task).collect();
         if samples.is_empty() {
             continue;
         }
-        let mut row = vec![
-            task.label().to_owned(),
-            format!("{:.1}", run_algo(&CompressionConfig::Fp16, &samples)),
-        ];
-        for (_, _, cfg) in &reps {
-            row.push(format!("{:.1}", run_algo(cfg, &samples)));
-        }
+        // Column 0 is the FP16 baseline, column `c` representative `c - 1`.
+        let cell = |c: usize| {
+            let sum = rkvc_tensor::seq_sum_f64(samples.iter().map(|s| match c {
+                0 => s.baseline,
+                _ => s.by_algo[c - 1].1,
+            }));
+            format!("{:.1}", sum / samples.len() as f64)
+        };
+        let mut row = vec![task.label().to_owned()];
+        row.extend((0..=reps.len()).map(cell));
         scores_table.push_row(row);
     }
 
@@ -96,30 +98,16 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         "Extension: measured per-head KV memory at 192 prompt tokens",
         &["Policy", "bytes", "vs FP16"],
     );
-    let fp16_bytes = {
-        let mut c = CompressionConfig::Fp16.build(model.config().head_dim());
-        for pos in 0..192 {
-            c.append(&[0.1; 64], &[0.1; 64], pos);
-        }
-        c.memory_bytes()
-    };
-    mem_table.push_row(vec![
-        "FP16".to_owned(),
-        fp16_bytes.to_string(),
-        "100%".to_owned(),
-    ]);
-    for (_, label, cfg) in &reps {
-        let mut c = cfg.build(model.config().head_dim());
-        for pos in 0..192 {
-            c.append(&[0.1; 64], &[0.1; 64], pos);
-            let n = c.len();
-            c.observe_attention(&vec![1.0 / n as f32; n]);
-        }
-        c.finish_prefill();
+    let head_dim = model.config().head_dim();
+    let fp16_bytes = steady_state_bytes(head_dim, &CompressionConfig::Fp16, 192);
+    let policies = std::iter::once(("FP16", CompressionConfig::Fp16))
+        .chain(reps.iter().map(|(_, label, cfg)| (*label, *cfg)));
+    for (label, cfg) in policies {
+        let bytes = steady_state_bytes(head_dim, &cfg, 192);
         mem_table.push_row(vec![
-            (*label).to_owned(),
-            c.memory_bytes().to_string(),
-            format!("{:.0}%", c.memory_bytes() as f64 / fp16_bytes as f64 * 100.0),
+            label.to_owned(),
+            bytes.to_string(),
+            format!("{:.0}%", bytes as f64 / fp16_bytes as f64 * 100.0),
         ]);
     }
 

@@ -10,47 +10,14 @@
 
 use rkvc_gpu::LlmSpec;
 use rkvc_kvcache::CompressionConfig;
-use rkvc_model::{GenerateParams, TinyLm};
 use rkvc_serving::{SchedulerConfig, ServerSim, ServingConfig, ServingMetrics, SimRequest};
 use rkvc_workload::{generate_suite, LongBenchConfig, TaskSample};
 
-use super::common::{a6000_lmdeploy, tiny_llama};
+use super::common::{a6000_lmdeploy, steady_state_bytes, tiny_llama};
 use super::{ExperimentResult, RunOptions};
+use crate::negative::evaluate_suite;
 use crate::report::Table;
 use crate::task_predictor::{task_aware_policy, TaskPredictor};
-
-/// Mean score and mean per-head KV bytes of running `policy_of` over the
-/// suite.
-fn evaluate_policy<F>(
-    model: &TinyLm,
-    suite: &[TaskSample],
-    mut policy_of: F,
-) -> (f64, f64)
-where
-    F: FnMut(&TaskSample) -> CompressionConfig,
-{
-    let mut score = 0.0;
-    let mut memory = 0.0;
-    for s in suite {
-        let cfg = policy_of(s);
-        let out = model.generate(&s.prompt, &cfg, &GenerateParams::greedy(s.max_new_tokens));
-        score += s.scorer.score(&out.tokens);
-        // Per-head steady-state memory for this prompt length.
-        let mut cache = cfg.build(model.config().head_dim());
-        for pos in 0..s.prompt.len() {
-            cache.append(
-                &vec![0.1; model.config().head_dim()],
-                &vec![0.1; model.config().head_dim()],
-                pos,
-            );
-            let n = cache.len();
-            cache.observe_attention(&vec![1.0 / n as f32; n]);
-        }
-        memory += cache.memory_bytes() as f64;
-    }
-    let n = suite.len() as f64;
-    (score / n, memory / n)
-}
 
 /// Serving epilogue: the classifier's choice also shapes *serving*, not
 /// just accuracy — query-aware caches hold full KV while eviction caches
@@ -146,12 +113,34 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
     let safe = CompressionConfig::quest(8, 8);
     let aggressive = rkvc_workload::scaled_streaming(64);
 
-    let (fp16_score, fp16_mem) = evaluate_policy(&model, &suite, |_| CompressionConfig::Fp16);
-    let (stream_score, stream_mem) = evaluate_policy(&model, &suite, |_| aggressive);
-    let (quest_score, quest_mem) = evaluate_policy(&model, &suite, |_| safe);
-    let (aware_score, aware_mem) = evaluate_policy(&model, &suite, |s| {
-        task_aware_policy(predictor.predict(&s.prompt), safe, aggressive)
-    });
+    // One scored suite holds every sample's outcome under FP16, Stream-64
+    // and Quest-64, so a policy row — the task-aware one included — is a
+    // per-sample pick from it: score and per-head KV bytes of the policy
+    // the sample runs, each summed in suite order, then divided.
+    let algos = [
+        ("Stream-64".to_owned(), aggressive),
+        ("Quest-64".to_owned(), safe),
+    ];
+    let scores = evaluate_suite(&model, &suite, &algos);
+    let head_dim = model.config().head_dim();
+    let mean_row = |policy_of: &dyn Fn(&TaskSample) -> CompressionConfig| -> (f64, f64) {
+        let (mut score, mut memory) = (0.0, 0.0);
+        for (s, sc) in suite.iter().zip(&scores) {
+            let cfg = policy_of(s);
+            score += match algos.iter().position(|(_, a)| *a == cfg) {
+                Some(i) => sc.by_algo[i].1,
+                None => sc.baseline,
+            };
+            memory += steady_state_bytes(head_dim, &cfg, s.prompt.len()) as f64;
+        }
+        let n = suite.len() as f64;
+        (score / n, memory / n)
+    };
+    let (fp16_score, fp16_mem) = mean_row(&|_| CompressionConfig::Fp16);
+    let (stream_score, stream_mem) = mean_row(&|_| aggressive);
+    let (quest_score, quest_mem) = mean_row(&|_| safe);
+    let (aware_score, aware_mem) =
+        mean_row(&|s| task_aware_policy(predictor.predict(&s.prompt), safe, aggressive));
 
     let mut t = Table::new(
         "Extension: task-aware compression selection",

@@ -6,7 +6,7 @@
 //! (i-l) decode throughput per algorithm across KV lengths, including the
 //! KIVI out-of-memory point at long KV.
 
-use rkvc_gpu::{decode_memory_bytes, fits_in_memory, EngineKind, LlmSpec};
+use rkvc_gpu::{decode_memory_bytes, fits_in_memory, DeploymentSpec, EngineKind, LlmSpec};
 use rkvc_kvcache::CompressionConfig;
 
 use super::common::{a6000_lmdeploy, fmt_thr, paper_algos};
@@ -18,128 +18,92 @@ pub(crate) const BATCHES: [usize; 5] = [1, 4, 8, 16, 32];
 /// Prompt/KV length axis.
 pub(crate) const LENGTHS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
 
-/// One independent panel of the Figure 1 grid; each job builds a whole
-/// table so the fan-out stays coarse enough to amortize the pool.
-enum PanelJob {
-    /// (a-b): FP16 decode throughput per engine at a fixed KV length.
-    EngineDecode { kv: usize },
-    /// (c-d): StreamingLLM decode speedup per engine at a fixed KV length.
-    StreamSpeedup { kv: usize },
-    /// (e-h): prefill throughput per algorithm at a fixed batch.
-    Prefill { batch: usize },
-    /// (i-l): decode throughput per algorithm (with OOM detection) at a
-    /// fixed batch.
-    DecodeAlgos { batch: usize },
-}
-
-/// Estimated scalar work per Figure 1 panel: a few dozen analytic
-/// cost-model evaluations (engine × batch cells), each a handful of
-/// roofline formulas. Deliberately small — the whole grid is tens of
-/// microseconds, far below [`rkvc_tensor::par::DISPATCH_MIN_TOTAL_OPS`],
-/// so `grain_for` keeps it inline: dispatching these panels is exactly
-/// the pay-more-for-the-handoff-than-the-work regression the dispatch
-/// gate exists to prevent.
-const PANEL_EST_OPS: usize = 1 << 12;
-
 /// Runs the Figure 1 sweeps for a given model spec (re-used by the
 /// appendix's Mistral-7B and LLaMA-13B variants).
 ///
-/// The eight panels are independent (engine × batch × length cells of a
-/// pure analytic cost model); the table order is fixed by the job list,
-/// not by completion.
+/// The eight panels are cells of a pure analytic cost model — tens of
+/// microseconds in all — so they are built inline, in figure order.
 pub(crate) fn run_for_model(llm: LlmSpec, id: &str, title: &str) -> ExperimentResult {
     let base = a6000_lmdeploy(llm.clone());
     let algos = paper_algos();
-    let jobs = [
-        PanelJob::EngineDecode { kv: 1024 },
-        PanelJob::EngineDecode { kv: 4096 },
-        PanelJob::StreamSpeedup { kv: 1024 },
-        PanelJob::StreamSpeedup { kv: 4096 },
-        PanelJob::Prefill { batch: 1 },
-        PanelJob::Prefill { batch: 4 },
-        PanelJob::DecodeAlgos { batch: 8 },
-        PanelJob::DecodeAlgos { batch: 32 },
-    ];
 
-    let grain = rkvc_tensor::par::grain_for(jobs.len(), PANEL_EST_OPS);
-    let tables = rkvc_tensor::par::par_map(&jobs, grain, |job| match *job {
-        PanelJob::EngineDecode { kv } => {
-            let mut dep = base.clone();
-            let mut t = Table::new(
-                format!("{id}(a-b) FP16 decode throughput (tok/s), kv={kv}"),
-                &["batch", "TRL", "TRL+FA", "LMD"],
-            );
-            for &b in &BATCHES {
-                let mut row = vec![b.to_string()];
-                for engine in EngineKind::all() {
-                    dep.engine = engine;
-                    row.push(fmt_thr(dep.decode_throughput(&CompressionConfig::Fp16, b, kv)));
-                }
-                t.push_row(row);
+    // (a-d): a row per batch size, a column per engine, at a fixed KV length.
+    let by_engine = |title: String, cell: &dyn Fn(&DeploymentSpec, usize) -> String| {
+        let mut dep = base.clone();
+        let mut t = Table::new(title, &["batch", "TRL", "TRL+FA", "LMD"]);
+        for &b in &BATCHES {
+            let mut row = vec![b.to_string()];
+            for engine in EngineKind::all() {
+                dep.engine = engine;
+                row.push(cell(&dep, b));
             }
-            t
+            t.push_row(row);
         }
-        PanelJob::StreamSpeedup { kv } => {
-            let mut dep = base.clone();
-            let stream = CompressionConfig::streaming(64, 448);
-            let mut t = Table::new(
-                format!("{id}(c-d) StreamingLLM decode speedup vs FP16, kv={kv}"),
-                &["batch", "TRL", "TRL+FA", "LMD"],
-            );
-            for &b in &BATCHES {
-                let mut row = vec![b.to_string()];
-                for engine in EngineKind::all() {
-                    dep.engine = engine;
-                    let s = dep.decode_throughput(&stream, b, kv)
-                        / dep.decode_throughput(&CompressionConfig::Fp16, b, kv);
-                    row.push(format!("{s:.2}x"));
-                }
-                t.push_row(row);
-            }
-            t
-        }
-        PanelJob::Prefill { batch } => {
-            let dep = base.clone();
-            let headers: Vec<&str> = std::iter::once("prompt")
+        t
+    };
+    let engine_decode = |kv: usize| {
+        by_engine(
+            format!("{id}(a-b) FP16 decode throughput (tok/s), kv={kv}"),
+            &|dep, b| fmt_thr(dep.decode_throughput(&CompressionConfig::Fp16, b, kv)),
+        )
+    };
+    let stream = CompressionConfig::streaming(64, 448);
+    let stream_speedup = |kv: usize| {
+        by_engine(
+            format!("{id}(c-d) StreamingLLM decode speedup vs FP16, kv={kv}"),
+            &|dep, b| {
+                let s = dep.decode_throughput(&stream, b, kv)
+                    / dep.decode_throughput(&CompressionConfig::Fp16, b, kv);
+                format!("{s:.2}x")
+            },
+        )
+    };
+    // (e-l): a row per prompt/KV length, a column per algorithm, at a fixed
+    // batch; (i-l) marks the cells that do not fit in device memory.
+    let by_algo =
+        |title: String, axis: &str, cell: &dyn Fn(&CompressionConfig, usize) -> String| {
+            let headers: Vec<&str> = std::iter::once(axis)
                 .chain(algos.iter().map(|(l, _)| l.as_str()))
                 .collect();
-            let mut t = Table::new(
-                format!("{id}(e-h) prefill throughput (tok/s), batch={batch}"),
-                &headers,
-            );
-            for &l in &LENGTHS {
-                let mut row = vec![l.to_string()];
-                for (_, cfg) in &algos {
-                    row.push(fmt_thr(dep.prefill_throughput(cfg, batch, l)));
-                }
+            let mut t = Table::new(title, &headers);
+            for &len in &LENGTHS {
+                let mut row = vec![len.to_string()];
+                row.extend(algos.iter().map(|(_, cfg)| cell(cfg, len)));
                 t.push_row(row);
             }
             t
-        }
-        PanelJob::DecodeAlgos { batch } => {
-            let dep = base.clone();
-            let headers: Vec<&str> = std::iter::once("kv_len")
-                .chain(algos.iter().map(|(l, _)| l.as_str()))
-                .collect();
-            let mut t = Table::new(
-                format!("{id}(i-l) decode throughput (tok/s), batch={batch}"),
-                &headers,
-            );
-            for &kv in &LENGTHS {
-                let mut row = vec![kv.to_string()];
-                for (_, cfg) in &algos {
-                    let mem = decode_memory_bytes(&llm, dep.engine, cfg, batch, kv, 1, kv);
-                    if fits_in_memory(&dep.gpu, &mem) {
-                        row.push(fmt_thr(dep.decode_throughput(cfg, batch, kv)));
-                    } else {
-                        row.push("OOM".to_owned());
-                    }
+        };
+    let prefill = |batch: usize| {
+        by_algo(
+            format!("{id}(e-h) prefill throughput (tok/s), batch={batch}"),
+            "prompt",
+            &|cfg, l| fmt_thr(base.prefill_throughput(cfg, batch, l)),
+        )
+    };
+    let decode_algos = |batch: usize| {
+        by_algo(
+            format!("{id}(i-l) decode throughput (tok/s), batch={batch}"),
+            "kv_len",
+            &|cfg, kv| {
+                let mem = decode_memory_bytes(&llm, base.engine, cfg, batch, kv, 1, kv);
+                if fits_in_memory(&base.gpu, &mem) {
+                    fmt_thr(base.decode_throughput(cfg, batch, kv))
+                } else {
+                    "OOM".to_owned()
                 }
-                t.push_row(row);
-            }
-            t
-        }
-    });
+            },
+        )
+    };
+    let tables = vec![
+        engine_decode(1024),
+        engine_decode(4096),
+        stream_speedup(1024),
+        stream_speedup(4096),
+        prefill(1),
+        prefill(4),
+        decode_algos(8),
+        decode_algos(32),
+    ];
 
     ExperimentResult {
         id: id.to_owned(),

@@ -4,10 +4,10 @@
 //! long-response tail.
 
 use rkvc_kvcache::CompressionConfig;
-use rkvc_model::{GenerateParams, TinyLm};
+use rkvc_model::TinyLm;
 use rkvc_workload::{compression_ratio_sweep, sample_conversations, LengthStats, ShareGptConfig};
 
-use super::common::{tiny_llama, tiny_mistral};
+use super::common::{response_lengths, tiny_llama, tiny_mistral};
 use super::{ExperimentResult, RunOptions};
 use crate::report::{fmt_pct, Table};
 
@@ -23,17 +23,7 @@ pub(crate) fn measure_sweep<'a>(
 ) -> Vec<LengthStats> {
     let requests = sample_conversations(&ShareGptConfig::tiny_scale(n, seed), 64);
     let gen = |cfg: &CompressionConfig, salt: u64| -> Vec<usize> {
-        requests
-            .iter()
-            .map(|r| {
-                let params = GenerateParams {
-                    max_new_tokens: (r.reference_response_len * 3).max(24).min(96),
-                    temperature: 1.0,
-                    seed: seed ^ salt ^ r.id as u64,
-                };
-                model.generate(&r.prompt, cfg, &params).response_len().max(1)
-            })
-            .collect()
+        response_lengths(model, &requests, cfg, 1.0, |id| seed ^ salt ^ id)
     };
     let base = gen(&CompressionConfig::Fp16, 0);
     configs

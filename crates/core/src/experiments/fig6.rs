@@ -5,7 +5,7 @@
 use rkvc_model::TinyLm;
 use rkvc_workload::{generate_suite, LongBenchConfig};
 
-use super::common::{tiny_llama, tiny_mistral};
+use super::common::tiny_llama;
 use super::{ExperimentResult, RunOptions};
 use crate::negative::{evaluate_suite, threshold_sweep, SampleScores};
 use crate::report::Table;
@@ -27,9 +27,9 @@ pub(crate) fn score_suite(model: &TinyLm, opts: &RunOptions) -> Vec<SampleScores
     evaluate_suite(model, &suite, &algos)
 }
 
-/// Runs the threshold sweep for one model.
-pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> ExperimentResult {
-    let scores = score_suite(model, opts);
+/// Builds the threshold sweep from one scored suite; `id` labels the
+/// figure (`fig6`, or `fig17` for the Mistral-family scores).
+pub(crate) fn from_scores(scores: &[SampleScores], id: &str) -> ExperimentResult {
     let thetas = [0.05, 0.10, 0.20, 0.30, 0.40, 0.50];
     let sets: [(&str, Vec<&str>); 6] = [
         ("KIVI", vec!["KIVI-2"]),
@@ -51,7 +51,7 @@ pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> Expe
     for &theta in &thetas {
         let mut row = vec![format!("{:.0}%", theta * 100.0)];
         for (_, labels) in &sets {
-            let sweep = threshold_sweep(&scores, labels, &[theta]);
+            let sweep = threshold_sweep(scores, labels, &[theta]);
             row.push(sweep[0].1.to_string());
         }
         t.push_row(row);
@@ -71,12 +71,7 @@ pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> Expe
 
 /// Runs Figure 6 (LLaMA-family).
 pub fn run(opts: &RunOptions) -> ExperimentResult {
-    run_for_model(&tiny_llama(), "fig6", opts)
-}
-
-/// Runs appendix Figure 17 (Mistral-family).
-pub(crate) fn run_mistral(opts: &RunOptions) -> ExperimentResult {
-    run_for_model(&tiny_mistral(), "fig17", opts)
+    from_scores(&score_suite(&tiny_llama(), opts), "fig6")
 }
 
 #[cfg(test)]

@@ -1,18 +1,17 @@
 //! Figure 7 (and appendix Figure 18): the proportion of negative samples
 //! across task types per compression algorithm (the pie charts).
 
-use rkvc_model::TinyLm;
 use rkvc_workload::TaskType;
 
-use super::common::{tiny_llama, tiny_mistral};
+use super::common::tiny_llama;
 use super::fig6::score_suite;
 use super::{ExperimentResult, RunOptions};
-use crate::negative::{collect_negatives, task_breakdown};
+use crate::negative::{collect_negatives, task_breakdown, SampleScores};
 use crate::report::{fmt_pct, Table};
 
-/// Runs the task-type breakdown for one model.
-pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> ExperimentResult {
-    let scores = score_suite(model, opts);
+/// Builds the task-type breakdown from one scored suite; `id` labels the
+/// figure (`fig7`, or `fig18` for the Mistral-family scores).
+pub(crate) fn from_scores(scores: &[SampleScores], id: &str) -> ExperimentResult {
     let algos = ["KIVI-2", "GEAR-2", "H2O-64", "Stream-64"];
 
     let headers: Vec<&str> = std::iter::once("algo")
@@ -23,8 +22,8 @@ pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> Expe
         &headers,
     );
     for algo in algos {
-        let neg = collect_negatives(&scores, &[algo], 0.10);
-        let breakdown = task_breakdown(&scores, &neg);
+        let neg = collect_negatives(scores, &[algo], 0.10);
+        let breakdown = task_breakdown(scores, &neg);
         let total: usize = breakdown.values().sum();
         let mut row = vec![algo.to_owned()];
         for task in TaskType::all() {
@@ -52,12 +51,7 @@ pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> Expe
 
 /// Runs Figure 7 (LLaMA-family).
 pub fn run(opts: &RunOptions) -> ExperimentResult {
-    run_for_model(&tiny_llama(), "fig7", opts)
-}
-
-/// Runs appendix Figure 18 (Mistral-family).
-pub(crate) fn run_mistral(opts: &RunOptions) -> ExperimentResult {
-    run_for_model(&tiny_mistral(), "fig18", opts)
+    from_scores(&score_suite(&tiny_llama(), opts), "fig7")
 }
 
 #[cfg(test)]

@@ -5,6 +5,13 @@
 //! paper's rows/series) plus free-form notes about calibration targets.
 //! `RunOptions::quick()` shrinks sample counts so the whole harness runs in
 //! CI; `RunOptions::paper()` uses the paper's sample sizes.
+//!
+//! No experiment drives TinyLM itself. The ShareGPT-length ones call
+//! `common::generate_each` (requests × one policy → outputs), the
+//! LongBench-score ones [`crate::negative::evaluate_suite`] (samples ×
+//! policies → scores); a bundle that shows several views of one such
+//! result (`appendix_d`) computes it once and hands it to each view's
+//! `from_scores`.
 
 pub mod appendix_c;
 pub mod appendix_d;

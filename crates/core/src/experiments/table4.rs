@@ -7,10 +7,9 @@
 //! compressed outputs are *verbose but only mildly worse semantically*.
 
 use rkvc_kvcache::CompressionConfig;
-use rkvc_model::GenerateParams;
 use rkvc_workload::{sample_conversations, semantic_score, ShareGptConfig};
 
-use super::common::tiny_llama;
+use super::common::{generate_each, tiny_llama};
 use super::{ExperimentResult, RunOptions};
 use crate::report::Table;
 
@@ -21,23 +20,14 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
     let requests = sample_conversations(&ShareGptConfig::tiny_scale(n, opts.seed), 64);
     let suite = rkvc_workload::scaled_paper_suite();
 
-    // Sampled FP16 output is the comparison anchor (temperature 1.0), the
-    // greedy reference plays ChatGPT's role.
-    let generate = |algo: &CompressionConfig, req_seed: u64, prompt: &[usize], cap: usize| {
-        let params = GenerateParams {
-            max_new_tokens: cap,
-            temperature: 1.0,
-            seed: req_seed,
-        };
-        model.generate(prompt, algo, &params)
-    };
-
-    let mut fp16_lens = Vec::with_capacity(requests.len());
-    for r in &requests {
-        let cap = (r.reference_response_len * 3).max(24).min(96);
-        let out = generate(&CompressionConfig::Fp16, opts.seed ^ r.id as u64, &r.prompt, cap);
-        fp16_lens.push(out.response_len().max(1));
-    }
+    // Every column samples at temperature 1.0 with the same per-request
+    // seeds; the greedy reference plays ChatGPT's role.
+    let outputs: Vec<_> = suite
+        .iter()
+        .map(|algo| generate_each(&model, &requests, &algo.config, 1.0, |id| opts.seed ^ id))
+        .collect();
+    // The suite's first column is FP16, so it is also the comparison anchor.
+    let fp16_lens: Vec<usize> = outputs[0].iter().map(|o| o.response_len().max(1)).collect();
 
     let mut t = Table::new(
         "Table 4: semantic score and length increase (verbose subset)",
@@ -46,26 +36,20 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
     let mut scores = vec!["Semantic Score".to_owned()];
     let mut lens = vec!["Length Increase (x)".to_owned()];
 
-    for algo in &suite {
-        let mut score_sum = 0.0;
+    for (algo, outs) in suite.iter().zip(&outputs) {
         let mut len_ratio_sum = 0.0;
         let mut verbose = 0usize;
         let mut all_scores = 0.0;
-        for (i, r) in requests.iter().enumerate() {
-            let cap = (r.reference_response_len * 3).max(24).min(96);
-            let out = generate(&algo.config, opts.seed ^ r.id as u64, &r.prompt, cap);
-            let s = semantic_score(&out.tokens, &r.reference_response);
-            all_scores += s;
-            if out.response_len() > fp16_lens[i] {
+        for ((r, out), &fp16_len) in requests.iter().zip(outs).zip(&fp16_lens) {
+            all_scores += semantic_score(&out.tokens, &r.reference_response);
+            if out.response_len() > fp16_len {
                 verbose += 1;
-                score_sum += s;
-                len_ratio_sum += out.response_len() as f64 / fp16_lens[i] as f64;
+                len_ratio_sum += out.response_len() as f64 / fp16_len as f64;
             }
         }
         // Paper layout: the semantic score averages over all requests (the
         // compressed outputs stay semantically close overall), while the
         // length-increase factor is measured on the verbose subset.
-        let _ = score_sum;
         scores.push(format!("{:.1}", all_scores / requests.len() as f64));
         if matches!(algo.config, CompressionConfig::Fp16) {
             lens.push("1.00".to_owned());

@@ -6,10 +6,10 @@
 //! roughly equally, while compression skews toward *longer* responses.
 
 use rkvc_kvcache::CompressionConfig;
-use rkvc_model::{GenerateParams, TinyLm};
+use rkvc_model::TinyLm;
 use rkvc_workload::{sample_conversations, LengthStats, ShareGptConfig};
 
-use super::common::{tiny_llama, tiny_mistral};
+use super::common::{response_lengths, tiny_llama, tiny_mistral};
 use super::{ExperimentResult, RunOptions};
 use crate::report::{fmt_pct, Table};
 
@@ -20,17 +20,9 @@ pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> Expe
     let requests = sample_conversations(&ShareGptConfig::tiny_scale(n, opts.seed), 64);
 
     let gen_lens = |algo: &CompressionConfig, temperature: f32, salt: u64| -> Vec<usize> {
-        requests
-            .iter()
-            .map(|r| {
-                let params = GenerateParams {
-                    max_new_tokens: (r.reference_response_len * 3).max(24).min(96),
-                    temperature,
-                    seed: opts.seed ^ salt ^ r.id as u64,
-                };
-                model.generate(&r.prompt, algo, &params).response_len().max(1)
-            })
-            .collect()
+        response_lengths(model, &requests, algo, temperature, |id| {
+            opts.seed ^ salt ^ id
+        })
     };
 
     // Baseline: FP16 at temperature 1.0.

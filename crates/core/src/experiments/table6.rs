@@ -3,19 +3,13 @@
 //! algorithm.
 
 use rkvc_gpu::LlmSpec;
-use rkvc_model::{GenerateParams, TinyLm};
+use rkvc_model::TinyLm;
 use rkvc_workload::{sample_conversations, ShareGptConfig};
 
-use super::common::{a6000_lmdeploy, tiny_llama, tiny_mistral};
+use super::common::{a6000_lmdeploy, response_lengths, tiny_llama, tiny_mistral};
 use super::{ExperimentResult, RunOptions};
 use crate::report::{fmt_pct, Table};
 use crate::{LengthDataset, LengthPredictor, ProfileGrid, ThroughputPredictor};
-
-/// Estimated scalar work per TinyLM generation (tens of tokens through
-/// the full stack of per-layer matmuls) — far above
-/// [`rkvc_tensor::par::DISPATCH_MIN_OPS`], so `grain_for` keeps these
-/// fan-outs at one request (or one algorithm) per chunk.
-const GENERATION_EST_OPS: usize = 1 << 20;
 
 /// Builds a length dataset for one algorithm: TinyLM prompts and the
 /// measured response lengths under that algorithm.
@@ -26,19 +20,7 @@ fn length_dataset(
     seed: u64,
 ) -> LengthDataset {
     let requests = sample_conversations(&ShareGptConfig::tiny_scale(n, seed), 64);
-    // Each request runs an independent generation session with a
-    // per-request seed, so the calibration corpus fans across the
-    // deterministic worker pool; responses come back in request order.
-    let grain = rkvc_tensor::par::grain_for(requests.len(), GENERATION_EST_OPS);
-    let lengths = rkvc_tensor::par::par_map(&requests, grain, |r| {
-        let params = GenerateParams {
-            max_new_tokens: (r.reference_response_len * 3).max(24).min(96),
-            temperature: 1.0,
-            seed: seed ^ r.id as u64,
-        };
-        let out = model.generate(&r.prompt, algo, &params);
-        out.response_len().max(1)
-    });
+    let lengths = response_lengths(model, &requests, algo, 1.0, |id| seed ^ id);
     let mut data = LengthDataset::new();
     for (r, len) in requests.iter().zip(lengths) {
         data.push(&r.prompt, len);
@@ -46,22 +28,21 @@ fn length_dataset(
     data
 }
 
-/// Runs the length-predictor half for one model (Table 10 reuses it).
-pub(crate) fn length_rows(model: &TinyLm, opts: &RunOptions) -> Vec<(String, f64)> {
+/// The length-predictor row for one model, one accuracy per algorithm of
+/// the scaled suite (Table 10 reuses it).
+fn length_row(model: &TinyLm, opts: &RunOptions) -> Vec<String> {
     // Quick scale needs ~120 conversations (30 test points): with fewer,
     // the measured accuracy swings tens of points across RNG streams and
     // the calibration-band test below becomes a coin flip.
     let n = opts.pick(120, 400);
-    let suite = rkvc_workload::scaled_paper_suite();
-    // Algorithms are independent too; inner fan-outs run inline once a
-    // worker claims an algorithm.
-    let grain = rkvc_tensor::par::grain_for(suite.len(), 128 * GENERATION_EST_OPS);
-    rkvc_tensor::par::par_map(&suite, grain, |algo| {
+    let accuracies = rkvc_workload::scaled_paper_suite().into_iter().map(|algo| {
         let data = length_dataset(model, &algo.config, n, opts.seed ^ 0x7ab);
         let (train, test) = data.split(0.75);
-        let predictor = LengthPredictor::fit(&train);
-        (algo.label.clone(), predictor.accuracy(&test))
-    })
+        fmt_pct(LengthPredictor::fit(&train).accuracy(&test))
+    });
+    std::iter::once("Length Predictor".to_owned())
+        .chain(accuracies)
+        .collect()
 }
 
 /// Runs Table 6.
@@ -82,12 +63,7 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
     }
     t.push_row(thr_row);
 
-    // Length predictor.
-    let mut len_row = vec!["Length Predictor".to_owned()];
-    for (_, acc) in length_rows(&model, opts) {
-        len_row.push(fmt_pct(acc));
-    }
-    t.push_row(len_row);
+    t.push_row(length_row(&model, opts));
 
     ExperimentResult {
         id: "table6".to_owned(),
@@ -107,11 +83,7 @@ pub(crate) fn run_mistral(opts: &RunOptions) -> ExperimentResult {
         "Table 10: length-predictor accuracy (Mistral-family)",
         &["Tool", "FP16", "KIVI", "GEAR", "H2O", "Stream"],
     );
-    let mut row = vec!["Length Predictor".to_owned()];
-    for (_, acc) in length_rows(&model, opts) {
-        row.push(fmt_pct(acc));
-    }
-    t.push_row(row);
+    t.push_row(length_row(&model, opts));
     ExperimentResult {
         id: "table10".to_owned(),
         title: "Length-predictor accuracy for Mistral".to_owned(),

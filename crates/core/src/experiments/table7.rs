@@ -1,28 +1,26 @@
 //! Table 7 (and appendix Table 11): scores on the mined negative-sample
 //! benchmark, grouped into Summarization / Question Answering / Code.
 
-use rkvc_model::TinyLm;
-
-use super::common::{tiny_llama, tiny_mistral};
+use super::common::tiny_llama;
 use super::fig6::score_suite;
 use super::{ExperimentResult, RunOptions};
-use crate::negative::{collect_negatives, negative_benchmark_scores};
+use crate::negative::{collect_negatives, negative_benchmark_scores, SampleScores};
 use crate::report::Table;
 
-/// Runs the negative-benchmark scoring for one model.
-pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> ExperimentResult {
-    let scores = score_suite(model, opts);
+/// Builds the negative-benchmark table from one scored suite; `id` labels
+/// the table (`table7`, or `table11` for the Mistral-family scores).
+pub(crate) fn from_scores(scores: &[SampleScores], id: &str) -> ExperimentResult {
     // The benchmark is mined at the 10% threshold over the union of
     // single-algorithm negatives (a sample that any algorithm degrades is
     // worth studying).
     let mut ids = Vec::new();
     for algo in ["KIVI-2", "GEAR-2", "H2O-64", "Stream-64"] {
-        ids.extend(collect_negatives(&scores, &[algo], 0.10));
+        ids.extend(collect_negatives(scores, &[algo], 0.10));
     }
     ids.sort_unstable();
     ids.dedup();
 
-    let grouped = negative_benchmark_scores(&scores, &ids);
+    let grouped = negative_benchmark_scores(scores, &ids);
     let mut t = Table::new(
         format!("Table 7: scores on the negative benchmark ({id})"),
         &["Task Type", "Baseline", "KIVI-2", "GEAR-2", "H2O-64", "Stream-64"],
@@ -52,12 +50,7 @@ pub(crate) fn run_for_model(model: &TinyLm, id: &str, opts: &RunOptions) -> Expe
 
 /// Runs Table 7 (LLaMA-family).
 pub fn run(opts: &RunOptions) -> ExperimentResult {
-    run_for_model(&tiny_llama(), "table7", opts)
-}
-
-/// Runs appendix Table 11 (Mistral-family).
-pub(crate) fn run_mistral(opts: &RunOptions) -> ExperimentResult {
-    run_for_model(&tiny_mistral(), "table11", opts)
+    from_scores(&score_suite(&tiny_llama(), opts), "table7")
 }
 
 #[cfg(test)]

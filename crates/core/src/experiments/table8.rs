@@ -12,14 +12,11 @@
 
 use rkvc_gpu::LlmSpec;
 use rkvc_kvcache::CompressionConfig;
-use rkvc_serving::{Cluster, OraclePredictor, RoutingPolicy, ServerSim, ServingConfig};
-use rkvc_workload::{sample_conversations, ShareGptConfig};
+use rkvc_serving::{Cluster, OraclePredictor, RoutingPolicy, ServingConfig};
 
-use super::common::{a6000_lmdeploy, length_multipliers, tiny_llama};
-use super::workloads::{build_requests, columns, server};
+use super::common::{a6000_lmdeploy, tiny_llama};
+use super::workloads::{build_requests, column_workload, columns, server, table8_conversations};
 use super::{ExperimentResult, RunOptions};
-use crate::router::ToolRouter;
-use crate::{LengthDataset, LengthPredictor, ProfileGrid, ThroughputPredictor};
 
 const MAX_BATCH: usize = 16;
 
@@ -39,24 +36,9 @@ fn mean_e2e(done: &[rkvc_serving::CompletedRequest]) -> f64 {
 
 /// Runs Table 8.
 pub fn run(opts: &RunOptions) -> ExperimentResult {
-    let n_requests = opts.pick(40, 1000);
-    let n_tiny = opts.pick(12, 120);
-    let llm = LlmSpec::llama2_7b();
-    let dep = a6000_lmdeploy(llm);
+    let dep = a6000_lmdeploy(LlmSpec::llama2_7b());
     let model = tiny_llama();
-    let mut conversations =
-        sample_conversations(&ShareGptConfig::paper_scale(n_requests, opts.seed ^ 0x8a8), 64);
-    // Routing only differentiates under queueing pressure. The paper's
-    // testbed ran at ~0.9 utilization (baseline mean E2E 11.4s at 10 rps);
-    // our modelled A6000s are faster than their measured stack, so the
-    // arrival process is compressed to land in the same utilization regime.
-    let arrival_scale = match opts.scale {
-        super::Scale::Quick => 0.25,
-        super::Scale::Paper => 0.4,
-    };
-    for c in &mut conversations {
-        c.arrival_s *= arrival_scale;
-    }
+    let conversations = table8_conversations(opts);
 
     let mut t = crate::report::Table::new(
         "Table 8: average E2E latency (s) of routing policies",
@@ -91,68 +73,21 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         })
         .collect();
 
-    for (col, (_, paper_cfg, scaled_cfg)) in columns().into_iter().enumerate() {
-        // Measured length shift for this algorithm, applied mechanistically
-        // (eviction budgets break requests whose span fell out of window).
-        let recent_budget = match paper_cfg {
-            CompressionConfig::H2O(p) => Some(p.budget()),
-            CompressionConfig::Streaming(p) => Some(p.recent),
-            _ => None,
-        };
-        let multipliers = length_multipliers(&model, n_tiny, &scaled_cfg, opts.seed ^ 0x88);
-        let requests =
-            build_requests(&conversations, &multipliers, recent_budget, opts.seed ^ col as u64);
-
-        // Length predictor trained on this algorithm's actual per-request
-        // lengths (the deployed tool would be trained on logged serving
-        // data the same way).
-        let predictor_len = {
-            let mut data = LengthDataset::new();
-            for (c, r) in conversations.iter().zip(&requests) {
-                data.push(&c.prompt, r.response_len_on(1).max(1));
-            }
-            LengthPredictor::fit(&data)
-        };
-        let predictor_fp16 = {
-            let mut data = LengthDataset::new();
-            for c in &conversations {
-                data.push(&c.prompt, c.reference_response_len.max(1));
-            }
-            LengthPredictor::fit(&data)
-        };
-
-        // Throughput predictors per server.
-        let grid = ProfileGrid::standard();
-        let thr_predictors = vec![
-            ThroughputPredictor::fit(&dep, &CompressionConfig::Fp16, grid.clone(), 0.05, opts.seed),
-            ThroughputPredictor::fit(&dep, &paper_cfg, grid.clone(), 0.05, opts.seed + 1),
-            ThroughputPredictor::fit(&dep, &paper_cfg, grid.clone(), 0.05, opts.seed + 2),
-            ThroughputPredictor::fit(&dep, &paper_cfg, grid, 0.05, opts.seed + 3),
-        ];
-        let mut router = ToolRouter::new(thr_predictors, Default::default());
-        for c in &conversations {
-            let fp16_pred = predictor_fp16.predict(&c.prompt);
-            let comp_pred = predictor_len.predict(&c.prompt);
-            router.set_predicted_len(c.id as u64, 0, fp16_pred);
-            for s in 1..4 {
-                router.set_predicted_len(c.id as u64, s, comp_pred);
-            }
-        }
+    for col in 0..columns().len() {
+        let w = column_workload(opts, col, &conversations, &model);
 
         for (row, policy) in RoutingPolicy::all().into_iter().enumerate() {
-            let servers: Vec<ServerSim> = if matches!(policy, RoutingPolicy::LoadBalance) {
+            let servers = if matches!(policy, RoutingPolicy::LoadBalance) {
                 // Baseline: all four GPUs run the compression algorithm.
                 (0..4)
-                    .map(|i| server(i, &dep, paper_cfg, serving_config(opts)))
+                    .map(|i| server(i, &dep, w.paper_cfg, serving_config(opts)))
                     .collect()
             } else {
-                std::iter::once(server(0, &dep, CompressionConfig::Fp16, serving_config(opts)))
-                    .chain((1..4).map(|i| server(i, &dep, paper_cfg, serving_config(opts))))
-                    .collect()
+                w.servers(serving_config(opts))
             };
             // Baseline's all-compressed cluster sees compressed lengths on
             // every server.
-            let mut reqs = requests.clone();
+            let mut reqs = w.requests.clone();
             if matches!(policy, RoutingPolicy::LoadBalance) {
                 for r in &mut reqs {
                     let comp = r.response_len_on(1);
@@ -161,7 +96,7 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
             }
             let done = Cluster::new(servers, policy)
                 .expect("four servers")
-                .run(reqs, &router)
+                .run(reqs, &w.router)
                 .expect("arrivals sorted by construction");
             rows[row].push(format!("{:.1}", mean_e2e(&done)));
         }

@@ -104,6 +104,10 @@ pub(crate) fn attention_decode_time(
         env.gpu.roofline(kv_traffic + score_traffic, flops)
     };
 
+    // Tokens an evicting policy still stores, hence attends over. Called
+    // inside its arms, where the variant is known and the lookup folds away.
+    let stored = || algo.retained_cap().map_or(kv_len, |cap| cap.min(kv_len)) as f64;
+
     match *algo {
         CompressionConfig::Fp16 => base(kv_len as f64),
         CompressionConfig::Kivi(p) => {
@@ -141,8 +145,8 @@ pub(crate) fn attention_decode_time(
                 + outlier_traffic / (bw * IRREGULAR_BW);
             t_res + t_quant + 2.0 * env.engine.extra_kernel_overhead_s()
         }
-        CompressionConfig::H2O(p) => {
-            let n_eff = (p.budget().min(kv_len)) as f64;
+        CompressionConfig::H2O(_) => {
+            let n_eff = stored();
             // Attention over the retained window, but unfused (the fused
             // FA/PA kernel cannot return scores).
             let kv_traffic = b * n_eff * kvd * 2.0 * FP16 * paged * H2O_UNFUSED_TRAFFIC;
@@ -162,19 +166,15 @@ pub(crate) fn attention_decode_time(
             }
             t
         }
-        CompressionConfig::Streaming(p) => {
-            let n_eff = (p.budget().min(kv_len)) as f64;
+        CompressionConfig::Streaming(_) => {
             // Structured drop: ring-buffer bookkeeping only.
-            base(n_eff) + 0.5 * env.engine.extra_kernel_overhead_s()
+            base(stored()) + 0.5 * env.engine.extra_kernel_overhead_s()
         }
-        CompressionConfig::SnapKv(p) => {
-            let n_eff = ((p.budget + p.obs_window).min(kv_len)) as f64;
-            base(n_eff)
-        }
-        CompressionConfig::Tova(p) => {
+        CompressionConfig::SnapKv(_) | CompressionConfig::PyramidKv(_) => base(stored()),
+        CompressionConfig::Tova(_) => {
             // Attention over the budget window; like H2O, the per-query
             // weights must leave the fused kernel for the argmin eviction.
-            let n_eff = (p.budget.min(kv_len)) as f64;
+            let n_eff = stored();
             let kv_traffic = b * n_eff * kvd * 2.0 * FP16 * paged * H2O_UNFUSED_TRAFFIC;
             let flops = b * 2.0 * n_eff * heads * hd * 2.0;
             env.gpu.roofline(kv_traffic, flops)
@@ -188,10 +188,6 @@ pub(crate) fn attention_decode_time(
                 * (paged + env.engine.kv_update_passes());
             let flops = b * 2.0 * kv_len as f64 * heads * hd * (1.0 + keep);
             env.gpu.roofline(kv_traffic, flops) + 0.5 * env.engine.extra_kernel_overhead_s()
-        }
-        CompressionConfig::PyramidKv(p) => {
-            let n_eff = ((p.mean_budget() + p.obs_window).min(kv_len)) as f64;
-            base(n_eff)
         }
         CompressionConfig::Quest(p) => {
             // Read the page summaries, select, then attend over the
@@ -233,6 +229,10 @@ pub(crate) fn attention_prefill_time(
         0.0
     };
     let base = env.gpu.roofline(qkv_traffic + score_traffic, flops);
+    // Prompt tokens an evicting policy keeps, i.e. the window it compacts.
+    // Called inside its arms, where the variant is known and the lookup
+    // folds away.
+    let retained = || algo.retained_cap().map_or(l, |cap| (cap as f64).min(l));
 
     match *algo {
         CompressionConfig::Fp16 => base,
@@ -269,10 +269,10 @@ pub(crate) fn attention_prefill_time(
                 + rescore_flops / env.gpu.effective_flops()
                 + 2.0 * env.engine.extra_kernel_overhead_s()
         }
-        CompressionConfig::Streaming(p) => {
+        CompressionConfig::Streaming(_) => {
             // Chunked eviction during prefill: compact the retained window
             // once (read + write), cheap and structured.
-            let compaction = 2.0 * b * (p.budget() as f64).min(l) * kvd * 2.0 * FP16;
+            let compaction = 2.0 * b * retained() * kvd * 2.0 * FP16;
             base + compaction / bw + kv_bytes / (bw * 2.0)
                 + env.engine.extra_kernel_overhead_s()
         }
@@ -280,15 +280,15 @@ pub(crate) fn attention_prefill_time(
             // Observation-window scoring (obs x l scores), pooling/top-k,
             // and one compaction of the prompt KV.
             let obs_scores = b * heads * p.obs_window as f64 * l * FP16 * 3.0;
-            let compaction = 2.0 * b * ((p.budget + p.obs_window) as f64).min(l) * kvd * 2.0 * FP16;
+            let compaction = 2.0 * b * retained() * kvd * 2.0 * FP16;
             base + (obs_scores + compaction) / (bw * IRREGULAR_BW)
                 + 2.0 * env.engine.extra_kernel_overhead_s()
         }
-        CompressionConfig::Tova(p) => {
+        CompressionConfig::Tova(_) => {
             // Per-row argmin eviction during prefill needs the row scores
             // (one extra pass) and a compaction of the retained window.
             let scores = b * heads * l * l * FP16 * 2.0 / 2.0;
-            let compaction = 2.0 * b * (p.budget as f64).min(l) * kvd * 2.0 * FP16;
+            let compaction = 2.0 * b * retained() * kvd * 2.0 * FP16;
             base + (scores + compaction) / (bw * IRREGULAR_BW)
                 + env.engine.extra_kernel_overhead_s()
         }
@@ -303,8 +303,7 @@ pub(crate) fn attention_prefill_time(
             // SnapKV-style per-layer selection: observation scores + one
             // compaction at the mean budget.
             let obs_scores = b * heads * p.obs_window as f64 * l * FP16 * 3.0;
-            let compaction =
-                2.0 * b * ((p.mean_budget() + p.obs_window) as f64).min(l) * kvd * 2.0 * FP16;
+            let compaction = 2.0 * b * retained() * kvd * 2.0 * FP16;
             base + (obs_scores + compaction) / (bw * IRREGULAR_BW)
                 + 2.0 * env.engine.extra_kernel_overhead_s()
         }

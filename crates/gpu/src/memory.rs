@@ -63,7 +63,6 @@ pub fn kv_bytes_per_token(llm: &LlmSpec, algo: &CompressionConfig, tp: usize) ->
 /// (per sequence), split into `(fp16_tokens, compressed_tokens)`.
 fn retained_tokens(algo: &CompressionConfig, kv_len: usize) -> (usize, usize) {
     match *algo {
-        CompressionConfig::Fp16 => (kv_len, 0),
         CompressionConfig::Kivi(p) => {
             let res = p.residual.min(kv_len);
             (res, kv_len - res)
@@ -72,14 +71,7 @@ fn retained_tokens(algo: &CompressionConfig, kv_len: usize) -> (usize, usize) {
             let res = p.buffer.min(kv_len);
             (res, kv_len - res)
         }
-        CompressionConfig::H2O(p) => (p.budget().min(kv_len), 0),
-        CompressionConfig::Streaming(p) => (p.budget().min(kv_len), 0),
-        CompressionConfig::SnapKv(p) => ((p.budget + p.obs_window).min(kv_len), 0),
-        CompressionConfig::Tova(p) => (p.budget.min(kv_len), 0),
-        CompressionConfig::Quest(_) | CompressionConfig::Think(_) => (kv_len, 0),
-        CompressionConfig::PyramidKv(p) => {
-            ((p.mean_budget() + p.obs_window).min(kv_len), 0)
-        }
+        _ => (algo.retained_cap().map_or(kv_len, |cap| cap.min(kv_len)), 0),
     }
 }
 
@@ -209,6 +201,24 @@ mod tests {
         );
         assert!(fits_in_memory(&gpu, &fp16), "fp16 {:?}", fp16.total());
         assert!(!fits_in_memory(&gpu, &kivi), "kivi {:?}", kivi.total());
+    }
+
+    #[test]
+    fn an_overflowing_eviction_budget_retains_the_whole_kv() {
+        // `budget + obs_window` overflows `usize`: the stored-token cap
+        // saturates, so the policy is charged the full KV like FP16 — not
+        // a panic (debug) or a wrapped zero-token cache (release).
+        let llm = LlmSpec::llama2_7b();
+        let huge = CompressionConfig::SnapKv(rkvc_kvcache::SnapKvParams {
+            budget: usize::MAX,
+            obs_window: 1,
+            kernel: 1,
+        });
+        let mem = |algo: &CompressionConfig| {
+            decode_memory_bytes(&llm, EngineKind::LmDeploy, algo, 8, 4096, 1, 4096).kv_cache
+        };
+        assert_eq!(mem(&huge), mem(&CompressionConfig::Fp16));
+        assert!(mem(&CompressionConfig::snapkv(448)) < mem(&huge));
     }
 
     #[test]

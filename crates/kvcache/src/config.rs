@@ -295,6 +295,27 @@ impl CompressionConfig {
         }
     }
 
+    /// The most tokens the policy keeps stored per sequence, or `None` when
+    /// it stores every token (FP16, the quantizers, ThinK's channel pruning,
+    /// Quest's query-time selection). The one definition the cost model and
+    /// the serving simulator size an evicting cache by; saturating, so a
+    /// decoded config with an absurd budget caps at `usize::MAX` instead of
+    /// overflowing.
+    pub fn retained_cap(&self) -> Option<usize> {
+        match *self {
+            CompressionConfig::H2O(p) => Some(p.budget()),
+            CompressionConfig::Streaming(p) => Some(p.budget()),
+            CompressionConfig::SnapKv(p) => Some(p.budget.saturating_add(p.obs_window)),
+            CompressionConfig::Tova(p) => Some(p.budget),
+            CompressionConfig::PyramidKv(p) => Some(p.mean_budget().saturating_add(p.obs_window)),
+            CompressionConfig::Fp16
+            | CompressionConfig::Kivi(_)
+            | CompressionConfig::Gear(_)
+            | CompressionConfig::Think(_)
+            | CompressionConfig::Quest(_) => None,
+        }
+    }
+
     /// The policy's family (quantization vs sparsity vs none).
     pub fn family(&self) -> CompressionFamily {
         match self {
@@ -413,6 +434,30 @@ impl rkvc_tensor::json::FromJson for CompressionConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retained_cap_is_the_stored_token_budget_and_saturates() {
+        assert_eq!(CompressionConfig::h2o(64, 448).retained_cap(), Some(512));
+        assert_eq!(CompressionConfig::streaming(64, 448).retained_cap(), Some(512));
+        assert_eq!(CompressionConfig::tova(256).retained_cap(), Some(256));
+        let snap = SnapKvParams { budget: 448, obs_window: 32, kernel: 5 };
+        assert_eq!(CompressionConfig::SnapKv(snap).retained_cap(), Some(480));
+        let pyramid = PyramidKvParams { first_layer_budget: 96, last_layer_budget: 32, obs_window: 8 };
+        assert_eq!(CompressionConfig::PyramidKv(pyramid).retained_cap(), Some(72));
+        for keeps_all in [
+            CompressionConfig::Fp16,
+            CompressionConfig::kivi(4),
+            CompressionConfig::gear(4),
+            CompressionConfig::think(0.5),
+            CompressionConfig::quest(16, 8),
+        ] {
+            assert_eq!(keeps_all.retained_cap(), None, "{keeps_all}");
+        }
+        let huge = SnapKvParams { budget: usize::MAX, ..snap };
+        assert_eq!(CompressionConfig::SnapKv(huge).retained_cap(), Some(usize::MAX));
+        let huge = PyramidKvParams { first_layer_budget: usize::MAX, last_layer_budget: usize::MAX, ..pyramid };
+        assert_eq!(CompressionConfig::PyramidKv(huge).retained_cap(), Some(usize::MAX));
+    }
 
     #[test]
     fn labels_match_paper() {

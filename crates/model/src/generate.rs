@@ -38,7 +38,6 @@ impl GenerateParams {
 
 /// The outcome of a generation run.
 #[derive(Debug, Clone, PartialEq)]
-// rkvc-allow(C001): return type of TinyLm::generate; consumers bind outputs without naming the type
 pub struct GenerationOutput {
     /// Emitted tokens, excluding the terminating EOS symbol.
     pub tokens: Vec<TokenId>,

@@ -5,7 +5,7 @@
 //! the routing decision as the engine's dispatch closure, and leaves all
 //! admission/decode/preemption mechanics to [`ServerSim`].
 
-use crate::request::first_unsorted_arrival;
+use crate::request::{check_arrivals, ArrivalFault};
 use crate::{CompletedRequest, Engine, ServerSim, SimRequest};
 
 /// Routing policies from Table 8.
@@ -86,6 +86,13 @@ impl RoutePredictor for OraclePredictor {
 pub enum ClusterError {
     /// A cluster needs at least one server.
     EmptyCluster,
+    /// A request's arrival time is NaN or infinite.
+    NonFiniteArrival {
+        /// Index of the offending request.
+        index: usize,
+        /// Its arrival time.
+        arrival_s: f64,
+    },
     /// The arrival stream is not sorted by arrival time.
     UnsortedArrivals {
         /// Index of the out-of-order request.
@@ -97,10 +104,27 @@ pub enum ClusterError {
     },
 }
 
+impl From<ArrivalFault> for ClusterError {
+    fn from(fault: ArrivalFault) -> Self {
+        match fault {
+            ArrivalFault::NonFinite { index, arrival_s } => {
+                ClusterError::NonFiniteArrival { index, arrival_s }
+            }
+            ArrivalFault::Unsorted { index, arrival_s, prev_s } => {
+                ClusterError::UnsortedArrivals { index, arrival_s, prev_s }
+            }
+        }
+    }
+}
+
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ClusterError::EmptyCluster => write!(f, "cluster needs at least one server"),
+            ClusterError::NonFiniteArrival { index, arrival_s } => write!(
+                f,
+                "arrival times must be finite: request #{index} arrives at {arrival_s}s"
+            ),
             ClusterError::UnsortedArrivals {
                 index,
                 arrival_s,
@@ -196,20 +220,15 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::UnsortedArrivals`] if `requests` is not sorted by
-    /// arrival time.
+    /// [`ClusterError::NonFiniteArrival`] if an arrival time is NaN or
+    /// infinite, [`ClusterError::UnsortedArrivals`] if `requests` is not
+    /// sorted by arrival time.
     pub fn run(
         self,
         requests: Vec<SimRequest>,
         predictor: &dyn RoutePredictor,
     ) -> Result<Vec<CompletedRequest>, ClusterError> {
-        if let Some((index, arrival_s, prev_s)) = first_unsorted_arrival(&requests) {
-            return Err(ClusterError::UnsortedArrivals {
-                index,
-                arrival_s,
-                prev_s,
-            });
-        }
+        check_arrivals(&requests)?;
         let policy = self.policy;
         Ok(Engine::new(self.servers).run(
             requests,

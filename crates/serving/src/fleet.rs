@@ -41,7 +41,7 @@ use rkvc_kvcache::CompressionConfig;
 use rkvc_tensor::par::par_chunks_mut;
 
 use crate::scaling::{AutoscaleConfig, Autoscaler, FleetTelemetry, ScaleAction};
-use crate::request::first_unsorted_arrival;
+use crate::request::{check_arrivals, ArrivalFault};
 use crate::shard::{shard_key, ShardPolicy};
 use crate::{
     CompletedRequest, ConfigError, ServerSim, ServingConfig, ServingMetrics, SimRequest,
@@ -128,6 +128,13 @@ pub enum FleetError {
     /// The initial replica count must sit inside the autoscaler's
     /// `[min_replicas, max_replicas]` band.
     ReplicasOutsideScaleBounds,
+    /// A request's arrival time is NaN or infinite.
+    NonFiniteArrival {
+        /// Index of the offending request.
+        index: usize,
+        /// Its arrival time.
+        arrival_s: f64,
+    },
     /// The arrival stream is not sorted by arrival time.
     UnsortedArrivals {
         /// Index of the out-of-order request.
@@ -137,6 +144,19 @@ pub enum FleetError {
         /// The preceding request's arrival time.
         prev_s: f64,
     },
+}
+
+impl From<ArrivalFault> for FleetError {
+    fn from(fault: ArrivalFault) -> Self {
+        match fault {
+            ArrivalFault::NonFinite { index, arrival_s } => {
+                FleetError::NonFiniteArrival { index, arrival_s }
+            }
+            ArrivalFault::Unsorted { index, arrival_s, prev_s } => {
+                FleetError::UnsortedArrivals { index, arrival_s, prev_s }
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for FleetError {
@@ -151,6 +171,10 @@ impl std::fmt::Display for FleetError {
             FleetError::ReplicasOutsideScaleBounds => write!(
                 f,
                 "initial replicas must lie within the autoscaler's min/max band"
+            ),
+            FleetError::NonFiniteArrival { index, arrival_s } => write!(
+                f,
+                "arrival times must be finite: request #{index} arrives at {arrival_s}s"
             ),
             FleetError::UnsortedArrivals {
                 index,
@@ -273,15 +297,11 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnsortedArrivals`] if the stream is out of order.
+    /// [`FleetError::NonFiniteArrival`] if an arrival time is NaN or
+    /// infinite, [`FleetError::UnsortedArrivals`] if the stream is out of
+    /// order.
     pub fn run(mut self, requests: Vec<SimRequest>) -> Result<FleetOutcome, FleetError> {
-        if let Some((index, arrival_s, prev_s)) = first_unsorted_arrival(&requests) {
-            return Err(FleetError::UnsortedArrivals {
-                index,
-                arrival_s,
-                prev_s,
-            });
-        }
+        check_arrivals(&requests)?;
 
         let epoch_s = self.cfg.epoch_s;
         let mut pending = requests.into_iter().peekable();
@@ -298,9 +318,7 @@ impl Fleet {
             // global arrival order (round robin rotates on the running
             // dispatch count; jump hashing reads only the key).
             let dispatched_before = dispatched;
-            // (`!(>=)`, not `<`: a NaN arrival dispatches instead of wedging
-            // the epoch loop behind it.)
-            while let Some(req) = pending.next_if(|r| !(r.arrival_s >= epoch_end)) {
+            while let Some(req) = pending.next_if(|r| r.arrival_s < epoch_end) {
                 let n = self.active.len();
                 let slot = self.cfg.sharding.slot(dispatched, shard_key(&req), n);
                 // In range by construction; the clamp keeps indexing total.

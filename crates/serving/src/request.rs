@@ -110,14 +110,35 @@ impl SimRequest {
     }
 }
 
-/// The first request that arrives before its predecessor, as `(index,
-/// arrival_s, prev_s)` — the cluster and fleet drivers both require an
-/// arrival-sorted stream and report this through their own error types.
-pub(crate) fn first_unsorted_arrival(requests: &[SimRequest]) -> Option<(usize, f64, f64)> {
-    let i = requests
-        .windows(2)
-        .position(|w| w[1].arrival_s < w[0].arrival_s)?;
-    Some((i + 1, requests[i + 1].arrival_s, requests[i].arrival_s))
+/// Why [`check_arrivals`] rejected a stream; the cluster and fleet drivers
+/// both require finite, arrival-sorted streams and report a violation
+/// through their own error types.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ArrivalFault {
+    /// `arrival_s` at `index` is NaN or infinite.
+    NonFinite { index: usize, arrival_s: f64 },
+    /// The request at `index` arrives before its predecessor (`prev_s`).
+    Unsorted { index: usize, arrival_s: f64, prev_s: f64 },
+}
+
+/// Checks that every arrival time is finite and the stream is sorted by
+/// arrival. Finiteness is checked first, over the whole stream: a NaN
+/// compares as neither earlier nor later, so it would pass the sortedness
+/// scan and surface later as NaN latencies, and an infinite arrival would
+/// keep the fleet's epoch loop stepping toward it forever.
+pub(crate) fn check_arrivals(requests: &[SimRequest]) -> Result<(), ArrivalFault> {
+    if let Some(index) = requests.iter().position(|r| !r.arrival_s.is_finite()) {
+        let arrival_s = requests[index].arrival_s;
+        return Err(ArrivalFault::NonFinite { index, arrival_s });
+    }
+    match requests.windows(2).position(|w| w[1].arrival_s < w[0].arrival_s) {
+        Some(i) => Err(ArrivalFault::Unsorted {
+            index: i + 1,
+            arrival_s: requests[i + 1].arrival_s,
+            prev_s: requests[i].arrival_s,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// A finished request with its measured latencies.
@@ -209,6 +230,61 @@ mod tests {
         assert!((c.tbot_s() - 0.1).abs() < 1e-12);
         let single = CompletedRequest { generated: 1, ..c };
         assert_eq!(single.tbot_s(), 0.0);
+    }
+
+    /// A NaN or infinite arrival used to pass both drivers' sortedness scan:
+    /// the cluster returned NaN latencies that panicked in the metrics, the
+    /// fleet panicked in its telemetry, and `+inf` kept the fleet's epoch
+    /// loop running forever. Every position is a typed error from both.
+    #[test]
+    fn non_finite_arrivals_are_a_typed_error_from_both_drivers() {
+        use crate::{
+            Cluster, ClusterError, Fleet, FleetConfig, FleetError, OraclePredictor, RoutingPolicy,
+            ServerSim,
+        };
+        use rkvc_gpu::{DeploymentSpec, EngineKind, GpuSpec, LlmSpec};
+        use rkvc_kvcache::CompressionConfig;
+
+        let dep = DeploymentSpec {
+            gpu: GpuSpec::a6000(),
+            llm: LlmSpec::llama2_7b(),
+            engine: EngineKind::LmDeploy,
+            tensor_parallel: 1,
+        };
+        // (stream length, index of the bad arrival, its value).
+        let cases = [
+            (3, 0, f64::NAN),
+            (3, 1, f64::NAN),
+            (3, 2, f64::NAN),
+            (1, 0, f64::NAN),
+            (3, 2, f64::INFINITY),
+            (1, 0, f64::INFINITY),
+            (3, 0, f64::NEG_INFINITY),
+        ];
+        for (len, bad, value) in cases {
+            let mut stream: Vec<SimRequest> =
+                (0..len).map(|i| SimRequest::new(i as u64, i as f64 * 0.1, 64, 8)).collect();
+            stream[bad].arrival_s = value;
+            let same = |index: usize, arrival_s: f64| {
+                index == bad && arrival_s.to_bits() == value.to_bits()
+            };
+
+            let server = ServerSim::new(0, dep.clone(), CompressionConfig::Fp16, 8);
+            let cluster = Cluster::new(vec![server], RoutingPolicy::LoadBalance).unwrap();
+            match cluster.run(stream.clone(), &OraclePredictor) {
+                Err(ClusterError::NonFiniteArrival { index, arrival_s })
+                    if same(index, arrival_s) => {}
+                other => panic!("cluster, {value} at {bad} of {len}: {other:?}"),
+            }
+
+            let fleet =
+                Fleet::new(dep.clone(), CompressionConfig::Fp16, FleetConfig::default()).unwrap();
+            match fleet.run(stream) {
+                Err(FleetError::NonFiniteArrival { index, arrival_s })
+                    if same(index, arrival_s) => {}
+                other => panic!("fleet, {value} at {bad} of {len}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -594,14 +594,7 @@ impl ServerSim {
     /// Tokens the policy actually retains for a sequence at logical KV
     /// length `n` (eviction policies cap it).
     fn retained(&self, n: usize) -> usize {
-        match self.algo {
-            CompressionConfig::H2O(p) => n.min(p.budget()),
-            CompressionConfig::Streaming(p) => n.min(p.budget()),
-            CompressionConfig::SnapKv(p) => n.min(p.budget + p.obs_window),
-            CompressionConfig::Tova(p) => n.min(p.budget),
-            CompressionConfig::PyramidKv(p) => n.min(p.mean_budget() + p.obs_window),
-            _ => n,
-        }
+        self.algo.retained_cap().map_or(n, |cap| n.min(cap))
     }
 
     /// Evicts `running[victim]` back to the head of the queue. With a
@@ -1038,6 +1031,15 @@ mod tests {
         let fp16 = mk(CompressionConfig::Fp16);
         let stream = mk(CompressionConfig::streaming(64, 448));
         assert!(stream > fp16, "stream {stream} vs fp16 {fp16}");
+        // A budget whose `budget + obs_window` overflows must saturate to
+        // "keeps everything" — it used to panic in debug builds and wrap to
+        // a zero-token cap (every sequence admitted for free) in release.
+        let unbounded = mk(CompressionConfig::SnapKv(rkvc_kvcache::SnapKvParams {
+            budget: usize::MAX,
+            obs_window: 1,
+            kernel: 1,
+        }));
+        assert_eq!(unbounded, fp16);
     }
 
     #[test]

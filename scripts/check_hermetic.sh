@@ -43,26 +43,14 @@
 #      at the dev profile's opt-level, and "the streaming kernels, the
 #      chunk tile and the naive loops over `view_uncached` give the same
 #      bits" is a statement about the vectorised code.
-#   4. thread-count invariance — `repro` regenerates fig1, table6,
-#      table8 (the serving-engine cluster experiment), ext_scheduler
-#      (the only experiment that runs the youngest-victim preemption
-#      rule through the cluster heap), ext_prefix
-#      (the prefix-shared, tiered block-manager experiment), ext_slo
-#      (the multi-turn session / SLO-aware scheduling sweep),
-#      ext_fleet (the sharded, autoscaled replica-fleet sweep, whose
-#      replicas simulate in parallel), appendix_c (the longest
-#      consumer of the query-blocked prefill / zero-copy attend path),
-#      ext_granularity (the only quick experiment that prefills
-#      through SnapKV, ThinK and PyramidKV, the policies that must run
-#      the last layer's unread queries), and ext_quest (the only
-#      experiment that runs TOVA and Quest: per-query eviction and
-#      `view_for_query` selection through the one DenseCache)
-#      with RKVC_THREADS=1 and RKVC_THREADS=4, plus fig1, table6,
-#      ext_prefix, ext_slo, ext_fleet, appendix_c, and ext_granularity at
-#      RKVC_THREADS=3 (an odd pool width, catching chunk-decomposition
-#      bugs that powers of two hide); the emitted JSON must be
-#      byte-identical, proving experiment output is a pure function of
-#      the inputs and never of the worker-pool width.
+#   4. thread-count invariance — `repro --exp all --scale quick` runs
+#      three times, at RKVC_THREADS=1, 3 and 4, and the three output
+#      directories (27 JSON files + 8 SVGs) must be byte-identical:
+#      experiment output is a pure function of the inputs, never of the
+#      worker-pool width. Every experiment is covered, so one that newly
+#      fans over the pool needs no entry here; the odd width 3 never
+#      divides the power-of-two-shaped fan-outs evenly, which surfaces
+#      the uneven trailing chunks that widths 1/2/4 mask.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -116,36 +104,14 @@ cargo test -q --release --offline -p rkvc-tensor --test packed_gemm
 cargo test -q --release --offline -p rkvc-kvcache --test fused_attention --test extend_attend
 
 echo "== gate 4: thread-count invariance (RKVC_THREADS=1 vs 3 vs 4) =="
-tmp1=$(mktemp -d)
-tmp3=$(mktemp -d)
-tmp4=$(mktemp -d)
-trap 'rm -rf "$tmp1" "$tmp3" "$tmp4"' EXIT
-for exp in fig1 table6 table8 ext_scheduler ext_prefix ext_slo ext_fleet appendix_c ext_granularity ext_quest; do
-    RKVC_THREADS=1 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
-        --exp "$exp" --scale quick --out "$tmp1"
-    RKVC_THREADS=4 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
-        --exp "$exp" --scale quick --out "$tmp4"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for t in 1 3 4; do
+    RKVC_THREADS=$t cargo run --release --offline -q -p rkvc-bench --bin repro -- \
+        --exp all --scale quick --out "$tmp/t$t" > /dev/null
 done
-# Odd pool width: 3 never divides the power-of-two-shaped fan-outs
-# evenly, so uneven trailing chunks and worker/caller chunk races that
-# widths 1/2/4 mask would surface here. ext_prefix joins fig1 because
-# the sharing/tiering engine path is the newest dispatch surface,
-# table6 because its decode loop rides the fused dequant-attention
-# kernels and the register-tiled microkernel, ext_slo because the
-# session follow-up injection and SLO-aware admission are the newest
-# event-loop surfaces, and ext_fleet because its epoch-barrier replica
-# fan-out is the one place par_chunks_mut runs whole simulators in
-# parallel — the exact surface an odd width would shear —
-# appendix_c because its generation loops spend the longest in the
-# per-KV-head units that run the query-blocked prefill, and
-# ext_granularity because its policies take the per-token side of that
-# prefill, whose last-layer grain is sized for the one query read.
-for exp in fig1 table6 ext_prefix ext_slo ext_fleet appendix_c ext_granularity; do
-    RKVC_THREADS=3 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
-        --exp "$exp" --scale quick --out "$tmp3"
-    diff "$tmp1/$exp.json" "$tmp3/$exp.json"
-done
-diff -r "$tmp1" "$tmp4"
-echo "ok: fig1 + table6 + table8 + ext_scheduler + ext_prefix + ext_slo + ext_fleet + appendix_c + ext_granularity + ext_quest JSON byte-identical across worker-pool widths (incl. odd width 3)"
+diff -r "$tmp/t1" "$tmp/t3"
+diff -r "$tmp/t1" "$tmp/t4"
+echo "ok: all $(ls "$tmp/t1" | wc -l) quick-scale outputs byte-identical across worker-pool widths (incl. odd width 3)"
 
 echo "hermetic check passed"

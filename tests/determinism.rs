@@ -54,19 +54,19 @@ fn fig1_table6_and_ext_slo_are_thread_count_invariant() {
     // `ext_slo` joins fig1/table6 because the session engine's follow-up
     // injection and SLO-aware admission are the newest event-loop paths —
     // a multi-turn SLO-aware run must be a pure function of the seed.
+    // `table4` and `ext_task_router` were serial loops before they moved
+    // onto the shared sample-loop drivers; their reductions now read
+    // outputs the pool produced.
     let opts = RunOptions::quick();
+    let ids = ["fig1", "table6", "ext_slo", "table4", "ext_task_router"];
+    let run = |id: &str| to_string_pretty(&run_by_id(id, &opts).expect("listed id exists"));
     rkvc_tensor::par::set_threads(Some(1));
-    let fig1_base = to_string_pretty(&run_by_id("fig1", &opts).expect("fig1 exists"));
-    let table6_base = to_string_pretty(&run_by_id("table6", &opts).expect("table6 exists"));
-    let ext_slo_base = to_string_pretty(&run_by_id("ext_slo", &opts).expect("ext_slo exists"));
+    let base: Vec<String> = ids.iter().map(|id| run(id)).collect();
     for t in [2usize, 4] {
         rkvc_tensor::par::set_threads(Some(t));
-        let fig1 = to_string_pretty(&run_by_id("fig1", &opts).expect("fig1 exists"));
-        assert_eq!(fig1_base, fig1, "fig1 JSON drifted at RKVC_THREADS={t}");
-        let table6 = to_string_pretty(&run_by_id("table6", &opts).expect("table6 exists"));
-        assert_eq!(table6_base, table6, "table6 JSON drifted at RKVC_THREADS={t}");
-        let ext_slo = to_string_pretty(&run_by_id("ext_slo", &opts).expect("ext_slo exists"));
-        assert_eq!(ext_slo_base, ext_slo, "ext_slo JSON drifted at RKVC_THREADS={t}");
+        for (id, base) in ids.iter().zip(&base) {
+            assert_eq!(*base, run(id), "{id} JSON drifted at RKVC_THREADS={t}");
+        }
     }
     rkvc_tensor::par::set_threads(None);
 }
