@@ -88,12 +88,12 @@ pub(crate) fn source_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Per-crate integration-test and bench directories
-/// (`crates/*/tests/**`, `crates/*/benches/**`). These are *consumers*
-/// for the C001 use-graph — each is a separate cargo crate linking
-/// against the built library — but not lint targets (tests may contain
-/// planted fixtures; benches are covered by D001's bench exemption
-/// anyway).
+/// Per-crate integration tests (`crates/*/tests/**`) and the repo
+/// benchmark (`benchmark/src/**`, `benchmark/tests/**`). These are
+/// *consumers* for the C001 use-graph — each is a separate cargo crate
+/// linking against the built libraries — but not lint targets: tests may
+/// contain planted fixtures, and `benchmark/` is its own workspace whose
+/// whole job is reading the wall clock.
 fn reference_files(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
@@ -101,9 +101,10 @@ fn reference_files(root: &Path) -> Vec<PathBuf> {
         crates.sort();
         for c in crates {
             collect_rs(&c.join("tests"), &mut files);
-            collect_rs(&c.join("benches"), &mut files);
         }
     }
+    collect_rs(&root.join("benchmark/src"), &mut files);
+    collect_rs(&root.join("benchmark/tests"), &mut files);
     files
 }
 
@@ -156,7 +157,7 @@ pub fn scan_workspace(root: &Path) -> Result<Report, String> {
         par::par_map(&inputs, grain, |(rel, text)| lints::analyze_source(rel, text));
 
     // Cross-file pass: the C001 use-graph, with per-crate `tests/`
-    // directories joined in as reference-only consumers.
+    // directories and `benchmark/` joined in as reference-only consumers.
     let mut reference_idents: Vec<(String, BTreeSet<String>)> = Vec::new();
     for path in reference_files(root) {
         let text = std::fs::read_to_string(&path)

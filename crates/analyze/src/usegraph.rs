@@ -35,10 +35,10 @@ struct CrateRefs {
 ///
 /// `analyses` are the lint-scanned source files; `reference_idents` is
 /// the identifier corpus from files that are consumers but not lint
-/// targets (per-crate `tests/` directories), each tagged with the crate
-/// it exercises. Returned violations already have the defining file's
-/// suppressions applied and carry excerpts from `excerpts` (path →
-/// source text).
+/// targets (per-crate `tests/` directories and `benchmark/`), each
+/// tagged with the crate it exercises. Returned violations already have
+/// the defining file's suppressions applied and carry excerpts from
+/// `excerpts` (path → source text).
 pub fn dead_exports(
     analyses: &[FileAnalysis],
     reference_idents: &[(String, BTreeSet<String>)],

@@ -177,3 +177,53 @@ fn bin_targets_are_external_consumers_of_their_library() {
         vec![(def_path.to_owned(), defs.to_owned())].into_iter().collect();
     assert!(dead_exports(&analyses, &[], &excerpts).is_empty());
 }
+
+/// C001 findings (export names) of `scan_workspace` over a one-crate
+/// workspace on disk whose library exports `planted_kept_xyz` and
+/// `planted_dead_xyz`, plus one outside file at `consumer_path` calling
+/// the former — the reference corpus is chosen by directory, so only a
+/// real tree exercises it.
+fn c001_with_outside_consumer(tag: &str, consumer_path: &str) -> Vec<String> {
+    let root = std::env::temp_dir().join(format!("rkvc-analyze-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        let dir = path.parent().expect("rel has a parent");
+        std::fs::create_dir_all(dir).expect("temp dir is writable");
+        std::fs::write(path, text).expect("temp dir is writable");
+    };
+    write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+    write("crates/kvcache/Cargo.toml", "[package]\nname = \"rkvc-kvcache\"\n");
+    write(
+        "crates/kvcache/src/lib.rs",
+        "pub fn planted_kept_xyz() {}\npub fn planted_dead_xyz() {}\n",
+    );
+    write(consumer_path, "fn main() { rkvc_kvcache::planted_kept_xyz(); }\n");
+    let report = rkvc_analyze::scan_workspace(&root).expect("planted workspace scans");
+    let _ = std::fs::remove_dir_all(&root);
+    report
+        .violations
+        .iter()
+        .filter(|v| v.lint == "C001")
+        .map(|v| v.excerpt.clone())
+        .collect()
+}
+
+#[test]
+fn benchmark_sources_keep_an_export_alive() {
+    // `benchmark/` is its own workspace, outside `crates/`, and the real
+    // consumer of several probes; the corpus must see it.
+    let dead = c001_with_outside_consumer("benchmark", "benchmark/src/probes.rs");
+    assert_eq!(dead, vec!["pub fn planted_dead_xyz() {}"]);
+}
+
+#[test]
+fn a_crates_benches_directory_is_not_a_consumer() {
+    // No crate has a `benches/` directory any more; one that reappears
+    // must not silently keep exports alive.
+    let dead = c001_with_outside_consumer("benches", "crates/kvcache/benches/old.rs");
+    assert_eq!(
+        dead,
+        vec!["pub fn planted_kept_xyz() {}", "pub fn planted_dead_xyz() {}"]
+    );
+}

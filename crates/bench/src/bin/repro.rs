@@ -9,9 +9,12 @@
 //! copy under the output directory.
 
 use rkvc_core::experiments::{experiment_ids, run_by_id, RunOptions, Scale};
-use rkvc_serving::SchedulerConfig;
 use rkvc_core::figures::render_all;
 use rkvc_core::report::save_json;
+use rkvc_serving::SchedulerConfig;
+
+/// The default directory `repro` writes JSON and SVG into.
+const RESULTS_DIR: &str = "results";
 
 fn usage() -> ! {
     eprintln!(
@@ -28,7 +31,7 @@ fn main() {
     let mut exp = "all".to_owned();
     let mut scale = Scale::Paper;
     let mut scheduler = SchedulerConfig::Fcfs;
-    let mut out = rkvc_bench::RESULTS_DIR.to_owned();
+    let mut out = RESULTS_DIR.to_owned();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -67,6 +70,9 @@ fn main() {
         seed: 0x5EED,
         scheduler,
     };
+    // A run that could not write an output must not read as a success:
+    // gate 5 of check_hermetic.sh diffs this directory.
+    let mut write_failed = false;
     if exp == "figures" || exp == "all" {
         let dir = std::path::Path::new(&out);
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -77,18 +83,18 @@ fn main() {
             let path = dir.join(&name);
             match std::fs::write(&path, svg) {
                 Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("warning: could not write {name}: {e}"),
+                Err(e) => {
+                    eprintln!("error: could not write {}: {e}", path.display());
+                    write_failed = true;
+                }
             }
-        }
-        if exp == "figures" {
-            return;
         }
     }
 
-    let ids: Vec<&str> = if exp == "all" {
-        experiment_ids()
-    } else {
-        vec![Box::leak(exp.clone().into_boxed_str())]
+    let ids: Vec<&str> = match exp.as_str() {
+        "all" => experiment_ids(),
+        "figures" => Vec::new(),
+        id => vec![id],
     };
 
     for id in ids {
@@ -102,7 +108,8 @@ fn main() {
                     started.elapsed().as_secs_f64()
                 );
                 if let Err(e) = save_json(&out, id, &result) {
-                    eprintln!("warning: could not save {out}/{id}.json: {e}");
+                    eprintln!("error: could not save {out}/{id}.json: {e}");
+                    write_failed = true;
                 }
             }
             None => {
@@ -110,5 +117,8 @@ fn main() {
                 usage();
             }
         }
+    }
+    if write_failed {
+        std::process::exit(1);
     }
 }

@@ -33,7 +33,7 @@ use super::{ExperimentResult, RunOptions};
 use crate::report::Table;
 
 /// Fleet width for the fixed-size sweeps.
-pub const REPLICAS: usize = 16;
+const REPLICAS: usize = 16;
 
 /// Per-replica pinned KV pool (tokens), matching `ext_prefix`'s server.
 const POOL_TOKENS: usize = 8192;
@@ -122,7 +122,7 @@ pub fn serve_fleet(
 /// server given the whole fleet's resources (pool and batch width x16),
 /// so its dedup ratio is what sharding must preserve — every prefix group
 /// is resident exactly once.
-pub fn serve_single_reference(requests: Vec<SimRequest>) -> FleetOutcome {
+fn serve_single_reference(requests: Vec<SimRequest>) -> FleetOutcome {
     let cfg = FleetConfig {
         replicas: 1,
         sharding: ShardPolicy::ConsistentHash,

@@ -44,15 +44,13 @@ const MAX_BATCH: usize = 12;
 
 /// One variant's outcome: latency summaries plus pool-level counters.
 #[derive(Debug, Clone)]
-pub struct PrefixOutcome {
+pub(crate) struct PrefixOutcome {
     /// Completion-stream summaries.
     pub metrics: ServingMetrics,
     /// Peak concurrent running batch — effective capacity at this pool.
     pub peak_batch: usize,
     /// Logical-over-physical block registration ratio (1.0 = no sharing).
     pub dedup_ratio: f64,
-    /// Copy-on-write block copies.
-    pub cow_copies: u64,
     /// Blocks demoted to / refilled from the host tier.
     pub demoted_blocks: u64,
     /// Blocks refilled from the host tier.
@@ -62,7 +60,7 @@ pub struct PrefixOutcome {
 }
 
 /// The experiment's workload at the run scale (deterministic per seed).
-pub fn prefix_workload(opts: &RunOptions) -> Vec<PrefixRequest> {
+pub(crate) fn prefix_workload(opts: &RunOptions) -> Vec<PrefixRequest> {
     let n = opts.pick(48, 600);
     sample_shared_prefix(&SharedPrefixConfig::assistants(n, opts.seed ^ 0x11))
 }
@@ -70,7 +68,7 @@ pub fn prefix_workload(opts: &RunOptions) -> Vec<PrefixRequest> {
 /// Serves the workload on one pinned-pool A6000 server with the given
 /// block-manager configuration (preemptive scheduling throughout — the
 /// regime where the tier matters).
-pub fn serve_prefix_workload(
+pub(crate) fn serve_prefix_workload(
     reqs: &[PrefixRequest],
     prefix_sharing: bool,
     tier: Option<TierConfig>,
@@ -109,7 +107,6 @@ pub fn serve_prefix_workload(
     PrefixOutcome {
         peak_batch,
         dedup_ratio: stats.dedup_ratio(),
-        cow_copies: stats.cow_copies,
         demoted_blocks: stats.demoted_blocks,
         refilled_blocks: stats.refilled_blocks,
         preempt_rate,

@@ -39,6 +39,7 @@ const MAX_BATCH: usize = 12;
 
 /// One (scheduler, SLO policy) cell's outcome.
 #[derive(Debug, Clone)]
+// rkvc-allow(C001): return type of serve_sessions; benchmark/ binds outcomes without naming the type
 pub struct SloOutcome {
     /// Per-class attainment, goodput, throughput.
     pub slo: SloMetrics,

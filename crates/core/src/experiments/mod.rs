@@ -123,50 +123,52 @@ impl std::fmt::Display for ExperimentResult {
     }
 }
 
+/// One registry row: an experiment id and its driver.
+type Experiment = (&'static str, fn(&RunOptions) -> ExperimentResult);
+
+/// The experiment registry: every id with its driver, in paper order.
+/// [`experiment_ids`] and [`run_by_id`] are the two reads of it.
+const EXPERIMENTS: [Experiment; 27] = [
+    ("fig1", fig1::run),
+    ("fig2", fig2::run),
+    ("fig3", fig3::run),
+    ("table3", table3::run),
+    ("table4", table4::run),
+    ("table5", table5::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("table6", table6::run),
+    ("table7", table7::run),
+    ("table8", table8::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11_14", fig11_14::run),
+    ("appendix_c", appendix_c::run),
+    ("appendix_d", appendix_d::run),
+    ("ext_quest", ext_quest::run),
+    ("ext_task_router", ext_task_router::run),
+    ("ext_granularity", ext_granularity::run),
+    ("ext_scheduler", ext_scheduler::run),
+    ("ext_prefix", ext_prefix::run),
+    ("ext_slo", ext_slo::run),
+    ("ext_fleet", ext_fleet::run),
+    ("table1_2", table1_2::run),
+];
+
 /// All experiment ids in paper order.
 pub fn experiment_ids() -> Vec<&'static str> {
-    vec![
-        "fig1", "fig2", "fig3", "table3", "table4", "table5", "fig4", "fig5", "fig6", "fig7",
-        "table6", "table7", "table8", "fig8", "fig9", "fig10", "fig11_14", "appendix_c",
-        "appendix_d", "ext_quest", "ext_task_router", "ext_granularity", "ext_scheduler",
-        "ext_prefix", "ext_slo", "ext_fleet", "table1_2",
-    ]
+    EXPERIMENTS.iter().map(|&(id, _)| id).collect()
 }
 
 /// Runs an experiment by id.
 ///
 /// Returns `None` for an unknown id.
 pub fn run_by_id(id: &str, opts: &RunOptions) -> Option<ExperimentResult> {
-    Some(match id {
-        "fig1" => fig1::run(opts),
-        "fig2" => fig2::run(opts),
-        "fig3" => fig3::run(opts),
-        "table3" => table3::run(opts),
-        "table4" => table4::run(opts),
-        "table5" => table5::run(opts),
-        "fig4" => fig4::run(opts),
-        "fig5" => fig5::run(opts),
-        "fig6" => fig6::run(opts),
-        "fig7" => fig7::run(opts),
-        "table6" => table6::run(opts),
-        "table7" => table7::run(opts),
-        "table8" => table8::run(opts),
-        "fig8" => fig8::run(opts),
-        "fig9" => fig9::run(opts),
-        "fig10" => fig10::run(opts),
-        "fig11_14" => fig11_14::run(opts),
-        "appendix_c" => appendix_c::run(opts),
-        "appendix_d" => appendix_d::run(opts),
-        "ext_quest" => ext_quest::run(opts),
-        "ext_task_router" => ext_task_router::run(opts),
-        "ext_granularity" => ext_granularity::run(opts),
-        "ext_scheduler" => ext_scheduler::run(opts),
-        "ext_prefix" => ext_prefix::run(opts),
-        "ext_slo" => ext_slo::run(opts),
-        "ext_fleet" => ext_fleet::run(opts),
-        "table1_2" => table1_2::run(opts),
-        _ => return None,
-    })
+    let &(_, run) = EXPERIMENTS.iter().find(|(known, _)| *known == id)?;
+    Some(run(opts))
 }
 
 rkvc_tensor::json_unit_enum!(Scale { Quick, Paper });

@@ -8,7 +8,7 @@
 //!
 //! The workload builders (conversation stream, length-shift synthesis, the
 //! fitted router) live in [`super::workloads`] so scheduler ablations and
-//! benches can replay the same stream.
+//! `benchmark/`'s `sim_cluster` workload can replay the same stream.
 
 use rkvc_gpu::LlmSpec;
 use rkvc_kvcache::CompressionConfig;

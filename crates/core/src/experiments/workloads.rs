@@ -1,10 +1,11 @@
-//! Shared serving workloads reused across experiments and benches.
+//! Shared serving workloads reused across experiments and `benchmark/`.
 //!
 //! A Table 8 column (request stream with per-server lengths, fitted
 //! length and throughput predictors, router) is built by
 //! `column_workload` and nowhere else: [`super::table8`] serves all four
 //! columns, while the scheduler ablations ([`super::ext_scheduler`]) and
-//! the serving benches replay the H2O one through [`cluster_workload`].
+//! `benchmark/`'s `sim_cluster` replay the H2O one through
+//! [`cluster_workload`].
 
 use rkvc_gpu::DeploymentSpec;
 use rkvc_kvcache::CompressionConfig;
@@ -107,7 +108,7 @@ pub(crate) fn build_requests(
 /// One Table 8 column: the deployment, the compression config for servers
 /// 1..4, the request stream with per-server response lengths, and a fitted
 /// length+throughput router. Table 8 serves every column; scheduler
-/// experiments and benches replay the H2O one ([`cluster_workload`]).
+/// experiments and `benchmark/` replay the H2O one ([`cluster_workload`]).
 pub struct ClusterWorkload {
     /// Per-GPU deployment spec (A6000 + LMDeploy + LLaMA-7B).
     pub dep: DeploymentSpec,

@@ -411,8 +411,7 @@ impl Session<'_> {
 
     /// Reference prompt path: the seed's token-at-a-time forward loop,
     /// computing (and discarding) logits at every position. Retained as
-    /// the oracle for the batched [`Session::prefill`] and as the
-    /// baseline the `par_scaling` bench measures against.
+    /// the oracle for the batched [`Session::prefill`].
     ///
     /// # Panics
     ///

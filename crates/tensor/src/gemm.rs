@@ -230,16 +230,6 @@ fn rows_into(a: &[f32], w: &PackedMatrix, out: &mut [f32]) {
     rows_into_baseline(a, w, out);
 }
 
-/// Name of the instantiation [`Matrix::matmul_packed`] dispatches to on
-/// this host, for benchmark records.
-pub fn detected_isa() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "avx2";
-    }
-    "baseline"
-}
-
 impl Matrix {
     /// Matrix product `self * w` against a pre-packed right-hand operand,
     /// via the branch-free register-tile kernel at the host's vector

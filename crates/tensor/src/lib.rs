@@ -30,7 +30,7 @@ mod ops;
 pub mod par;
 mod rng;
 
-pub use gemm::{detected_isa, matmul_packed_baseline, PackedMatrix};
+pub use gemm::{matmul_packed_baseline, PackedMatrix};
 pub use half::{f16_bits_to_f32, f32_to_f16_bits, round_to_f16, round_slice_to_f16};
 pub use lowrank::{low_rank_approximate, LowRankFactors};
 pub use matrix::Matrix;
@@ -38,7 +38,7 @@ pub use ops::{
     argmax, rms_norm, rope_rotate, seq_sum_f32, seq_sum_f64, silu, softmax_in_place, softmax_into,
     softmax_row, softmax_slice, top_k,
 };
-pub use rng::{seeded_rng, xavier_matrix, SeededRng};
+pub use rng::{seeded_rng, SeededRng};
 
 /// Error raised by tensor operations on shape mismatches or invalid
 /// arguments.

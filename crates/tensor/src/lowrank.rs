@@ -6,7 +6,8 @@
 //! `U (m x r)` and `V (r x n)` with `U V ≈ M` minimizing Frobenius error for
 //! the chosen rank (up to iteration convergence).
 
-use crate::{seeded_rng, xavier_matrix, Matrix, TensorError};
+use crate::rng::xavier_matrix;
+use crate::{seeded_rng, Matrix, TensorError};
 
 /// A rank-`r` factorization `U * V` of a matrix.
 #[derive(Debug, Clone, PartialEq)]

@@ -350,10 +350,9 @@ impl Matrix {
     /// Matrix product via the row-streaming kernel: pool-dispatched like
     /// [`Matrix::matmul_packed`], but re-touching the full output row
     /// once per `k` instead of holding an accumulator tile in registers.
-    /// It is what [`Matrix::matmul`] runs for products too short to pack,
-    /// and the mid-tier baseline the `microkernel_matmul_*` bench groups
-    /// measure against; bit-identical to [`Matrix::matmul_naive`] for any
-    /// operands, non-finite ones included.
+    /// It is what [`Matrix::matmul`] runs for products too short to pack;
+    /// bit-identical to [`Matrix::matmul_naive`] for any operands,
+    /// non-finite ones included.
     ///
     /// # Panics
     ///
@@ -378,8 +377,7 @@ impl Matrix {
     }
 
     /// Reference scalar matmul (i-k-j loop), retained as the test oracle
-    /// for the blocked kernel and as the single-thread baseline in the
-    /// `par_scaling` bench.
+    /// for the blocked and packed kernels.
     ///
     /// # Panics
     ///
@@ -442,10 +440,9 @@ impl Matrix {
     }
 
     /// Transpose-product via the pre-microkernel kernel: one serial dot
-    /// per output element, pool-dispatched by row blocks. Retained as the
-    /// baseline for the `microkernel_matmul_*` bench groups;
-    /// bit-identical to [`Matrix::matmul_transposed`] and the naive
-    /// oracle. Its dispatch grain uses the audited
+    /// per output element, pool-dispatched by row blocks. Retained as a
+    /// second oracle (`tests/matmul_blocked.rs`); bit-identical to
+    /// [`Matrix::matmul_transposed`] and the naive oracle. Its dispatch grain uses the audited
     /// [`SCALAR_DOT_OPS_PER_MAC`] estimate — the serial dot is
     /// latency-bound, so its true per-item cost is ~3x the streaming
     /// kernels', which the previously inherited matmul constant

@@ -113,7 +113,7 @@ pub fn in_worker() -> bool {
 }
 
 /// The machine's available hardware parallelism (>= 1).
-pub fn machine_parallelism() -> usize {
+fn machine_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -543,8 +543,8 @@ where
 
 /// One empty job handoff through the persistent pool — what every
 /// dispatching `par_*` call pays on top of its real work. A no-op when
-/// the resolved thread count is 1. Exists for the `par_scaling`
-/// dispatch-overhead microbench; not part of the public contract.
+/// the resolved thread count is 1. Exists for `benchmark/`'s
+/// `tensor.pool_dispatch_ns` layer probe; not part of the public contract.
 #[doc(hidden)]
 pub fn pool_handoff_probe() {
     let threads = engaged_threads(2);
@@ -552,23 +552,6 @@ pub fn pool_handoff_probe() {
         return;
     }
     run_job(threads, &|| {});
-}
-
-/// The spawn-per-call handoff the pre-pool runtime paid: spawn and join
-/// one scoped OS thread per engaged worker, doing nothing. Retained as
-/// the dispatch-cost baseline for the `par_scaling` microbench; not part
-/// of the public contract.
-#[doc(hidden)]
-pub fn spawn_handoff_probe() {
-    let threads = engaged_threads(2);
-    if threads <= 1 {
-        return;
-    }
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {});
-        }
-    });
 }
 
 #[cfg(test)]
@@ -710,7 +693,6 @@ mod tests {
         for t in [1usize, 2, 3] {
             set_threads(Some(t));
             pool_handoff_probe();
-            spawn_handoff_probe();
         }
         set_threads(None);
     }

@@ -26,9 +26,8 @@ pub fn seeded_rng(seed: u64) -> SeededRng {
 /// Samples a `rows x cols` matrix with Xavier/Glorot-uniform entries:
 /// `U(-sqrt(6/(rows+cols)), +sqrt(6/(rows+cols)))`.
 ///
-/// Used for TinyLM's synthetic weights; the scale keeps activations and
-/// logits in a numerically healthy range across layers.
-pub fn xavier_matrix(rows: usize, cols: usize, rng: &mut SeededRng) -> Matrix {
+/// The starting basis of the low-rank factorizer's orthogonal iteration.
+pub(crate) fn xavier_matrix(rows: usize, cols: usize, rng: &mut SeededRng) -> Matrix {
     let bound = (6.0 / (rows + cols).max(1) as f32).sqrt();
     let data = (0..rows * cols)
         .map(|_| rng.gen_range(-bound..=bound))

@@ -4,7 +4,7 @@
 #
 #   ./scripts/check_hermetic.sh
 #
-# Five gates, all hard failures:
+# Six gates, all hard failures:
 #   0. `cargo run -p rkvc-analyze` — the in-repo static analyzer: no
 #      wall-clock reads outside crates/bench (D001), no HashMap/HashSet
 #      in non-test code (D002), no RNG construction outside the
@@ -24,11 +24,11 @@
 #      any unsuppressed violation.
 #   1. `cargo tree` must list only workspace packages (rkvc-* plus the
 #      root facade crate) — no external crate may sneak back in, even as
-#      a dev-dependency or bench dependency. (The independent,
-#      toolchain-level cross-check of the analyzer's H001.)
+#      a dev-dependency. (The independent, toolchain-level cross-check
+#      of the analyzer's H001.)
 #   2. `cargo build --release --offline --workspace --all-targets` with
-#      RUSTFLAGS="-D warnings" — every lib, bin, test, example, and
-#      bench compiles warning-free with the network unreachable.
+#      RUSTFLAGS="-D warnings" — every lib, bin, test and example
+#      compiles warning-free with the network unreachable.
 #   3. `cargo test -q --offline --workspace` — the full test suite
 #      passes offline — then, once and in release, rkvc-tensor's
 #      `#[ignore]`d exhaustive test: the branch-free `round_to_f16`
@@ -51,6 +51,16 @@
 #      fans over the pool needs no entry here; the odd width 3 never
 #      divides the power-of-two-shaped fan-outs evenly, which surfaces
 #      the uneven trailing chunks that widths 1/2/4 mask.
+#   5. committed results are what HEAD produces — one `repro --exp all
+#      --scale paper` at the default width (about a minute) into a
+#      scratch directory, `diff -r` against results/ with analyze.json
+#      (gate 0's own output) excluded. Paper scale, not a quick-scale
+#      golden: results/ holds the paper-scale run, and the stale file
+#      this gate was added for was a quick-scale ext_fleet.json. Gate 4
+#      already proves the width does not matter; `repro` exits non-zero
+#      if any output could not be written, so an empty directory cannot
+#      pass. After an intended change, regenerate with
+#      `cargo run --release -p rkvc-bench --bin repro` and commit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -113,5 +123,11 @@ done
 diff -r "$tmp/t1" "$tmp/t3"
 diff -r "$tmp/t1" "$tmp/t4"
 echo "ok: all $(ls "$tmp/t1" | wc -l) quick-scale outputs byte-identical across worker-pool widths (incl. odd width 3)"
+
+echo "== gate 5: results/ is what HEAD produces (repro --exp all --scale paper) =="
+cargo run --release --offline -q -p rkvc-bench --bin repro -- \
+    --exp all --scale paper --out "$tmp/paper" > /dev/null
+diff -r -x analyze.json "$tmp/paper" results
+echo "ok: all $(ls "$tmp/paper" | wc -l) committed paper-scale results byte-identical to a fresh run"
 
 echo "hermetic check passed"
