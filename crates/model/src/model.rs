@@ -1,7 +1,7 @@
 //! TinyLM forward pass and generation sessions.
 
 use rkvc_kvcache::{AttendBatch, AttendScratch, CacheStats, CompressionConfig, KvCache};
-use rkvc_tensor::{silu, Matrix};
+use rkvc_tensor::silu;
 
 use crate::vocab::TokenId;
 use crate::config::ModelConfig;
@@ -73,68 +73,13 @@ impl TinyLm {
     }
 }
 
-/// The residual add for the rows a layer carries forward: `delta`'s rows
-/// are the last `delta.rows()` rows of `x`, and come back as `x + delta`.
-fn add_to_tail_rows(x: &Matrix, mut delta: Matrix) -> Matrix {
-    debug_assert_eq!(x.cols(), delta.cols());
-    let tail = &x.as_slice()[(x.rows() - delta.rows()) * x.cols()..];
-    for (d, &xv) in delta.as_mut_slice().iter_mut().zip(tail) {
-        *d += xv;
-    }
-    delta
-}
-
 /// Estimated scalar operations one KV-head unit spends attending one
 /// query over one cached position: a multiply-add for the score dot plus
 /// a multiply-add for the value accumulation. Feeds
 /// [`rkvc_tensor::par::grain_for`], which turns it into the
 /// thread-count-invariant inline/dispatch decision for the attention
-/// fan-outs.
+/// fan-out.
 const ATTN_OPS_PER_CACHED_ELEM: usize = 4;
-
-/// Runs one KV head's work for `n_tokens` consecutive tokens: append the
-/// new K/V rows, attending for every query head in the head's group right
-/// after each token's append — one [`KvCache::extend_attend`] call, for
-/// decode (`n_tokens == 1`) and prefill alike. Only the outputs of tokens
-/// `read_from..` are read afterwards ([`AttendBatch::read_from`]).
-///
-/// This is the unit both [`Session::forward`] and the batched
-/// [`Session::prefill`] fan across [`rkvc_tensor::par`]: units touch
-/// disjoint caches, disjoint scratch and disjoint output stripes, and a
-/// cache's `extend_attend` is bit-identical to its own per-token
-/// append/attend loop (the policies that run blocks of queries against a
-/// stable past pin that with oracle tests), so generations match the
-/// seed's token-at-a-time loop at any thread count.
-#[allow(clippy::too_many_arguments)]
-fn run_kv_unit(
-    unit: &mut KvUnit<'_>,
-    n_tokens: usize,
-    read_from: usize,
-    pos0: usize,
-    scale: f32,
-    group_size: usize,
-    hd: usize,
-    q_all: &[f32],
-    q_stride: usize,
-    k_all: &[f32],
-    v_all: &[f32],
-    kv_stride: usize,
-) {
-    let batch = AttendBatch {
-        head_dim: hd,
-        n_tokens,
-        pos0,
-        scale,
-        group: group_size,
-        keys: &k_all[unit.kvh * hd..],
-        values: &v_all[unit.kvh * hd..],
-        kv_stride,
-        queries: &q_all[unit.kvh * group_size * hd..],
-        q_stride,
-        read_from,
-    };
-    unit.cache.extend_attend(&batch, unit.attend, unit.out);
-}
 
 /// One KV head's share of a layer's attention: its cache, its attention
 /// scratch and its stripe of the output.
@@ -145,21 +90,28 @@ struct KvUnit<'a> {
     out: &'a mut [f32],
 }
 
-/// Reusable per-session activation buffers; [`Session::forward`] used to
-/// allocate each of these fresh for every token.
+/// Per-session activation buffers, row-major with one row per token of
+/// the current pass, grown on demand and reused by the passes after it:
+/// decode steps allocate no activation once the first has run. Prompt-sized
+/// buffers live only while [`Session::prefill`] runs.
 #[derive(Debug, Default)]
 struct Scratch {
+    /// The residual stream.
     x: Vec<f32>,
     q: Vec<f32>,
     k: Vec<f32>,
     v: Vec<f32>,
+    /// Attention outputs as [`KvCache::extend_attend`] writes them: one
+    /// `n x (group * head_dim)` stripe per KV head.
+    stripes: Vec<f32>,
+    /// The stripes' live rows gathered token-major: `wo`'s input.
     attn: Vec<f32>,
     proj: Vec<f32>,
+    /// The MLP's gate projection, then its hidden activation in place.
     gate: Vec<f32>,
     up: Vec<f32>,
-    hidden: Vec<f32>,
     /// Attention working memory, one per KV head (the units of a layer
-    /// run concurrently), reused across layers and tokens.
+    /// run concurrently), reused across layers and passes.
     attend: Vec<AttendScratch>,
 }
 
@@ -180,108 +132,19 @@ pub struct Session<'m> {
 }
 
 impl Session<'_> {
-    /// Runs one token through the model, updating all caches, and returns
-    /// the next-token logits.
+    /// The one transformer pass: runs `tokens` through the model, updating
+    /// all caches, and returns the logits after the last of them. Decode
+    /// is its one-token case and prefill its whole-prompt case.
     ///
-    /// # Panics
-    ///
-    /// Panics if `token` is outside the vocabulary.
-    pub fn forward(&mut self, token: TokenId) -> Vec<f32> {
-        let cfg = &self.model.cfg;
-        assert!(token < cfg.vocab_size, "token {token} out of vocabulary");
-        let w = &self.model.weights;
-        let d = cfg.d_model();
-        let hd = cfg.head_dim();
-        let gs = cfg.group_size();
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        // Embed: current code (A) + previous code (B) + position (P).
-        self.scratch.x.clear();
-        self.scratch.x.resize(d, 0.0);
-        for (i, &v) in w.codes.row(token).iter().enumerate() {
-            self.scratch.x[cfg.seg_a() + i] = v;
-        }
-        for (i, &v) in w.codes.row(self.prev_token).iter().enumerate() {
-            self.scratch.x[cfg.seg_b() + i] = v;
-        }
-        for (i, v) in self.model.posenc.encode(self.pos).into_iter().enumerate() {
-            self.scratch.x[cfg.seg_p() + i] = v;
-        }
-
-        for (l, lw) in w.layers.iter().enumerate() {
-            // Projections.
-            lw.wq.vec_mul_into(&self.scratch.x, &mut self.scratch.q);
-            lw.wk.vec_mul_into(&self.scratch.x, &mut self.scratch.k);
-            lw.wv.vec_mul_into(&self.scratch.x, &mut self.scratch.v);
-
-            // Attention, one unit per KV head: append this token's K/V,
-            // then attend for the unit's query heads. Query-aware policies
-            // (Quest) select a per-query subset inside `view_for_query`;
-            // static policies attend over their storage in place. Units
-            // own disjoint caches and disjoint `attn` stripes, so they fan
-            // across the pool once the cache is long enough to pay for it.
-            self.scratch.attn.clear();
-            self.scratch.attn.resize(cfg.n_heads * hd, 0.0);
-            let q_all = &self.scratch.q;
-            let k_all = &self.scratch.k;
-            let v_all = &self.scratch.v;
-            let pos = self.pos;
-            let mut units: Vec<KvUnit<'_>> = self.caches[l]
-                .iter_mut()
-                .zip(self.scratch.attend.iter_mut())
-                .zip(self.scratch.attn.chunks_mut(gs * hd))
-                .enumerate()
-                .map(|(kvh, ((cache, attend), out))| KvUnit { kvh, cache: cache.as_mut(), attend, out })
-                .collect();
-            let grain = rkvc_tensor::par::grain_for(
-                units.len(),
-                ATTN_OPS_PER_CACHED_ELEM * (pos + 1) * gs * hd,
-            );
-            rkvc_tensor::par::par_chunks_mut(&mut units, grain, |_, chunk| {
-                for unit in chunk.iter_mut() {
-                    run_kv_unit(unit, 1, 0, pos, scale, gs, hd, q_all, 0, k_all, v_all, 0);
-                }
-            });
-
-            // Residual add of the attention output.
-            lw.wo.vec_mul_into(&self.scratch.attn, &mut self.scratch.proj);
-            for (xi, oi) in self.scratch.x.iter_mut().zip(&self.scratch.proj) {
-                *xi += oi;
-            }
-
-            // SwiGLU MLP with residual.
-            lw.w_gate.vec_mul_into(&self.scratch.x, &mut self.scratch.gate);
-            lw.w_up.vec_mul_into(&self.scratch.x, &mut self.scratch.up);
-            self.scratch.hidden.clear();
-            self.scratch.hidden.extend(
-                self.scratch
-                    .gate
-                    .iter()
-                    .zip(&self.scratch.up)
-                    .map(|(&g, &u)| silu(g) * u),
-            );
-            lw.w_down.vec_mul_into(&self.scratch.hidden, &mut self.scratch.proj);
-            for (xi, oi) in self.scratch.x.iter_mut().zip(&self.scratch.proj) {
-                *xi += oi;
-            }
-        }
-
-        self.prev_token = token;
-        self.pos += 1;
-        w.lm_head.vec_mul(&self.scratch.x)
-    }
-
-    /// Ingests a whole prompt, returning the logits after its last token and
-    /// signalling `finish_prefill` to every cache (SnapKV compresses here).
-    ///
-    /// The prompt is batched layer by layer through the packed matmul:
-    /// all positions are projected at once, each KV head then consumes its
-    /// tokens strictly in order, and logits are computed only for the final
-    /// position (the only observable ones). Each per-head cache sees the
-    /// identical call sequence as the seed's token-at-a-time loop, so the
-    /// returned logits and every cache state are bit-identical to
-    /// [`Session::prefill_per_token`] — the property
-    /// `batched_prefill_matches_per_token_oracle` pins down.
+    /// Each layer projects every row at once through the packed product,
+    /// then each KV head consumes its tokens strictly in order in one
+    /// [`KvCache::extend_attend`] call, the heads fanned across
+    /// [`rkvc_tensor::par`]: units touch disjoint caches, disjoint scratch
+    /// and disjoint output stripes. Each cache sees the call sequence of a
+    /// token-at-a-time loop, and a row's product does not depend on the
+    /// rows batched with it, so logits and every cache state are
+    /// bit-identical to `n` one-token passes at any thread count — the
+    /// property `batched_prefill_matches_per_token_oracle` pins down.
     ///
     /// Only what generation can observe is computed. A layer hands the
     /// next one its rows `live_from..n`: all of them below the last layer,
@@ -296,58 +159,59 @@ impl Session<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `prompt` is empty or contains an out-of-vocabulary token.
-    pub fn prefill(&mut self, prompt: &[TokenId]) -> Vec<f32> {
-        assert!(!prompt.is_empty(), "prompt must not be empty");
+    /// Panics if a token is outside the vocabulary.
+    fn extend(&mut self, tokens: &[TokenId]) -> Vec<f32> {
         let cfg = &self.model.cfg;
         let w = &self.model.weights;
         let d = cfg.d_model();
         let hd = cfg.head_dim();
         let gs = cfg.group_size();
+        let width = gs * hd;
         let scale = 1.0 / (hd as f32).sqrt();
-        let n = prompt.len();
+        let n = tokens.len();
         let pos0 = self.pos;
+        let s = &mut self.scratch;
 
-        // Embed every prompt position: current code (A) + previous code
-        // (B) + position (P), one row per token.
-        let mut x = Matrix::zeros(n, d);
-        for (t, &tok) in prompt.iter().enumerate() {
+        // Embed every position: current code (A) + previous code (B) +
+        // position (P), one row per token.
+        s.x.clear();
+        s.x.resize(n * d, 0.0);
+        let mut prev = self.prev_token;
+        for (t, (&tok, row)) in tokens.iter().zip(s.x.chunks_exact_mut(d)).enumerate() {
             assert!(tok < cfg.vocab_size, "token {tok} out of vocabulary");
-            let prev = if t == 0 { self.prev_token } else { prompt[t - 1] };
-            let row = x.row_mut(t);
-            row[cfg.seg_a()..cfg.seg_a() + cfg.code_dim].copy_from_slice(w.codes.row(tok));
-            row[cfg.seg_b()..cfg.seg_b() + cfg.code_dim].copy_from_slice(w.codes.row(prev));
+            row[cfg.seg_a()..][..cfg.code_dim].copy_from_slice(w.codes.row(tok));
+            row[cfg.seg_b()..][..cfg.code_dim].copy_from_slice(w.codes.row(prev));
             for (i, v) in self.model.posenc.encode(pos0 + t).into_iter().enumerate() {
                 row[cfg.seg_p() + i] = v;
             }
+            prev = tok;
         }
 
-        // Per-unit output stripes are allocated once and reused across
-        // layers: units accumulate with `+=`, so stripes are re-zeroed per
-        // layer.
-        let width = gs * hd;
-        let mut unit_outs: Vec<Vec<f32>> =
-            (0..cfg.n_kv_heads).map(|_| vec![0.0f32; n * width]).collect();
         for (l, lw) in w.layers.iter().enumerate() {
             let live_from = if l + 1 == w.layers.len() { n - 1 } else { 0 };
 
-            // Whole-prompt projections through the packed-panel kernel.
-            let q_all = x.matmul_packed(&lw.wq);
-            let k_all = x.matmul_packed(&lw.wk);
-            let v_all = x.matmul_packed(&lw.wv);
+            lw.wq.mul_rows_into(&s.x, &mut s.q);
+            lw.wk.mul_rows_into(&s.x, &mut s.k);
+            lw.wv.mul_rows_into(&s.x, &mut s.v);
 
-            // Per-KV-head units, each consuming the whole prompt in token
-            // order into its own output stripe. The grain estimate counts
-            // the queries whose outputs are read, so a unit left with one
-            // live query is not dispatched as if it attended `n`.
+            // One unit per KV head, consuming the tokens in order into its
+            // own zeroed stripe. The grain estimate counts the queries
+            // whose outputs are read, so a unit left with one live query
+            // is not dispatched as if it attended `n`.
+            s.stripes.clear();
+            s.stripes.resize(cfg.n_kv_heads * n * width, 0.0);
+            let (q, k, v) = (&s.q, &s.k, &s.v);
+            let (q_stride, kv_stride) = (lw.wq.cols(), lw.wk.cols());
             let mut units: Vec<KvUnit<'_>> = self.caches[l]
                 .iter_mut()
-                .zip(self.scratch.attend.iter_mut())
-                .zip(unit_outs.iter_mut())
+                .zip(s.attend.iter_mut())
+                .zip(s.stripes.chunks_mut(n * width))
                 .enumerate()
-                .map(|(kvh, ((cache, attend), out))| {
-                    out.fill(0.0);
-                    KvUnit { kvh, cache: cache.as_mut(), attend, out }
+                .map(|(kvh, ((cache, attend), out))| KvUnit {
+                    kvh,
+                    cache: cache.as_mut(),
+                    attend,
+                    out,
                 })
                 .collect();
             let grain = rkvc_tensor::par::grain_for(
@@ -356,84 +220,107 @@ impl Session<'_> {
             );
             rkvc_tensor::par::par_chunks_mut(&mut units, grain, |_, chunk| {
                 for unit in chunk.iter_mut() {
-                    run_kv_unit(
-                        unit,
-                        n,
-                        live_from,
+                    let batch = AttendBatch {
+                        head_dim: hd,
+                        n_tokens: n,
                         pos0,
                         scale,
-                        gs,
-                        hd,
-                        q_all.as_slice(),
-                        q_all.cols(),
-                        k_all.as_slice(),
-                        v_all.as_slice(),
-                        k_all.cols(),
-                    );
+                        group: gs,
+                        keys: &k[unit.kvh * hd..],
+                        values: &v[unit.kvh * hd..],
+                        kv_stride,
+                        queries: &q[unit.kvh * width..],
+                        q_stride,
+                        read_from: live_from,
+                    };
+                    unit.cache.extend_attend(&batch, unit.attend, unit.out);
                 }
             });
-            let mut attn = Matrix::zeros(n - live_from, cfg.n_heads * hd);
-            for u in &units {
-                for t in live_from..n {
-                    attn.row_mut(t - live_from)[u.kvh * width..(u.kvh + 1) * width]
-                        .copy_from_slice(&u.out[t * width..(t + 1) * width]);
+            drop(units);
+            let attn_width = cfg.n_kv_heads * width;
+            s.attn.resize((n - live_from) * attn_width, 0.0);
+            for (kvh, stripe) in s.stripes.chunks_exact(n * width).enumerate() {
+                for (row, t) in s.attn.chunks_exact_mut(attn_width).zip(live_from..) {
+                    row[kvh * width..][..width].copy_from_slice(&stripe[t * width..][..width]);
                 }
             }
-            drop(units);
 
-            // Residual add of the attention output, then the SwiGLU MLP,
-            // all live positions at once.
-            x = add_to_tail_rows(&x, attn.matmul_packed(&lw.wo));
-            let gate = x.matmul_packed(&lw.w_gate);
-            let up = x.matmul_packed(&lw.w_up);
-            let hidden = Matrix::from_vec(
-                x.rows(),
-                cfg.mlp_hidden,
-                gate.as_slice()
-                    .iter()
-                    .zip(up.as_slice())
-                    .map(|(&g, &u)| silu(g) * u)
-                    .collect(),
-            );
-            x = add_to_tail_rows(&x, hidden.matmul_packed(&lw.w_down));
-        }
-
-        self.prev_token = prompt[n - 1];
-        self.pos += n;
-        for layer in &mut self.caches {
-            for cache in layer {
-                cache.finish_prefill();
+            // Residual add of the attention output, then the SwiGLU MLP
+            // with its residual, on the live rows.
+            let x = &mut s.x[live_from * d..];
+            lw.wo.mul_rows_into(&s.attn, &mut s.proj);
+            for (xi, p) in x.iter_mut().zip(&s.proj) {
+                *xi += p;
+            }
+            lw.w_gate.mul_rows_into(x, &mut s.gate);
+            lw.w_up.mul_rows_into(x, &mut s.up);
+            for (g, &u) in s.gate.iter_mut().zip(&s.up) {
+                *g = silu(*g) * u;
+            }
+            lw.w_down.mul_rows_into(&s.gate, &mut s.proj);
+            for (xi, p) in x.iter_mut().zip(&s.proj) {
+                *xi += p;
             }
         }
+
         // Only the final position's logits are observable.
-        w.lm_head.vec_mul(x.row(x.rows() - 1))
+        let mut logits = Vec::new();
+        w.lm_head.mul_rows_into(&s.x[(n - 1) * d..], &mut logits);
+        self.prev_token = prev;
+        self.pos += n;
+        logits
     }
 
-    /// Reference prompt path: the seed's token-at-a-time forward loop,
-    /// computing (and discarding) logits at every position. Retained as
-    /// the oracle for the batched [`Session::prefill`].
+    /// Signals the end of a prompt to every cache (SnapKV compresses here).
+    fn finish_prefill(&mut self) {
+        for cache in self.caches.iter_mut().flatten() {
+            cache.finish_prefill();
+        }
+    }
+
+    /// Ingests a whole prompt as one batched pass, returning the logits
+    /// after its last token and signalling `finish_prefill` to every
+    /// cache. Bit-identical to [`Session::prefill_per_token`].
     ///
     /// # Panics
     ///
-    /// Panics if `prompt` is empty.
+    /// Panics if `prompt` is empty or contains an out-of-vocabulary token.
+    pub fn prefill(&mut self, prompt: &[TokenId]) -> Vec<f32> {
+        assert!(!prompt.is_empty(), "prompt must not be empty");
+        let logits = self.extend(prompt);
+        self.finish_prefill();
+        // The prompt's activations are spent: hand them back rather than
+        // hold them beside the caches for the rest of the session.
+        let attend = std::mem::take(&mut self.scratch.attend);
+        self.scratch = Scratch { attend, ..Scratch::default() };
+        logits
+    }
+
+    /// Reference prompt path: one one-token pass per prompt token, as the
+    /// seed's token-at-a-time loop ran it. Retained as the oracle for the
+    /// batched [`Session::prefill`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prompt` is empty or contains an out-of-vocabulary token.
     pub fn prefill_per_token(&mut self, prompt: &[TokenId]) -> Vec<f32> {
         assert!(!prompt.is_empty(), "prompt must not be empty");
         let mut logits = Vec::new();
         for &t in prompt {
-            logits = self.forward(t);
+            logits = self.extend(&[t]);
         }
-        for layer in &mut self.caches {
-            for cache in layer {
-                cache.finish_prefill();
-            }
-        }
+        self.finish_prefill();
         logits
     }
 
-    /// Decodes one token (alias of [`forward`](Session::forward), named for
-    /// the serving stage).
+    /// Runs one token through the model as a one-token pass, updating all
+    /// caches, and returns the next-token logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is outside the vocabulary.
     pub fn decode(&mut self, token: TokenId) -> Vec<f32> {
-        self.forward(token)
+        self.extend(&[token])
     }
 
     /// Current sequence position (tokens processed so far).
@@ -740,7 +627,7 @@ mod tests {
     fn rejects_out_of_vocab_token() {
         let model = TinyLm::new(ModelConfig::induction_mha());
         let mut s = model.start_session(&CompressionConfig::Fp16);
-        s.forward(10_000);
+        s.decode(10_000);
     }
 
     #[test]

@@ -5,43 +5,25 @@
 
 use crate::{CompletedRequest, SloClass};
 
-
 /// Above this sample count a serialized summary switches from the full
 /// `sorted` array to a fixed quantile digest (`count` + `mean` +
 /// [`QUANTILE_GRID`] pairs) — a million-request fleet run must not write a
 /// million raw floats per metric. Every committed result file holds
 /// summaries well under this limit, so their bytes are untouched.
-pub const FULL_SAMPLE_LIMIT: usize = 1_000;
+const FULL_SAMPLE_LIMIT: usize = 1_000;
 
 /// The digest's percentile grid: the points experiments actually report
 /// (`row` uses p50/p95/p99) plus enough of the body and tail to replot a
 /// coarse CDF.
-pub const QUANTILE_GRID: [f64; 12] = [
+const QUANTILE_GRID: [f64; 12] = [
     0.0, 1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0,
 ];
 
-/// A summary either holds every sample or — after a round trip through the
-/// digest JSON form — only the grid quantiles. Queries at grid points are
-/// exact either way (digest values are computed by the same nearest-rank
-/// rule before the samples are dropped); off-grid queries on a digest
-/// round up to the next grid point, a conservative tail estimate.
-#[derive(Debug, Clone, PartialEq)]
-enum Repr {
-    Full {
-        sorted: Vec<f64>,
-    },
-    Digest {
-        count: usize,
-        mean: f64,
-        /// `(percentile, value)` pairs on [`QUANTILE_GRID`], ascending.
-        quantiles: Vec<(f64, f64)>,
-    },
-}
-
-/// Summary statistics over a set of latencies (seconds).
+/// Summary statistics over a set of latencies (seconds): every sample,
+/// sorted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencySummary {
-    repr: Repr,
+    sorted: Vec<f64>,
 }
 
 impl LatencySummary {
@@ -56,41 +38,25 @@ impl LatencySummary {
             "latencies must not be NaN"
         );
         latencies.sort_by(|a, b| a.total_cmp(b));
-        LatencySummary {
-            repr: Repr::Full { sorted: latencies },
-        }
+        LatencySummary { sorted: latencies }
     }
 
     /// Sample count.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Full { sorted } => sorted.len(),
-            Repr::Digest { count, .. } => *count,
-        }
+        self.sorted.len()
     }
 
     /// Whether the summary is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether this summary still holds every raw sample (as opposed to a
-    /// quantile digest deserialized from a large run's JSON).
-    pub fn is_digest(&self) -> bool {
-        matches!(self.repr, Repr::Digest { .. })
+        self.sorted.is_empty()
     }
 
     /// Mean latency.
     pub fn mean(&self) -> f64 {
-        match &self.repr {
-            Repr::Full { sorted } => {
-                if sorted.is_empty() {
-                    0.0
-                } else {
-                    rkvc_tensor::seq_sum_f64(sorted.iter().copied()) / sorted.len() as f64
-                }
-            }
-            Repr::Digest { mean, .. } => *mean,
+        if self.sorted.is_empty() {
+            0.0
+        } else {
+            rkvc_tensor::seq_sum_f64(self.sorted.iter().copied()) / self.sorted.len() as f64
         }
     }
 
@@ -100,30 +66,17 @@ impl LatencySummary {
     /// with [`mean`](Self::mean) and [`max`](Self::max), so a
     /// zero-completion run cannot abort an experiment sweep.
     ///
-    /// On a digest, grid-point queries return the exact nearest-rank value
-    /// recorded at serialization time; off-grid queries return the value
-    /// at the next grid point up.
-    ///
     /// # Panics
     ///
     /// Panics if `p` is out of range.
     pub fn percentile(&self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        match &self.repr {
-            Repr::Full { sorted } => {
-                let n = sorted.len();
-                if n == 0 {
-                    return 0.0;
-                }
-                let rank = ((p / 100.0) * n as f64).ceil() as usize;
-                sorted[rank.clamp(1, n) - 1]
-            }
-            Repr::Digest { quantiles, .. } => quantiles
-                .iter()
-                .find(|(gp, _)| *gp >= p)
-                .or(quantiles.last())
-                .map_or(0.0, |(_, v)| *v),
+        let n = self.sorted.len();
+        if n == 0 {
+            return 0.0;
         }
+        let rank = ((p / 100.0) * n as f64).ceil() as usize;
+        self.sorted[rank.clamp(1, n) - 1]
     }
 
     /// Median latency.
@@ -143,128 +96,50 @@ impl LatencySummary {
 
     /// Maximum latency.
     pub fn max(&self) -> f64 {
-        match &self.repr {
-            Repr::Full { sorted } => sorted.last().copied().unwrap_or(0.0),
-            // The grid ends at p100 = max.
-            Repr::Digest { quantiles, .. } => quantiles.last().map_or(0.0, |(_, v)| *v),
-        }
+        self.sorted.last().copied().unwrap_or(0.0)
     }
 
     /// Empirical CDF evaluated at `points`: fraction of samples `<= x`.
-    /// On a digest the CDF is a 12-step staircase (the largest grid
-    /// fraction whose value is `<= x`) — coarse but monotone and bounded.
     pub fn cdf(&self, points: &[f64]) -> Vec<f64> {
-        match &self.repr {
-            Repr::Full { sorted } => points
-                .iter()
-                .map(|&x| {
-                    let n = sorted.partition_point(|&v| v <= x);
-                    if sorted.is_empty() {
-                        0.0
-                    } else {
-                        n as f64 / sorted.len() as f64
-                    }
-                })
-                .collect(),
-            Repr::Digest { quantiles, .. } => points
-                .iter()
-                .map(|&x| {
-                    quantiles
-                        .iter()
-                        .filter(|(_, v)| *v <= x)
-                        .map(|(gp, _)| gp / 100.0)
-                        // rkvc-allow(D006): max is order-insensitive over the finite grid fractions
-                        .fold(0.0, f64::max)
-                })
-                .collect(),
-        }
-    }
-
-    /// The digest this summary would serialize to above
-    /// [`FULL_SAMPLE_LIMIT`]: exact nearest-rank values on
-    /// [`QUANTILE_GRID`].
-    fn grid_quantiles(&self) -> Vec<(f64, f64)> {
-        match &self.repr {
-            Repr::Full { .. } => QUANTILE_GRID
-                .iter()
-                .map(|&p| (p, self.percentile(p)))
-                .collect(),
-            Repr::Digest { quantiles, .. } => quantiles.clone(),
-        }
+        points
+            .iter()
+            .map(|&x| {
+                if self.sorted.is_empty() {
+                    0.0
+                } else {
+                    self.sorted.partition_point(|&v| v <= x) as f64 / self.sorted.len() as f64
+                }
+            })
+            .collect()
     }
 }
 
-// Hand-written (rather than `json_struct!`) so every serialized summary
+// Hand-written (rather than `json_to_struct!`) so every serialized summary
 // leads with its sample `count` — results JSON stays greppable without
-// measuring the `sorted` array. `count` is derived, so parsing ignores it.
-// At most FULL_SAMPLE_LIMIT samples serialize verbatim; above that the
-// digest form (`count` + `mean` + `quantiles`) keeps a million-request
-// fleet run's result file O(1) per metric instead of O(requests).
+// measuring the `sorted` array. At most FULL_SAMPLE_LIMIT samples
+// serialize verbatim; above that the digest form (`count` + `mean` +
+// nearest-rank `quantiles` on QUANTILE_GRID) keeps a million-request fleet
+// run's result file O(1) per metric instead of O(requests). Summaries are
+// written, never parsed back.
 impl rkvc_tensor::json::ToJson for LatencySummary {
     fn to_json(&self) -> rkvc_tensor::json::JsonValue {
         use rkvc_tensor::json::{JsonValue, ToJson};
-        if let Repr::Full { sorted } = &self.repr {
-            if sorted.len() <= FULL_SAMPLE_LIMIT {
-                return JsonValue::Object(vec![
-                    ("count".to_owned(), ToJson::to_json(&sorted.len())),
-                    ("sorted".to_owned(), ToJson::to_json(sorted)),
-                ]);
-            }
+        let count = ("count".to_owned(), ToJson::to_json(&self.len()));
+        if self.len() <= FULL_SAMPLE_LIMIT {
+            let sorted = ("sorted".to_owned(), ToJson::to_json(&self.sorted));
+            return JsonValue::Object(vec![count, sorted]);
         }
-        let quantiles = JsonValue::Array(
-            self.grid_quantiles()
-                .into_iter()
-                .map(|(p, v)| JsonValue::Array(vec![JsonValue::Float(p), JsonValue::Float(v)]))
-                .collect(),
-        );
+        let quantiles = QUANTILE_GRID
+            .iter()
+            .map(|&p| {
+                JsonValue::Array(vec![JsonValue::Float(p), JsonValue::Float(self.percentile(p))])
+            })
+            .collect();
         JsonValue::Object(vec![
-            ("count".to_owned(), ToJson::to_json(&self.len())),
+            count,
             ("mean".to_owned(), JsonValue::Float(self.mean())),
-            ("quantiles".to_owned(), quantiles),
+            ("quantiles".to_owned(), JsonValue::Array(quantiles)),
         ])
-    }
-}
-
-impl rkvc_tensor::json::FromJson for LatencySummary {
-    fn from_json(
-        v: &rkvc_tensor::json::JsonValue,
-    ) -> Result<Self, rkvc_tensor::json::JsonError> {
-        use rkvc_tensor::json::JsonError;
-        let fields = v
-            .as_object()
-            .ok_or_else(|| JsonError::new("expected object for LatencySummary"))?;
-        if fields.iter().any(|(k, _)| k == "sorted") {
-            let sorted: Vec<f64> = rkvc_tensor::json::field(fields, "sorted")?;
-            return Ok(LatencySummary::new(sorted));
-        }
-        let count: usize = rkvc_tensor::json::field(fields, "count")?;
-        let mean: f64 = rkvc_tensor::json::field(fields, "mean")?;
-        let raw: Vec<Vec<f64>> = rkvc_tensor::json::field(fields, "quantiles")?;
-        let mut quantiles = Vec::with_capacity(raw.len());
-        for pair in &raw {
-            let [p, val] = pair.as_slice() else {
-                return Err(JsonError::new("quantiles entries must be [p, value] pairs"));
-            };
-            if !(0.0..=100.0).contains(p) {
-                return Err(JsonError::new("quantile percentile out of [0, 100]"));
-            }
-            if quantiles.last().is_some_and(|(prev, _): &(f64, f64)| prev >= p) {
-                return Err(JsonError::new("quantile grid must be strictly ascending"));
-            }
-            quantiles.push((*p, *val));
-        }
-        if quantiles.is_empty() || count == 0 {
-            return Err(JsonError::new(
-                "digest LatencySummary needs a nonzero count and a quantile grid",
-            ));
-        }
-        Ok(LatencySummary {
-            repr: Repr::Digest {
-                count,
-                mean,
-                quantiles,
-            },
-        })
     }
 }
 
@@ -312,7 +187,7 @@ impl ServingMetrics {
     }
 }
 
-rkvc_tensor::json_struct!(ServingMetrics {
+rkvc_tensor::json_to_struct!(ServingMetrics {
     completed,
     ttft,
     tbt,
@@ -355,7 +230,7 @@ impl ClassMetrics {
     }
 }
 
-rkvc_tensor::json_struct!(ClassMetrics {
+rkvc_tensor::json_to_struct!(ClassMetrics {
     class,
     completed,
     slo_met,
@@ -460,7 +335,7 @@ impl SloMetrics {
     }
 }
 
-rkvc_tensor::json_struct!(SloMetrics {
+rkvc_tensor::json_to_struct!(SloMetrics {
     per_class,
     completed,
     slo_met,
@@ -573,12 +448,6 @@ mod tests {
         let s = LatencySummary::new(vec![3.0, 1.0, 2.0]);
         let text = rkvc_tensor::json::to_string(&s);
         assert_eq!(text, r#"{"count":3,"sorted":[1.0,2.0,3.0]}"#);
-        let back: LatencySummary = rkvc_tensor::json::from_str(&text).expect("round trip");
-        assert_eq!(back, s);
-        // `count` is derived on write, not trusted on read.
-        let forged: LatencySummary =
-            rkvc_tensor::json::from_str(r#"{"count":99,"sorted":[1.0]}"#).expect("parse");
-        assert_eq!(forged.len(), 1);
     }
 
     #[test]
@@ -590,26 +459,12 @@ mod tests {
         assert!(!text.contains("\"sorted\""), "raw samples must be dropped");
         // The digest is O(grid), not O(n).
         assert!(text.len() < 600, "digest blew up: {} bytes", text.len());
-        let back: LatencySummary = rkvc_tensor::json::from_str(&text).expect("round trip");
-        assert!(back.is_digest());
-        assert!(!s.is_digest());
-        assert_eq!(back.len(), n);
-        // Grid-point queries are exact nearest-rank values.
-        for p in QUANTILE_GRID {
-            assert_eq!(back.percentile(p), s.percentile(p), "p{p}");
-        }
-        assert_eq!(back.max(), s.max());
-        assert!((back.mean() - s.mean()).abs() < 1e-9);
-        // Off-grid queries round up to the next grid point.
-        assert_eq!(back.percentile(97.0), s.percentile(99.0));
-        // Digest CDF is monotone and bounded.
-        let pts: Vec<f64> = (0..=16).map(|i| i as f64 * (n as f64 / 16.0)).collect();
-        let cdf = back.cdf(&pts);
-        assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
-        assert!(cdf.iter().all(|&c| (0.0..=1.0).contains(&c)));
-        assert_eq!(*cdf.last().expect("nonempty"), 1.0);
-        // Digests re-serialize stably.
-        assert_eq!(rkvc_tensor::json::to_string(&back), text);
+        // Its grid holds the exact nearest-rank values.
+        let grid: Vec<String> = QUANTILE_GRID
+            .iter()
+            .map(|&p| rkvc_tensor::json::to_string(&vec![p, s.percentile(p)]))
+            .collect();
+        assert!(text.contains(&format!("\"quantiles\":[{}]", grid.join(","))), "{text}");
     }
 
     #[test]
@@ -617,24 +472,7 @@ mod tests {
         let s = LatencySummary::new((1..=FULL_SAMPLE_LIMIT).map(|i| i as f64).collect());
         let text = rkvc_tensor::json::to_string(&s);
         assert!(text.contains("\"sorted\""));
-        let back: LatencySummary = rkvc_tensor::json::from_str(&text).expect("round trip");
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn malformed_digests_are_rejected() {
-        for bad in [
-            r#"{"count":5,"mean":1.0,"quantiles":[[50.0]]}"#,
-            r#"{"count":5,"mean":1.0,"quantiles":[[101.0,1.0]]}"#,
-            r#"{"count":5,"mean":1.0,"quantiles":[[50.0,1.0],[25.0,0.5]]}"#,
-            r#"{"count":5,"mean":1.0,"quantiles":[]}"#,
-            r#"{"count":0,"mean":0.0,"quantiles":[[50.0,0.0]]}"#,
-        ] {
-            assert!(
-                rkvc_tensor::json::from_str::<LatencySummary>(bad).is_err(),
-                "accepted malformed digest: {bad}"
-            );
-        }
+        assert!(!text.contains("\"quantiles\""));
     }
 
     #[test]

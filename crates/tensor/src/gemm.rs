@@ -97,24 +97,51 @@ impl PackedMatrix {
         out
     }
 
-    /// Row-vector product `v * self` into a reusable buffer: the same
-    /// kernel as [`Matrix::matmul_packed`] at one row, so a decode step's
-    /// row equals that row of a batched prefill product bit for bit.
+    /// Matrix product `a * self` for the row-major `a`, which holds
+    /// `a.len() / self.rows()` rows, into a buffer the caller owns: `out`
+    /// is resized to `rows x self.cols()` and every element overwritten,
+    /// so a buffer reused across calls allocates only when it grows. One
+    /// row (a decode step) and a whole prompt run the same kernel and the
+    /// same fan-out as [`Matrix::matmul_packed`], and a row's result does
+    /// not depend on the rows around it, so a decode step's row equals
+    /// that row of a batched prefill product bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `v.len() != self.rows()`.
-    pub fn vec_mul_into(&self, v: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(v.len(), self.rows, "vec_mul_into length mismatch");
-        out.resize(self.cols, 0.0);
-        rows_into(v, self, out);
+    /// Panics if `a` is not a whole number of `self.rows()`-wide rows.
+    pub fn mul_rows_into(&self, a: &[f32], out: &mut Vec<f32>) {
+        let rows = a.len().checked_div(self.rows).unwrap_or(0);
+        assert_eq!(
+            a.len(),
+            rows * self.rows,
+            "left operand is not whole rows of width {}",
+            self.rows
+        );
+        out.resize(rows * self.cols, 0.0);
+        self.product_into(a, rows, out, rows_into);
     }
 
-    /// [`PackedMatrix::vec_mul_into`] into a fresh vector.
-    pub fn vec_mul(&self, v: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.vec_mul_into(v, &mut out);
-        out
+    /// `out = a * self` for the `rows` rows of `a` through `kernel`,
+    /// fanning row blocks across [`crate::par`] when the product is large
+    /// enough to amortize the pool. Row blocks only split *which elements
+    /// a worker owns*; every element's accumulation order is fixed, so the
+    /// split (and hence the parallel grain) cannot change bits.
+    fn product_into(
+        &self,
+        a: &[f32],
+        rows: usize,
+        out: &mut [f32],
+        kernel: fn(&[f32], &PackedMatrix, &mut [f32]),
+    ) {
+        let (k, cols) = (self.rows, self.cols);
+        if rows == 0 || cols == 0 {
+            return;
+        }
+        let rows_per_chunk = matmul_rows_per_chunk(rows, MICRO_OPS_PER_MAC * k * cols);
+        crate::par::par_chunks_mut(out, rows_per_chunk * cols, |chunk_idx, out_chunk| {
+            let a0 = chunk_idx * rows_per_chunk * k;
+            kernel(&a[a0..a0 + out_chunk.len() / cols * k], self, out_chunk);
+        });
     }
 
     /// The packed columns from `col` to the end of its panel, from row 0
@@ -231,11 +258,9 @@ fn rows_into(a: &[f32], w: &PackedMatrix, out: &mut [f32]) {
 }
 
 impl Matrix {
-    /// Matrix product `self * w` against a pre-packed right-hand operand,
-    /// via the branch-free register-tile kernel at the host's vector
-    /// width, fanning row blocks across [`crate::par`] when the product is
-    /// large enough to amortize the pool. Bit-identical to
-    /// [`Matrix::matmul_naive`] against the unpacked operand, at every
+    /// Matrix product `self * w` against a pre-packed right-hand operand:
+    /// [`PackedMatrix::mul_rows_into`] into a fresh matrix. Bit-identical
+    /// to [`Matrix::matmul_naive`] against the unpacked operand, at every
     /// thread count and on every ISA.
     ///
     /// # Panics
@@ -258,25 +283,7 @@ impl Matrix {
             w.rows
         );
         let mut out = Matrix::zeros(rows, cols);
-        if rows == 0 || cols == 0 {
-            return out;
-        }
-        // Row blocks only split *which elements a worker owns*; every
-        // element's accumulation order is fixed, so the split (and hence
-        // the parallel grain) cannot change bits.
-        let rows_per_chunk = matmul_rows_per_chunk(rows, MICRO_OPS_PER_MAC * k * cols);
-        crate::par::par_chunks_mut(
-            out.as_mut_slice(),
-            rows_per_chunk * cols,
-            |chunk_idx, out_chunk| {
-                let a0 = chunk_idx * rows_per_chunk * k;
-                kernel(
-                    &self.as_slice()[a0..a0 + out_chunk.len() / cols * k],
-                    w,
-                    out_chunk,
-                );
-            },
-        );
+        w.product_into(self.as_slice(), rows, out.as_mut_slice(), kernel);
         out
     }
 }

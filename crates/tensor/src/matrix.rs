@@ -69,30 +69,16 @@ const MR: usize = 4;
 /// vector units idle.
 const NR: usize = 8;
 
-// --- grain_for `item_ops` audit -----------------------------------------
-//
-// [`crate::par::grain_for`] sizes parallel chunks from an *ops* estimate
-// so the inline/parallel decision is a pure function of shape — never of
-// wall-clock, which would break run-to-run determinism. These constants
-// are therefore part of the dispatch contract and each one is audited
-// against the kernel it describes, instead of every kernel inheriting
-// the plain-matmul value as before.
-
-/// Per multiply-add estimate for the register-tiled microkernels
-/// ([`Matrix::matmul_packed`], [`Matrix::matmul_transposed`]): one multiply plus
-/// one add, with operand loads and the accumulator spill amortized across
-/// the `MR x NR` tile. The row-streaming kernel behind
+/// Per multiply-add estimate that [`crate::par::grain_for`] sizes every
+/// matmul fan-out from, so the inline/parallel decision is a pure
+/// function of shape — never of wall-clock, which would break run-to-run
+/// determinism. One multiply plus one add, with operand loads and the
+/// accumulator spill amortized across the register tile of the packed
+/// product ([`crate::PackedMatrix::mul_rows_into`], one row or many) and
+/// of [`Matrix::matmul_transposed`]. The row-streaming kernel behind
 /// [`Matrix::matmul_blocked`] retires MACs at essentially the same rate
 /// (its j-inner loop vectorizes and streams), so it shares the constant.
 pub(crate) const MICRO_OPS_PER_MAC: usize = 2;
-
-/// Per multiply-add estimate for the serial-dot kernel retained in
-/// [`Matrix::matmul_transposed_blocked`]: a single scalar accumulator
-/// chains every add, so the loop is latency-bound and retires roughly a
-/// third of the streaming kernels' rate. This path previously inherited
-/// `MICRO_OPS_PER_MAC`-style matmul constants, under-estimating per-row
-/// cost and keeping chunks inline past the point where fan-out pays.
-const SCALAR_DOT_OPS_PER_MAC: usize = 6;
 
 /// Rows per parallel chunk for a matmul-shaped kernel: sized by
 /// [`crate::par::grain_for`] from the per-row flop estimate, snapped up to
@@ -435,48 +421,6 @@ impl Matrix {
         crate::par::par_chunks_mut(&mut out.data, grain, |chunk_idx, out_chunk| {
             let i0 = chunk_idx * (grain / b_rows);
             matmul_transposed_rows_into_micro(&self.data, self.cols, other, i0, out_chunk);
-        });
-        out
-    }
-
-    /// Transpose-product via the pre-microkernel kernel: one serial dot
-    /// per output element, pool-dispatched by row blocks. Retained as a
-    /// second oracle (`tests/matmul_blocked.rs`); bit-identical to
-    /// [`Matrix::matmul_transposed`] and the naive oracle. Its dispatch grain uses the audited
-    /// [`SCALAR_DOT_OPS_PER_MAC`] estimate — the serial dot is
-    /// latency-bound, so its true per-item cost is ~3x the streaming
-    /// kernels', which the previously inherited matmul constant
-    /// under-stated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_transposed_blocked(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transposed shape mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        if self.rows == 0 || other.rows == 0 {
-            return out;
-        }
-        let b_rows = other.rows;
-        let grain =
-            matmul_rows_per_chunk(self.rows, SCALAR_DOT_OPS_PER_MAC * self.cols * b_rows) * b_rows;
-        crate::par::par_chunks_mut(&mut out.data, grain, |chunk_idx, out_chunk| {
-            let i0 = chunk_idx * (grain / b_rows);
-            for (i, out_row) in out_chunk.chunks_mut(b_rows).enumerate() {
-                let a_row = &self.data[(i0 + i) * self.cols..(i0 + i + 1) * self.cols];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = other.row(j);
-                    let mut acc = 0.0;
-                    for (a, b) in a_row.iter().zip(b_row) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
-            }
         });
         out
     }

@@ -84,8 +84,9 @@ rkvc_tensor::det_cases! {
     }
 
     /// Row `i` of an `M`-row product equals that row multiplied alone, by
-    /// the one-row matrix product and by the decode-path `vec_mul`: what
-    /// lets prefill batch rows and decode feed one without moving a bit.
+    /// the one-row matrix product and by `mul_rows_into` into a reused
+    /// buffer: what lets prefill batch rows and decode feed one without
+    /// moving a bit.
     fn a_row_of_a_batch_equals_the_row_alone(rng, cases = 8) {
         let rows = rng.gen_range(1usize..24);
         let k = rng.gen_range(1usize..220);
@@ -94,12 +95,17 @@ rkvc_tensor::det_cases! {
         let w = PackedMatrix::try_pack(&weights(rng, k, cols)).expect("finite");
         let batch = a.matmul_packed(&w);
         let batch_baseline = matmul_packed_baseline(&a, &w);
+        let mut reused = Vec::new();
+        w.mul_rows_into(a.as_slice(), &mut reused);
+        let reused_batch = Matrix::from_vec(rows, cols, reused.clone());
+        assert_bit_identical(&reused_batch, &batch, "mul_rows_into batch");
         for i in 0..rows {
             let alone = Matrix::from_vec(1, k, a.row(i).to_vec());
             let want = Matrix::from_vec(1, cols, batch.row(i).to_vec());
             assert_bit_identical(&alone.matmul_packed(&w), &want, "one-row product");
             assert_bit_identical(&matmul_packed_baseline(&alone, &w), &want, "one-row baseline");
-            assert_bit_identical(&Matrix::from_vec(1, cols, w.vec_mul(a.row(i))), &want, "vec_mul");
+            w.mul_rows_into(a.row(i), &mut reused);
+            assert_bit_identical(&Matrix::from_vec(1, cols, reused.clone()), &want, "mul_rows_into");
             assert_bit_identical(&Matrix::from_vec(1, cols, batch_baseline.row(i).to_vec()), &want, "baseline batch row");
         }
     }

@@ -1,8 +1,9 @@
 //! End-to-end integration: TinyLM generation through every real cache
 //! implementation, checking the paper's accuracy/length mechanisms emerge.
 
-use rethink_kv_compression::kvcache::CompressionConfig;
+use rethink_kv_compression::kvcache::{CompressionConfig, GearParams, KiviParams};
 use rethink_kv_compression::model::{vocab, GenerateParams, ModelConfig, TinyLm};
+use rethink_kv_compression::tensor::{argmax, par};
 use rethink_kv_compression::workload::{
     sample_conversations, scaled_paper_suite, semantic_score, ShareGptConfig,
 };
@@ -185,5 +186,77 @@ fn memory_accounting_is_consistent_across_the_stack() {
                 algo.label
             );
         }
+    }
+}
+
+/// Every `CompressionConfig` variant at a budget that covers a
+/// `prompt`-token prompt plus its generation, `total` tokens in all: the
+/// retention rules keep every row (H2O / StreamingLLM / TOVA at budget
+/// `>= total`, SnapKV / PyramidKV keeping the whole prompt at every
+/// layer), Quest selects every page, KIVI and GEAR never flush their
+/// full-precision window, and ThinK keeps every channel.
+fn covering_budgets(prompt: usize, total: usize) -> [CompressionConfig; 10] {
+    [
+        CompressionConfig::Fp16,
+        CompressionConfig::Kivi(KiviParams { bits: 2, group_size: 8, residual: total }),
+        CompressionConfig::Gear(GearParams { bits: 2, buffer: total, ..GearParams::default() }),
+        CompressionConfig::h2o(4, total),
+        CompressionConfig::streaming(4, total),
+        CompressionConfig::snapkv(prompt),
+        CompressionConfig::tova(total),
+        CompressionConfig::think(1.0),
+        CompressionConfig::pyramid_kv(prompt, prompt),
+        CompressionConfig::quest(4, total.div_ceil(4)),
+    ]
+}
+
+/// `prefill` then `steps` greedy `decode`s: the logits after the prompt
+/// and after every generated token.
+fn greedy_logits(
+    model: &TinyLm,
+    cfg: &CompressionConfig,
+    prompt: &[usize],
+    steps: usize,
+) -> Vec<Vec<f32>> {
+    let mut session = model.start_session(cfg);
+    let mut logits = vec![session.prefill(prompt)];
+    for _ in 0..steps {
+        let next = argmax(logits.last().expect("prefill logits"));
+        logits.push(session.decode(next));
+    }
+    logits
+}
+
+rethink_kv_compression::tensor::det_cases! {
+    /// The covering-budget oracle: a policy whose budget covers the whole
+    /// sequence must generate exactly what FP16 does — the same greedy
+    /// tokens and bit-identical logits at every step, through prefill and
+    /// decode alike — on MHA and GQA, at any pool width.
+    fn covering_budgets_generate_exactly_what_fp16_does(rng, cases = 4) {
+        let prompt_len = rng.gen_range(1usize..40);
+        let steps = rng.gen_range(1usize..16);
+        for model_cfg in [ModelConfig::induction_mha(), ModelConfig::induction_gqa()] {
+            let model = TinyLm::new(model_cfg);
+            let mut prompt = vec![vocab::BOS];
+            let content = vocab::CONTENT_START..model_cfg.vocab_size;
+            prompt.extend((1..prompt_len).map(|_| rng.gen_range(content.clone())));
+            for threads in [1usize, 3] {
+                par::set_threads(Some(threads));
+                let fp16 = greedy_logits(&model, &CompressionConfig::Fp16, &prompt, steps);
+                for cfg in covering_budgets(prompt_len, prompt_len + steps) {
+                    let got = greedy_logits(&model, &cfg, &prompt, steps);
+                    for (step, (g, f)) in got.iter().zip(&fp16).enumerate() {
+                        let what = format!(
+                            "{cfg:?}, {} kv heads, {threads} threads, step {step}",
+                            model_cfg.n_kv_heads
+                        );
+                        assert_eq!(argmax(g), argmax(f), "token diverged: {what}");
+                        let same_bits = g.iter().zip(f).all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same_bits, "logits diverged: {what}");
+                    }
+                }
+            }
+        }
+        par::set_threads(None);
     }
 }
