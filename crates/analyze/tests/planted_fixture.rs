@@ -144,7 +144,7 @@ fn bench_scope_permits_wall_clock_but_not_hash_maps() {
     assert!(vs.iter().all(|v| v.lint != "D001"), "bench may read clocks");
     assert!(vs.iter().any(|v| v.lint == "D002"), "D002 still applies");
     assert!(vs.iter().any(|v| v.lint == "D004"), "benches must use the pool too");
-    // E001 only covers kvcache/serving/gpu.
+    // E001 only covers kvcache/serving/gpu/model.
     assert!(vs.iter().all(|v| v.lint != "E001"));
 }
 
@@ -166,7 +166,8 @@ fn serving_engine_files_are_in_e001_scope() {
     // The engine refactor split `crates/serving/src` into new modules;
     // E001 (no `unwrap`/`expect`/`panic!` in serving library code) must
     // cover every one of them, not just the legacy file names — and the
-    // `rkvc-gpu` cost model the engine calls on every step.
+    // `rkvc-gpu` cost model the engine calls on every step, and the
+    // `rkvc-model` decoder that generates through the caches.
     for path in [
         "crates/serving/src/engine.rs",
         "crates/serving/src/scheduler.rs",
@@ -181,6 +182,8 @@ fn serving_engine_files_are_in_e001_scope() {
         "crates/serving/src/scaling.rs",
         "crates/gpu/src/attention.rs",
         "crates/gpu/src/memory.rs",
+        "crates/model/src/model.rs",
+        "crates/model/src/weights.rs",
     ] {
         let vs = scan_source(path, FIXTURE);
         assert!(

@@ -1,25 +1,28 @@
 //! The per-(layer, head) KV cache abstraction and the attention kernels
 //! every policy shares.
 //!
-//! Three kernels carry all dense attention arithmetic in this crate, so
-//! the term order that makes results bit-reproducible is written down
-//! once:
+//! Four kernels carry all attention arithmetic in this crate, so the term
+//! order that makes results bit-reproducible is written down once:
 //!
-//! * [`dots_into`] — one query against a run of dense rows, four rows
-//!   at a time;
-//! * [`score_tile`] — a block of queries against the same run, four key
-//!   rows by eight transposed queries, so a key is read once per block
-//!   instead of once per query;
+//! * the packed-panel product of `rkvc_tensor::gemm` — any number of
+//!   queries against the FP16 row window, whose keys are stored as its
+//!   panels ([`RowWindow`](crate::window::RowWindow));
+//! * [`dots_into`] — one query against a decoded chunk tile, four rows at
+//!   a time;
+//! * [`score_tile`] — a block of queries against a decoded chunk tile,
+//!   four key rows by eight transposed queries, so a key is read once per
+//!   block instead of once per query;
 //! * [`axpy_rows`] — the softmax-weighted value sum, rows ascending.
 //!
-//! Each `(row, query)` score is the ascending-channel fold from `0.0`
+//! Each `(row, query)` score is the ascending-channel fold from `+0.0`
 //! (what `rkvc_tensor::seq_sum_f32` computes), scaled once the dot is
 //! complete; each output channel accumulates its rows oldest first.
 //! Blocking only changes which element advances next, never the order
 //! of one element's terms.
 
-use rkvc_tensor::{round_slice_to_f16, softmax_into, softmax_slice, Matrix};
+use rkvc_tensor::{softmax_slice, Matrix};
 
+use crate::window::{Queries, RowWindow};
 use crate::CacheStats;
 
 /// Materialized view of a cache's retained entries.
@@ -151,8 +154,15 @@ pub struct AttendScratch {
     weights: Vec<f32>,
     /// Where a query attends when nobody reads its output.
     unread: Vec<f32>,
-    /// Transposed queries of the current block: entry `lg * head_dim + c`
-    /// holds channel `c` of queries `8 lg .. 8 lg + 8` (zero-padded).
+    /// The current block's queries, row-major: the left operand of the
+    /// window product.
+    queries: Vec<f32>,
+    /// The window product of one physical run, before it is scaled into
+    /// the score rows.
+    product: Vec<f32>,
+    /// The current block's queries transposed for the chunk tiles: entry
+    /// `lg * head_dim + c` holds channel `c` of queries `8 lg .. 8 lg + 8`
+    /// (zero-padded).
     lanes: Vec<[f32; LANES]>,
     /// The current block's score (then weight) rows, one per query,
     /// `retained rows` apart.
@@ -178,6 +188,10 @@ pub struct AttendScratch {
 ///
 /// [`view`](KvCache::view) materializes the retained entries for
 /// inspection and for the test oracles; it is on no hot path.
+///
+/// Two types implement it, one per storage format:
+/// [`DenseCache`](crate::DenseCache) and
+/// [`ChunkedCache`](crate::ChunkedCache).
 pub trait KvCache: std::fmt::Debug + Send {
     /// Appends the key/value vectors for the token at sequence position
     /// `pos`.
@@ -203,16 +217,6 @@ pub trait KvCache: std::fmt::Debug + Send {
         self.view()
     }
 
-    /// The retained rows in place, for policies whose storage *is* the
-    /// `(keys, values)` matrix pair that [`view`](KvCache::view) would
-    /// copy — same rows, same order. The default [`attend`](KvCache::attend)
-    /// reads these instead of cloning a view; policies that attend over
-    /// something else (compressed chunks, a per-query selection) return
-    /// `None`.
-    fn dense_rows(&self) -> Option<(&Matrix, &Matrix)> {
-        None
-    }
-
     /// Feeds back the post-softmax attention weights of the latest query
     /// over the rows it attended (same order).
     ///
@@ -226,15 +230,12 @@ pub trait KvCache: std::fmt::Debug + Send {
     /// `scores`/`weights` are caller-owned scratch reused across tokens;
     /// on return `weights` holds the softmax weights.
     ///
-    /// The default reads [`dense_rows`](KvCache::dense_rows) in place, or
-    /// failing that materializes
-    /// [`view_for_query`](KvCache::view_for_query), and runs the shared
-    /// kernels of this module over them — bit for bit the naive
-    /// score/softmax/weighted-sum loops over a materialized view, which is
-    /// what the oracle tests replay. Quantizing policies (KIVI, GEAR)
-    /// override this with fused kernels that decode packed codes as they
-    /// are consumed; the override contract is bitwise equality with the
-    /// naive loops over [`view`](KvCache::view).
+    /// The contract is bitwise equality with the naive
+    /// score/softmax/weighted-sum loops over
+    /// [`view_for_query`](KvCache::view_for_query), which is what the
+    /// oracle tests replay. Both caches read their storage in place: the
+    /// FP16 row window through the panel product, and (KIVI, GEAR)
+    /// compressed chunks decoded as they are consumed.
     ///
     /// # Panics
     ///
@@ -247,16 +248,7 @@ pub trait KvCache: std::fmt::Debug + Send {
         scores: &mut Vec<f32>,
         weights: &mut Vec<f32>,
         out: &mut [f32],
-    ) {
-        match self.dense_rows() {
-            Some((keys, values)) => attend_rows(keys, values, query, scale, scores, weights, out),
-            None => {
-                let view = self.view_for_query(query);
-                attend_rows(&view.keys, &view.values, query, scale, scores, weights, out);
-            }
-        }
-        self.observe_attention(weights);
-    }
+    );
 
     /// Appends `batch.n_tokens` consecutive tokens, attending each token's
     /// query group right after its own append (so a query sees its own
@@ -349,35 +341,6 @@ pub(crate) fn extend_attend_per_token<C: KvCache + ?Sized>(
         cache.append(batch.key(t), batch.value(t), batch.pos0 + t);
         batch.attend_group(cache, t, scratch, out);
     }
-}
-
-/// Appends `row` to `m` rounded through IEEE binary16 — the storage
-/// precision of every full-precision row in this crate — rounding in
-/// place after the push instead of through a temporary copy.
-pub(crate) fn push_f16_row(m: &mut Matrix, row: &[f32]) {
-    m.push_row(row);
-    round_slice_to_f16(m.row_mut(m.rows() - 1));
-}
-
-/// Single-query attention over dense rows: scores, softmax, weighted
-/// value sum into `out`. The one place the query/output width contract of
-/// [`KvCache::attend`] is checked for the dense policies.
-fn attend_rows(
-    keys: &Matrix,
-    values: &Matrix,
-    query: &[f32],
-    scale: f32,
-    scores: &mut Vec<f32>,
-    weights: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    assert_eq!(query.len(), keys.cols(), "query dim mismatch");
-    assert_eq!(out.len(), values.cols(), "output dim mismatch");
-    scores.clear();
-    scores.resize(keys.rows(), 0.0);
-    dots_into(keys.as_slice(), query, scale, scores);
-    softmax_into(scores, weights);
-    axpy_rows(values.as_slice(), weights, out);
 }
 
 /// `scores[r] = dot(rows[r], query) * scale` over the row-major run
@@ -502,28 +465,24 @@ pub(crate) trait BlockRows: KvCache {
     /// rewrites retained rows (a flush): the rest of the current block.
     fn quiet_appends(&self) -> usize;
 
-    /// Calls `f` on the retained key rows, oldest first, as dense
-    /// row-major runs (`head_dim` channels per row). Compressed chunks
-    /// are decoded into a cache-owned tile, once per call — the values
-    /// [`KvCache::view`] would hold, bit for bit. The default serves the
-    /// dense policies, whose [`KvCache::dense_rows`] are one run.
-    fn key_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
-        if let Some((keys, _)) = self.dense_rows() {
-            f(keys.as_slice());
-        }
-    }
+    /// The FP16 row window: the last `window().len()` retained rows.
+    fn window(&self) -> &RowWindow;
 
-    /// [`key_runs`](BlockRows::key_runs) for the value rows.
-    fn value_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
-        if let Some((_, values)) = self.dense_rows() {
-            f(values.as_slice());
-        }
-    }
+    /// Calls `f` on the retained key rows in front of the window, oldest
+    /// first, as dense row-major runs (`head_dim` channels per row).
+    /// Compressed chunks are decoded into a cache-owned tile, once per
+    /// call — the values [`KvCache::view`] would hold, bit for bit. The
+    /// default serves the dense policies, which have no such rows.
+    fn chunk_key_runs(&mut self, _f: &mut dyn FnMut(&[f32])) {}
+
+    /// [`chunk_key_runs`](BlockRows::chunk_key_runs) for the value rows.
+    fn chunk_value_runs(&mut self, _f: &mut dyn FnMut(&[f32])) {}
 }
 
 /// Tokens per query block of the dense policies, which never flush and
-/// so may pick the length: 16 keeps the per-query triangle (on average
-/// half a block of rows) small next to the shared past.
+/// so may pick the length: 16 keeps the columns the window product
+/// computes past a query's own token (on average half a block) small next
+/// to the shared past.
 pub(crate) const DENSE_BLOCK_TOKENS: usize = 16;
 
 /// [`KvCache::extend_attend`] for [`BlockRows`] policies: the batch is
@@ -533,17 +492,18 @@ pub(crate) const DENSE_BLOCK_TOKENS: usize = 16;
 /// A block's tokens are all appended first (none of them flushes, by
 /// construction), so of the `total` rows then retained, the last `m - 1`
 /// are the block's own later tokens: token `i` of the block attends rows
-/// `0 .. total - (m - 1) + i`. Rows every query sees go through the
-/// cross-query [`score_tile`]; the triangle a later query sees and an
-/// earlier one does not goes through [`dots_into`] per query. Softmax and
-/// [`axpy_rows`] then run per query over exactly the rows the per-token
-/// loop would have attended, in the same order — only the interleaving
-/// across queries differs, so outputs are bit-identical to the default
-/// [`KvCache::extend_attend`].
+/// `0 .. total - (m - 1) + i`. Those later tokens sit in the window, so
+/// compressed chunks hold only rows every query sees; they go through the
+/// cross-query [`score_tile`]. The window is one product of all the
+/// block's queries against all its rows, the in-block triangle included
+/// (a query's columns past its own token are computed and never read).
+/// Softmax and [`axpy_rows`] then run per query over exactly the rows the
+/// per-token loop would have attended, in the same order — only the
+/// interleaving across queries differs, so outputs are bit-identical to
+/// the default [`KvCache::extend_attend`].
 ///
 /// A block of one token (decode, or a policy configured to flush on
-/// every append) takes the single-query [`KvCache::attend`]: the tile
-/// pays for eight lanes whatever it is given.
+/// every append) takes the single-query [`KvCache::attend`].
 ///
 /// Tokens before `batch.read_from` are appended and nothing else — a
 /// [`BlockRows`] cache cannot tell a query that ran from one that did
@@ -577,16 +537,18 @@ pub(crate) fn extend_attend_blocked<C: BlockRows>(
         }
         let mut block = QueryBlock::new(batch, t0, m, cache.len(), scratch);
         let mut r0 = 0;
-        cache.key_runs(&mut |rows| {
-            block.score_run(r0, rows);
+        cache.chunk_key_runs(&mut |rows| {
+            block.score_chunk(r0, rows);
             r0 += rows.len() / hd;
         });
+        block.score_window(r0, cache.window());
         block.softmax();
         let mut r0 = 0;
-        cache.value_runs(&mut |rows| {
-            block.accumulate_run(r0, rows, out);
+        cache.chunk_value_runs(&mut |rows| {
+            block.accumulate_chunk(r0, rows, out);
             r0 += rows.len() / hd;
         });
+        block.accumulate_window(r0, cache.window(), out);
         t0 += m;
     }
 }
@@ -603,7 +565,11 @@ struct QueryBlock<'a> {
     total: usize,
     /// Rows every query of the block attends.
     shared: usize,
-    lanes: &'a [[f32; LANES]],
+    /// The `m * group` queries, row-major.
+    queries: &'a [f32],
+    /// Their transposition for [`score_tile`], built on first use.
+    lanes: &'a mut Vec<[f32; LANES]>,
+    product: &'a mut Vec<f32>,
     /// `m * group` score rows, `total` apart; softmax turns them into the
     /// weight rows in place.
     scores: &'a mut [f32],
@@ -617,29 +583,29 @@ impl<'a> QueryBlock<'a> {
         total: usize,
         scratch: &'a mut AttendScratch,
     ) -> Self {
-        let hd = batch.head_dim;
-        let n_queries = m * batch.group;
-        let AttendScratch { lanes, block, .. } = scratch;
-        lanes.clear();
-        lanes.resize(n_queries.div_ceil(LANES) * hd, [0.0; LANES]);
-        for j in 0..n_queries {
-            let query = batch.query(t0 + j / batch.group, j % batch.group);
-            let tile = &mut lanes[j / LANES * hd..][..hd];
-            for (lane, &q) in tile.iter_mut().zip(query) {
-                lane[j % LANES] = q;
-            }
+        let AttendScratch { queries, product, lanes, block, .. } = scratch;
+        queries.clear();
+        for j in 0..m * batch.group {
+            queries.extend_from_slice(batch.query(t0 + j / batch.group, j % batch.group));
         }
+        lanes.clear();
         // Every slot a query attends is written before it is read.
-        block.resize(n_queries * total, 0.0);
+        block.resize(m * batch.group * total, 0.0);
         QueryBlock {
             batch,
             t0,
             m,
             total,
             shared: total - (m - 1),
+            queries,
             lanes,
+            product,
             scores: block,
         }
+    }
+
+    fn n_queries(&self) -> usize {
+        self.m * self.batch.group
     }
 
     /// Rows query `j`'s token attends: the shared past plus the block
@@ -648,48 +614,34 @@ impl<'a> QueryBlock<'a> {
         self.shared + j / self.batch.group
     }
 
-    /// Scores the key run `rows`, whose first row is retained row `r0`.
-    fn score_run(&mut self, r0: usize, rows: &[f32]) {
+    /// Scores the decoded chunk run `rows`, whose first row is retained
+    /// row `r0`, through the cross-query tile: every query sees it.
+    fn score_chunk(&mut self, r0: usize, rows: &[f32]) {
         let hd = self.batch.head_dim;
-        let end = r0 + rows.len() / hd;
-        let shared_end = end.min(self.shared);
-        if r0 < shared_end {
-            self.score_shared(r0, &rows[..(shared_end - r0) * hd]);
-        }
-        // The in-block triangle: row `shared + i - 1` is token `i`'s own.
-        let tri0 = r0.max(self.shared);
-        for i in 1..self.m {
-            let tri_end = end.min(self.shared + i);
-            if tri0 >= tri_end {
-                continue;
-            }
-            let run = &rows[(tri0 - r0) * hd..(tri_end - r0) * hd];
-            for g in 0..self.batch.group {
-                let j = i * self.batch.group + g;
-                let slots = &mut self.scores[j * self.total..][tri0..tri_end];
-                dots_into(run, self.batch.query(self.t0 + i, g), self.batch.scale, slots);
+        if self.lanes.is_empty() {
+            self.lanes.resize(self.n_queries().div_ceil(LANES) * hd, [0.0; LANES]);
+            for (j, query) in self.queries.chunks_exact(hd).enumerate() {
+                let tile = &mut self.lanes[j / LANES * hd..][..hd];
+                for (lane, &q) in tile.iter_mut().zip(query) {
+                    lane[j % LANES] = q;
+                }
             }
         }
-    }
-
-    /// The shared part of a key run through the cross-query tile.
-    fn score_shared(&mut self, r0: usize, rows: &[f32]) {
-        let hd = self.batch.head_dim;
         let mut r = r0;
         let mut quads = rows.chunks_exact(4 * hd);
         for quad in quads.by_ref() {
             let (k0, rest) = quad.split_at(hd);
             let (k1, rest) = rest.split_at(hd);
             let (k2, k3) = rest.split_at(hd);
-            for (lg, lanes) in self.lanes.chunks_exact(hd).enumerate() {
-                let acc = score_tile([k0, k1, k2, k3], lanes);
+            for lg in 0..self.lanes.len() / hd {
+                let acc = score_tile([k0, k1, k2, k3], &self.lanes[lg * hd..][..hd]);
                 self.store_tile(r, lg, &acc);
             }
             r += 4;
         }
         for row in quads.remainder().chunks_exact(hd) {
-            for (lg, lanes) in self.lanes.chunks_exact(hd).enumerate() {
-                let acc = score_tile([row], lanes);
+            for lg in 0..self.lanes.len() / hd {
+                let acc = score_tile([row], &self.lanes[lg * hd..][..hd]);
                 self.store_tile(r, lg, &acc);
             }
             r += 1;
@@ -699,9 +651,8 @@ impl<'a> QueryBlock<'a> {
     /// Scales a finished tile and scatters it into the score rows of
     /// lane group `lg`, dropping the padding lanes.
     fn store_tile<const R: usize>(&mut self, r: usize, lg: usize, acc: &[[f32; LANES]; R]) {
-        let n_queries = self.m * self.batch.group;
         let scale = self.batch.scale;
-        for l in 0..LANES.min(n_queries - lg * LANES) {
+        for l in 0..LANES.min(self.n_queries() - lg * LANES) {
             let slots = &mut self.scores[(lg * LANES + l) * self.total + r..][..R];
             for (s, acc_row) in slots.iter_mut().zip(acc) {
                 *s = acc_row[l] * scale;
@@ -709,32 +660,49 @@ impl<'a> QueryBlock<'a> {
         }
     }
 
+    /// Scores the window, whose first row is retained row `r0`: one
+    /// product of every query against every window row.
+    fn score_window(&mut self, r0: usize, window: &RowWindow) {
+        let q = Queries {
+            rows: self.queries,
+            count: self.n_queries(),
+            scale: self.batch.scale,
+        };
+        window.scores_into(0..window.len(), q, self.product, &mut self.scores[r0..], self.total);
+    }
+
     /// Softmax of every query's score row over the rows it attends.
     fn softmax(&mut self) {
-        for j in 0..self.m * self.batch.group {
+        for j in 0..self.n_queries() {
             let visible = self.visible(j);
             softmax_slice(&mut self.scores[j * self.total..][..visible]);
         }
     }
 
-    /// Accumulates the value run `rows` (first row: retained row `r0`)
-    /// into every query's output, each over the part of the run it
-    /// attends.
-    fn accumulate_run(&self, r0: usize, rows: &[f32], out: &mut [f32]) {
-        let hd = self.batch.head_dim;
-        let end = r0 + rows.len() / hd;
-        for j in 0..self.m * self.batch.group {
-            let seen_end = end.min(self.visible(j));
-            if r0 >= seen_end {
-                continue;
-            }
-            let (t, g) = (self.t0 + j / self.batch.group, j % self.batch.group);
-            axpy_rows(
-                &rows[..(seen_end - r0) * hd],
-                &self.scores[j * self.total..][r0..seen_end],
-                &mut out[self.batch.out_range(t, g)],
-            );
+    /// Accumulates the decoded chunk run `rows` (first row: retained row
+    /// `r0`) into every query's output.
+    fn accumulate_chunk(&self, r0: usize, rows: &[f32], out: &mut [f32]) {
+        let n = rows.len() / self.batch.head_dim;
+        for j in 0..self.n_queries() {
+            let weights = &self.scores[j * self.total..][r0..r0 + n];
+            axpy_rows(rows, weights, &mut out[self.out_range(j)]);
         }
+    }
+
+    /// Accumulates the window (first row: retained row `r0`) into every
+    /// query's output, each over the window rows it attends.
+    fn accumulate_window(&self, r0: usize, window: &RowWindow, out: &mut [f32]) {
+        for j in 0..self.n_queries() {
+            let seen = self.visible(j) - r0;
+            let weights = &self.scores[j * self.total..][r0..r0 + seen];
+            window.weighted_sum(0..seen, weights, &mut out[self.out_range(j)]);
+        }
+    }
+
+    /// Range of query `j`'s output vector in the batch's `out`.
+    fn out_range(&self, j: usize) -> std::ops::Range<usize> {
+        let (t, g) = (self.t0 + j / self.batch.group, j % self.batch.group);
+        self.batch.out_range(t, g)
     }
 }
 

@@ -12,8 +12,9 @@
 
 use rkvc_tensor::{low_rank_approximate, round_to_f16, softmax_into, Matrix};
 
-use crate::cache::{axpy_rows, dots_into, extend_attend_blocked, push_f16_row, BlockRows};
+use crate::cache::{axpy_rows, dots_into, extend_attend_blocked, BlockRows};
 use crate::quantizer::{GroupLayout, QuantizedMatrix, SupportedBits};
+use crate::window::{Queries, RowWindow};
 use crate::{AttendBatch, AttendScratch, CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters of [`Codec::Kivi`].
@@ -380,22 +381,19 @@ struct Chunk {
 /// examples).
 #[derive(Debug, Clone)]
 pub struct ChunkedCache {
-    head_dim: usize,
     codec: Codec,
     bits: SupportedBits,
     /// Window length at which the oldest chunk is flushed:
     /// `codec.window() + codec.chunk_rows()`, checked at construction.
     flush_at: usize,
     chunks: Vec<Chunk>,
-    // The window (full precision, f16-rounded).
-    keys: Matrix,
-    values: Matrix,
-    positions: Vec<usize>,
+    /// The full-precision window, a FIFO in the row window's ring: appends
+    /// push its back and a flush pops its front.
+    rows: RowWindow,
     // Decode tile (`chunk_rows x head_dim`, allocated at the first
     // flush): attention decodes one chunk at a time here. Working memory,
     // not retained state.
     tile: Matrix,
-    seen: usize,
     // Quantization error accounting (per element under KIVI, per chunk
     // under GEAR).
     err_sum: f64,
@@ -433,16 +431,12 @@ impl ChunkedCache {
             "window + chunk length overflows usize",
         ))?;
         Ok(ChunkedCache {
-            head_dim,
             codec,
             bits,
             flush_at,
             chunks: Vec::new(),
-            keys: Matrix::zeros(0, head_dim),
-            values: Matrix::zeros(0, head_dim),
-            positions: Vec::new(),
+            rows: RowWindow::new(head_dim),
             tile: Matrix::zeros(0, head_dim),
-            seen: 0,
             err_sum: 0.0,
             err_count: 0,
         })
@@ -455,7 +449,11 @@ impl ChunkedCache {
 
     /// Number of tokens in the full-precision window.
     fn window_len(&self) -> usize {
-        self.positions.len()
+        self.rows.len()
+    }
+
+    fn head_dim(&self) -> usize {
+        self.rows.head_dim()
     }
 
     /// Rebuilds the view by decoding every chunk at matrix level
@@ -465,8 +463,8 @@ impl ChunkedCache {
     /// the [`KvCache::attend`] kernels must be bitwise indistinguishable
     /// from running naive attention over this view.
     pub fn view_uncached(&self) -> KvView {
-        let mut keys = Matrix::zeros(0, self.head_dim);
-        let mut values = Matrix::zeros(0, self.head_dim);
+        let mut keys = Matrix::zeros(0, self.head_dim());
+        let mut values = Matrix::zeros(0, self.head_dim());
         let mut positions = Vec::with_capacity(self.len());
         for chunk in &self.chunks {
             let dk = chunk.keys.reconstruct();
@@ -477,11 +475,10 @@ impl ChunkedCache {
             }
             positions.extend_from_slice(&chunk.positions);
         }
-        for r in 0..self.keys.rows() {
-            keys.push_row(self.keys.row(r));
-            values.push_row(self.values.row(r));
-        }
-        positions.extend_from_slice(&self.positions);
+        let window = self.rows.view();
+        keys.push_rows(&window.keys);
+        values.push_rows(&window.values);
+        positions.extend_from_slice(&window.positions);
         KvView {
             keys,
             values,
@@ -492,10 +489,12 @@ impl ChunkedCache {
     /// Packs the tokens that have aged out of the window into chunks.
     fn maybe_flush(&mut self) {
         let n = self.codec.chunk_rows();
-        while self.positions.len() >= self.flush_at {
-            let key_rows = self.keys.drain_front_rows(n);
-            let value_rows = self.values.drain_front_rows(n);
-            let positions: Vec<usize> = self.positions.drain(0..n).collect();
+        while self.rows.len() >= self.flush_at {
+            let KvView {
+                keys: key_rows,
+                values: value_rows,
+                positions,
+            } = self.rows.pop_ring_rows(n);
 
             // Whatever is dequantized here to measure the error is
             // transient: nothing full-precision outlives the flush.
@@ -522,7 +521,7 @@ impl ChunkedCache {
             };
 
             if self.chunks.is_empty() {
-                self.tile = Matrix::zeros(n, self.head_dim);
+                self.tile = Matrix::zeros(n, self.head_dim());
             }
             self.chunks.push(Chunk {
                 keys,
@@ -535,32 +534,31 @@ impl ChunkedCache {
 
 impl BlockRows for ChunkedCache {
     fn quiet_appends(&self) -> usize {
-        (self.flush_at - 1).saturating_sub(self.positions.len())
+        (self.flush_at - 1).saturating_sub(self.rows.len())
     }
 
-    fn key_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
+    fn window(&self) -> &RowWindow {
+        &self.rows
+    }
+
+    fn chunk_key_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
         for chunk in &self.chunks {
             f(chunk.keys.rows_into(&mut self.tile));
         }
-        f(self.keys.as_slice());
     }
 
-    fn value_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
+    fn chunk_value_runs(&mut self, f: &mut dyn FnMut(&[f32])) {
         for chunk in &self.chunks {
             f(chunk.values.rows_into(&mut self.tile));
         }
-        f(self.values.as_slice());
     }
 }
 
 impl KvCache for ChunkedCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
-        assert_eq!(key.len(), self.head_dim, "key dim mismatch");
-        assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        push_f16_row(&mut self.keys, key);
-        push_f16_row(&mut self.values, value);
-        self.positions.push(pos);
-        self.seen += 1;
+        assert_eq!(key.len(), self.head_dim(), "key dim mismatch");
+        assert_eq!(value.len(), self.head_dim(), "value dim mismatch");
+        self.rows.append_ring(key, value, pos);
         self.maybe_flush();
     }
 
@@ -578,14 +576,15 @@ impl KvCache for ChunkedCache {
         weights: &mut Vec<f32>,
         out: &mut [f32],
     ) {
-        assert_eq!(query.len(), self.head_dim, "query dim mismatch");
-        assert_eq!(out.len(), self.head_dim, "output dim mismatch");
+        assert_eq!(query.len(), self.head_dim(), "query dim mismatch");
+        assert_eq!(out.len(), self.head_dim(), "output dim mismatch");
         // Fused score loop: each chunk is decoded as the dots consume it,
         // in-register or into the chunk-sized tile; nothing of
-        // token-dimension size is materialized. Row order (flushed chunks
-        // in flush order, then the window) and each dot's
-        // ascending-channel fold match the view path exactly, so the
-        // scores are bit-identical to the naive loops over `view`.
+        // token-dimension size is materialized, and the window is a
+        // panel product. Row order (flushed chunks in flush order, then
+        // the window) and each dot's ascending-channel fold match the
+        // view path exactly, so the scores are bit-identical to the
+        // naive loops over `view`.
         scores.clear();
         scores.resize(self.len(), 0.0);
         let mut r0 = 0;
@@ -594,7 +593,10 @@ impl KvCache for ChunkedCache {
             chunk.keys.dots_into(&mut self.tile, query, scale, &mut scores[r0..r0 + n]);
             r0 += n;
         }
-        dots_into(self.keys.as_slice(), query, scale, &mut scores[r0..]);
+        let window = self.rows.len();
+        let q = Queries { rows: query, count: 1, scale };
+        // `weights` is free until the softmax: the product's scratch.
+        self.rows.scores_into(0..window, q, weights, &mut scores[r0..], window);
         softmax_into(scores, weights);
         // Fused weighted sum: the decode feeds the output accumulation
         // directly, same term order as the view path.
@@ -604,7 +606,7 @@ impl KvCache for ChunkedCache {
             chunk.values.axpy_rows(&mut self.tile, &weights[r0..r0 + n], out);
             r0 += n;
         }
-        axpy_rows(self.values.as_slice(), &weights[r0..], out);
+        self.rows.weighted_sum(0..window, &weights[r0..], out);
         self.observe_attention(weights);
     }
 
@@ -617,7 +619,7 @@ impl KvCache for ChunkedCache {
     }
 
     fn seen(&self) -> usize {
-        self.seen
+        self.rows.seen()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -626,7 +628,7 @@ impl KvCache for ChunkedCache {
             .iter()
             .map(|c| c.keys.memory_bytes() + c.values.memory_bytes())
             .sum();
-        chunks + 2 * self.positions.len() * self.head_dim * 2
+        chunks + 2 * self.window_len() * self.head_dim() * 2
     }
 
     fn resident_bytes(&self) -> usize {
@@ -639,17 +641,17 @@ impl KvCache for ChunkedCache {
             .iter()
             .map(|c| c.keys.resident_bytes() + c.values.resident_bytes())
             .sum();
-        chunks + 2 * self.positions.len() * self.head_dim * 4
+        chunks + 2 * self.window_len() * self.head_dim() * 4
     }
 
     fn stats(&self) -> CacheStats {
         CacheStats {
-            tokens_seen: self.seen,
+            tokens_seen: self.seen(),
             tokens_retained: self.len(),
             tokens_evicted: 0,
             memory_bytes: self.memory_bytes(),
             resident_bytes: self.resident_bytes(),
-            fp16_baseline_bytes: 2 * self.seen * self.head_dim * 2,
+            fp16_baseline_bytes: 2 * self.seen() * self.head_dim() * 2,
             mean_quant_error: if self.err_count == 0 {
                 0.0
             } else {

@@ -10,12 +10,12 @@
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use rkvc_tensor::{top_k, Matrix};
+use rkvc_tensor::top_k;
 
-use crate::cache::{
-    extend_attend_blocked, extend_attend_per_token, push_f16_row, BlockRows, DENSE_BLOCK_TOKENS,
-};
+use crate::cache::{extend_attend_blocked, extend_attend_per_token, BlockRows, DENSE_BLOCK_TOKENS};
+use crate::window::RowWindow;
 use crate::{AttendBatch, AttendScratch, CacheError, CacheStats, KvCache, KvView};
 
 /// Hyper-parameters of [`Retention::SinkWindow`] (StreamingLLM).
@@ -264,18 +264,19 @@ struct PageSummary {
 
 /// The dense KV cache: full-width FP16-rounded rows, retained or evicted
 /// by a [`Retention`] rule (which carries the examples).
+///
+/// The rows live in a row window whose logical order is a `head` segment
+/// then a FIFO `ring`. `SinkWindow` keeps the sinks in the head and the
+/// recent rows in the ring, so an eviction pops the ring's front.
+/// `HeavyHitters` keeps the recent window in the ring and moves each row
+/// leaving it to the end of the head, which is then exactly the eviction
+/// scope. Every other rule keeps all its rows in the head.
 #[derive(Debug, Clone)]
 pub struct DenseCache {
-    head_dim: usize,
     rule: Retention,
-    keys: Matrix,
-    values: Matrix,
-    positions: Vec<usize>,
-    /// Tokens ever appended; the ones no longer in `positions` were evicted.
-    seen: usize,
-    /// `HeavyHitters`: accumulated attention score of each retained row,
-    /// removed in lockstep with the row.
-    scores: Vec<f32>,
+    /// The retained rows, with their positions and (`HeavyHitters`)
+    /// accumulated attention scores.
+    rows: RowWindow,
     /// `PrefillVote`: attention vectors of the most recent `obs_window`
     /// queries (only tracked until prefill finishes).
     observations: VecDeque<Vec<f32>>,
@@ -330,13 +331,8 @@ impl DenseCache {
             }
         }?;
         Ok(DenseCache {
-            head_dim,
             rule,
-            keys: Matrix::zeros(0, head_dim),
-            values: Matrix::zeros(0, head_dim),
-            positions: Vec::new(),
-            seen: 0,
-            scores: Vec::new(),
+            rows: RowWindow::new(head_dim),
             observations: VecDeque::new(),
             prefill_done: false,
             pruned: Vec::new(),
@@ -347,7 +343,7 @@ impl DenseCache {
     /// `HeavyHitters`: accumulated attention score of retained token `i`
     /// (view order).
     pub fn score(&self, i: usize) -> f32 {
-        self.scores[i]
+        self.rows.score(i)
     }
 
     /// `PrefillVote`: whether prefill compression has run.
@@ -366,19 +362,14 @@ impl DenseCache {
         self.summaries.len()
     }
 
-    fn evict_row(&mut self, idx: usize) {
-        self.keys.remove_row(idx);
-        self.values.remove_row(idx);
-        self.positions.remove(idx);
-        if matches!(self.rule, Retention::HeavyHitters(_)) {
-            self.scores.remove(idx);
-        }
+    fn head_dim(&self) -> usize {
+        self.rows.head_dim()
     }
 
     /// `PrefillVote`: aggregated, max-pooled vote scores over the current
     /// prompt positions.
     fn pooled_votes(&self, kernel: usize) -> Vec<f32> {
-        let n = self.positions.len();
+        let n = self.rows.len();
         let mut votes = vec![0.0f32; n];
         for obs in &self.observations {
             for (i, w) in obs.iter().enumerate().take(n) {
@@ -404,7 +395,7 @@ impl DenseCache {
             return;
         }
         self.prefill_done = true;
-        let n = self.positions.len();
+        let n = self.rows.len();
         let prefix = n - p.obs_window.min(n);
         if prefix <= p.budget {
             return; // Nothing to compress.
@@ -412,47 +403,47 @@ impl DenseCache {
         let mut selected = top_k(&self.pooled_votes(p.kernel)[..prefix], p.budget);
         selected.sort_unstable();
         selected.extend(prefix..n); // Observation window always kept.
-        self.keys = self.keys.select_rows(&selected);
-        self.values = self.values.select_rows(&selected);
-        self.positions = selected.iter().map(|&i| self.positions[i]).collect();
+        self.rows.select(&selected);
         self.observations.clear();
     }
 
     /// `ChannelPrune`: zeroes the lowest-energy key channels, once, at the
     /// first prefill that leaves something to prune.
     fn prune_channels(&mut self, p: ThinkParams) {
-        if !self.pruned.is_empty() || self.positions.is_empty() {
+        let (hd, n) = (self.head_dim(), self.rows.len());
+        if !self.pruned.is_empty() || n == 0 {
             return;
         }
-        let keep = ((self.head_dim as f32 * p.keep_ratio).round() as usize).clamp(1, self.head_dim);
-        if keep == self.head_dim {
+        let keep = ((hd as f32 * p.keep_ratio).round() as usize).clamp(1, hd);
+        if keep == hd {
             return;
         }
         // Channel importance: mean |k| over the prompt (magnitude criterion;
         // the paper's query-driven score needs the incoming queries, which a
         // cache-local policy approximates by key energy).
-        let importance: Vec<f32> = (0..self.head_dim)
-            .map(|c| (0..self.keys.rows()).map(|r| self.keys.get(r, c).abs()).sum())
+        let importance: Vec<f32> = (0..hd)
+            .map(|c| (0..n).map(|r| self.rows.key(r, c).abs()).sum())
             .collect();
-        self.pruned = top_k(&importance, self.head_dim).split_off(keep);
+        self.pruned = top_k(&importance, hd).split_off(keep);
         self.pruned.sort_unstable();
-        for r in 0..self.keys.rows() {
+        for r in 0..n {
             for &c in &self.pruned {
-                self.keys.set(r, c, 0.0);
+                self.rows.set_key(r, c, 0.0);
             }
         }
     }
 
     /// `PageSelect`: summarizes the page the latest append completed.
     fn summarize_last_page(&mut self, page_size: usize) {
-        let n = self.positions.len();
+        let n = self.rows.len();
         let start = n - page_size;
-        let mut min = self.keys.row(start).to_vec();
+        let mut min: Vec<f32> = (0..self.head_dim()).map(|d| self.rows.key(start, d)).collect();
         let mut max = min.clone();
         for r in start + 1..n {
-            for (d, &x) in self.keys.row(r).iter().enumerate() {
-                min[d] = min[d].min(x);
-                max[d] = max[d].max(x);
+            for (d, (lo, hi)) in min.iter_mut().zip(&mut max).enumerate() {
+                let x = self.rows.key(r, d);
+                *lo = lo.min(x);
+                *hi = hi.max(x);
             }
         }
         self.summaries.push(PageSummary { min, max });
@@ -465,121 +456,113 @@ impl DenseCache {
         bounds.map(|(&q, (&lo, &hi))| (q * lo).max(q * hi)).sum()
     }
 
-    /// `PageSelect`: the rows `query` attends — its `top_k_pages` best
-    /// complete pages, in sequence order, and the in-flight tail page.
-    fn select_pages(&self, p: QuestParams, query: &[f32]) -> KvView {
-        assert_eq!(query.len(), self.head_dim, "query dim mismatch");
-        let n = self.positions.len();
+    /// The rows `query` attends, as ascending ranges: everything, except
+    /// under `PageSelect` — its `top_k_pages` best complete pages, in
+    /// sequence order, and the in-flight tail page.
+    fn attended_rows(&self, query: &[f32]) -> Vec<Range<usize>> {
+        assert_eq!(query.len(), self.head_dim(), "query dim mismatch");
+        let n = self.rows.len();
         let full_pages = self.summaries.len();
-        if full_pages <= p.top_k_pages {
-            return self.view();
-        }
+        let p = match self.rule {
+            Retention::PageSelect(p) if full_pages > p.top_k_pages => p,
+            _ => return vec![0..n],
+        };
         let bounds: Vec<f32> = (0..full_pages).map(|page| self.page_bound(page, query)).collect();
         let mut selected = top_k(&bounds, p.top_k_pages);
         selected.sort_unstable();
-
-        let tail = full_pages * p.page_size;
-        let mut rows: Vec<usize> = Vec::with_capacity(p.top_k_pages * p.page_size + n - tail);
-        for page in selected {
-            let start = page * p.page_size;
-            rows.extend(start..start + p.page_size);
-        }
+        let mut rows: Vec<Range<usize>> =
+            selected.into_iter().map(|page| page * p.page_size..(page + 1) * p.page_size).collect();
         // The in-flight (unsummarized) tail page is always attended.
-        rows.extend(tail..n);
-        KvView {
-            keys: self.keys.select_rows(&rows),
-            values: self.values.select_rows(&rows),
-            positions: rows.iter().map(|&r| self.positions[r]).collect(),
-        }
+        rows.push(full_pages * p.page_size..n);
+        rows
     }
 }
 
 impl BlockRows for DenseCache {
     fn quiet_appends(&self) -> usize {
         match self.rule {
-            Retention::KeepAll => DENSE_BLOCK_TOKENS - 1,
+            Retention::KeepAll | Retention::ChannelPrune(_) => DENSE_BLOCK_TOKENS - 1,
             // An FP16 cache until the budget is full; from then on every
             // append evicts, so blocks shrink to one token.
             Retention::SinkWindow(p) => {
-                p.budget().saturating_sub(self.positions.len()).min(DENSE_BLOCK_TOKENS - 1)
+                p.budget().saturating_sub(self.rows.len()).min(DENSE_BLOCK_TOKENS - 1)
             }
             // Not on the blocked driver (see `extend_attend`).
             _ => 0,
         }
     }
+
+    fn window(&self) -> &RowWindow {
+        &self.rows
+    }
 }
 
 impl KvCache for DenseCache {
     fn append(&mut self, key: &[f32], value: &[f32], pos: usize) {
-        assert_eq!(key.len(), self.head_dim, "key dim mismatch");
-        assert_eq!(value.len(), self.head_dim, "value dim mismatch");
-        push_f16_row(&mut self.keys, key);
-        push_f16_row(&mut self.values, value);
-        self.positions.push(pos);
-        self.seen += 1;
+        assert_eq!(key.len(), self.head_dim(), "key dim mismatch");
+        assert_eq!(value.len(), self.head_dim(), "value dim mismatch");
         match self.rule {
-            Retention::KeepAll | Retention::PrefillVote(_) => {}
             Retention::SinkWindow(p) => {
-                while self.positions.len() > p.budget() {
-                    // Evict the oldest token that is not a sink.
-                    self.evict_row(p.sinks.min(self.positions.len() - 1));
+                if self.rows.head_len() < p.sinks {
+                    self.rows.append_head(key, value, pos);
+                } else {
+                    self.rows.append_ring(key, value, pos);
+                    if self.rows.ring_len() > p.recent {
+                        // Evict the oldest token that is not a sink.
+                        self.rows.pop_ring_front();
+                    }
                 }
             }
             Retention::HeavyHitters(p) => {
-                self.scores.push(0.0);
-                while self.positions.len() > p.budget() {
-                    // Eviction scope: everything outside the recent window.
-                    let protected_from = self.positions.len().saturating_sub(p.recent);
-                    let candidate = (0..protected_from)
-                        .min_by(|&a, &b| cmp_f32(self.scores[a], self.scores[b]))
-                        // If the recent window covers everything (tiny
-                        // budgets), fall back to evicting the oldest token.
+                self.rows.append_ring(key, value, pos);
+                if self.rows.ring_len() > p.recent {
+                    self.rows.graduate();
+                }
+                if self.rows.len() > p.budget() {
+                    // Eviction scope: everything outside the recent window,
+                    // which is the head. The recent window is full by now
+                    // (`len > heavy + recent`), so the scope is never empty.
+                    let scope = 0..self.rows.head_len();
+                    let candidate = scope
+                        .min_by(|&a, &b| cmp_f32(self.rows.score(a), self.rows.score(b)))
                         .unwrap_or(0);
-                    self.evict_row(candidate);
+                    self.rows.remove(candidate);
                 }
             }
+            _ => self.rows.append_head(key, value, pos),
+        }
+        match self.rule {
             Retention::LeastAttended(p) => {
                 // If no attention feedback arrives before the next append (a
                 // caller that never observes), fall back to dropping the
                 // oldest.
-                while self.positions.len() > p.budget + 1 {
-                    self.evict_row(0);
+                while self.rows.len() > p.budget + 1 {
+                    self.rows.remove(0);
                 }
             }
             Retention::ChannelPrune(_) => {
                 // Channels pruned at prefill stay pruned for decode appends —
                 // the policy's constant-width storage.
-                let stored = self.keys.row_mut(self.keys.rows() - 1);
+                let last = self.rows.len() - 1;
                 for &c in &self.pruned {
-                    stored[c] = 0.0;
+                    self.rows.set_key(last, c, 0.0);
                 }
             }
             Retention::PageSelect(p) => {
-                if self.positions.len() % p.page_size == 0 {
+                if self.rows.len() % p.page_size == 0 {
                     self.summarize_last_page(p.page_size);
                 }
             }
+            _ => {}
         }
     }
 
     fn view(&self) -> KvView {
-        KvView {
-            keys: self.keys.clone(),
-            values: self.values.clone(),
-            positions: self.positions.clone(),
-        }
+        self.rows.view()
     }
 
     fn view_for_query(&self, query: &[f32]) -> KvView {
-        match self.rule {
-            Retention::PageSelect(p) => self.select_pages(p, query),
-            _ => self.view(),
-        }
-    }
-
-    fn dense_rows(&self) -> Option<(&Matrix, &Matrix)> {
-        // A `PageSelect` query attends a selection, not the store.
-        (!matches!(self.rule, Retention::PageSelect(_))).then_some((&self.keys, &self.values))
+        self.rows.gather(&self.attended_rows(query))
     }
 
     fn observe_attention(&mut self, weights: &[f32]) {
@@ -588,17 +571,15 @@ impl KvCache for DenseCache {
                 // Accumulate scores for the rows the weights refer to (the
                 // current view, oldest first). Tolerate a shorter weight
                 // vector from causal masking.
-                for (score, w) in self.scores.iter_mut().zip(weights) {
-                    *score += w;
-                }
+                self.rows.accumulate_scores(weights);
             }
-            Retention::LeastAttended(p) if self.positions.len() > p.budget => {
+            Retention::LeastAttended(p) if self.rows.len() > p.budget => {
                 // Evict the minimum-attention token once over budget —
                 // current query only, everything (including the newest
                 // token) evictable.
-                let n = weights.len().min(self.positions.len());
+                let n = weights.len().min(self.rows.len());
                 if let Some(min_idx) = (0..n).min_by(|&a, &b| cmp_f32(weights[a], weights[b])) {
-                    self.evict_row(min_idx);
+                    self.rows.remove(min_idx);
                 }
             }
             // SnapKV only votes during prefill.
@@ -618,18 +599,30 @@ impl KvCache for DenseCache {
         }
     }
 
+    fn attend(
+        &mut self,
+        query: &[f32],
+        scale: f32,
+        scores: &mut Vec<f32>,
+        weights: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), self.head_dim(), "output dim mismatch");
+        let rows = self.attended_rows(query);
+        self.rows.attend(&rows, query, scale, scores, weights, out);
+        self.observe_attention(weights);
+    }
+
     fn extend_attend(&mut self, batch: &AttendBatch<'_>, scratch: &mut AttendScratch, out: &mut [f32]) {
         match self.rule {
             // Whole query blocks at once, only under the rules no query
             // can steer: their retained past moves on appends alone.
-            Retention::KeepAll | Retention::SinkWindow(_) => {
+            Retention::KeepAll | Retention::SinkWindow(_) | Retention::ChannelPrune(_) => {
                 extend_attend_blocked(self, batch, scratch, out)
             }
             // Accumulated scores, current-query eviction, the vote ring and
             // per-query page selection change with every query, so these
             // rules run each one — a query nobody reads included.
-            // (`ChannelPrune` reads no query either and could block; that
-            // is a throughput change, to be made and measured as one.)
             _ => extend_attend_per_token(self, batch, scratch, out),
         }
     }
@@ -643,36 +636,37 @@ impl KvCache for DenseCache {
     }
 
     fn len(&self) -> usize {
-        self.positions.len()
+        self.rows.len()
     }
 
     fn seen(&self) -> usize {
-        self.seen
+        self.rows.seen()
     }
 
     fn memory_bytes(&self) -> usize {
-        let rows = self.positions.len();
+        let (rows, hd) = (self.rows.len(), self.head_dim());
         // K + V at 2 bytes per element.
-        let fp16 = 2 * rows * self.head_dim * 2;
+        let fp16 = 2 * rows * hd * 2;
         match self.rule {
             // Plus an FP16 accumulated score per retained token.
             Retention::HeavyHitters(_) => fp16 + rows * 2,
             // Keys store only the kept channels; values stay full width.
-            Retention::ChannelPrune(_) => rows * (2 * self.head_dim - self.pruned.len()) * 2,
+            Retention::ChannelPrune(_) => rows * (2 * hd - self.pruned.len()) * 2,
             // Plus two FP16 summary vectors per page.
-            Retention::PageSelect(_) => fp16 + self.summaries.len() * 2 * self.head_dim * 2,
+            Retention::PageSelect(_) => fp16 + self.summaries.len() * 2 * hd * 2,
             _ => fp16,
         }
     }
 
     fn stats(&self) -> CacheStats {
+        let seen = self.seen();
         CacheStats {
-            tokens_seen: self.seen,
+            tokens_seen: seen,
             tokens_retained: self.len(),
-            tokens_evicted: self.seen - self.len(),
+            tokens_evicted: seen - self.len(),
             memory_bytes: self.memory_bytes(),
             resident_bytes: self.resident_bytes(),
-            fp16_baseline_bytes: 2 * self.seen * self.head_dim * 2,
+            fp16_baseline_bytes: 2 * seen * self.head_dim() * 2,
             mean_quant_error: 0.0,
         }
     }
@@ -696,7 +690,7 @@ mod tests {
     /// `c` after appending zero rows at `positions`, each followed by a
     /// uniform attention observation when `observe` is set.
     fn fill(mut c: DenseCache, positions: std::ops::Range<usize>, observe: bool) -> DenseCache {
-        let zeros = vec![0.0; c.head_dim];
+        let zeros = vec![0.0; c.head_dim()];
         for pos in positions {
             c.append(&zeros, &zeros, pos);
             if observe {
@@ -1120,10 +1114,11 @@ mod tests {
                 c.append(&[x, -x], &[0.0; 2], pos);
             }
             let q = [0.3f32, 0.9];
+            let keys = c.view().keys;
             for page in 0..c.page_count() {
                 let bound = c.page_bound(page, &q);
                 for r in page * 4..(page + 1) * 4 {
-                    let dot: f32 = c.keys.row(r).iter().zip(&q).map(|(a, b)| a * b).sum();
+                    let dot: f32 = keys.row(r).iter().zip(&q).map(|(a, b)| a * b).sum();
                     assert!(dot <= bound + 1e-5, "page {page} row {r}: {dot} > {bound}");
                 }
             }

@@ -46,6 +46,7 @@ mod config;
 mod dense;
 mod quantizer;
 mod stats;
+mod window;
 
 pub use cache::{AttendBatch, AttendScratch, KvCache, KvView};
 pub use chunked::{ChunkedCache, Codec, GearParams, KiviParams};

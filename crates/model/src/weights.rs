@@ -50,6 +50,7 @@ fn noise_matrix(rows: usize, cols: usize, scale: f32, rng: &mut SeededRng) -> Ma
 
 /// Packs a constructed weight matrix for the kernel.
 fn pack(m: &Matrix) -> PackedMatrix {
+    // rkvc-allow(E001): ModelConfig::validate requires finite beta, gain and noise_scale, so every constructed weight is finite
     PackedMatrix::try_pack(m).expect("constructed weights are finite (ModelConfig::validate)")
 }
 

@@ -1,29 +1,39 @@
-//! Packed-panel GEMM: the right-hand operand packed once into 16-column
+//! Packed-panel GEMM: the right-hand operand laid out in 16-column
 //! panels, and one branch-free register-tile kernel body instantiated at
-//! the host's vector width.
+//! the host's vector width. [`PackedMatrix`] owns a packed weight matrix;
+//! [`Panels`] borrows panels someone else keeps (the KV cache's key
+//! window, which stores `Kᵀ` this way so attention scores are a product).
 //!
-//! # Bit-identity with [`Matrix::matmul_naive`]
+//! # Bit-identity
 //!
 //! Every output element starts at `+0.0` and adds its `a[i][k] * b[k][j]`
-//! terms in ascending `k`, one IEEE multiply then one IEEE add per term —
-//! the naive i-k-j association. The naive loop also *skips* terms whose
-//! `a[i][k]` is `±0.0`; this kernel does not (the skip is a data-dependent
-//! branch per `k` that keeps the loop off the vector units). Dropping it
-//! is legal because [`PackedMatrix::try_pack`] admits finite entries only:
+//! terms in ascending `k`, one IEEE multiply then one IEEE add per term,
+//! never skipping one: the `seq_sum_f32` fold of its terms, whatever the
+//! operands hold. Tiling only changes *which element* is advanced next,
+//! never an element's own term order, and no FMA is enabled in either
+//! instantiation, so the baseline tile and the AVX2 tile agree bit for
+//! bit.
+//!
+//! [`Matrix::matmul_naive`] has the same i-k-j association but also
+//! *skips* terms whose `a[i][k]` is `±0.0`; this kernel does not (the skip
+//! is a data-dependent branch per `k` that keeps the loop off the vector
+//! units). Against the naive loop, dropping it is legal because
+//! [`PackedMatrix::try_pack`] admits finite entries only:
 //! `±0.0 * b` is then `±0.0`, and an accumulator that starts at `+0.0`
 //! can never hold `-0.0` under round-to-nearest (`x + y` is `-0.0` only
 //! when both are, and an exact cancellation rounds to `+0.0`), so adding
-//! `±0.0` to it is the identity. Tiling only changes *which element* is
-//! advanced next, never an element's own term order, and no FMA is enabled
-//! in either instantiation, so the baseline tile, the AVX2 tile and the
-//! naive oracle agree bit for bit (`tests/packed_gemm.rs`).
+//! `±0.0` to it is the identity. A packed product therefore equals the
+//! naive oracle bit for bit too (`tests/packed_gemm.rs`).
 
 use crate::matrix::{matmul_rows_per_chunk, Matrix, MICRO_OPS_PER_MAC};
 use crate::TensorError;
 
 /// Columns per packed panel: the widest tile any instantiation uses, so
 /// one layout serves them all.
-const PANEL: usize = 16;
+pub const PANEL: usize = 16;
+
+/// The kernel signature both instantiations share.
+type Kernel = fn(&[f32], Panels<'_>, &mut [f32]);
 
 /// A matrix packed for use as the right-hand operand of a product:
 /// `cols.div_ceil(16)` panels, each holding 16 adjacent columns for every
@@ -126,28 +136,67 @@ impl PackedMatrix {
     /// enough to amortize the pool. Row blocks only split *which elements
     /// a worker owns*; every element's accumulation order is fixed, so the
     /// split (and hence the parallel grain) cannot change bits.
-    fn product_into(
-        &self,
-        a: &[f32],
-        rows: usize,
-        out: &mut [f32],
-        kernel: fn(&[f32], &PackedMatrix, &mut [f32]),
-    ) {
+    fn product_into(&self, a: &[f32], rows: usize, out: &mut [f32], kernel: Kernel) {
         let (k, cols) = (self.rows, self.cols);
         if rows == 0 || cols == 0 {
             return;
         }
+        let panels = Panels::new(k, cols, &self.data);
         let rows_per_chunk = matmul_rows_per_chunk(rows, MICRO_OPS_PER_MAC * k * cols);
         crate::par::par_chunks_mut(out, rows_per_chunk * cols, |chunk_idx, out_chunk| {
             let a0 = chunk_idx * rows_per_chunk * k;
-            kernel(&a[a0..a0 + out_chunk.len() / cols * k], self, out_chunk);
+            kernel(&a[a0..a0 + out_chunk.len() / cols * k], panels, out_chunk);
         });
+    }
+}
+
+/// A borrowed right-hand operand in [`PackedMatrix`]'s layout: a
+/// `rows x cols` matrix as `cols.div_ceil(16)` panels of `rows x 16`
+/// (row-major), column `c` at lane `c % 16` of panel `c / 16`. Whoever
+/// owns the panels decides what the lanes past `cols` hold; the kernel
+/// reads them but never stores their columns.
+///
+/// Nothing is checked for finiteness: every term is computed, so each
+/// output is the unskipped ascending-`k` fold (see the module docs) even
+/// for infinite or NaN entries.
+#[derive(Debug, Clone, Copy)]
+pub struct Panels<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl<'a> Panels<'a> {
+    /// The `rows x cols` matrix whose panels start at `data[0]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is shorter than `cols.div_ceil(16)` whole panels.
+    pub fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
+        assert!(
+            data.len() >= cols.div_ceil(PANEL) * rows * PANEL,
+            "{} floats cannot hold the panels of a {rows}x{cols} matrix",
+            data.len()
+        );
+        Panels { rows, cols, data }
+    }
+
+    /// `out = a * self` for the `out.len() / cols` row-major rows of `a`,
+    /// on the calling thread through the instantiation the host supports:
+    /// the kernel of [`Matrix::matmul_packed`] without its fan-out, for
+    /// callers that already run inside a pool unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` does not hold `out.len() / cols` rows of `rows`.
+    pub fn mul_into(self, a: &[f32], out: &mut [f32]) {
+        rows_into(a, self, out);
     }
 
     /// The packed columns from `col` to the end of its panel, from row 0
     /// down: row `k` of an `NT`-wide tile at `col` is `[k * PANEL..][..NT]`.
     #[inline(always)]
-    fn tile(&self, col: usize) -> &[f32] {
+    fn tile(&self, col: usize) -> &'a [f32] {
         &self.data[(col / PANEL) * self.rows * PANEL + col % PANEL..]
             [..self.rows * PANEL - col % PANEL]
     }
@@ -176,7 +225,7 @@ fn accumulate<const R: usize, const NT: usize, const T: usize>(
     acc
 }
 
-/// The one kernel body: `out = a * w` for the `out.len() / w.cols()` rows
+/// The one kernel body: `out = a * w` for the `out.len() / w.cols` rows
 /// of `a`. Full stripes of `MR` rows run `MR x NT` accumulator tiles;
 /// leftover rows (and the single row of a decode step) run `NP` tiles at
 /// once so one row still keeps `NP * NT` independent accumulators in
@@ -185,7 +234,7 @@ fn accumulate<const R: usize, const NT: usize, const T: usize>(
 #[inline(always)]
 fn rows_into_tiles<const MR: usize, const NT: usize, const NP: usize>(
     a: &[f32],
-    w: &PackedMatrix,
+    w: Panels<'_>,
     out: &mut [f32],
 ) {
     let (k, n) = (w.rows, w.cols);
@@ -232,7 +281,7 @@ fn rows_into_tiles<const MR: usize, const NT: usize, const NP: usize>(
 /// The baseline-ISA instantiation: 4x8 tiles fill eight 4-wide SSE2
 /// registers, two tiles at once for a lone row. Also what every non-x86
 /// target runs.
-fn rows_into_baseline(a: &[f32], w: &PackedMatrix, out: &mut [f32]) {
+fn rows_into_baseline(a: &[f32], w: Panels<'_>, out: &mut [f32]) {
     rows_into_tiles::<4, 8, 2>(a, w, out);
 }
 
@@ -241,14 +290,14 @@ fn rows_into_baseline(a: &[f32], w: &PackedMatrix, out: &mut [f32]) {
 /// each term is still a separate IEEE multiply and add.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn rows_into_avx2(a: &[f32], w: &PackedMatrix, out: &mut [f32]) {
+fn rows_into_avx2(a: &[f32], w: Panels<'_>, out: &mut [f32]) {
     rows_into_tiles::<4, 16, 4>(a, w, out);
 }
 
 /// `out = a * w` through the instantiation the host supports. The
 /// platform is the selector: there is no flag, and both instantiations
 /// produce the same bits.
-fn rows_into(a: &[f32], w: &PackedMatrix, out: &mut [f32]) {
+fn rows_into(a: &[f32], w: Panels<'_>, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // rkvc-safety: the `is_x86_feature_detected!("avx2")` guard above is the callee's only requirement
@@ -271,11 +320,7 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_packed`] over a given kernel instantiation.
-    fn matmul_packed_with(
-        &self,
-        w: &PackedMatrix,
-        kernel: fn(&[f32], &PackedMatrix, &mut [f32]),
-    ) -> Matrix {
+    fn matmul_packed_with(&self, w: &PackedMatrix, kernel: Kernel) -> Matrix {
         let (rows, k, cols) = (self.rows(), self.cols(), w.cols);
         assert_eq!(
             k, w.rows,
@@ -293,4 +338,11 @@ impl Matrix {
 #[doc(hidden)]
 pub fn matmul_packed_baseline(a: &Matrix, w: &PackedMatrix) -> Matrix {
     a.matmul_packed_with(w, rows_into_baseline)
+}
+
+/// [`Panels::mul_into`] pinned to the baseline-ISA instantiation, for the
+/// same comparison.
+#[doc(hidden)]
+pub fn panels_mul_into_baseline(a: &[f32], w: Panels<'_>, out: &mut [f32]) {
+    rows_into_baseline(a, w, out);
 }

@@ -532,37 +532,6 @@ impl Matrix {
         self.rows += other.rows;
     }
 
-    /// Removes row `idx` in place: the rows below slide up with one
-    /// `copy_within` and the buffer is truncated, so the retained rows
-    /// keep their order and bytes and nothing is reallocated. This is
-    /// the eviction primitive of the sparsity caches, which used to
-    /// rebuild the matrix through [`Matrix::select_rows`] per eviction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.rows()`.
-    pub fn remove_row(&mut self, idx: usize) {
-        assert!(idx < self.rows, "row index {idx} out of bounds ({})", self.rows);
-        self.data.copy_within((idx + 1) * self.cols.., idx * self.cols);
-        self.rows -= 1;
-        self.data.truncate(self.rows * self.cols);
-    }
-
-    /// Removes the first `n` rows in place and returns them as their own
-    /// matrix: one copy of the drained rows, one slide of the remainder.
-    /// The flush primitive of the windowed quantizing caches (the aged
-    /// rows leave the full-precision window to be quantized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.rows()`.
-    pub fn drain_front_rows(&mut self, n: usize) -> Matrix {
-        assert!(n <= self.rows, "cannot drain {n} of {} rows", self.rows);
-        let data = self.data.drain(..n * self.cols).collect();
-        self.rows -= n;
-        Matrix { rows: n, cols: self.cols, data }
-    }
-
     /// Returns a new matrix containing the selected rows, in order.
     ///
     /// # Panics
@@ -668,39 +637,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]);
         let s = m.select_rows(&[3, 0, 2]);
         assert_eq!(s.col(0), vec![3.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn remove_row_first_middle_last_and_single() {
-        let m = Matrix::from_rows(&[&[0.0, 0.5], &[1.0, 1.5], &[2.0, 2.5], &[3.0, 3.5]]);
-        for (idx, keep) in [(0usize, [1usize, 2, 3]), (2, [0, 1, 3]), (3, [0, 1, 2])] {
-            let mut r = m.clone();
-            r.remove_row(idx);
-            assert_eq!(r, m.select_rows(&keep), "removing row {idx}");
-        }
-        let mut single = Matrix::from_rows(&[&[7.0, 8.0, 9.0]]);
-        single.remove_row(0);
-        assert_eq!(single.shape(), (0, 3));
-        assert!(single.is_empty());
-        single.push_row(&[1.0, 2.0, 3.0]);
-        assert_eq!(single.row(0), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn remove_row_rejects_out_of_range() {
-        Matrix::zeros(2, 2).remove_row(2);
-    }
-
-    #[test]
-    fn drain_front_rows_splits_in_order() {
-        let m = Matrix::from_rows(&[&[0.0, 0.5], &[1.0, 1.5], &[2.0, 2.5]]);
-        for n in 0..=3 {
-            let mut rest = m.clone();
-            let front = rest.drain_front_rows(n);
-            assert_eq!(front, m.select_rows(&(0..n).collect::<Vec<_>>()));
-            assert_eq!(rest, m.select_rows(&(n..3).collect::<Vec<_>>()));
-        }
     }
 
     #[test]

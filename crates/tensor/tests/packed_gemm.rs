@@ -2,10 +2,15 @@
 //! (the baseline-ISA tile through `matmul_packed_baseline`, and whatever
 //! the host dispatches to through `Matrix::matmul_packed` — the AVX2 tile
 //! where the CPU has it) must match `matmul_naive` bit for bit, although
-//! the oracle skips zero activations and the kernel does not.
+//! the oracle skips zero activations and the kernel does not. Through
+//! borrowed `Panels` (the KV cache's key layout) the same kernel must
+//! produce the sequential dot of every key row and query, non-finite
+//! operands included.
 
+use rkvc_tensor::gemm::{panels_mul_into_baseline, Panels, PANEL};
 use rkvc_tensor::{
-    matmul_packed_baseline, par, seeded_rng, Matrix, PackedMatrix, SeededRng, TensorError,
+    matmul_packed_baseline, par, seeded_rng, seq_sum_f32, Matrix, PackedMatrix, SeededRng,
+    TensorError,
 };
 
 /// Finite values chosen to break a kernel that reassociates, fuses, or
@@ -18,6 +23,17 @@ fn adversarial_value(rng: &mut SeededRng) -> f32 {
         2 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
         3 => -f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
         _ => rng.gen_range(-4.0f32..4.0) * 10f32.powi(rng.gen_range(-3i32..4)),
+    }
+}
+
+/// An attention operand: mostly the adversarial finite values, with ±inf
+/// and NaN among them.
+fn score_operand(rng: &mut SeededRng) -> f32 {
+    match rng.gen_range(0u32..50) {
+        0 => f32::INFINITY,
+        1 => f32::NEG_INFINITY,
+        2 => f32::NAN,
+        _ => adversarial_value(rng),
     }
 }
 
@@ -107,6 +123,51 @@ rkvc_tensor::det_cases! {
             w.mul_rows_into(a.row(i), &mut reused);
             assert_bit_identical(&Matrix::from_vec(1, cols, reused.clone()), &want, "mul_rows_into");
             assert_bit_identical(&Matrix::from_vec(1, cols, batch_baseline.row(i).to_vec()), &want, "baseline batch row");
+        }
+    }
+
+    /// Attention scores as the KV cache computes them: `n` key rows stored
+    /// as the columns of `Kᵀ` in panels, times a few queries, then scaled.
+    /// Each equals the ascending-channel fold `seq_sum_f32(k·q) * scale`
+    /// on both instantiations, for keys and queries with signed zeros,
+    /// subnormals, infinities and NaN (the panels are not `try_pack`ed,
+    /// so nothing filters them). The padding lanes of the last panel hold
+    /// NaN, which would poison any score they reached.
+    ///
+    /// A NaN score is compared as NaN: IEEE 754 leaves to the platform
+    /// which NaN an operation on two NaNs returns, and either side's
+    /// multiply or add may have its operands commuted by the compiler.
+    fn panel_scores_are_the_sequential_fold(rng, cases = 4) {
+        let scale = 0.125f32;
+        for hd in [1usize, 3, 8, 15, 16, 17, 33, 64, 70] {
+            for n in [0usize, 1, 15, 16, 17, 33, 515] {
+                let keys: Vec<f32> = (0..n * hd).map(|_| score_operand(rng)).collect();
+                let mut panels = vec![f32::NAN; n.div_ceil(PANEL) * hd * PANEL];
+                for (r, key) in keys.chunks_exact(hd).enumerate() {
+                    for (c, &k) in key.iter().enumerate() {
+                        panels[r / PANEL * hd * PANEL + c * PANEL + r % PANEL] = k;
+                    }
+                }
+                let w = Panels::new(hd, n, &panels);
+                let m = rng.gen_range(1usize..7);
+                let queries: Vec<f32> = (0..m * hd).map(|_| score_operand(rng)).collect();
+                let mut dispatched = vec![0.0f32; m * n];
+                let mut baseline = vec![0.0f32; m * n];
+                w.mul_into(&queries, &mut dispatched);
+                panels_mul_into_baseline(&queries, w, &mut baseline);
+                for (isa, product) in [("dispatched", &dispatched), ("baseline", &baseline)] {
+                    for (j, query) in queries.chunks_exact(hd).enumerate() {
+                        for (r, key) in keys.chunks_exact(hd).enumerate() {
+                            let want = seq_sum_f32(key.iter().zip(query).map(|(k, q)| k * q)) * scale;
+                            let got = product[j * n + r] * scale;
+                            assert!(
+                                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                                "{isa} hd={hd} n={n} query {j} row {r}: {got:e} vs {want:e}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
