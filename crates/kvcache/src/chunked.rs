@@ -149,21 +149,92 @@ struct Outlier {
 }
 
 /// Flat indices of the `n` largest-magnitude entries of `error`, equal
-/// magnitudes going to the lower index, in no particular order.
+/// magnitudes going to the lower index, in ascending order.
 ///
 /// The order (`|error|` descending, then index ascending) is total, so
 /// the set is unique: it is the first `n` of a stable descending sort by
-/// magnitude, found by selection instead of by sorting all
-/// `2 * buffer * head_dim` entries. Per-token quantization errors tie
-/// often; the index tie-break is what keeps the pick reproducible.
+/// magnitude. Nothing sorts every cell. Cell `i` is dealt to group
+/// `i mod 4n`, and the `n`-th largest group maximum is a floor: `n`
+/// distinct cells reach it, so a cell below it ranks below `n` others.
+/// The few cells at or above the floor, in the groups whose maximum
+/// reaches it, are gathered in index order; the `n`-th largest of their
+/// magnitudes is the threshold, everything above it is picked, and the
+/// ties at it go to the lowest indices. A magnitude is compared as its
+/// bits with the sign cleared, read as an `i32`: they order exactly as
+/// `total_cmp` orders `|v|` (NaN above `inf`). Per-token quantization
+/// errors tie often; the index tie-break is what keeps the pick
+/// reproducible.
 fn largest_magnitude_cells(error: &[f32], n: usize) -> Vec<usize> {
-    let mut cells: Vec<(usize, f32)> =
-        error.iter().enumerate().map(|(i, &v)| (i, v.abs())).collect();
-    if n < cells.len() {
-        cells.select_nth_unstable_by(n, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        cells.truncate(n);
+    if n >= error.len() {
+        return (0..error.len()).collect();
     }
-    cells.into_iter().map(|(i, _)| i).collect()
+    if n == 0 {
+        return Vec::new();
+    }
+    let magnitude = |v: f32| (v.to_bits() & !(1 << 31)) as i32;
+    let width = (4 * n).min(error.len());
+    let mut maxima = vec![0; width];
+    for row in error.chunks(width) {
+        for (max, &v) in maxima.iter_mut().zip(row) {
+            *max = magnitude(v).max(*max);
+        }
+    }
+    let floor = nth_largest(maxima.clone(), n);
+    let groups: Vec<usize> = (0..width).filter(|&g| maxima[g] >= floor).collect();
+    let (mut keys, mut cells) = (Vec::with_capacity(2 * n), Vec::with_capacity(2 * n));
+    for (start, row) in (0..).step_by(width).zip(error.chunks(width)) {
+        for &g in &groups {
+            if let Some(&v) = row.get(g).filter(|&&v| magnitude(v) >= floor) {
+                keys.push(magnitude(v));
+                cells.push(start + g);
+            }
+        }
+    }
+    let threshold = nth_largest(keys.clone(), n);
+    let mut ties = n - keys.iter().filter(|&&k| k > threshold).count();
+    let mut picked = Vec::with_capacity(n);
+    for (cell, k) in cells.into_iter().zip(keys) {
+        if k > threshold || (k == threshold && ties > 0) {
+            ties -= usize::from(k == threshold);
+            picked.push(cell);
+        }
+    }
+    picked
+}
+
+/// The `n`-th largest of `keys`, `1 <= n <= keys.len()`.
+fn nth_largest(mut keys: Vec<i32>, n: usize) -> i32 {
+    let k = keys.len() - n;
+    *keys.select_nth_unstable(k).1
+}
+
+/// RMS of what the rank-`r` factors leave of `error`:
+/// `‖u·v − error‖_F / sqrt(len)`, the value
+/// `reconstruct().sub(error).frobenius_norm()` divides down, without its
+/// two temporaries. Each row of `u·v` is built as
+/// [`Matrix::matmul_naive`] builds it (ascending `k` from `+0.0`, zero
+/// `u` entries skipped) in one reused row, and the squares add in
+/// row-major order from `+0.0` — the `sum` the norm runs, whose starting
+/// zero's sign cannot show because no square is `−0.0`.
+fn residual_rms(u: &Matrix, v: &Matrix, error: &Matrix) -> f32 {
+    let mut uv = vec![0.0f32; error.cols()];
+    let mut sum_sq = 0.0f32;
+    let e_rows = error.as_slice().chunks_exact(error.cols());
+    for (u_row, e_row) in u.as_slice().chunks_exact(u.cols()).zip(e_rows) {
+        uv.fill(0.0);
+        for (&a, v_row) in u_row.iter().zip(v.as_slice().chunks_exact(v.cols())) {
+            if a != 0.0 {
+                for (o, &b) in uv.iter_mut().zip(v_row) {
+                    *o += a * b;
+                }
+            }
+        }
+        for (&p, &e) in uv.iter().zip(e_row) {
+            let d = p - e;
+            sum_sq += d * d;
+        }
+    }
+    sum_sq.sqrt() / (error.len().max(1) as f32).sqrt()
 }
 
 /// GEAR's repair of one tensor's quantization error: the rank-`r`
@@ -194,30 +265,38 @@ impl Packed {
 
     /// Per-token quantization of `x` plus the GEAR correction of its
     /// error, and the RMS of what the correction leaves unrepaired.
-    fn corrected(x: &Matrix, bits: SupportedBits, params: &GearParams) -> (Self, f32) {
+    ///
+    /// `error` is the flush's scratch, `x`'s shape: it receives
+    /// `x − dequant(Q)` element for element as `x.sub(&dequantize())`
+    /// would, loses its outliers to zero, and is factored in place.
+    fn corrected(
+        x: &Matrix,
+        bits: SupportedBits,
+        params: &GearParams,
+        error: &mut Matrix,
+    ) -> (Self, f32) {
         let quant = QuantizedMatrix::quantize(x, GroupLayout::PerToken, bits);
-        let mut error = x.sub(&quant.dequantize());
+        quant.dequantize_rows_into(error);
+        for (e, &v) in error.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *e = v - *e;
+        }
 
-        // Extract the top-s% |error| entries as exact outliers.
+        // Extract the top-s% |error| entries as exact outliers, sorted by
+        // `(row, col)` — ascending flat index — so a reader can walk a
+        // row's outliers with a cursor.
         let n_outliers = ((error.len() as f32 * params.outlier_ratio).round() as usize).max(1);
         let cols = error.cols();
         let picked = largest_magnitude_cells(error.as_slice(), n_outliers);
         let mut outliers = Vec::with_capacity(picked.len());
         for flat in picked {
-            let row = flat / cols;
-            let col = flat % cols;
+            let cell = &mut error.as_mut_slice()[flat];
             outliers.push(Outlier {
-                row,
-                col,
-                value: round_to_f16(error.get(row, col)),
+                row: flat / cols,
+                col: flat % cols,
+                value: round_to_f16(*cell),
             });
-            error.set(row, col, 0.0);
+            *cell = 0.0;
         }
-        // Sort by (row, col) so a reader can walk a row's outliers with a
-        // cursor. Cells are unique (each picked flat index is zeroed
-        // before the next pick), so reordering the list cannot change any
-        // reconstruction.
-        outliers.sort_by_key(|o| (o.row, o.col));
 
         // Low-rank approximation of the remaining error.
         let max_rank = error.rows().min(error.cols());
@@ -225,10 +304,8 @@ impl Packed {
             .max(1)
             .min(max_rank);
         // rkvc-allow(E001): rank is clamped to [1, min(rows, cols)] above, so this cannot fail
-        let factors = low_rank_approximate(&error, rank, 6).expect("rank validated");
-
-        let residual_err = factors.reconstruct().sub(&error).frobenius_norm()
-            / (error.len().max(1) as f32).sqrt();
+        let factors = low_rank_approximate(error, rank, 6).expect("rank validated");
+        let residual_err = residual_rms(&factors.u, &factors.v, error);
 
         let correction = Correction {
             u: factors.u,
@@ -391,8 +468,8 @@ pub struct ChunkedCache {
     /// push its back and a flush pops its front.
     rows: RowWindow,
     // Decode tile (`chunk_rows x head_dim`, allocated at the first
-    // flush): attention decodes one chunk at a time here. Working memory,
-    // not retained state.
+    // flush): attention decodes one chunk at a time here, and a flush
+    // measures its error here. Working memory, not retained state.
     tile: Matrix,
     // Quantization error accounting (per element under KIVI, per chunk
     // under GEAR).
@@ -496,23 +573,28 @@ impl ChunkedCache {
                 positions,
             } = self.rows.pop_ring_rows(n);
 
-            // Whatever is dequantized here to measure the error is
+            // Whatever is decoded into the tile to measure the error is
             // transient: nothing full-precision outlives the flush.
+            if self.chunks.is_empty() {
+                self.tile = Matrix::zeros(n, self.head_dim());
+            }
+            let tile = &mut self.tile;
             let (keys, values) = match self.codec {
                 Codec::Kivi(_) => {
                     let keys = Packed::plain(&key_rows, GroupLayout::PerChannel, self.bits);
                     let values = Packed::plain(&value_rows, GroupLayout::PerToken, self.bits);
-                    // Mean |key error| (keys dominate accuracy impact).
-                    let err = keys.quant.dequantize().sub(&key_rows);
-                    for e in err.as_slice() {
-                        self.err_sum += e.abs() as f64;
+                    // Mean |key error| (keys dominate accuracy impact),
+                    // row-major.
+                    keys.quant.dequantize_rows_into(tile);
+                    for (d, x) in tile.as_slice().iter().zip(key_rows.as_slice()) {
+                        self.err_sum += (d - x).abs() as f64;
                     }
-                    self.err_count += err.len() as u64;
+                    self.err_count += key_rows.len() as u64;
                     (keys, values)
                 }
                 Codec::Gear(p) => {
-                    let (keys, ek) = Packed::corrected(&key_rows, self.bits, &p);
-                    let (values, ev) = Packed::corrected(&value_rows, self.bits, &p);
+                    let (keys, ek) = Packed::corrected(&key_rows, self.bits, &p, tile);
+                    let (values, ev) = Packed::corrected(&value_rows, self.bits, &p, tile);
                     // Mean over chunks of the K/V-averaged uncorrected RMS.
                     self.err_sum += (ek + ev) as f64 * 0.5;
                     self.err_count += 1;
@@ -520,9 +602,6 @@ impl ChunkedCache {
                 }
             };
 
-            if self.chunks.is_empty() {
-                self.tile = Matrix::zeros(n, self.head_dim());
-            }
             self.chunks.push(Chunk {
                 keys,
                 values,
@@ -692,6 +771,227 @@ mod tests {
             let k: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
             cache.append(&k, &v, pos);
+        }
+    }
+
+    /// The column-wise Gram-Schmidt of the factorizer's matrix form.
+    fn orthonormalize_columns(q: &mut Matrix) {
+        let (rows, cols) = q.shape();
+        for c in 0..cols {
+            for prev in 0..c {
+                let mut dot = 0.0;
+                for r in 0..rows {
+                    dot += q.get(r, c) * q.get(r, prev);
+                }
+                for r in 0..rows {
+                    let v = q.get(r, c) - dot * q.get(r, prev);
+                    q.set(r, c, v);
+                }
+            }
+            let mut norm = 0.0;
+            for r in 0..rows {
+                norm += q.get(r, c) * q.get(r, c);
+            }
+            let norm = norm.sqrt();
+            for r in 0..rows {
+                let unit = if r == c % rows.max(1) { 1.0 } else { 0.0 };
+                q.set(r, c, if norm > 1e-12 { q.get(r, c) / norm } else { unit });
+            }
+        }
+    }
+
+    /// The factorization as matrix products: the seeded Xavier basis,
+    /// `orth(M Mᵀ Q)` rounds through [`Matrix::matmul`], then `Qᵀ M`.
+    fn low_rank_by_matmul(m: &Matrix, rank: usize) -> (Matrix, Matrix) {
+        let mut rng = seeded_rng(0x9e3779b97f4a7c15);
+        let bound = (6.0 / (m.rows() + rank).max(1) as f32).sqrt();
+        let basis = (0..m.rows() * rank).map(|_| rng.gen_range(-bound..=bound)).collect();
+        let mut q = Matrix::from_vec(m.rows(), rank, basis);
+        orthonormalize_columns(&mut q);
+        let mt = m.transposed();
+        for _ in 0..6 {
+            let mut w = m.matmul(&mt.matmul(&q));
+            orthonormalize_columns(&mut w);
+            q = w;
+        }
+        let v = q.transposed().matmul(m);
+        (q, v)
+    }
+
+    /// GEAR's correction built from temporaries: `dequantize().sub`, a
+    /// stable sort for the outliers, the matrix-product factorization and
+    /// `reconstruct().sub().frobenius_norm()`.
+    fn corrected_by_temporaries(x: &Matrix, bits: SupportedBits, p: &GearParams) -> (Packed, f32) {
+        let quant = QuantizedMatrix::quantize(x, GroupLayout::PerToken, bits);
+        let mut error = x.sub(&quant.dequantize());
+        let n = ((error.len() as f32 * p.outlier_ratio).round() as usize).max(1);
+        let mut order: Vec<usize> = (0..error.len()).collect();
+        order.sort_by(|&a, &b| error.as_slice()[b].abs().total_cmp(&error.as_slice()[a].abs()));
+        let mut outliers = Vec::new();
+        for flat in order.into_iter().take(n) {
+            let (row, col) = (flat / error.cols(), flat % error.cols());
+            outliers.push(Outlier { row, col, value: round_to_f16(error.get(row, col)) });
+            error.set(row, col, 0.0);
+        }
+        outliers.sort_by_key(|o| (o.row, o.col));
+        let max_rank = error.rows().min(error.cols());
+        let rank = ((max_rank as f32 * p.rank_ratio).round() as usize).max(1).min(max_rank);
+        let (u, v) = low_rank_by_matmul(&error, rank);
+        let residual = u.matmul(&v).sub(&error).frobenius_norm() / (error.len() as f32).sqrt();
+        (Packed { quant, correction: Some(Correction { u, v, outliers }) }, residual)
+    }
+
+    /// Bit equality, except that any NaN matches any NaN (which NaN an
+    /// operation on two NaNs returns is the platform's choice).
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        let same = |(x, y): (&f32, &f32)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        a.len() == b.len() && a.iter().zip(b).all(same)
+    }
+
+    rkvc_tensor::det_cases! {
+        /// The residual RMS is `u.matmul(&v).sub(&e).frobenius_norm()`
+        /// over `sqrt(len)`, zero `u` entries meeting infinite `v` ones
+        /// included (the product skips them; `0 · inf` would be NaN).
+        fn residual_rms_is_the_norm_of_the_product(rng, cases = 128) {
+            let rows = rng.gen_range(1usize..17);
+            let cols = rng.gen_range(1usize..65);
+            let rank = rng.gen_range(1usize..4);
+            let mut draw = |n: usize, zeros: bool| -> Vec<f32> {
+                (0..n)
+                    .map(|_| match rng.gen_range(0u32..12) {
+                        0 | 1 if zeros => 0.0,
+                        2 if !zeros => f32::INFINITY,
+                        _ => rng.gen_range(-1.0f32..1.0),
+                    })
+                    .collect()
+            };
+            let u = Matrix::from_vec(rows, rank, draw(rows * rank, true));
+            let v = Matrix::from_vec(rank, cols, draw(rank * cols, false));
+            let e = Matrix::from_vec(rows, cols, draw(rows * cols, true));
+            let want = u.matmul(&v).sub(&e).frobenius_norm() / (e.len() as f32).sqrt();
+            assert!(same_bits(&[residual_rms(&u, &v, &e)], &[want]));
+        }
+
+        /// A flush that packs in place stores what the flush built from
+        /// temporaries stored — codes, factors, outliers and the error
+        /// accounting — so `view_uncached()` and `stats()` agree bit for
+        /// bit, over both codecs, bit widths 1/2/4/8, chunk shapes up to
+        /// GEAR's 16×64 and rows with signed zeros, repeats and values
+        /// past FP16's range.
+        fn in_place_flush_matches_the_flush_by_temporaries(rng, cases = 96) {
+            let hd = [1usize, 3, 8, 16, 64, 64][rng.gen_range(0usize..6)];
+            let bits = [1u8, 2, 4, 8][rng.gen_range(0usize..4)];
+            let codec = if rng.gen_bool(0.5) {
+                Codec::Kivi(KiviParams {
+                    bits,
+                    group_size: [1usize, 3, 8, 32][rng.gen_range(0usize..4)],
+                    residual: [0usize, 1, 4, 16][rng.gen_range(0usize..4)],
+                })
+            } else {
+                Codec::Gear(GearParams {
+                    bits,
+                    outlier_ratio: [0.0f32, 0.02, 0.05, 0.5][rng.gen_range(0usize..4)],
+                    rank_ratio: [0.02f32, 0.1, 0.25, 1.0][rng.gen_range(0usize..4)],
+                    buffer: [1usize, 3, 8, 16, 16][rng.gen_range(0usize..5)],
+                })
+            };
+            let mut cache = ChunkedCache::new(hd, codec).unwrap();
+            let (chunk, flush_at) = (codec.chunk_rows(), cache.flush_at);
+            let tokens = rng.gen_range(flush_at.saturating_sub(2)..flush_at + 3 * chunk);
+            let repeat = rng.gen_range(-1.0f32..1.0);
+            let mut row = || -> Vec<f32> {
+                (0..hd)
+                    .map(|_| match rng.gen_range(0u32..50) {
+                        0..=4 => 0.0,
+                        5..=9 => -0.0,
+                        10..=14 => repeat,
+                        15 => 1e5,
+                        _ => rng.gen_range(-1.0f32..1.0),
+                    })
+                    .collect()
+            };
+
+            let mut window: Vec<(Vec<f32>, Vec<f32>)> = Vec::new();
+            let mut expect: Vec<(Packed, Packed)> = Vec::new();
+            let (mut err_sum, mut err_count) = (0.0f64, 0u64);
+            for pos in 0..tokens {
+                let (k, v) = (row(), row());
+                cache.append(&k, &v, pos);
+                let (mut k, mut v) = (k, v);
+                round_slice_to_f16(&mut k);
+                round_slice_to_f16(&mut v);
+                window.push((k, v));
+                while window.len() >= flush_at {
+                    let (mut keys, mut values) = (Matrix::zeros(0, hd), Matrix::zeros(0, hd));
+                    for (k, v) in window.drain(..chunk) {
+                        keys.push_row(&k);
+                        values.push_row(&v);
+                    }
+                    let bits = cache.bits;
+                    match codec {
+                        Codec::Kivi(_) => {
+                            let k = Packed::plain(&keys, GroupLayout::PerChannel, bits);
+                            for e in k.quant.dequantize().sub(&keys).as_slice() {
+                                err_sum += e.abs() as f64;
+                            }
+                            err_count += keys.len() as u64;
+                            expect.push((k, Packed::plain(&values, GroupLayout::PerToken, bits)));
+                        }
+                        Codec::Gear(p) => {
+                            let (k, ek) = corrected_by_temporaries(&keys, bits, &p);
+                            let (v, ev) = corrected_by_temporaries(&values, bits, &p);
+                            err_sum += (ek + ev) as f64 * 0.5;
+                            err_count += 1;
+                            expect.push((k, v));
+                        }
+                    }
+                }
+            }
+
+            assert_eq!(cache.chunks.len(), expect.len());
+            for (got, want) in cache.chunks.iter().zip(&expect) {
+                for (g, w) in [(&got.keys, &want.0), (&got.values, &want.1)] {
+                    assert!(same_bits(g.reconstruct().as_slice(), w.reconstruct().as_slice()));
+                    assert_eq!(g.memory_bytes(), w.memory_bytes());
+                    assert_eq!(g.resident_bytes(), w.resident_bytes());
+                    if let (Some(gc), Some(wc)) = (&g.correction, &w.correction) {
+                        assert!(same_bits(gc.u.as_slice(), wc.u.as_slice()), "u");
+                        assert!(same_bits(gc.v.as_slice(), wc.v.as_slice()), "v");
+                        let cells = |c: &Correction| {
+                            c.outliers.iter().map(|o| (o.row, o.col)).collect::<Vec<_>>()
+                        };
+                        assert_eq!(cells(gc), cells(wc), "outlier cells");
+                        let values = |c: &Correction| {
+                            c.outliers.iter().map(|o| o.value).collect::<Vec<_>>()
+                        };
+                        assert!(same_bits(&values(gc), &values(wc)), "outlier values");
+                    }
+                }
+            }
+
+            let view = cache.view_uncached();
+            let (mut keys, mut values) = (Vec::new(), Vec::new());
+            for (k, v) in &expect {
+                keys.extend_from_slice(k.reconstruct().as_slice());
+                values.extend_from_slice(v.reconstruct().as_slice());
+            }
+            for (k, v) in &window {
+                keys.extend_from_slice(k);
+                values.extend_from_slice(v);
+            }
+            assert!(same_bits(view.keys.as_slice(), &keys));
+            assert!(same_bits(view.values.as_slice(), &values));
+            assert_eq!(view.positions, (0..tokens).collect::<Vec<_>>());
+
+            let stats = cache.stats();
+            let mean = if err_count == 0 { 0.0 } else { (err_sum / err_count as f64) as f32 };
+            let got = stats.mean_quant_error;
+            assert!(same_bits(&[got], &[mean]), "{got} vs {mean}");
+            let chunks =
+                |f: fn(&Packed) -> usize| expect.iter().map(|(k, v)| f(k) + f(v)).sum::<usize>();
+            let window_values = 2 * window.len() * hd;
+            assert_eq!(stats.memory_bytes, chunks(Packed::memory_bytes) + window_values * 2);
+            assert_eq!(stats.resident_bytes, chunks(Packed::resident_bytes) + window_values * 4);
         }
     }
 

@@ -216,28 +216,8 @@ pub(crate) struct QuantError {
 /// }
 /// ```
 pub fn quantize_group(values: &[f32], bits: SupportedBits) -> QuantizedGroup {
-    let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
-    let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let (lo, hi) = if values.is_empty() { (0.0, 0.0) } else { (lo, hi) };
-
-    let max_code = bits.max_code() as f32;
-    let scale = if hi > lo { (hi - lo) / max_code } else { 0.0 };
-    // Store constants at FP16 like a production kernel would.
-    let scale = round_to_f16(scale);
-    let zero = round_to_f16(lo);
-
-    let per = bits.values_per_byte();
-    let nbits = bits.bits() as usize;
-    let mut packed = vec![0u8; values.len().div_ceil(per)];
-    for (i, &v) in values.iter().enumerate() {
-        let code = if scale > 0.0 {
-            (((v - zero) / scale).round()).clamp(0.0, max_code) as u32
-        } else {
-            0
-        };
-        packed[i / per] |= (code as u8) << ((i % per) * nbits);
-    }
-
+    let mut packed = vec![0u8; values.len().div_ceil(bits.values_per_byte())];
+    let (scale, zero) = pack_group(values, bits, &mut packed);
     QuantizedGroup {
         packed,
         scale,
@@ -245,6 +225,134 @@ pub fn quantize_group(values: &[f32], bits: SupportedBits) -> QuantizedGroup {
         len: values.len(),
         bits,
     }
+}
+
+/// The one per-group kernel: packs `values` into the zeroed `packed`
+/// (`values_per_byte()` codes per byte, LSB-first) and returns the
+/// group's FP16-rounded `(scale, zero)`. [`quantize_group`] feeds it a
+/// slice; [`QuantizedMatrix::quantize`] feeds it each row, or each
+/// column of the transpose, writing into its flat code buffer.
+fn pack_group(values: &[f32], bits: SupportedBits, packed: &mut [u8]) -> (f32, f32) {
+    let (lo, hi) = if values.is_empty() { (0.0, 0.0) } else { value_range(values) };
+    let max_code = bits.max_code() as f32;
+    let scale = if hi > lo { (hi - lo) / max_code } else { 0.0 };
+    // Store constants at FP16 like a production kernel would.
+    let scale = round_to_f16(scale);
+    let zero = round_to_f16(lo);
+
+    if scale > 0.0 {
+        match bits {
+            SupportedBits::B1 => pack_codes::<8>(values, zero, scale, packed),
+            SupportedBits::B2 => pack_codes::<4>(values, zero, scale, packed),
+            SupportedBits::B4 => pack_codes::<2>(values, zero, scale, packed),
+            SupportedBits::B8 => pack_codes::<1>(values, zero, scale, packed),
+        }
+    }
+    (scale, zero)
+}
+
+/// `(min, max)` of a non-empty slice: the values the folds
+/// `lo = lo.min(v)` / `hi = hi.max(v)` from `±inf` return, NaN skipped.
+///
+/// Each step is written as a select that skips NaN —
+/// `if v < lo { v } else { lo }` is one `minps` — and eight lanes fold
+/// independently before folding together pairwise, which breaks the
+/// serial dependency chains. Min and max do not depend on the order,
+/// except for the sign of a zero extreme (`+0.0` and `−0.0` compare
+/// equal). That sign never shows: `hi − lo` and `hi > lo` do not see
+/// it, and a zero `lo` reaches the decode only as `code · scale + zero`,
+/// where `code · scale` is never `−0.0`, and the codes only as
+/// `(v − zero) / scale`, where a signed zero rounds to code 0 either way. The serial folds never fixed it either: for one slice a
+/// release build of them returns a different sign than a debug build.
+fn value_range(values: &[f32]) -> (f32, f32) {
+    let mut lo = [f32::INFINITY; 8];
+    let mut hi = [f32::NEG_INFINITY; 8];
+    let mut chunks = values.chunks_exact(8);
+    for chunk in chunks.by_ref() {
+        fold_lanes(&mut lo, &mut hi, chunk);
+    }
+    fold_lanes(&mut lo, &mut hi, chunks.remainder());
+    for width in [4, 2, 1] {
+        for i in 0..width {
+            lo[i] = lower(lo[i], lo[i + width]);
+            hi[i] = higher(hi[i], hi[i + width]);
+        }
+    }
+    (lo[0], hi[0])
+}
+
+/// One step of each lane's fold over `chunk` (up to one value a lane).
+#[inline(always)]
+fn fold_lanes(lo: &mut [f32; 8], hi: &mut [f32; 8], chunk: &[f32]) {
+    for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(chunk) {
+        *l = lower(*l, v);
+        *h = higher(*h, v);
+    }
+}
+
+/// `acc.min(v)` with NaN skipped.
+#[inline(always)]
+fn lower(acc: f32, v: f32) -> f32 {
+    if v < acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// `acc.max(v)` with NaN skipped.
+#[inline(always)]
+fn higher(acc: f32, v: f32) -> f32 {
+    if v > acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// Writes every byte of `packed` from `PER` codes of `values` each, the
+/// last byte's unused slots zero. Each code is [`round_code`] of
+/// `(v − zero) / scale`; the loop is integer and float arithmetic only,
+/// so it vectorizes.
+fn pack_codes<const PER: usize>(values: &[f32], zero: f32, scale: f32, packed: &mut [u8]) {
+    let nbits = 8 / PER;
+    let max_code = ((1u32 << nbits) - 1) as f32;
+    let byte = |vals: &[f32]| {
+        let mut b = 0u32;
+        for (slot, &v) in vals.iter().enumerate() {
+            b |= round_code((v - zero) / scale, max_code) << (slot * nbits);
+        }
+        b as u8
+    };
+    let mut chunks = values.chunks_exact(PER);
+    for (out, vals) in packed.iter_mut().zip(chunks.by_ref()) {
+        *out = byte(vals);
+    }
+    let rem = chunks.remainder();
+    if !rem.is_empty() {
+        packed[packed.len() - 1] = byte(rem);
+    }
+}
+
+/// `t.round().clamp(0.0, max_code) as u32` without the libm call.
+///
+/// Clamp first (`max` turns NaN into 0), then round to the nearest
+/// integer by adding 2^23 — below 2^23 an f32's ulp after the shift is
+/// 1, so the sum lands on an integer (ties to even) whose value sits in
+/// the low mantissa bits — and add one back at a tie that went down, so
+/// ties round away from zero as `round` does. For an integer `max_code`
+/// this agrees with the libm form everywhere: below zero both give 0,
+/// above `max_code` both give `max_code`, NaN gives 0, and in between
+/// both are round-half-away-from-zero (`c − nearest` is exact, since
+/// both are below 2^8). The saturating `as u32` of a truncate-based form
+/// would keep the loop from vectorizing; this one is plain arithmetic.
+#[inline(always)]
+fn round_code(t: f32, max_code: f32) -> u32 {
+    const SHIFT: f32 = 8_388_608.0; // 2^23
+    let c = t.max(0.0).min(max_code);
+    let shifted = c + SHIFT;
+    let nearest = shifted - SHIFT;
+    (shifted.to_bits() - SHIFT.to_bits()) + u32::from(c - nearest >= 0.5)
 }
 
 /// Reconstructs the values of a quantized group.
@@ -289,10 +397,16 @@ pub enum GroupLayout {
 
 /// A matrix stored in quantized form with a chosen group layout.
 ///
-/// Rows are tokens, columns are head channels.
+/// Rows are tokens, columns are head channels. The groups live in two
+/// flat arrays: `codes` holds every group's packed bytes back to back,
+/// each group laid out exactly as [`quantize_group`] packs it, and
+/// `consts` holds each group's `(scale, zero)`. The decode kernels walk
+/// the groups by offset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
-    groups: Vec<QuantizedGroup>,
+    codes: Vec<u8>,
+    consts: Vec<(f32, f32)>,
+    bits: SupportedBits,
     layout: GroupLayout,
     rows: usize,
     cols: usize,
@@ -302,58 +416,84 @@ impl QuantizedMatrix {
     /// Quantizes `m` with the given layout and bit width.
     ///
     /// `PerChannel` produces one group per column (constants shared along the
-    /// token axis); `PerToken` produces one group per row.
+    /// token axis); `PerToken` produces one group per row. Each group is
+    /// packed from a contiguous run — a row of `m`, or for a column a row
+    /// of one transposed copy — into its slot of the flat code buffer, so
+    /// the call allocates at most three buffers whatever the group count.
     pub fn quantize(m: &Matrix, layout: GroupLayout, bits: SupportedBits) -> Self {
-        let mut groups = Vec::new();
-        match layout {
+        let (rows, cols) = m.shape();
+        let transposed;
+        let (groups, group_len, data) = match layout {
             GroupLayout::PerChannel => {
-                for c in 0..m.cols() {
-                    groups.push(quantize_group(&m.col(c), bits));
-                }
+                transposed = m.transposed();
+                (cols, rows, transposed.as_slice())
             }
-            GroupLayout::PerToken => {
-                for r in 0..m.rows() {
-                    groups.push(quantize_group(m.row(r), bits));
-                }
-            }
-        }
+            GroupLayout::PerToken => (rows, cols, m.as_slice()),
+        };
+        let group_bytes = group_len.div_ceil(bits.values_per_byte());
+        let mut codes = vec![0u8; groups * group_bytes];
+        let consts = (0..groups)
+            .map(|g| {
+                let values = &data[g * group_len..][..group_len];
+                pack_group(values, bits, &mut codes[g * group_bytes..][..group_bytes])
+            })
+            .collect();
         QuantizedMatrix {
-            groups,
+            codes,
+            consts,
+            bits,
             layout,
-            rows: m.rows(),
-            cols: m.cols(),
+            rows,
+            cols,
         }
     }
 
-    /// Reconstructs the dense matrix.
+    /// Values per group: a column's rows or a row's columns.
+    fn group_len(&self) -> usize {
+        match self.layout {
+            GroupLayout::PerChannel => self.rows,
+            GroupLayout::PerToken => self.cols,
+        }
+    }
+
+    /// Each group's packed bytes and `(scale, zero)`, in group order.
+    /// (Groups of zero values have no bytes and yield nothing, which is
+    /// all there is to decode of them.)
+    fn groups(&self) -> impl Iterator<Item = (&[u8], (f32, f32))> {
+        let group_bytes = self.group_len().div_ceil(self.bits.values_per_byte());
+        self.codes.chunks_exact(group_bytes.max(1)).zip(self.consts.iter().copied())
+    }
+
+    /// Reconstructs the dense matrix, one element at a time with the
+    /// shift-and-mask unpacking of [`QuantizedGroup::code`]: the oracle
+    /// the table-driven decode kernels are checked against.
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        match self.layout {
-            GroupLayout::PerChannel => {
-                for (c, g) in self.groups.iter().enumerate() {
-                    for (r, v) in dequantize_group(g).into_iter().enumerate() {
-                        out.set(r, c, v);
-                    }
-                }
-            }
-            GroupLayout::PerToken => {
-                for (r, g) in self.groups.iter().enumerate() {
-                    out.row_mut(r).copy_from_slice(&dequantize_group(g));
+        let nbits = self.bits.bits() as usize;
+        let per = self.bits.values_per_byte();
+        for (g, (packed, (scale, zero))) in self.groups().enumerate() {
+            for i in 0..self.group_len() {
+                let code = ((packed[i / per] >> ((i % per) * nbits)) as u32) & self.bits.max_code();
+                let v = code as f32 * scale + zero;
+                match self.layout {
+                    GroupLayout::PerChannel => out.set(i, g, v),
+                    GroupLayout::PerToken => out.set(g, i, v),
                 }
             }
         }
         out
     }
 
-    /// Bytes used by packed codes and constants.
+    /// Bytes used by packed codes and constants: per group, the packed
+    /// codes plus two FP16 constants.
     pub fn memory_bytes(&self) -> usize {
-        self.groups.iter().map(QuantizedGroup::memory_bytes).sum()
+        self.codes.len() + 4 * self.consts.len()
     }
 
     /// Bytes actually held by the simulator process for this matrix:
     /// packed codes at their true size plus two f32 constants per group.
     pub fn resident_bytes(&self) -> usize {
-        self.groups.iter().map(QuantizedGroup::resident_bytes).sum()
+        self.codes.len() + 2 * std::mem::size_of::<f32>() * self.consts.len()
     }
 
     /// The group layout.
@@ -388,21 +528,11 @@ impl QuantizedMatrix {
         assert_eq!(self.layout, GroupLayout::PerChannel, "fused_dots_into streams per-channel codes");
         assert_eq!(q.len(), self.cols, "fused_dots_into width mismatch");
         assert_eq!(scores.len(), self.rows, "fused_dots_into score count mismatch");
-        if let Some(g0) = self.groups.first() {
-            match g0.bits {
-                SupportedBits::B1 => {
-                    Self::fused_dots_pc::<8>(&self.groups, &CODE_VALUES_B1, q, scores)
-                }
-                SupportedBits::B2 => {
-                    Self::fused_dots_pc::<4>(&self.groups, &CODE_VALUES_B2, q, scores)
-                }
-                SupportedBits::B4 => {
-                    Self::fused_dots_pc::<2>(&self.groups, &CODE_VALUES_B4, q, scores)
-                }
-                SupportedBits::B8 => {
-                    Self::fused_dots_pc::<1>(&self.groups, &CODE_VALUES_B8, q, scores)
-                }
-            }
+        match self.bits {
+            SupportedBits::B1 => self.fused_dots_pc::<8>(&CODE_VALUES_B1, q, scores),
+            SupportedBits::B2 => self.fused_dots_pc::<4>(&CODE_VALUES_B2, q, scores),
+            SupportedBits::B4 => self.fused_dots_pc::<2>(&CODE_VALUES_B4, q, scores),
+            SupportedBits::B8 => self.fused_dots_pc::<1>(&CODE_VALUES_B8, q, scores),
         }
         for s in scores {
             *s *= scale;
@@ -423,21 +553,11 @@ impl QuantizedMatrix {
         assert_eq!(self.layout, GroupLayout::PerToken, "fused_axpy_rows streams per-token codes");
         assert_eq!(w.len(), self.rows, "fused_axpy_rows weight count mismatch");
         assert_eq!(out.len(), self.cols, "fused_axpy_rows width mismatch");
-        if let Some(g0) = self.groups.first() {
-            match g0.bits {
-                SupportedBits::B1 => {
-                    Self::fused_axpy_pt::<8>(&self.groups, &CODE_VALUES_B1, w, out)
-                }
-                SupportedBits::B2 => {
-                    Self::fused_axpy_pt::<4>(&self.groups, &CODE_VALUES_B2, w, out)
-                }
-                SupportedBits::B4 => {
-                    Self::fused_axpy_pt::<2>(&self.groups, &CODE_VALUES_B4, w, out)
-                }
-                SupportedBits::B8 => {
-                    Self::fused_axpy_pt::<1>(&self.groups, &CODE_VALUES_B8, w, out)
-                }
-            }
+        match self.bits {
+            SupportedBits::B1 => self.fused_axpy_pt::<8>(&CODE_VALUES_B1, w, out),
+            SupportedBits::B2 => self.fused_axpy_pt::<4>(&CODE_VALUES_B2, w, out),
+            SupportedBits::B4 => self.fused_axpy_pt::<2>(&CODE_VALUES_B4, w, out),
+            SupportedBits::B8 => self.fused_axpy_pt::<1>(&CODE_VALUES_B8, w, out),
         }
     }
 
@@ -460,7 +580,8 @@ impl QuantizedMatrix {
     /// Writes the dequantized matrix into the leading rows of `tile` —
     /// element for element what [`QuantizedMatrix::dequantize`] returns,
     /// into caller-owned storage. The query-blocked attention path
-    /// decodes each flushed chunk through this once per block of queries.
+    /// decodes each flushed chunk through this once per block of queries,
+    /// and a flush decodes through it to measure its error.
     ///
     /// # Panics
     ///
@@ -470,14 +591,12 @@ impl QuantizedMatrix {
         self.decode_rows::<false>(tile);
     }
 
-    /// Monomorphizes the whole-matrix decode on the bit width (uniform
-    /// across groups by construction — `quantize` packs every group at
-    /// one width) so it runs without per-group dispatch.
+    /// Monomorphizes the whole-matrix decode on the bit width (one width
+    /// for every group) so it runs without per-group dispatch.
     fn decode_rows<const ADD: bool>(&self, tile: &mut Matrix) {
         assert!(self.rows <= tile.rows(), "decode_rows row overflow");
         assert_eq!(tile.cols(), self.cols, "decode_rows width mismatch");
-        let Some(g0) = self.groups.first() else { return };
-        match g0.bits {
+        match self.bits {
             SupportedBits::B1 => self.decode_rows_with::<8, ADD>(&CODE_VALUES_B1, tile),
             SupportedBits::B2 => self.decode_rows_with::<4, ADD>(&CODE_VALUES_B2, tile),
             SupportedBits::B4 => self.decode_rows_with::<2, ADD>(&CODE_VALUES_B4, tile),
@@ -498,20 +617,18 @@ impl QuantizedMatrix {
     ) {
         match self.layout {
             GroupLayout::PerToken => {
-                for (r, g) in self.groups.iter().enumerate() {
-                    debug_assert_eq!(g.bits.values_per_byte(), PER, "mixed bit widths");
-                    let (scale, zero) = (g.scale, g.zero);
+                for (r, (packed, (scale, zero))) in self.groups().enumerate() {
                     // Whole bytes first (fixed-width, unrolled), then the
                     // partial last byte.
                     let mut chunks = tile.row_mut(r).chunks_exact_mut(PER);
-                    for (o_chunk, &byte) in chunks.by_ref().zip(&g.packed) {
+                    for (o_chunk, &byte) in chunks.by_ref().zip(packed) {
                         for (o, &cf) in o_chunk.iter_mut().zip(&table[byte as usize]) {
                             put::<ADD>(o, cf * scale + zero);
                         }
                     }
                     let rem = chunks.into_remainder();
                     if !rem.is_empty() {
-                        let byte = g.packed[g.packed.len() - 1];
+                        let byte = packed[packed.len() - 1];
                         for (o, &cf) in rem.iter_mut().zip(&table[byte as usize]) {
                             put::<ADD>(o, cf * scale + zero);
                         }
@@ -519,14 +636,12 @@ impl QuantizedMatrix {
                 }
             }
             GroupLayout::PerChannel => {
-                let cols = self.cols;
+                let (rows, cols) = (self.rows, self.cols);
                 let data = tile.as_mut_slice();
-                for (c, g) in self.groups.iter().enumerate() {
-                    debug_assert_eq!(g.bits.values_per_byte(), PER, "mixed bit widths");
-                    let (scale, zero) = (g.scale, g.zero);
-                    for (b, &byte) in g.packed.iter().enumerate() {
+                for (c, (packed, (scale, zero))) in self.groups().enumerate() {
+                    for (b, &byte) in packed.iter().enumerate() {
                         let r0 = b * PER;
-                        let live = g.len.saturating_sub(r0);
+                        let live = rows.saturating_sub(r0);
                         for (i, &cf) in table[byte as usize].iter().enumerate().take(live) {
                             put::<ADD>(&mut data[(r0 + i) * cols + c], cf * scale + zero);
                         }
@@ -543,16 +658,14 @@ impl QuantizedMatrix {
     /// `(code_value * scale + zero) * qv` terms in ascending-column
     /// order.
     fn fused_dots_pc<const PER: usize>(
-        groups: &[QuantizedGroup],
+        &self,
         table: &[[f32; PER]; 256],
         q: &[f32],
         seg: &mut [f32],
     ) {
-        for (g, &qv) in groups.iter().zip(q) {
-            debug_assert_eq!(g.bits.values_per_byte(), PER, "mixed bit widths");
-            let (scale, zero) = (g.scale, g.zero);
+        for ((packed, (scale, zero)), &qv) in self.groups().zip(q) {
             let mut chunks = seg.chunks_exact_mut(PER);
-            for (s_chunk, &byte) in chunks.by_ref().zip(&g.packed) {
+            for (s_chunk, &byte) in chunks.by_ref().zip(packed) {
                 let d = &table[byte as usize];
                 for (s, &cf) in s_chunk.iter_mut().zip(d) {
                     *s += (cf * scale + zero) * qv;
@@ -560,7 +673,7 @@ impl QuantizedMatrix {
             }
             let rem = chunks.into_remainder();
             if !rem.is_empty() {
-                let d = &table[g.packed[g.packed.len() - 1] as usize];
+                let d = &table[packed[packed.len() - 1] as usize];
                 for (s, &cf) in rem.iter_mut().zip(d) {
                     *s += (cf * scale + zero) * qv;
                 }
@@ -573,16 +686,14 @@ impl QuantizedMatrix {
     /// Rows ascend, channels within a row ascend — the exact term order
     /// of the naive row-by-row weighted sum.
     fn fused_axpy_pt<const PER: usize>(
-        groups: &[QuantizedGroup],
+        &self,
         table: &[[f32; PER]; 256],
         w: &[f32],
         out: &mut [f32],
     ) {
-        for (g, &wr) in groups.iter().zip(w) {
-            debug_assert_eq!(g.bits.values_per_byte(), PER, "mixed bit widths");
-            let (scale, zero) = (g.scale, g.zero);
+        for ((packed, (scale, zero)), &wr) in self.groups().zip(w) {
             let mut chunks = out.chunks_exact_mut(PER);
-            for (o_chunk, &byte) in chunks.by_ref().zip(&g.packed) {
+            for (o_chunk, &byte) in chunks.by_ref().zip(packed) {
                 let d = &table[byte as usize];
                 for (o, &cf) in o_chunk.iter_mut().zip(d) {
                     *o += wr * (cf * scale + zero);
@@ -590,7 +701,7 @@ impl QuantizedMatrix {
             }
             let rem = chunks.into_remainder();
             if !rem.is_empty() {
-                let d = &table[g.packed[g.packed.len() - 1] as usize];
+                let d = &table[packed[packed.len() - 1] as usize];
                 for (o, &cf) in rem.iter_mut().zip(d) {
                     *o += wr * (cf * scale + zero);
                 }
@@ -602,7 +713,160 @@ impl QuantizedMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rkvc_tensor::seeded_rng;
+    use rkvc_tensor::{seeded_rng, SeededRng};
+
+    const ALL_BITS: [SupportedBits; 4] =
+        [SupportedBits::B1, SupportedBits::B2, SupportedBits::B4, SupportedBits::B8];
+
+    /// The per-group quantizer as it was written before the flat layout:
+    /// `f32::min` / `f32::max` folds and the libm `round`. Returns the
+    /// packed bytes and `(scale, zero)`.
+    fn quantize_group_by_round(values: &[f32], bits: SupportedBits) -> (Vec<u8>, f32, f32) {
+        let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
+        let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let (lo, hi) = if values.is_empty() { (0.0, 0.0) } else { (lo, hi) };
+        let max_code = bits.max_code() as f32;
+        let scale = round_to_f16(if hi > lo { (hi - lo) / max_code } else { 0.0 });
+        let zero = round_to_f16(lo);
+        let (per, nbits) = (bits.values_per_byte(), bits.bits() as usize);
+        let mut packed = vec![0u8; values.len().div_ceil(per)];
+        for (i, &v) in values.iter().enumerate() {
+            let code = if scale > 0.0 {
+                (((v - zero) / scale).round()).clamp(0.0, max_code) as u32
+            } else {
+                0
+            };
+            packed[i / per] |= (code as u8) << ((i % per) * nbits);
+        }
+        (packed, scale, zero)
+    }
+
+    /// A value for the oracles: mostly uniform, with signed zeros,
+    /// repeats, a narrow band (subnormal FP16 scales), infinities and NaN
+    /// among them.
+    fn hostile_value(rng: &mut SeededRng, repeat: f32) -> f32 {
+        match rng.gen_range(0u32..40) {
+            0..=3 => 0.0,
+            4..=7 => -0.0,
+            8..=11 => repeat,
+            12 => f32::INFINITY,
+            13 => f32::NEG_INFINITY,
+            14 => f32::NAN,
+            15..=19 => 1.0 + rng.gen_range(0.0f32..1e-6),
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    rkvc_tensor::det_cases! {
+        /// Each group of the flat matrix — its bytes at the group's
+        /// offset and its `(scale, zero)` bits — is what `quantize_group`
+        /// packs, and what the per-group quantizer with `f32::min`/`max`
+        /// folds and libm `round` packs, for both layouts, every bit
+        /// width and hostile values. The decode oracle reads the same
+        /// elements.
+        fn flat_groups_are_the_per_group_quantizer(rng, cases = 256) {
+            let rows = rng.gen_range(0usize..20);
+            let cols = rng.gen_range(1usize..70);
+            let bits = ALL_BITS[rng.gen_range(0usize..4)];
+            let layout = [GroupLayout::PerChannel, GroupLayout::PerToken][rng.gen_range(0usize..2)];
+            let repeat = rng.gen_range(-1.0f32..1.0);
+            let finite = rng.gen_bool(0.5);
+            let data: Vec<f32> = (0..rows * cols)
+                .map(|_| {
+                    let v = hostile_value(rng, repeat);
+                    if finite && !v.is_finite() { repeat } else { v }
+                })
+                .collect();
+            let m = Matrix::from_vec(rows, cols, data);
+            let qm = QuantizedMatrix::quantize(&m, layout, bits);
+            let groups: Vec<Vec<f32>> = match layout {
+                GroupLayout::PerChannel => (0..cols).map(|c| m.col(c)).collect(),
+                GroupLayout::PerToken => (0..rows).map(|r| m.row(r).to_vec()).collect(),
+            };
+            assert_eq!(qm.consts.len(), groups.len());
+            let group_bytes = qm.group_len().div_ceil(bits.values_per_byte());
+            assert_eq!(qm.codes.len(), groups.len() * group_bytes);
+            let dense = qm.dequantize();
+            for (g, values) in groups.iter().enumerate() {
+                let (packed, scale, zero) = quantize_group_by_round(values, bits);
+                let one = quantize_group(values, bits);
+                let (s, z) = qm.consts[g];
+                assert_eq!(&qm.codes[g * group_bytes..][..group_bytes], one.packed(), "group {g}");
+                assert_eq!((s.to_bits(), z.to_bits()), (one.scale().to_bits(), one.zero().to_bits()));
+                // The libm quantizer packs the same codes with the same
+                // constants, up to the sign of a zero `zero`, which
+                // nothing reads (see `value_range`).
+                assert_eq!(one.packed(), &packed[..], "group {g}");
+                assert_eq!(s.to_bits(), scale.to_bits(), "group {g}");
+                assert!(z.to_bits() == zero.to_bits() || (z == 0.0 && zero == 0.0), "group {g}");
+                for (i, want) in dequantize_group(&one).into_iter().enumerate() {
+                    let got = match layout {
+                        GroupLayout::PerChannel => dense.get(i, g),
+                        GroupLayout::PerToken => dense.get(g, i),
+                    };
+                    assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()));
+                }
+            }
+            let per_group: Vec<_> = groups.iter().map(|v| quantize_group(v, bits)).collect();
+            let sum = |f: fn(&QuantizedGroup) -> usize| per_group.iter().map(f).sum::<usize>();
+            assert_eq!(qm.memory_bytes(), sum(QuantizedGroup::memory_bytes));
+            assert_eq!(qm.resident_bytes(), sum(QuantizedGroup::resident_bytes));
+        }
+
+        /// The lane folds find the `f32::min` / `f32::max` folds' extremes
+        /// on slices dense in signed zeros, bit for bit but for the sign
+        /// of a zero extreme.
+        fn lane_range_is_the_fold_range(rng, cases = 512) {
+            let len = rng.gen_range(1usize..40);
+            let repeat = rng.gen_range(-1.0f32..1.0);
+            let values: Vec<f32> = (0..len)
+                .map(|_| match rng.gen_range(0u32..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => rng.gen_range(0.0f32..1.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 },
+                    _ => hostile_value(rng, repeat),
+                })
+                .collect();
+            let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
+            let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let (min, max) = value_range(&values);
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0);
+            assert!(same(min, lo) && same(max, hi), "{values:?}");
+        }
+
+        /// The shift-and-fix rounding is `round().clamp(0, max)` on ties
+        /// at `.5`, values past `max_code`, negatives, `−0.0`, NaN, `±inf`
+        /// and quotients by a subnormal scale.
+        fn shifted_rounding_is_round_then_clamp(rng, cases = 64) {
+            for bits in ALL_BITS {
+                let max = bits.max_code() as f32;
+                let whole = rng.gen_range(0u32..300) as f32;
+                let subnormal_scale = f32::from_bits(rng.gen_range(1u32..0x0080_0000));
+                let specials = [
+                    whole + 0.5,
+                    whole - 0.5,
+                    whole + 0.49999997,
+                    whole,
+                    max + 0.5,
+                    max + rng.gen_range(0.0f32..1e6),
+                    -rng.gen_range(0.0f32..300.0),
+                    -0.5,
+                    -0.0,
+                    0.0,
+                    f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    rng.gen_range(-1.0f32..1.0) / subnormal_scale,
+                    f32::from_bits(rng.gen_range(1u32..0x0080_0000)) / subnormal_scale,
+                    rng.gen_range(-2.0f32..300.0),
+                ];
+                for t in specials {
+                    let want = t.round().clamp(0.0, max) as u32;
+                    assert_eq!(round_code(t, max), want, "t = {t:e}, max = {max}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn round_trip_error_bounded_by_half_step() {

@@ -227,6 +227,7 @@ impl JsonValue {
     /// trailing garbage, non-finite numbers, or invalid escapes.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -283,6 +284,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -440,18 +442,25 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("unescaped control character"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
+                    // Copy the run of plain characters in one go. It
+                    // stops at a quote, a backslash or a control byte,
+                    // all ASCII, so it ends on a character boundary of
+                    // the already-valid input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = self
+                        .text
+                        .get(self.pos..self.pos + len)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -936,6 +945,19 @@ mod tests {
         let v = JsonValue::Str(s.to_owned());
         let printed = v.to_compact_string();
         assert_eq!(JsonValue::parse(&printed).unwrap(), v);
+    }
+
+    /// A string literal costs time linear in its length: a 4 MiB one,
+    /// multi-byte characters and escapes included, parses back exactly.
+    #[test]
+    fn multi_megabyte_string_parses_in_linear_time() {
+        let unit = "plain ascii \u{e9}t\u{e9} \u{1F600} \"q\" \\ tab\t";
+        let s = unit.repeat((4 << 20) / unit.len());
+        let v = JsonValue::Str(s.clone());
+        let parsed = JsonValue::parse(&v.to_compact_string()).unwrap();
+        assert_eq!(parsed.as_str(), Some(s.as_str()));
+        assert!(JsonValue::parse("\"ctl \u{1} byte\"").is_err());
+        assert!(JsonValue::parse(&format!("\"{}", "x".repeat(1 << 20))).is_err());
     }
 
     #[test]

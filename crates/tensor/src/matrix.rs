@@ -454,10 +454,27 @@ impl Matrix {
 
     /// Returns the transpose.
     pub fn transposed(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+        let (rows, cols) = self.shape();
+        let mut out = Matrix::zeros(cols, rows);
+        // 4×4 blocks: four rows are read together and written back as
+        // four runs of four, which stay in registers; the ragged right
+        // and bottom edges go one element at a time.
+        let (r4, c4) = (rows - rows % 4, cols - cols % 4);
+        for r0 in (0..r4).step_by(4) {
+            for c0 in (0..c4).step_by(4) {
+                let block: [&[f32]; 4] =
+                    std::array::from_fn(|i| &self.data[(r0 + i) * cols + c0..][..4]);
+                for j in 0..4 {
+                    let run = &mut out.data[(c0 + j) * rows + r0..][..4];
+                    for (o, row) in run.iter_mut().zip(block) {
+                        *o = row[j];
+                    }
+                }
+            }
+        }
+        for r in 0..rows {
+            for c in if r < r4 { c4..cols } else { 0..cols } {
+                out.data[c * rows + r] = self.data[r * cols + c];
             }
         }
         out
@@ -643,6 +660,23 @@ mod tests {
     fn transpose_round_trip() {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.transposed().transposed(), m);
+    }
+
+    /// Every element lands at its mirrored index, block interiors and
+    /// ragged edges alike.
+    #[test]
+    fn transpose_moves_every_element() {
+        let small = (0..10).flat_map(|r| (0..10).map(move |c| (r, c)));
+        for (rows, cols) in small.chain([(16, 64), (33, 70)]) {
+            let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| i as f32).collect());
+            let t = m.transposed();
+            assert_eq!(t.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r), m.get(r, c), "{rows}x{cols} at ({r}, {c})");
+                }
+            }
+        }
     }
 
     #[test]

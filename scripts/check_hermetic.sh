@@ -61,8 +61,18 @@
 #      if any output could not be written, so an empty directory cannot
 #      pass. After an intended change, regenerate with
 #      `cargo run --release -p rkvc-bench --bin repro` and commit.
+#
+# The closing line gives each gate's wall seconds (bash SECONDS).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+gate_seconds=""
+gate_start=$SECONDS
+# Records the wall seconds of gate $1, which has just finished.
+gate_done() {
+    gate_seconds+=" $1=$((SECONDS - gate_start))s"
+    gate_start=$SECONDS
+}
 
 echo "== gate 0: static analysis (rkvc-analyze), width-invariant =="
 # "file:line lint" rows of a report's suppression inventory.
@@ -91,6 +101,7 @@ else
 fi
 rm -rf "$an_tmp"
 echo "ok: analyze.json byte-identical at RKVC_THREADS=1 vs 4"
+gate_done 0
 
 echo "== gate 1: dependency closure is workspace-only =="
 # --no-dedupe + -e all covers normal, dev, and build dependencies of
@@ -103,15 +114,18 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 echo "ok: $(echo "$deps" | grep -c .) packages, all workspace-local"
+gate_done 1
 
 echo "== gate 2: offline warning-free release build (all targets) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
+gate_done 2
 
 echo "== gate 3: offline test suite =="
 cargo test -q --offline --workspace
 cargo test -q --release --offline -p rkvc-tensor -- --ignored
 cargo test -q --release --offline -p rkvc-tensor --test packed_gemm
 cargo test -q --release --offline -p rkvc-kvcache --test fused_attention --test extend_attend
+gate_done 3
 
 echo "== gate 4: thread-count invariance (RKVC_THREADS=1 vs 3 vs 4) =="
 tmp=$(mktemp -d)
@@ -123,11 +137,13 @@ done
 diff -r "$tmp/t1" "$tmp/t3"
 diff -r "$tmp/t1" "$tmp/t4"
 echo "ok: all $(ls "$tmp/t1" | wc -l) quick-scale outputs byte-identical across worker-pool widths (incl. odd width 3)"
+gate_done 4
 
 echo "== gate 5: results/ is what HEAD produces (repro --exp all --scale paper) =="
 cargo run --release --offline -q -p rkvc-bench --bin repro -- \
     --exp all --scale paper --out "$tmp/paper" > /dev/null
 diff -r -x analyze.json "$tmp/paper" results
 echo "ok: all $(ls "$tmp/paper" | wc -l) committed paper-scale results byte-identical to a fresh run"
+gate_done 5
 
-echo "hermetic check passed"
+echo "hermetic check passed; gate seconds:$gate_seconds, total ${SECONDS}s"
