@@ -8,7 +8,7 @@
 //! | D004 | No ad-hoc threading outside `crates/tensor/src/par.rs` and `#[cfg(test)]` regions — neither `std::thread`/`thread::spawn`/`scope`/`Builder` expressions nor `use std::thread…` imports (any tree shape, aliased or not) — all concurrency goes through the deterministic `rkvc_tensor::par` pool so results stay bit-identical at any `RKVC_THREADS`. |
 //! | D005 | No non-`SeqCst` atomic orderings (`Relaxed`, `Acquire`, `Release`, `AcqRel`) outside the deterministic-concurrency boundary (`crates/tensor/src/par.rs`, `crates/tensor/src/check.rs`) — relaxed memory games stay inside the audited pool. |
 //! | D006 | No order-dependent float accumulation (`sum::<f32>()`, `sum::<f64>()`, `fold` with a float seed) in non-test code outside the sequential-kernel allowlist (`crates/tensor/src/ops.rs`, `crates/tensor/src/matrix.rs`) and `crates/bench` — route reductions through `rkvc_tensor::par::par_reduce`'s fixed tree or the audited `seq_sum_*` helpers, or justify the fixed sequential order. |
-//! | E001 | No `unwrap()`/`expect()`/`panic!` in non-test library code of `rkvc-kvcache`, `rkvc-serving`, `rkvc-gpu` and `rkvc-model` — the serving stack, the cost model it calls and the decoder that generates through the caches must degrade via `Result`, not abort. |
+//! | E001 | No `unwrap()`/`expect()`/`panic!` in non-test library code of `rkvc-tensor`, `rkvc-kvcache`, `rkvc-serving`, `rkvc-gpu` and `rkvc-model` — the kernels and JSON layer, the serving stack, the cost model it calls and the decoder that generates through the caches must degrade via `Result`, not abort. |
 //! | U001 | `unsafe` regions (blocks, fns, impls, traits) only in the audited allowlist (`crates/tensor/src/par.rs`, and `crates/tensor/src/gemm.rs` for its one CPU-feature-guarded call into the AVX2 kernel instantiation), and each one must carry an adjacent `// rkvc-safety: reason` justification; the full audit inventory is emitted into `results/analyze.json`. |
 //! | U002 | No `static mut`, no `transmute`/`transmute_copy`, no raw-pointer casts (`as *const` / `as *mut`) outside the unsafe allowlist. |
 //! | C001 | No dead `pub` exports: a module-level `pub` item never referenced outside its defining crate (per the workspace use-graph, doc examples included) must be demoted, removed, or justified. Cross-file — reported by [`crate::usegraph`], not the per-file scan. |
@@ -197,8 +197,9 @@ fn parse_safety(text: &str) -> Option<String> {
 struct FileScope {
     /// `crates/bench/**` — the only place wall-clock reads are allowed.
     bench: bool,
-    /// `crates/kvcache/src/**`, `crates/serving/src/**`,
-    /// `crates/gpu/src/**` or `crates/model/src/**` — E001 applies.
+    /// `crates/tensor/src/**`, `crates/kvcache/src/**`,
+    /// `crates/serving/src/**`, `crates/gpu/src/**` or
+    /// `crates/model/src/**` — E001 applies.
     panic_free: bool,
     /// `crates/tensor/src/**` — home of the RNG substrate (D003 exempt).
     tensor: bool,
@@ -218,7 +219,8 @@ struct FileScope {
 fn scope_of(path: &str) -> FileScope {
     FileScope {
         bench: path.starts_with("crates/bench/"),
-        panic_free: path.starts_with("crates/kvcache/src/")
+        panic_free: path.starts_with("crates/tensor/src/")
+            || path.starts_with("crates/kvcache/src/")
             || path.starts_with("crates/serving/src/")
             || path.starts_with("crates/gpu/src/")
             || path.starts_with("crates/model/src/"),

@@ -76,8 +76,12 @@ fn par_home_is_exempt_from_d004_but_nothing_else() {
         vs.iter().all(|v| v.lint != "D004"),
         "the pool module may use std::thread"
     );
-    // Clock reads stay banned even in the pool module.
+    // Clock reads stay banned even in the pool module, and so do
+    // panicking calls: `rkvc-tensor` is inside E001.
     assert!(vs.iter().any(|v| v.lint == "D001"));
+    assert!(vs
+        .iter()
+        .any(|v| v.line == 13 && v.lint == "E001" && !v.suppressed));
 }
 
 /// The real persistent-pool source, scanned as shipped: its
@@ -144,7 +148,7 @@ fn bench_scope_permits_wall_clock_but_not_hash_maps() {
     assert!(vs.iter().all(|v| v.lint != "D001"), "bench may read clocks");
     assert!(vs.iter().any(|v| v.lint == "D002"), "D002 still applies");
     assert!(vs.iter().any(|v| v.lint == "D004"), "benches must use the pool too");
-    // E001 only covers kvcache/serving/gpu/model.
+    // E001 only covers tensor/kvcache/serving/gpu/model.
     assert!(vs.iter().all(|v| v.lint != "E001"));
 }
 
@@ -166,8 +170,9 @@ fn serving_engine_files_are_in_e001_scope() {
     // The engine refactor split `crates/serving/src` into new modules;
     // E001 (no `unwrap`/`expect`/`panic!` in serving library code) must
     // cover every one of them, not just the legacy file names — and the
-    // `rkvc-gpu` cost model the engine calls on every step, and the
-    // `rkvc-model` decoder that generates through the caches.
+    // `rkvc-gpu` cost model the engine calls on every step, the
+    // `rkvc-model` decoder that generates through the caches, and the
+    // `rkvc-tensor` kernels and JSON layer under all of them.
     for path in [
         "crates/serving/src/engine.rs",
         "crates/serving/src/scheduler.rs",
@@ -184,6 +189,9 @@ fn serving_engine_files_are_in_e001_scope() {
         "crates/gpu/src/memory.rs",
         "crates/model/src/model.rs",
         "crates/model/src/weights.rs",
+        "crates/tensor/src/json.rs",
+        "crates/tensor/src/gemm.rs",
+        "crates/tensor/src/matrix.rs",
     ] {
         let vs = scan_source(path, FIXTURE);
         assert!(

@@ -78,6 +78,11 @@ pub fn load_patterns() -> Vec<(&'static str, ArrivalPattern)> {
 /// The fleet workload for one pattern at the run scale (deterministic per
 /// seed; the seed folds in the pattern index so each cell draws distinct
 /// traffic with identical shape statistics).
+///
+/// # Panics
+///
+/// Panics if `pattern` fails [`ArrivalPattern::valid`]; every other field
+/// is the fixed [`FleetWorkloadConfig::assistants`] shape.
 pub fn fleet_workload(opts: &RunOptions, pattern: ArrivalPattern) -> Vec<SimRequest> {
     let n = opts.pick(10_000, 100_000);
     sample_fleet(&FleetWorkloadConfig::assistants(
@@ -85,6 +90,7 @@ pub fn fleet_workload(opts: &RunOptions, pattern: ArrivalPattern) -> Vec<SimRequ
         pattern,
         opts.seed ^ 0xF1EE7,
     ))
+    .expect("the assistants shape over a valid pattern samples")
 }
 
 /// Per-replica serving configuration shared by every cell.
@@ -321,6 +327,7 @@ mod tests {
 
     fn small(pattern: ArrivalPattern, n: usize) -> Vec<SimRequest> {
         sample_fleet(&FleetWorkloadConfig::assistants(n, pattern, 0x5EED ^ 0xF1EE7))
+            .expect("valid config")
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! 2. every non-retired replica advances its own discrete-event loop to
 //!    the boundary, fanned across the worker pool ([`par_chunks_mut`] with
 //!    grain 1 — replica `i`'s simulation depends only on replica `i`);
-//! 3. fresh completions are merged **in replica-index order** at the
-//!    barrier, telemetry is sampled, and the autoscaler may act.
+//! 3. every replica hands its fresh completions to the run's one output
+//!    buffer **in replica-index order** at the barrier, telemetry is
+//!    sampled, and the autoscaler may act.
 //!
 //! Step 2 is embarrassingly parallel and steps 1/3 are sequential folds
 //! over a fixed order, so the output is byte-identical at any
@@ -197,7 +198,7 @@ enum ReplicaState {
     Active,
     /// Finishes existing work, takes no dispatch, parked KV spilled.
     Draining,
-    /// Empty and frozen; kept only for its completion log.
+    /// Empty and frozen; kept only for its block statistics.
     Retired,
 }
 
@@ -212,7 +213,7 @@ struct ReplicaSlot {
 /// telemetry trace (the replica-count curve under autoscaling).
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
-    /// All completions, sorted by request id.
+    /// All completions, sorted by request id, then by replica.
     pub completed: Vec<CompletedRequest>,
     /// TTFT/TBT/queue-delay/E2E summaries over `completed`.
     pub metrics: ServingMetrics,
@@ -292,8 +293,8 @@ impl Fleet {
 
     /// Runs the arrival stream to completion (must be sorted by
     /// `arrival_s`). See the module docs for the epoch loop; completions
-    /// merge at epoch barriers in replica-index order, so the result is
-    /// byte-identical at any `RKVC_THREADS`.
+    /// move to the output at epoch barriers in replica-index order, so the
+    /// result is byte-identical at any `RKVC_THREADS`.
     ///
     /// # Errors
     ///
@@ -304,6 +305,9 @@ impl Fleet {
         check_arrivals(&requests)?;
 
         let epoch_s = self.cfg.epoch_s;
+        // Each completion lives here once: replicas hand theirs off at every
+        // barrier. At most one per request, so this never reallocates.
+        let mut completed: Vec<CompletedRequest> = Vec::with_capacity(requests.len());
         let mut pending = requests.into_iter().peekable();
         let mut telemetry: Vec<FleetTelemetry> = Vec::new();
         let mut epoch_ttfts: Vec<f64> = Vec::new();
@@ -327,6 +331,11 @@ impl Fleet {
                 dispatched += 1;
             }
             let dispatched_this = dispatched - dispatched_before;
+            if pending.peek().is_none() {
+                // The stream is spent: free its buffer now, not when `run`
+                // returns.
+                pending = Vec::new().into_iter().peekable();
+            }
 
             // 2. Advance every live replica to the boundary — the parallel
             // region. Grain 1: each replica is one independent unit of
@@ -340,18 +349,17 @@ impl Fleet {
                 }
             });
 
-            // 3. Barrier: merge fresh completions in replica-index order,
+            // 3. Barrier: take fresh completions in replica-index order,
             // retire drained replicas, sample telemetry, maybe scale.
-            epoch_ttfts.clear();
+            let fresh_from = completed.len();
             for r in &mut self.replicas {
-                let range = r.sim.take_new_completions();
-                for i in range {
-                    epoch_ttfts.push(r.sim.completed()[i].ttft_s);
-                }
+                r.sim.hand_off_completions(&mut completed);
                 if r.state == ReplicaState::Draining && !r.sim.has_work() {
                     r.state = ReplicaState::Retired;
                 }
             }
+            epoch_ttfts.clear();
+            epoch_ttfts.extend(completed[fresh_from..].iter().map(|c| c.ttft_s));
             let iters: u64 = self.replicas.iter().map(|r| r.sim.iterations()).sum();
             let (mut queued, mut running) = (0usize, 0usize);
             for &idx in &self.active {
@@ -440,16 +448,18 @@ impl Fleet {
             prev_iters = iters;
         }
 
-        // Final merge: all completions across replicas, id-sorted.
-        let mut completed: Vec<CompletedRequest> = Vec::new();
+        // `completed` is barrier-major; within a barrier, replica-major in
+        // completion order. A stable sort on `(id, server_id)` orders it as
+        // if each replica's whole log were concatenated in index order and
+        // then stably sorted by id: `server_id` is the replica index, and
+        // equal ids on one replica keep their completion order.
+        completed.sort_by_key(|c| (c.id, c.server_id));
         let (mut logical, mut physical) = (0u64, 0u64);
         for r in &self.replicas {
-            completed.extend(r.sim.completed().iter().cloned());
             let stats = r.sim.block_stats();
             logical += stats.logical_blocks_registered;
             physical += stats.physical_blocks_registered;
         }
-        completed.sort_by_key(|c| c.id);
         let metrics = ServingMetrics::from_completed(&completed);
         let slo = SloMetrics::from_completed(&completed);
         let dedup_ratio = if physical == 0 {

@@ -287,6 +287,18 @@ mod tests {
         }
     }
 
+    /// A caller-chosen id anywhere in `u64` serializes and reads back
+    /// exactly (ids above `i64::MAX` used to panic the JSON writer).
+    #[test]
+    fn requests_with_any_u64_id_round_trip_through_json() {
+        for id in [0, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let r = SimRequest::new(id, 0.0, 1, 1).with_shared_prefix(u64::MAX, 1);
+            let text = rkvc_tensor::json::to_string(&r);
+            let back: SimRequest = rkvc_tensor::json::from_str(&text).expect("round trip");
+            assert_eq!(back, r);
+        }
+    }
+
     #[test]
     fn per_server_lengths_fall_back() {
         let mut r = SimRequest::new(1, 0.0, 100, 50);

@@ -484,6 +484,13 @@ impl ServerSim {
         self.completed_offered = self.completed.len();
     }
 
+    /// Moves the completion log onto the end of `out`, in completion order,
+    /// and leaves it empty: the caller owns every completion from here on.
+    pub(crate) fn hand_off_completions(&mut self, out: &mut Vec<CompletedRequest>) {
+        out.append(&mut self.completed);
+        self.completed_offered = 0;
+    }
+
     /// Releases every parked session cache (a draining replica spills its
     /// parked KV — follow-up turns will re-prefill elsewhere).
     pub(crate) fn release_parked(&mut self) {

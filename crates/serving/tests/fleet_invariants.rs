@@ -1,10 +1,14 @@
 //! Property tests for the fleet layer's dispatch and scaling machinery:
 //! jump consistent hashing's minimal-remap guarantee, round-robin's
 //! balance guarantee, and the shard-policy/autoscaler contracts the
-//! fleet's epoch loop relies on.
+//! fleet's epoch loop relies on — and the fleet run's own contract: each
+//! request completes at most once, and the output's merge order.
 
+use rkvc_gpu::{DeploymentSpec, EngineKind, GpuSpec, LlmSpec};
+use rkvc_kvcache::CompressionConfig;
 use rkvc_serving::{
-    jump_hash, shard_key, AutoscaleConfig, Autoscaler, FleetTelemetry, ScaleAction, ShardPolicy,
+    jump_hash, shard_key, AutoscaleConfig, Autoscaler, CompletedRequest, Fleet, FleetConfig,
+    FleetOutcome, FleetTelemetry, ScaleAction, SchedulerConfig, ServingConfig, ShardPolicy,
     SimRequest,
 };
 
@@ -138,4 +142,187 @@ fn autoscaler_contract_holds_at_the_bounds() {
         ScaleAction::Hold,
         "floor must block drains"
     );
+}
+
+fn fleet_dep() -> DeploymentSpec {
+    DeploymentSpec {
+        gpu: GpuSpec::a6000(),
+        llm: LlmSpec::llama2_7b(),
+        engine: EngineKind::LmDeploy,
+        tensor_parallel: 1,
+    }
+}
+
+fn run_fleet(cfg: FleetConfig, requests: Vec<SimRequest>) -> FleetOutcome {
+    Fleet::new(fleet_dep(), CompressionConfig::Fp16, cfg)
+        .expect("valid fleet")
+        .run(requests)
+        .expect("sorted stream")
+}
+
+/// The fleet's output order: stably sorted by `(id, server_id)`.
+fn assert_merge_order(completed: &[CompletedRequest]) {
+    assert!(
+        completed
+            .windows(2)
+            .all(|w| (w[0].id, w[0].server_id) <= (w[1].id, w[1].server_id)),
+        "completions out of (id, server_id) order"
+    );
+}
+
+rkvc_tensor::det_cases! {
+    /// Every submitted request completes at most as often as it was
+    /// submitted, the rest are counted dropped, and the output is sorted by
+    /// `(id, server_id)` — under both shard policies, with and without a
+    /// draining autoscaler, with one request no replica's pool can hold,
+    /// and bit-identically at one and three worker threads.
+    fn fleet_completes_each_request_at_most_once_and_merges_in_order(rng, cases = 24) {
+        let n = rng.gen_range(1usize..=300);
+        // Ids are a shuffled permutation, so the final sort has work to do.
+        let mut ids: Vec<u64> = (0..n as u64).collect();
+        rng.shuffle_slice(&mut ids);
+        let too_large = rng.gen_range(0..n);
+        let mut t = 0.0;
+        let requests: Vec<SimRequest> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                t += rng.gen_range(0.0..0.2);
+                let prompt = if i == too_large { 1 << 20 } else { rng.gen_range(16usize..600) };
+                SimRequest::new(id, t, prompt, rng.gen_range(1usize..80))
+                    .with_shared_prefix(rng.gen_range(0u64..6), 64)
+            })
+            .collect();
+        let sharding = if rng.gen_bool(0.5) {
+            ShardPolicy::ConsistentHash
+        } else {
+            ShardPolicy::RoundRobin
+        };
+        let autoscale = rng.gen_bool(0.5).then_some(AutoscaleConfig {
+            min_replicas: 1,
+            max_replicas: 5,
+            queue_high: 3.0,
+            queue_low: 1.0,
+            p99_ttft_high_s: 30.0,
+            cooldown_epochs: 0,
+            step: 1,
+        });
+        let cfg = FleetConfig {
+            replicas: rng.gen_range(1usize..=4),
+            sharding,
+            epoch_s: rng.gen_range(0.25..3.0),
+            serving: ServingConfig {
+                max_batch: rng.gen_range(1usize..=8),
+                pool_tokens: Some(8192),
+                prefix_sharing: rng.gen_bool(0.5),
+                ..ServingConfig::default()
+            },
+            autoscale,
+        };
+        let at_width = |threads| {
+            rkvc_tensor::par::set_threads(Some(threads));
+            let out = run_fleet(cfg.clone(), requests.clone());
+            rkvc_tensor::par::set_threads(None);
+            out
+        };
+        let out = at_width(1);
+        let mut times = vec![0u32; n];
+        for c in &out.completed {
+            times[c.id as usize] += 1;
+        }
+        assert!(times.iter().all(|&k| k <= 1), "a request completed twice");
+        assert_eq!(times[ids[too_large] as usize], 0, "an unfittable request completed");
+        assert_eq!(out.completed.len() + out.dropped, n);
+        assert_merge_order(&out.completed);
+
+        let other = at_width(3);
+        assert_eq!(other.dropped, out.dropped);
+        assert_eq!(other.completed.len(), out.completed.len());
+        for (a, b) in out.completed.iter().zip(&other.completed) {
+            assert_eq!((a.id, a.server_id), (b.id, b.server_id));
+            assert_eq!(a.ttft_s.to_bits(), b.ttft_s.to_bits());
+            assert_eq!(a.e2e_s.to_bits(), b.e2e_s.to_bits());
+        }
+        assert_eq!(other.telemetry, out.telemetry);
+    }
+}
+
+/// One id on replicas 0 and 1 under round robin: replica 1's copy is short
+/// and completes in the first epoch, replica 0's is long and completes
+/// epochs later. The output still lists replica 0's record first, as it
+/// did when each replica's whole log was concatenated in index order and
+/// then sorted by id.
+#[test]
+fn duplicate_id_across_replicas_lists_the_lower_replica_first() {
+    let cfg = FleetConfig {
+        replicas: 2,
+        sharding: ShardPolicy::RoundRobin,
+        epoch_s: 1.0,
+        serving: ServingConfig {
+            max_batch: 4,
+            pool_tokens: Some(8192),
+            ..ServingConfig::default()
+        },
+        autoscale: None,
+    };
+    let requests = vec![
+        SimRequest::new(7, 0.0, 256, 600),
+        SimRequest::new(7, 0.01, 64, 2),
+        SimRequest::new(3, 0.02, 64, 2),
+    ];
+    let out = run_fleet(cfg, requests);
+    assert_eq!(out.dropped, 0);
+    let order: Vec<(u64, usize)> = out.completed.iter().map(|c| (c.id, c.server_id)).collect();
+    assert_eq!(order, [(3, 0), (7, 0), (7, 1)]);
+    let finish = |c: &CompletedRequest| c.arrival_s + c.e2e_s;
+    // The planted premise: replica 1 finished its copy an epoch earlier.
+    assert!(finish(&out.completed[2]) + 1.0 < finish(&out.completed[1]));
+}
+
+/// Many copies of two ids on one replica, one at a time (batch width 1),
+/// under shortest-predicted-first: each later arrival is shorter, so it
+/// finishes first. Records of one id appear in completion order, which is
+/// latest arrival first.
+#[test]
+fn duplicate_ids_on_one_replica_keep_their_completion_order() {
+    let cfg = FleetConfig {
+        replicas: 1,
+        sharding: ShardPolicy::RoundRobin,
+        epoch_s: 0.5,
+        serving: ServingConfig {
+            max_batch: 1,
+            pool_tokens: Some(8192),
+            scheduler: SchedulerConfig::ShortestPredictedFirst,
+            ..ServingConfig::default()
+        },
+        autoscale: None,
+    };
+    // A long filler holds the batch while the copies queue up behind it.
+    let mut requests = vec![SimRequest::new(0, 0.0, 64, 400)];
+    for k in 0..40u64 {
+        let id = if k % 2 == 0 { 5 } else { 9 };
+        requests.push(SimRequest::new(
+            id,
+            0.001 * (k + 1) as f64,
+            32,
+            2 + 3 * (40 - k) as usize,
+        ));
+    }
+    let out = run_fleet(cfg, requests);
+    assert_eq!(out.dropped, 0);
+    assert_eq!(out.completed.len(), 41);
+    assert_merge_order(&out.completed);
+    for id in [5, 9] {
+        let arrivals: Vec<f64> = out
+            .completed
+            .iter()
+            .filter(|c| c.id == id)
+            .map(|c| c.arrival_s)
+            .collect();
+        assert_eq!(arrivals.len(), 20);
+        assert!(
+            arrivals.windows(2).all(|w| w[0] > w[1]),
+            "id {id}: copies out of completion order: {arrivals:?}"
+        );
+    }
 }

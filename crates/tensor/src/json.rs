@@ -41,6 +41,10 @@ pub enum JsonValue {
     Bool(bool),
     /// A number without a fraction or exponent part.
     Int(i64),
+    /// An integer above `i64::MAX`, up to `u64::MAX`. Every integer that
+    /// fits `i64` is an [`Int`](JsonValue::Int), so each integer has one
+    /// representation.
+    UInt(u64),
     /// A number with a fraction or exponent part. Always finite: JSON has
     /// no NaN/Infinity literals and the parser rejects them.
     Float(f64),
@@ -113,6 +117,7 @@ impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Int(i) => Some(*i as f64),
+            JsonValue::UInt(u) => Some(*u as f64),
             JsonValue::Float(f) => Some(*f),
             _ => None,
         }
@@ -147,7 +152,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => "null",
             JsonValue::Bool(_) => "bool",
-            JsonValue::Int(_) => "int",
+            JsonValue::Int(_) | JsonValue::UInt(_) => "int",
             JsonValue::Float(_) => "float",
             JsonValue::Str(_) => "string",
             JsonValue::Array(_) => "array",
@@ -176,6 +181,9 @@ impl JsonValue {
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Int(i) => {
                 let _ = write!(out, "{i}");
+            }
+            JsonValue::UInt(u) => {
+                let _ = write!(out, "{u}");
             }
             JsonValue::Float(f) => write_f64(out, *f),
             JsonValue::Str(s) => write_escaped(out, s),
@@ -502,10 +510,13 @@ impl<'a> Parser<'a> {
             }
             Ok(JsonValue::Float(f))
         } else {
-            match text.parse::<i64>() {
-                Ok(i) => Ok(JsonValue::Int(i)),
-                // Integer literal overflowing i64: keep the magnitude as
-                // a float rather than failing the parse.
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(JsonValue::Int(i));
+            }
+            match text.parse::<u64>() {
+                Ok(u) => Ok(JsonValue::UInt(u)),
+                // Integer literal outside i64 and u64: keep the magnitude
+                // as a float rather than failing the parse.
                 Err(_) => {
                     let f: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
                     if !f.is_finite() {
@@ -609,20 +620,33 @@ impl FromJson for String {
     }
 }
 
+// Every integer type below is at most 64 bits wide, so it lies in
+// `i64::MIN..=u64::MAX` and converts to `i128` without loss.
+const _: () = assert!(std::mem::size_of::<usize>() <= 8);
+
 macro_rules! int_json {
     ($($t:ty),+) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> JsonValue {
-                JsonValue::Int(i64::try_from(*self).expect("integer exceeds i64 range"))
+                let wide = *self as i128;
+                // Outside i64 means above i64::MAX, so `as u64` is exact.
+                i64::try_from(wide).map_or(JsonValue::UInt(wide as u64), JsonValue::Int)
             }
         }
         impl FromJson for $t {
             fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-                let i = v.as_i64().ok_or_else(|| {
-                    JsonError::new(format!("expected integer, got {}", v.kind()))
-                })?;
-                <$t>::try_from(i)
-                    .map_err(|_| JsonError::new(format!("integer {i} out of range")))
+                let wide = match *v {
+                    JsonValue::Int(i) => i128::from(i),
+                    JsonValue::UInt(u) => i128::from(u),
+                    _ => {
+                        return Err(JsonError::new(format!(
+                            "expected integer, got {}",
+                            v.kind()
+                        )))
+                    }
+                };
+                <$t>::try_from(wide)
+                    .map_err(|_| JsonError::new(format!("integer {wide} out of range")))
             }
         }
     )+};
@@ -1001,6 +1025,42 @@ mod tests {
         let pairs: Vec<(String, f64)> = vec![("a".into(), 0.5), ("b".into(), -1.0)];
         let text = to_string(&pairs);
         assert_eq!(from_str::<Vec<(String, f64)>>(&text).unwrap(), pairs);
+    }
+
+    /// Integers at and above `i64::MAX` print as their exact digits and
+    /// read back exactly, into every type wide enough to hold them.
+    #[test]
+    fn integers_up_to_u64_max_round_trip_exactly() {
+        let big = i64::MAX as u64 + 1;
+        for (u, text) in [
+            (i64::MAX as u64, "9223372036854775807"),
+            (big, "9223372036854775808"),
+            (u64::MAX, "18446744073709551615"),
+        ] {
+            assert_eq!(to_string(&u), text);
+            assert_eq!(to_string(&(u as usize)), text);
+            assert_eq!(from_str::<u64>(text).unwrap(), u);
+            assert_eq!(from_str::<usize>(text).unwrap(), u as usize);
+            let v = JsonValue::parse(text).unwrap();
+            assert_eq!(v.kind(), "int");
+            assert_eq!(v, u.to_json());
+        }
+        assert_eq!(
+            JsonValue::parse("9223372036854775807").unwrap(),
+            JsonValue::Int(i64::MAX)
+        );
+        assert_eq!(
+            JsonValue::parse("9223372036854775808").unwrap(),
+            JsonValue::UInt(big)
+        );
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        // Above i64, so out of range for every signed type.
+        assert!(from_str::<i64>("9223372036854775808").is_err());
+        assert!(from_str::<u32>("18446744073709551615").is_err());
+        // Past u64 the literal still parses, as a float no integer accepts.
+        let past = JsonValue::parse("18446744073709551616").unwrap();
+        assert_eq!(past.kind(), "float");
+        assert!(u64::from_json(&past).is_err());
     }
 
     #[test]

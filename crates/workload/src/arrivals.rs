@@ -182,16 +182,83 @@ impl FleetWorkloadConfig {
             seed,
         }
     }
+
+    /// Validates the parameters [`sample_fleet`] draws from.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetWorkloadError`] naming the offending field.
+    pub fn validate(&self) -> Result<(), FleetWorkloadError> {
+        if !self.pattern.valid() {
+            return Err(FleetWorkloadError::BadPattern);
+        }
+        for (mu, sigma) in [
+            (self.suffix_log_mean, self.suffix_log_std),
+            (self.response_log_mean, self.response_log_std),
+        ] {
+            if LogNormal::new(mu, sigma).is_err() {
+                return Err(FleetWorkloadError::BadLengthDistribution);
+            }
+        }
+        if self.suffix_clamp.0 > self.suffix_clamp.1
+            || self.response_clamp.0 > self.response_clamp.1
+        {
+            return Err(FleetWorkloadError::InvertedClamp);
+        }
+        if self.prefix_len.checked_add(self.suffix_clamp.1).is_none() {
+            return Err(FleetWorkloadError::PromptOverflow);
+        }
+        Ok(())
+    }
 }
+
+/// Why [`sample_fleet`] cannot draw a stream from a [`FleetWorkloadConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetWorkloadError {
+    /// The arrival pattern fails [`ArrivalPattern::valid`].
+    BadPattern,
+    /// A length log-normal has a non-finite `mu`, or a `sigma` that is
+    /// negative or non-finite.
+    BadLengthDistribution,
+    /// A length clamp's minimum exceeds its maximum.
+    InvertedClamp,
+    /// `prefix_len` plus the longest suffix overflows `usize`.
+    PromptOverflow,
+    /// The `n_requests`-long stream cannot be allocated.
+    TooManyRequests,
+    /// The arrival clock left the finite range before the stream was full
+    /// (a peak rate so small that inter-arrival gaps sum past `f64::MAX`).
+    ArrivalOverflow,
+}
+
+impl std::fmt::Display for FleetWorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FleetWorkloadError::BadPattern => {
+                "arrival pattern rates, period or fraction are invalid"
+            }
+            FleetWorkloadError::BadLengthDistribution => {
+                "length log-normals need a finite mu and a finite sigma >= 0"
+            }
+            FleetWorkloadError::InvertedClamp => "a length clamp's minimum exceeds its maximum",
+            FleetWorkloadError::PromptOverflow => "prefix_len plus the longest suffix overflows",
+            FleetWorkloadError::TooManyRequests => "n_requests does not fit in memory",
+            FleetWorkloadError::ArrivalOverflow => "arrival times overflowed before n_requests",
+        })
+    }
+}
+
+impl std::error::Error for FleetWorkloadError {}
 
 /// Draws the fleet workload: a sorted, SLO-annotated, prefix-grouped
 /// [`SimRequest`] stream whose arrivals follow `cfg.pattern` by thinning.
-/// Deterministic per config; arrivals are non-decreasing by construction.
+/// Deterministic per config; arrivals are finite and non-decreasing by
+/// construction.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the pattern or length distributions are invalid
-/// (non-positive or non-finite rates, inverted bounds).
+/// [`FleetWorkloadError`] if [`FleetWorkloadConfig::validate`] rejects the
+/// config, the stream cannot be allocated, or the arrival clock overflows.
 ///
 /// # Examples
 ///
@@ -203,19 +270,23 @@ impl FleetWorkloadConfig {
 ///     ArrivalPattern::Diurnal { base_rps: 5.0, peak_rps: 50.0, period_s: 60.0 },
 ///     7,
 /// );
-/// let reqs = sample_fleet(&cfg);
+/// let reqs = sample_fleet(&cfg).unwrap();
 /// assert_eq!(reqs.len(), 100);
 /// assert!(reqs.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
 /// ```
-pub fn sample_fleet(cfg: &FleetWorkloadConfig) -> Vec<SimRequest> {
-    assert!(cfg.pattern.valid(), "invalid arrival pattern");
+pub fn sample_fleet(cfg: &FleetWorkloadConfig) -> Result<Vec<SimRequest>, FleetWorkloadError> {
+    cfg.validate()?;
     let mut rng = seeded_rng(cfg.seed);
-    let mut suffix_dist = LogNormal::new(cfg.suffix_log_mean, cfg.suffix_log_std)
-        .expect("valid log-normal parameters");
-    let mut resp_dist = LogNormal::new(cfg.response_log_mean, cfg.response_log_std)
-        .expect("valid log-normal parameters");
+    let bad_lengths = |_| FleetWorkloadError::BadLengthDistribution;
+    let mut suffix_dist =
+        LogNormal::new(cfg.suffix_log_mean, cfg.suffix_log_std).map_err(bad_lengths)?;
+    let mut resp_dist =
+        LogNormal::new(cfg.response_log_mean, cfg.response_log_std).map_err(bad_lengths)?;
     let peak = cfg.pattern.peak_rate();
-    let mut envelope = Exp::new(peak).expect("positive rate");
+    let mut envelope = Exp::new(peak).map_err(|_| FleetWorkloadError::BadPattern)?;
+    let mut out = Vec::new();
+    out.try_reserve_exact(cfg.n_requests)
+        .map_err(|_| FleetWorkloadError::TooManyRequests)?;
     let weights = [
         (SloClass::Interactive, cfg.interactive_weight as u64),
         (SloClass::Standard, cfg.standard_weight as u64),
@@ -224,11 +295,13 @@ pub fn sample_fleet(cfg: &FleetWorkloadConfig) -> Vec<SimRequest> {
     let total_weight: u64 = weights.iter().map(|(_, w)| *w).sum::<u64>().max(1);
 
     let mut t = 0.0f64;
-    let mut out = Vec::with_capacity(cfg.n_requests);
     while out.len() < cfg.n_requests {
         // Thinning: candidate points at the envelope rate, accepted with
         // probability λ(t)/λ_peak — an exact draw from the target process.
         t += envelope.sample(&mut rng);
+        if !t.is_finite() {
+            return Err(FleetWorkloadError::ArrivalOverflow);
+        }
         if rng.gen_f64() >= cfg.pattern.rate(t) / peak {
             continue;
         }
@@ -253,7 +326,7 @@ pub fn sample_fleet(cfg: &FleetWorkloadConfig) -> Vec<SimRequest> {
                 .with_slo(slo),
         );
     }
-    out
+    Ok(out)
 }
 
 rkvc_tensor::json_struct!(FleetWorkloadConfig {
@@ -400,8 +473,8 @@ mod tests {
     #[test]
     fn fleet_sampler_is_deterministic_sorted_and_annotated() {
         let cfg = FleetWorkloadConfig::assistants(400, diurnal(), 11);
-        let a = sample_fleet(&cfg);
-        let b = sample_fleet(&cfg);
+        let a = sample_fleet(&cfg).expect("valid config");
+        let b = sample_fleet(&cfg).expect("valid config");
         assert_eq!(a, b);
         assert_eq!(a.len(), 400);
         assert!(a.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
@@ -422,7 +495,7 @@ mod tests {
         // Fold arrivals onto the cycle: the crest half-period must receive
         // well over half the traffic (it carries ~83% of the rate mass).
         let cfg = FleetWorkloadConfig::assistants(2000, diurnal(), 3);
-        let reqs = sample_fleet(&cfg);
+        let reqs = sample_fleet(&cfg).expect("valid config");
         let crest = reqs
             .iter()
             .filter(|r| {
@@ -449,7 +522,7 @@ mod tests {
             },
             5,
         );
-        let reqs = sample_fleet(&cfg);
+        let reqs = sample_fleet(&cfg).expect("valid config");
         let bursting = reqs
             .iter()
             .filter(|r| r.arrival_s.rem_euclid(20.0) < 5.0)
@@ -460,6 +533,172 @@ mod tests {
             "bursts drew only {bursting}/{}",
             reqs.len()
         );
+    }
+
+    /// One of a few hostile or ordinary floats.
+    fn any_f64(rng: &mut rkvc_tensor::det::SeededRng) -> f64 {
+        *rng.choose(&[
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            0.0,
+            1e-300,
+            0.25,
+            0.5,
+            3.0,
+            40.0,
+            1e300,
+        ])
+    }
+
+    fn any_len(rng: &mut rkvc_tensor::det::SeededRng) -> usize {
+        *rng.choose(&[0, 1, 16, 300, usize::MAX])
+    }
+
+    /// `sane`, or with probability 1/8 a draw from `hostile`: most configs
+    /// break one or two fields, and some break none.
+    fn or_hostile<T>(
+        rng: &mut rkvc_tensor::det::SeededRng,
+        sane: T,
+        hostile: fn(&mut rkvc_tensor::det::SeededRng) -> T,
+    ) -> T {
+        if rng.gen_bool(0.125) {
+            hostile(rng)
+        } else {
+            sane
+        }
+    }
+
+    rkvc_tensor::det_cases! {
+        /// Whatever the config, `sample_fleet` returns instead of
+        /// panicking: `Err` exactly when `validate` rejects it (or the
+        /// stream cannot be allocated or timed), else a stream of the asked
+        /// length whose arrivals are finite and sorted and whose lengths
+        /// respect the clamps.
+        fn hostile_fleet_configs_return_errors_not_panics(rng, cases = 256) {
+            let (a, b, c, d) = (
+                or_hostile(rng, 4.0, any_f64),
+                or_hostile(rng, 40.0, any_f64),
+                or_hostile(rng, 20.0, any_f64),
+                or_hostile(rng, 0.25, any_f64),
+            );
+            let pattern = match rng.gen_range(0..3) {
+                0 => ArrivalPattern::Uniform { rps: a },
+                1 => ArrivalPattern::Diurnal { base_rps: a, peak_rps: b, period_s: c },
+                _ => ArrivalPattern::Bursty {
+                    base_rps: a,
+                    burst_rps: b,
+                    period_s: c,
+                    burst_fraction: d,
+                },
+            };
+            let n = or_hostile(rng, 60, |rng| *rng.choose(&[0, 1, usize::MAX, 1 << 60]));
+            let mut cfg = FleetWorkloadConfig::assistants(n, pattern, rng.next_u64());
+            cfg.n_groups = or_hostile(rng, 16, |rng| *rng.choose(&[0, 1]));
+            cfg.prefix_len = or_hostile(rng, 256, any_len);
+            cfg.suffix_log_mean = or_hostile(rng, 4.56, any_f64);
+            cfg.suffix_log_std = or_hostile(rng, 0.5, any_f64);
+            cfg.suffix_clamp = (or_hostile(rng, 16, any_len), or_hostile(rng, 512, any_len));
+            cfg.response_log_mean = or_hostile(rng, 3.87, any_f64);
+            cfg.response_log_std = or_hostile(rng, 0.5, any_f64);
+            cfg.response_clamp = (or_hostile(rng, 8, any_len), or_hostile(rng, 160, any_len));
+            let weight = |rng: &mut rkvc_tensor::det::SeededRng| *rng.choose(&[0, u32::MAX]);
+            cfg.interactive_weight = or_hostile(rng, 2, weight);
+            cfg.standard_weight = or_hostile(rng, 1, weight);
+            cfg.batch_weight = or_hostile(rng, 1, weight);
+            match sample_fleet(&cfg) {
+                Err(e) => assert!(
+                    cfg.validate().is_err()
+                        || matches!(
+                            e,
+                            FleetWorkloadError::TooManyRequests
+                                | FleetWorkloadError::ArrivalOverflow
+                        ),
+                    "{e} from a config validate() accepts: {cfg:?}"
+                ),
+                Ok(reqs) => {
+                    assert!(cfg.validate().is_ok());
+                    assert_eq!(reqs.len(), cfg.n_requests);
+                    assert!(reqs.iter().all(|r| r.arrival_s.is_finite()));
+                    assert!(reqs.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
+                    for r in &reqs {
+                        let suffix = r.prompt_len - cfg.prefix_len;
+                        assert!((cfg.suffix_clamp.0..=cfg.suffix_clamp.1).contains(&suffix));
+                        let resp = cfg.response_clamp;
+                        assert!((resp.0..=resp.1).contains(&r.response_len));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_named_hostile_field_is_a_typed_error() {
+        let ok = FleetWorkloadConfig::assistants(10, diurnal(), 1);
+        assert_eq!(ok.validate(), Ok(()));
+        let cases = [
+            (
+                FleetWorkloadConfig {
+                    suffix_clamp: (512, 16),
+                    ..ok
+                },
+                FleetWorkloadError::InvertedClamp,
+            ),
+            (
+                FleetWorkloadConfig {
+                    response_clamp: (9, 8),
+                    ..ok
+                },
+                FleetWorkloadError::InvertedClamp,
+            ),
+            (
+                FleetWorkloadConfig {
+                    suffix_log_std: -0.5,
+                    ..ok
+                },
+                FleetWorkloadError::BadLengthDistribution,
+            ),
+            (
+                FleetWorkloadConfig {
+                    response_log_std: f64::NAN,
+                    ..ok
+                },
+                FleetWorkloadError::BadLengthDistribution,
+            ),
+            (
+                FleetWorkloadConfig {
+                    pattern: ArrivalPattern::Uniform { rps: 0.0 },
+                    ..ok
+                },
+                FleetWorkloadError::BadPattern,
+            ),
+            (
+                FleetWorkloadConfig {
+                    prefix_len: usize::MAX,
+                    ..ok
+                },
+                FleetWorkloadError::PromptOverflow,
+            ),
+            (
+                FleetWorkloadConfig {
+                    n_requests: usize::MAX,
+                    ..ok
+                },
+                FleetWorkloadError::TooManyRequests,
+            ),
+            (
+                FleetWorkloadConfig {
+                    pattern: ArrivalPattern::Uniform { rps: 1e-307 },
+                    n_requests: 1000,
+                    ..ok
+                },
+                FleetWorkloadError::ArrivalOverflow,
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(sample_fleet(&cfg).err(), Some(want), "{cfg:?}");
+        }
     }
 
     #[test]

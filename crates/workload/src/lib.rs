@@ -40,7 +40,7 @@ pub mod session;
 pub mod sharegpt;
 pub mod suite;
 
-pub use arrivals::{sample_fleet, ArrivalPattern, FleetWorkloadConfig};
+pub use arrivals::{sample_fleet, ArrivalPattern, FleetWorkloadConfig, FleetWorkloadError};
 pub use length::{length_difference, LengthStats};
 pub use prefix::{sample_shared_prefix, PrefixRequest, SharedPrefixConfig};
 pub use session::{
