@@ -29,16 +29,3 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         notes,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bundle_contains_all_three_artifacts() {
-        let r = run(&RunOptions::quick());
-        assert!(r.tables.iter().any(|t| t.title.contains("Table 5")));
-        assert!(r.tables.iter().any(|t| t.title.contains("Fig4")));
-        assert!(r.tables.iter().any(|t| t.title.contains("Fig5")));
-    }
-}

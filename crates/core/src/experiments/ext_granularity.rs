@@ -123,58 +123,3 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         ],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_family_produces_scores_and_memory() {
-        let r = run(&RunOptions::quick());
-        assert_eq!(r.tables[0].headers.len(), 6); // Task + FP16 + 4 families.
-        assert_eq!(r.tables[0].rows.len(), 6); // All task types.
-        assert_eq!(r.tables[1].rows.len(), 5); // FP16 + 4 families.
-    }
-
-    #[test]
-    fn channel_pruning_beats_token_eviction_on_retrieval() {
-        // ThinK keeps every token (at half key width); H2O drops tokens.
-        // On retrieval-bound tasks the channel family must win.
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let col = |needle: &str| {
-            t.headers
-                .iter()
-                .position(|h| h.contains(needle))
-                .unwrap()
-        };
-        let mut think_total = 0.0;
-        let mut h2o_total = 0.0;
-        for row in &t.rows {
-            if ["single-doc-qa", "multi-doc-qa", "synthetic"].contains(&row[0].as_str()) {
-                think_total += row[col("ThinK")].parse::<f64>().unwrap();
-                h2o_total += row[col("H2O")].parse::<f64>().unwrap();
-            }
-        }
-        assert!(
-            think_total > h2o_total,
-            "think {think_total} vs h2o {h2o_total}"
-        );
-    }
-
-    #[test]
-    fn think_memory_is_strictly_below_fp16() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[1];
-        let bytes = |label: &str| -> usize {
-            t.rows
-                .iter()
-                .find(|row| row[0].contains(label))
-                .unwrap()[1]
-                .parse()
-                .unwrap()
-        };
-        assert!(bytes("ThinK") < bytes("FP16"));
-        assert!(bytes("H2O") < bytes("ThinK")); // Token eviction saves more.
-    }
-}

@@ -203,32 +203,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sharing_raises_capacity_and_cuts_preemptions() {
-        let reqs = prefix_workload(&RunOptions::quick());
-        let flat = serve_prefix_workload(&reqs, false, None);
-        let tiered = serve_prefix_workload(&reqs, true, variants()[3].2);
-        // The acceptance surface: strictly higher effective capacity and a
-        // lower preemption rate at the same pinned pool.
-        assert!(
-            tiered.peak_batch > flat.peak_batch,
-            "shared+tiered peak batch {} must beat flat {}",
-            tiered.peak_batch,
-            flat.peak_batch
-        );
-        assert!(
-            tiered.preempt_rate < flat.preempt_rate,
-            "shared+tiered preempt rate {} must be below flat {}",
-            tiered.preempt_rate,
-            flat.preempt_rate
-        );
-        assert!(tiered.dedup_ratio > 1.0, "dedup {}", tiered.dedup_ratio);
-        assert!((flat.dedup_ratio - 1.0).abs() < 1e-12, "flat pool never dedups");
-        // Everyone finishes the stream.
-        assert_eq!(flat.metrics.completed, reqs.len());
-        assert_eq!(tiered.metrics.completed, reqs.len());
-    }
-
-    #[test]
     fn run_is_bit_reproducible() {
         let a = format!("{}", run(&RunOptions::quick()));
         let b = format!("{}", run(&RunOptions::quick()));

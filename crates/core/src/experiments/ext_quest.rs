@@ -88,43 +88,3 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         ],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quest_recovers_the_fragile_tasks() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let col = |name: &str| t.headers.iter().position(|h| h == name).unwrap();
-        let mut quest_total = 0.0;
-        let mut h2o_total = 0.0;
-        let mut stream_total = 0.0;
-        for row in &t.rows {
-            quest_total += row[col("Quest-64")].parse::<f64>().unwrap();
-            h2o_total += row[col("H2O-64")].parse::<f64>().unwrap();
-            stream_total += row[col("Stream-64")].parse::<f64>().unwrap();
-        }
-        assert!(
-            quest_total > h2o_total && quest_total > stream_total,
-            "quest {quest_total} vs h2o {h2o_total} / stream {stream_total}"
-        );
-    }
-
-    #[test]
-    fn quest_mines_fewer_negatives() {
-        let r = run(&RunOptions::quick());
-        let neg = &r.tables[1];
-        let count = |label: &str| -> usize {
-            neg.rows
-                .iter()
-                .find(|row| row[0] == label)
-                .unwrap()[1]
-                .parse()
-                .unwrap()
-        };
-        assert!(count("Quest-64") < count("Stream-64").max(1));
-        assert!(count("Quest-64") <= count("H2O-64"));
-    }
-}

@@ -109,42 +109,3 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         ],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_scheduler_serves_the_full_stream() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        assert_eq!(t.rows.len(), 3);
-        let completed: Vec<usize> = t.rows.iter().map(|row| row[1].parse().unwrap()).collect();
-        let expected = RunOptions::quick().pick(40, 1000);
-        assert!(
-            completed.iter().all(|&c| c == expected),
-            "all schedulers must complete all {expected} requests: {completed:?}"
-        );
-    }
-
-    #[test]
-    fn fcfs_never_preempts_and_preemptive_does_under_pressure() {
-        let w = cluster_workload(&RunOptions::quick());
-        let fcfs = serve_workload(&w, SchedulerConfig::Fcfs);
-        assert_eq!(fcfs.preemptions, 0);
-        let pre = serve_workload(&w, SchedulerConfig::Preemptive);
-        assert!(
-            pre.preemptions > 0,
-            "pinned pool must create enough block pressure to preempt"
-        );
-        // Preemption is not free: the evicted sequence's recompute prefill
-        // re-enters the admission path, so the tail of the queue-delay
-        // distribution must measurably separate from FCFS.
-        assert!(
-            (pre.queue_delay.p99() - fcfs.queue_delay.p99()).abs() > 1e-9,
-            "preemption should visibly shift tail queue delay (pre {}, fcfs {})",
-            pre.queue_delay.p99(),
-            fcfs.queue_delay.p99()
-        );
-    }
-}

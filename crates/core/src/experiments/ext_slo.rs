@@ -203,89 +203,6 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rkvc_serving::SloClass;
-
-    #[test]
-    fn aware_raises_goodput_without_hurting_interactive_tail() {
-        let trace = session_trace(&RunOptions::quick());
-        for sched in [
-            SchedulerConfig::ShortestPredictedFirst,
-            SchedulerConfig::Preemptive,
-        ] {
-            let blind = serve_sessions(&trace, sched, SloPolicy::Blind);
-            let aware = serve_sessions(&trace, sched, SloPolicy::Aware);
-            assert!(
-                aware.slo.goodput_tps > blind.slo.goodput_tps,
-                "{}: aware goodput {} must beat blind {}",
-                sched.label(),
-                aware.slo.goodput_tps,
-                blind.slo.goodput_tps
-            );
-            let p99 = |o: &SloOutcome| {
-                o.slo
-                    .per_class
-                    .iter()
-                    .find(|c| c.class == SloClass::Interactive)
-                    .expect("interactive class present")
-                    .ttft
-                    .p99()
-            };
-            assert!(
-                p99(&aware) <= p99(&blind) + 1e-12,
-                "{}: aware interactive p99 TTFT {} must not exceed blind {}",
-                sched.label(),
-                p99(&aware),
-                p99(&blind)
-            );
-        }
-    }
-
-    #[test]
-    fn every_cell_serves_every_turn_and_goodput_is_bounded() {
-        let trace = session_trace(&RunOptions::quick());
-        for (sched, policy) in sweep() {
-            let o = serve_sessions(&trace, sched, policy);
-            assert_eq!(
-                o.slo.completed,
-                trace.total_turns(),
-                "{} / {} dropped turns",
-                sched.label(),
-                policy.label()
-            );
-            assert!(
-                o.slo.goodput_tps >= 0.0 && o.slo.goodput_tps <= o.slo.throughput_tps + 1e-12,
-                "{} / {}: goodput {} outside [0, {}]",
-                sched.label(),
-                policy.label(),
-                o.slo.goodput_tps,
-                o.slo.throughput_tps
-            );
-        }
-    }
-
-    #[test]
-    fn multi_turn_dedup_beats_single_shot_baseline() {
-        // Use the SLO-aware preemptive cell: parked session KV survives
-        // there (FCFS's long queue evicts it), so it shows the cross-turn
-        // reuse the dedup claim is about.
-        let opts = RunOptions::quick();
-        let o = serve_sessions(
-            &session_trace(&opts),
-            SchedulerConfig::Preemptive,
-            SloPolicy::Aware,
-        );
-        let single = super::super::ext_prefix::serve_prefix_workload(
-            &super::super::ext_prefix::prefix_workload(&opts),
-            true,
-            None,
-        );
-        assert!(
-            o.dedup_ratio > single.dedup_ratio,
-            "multi-turn dedup {} must beat single-shot {}",
-            o.dedup_ratio,
-            single.dedup_ratio
-        );
-    }
 
     #[test]
     fn run_is_bit_reproducible() {

@@ -174,66 +174,3 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         ],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn task_aware_beats_always_aggressive_on_accuracy() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let score = |label: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|row| row[0] == label)
-                .unwrap()[1]
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            score("Task-aware (classifier)") > score("Stream-64 everywhere"),
-            "aware {} vs stream {}",
-            score("Task-aware (classifier)"),
-            score("Stream-64 everywhere")
-        );
-    }
-
-    #[test]
-    fn scheduler_epilogue_serves_the_same_stream_under_every_policy() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[1];
-        assert_eq!(t.rows.len(), 3, "one row per scheduler");
-        let completed: Vec<usize> = t
-            .rows
-            .iter()
-            .map(|row| row[1].parse().unwrap())
-            .collect();
-        assert!(
-            completed.iter().all(|&c| c > 0 && c == completed[0]),
-            "schedulers must serve the same stream: {completed:?}"
-        );
-        let fcfs = t.rows.iter().find(|row| row[0] == "fcfs").unwrap();
-        assert_eq!(fcfs[5], "0", "FCFS never preempts");
-    }
-
-    #[test]
-    fn task_aware_saves_memory_vs_always_safe() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let mem = |label: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|row| row[0] == label)
-                .unwrap()[2]
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            mem("Task-aware (classifier)") < mem("Quest-64 everywhere"),
-            "aware {} vs quest {}",
-            mem("Task-aware (classifier)"),
-            mem("Quest-64 everywhere")
-        );
-    }
-}

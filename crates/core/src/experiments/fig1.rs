@@ -127,68 +127,3 @@ pub fn run(_opts: &RunOptions) -> ExperimentResult {
         "Throughput analysis of LLaMA-7B (A6000)",
     )
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cell(t: &Table, row: usize, col: usize) -> &str {
-        &t.rows[row][col]
-    }
-
-    #[test]
-    fn engines_ordered_in_fig1ab() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0]; // kv=1024 engine table.
-        for row in 0..t.rows.len() {
-            let trl: f64 = cell(t, row, 1).parse().unwrap();
-            let fa: f64 = cell(t, row, 2).parse().unwrap();
-            let lmd: f64 = cell(t, row, 3).parse().unwrap();
-            assert!(trl < fa && fa < lmd, "row {row}: {trl} {fa} {lmd}");
-        }
-    }
-
-    #[test]
-    fn streaming_speedup_larger_on_trl_than_lmd() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[3]; // kv=4096 speedup table.
-        for row in 0..t.rows.len() {
-            let trl: f64 = cell(t, row, 1).trim_end_matches('x').parse().unwrap();
-            let lmd: f64 = cell(t, row, 3).trim_end_matches('x').parse().unwrap();
-            assert!(
-                trl > lmd,
-                "TRL speedup {trl} should exceed LMD {lmd} (Observation 1)"
-            );
-        }
-    }
-
-    #[test]
-    fn kivi_ooms_at_long_kv_large_batch() {
-        let r = run(&RunOptions::quick());
-        let t = r
-            .tables
-            .iter()
-            .find(|t| t.title.contains("decode throughput (tok/s), batch=32"))
-            .unwrap();
-        let last = t.rows.last().unwrap(); // kv=8192.
-        assert_eq!(last[2], "OOM", "KIVI-4 at kv=8192 batch=32: {last:?}");
-        // Sparsity never OOMs.
-        assert_ne!(last[4], "OOM");
-        assert_ne!(last[5], "OOM");
-    }
-
-    #[test]
-    fn h2o_prefill_below_baseline() {
-        let r = run(&RunOptions::quick());
-        let t = r
-            .tables
-            .iter()
-            .find(|t| t.title.contains("prefill throughput (tok/s), batch=4"))
-            .unwrap();
-        for row in &t.rows {
-            let fp16: f64 = row[1].parse().unwrap();
-            let h2o: f64 = row[4].parse().unwrap();
-            assert!(h2o < 0.9 * fp16, "{row:?}");
-        }
-    }
-}

@@ -63,36 +63,3 @@ pub fn run(_opts: &RunOptions) -> ExperimentResult {
         ],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn covers_four_models() {
-        let r = run(&RunOptions::quick());
-        assert_eq!(r.tables.len(), 4);
-        assert!(r.tables[3].title.contains("70B"));
-    }
-
-    #[test]
-    fn prefill_scales_better_with_tp_than_small_batch_decode() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0]; // LLaMA-7B.
-        let v = |row: usize, col: usize| -> f64 { t.rows[row][col].parse().unwrap() };
-        // FP16 column = 2. Prefill rows 0-2, decode rows 3-5.
-        let prefill_gain = v(2, 2) / v(0, 2);
-        let decode_gain = v(5, 2) / v(3, 2);
-        assert!(prefill_gain > 1.5, "prefill tp4/tp1 {prefill_gain}");
-        assert!(decode_gain < prefill_gain, "decode {decode_gain} vs prefill {prefill_gain}");
-    }
-
-    #[test]
-    fn seventy_b_needs_tp_and_gets_it() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[3];
-        let tp1: f64 = t.rows[0][2].parse().unwrap();
-        let tp4: f64 = t.rows[2][2].parse().unwrap();
-        assert!(tp4 > 2.0 * tp1, "70B prefill should scale: {tp1} -> {tp4}");
-    }
-}

@@ -50,14 +50,6 @@ mod tests {
     use rkvc_kvcache::CompressionConfig;
 
     #[test]
-    fn h800_tp4_throughput_dwarfs_a6000() {
-        let r = run(&RunOptions::quick());
-        let first: f64 = r.tables[0].rows[0][1].parse().unwrap();
-        // 70B prefill on 4x H800 should still be thousands of tok/s.
-        assert!(first > 1000.0, "{first}");
-    }
-
-    #[test]
     fn compression_speedup_smaller_than_on_a6000() {
         let h800 = DeploymentSpec {
             gpu: GpuSpec::h800(),

@@ -43,41 +43,3 @@ pub fn run(_opts: &RunOptions) -> ExperimentResult {
         ],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn col(t: &Table, name: &str) -> usize {
-        t.headers.iter().position(|h| h == name).unwrap()
-    }
-
-    #[test]
-    fn prefill_h2o_and_gear_slowest() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let last = t.rows.last().unwrap(); // len=8192
-        let get = |name: &str| -> f64 { last[col(t, name)].parse().unwrap() };
-        assert!(get("H2O-512") > get("FP16"));
-        assert!(get("GEAR-4") > get("KIVI-4"));
-        assert!(get("H2O-512") > get("Stream-512"));
-    }
-
-    #[test]
-    fn decode_sparsity_is_flat_across_kv() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[1];
-        let c = col(t, "Stream-512");
-        let first: f64 = t.rows[1][c].parse().unwrap(); // kv=1024 (over budget).
-        let last: f64 = t.rows.last().unwrap()[c].parse().unwrap(); // kv=8192
-        assert!(
-            (last - first).abs() / first < 0.1,
-            "stream attention should be flat: {first} vs {last}"
-        );
-        // While FP16 grows.
-        let cf = col(t, "FP16");
-        let f_first: f64 = t.rows[1][cf].parse().unwrap();
-        let f_last: f64 = t.rows.last().unwrap()[cf].parse().unwrap();
-        assert!(f_last > 3.0 * f_first);
-    }
-}

@@ -73,37 +73,3 @@ pub(crate) fn from_scores(scores: &[SampleScores], id: &str) -> ExperimentResult
 pub fn run(opts: &RunOptions) -> ExperimentResult {
     from_scores(&score_suite(&tiny_llama(), opts), "fig6")
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn negatives_exist_and_decrease_with_threshold() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        // Column 4 = H2O counts.
-        let counts: Vec<usize> = t.rows.iter().map(|row| row[4].parse().unwrap()).collect();
-        assert!(counts[1] > 0, "negatives must exist at 10% (Observation 5)");
-        assert!(
-            counts.windows(2).all(|w| w[0] >= w[1]),
-            "counts must fall with threshold: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn combined_sets_have_fewer_negatives() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        for row in &t.rows {
-            let kivi: usize = row[1].parse().unwrap();
-            let gear: usize = row[2].parse().unwrap();
-            let combined: usize = row[3].parse().unwrap();
-            assert!(combined <= kivi.min(gear), "{row:?}");
-            let h2o: usize = row[4].parse().unwrap();
-            let stream: usize = row[5].parse().unwrap();
-            let sparse_c: usize = row[6].parse().unwrap();
-            assert!(sparse_c <= h2o.min(stream), "{row:?}");
-        }
-    }
-}

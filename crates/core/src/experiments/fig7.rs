@@ -53,43 +53,3 @@ pub(crate) fn from_scores(scores: &[SampleScores], id: &str) -> ExperimentResult
 pub fn run(opts: &RunOptions) -> ExperimentResult {
     from_scores(&score_suite(&tiny_llama(), opts), "fig7")
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shares_sum_to_one_when_negatives_exist() {
-        let r = run(&RunOptions::quick());
-        for row in &r.tables[0].rows {
-            let sum: f64 = row[1..]
-                .iter()
-                .map(|c| c.trim_end_matches('%').parse::<f64>().unwrap())
-                .sum();
-            assert!(
-                sum == 0.0 || (sum - 100.0).abs() < 1.0,
-                "{row:?} sums to {sum}"
-            );
-        }
-    }
-
-    #[test]
-    fn code_contributes_less_than_retrieval_tasks() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let code_col = t.headers.iter().position(|h| h == "code").unwrap();
-        let mut code_total = 0.0;
-        let mut qa_total = 0.0;
-        for row in &t.rows {
-            code_total += row[code_col].trim_end_matches('%').parse::<f64>().unwrap();
-            for qa in ["single-doc-qa", "multi-doc-qa", "synthetic"] {
-                let c = t.headers.iter().position(|h| h == qa).unwrap();
-                qa_total += row[c].trim_end_matches('%').parse::<f64>().unwrap();
-            }
-        }
-        assert!(
-            qa_total > code_total,
-            "QA share {qa_total} should exceed code share {code_total}"
-        );
-    }
-}

@@ -34,11 +34,4 @@ mod tests {
             "mistral speedup {s_mistral} vs llama {s_llama}"
         );
     }
-
-    #[test]
-    fn produces_all_fig1_tables() {
-        let r = run(&RunOptions::quick());
-        assert_eq!(r.id, "fig8");
-        assert!(r.tables.len() >= 8);
-    }
 }

@@ -106,16 +106,3 @@ pub fn run(_opts: &RunOptions) -> ExperimentResult {
         ],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn survey_tables_render_fully() {
-        let r = run(&RunOptions::quick());
-        assert_eq!(r.tables[0].rows.len(), 41);
-        assert_eq!(r.tables[1].rows.len(), 4);
-        assert!(r.tables[2].rows.len() >= 6);
-    }
-}

@@ -71,60 +71,3 @@ pub(crate) fn run_for_model(llm: LlmSpec, id: &str) -> ExperimentResult {
 pub fn run(_opts: &RunOptions) -> ExperimentResult {
     run_for_model(LlmSpec::llama2_7b(), "table3")
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ratios(r: &ExperimentResult, stage: &str, tp: &str) -> Vec<f64> {
-        let t = &r.tables[0];
-        let row = t
-            .rows
-            .iter()
-            .find(|r| r[0] == stage && r[1] == tp)
-            .unwrap();
-        row[3..]
-            .iter()
-            .map(|c| c.trim_end_matches('x').parse().unwrap())
-            .collect()
-    }
-
-    #[test]
-    fn prefill_tp1_ordering_matches_paper() {
-        let r = run(&RunOptions::quick());
-        let v = ratios(&r, "Prefill", "1"); // [KIVI, GEAR, H2O, Stream]
-        assert!(v[0] > 0.95, "KIVI prefill {v:?}");
-        assert!(v[1] < 1.0, "GEAR prefill {v:?}");
-        assert!(v[2] < v[1], "H2O below GEAR {v:?}");
-        assert!(v[3] > v[2], "Stream above H2O {v:?}");
-    }
-
-    #[test]
-    fn decode_tp1_sparsity_wins() {
-        let r = run(&RunOptions::quick());
-        let v = ratios(&r, "Decode", "1");
-        assert!(v[3] > 1.1, "Stream decode at heavy KV {v:?}");
-        assert!(v[2] > 1.0, "H2O decode {v:?}");
-    }
-
-    #[test]
-    fn speedups_shrink_with_tp() {
-        let r = run(&RunOptions::quick());
-        let tp1 = ratios(&r, "Decode", "1");
-        let tp4 = ratios(&r, "Decode", "4");
-        // Stream's advantage at TP4 is below its TP1 advantage.
-        assert!(tp4[3] < tp1[3], "tp1 {tp1:?} tp4 {tp4:?}");
-        assert!(tp4[2] < tp1[2]);
-    }
-
-    #[test]
-    fn fp16_absolute_throughput_in_band() {
-        // Paper: 6610 tok/s prefill, ~130 tok/s decode at TP1.
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let prefill: f64 = t.rows[0][2].parse().unwrap();
-        let decode: f64 = t.rows[3][2].parse().unwrap();
-        assert!((3000.0..12000.0).contains(&prefill), "{prefill}");
-        assert!((50.0..300.0).contains(&decode), "{decode}");
-    }
-}

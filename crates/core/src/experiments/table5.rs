@@ -74,47 +74,3 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
 pub(crate) fn run_mistral(opts: &RunOptions) -> ExperimentResult {
     run_for_model(&tiny_mistral(), "table9", opts)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn pct(cell: &str) -> f64 {
-        cell.trim_end_matches('%').parse().unwrap()
-    }
-
-    #[test]
-    fn compression_skews_toward_longer_responses() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        // Average over the four compression columns (3..7).
-        let mut longer_sum = 0.0;
-        let mut shorter_sum = 0.0;
-        for c in 3..7 {
-            shorter_sum += pct(&t.rows[0][c]);
-            longer_sum += pct(&t.rows[1][c]);
-        }
-        assert!(
-            longer_sum > shorter_sum,
-            "compression should skew long: shorter {shorter_sum} vs longer {longer_sum}"
-        );
-        // And a nontrivial fraction of samples shift by >= 50%.
-        assert!(longer_sum / 4.0 > 5.0, "longer avg {longer_sum}");
-    }
-
-    #[test]
-    fn temperature_shifts_are_more_symmetric_than_compression() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let temp_asym = (pct(&t.rows[1][1]) - pct(&t.rows[0][1])).abs();
-        let mut comp_asym = 0.0;
-        for c in 3..7 {
-            comp_asym += pct(&t.rows[1][c]) - pct(&t.rows[0][c]);
-        }
-        comp_asym /= 4.0;
-        assert!(
-            comp_asym > temp_asym - 15.0,
-            "temp asym {temp_asym} vs compression asym {comp_asym}"
-        );
-    }
-}

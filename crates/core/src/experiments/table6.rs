@@ -91,31 +91,3 @@ pub(crate) fn run_mistral(opts: &RunOptions) -> ExperimentResult {
         notes: vec!["Paper targets: 88.8-92.8%.".to_owned()],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn predictors_land_in_their_calibration_bands() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let pct = |row: usize, col: usize| -> f64 {
-            t.rows[row][col].trim_end_matches('%').parse().unwrap()
-        };
-        // Throughput predictor >= 85% for every algorithm (paper band).
-        for col in 1..t.headers.len() {
-            assert!(pct(0, col) >= 85.0, "throughput {}: {}", t.headers[col], pct(0, col));
-        }
-        // Length predictor: >= 80% where compression barely perturbs
-        // lengths (FP16/KIVI/GEAR); >= 55% for the eviction policies, whose
-        // broken retrievals wander with genuinely high entropy in TinyLM
-        // (documented divergence from the paper's 87-90%).
-        for col in 1..=3 {
-            assert!(pct(1, col) >= 80.0, "length {}: {}", t.headers[col], pct(1, col));
-        }
-        for col in 4..=5 {
-            assert!(pct(1, col) >= 55.0, "length {}: {}", t.headers[col], pct(1, col));
-        }
-    }
-}

@@ -117,34 +117,3 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         ],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn combined_routing_beats_baseline_everywhere() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        let row = |label: &str| t.rows.iter().find(|r| r[0] == label).unwrap();
-        let base = row("Baseline");
-        let both = row("w/ Both");
-        for col in 2..6 {
-            let b: f64 = base[col].parse().unwrap();
-            let w: f64 = both[col].parse().unwrap();
-            assert!(
-                w <= b * 1.05,
-                "{}: w/Both {w} should not lose to baseline {b}",
-                t.headers[col]
-            );
-        }
-    }
-
-    #[test]
-    fn fp16_column_only_has_baseline() {
-        let r = run(&RunOptions::quick());
-        let t = &r.tables[0];
-        assert_ne!(t.rows[0][1], "-");
-        assert_eq!(t.rows[1][1], "-");
-    }
-}

@@ -166,7 +166,7 @@ pub(crate) fn fig3_svg(decode: bool) -> String {
 /// compression configuration, measured on TinyLM.
 pub(crate) fn fig4_svg(opts: &RunOptions) -> String {
     let model = tiny_llama();
-    let n = opts.pick(24, 300);
+    let n = fig4::sample_count(opts);
     let sweep = rkvc_workload::compression_ratio_sweep();
     let stats = fig4::measure_sweep(&model, sweep.iter().map(|a| &a.config), n, opts.seed);
     let mut cats = Vec::new();
@@ -224,18 +224,27 @@ pub(crate) fn fig6_svg(opts: &RunOptions) -> String {
     )
 }
 
+/// One figure-set row: the file name and the renderer that writes it.
+type Figure = (&'static str, fn(&RunOptions) -> String);
+
+/// The figure set, in the order `render_all` writes it.
+const FIGURES: [Figure; 8] = [
+    ("fig1ab_engines.svg", |_| fig1ab_svg()),
+    ("fig1cd_speedup.svg", |_| fig1cd_svg()),
+    ("fig1eh_prefill.svg", |_| fig1eh_svg()),
+    ("fig1il_decode.svg", |_| fig1il_svg()),
+    ("fig3_prefill.svg", |_| fig3_svg(false)),
+    ("fig3_decode.svg", |_| fig3_svg(true)),
+    ("fig4_length_shift.svg", fig4_svg),
+    ("fig6_negatives.svg", fig6_svg),
+];
+
 /// Renders the full figure set as `(file name, svg)` pairs.
 pub fn render_all(opts: &RunOptions) -> Vec<(String, String)> {
-    vec![
-        ("fig1ab_engines.svg".to_owned(), fig1ab_svg()),
-        ("fig1cd_speedup.svg".to_owned(), fig1cd_svg()),
-        ("fig1eh_prefill.svg".to_owned(), fig1eh_svg()),
-        ("fig1il_decode.svg".to_owned(), fig1il_svg()),
-        ("fig3_prefill.svg".to_owned(), fig3_svg(false)),
-        ("fig3_decode.svg".to_owned(), fig3_svg(true)),
-        ("fig4_length_shift.svg".to_owned(), fig4_svg(opts)),
-        ("fig6_negatives.svg".to_owned(), fig6_svg(opts)),
-    ]
+    FIGURES
+        .iter()
+        .map(|&(name, render)| (name.to_owned(), render(opts)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -270,19 +279,8 @@ mod tests {
 
     #[test]
     fn render_all_produces_unique_files() {
-        // Analytical subset only (avoid double model runs): check names.
-        let names: Vec<&str> = [
-            "fig1ab_engines.svg",
-            "fig1cd_speedup.svg",
-            "fig1eh_prefill.svg",
-            "fig1il_decode.svg",
-            "fig3_prefill.svg",
-            "fig3_decode.svg",
-            "fig4_length_shift.svg",
-            "fig6_negatives.svg",
-        ]
-        .to_vec();
-        let set: std::collections::BTreeSet<_> = names.iter().collect();
-        assert_eq!(set.len(), names.len());
+        let names: std::collections::BTreeSet<&str> =
+            FIGURES.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names.len(), FIGURES.len(), "duplicate file name in FIGURES");
     }
 }

@@ -30,10 +30,13 @@
 #      RUSTFLAGS="-D warnings" — every lib, bin, test and example
 #      compiles warning-free with the network unreachable.
 #   3. `cargo test -q --offline --workspace` — the full test suite
-#      passes offline — then, once and in release, rkvc-tensor's
-#      `#[ignore]`d exhaustive test: the branch-free `round_to_f16`
-#      against the binary16 packing round trip on all 2^32 `f32` bit
-#      patterns (about 15 s optimised, hours otherwise) — and, also in
+#      passes offline, including `tests/paper_claims.rs`, which checks
+#      every paper verdict in EXPERIMENTS.md against the committed
+#      results/ — then, once and in release, rkvc-tensor's `#[ignore]`d
+#      exhaustive test: the branch-free `round_to_f16` against the
+#      binary16 packing round trip on all 2^32 `f32` bit patterns, split
+#      in fixed chunks over the worker pool (about 15 s optimised on two
+#      cores, hours otherwise) — and, also in
 #      release, the packed-GEMM bit-identity file `packed_gemm`: the
 #      baseline and AVX2 kernel instantiations are what the optimiser
 #      vectorises, so the build users run is the one that must match
@@ -57,9 +60,14 @@
 #      (gate 0's own output) excluded. Paper scale, not a quick-scale
 #      golden: results/ holds the paper-scale run, and the stale file
 #      this gate was added for was a quick-scale ext_fleet.json. Gate 4
-#      already proves the width does not matter; `repro` exits non-zero
-#      if any output could not be written, so an empty directory cannot
-#      pass. After an intended change, regenerate with
+#      proves the width does not matter at quick scale. Running this pass
+#      at RKVC_THREADS=3 would also prove it at paper scale, but on a
+#      two-core host the oversubscribed pool made the pass slower than
+#      its own run-to-run spread (ROADMAP item 15(b)), so it stays at the
+#      default width. `repro` exits non-zero if any output could not be
+#      written, so an empty directory cannot pass. Together with gate 3's
+#      `paper_claims`, this checks HEAD's own paper-scale verdicts. After
+#      an intended change, regenerate with
 #      `cargo run --release -p rkvc-bench --bin repro` and commit.
 #
 # The closing line gives each gate's wall seconds (bash SECONDS).
