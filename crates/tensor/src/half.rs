@@ -213,16 +213,15 @@ mod tests {
 
     /// The packing path is the oracle of the branch-free round.
     fn assert_matches_packing(bits: u32) {
+        let (got, want) = got_want(bits);
         let x = f32::from_bits(bits);
-        let want = f16_bits_to_f32(f32_to_f16_bits(x)).to_bits();
-        let got = round_to_f16(x).to_bits();
         assert_eq!(got, want, "f32 bits {bits:#010x} ({x:e}): got {got:#010x}, want {want:#010x}");
     }
 
-    /// [`assert_matches_packing`] without the panic, for pool workers.
-    fn matches_packing(bits: u32) -> bool {
+    /// `round_to_f16` and the packing round trip of one pattern, as bits.
+    fn got_want(bits: u32) -> (u32, u32) {
         let x = f32::from_bits(bits);
-        round_to_f16(x).to_bits() == f16_bits_to_f32(f32_to_f16_bits(x)).to_bits()
+        (round_to_f16(x).to_bits(), f16_bits_to_f32(f32_to_f16_bits(x)).to_bits())
     }
 
     /// Stratified sweep: every f32 exponent (zero/subnormal and Inf/NaN
@@ -314,7 +313,10 @@ mod tests {
         const CHUNK: u64 = 1 << 24;
         let misses = crate::par::par_tabulate((1 << 32) / CHUNK as usize, 1, |c| {
             let lo = c as u64 * CHUNK;
-            (lo..lo + CHUNK).map(|b| b as u32).find(|&bits| !matches_packing(bits))
+            (lo..lo + CHUNK).map(|b| b as u32).find(|&bits| {
+                let (got, want) = got_want(bits);
+                got != want
+            })
         });
         if let Some(bits) = misses.into_iter().flatten().next() {
             assert_matches_packing(bits);

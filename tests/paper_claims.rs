@@ -38,9 +38,20 @@ struct Claim {
     expect: Expect,
 }
 
-fn claim(id: &'static str, expect: Expect, paper: &'static str, check: fn(&ExperimentResult) -> Check) -> Claim {
+fn claim(
+    id: &'static str,
+    expect: Expect,
+    paper: &'static str,
+    check: fn(&ExperimentResult) -> Check,
+) -> Claim {
     let exp = id.split_once('/').map_or(id, |(exp, _)| exp);
-    Claim { id, exp, paper, check, expect }
+    Claim {
+        id,
+        exp,
+        paper,
+        check,
+        expect,
+    }
 }
 
 /// Prefix of a lookup failure: the result's shape changed, so the claim is
@@ -72,7 +83,11 @@ fn num(cell: &str) -> Option<f64> {
 
 /// Every table whose title contains `title`; at least one.
 fn tables<'a>(r: &'a ExperimentResult, title: &str) -> Result<Vec<&'a Table>, String> {
-    let found: Vec<&Table> = r.tables.iter().filter(|t| t.title.contains(title)).collect();
+    let found: Vec<&Table> = r
+        .tables
+        .iter()
+        .filter(|t| t.title.contains(title))
+        .collect();
     ensure!(!found.is_empty(), "{SHAPE}no table titled {title:?}");
     Ok(found)
 }
@@ -90,13 +105,18 @@ fn col(t: &Table, header: &str) -> Result<usize, String> {
 fn row<'a>(t: &'a Table, label: &str) -> Result<&'a [String], String> {
     t.rows
         .iter()
-        .find(|r| r[0] == label || (r.len() > 1 && format!("{} {}", r[0], r[1]) == label))
+        .find(|r| {
+            r.first().is_some_and(|c| c == label)
+                || r.get(..2).is_some_and(|c| c.join(" ") == label)
+        })
         .map(Vec::as_slice)
         .ok_or_else(|| format!("{SHAPE}no row {label:?} in {:?}", t.title))
 }
 
 fn text<'a>(t: &'a Table, label: &str, header: &str) -> Result<&'a str, String> {
-    Ok(&row(t, label)?[col(t, header)?])
+    let cell = row(t, label)?.get(col(t, header)?);
+    cell.map(String::as_str)
+        .ok_or_else(|| format!("{SHAPE}row {label:?} has no {header:?} cell"))
 }
 
 fn val(t: &Table, label: &str, header: &str) -> Result<f64, String> {
@@ -106,19 +126,55 @@ fn val(t: &Table, label: &str, header: &str) -> Result<f64, String> {
 
 /// `val` of several `(row, column)` cells.
 fn vals(t: &Table, cells: &[(&str, &str)]) -> Result<Vec<f64>, String> {
-    cells.iter().map(|(label, header)| val(t, label, header)).collect()
+    cells
+        .iter()
+        .map(|(label, header)| val(t, label, header))
+        .collect()
+}
+
+/// A whole column's cells, top to bottom.
+fn cells<'a>(t: &'a Table, header: &str) -> Result<Vec<&'a str>, String> {
+    let c = col(t, header)?;
+    let cell = |r: &'a Vec<String>| {
+        r.get(c)
+            .map(String::as_str)
+            .ok_or_else(|| format!("{SHAPE}short row {r:?}"))
+    };
+    t.rows.iter().map(cell).collect()
+}
+
+/// Each row's label: its first cell.
+fn labels(t: &Table) -> Result<Vec<&str>, String> {
+    cells(t, t.headers.first().map_or("", String::as_str))
 }
 
 /// A whole column, top to bottom.
 fn column(t: &Table, header: &str) -> Result<Vec<f64>, String> {
-    let c = col(t, header)?;
-    let cell = |r: &Vec<String>| num(&r[c]).ok_or_else(|| format!("{SHAPE}{}/{header} is {:?}", r[0], r[c]));
-    t.rows.iter().map(cell).collect()
+    let n = |c: &str| num(c).ok_or_else(|| format!("{SHAPE}{header} cell {c:?} is not a number"));
+    cells(t, header)?.into_iter().map(n).collect()
+}
+
+/// The cells of `label`'s row after the label.
+fn row_vals(t: &Table, label: &str) -> Result<Vec<f64>, String> {
+    let n = |c: &String| num(c).ok_or_else(|| format!("{SHAPE}{label} cell {c:?} is not a number"));
+    row(t, label)?.iter().skip(1).map(n).collect()
+}
+
+/// The first and last of `v`.
+fn ends(v: &[f64]) -> Result<(f64, f64), String> {
+    v.first()
+        .zip(v.last())
+        .map(|(a, b)| (*a, *b))
+        .ok_or_else(|| format!("{SHAPE}empty column"))
 }
 
 /// `column(t, a) / column(t, b)`, row by row.
 fn ratio(t: &Table, a: &str, b: &str) -> Result<Vec<f64>, String> {
-    Ok(column(t, a)?.iter().zip(column(t, b)?).map(|(x, y)| x / y).collect())
+    Ok(column(t, a)?
+        .iter()
+        .zip(column(t, b)?)
+        .map(|(x, y)| x / y)
+        .collect())
 }
 
 fn falls(v: &[f64]) -> bool {
@@ -146,9 +202,14 @@ const NEGATIVES: &str = "threshold vs #negative samples";
 fn engines_ordered(r: &ExperimentResult) -> Check {
     for t in tables(r, "(a-b) FP16 decode throughput")? {
         let (trl, fa, lmd) = (column(t, "TRL")?, column(t, "TRL+FA")?, column(t, "LMD")?);
-        for i in 0..trl.len() {
-            let b = &t.rows[i][0];
-            ensure!(trl[i] < fa[i] && fa[i] < lmd[i], "batch {b}: {} {} {}", trl[i], fa[i], lmd[i]);
+        for (i, b) in labels(t)?.into_iter().enumerate() {
+            ensure!(
+                trl[i] < fa[i] && fa[i] < lmd[i],
+                "batch {b}: {} {} {}",
+                trl[i],
+                fa[i],
+                lmd[i]
+            );
         }
     }
     Ok(())
@@ -156,8 +217,14 @@ fn engines_ordered(r: &ExperimentResult) -> Check {
 
 /// Table 4: both algorithms' semantic scores are within 5 points of FP16's.
 fn scores_within_5(r: &ExperimentResult, algos: [&str; 2]) -> Check {
-    let v = vals(table(r, "Table 4")?, &["FP16", algos[0], algos[1]].map(|a| ("Semantic Score", a)))?;
-    holds!((v[1] - v[0]).abs() <= 5.0 && (v[2] - v[0]).abs() <= 5.0, "FP16, {algos:?}: {v:?}")
+    let v = vals(
+        table(r, "Table 4")?,
+        &["FP16", algos[0], algos[1]].map(|a| ("Semantic Score", a)),
+    )?;
+    holds!(
+        (v[1] - v[0]).abs() <= 5.0 && (v[2] - v[0]).abs() <= 5.0,
+        "FP16, {algos:?}: {v:?}"
+    )
 }
 
 /// Table 5 layout (also Table 9): each column's skew, its "longer" minus
@@ -171,7 +238,10 @@ fn skews(r: &ExperimentResult, columns: &[&str]) -> Result<Vec<f64>, String> {
 /// Each of `columns` skews longer by more than either temperature does.
 fn skews_past_temperature(r: &ExperimentResult, columns: &[&str]) -> Check {
     let (temp, comp) = (skews(r, &["T=0.9", "T=1.1"])?, skews(r, columns)?);
-    holds!(min(&comp) > max(&temp), "skews {columns:?} {comp:.1?}, temperature {temp:.1?}")
+    holds!(
+        min(&comp) > max(&temp),
+        "skews {columns:?} {comp:.1?}, temperature {temp:.1?}"
+    )
 }
 
 /// Fig. 4 layout (also Fig. 15): in each `(low, high)` compression pair
@@ -182,7 +252,10 @@ fn widens(r: &ExperimentResult, pairs: &[(&str, &str)]) -> Check {
     for (lo, hi) in pairs {
         let (s0, s1) = (val(t, lo, "std D")?, val(t, hi, "std D")?);
         let (l0, l1) = (val(t, lo, "% longer (D<0)")?, val(t, hi, "% longer (D<0)")?);
-        ensure!(s1 > s0 && l1 > l0, "{lo} -> {hi}: std {s0} -> {s1}, longer {l0}% -> {l1}%");
+        ensure!(
+            s1 > s0 && l1 > l0,
+            "{lo} -> {hi}: std {s0} -> {s1}, longer {l0}% -> {l1}%"
+        );
     }
     Ok(())
 }
@@ -192,11 +265,14 @@ fn widens(r: &ExperimentResult, pairs: &[(&str, &str)]) -> Check {
 /// FP16's, at or below it at every FP16-quantile probe.
 fn cdfs_right_of_fp16(r: &ExperimentResult) -> Check {
     let t = table(r, "E2E latency CDF")?;
-    let fp16 = vals(t, &t.headers[1..].iter().map(|h| ("FP16", h.as_str())).collect::<Vec<_>>())?;
-    for row in &t.rows {
-        let p = vals(t, &t.headers[1..].iter().map(|h| (row[0].as_str(), h.as_str())).collect::<Vec<_>>())?;
+    let fp16 = row_vals(t, "FP16")?;
+    for algo in labels(t)? {
+        let p = row_vals(t, algo)?;
         let cdf = min(&p) >= 0.0 && max(&p) <= 1.0 && p.windows(2).all(|w| w[0] <= w[1]);
-        ensure!(cdf && p.iter().zip(&fp16).all(|(p, f)| p <= f), "{}: {p:?}, FP16 {fp16:?}", row[0]);
+        ensure!(
+            cdf && p.iter().zip(&fp16).all(|(p, f)| p <= f),
+            "{algo}: {p:?}, FP16 {fp16:?}"
+        );
     }
     Ok(())
 }
@@ -205,35 +281,68 @@ fn cdfs_right_of_fp16(r: &ExperimentResult) -> Check {
 /// negatives than either member, at every threshold.
 fn combining_shrinks_negatives(r: &ExperimentResult) -> Check {
     let t = table(r, NEGATIVES)?;
-    for (set, a, b) in [("Quant (C)", "KIVI", "GEAR"), ("Sparse (C)", "H2O", "Stream")] {
+    for (set, a, b) in [
+        ("Quant (C)", "KIVI", "GEAR"),
+        ("Sparse (C)", "H2O", "Stream"),
+    ] {
         let (c, a, b) = (column(t, set)?, column(t, a)?, column(t, b)?);
-        for i in 0..c.len() {
-            ensure!(c[i] <= a[i].min(b[i]), "{set} at {}: {} vs {} / {}", t.rows[i][0], c[i], a[i], b[i]);
+        for (i, th) in labels(t)?.into_iter().enumerate() {
+            ensure!(
+                c[i] <= a[i].min(b[i]),
+                "{set} at {th}: {} vs {} / {}",
+                c[i],
+                a[i],
+                b[i]
+            );
         }
     }
     Ok(())
 }
 
 /// Fig. 7 layout (also Fig. 18): every row with negatives is a share
-/// summing to 100 %, context-retrieval tasks hold most of it and code the
-/// least.
+/// summing to 100 %, context-retrieval tasks hold most of it, and code holds
+/// the least, less than QA and synthetic together.
 fn retrieval_dominates_code_least(r: &ExperimentResult) -> Check {
     let t = table(r, "negative-sample share by task type")?;
-    let retrieval = ["single-doc-qa", "multi-doc-qa", "summarization", "synthetic"];
+    let retrieval = [
+        "single-doc-qa",
+        "multi-doc-qa",
+        "summarization",
+        "synthetic",
+    ];
+    let qa = ["single-doc-qa", "multi-doc-qa", "synthetic"];
     let mut mined = false;
-    for row in &t.rows {
-        let shares = vals(t, &t.headers[1..].iter().map(|h| (row[0].as_str(), h.as_str())).collect::<Vec<_>>())?;
+    for algo in labels(t)? {
+        let shares = row_vals(t, algo)?;
         let total: f64 = shares.iter().sum();
         if total == 0.0 {
             continue;
         }
         mined = true;
-        let share: f64 = vals(t, &retrieval.map(|task| (row[0].as_str(), task)))?.iter().sum();
-        let code = val(t, &row[0], "code")?;
-        ensure!((total - 100.0).abs() < 1.0 && share > 50.0 && code <= min(&shares),
-            "{}: total {total}%, retrieval {share}%, code {code}%", row[0]);
+        let share: f64 = vals(t, &retrieval.map(|task| (algo, task)))?.iter().sum();
+        let qa: f64 = vals(t, &qa.map(|task| (algo, task)))?.iter().sum();
+        let code = val(t, algo, "code")?;
+        ensure!(
+            (total - 100.0).abs() < 1.0 && share > 50.0 && code <= min(&shares) && code < qa,
+            "{algo}: total {total}%, retrieval {share}%, QA and synthetic {qa}%, code {code}%"
+        );
     }
     holds!(mined, "no algorithm mined a negative")
+}
+
+/// Table 7 layout (also Table 11): a task group's Baseline score, then
+/// each algorithm's.
+fn baseline_and_algos(t: &Table, task: &str) -> Result<(f64, Vec<f64>), String> {
+    let v = row_vals(t, task)?;
+    let (base, algos) = v
+        .split_first()
+        .ok_or_else(|| format!("{SHAPE}{task}: no scores"))?;
+    ensure!(
+        !algos.is_empty() && col(t, "Baseline")? == 1,
+        "{SHAPE}{:?}",
+        t.headers
+    );
+    Ok((*base, algos.to_vec()))
 }
 
 /// Table 7 layout (also Table 11): the algorithm mean sits below the
@@ -241,28 +350,40 @@ fn retrieval_dominates_code_least(r: &ExperimentResult) -> Check {
 fn benchmark_scores_drop(r: &ExperimentResult) -> Check {
     let t = table(r, "scores on the negative benchmark")?;
     let mut sharp = false;
-    for row in &t.rows {
-        let algos: Vec<f64> = row[2..].iter().filter_map(|c| num(c)).collect();
-        let (base, mean) = (val(t, &row[0], "Baseline")?, algos.iter().sum::<f64>() / algos.len() as f64);
-        ensure!(mean < base, "{}: algorithm mean {mean} vs baseline {base}", row[0]);
+    for task in labels(t)? {
+        let (base, algos) = baseline_and_algos(t, task)?;
+        let mean = algos.iter().sum::<f64>() / algos.len() as f64;
+        ensure!(
+            mean < base,
+            "{task}: algorithm mean {mean} vs baseline {base}"
+        );
         sharp |= min(&algos) < 0.7 * base;
     }
     holds!(sharp, "no algorithm drops below 70% of the baseline")
 }
 
-/// Every listed algorithm's accuracy in `label`'s row is at least 85 %.
-fn meets_85(r: &ExperimentResult, title: &str, label: &str, algos: &[&str]) -> Check {
-    let acc = vals(table(r, title)?, &algos.iter().map(|a| (label, *a)).collect::<Vec<_>>())?;
-    holds!(min(&acc) >= 85.0, "{label} {algos:?}: {acc:?}%")
+/// Every listed algorithm's accuracy in `label`'s row is at least `bar` %.
+fn accurate(r: &ExperimentResult, title: &str, label: &str, algos: &[&str], bar: f64) -> Check {
+    let acc = vals(
+        table(r, title)?,
+        &algos.iter().map(|a| (label, *a)).collect::<Vec<_>>(),
+    )?;
+    holds!(min(&acc) >= bar, "{label} {algos:?}: {acc:?}%, bar {bar}%")
 }
 
 /// Table 8: in every compressed column, Baseline's latency over `policy`'s
 /// lies in `(lo, hi]`.
 fn table8_gain(r: &ExperimentResult, policy: &str, lo: f64, hi: f64) -> Check {
     let t = table(r, "Table 8")?;
-    let (base, routed) = (vals(t, &TABLE8.map(|a| ("Baseline", a)))?, vals(t, &TABLE8.map(|a| (policy, a)))?);
+    let (base, routed) = (
+        vals(t, &TABLE8.map(|a| ("Baseline", a)))?,
+        vals(t, &TABLE8.map(|a| (policy, a)))?,
+    );
     let g: Vec<f64> = base.iter().zip(&routed).map(|(b, p)| b / p).collect();
-    holds!(min(&g) > lo && max(&g) <= hi, "Baseline / {policy} for {TABLE8:?}: {g:.2?}")
+    holds!(
+        min(&g) > lo && max(&g) <= hi,
+        "Baseline / {policy} for {TABLE8:?}: {g:.2?}"
+    )
 }
 
 #[rustfmt::skip]
@@ -307,16 +428,18 @@ fn claims() -> Vec<Claim> {
                 "kv 512 {light:?} vs FP16 {f512}; kv 8192 H2O, Stream {sparse:?} vs FP16 {f8192}")
         }),
     claim("fig1/quantizers-oom-first", Holds,
-        "Fig. 1(i-l): KIVI, GEAR OOM at kv 8192 (batch 8) where FP16 fits, never after FP16; sparsity never.",
+        "Fig. 1(i-l): KIVI, GEAR OOM at kv 8192 (batch 8, 32), at batch 8 where FP16 fits; never after \
+         FP16; sparsity never.",
         |r| {
-            let t = table(r, "decode throughput (tok/s), batch=8")?;
-            let at = |h| text(t, "8192", h).map(|c| c == "OOM");
-            ensure!(at("KIVI-4")? && at("GEAR-4")? && !at("FP16")?, "kv 8192: {:?}", row(t, "8192")?);
+            let (t, t32) = (table(r, "decode throughput (tok/s), batch=8")?, table(r, "batch=32")?);
+            let at = |t, h| text(t, "8192", h).map(|c| c == "OOM");
+            ensure!(at(t, "KIVI-4")? && at(t, "GEAR-4")? && !at(t, "FP16")? && at(t32, "KIVI-4")? && at(t32, "GEAR-4")?,
+                "kv 8192: batch 8 {:?}, batch 32 {:?}", row(t, "8192")?, row(t32, "8192")?);
             for t in tables(r, "decode throughput (tok/s), batch=")? {
-                for row in &t.rows {
-                    let oom = |h| text(t, &row[0], h).map(|c| c == "OOM");
+                for kv in labels(t)? {
+                    let oom = |h| text(t, kv, h).map(|c| c == "OOM");
                     ensure!(!oom("H2O-512")? && !oom("Stream-512")?
-                        && (!oom("FP16")? || (oom("KIVI-4")? && oom("GEAR-4")?)), "{}: {row:?}", t.title);
+                        && (!oom("FP16")? || (oom("KIVI-4")? && oom("GEAR-4")?)), "{}: {:?}", t.title, row(t, kv)?);
                 }
             }
             Ok(())
@@ -334,34 +457,39 @@ fn claims() -> Vec<Claim> {
         |r| {
             let t = table(r, "prefill throughput")?;
             let (v, fp16) = (ratio(t, "H2O-512", "FP16")?, column(t, "FP16")?);
-            holds!(v[0] < 1.0 && falls(&v) && min(&fp16) > 1000.0, "H2O/FP16 {v:.2?}, FP16 {fp16:?}")
+            holds!(ends(&v)?.0 < 1.0 && falls(&v) && min(&fp16) > 1000.0, "H2O/FP16 {v:.2?}, FP16 {fp16:?}")
         }),
     // Figure 3: attention-layer time.
     claim("fig3/prefill-gear-h2o-grow-fastest", Holds,
-        "Fig. 3(a): GEAR's and H2O's prefill attention time grow fastest with prompt length.",
+        "Fig. 3(a): GEAR's and H2O's prefill attention time grow fastest with prompt length and are the \
+         slowest at 8192.",
         |r| {
             let t = table(r, "prefill")?;
-            let grow = |a| column(t, a).map(|v| v[v.len() - 1] - v[0]);
+            let grow = |a| column(t, a).and_then(|v| ends(&v)).map(|(first, last)| last - first);
             let (g, rest) = ([grow("GEAR-4")?, grow("H2O-512")?], [grow("FP16")?, grow("KIVI-4")?, grow("Stream-512")?]);
-            holds!(min(&g) > max(&rest), "growth (ms) GEAR, H2O {g:?}; FP16, KIVI, Stream {rest:?}")
+            let (slow, fast) = (vals(t, &[("8192", "GEAR-4"), ("8192", "H2O-512")])?,
+                vals(t, &[("8192", "FP16"), ("8192", "KIVI-4"), ("8192", "Stream-512")])?);
+            holds!(min(&g) > max(&rest) && min(&slow) > max(&fast),
+                "growth (ms) GEAR, H2O {g:?}; FP16, KIVI, Stream {rest:?}; at 8192 {slow:?}, {fast:?}")
         }),
     claim("fig3/decode-sparsity-flat", Holds,
         "Fig. 3(b): sparsity's decode attention time stays flat (within 10%) while FP16's grows.",
         |r| {
             let t = table(r, "decode")?;
-            let (h, s, f) = (column(t, "H2O-512")?, column(t, "Stream-512")?, column(t, "FP16")?);
-            holds!(max(&h) <= 1.1 * min(&h) && max(&s) <= 1.1 * min(&s) && f[f.len() - 1] > 3.0 * f[1],
-                "H2O {h:?}, Stream {s:?}, FP16 {f:?}")
+            let (h, s) = (column(t, "H2O-512")?, column(t, "Stream-512")?);
+            let f = vals(t, &[("1024", "FP16"), ("8192", "FP16")])?;
+            holds!(max(&h) < 1.1 * min(&h) && max(&s) < 1.1 * min(&s) && f[1] > 3.0 * f[0],
+                "H2O {h:?}, Stream {s:?}, FP16 at kv 1024, 8192 {f:?}")
         }),
     // Table 3: relative speedup across TP.
     claim("table3/orderings-match-paper", Holds,
-        "Table 3: prefill KIVI >= 0.95x, GEAR < 1x, H2O < GEAR, Stream > H2O at every TP; TP=1 \
+        "Table 3: prefill KIVI > 0.95x, GEAR < 1x, H2O < GEAR, Stream > H2O at every TP; TP=1 \
          decode: H2O, Stream > 1.1x.",
         |r| {
             let t = table(r, "Table 3")?;
             for tp in ["Prefill 1", "Prefill 2", "Prefill 4"] {
                 let v = vals(t, &COMPRESSED.map(|a| (tp, a)))?;
-                ensure!(v[0] >= 0.95 && v[1] < 1.0 && v[2] < v[1] && v[3] > v[2], "{tp}: {v:?}");
+                ensure!(v[0] > 0.95 && v[1] < 1.0 && v[2] < v[1] && v[3] > v[2], "{tp}: {v:?}");
             }
             let v = vals(t, &[("Decode 1", "H2O-512"), ("Decode 1", "Stream-512")])?;
             holds!(min(&v) > 1.1, "TP=1 decode H2O, Stream: {v:?}")
@@ -376,12 +504,14 @@ fn claims() -> Vec<Claim> {
             Ok(())
         }),
     claim("table3/fp16-throughput-near-paper", Holds,
-        "Table 3: FP16 is within 2x of the paper's 6610/11041/12939 prefill, 130/195/195 decode tok/s.",
+        "Table 3: FP16 is within 2x of the paper's 6610/11041/12939 prefill, 130/195/195 decode tok/s; \
+         at TP=1 within 3000-12000 and 50-300 tok/s.",
         |r| {
             let labels = ["Prefill 1", "Prefill 2", "Prefill 4", "Decode 1", "Decode 2", "Decode 4"];
             let v = vals(table(r, "Table 3")?, &labels.map(|l| (l, "FP16 (tok/s)")))?;
+            let tp1 = (3000.0..12000.0).contains(&v[0]) && (50.0..300.0).contains(&v[3]);
             let v: Vec<f64> = v.iter().zip([6610.0, 11041.0, 12939.0, 130.0, 195.0, 195.0]).map(|(v, p)| v / p).collect();
-            holds!(min(&v) > 0.5 && max(&v) < 2.0, "measured / paper: {v:.2?}")
+            holds!(tp1 && min(&v) > 0.5 && max(&v) < 2.0, "measured / paper: {v:.2?}")
         }),
     claim("table3/prefill-flattens-at-tp4", Diverges("12858 -> 22913 tok/s: no interconnect limit modelled"),
         "Table 3: FP16 prefill barely scales from TP=2 to 4 (11041 -> 12939 tok/s, < 1.3x).",
@@ -409,6 +539,9 @@ fn claims() -> Vec<Claim> {
     claim("table4/eviction-scores-move-little", Diverges("H2O 64.1, Stream 62.8 vs FP16 96.9"),
         "Table 4: H2O and Stream score within 5 points of FP16 (paper 46.2/46.3 vs 49.6).",
         |r| scores_within_5(r, ["H2O-64", "Stream-64"])),
+    claim("table4/fp16-score-anchored", Holds,
+        "Table 4: FP16's verbose outputs score well above zero (paper 49.6), so a drop is measurable.",
+        |r| { let v = val(table(r, "Table 4")?, "Semantic Score", "FP16")?; holds!(v > 20.0, "{v}") }),
     claim("table4/fp16-score-like-paper", Diverges("FP16 96.9 against its own greedy output"),
         "Table 4: FP16 scores about 50 (49.6 against ChatGPT references).",
         |r| { let v = val(table(r, "Table 4")?, "Semantic Score", "FP16")?; holds!((40.0..=60.0).contains(&v), "{v}") }),
@@ -469,7 +602,7 @@ fn claims() -> Vec<Claim> {
         |r| {
             let t = table(r, "E2E latency (s)")?;
             let (v, fp16) = (vals(t, &COMPRESSED.map(|a| (a, "mean")))?, val(t, "FP16", "mean")?);
-            holds!(min(&v) >= 0.9 * fp16, "means {v:?} vs FP16 {fp16}")
+            holds!(min(&v) > 0.9 * fp16, "means {v:?} vs FP16 {fp16}")
         }),
     claim("fig5/gear-worst-quantizer-tail", Holds,
         "Fig. 5: GEAR's p99 E2E latency is worse than KIVI's.",
@@ -485,7 +618,7 @@ fn claims() -> Vec<Claim> {
         "Observation 5: negatives exist at every threshold; a higher threshold never adds any.",
         |r| {
             let t = table(r, NEGATIVES)?;
-            for h in &t.headers[1..] {
+            for h in t.headers.iter().skip(1) {
                 let v = column(t, h)?;
                 ensure!(v.windows(2).all(|w| w[1] <= w[0]), "{h} by threshold: {v:?}");
             }
@@ -497,7 +630,7 @@ fn claims() -> Vec<Claim> {
         combining_shrinks_negatives),
     claim("fig6/counts-fall-with-threshold", Diverges("H2O, Stream flat at 100 from 5% to 50%"),
         "Fig. 6: negative counts fall as the threshold rises.",
-        |r| { let v = column(table(r, NEGATIVES)?, "H2O")?; holds!(v[v.len() - 1] < v[0], "{v:?}") }),
+        |r| { let v = column(table(r, NEGATIVES)?, "H2O")?; holds!(ends(&v)?.1 < ends(&v)?.0, "{v:?}") }),
     claim("fig6/quantizers-mine-negatives", Diverges("KIVI-2, GEAR-2 mine 0 at every threshold"),
         "Fig. 6: the quantizers also produce some negative samples.",
         |r| {
@@ -517,19 +650,26 @@ fn claims() -> Vec<Claim> {
     // Table 6 (+ Table 10, Mistral): predictor accuracy.
     claim("table6/throughput-predictor-meets-bar", Holds,
         "Table 6: the throughput predictor is >= 85% accurate everywhere (paper 85.8-88.5%).",
-        |r| meets_85(r, "Table 6", "Throughput Predictor", &["FP16", "KIVI", "GEAR", "H2O", "Stream"])),
+        |r| accurate(r, "Table 6", "Throughput Predictor", &["FP16", "KIVI", "GEAR", "H2O", "Stream"], 85.0)),
     claim("table6/length-predictor-meets-bar", Diverges("82.7-84.3%"),
         "Table 6: the length predictor is >= 85% accurate for FP16, KIVI, GEAR (paper 88.4-95.7%).",
-        |r| meets_85(r, "Table 6", "Length Predictor", &["FP16", "KIVI", "GEAR"])),
+        |r| accurate(r, "Table 6", "Length Predictor", &["FP16", "KIVI", "GEAR"], 85.0)),
     claim("table6/eviction-length-predictor-meets-bar", Diverges("H2O 68.5%, Stream 64.6%"),
         "Table 6: the length predictor is >= 85% accurate for H2O and Stream (paper 87.8-90.0%).",
-        |r| meets_85(r, "Table 6", "Length Predictor", &["H2O", "Stream"])),
+        |r| accurate(r, "Table 6", "Length Predictor", &["H2O", "Stream"], 85.0)),
+    claim("table6/length-predictor-calibrated", Holds,
+        "Table 6: the length predictor is usefully accurate (paper 87.8-95.7%); calibration floors \
+         >= 80% for FP16, KIVI, GEAR and >= 55% for H2O, Stream.",
+        |r| {
+            accurate(r, "Table 6", "Length Predictor", &["FP16", "KIVI", "GEAR"], 80.0)?;
+            accurate(r, "Table 6", "Length Predictor", &["H2O", "Stream"], 55.0)
+        }),
     claim("appendix_d/table10-length-predictor-meets-bar", Holds,
         "Table 10 (Mistral): the length predictor is >= 85% accurate for FP16, KIVI and GEAR.",
-        |r| meets_85(r, "Table 10", "Length Predictor", &["FP16", "KIVI", "GEAR"])),
+        |r| accurate(r, "Table 10", "Length Predictor", &["FP16", "KIVI", "GEAR"], 85.0)),
     claim("appendix_d/table10-eviction-length-predictor-meets-bar", Diverges("H2O 66.9%, Stream 65.0%"),
         "Table 10 (Mistral): the length predictor is >= 85% accurate for H2O and Stream.",
-        |r| meets_85(r, "Table 10", "Length Predictor", &["H2O", "Stream"])),
+        |r| accurate(r, "Table 10", "Length Predictor", &["H2O", "Stream"], 85.0)),
     // Table 7 (+ Table 11, Mistral): the negative benchmark.
     claim("table7/scores-drop-below-baseline", Holds,
         "Table 7: the algorithms' mean is below the baseline in every task group; some drop sharply.",
@@ -538,8 +678,9 @@ fn claims() -> Vec<Claim> {
         "Table 7: compressed scores land strictly between zero and the baseline (paper 23.7-61.3).",
         |r| {
             let t = table(r, "Table 7")?;
-            let mut v = t.rows.iter().flat_map(|row| row[2..].iter().filter_map(|c| num(c)));
-            holds!(v.any(|s| s > 0.0 && s < 100.0), "no score strictly inside (0, 100)")
+            let algos = labels(t)?.into_iter().map(|task| baseline_and_algos(t, task).map(|(_, a)| a));
+            let v = algos.collect::<Result<Vec<_>, _>>()?.concat();
+            holds!(v.iter().any(|s| *s > 0.0 && *s < 100.0), "no score strictly inside (0, 100): {v:?}")
         }),
     claim("appendix_d/table11-scores-drop-below-baseline", Holds,
         "Table 11 (Mistral): the algorithms' mean is below the baseline in every task group.",
@@ -577,8 +718,9 @@ fn claims() -> Vec<Claim> {
     claim("table8/fp16-column-baseline-only", Holds,
         "Table 8: FP16 has only a Baseline entry; the routers choose among compressed servers.",
         |r| {
-            let fp16: Vec<&str> = table(r, "Table 8")?.rows.iter().map(|row| row[1].as_str()).collect();
-            holds!(fp16[0] != "-" && fp16[1..].iter().all(|c| *c == "-"), "FP16 column {fp16:?}")
+            let fp16 = cells(table(r, "Table 8")?, "FP16")?;
+            let routed = fp16.split_first().map(|(base, routed)| *base != "-" && routed.iter().all(|c| *c == "-"));
+            holds!(routed == Some(true), "FP16 column {fp16:?}")
         }),
     // Appendix figures on the cost model.
     claim("fig8/engines-ordered", Holds,
@@ -609,12 +751,13 @@ fn claims() -> Vec<Claim> {
         "Tables 1-2 / Missing Pieces 1, 3: most of 41 algorithms report only Transformers results; \
          none of 4 benchmark studies analyzes per-sample quality.",
         |r| {
-            let n = [r.tables[0].rows.len(), r.tables[1].rows.len()];
+            let n = [table(r, "Table 1")?.rows.len(), table(r, "Table 2")?.rows.len()];
             let t = table(r, "Missing pieces")?;
             let only = text(t, "Evaluated ONLY on the Transformers library (Missing Piece 1)", "Value")?;
             let per_sample = text(t, "Benchmark studies with per-sample analysis (Missing Piece 3)", "Value")?;
             let count = only.split(' ').next().and_then(num).unwrap_or(0.0);
-            holds!(n == [41, 4] && count > 20.5 && per_sample == "0/4", "{n:?}, {only}, {per_sample}")
+            holds!(n == [41, 4] && t.rows.len() >= 6 && count > 20.5 && per_sample == "0/4",
+                "{n:?}, {} missing pieces, {only}, {per_sample}", t.rows.len())
         }),
     // Extensions.
     claim("ext_quest/quest-matches-fp16", Holds,
@@ -677,13 +820,13 @@ fn claims() -> Vec<Claim> {
         }),
     claim("ext_prefix/sharing-raises-capacity", Holds,
         "Section 2.2: prefix sharing stores each system prompt once, raising peak batch and cutting \
-         preemptions at the same pool; every request completes.",
+         preemptions at the same pool; every pool completes all 600 requests.",
         |r| {
             let t = table(r, "prefix sharing")?;
-            let f = |h| vals(t, &[("flat", h), ("shared", h)]);
+            let f = |h| vals(t, &[("flat", h), ("shared", h), ("shared+tiered", h)]);
             let (d, b, p, done) = (f("dedup ratio")?, f("peak batch")?, f("preempt rate")?, column(t, "completed")?);
-            holds!(d[0] == 1.0 && d[1] > 1.0 && b[1] > b[0] && p[1] < p[0] && min(&done) == max(&done),
-                "flat/shared dedup {d:?}, peak batch {b:?}, preempt rate {p:?}")
+            holds!(d[0] == 1.0 && min(&d[1..]) > 1.0 && min(&b[1..]) > b[0] && max(&p[1..]) < p[0] && done == [600.0; 4],
+                "flat, shared, shared+tiered: dedup {d:?}, peak batch {b:?}, preempt rate {p:?}; completed {done:?}")
         }),
     claim("ext_prefix/tier-turns-preemptions-into-refills", Holds,
         "Section 2.2: a host tier turns the flat pool's preemptions into PCIe refills, no worse p99 TTFT.",
@@ -706,14 +849,14 @@ fn claims() -> Vec<Claim> {
             Ok(())
         }),
     claim("ext_slo/every-cell-serves-every-turn", Holds,
-        "Every scheduler x policy cell serves every turn, goodput never exceeds throughput, and FCFS \
-         ignores the policy knob.",
+        "Every scheduler x policy cell serves all 1728 turns of the trace, goodput never exceeds \
+         throughput, and FCFS ignores the policy knob.",
         |r| {
             let t = table(r, "goodput by scheduler")?;
             let (good, all) = (column(t, "goodput (tok/s)")?, column(t, "throughput (tok/s)")?);
             let done = column(t, "completed")?;
-            holds!(min(&done) == max(&done) && good.iter().zip(&all).all(|(g, a)| g <= a)
-                && row(t, "fcfs slo-blind")?[2..] == row(t, "fcfs slo-aware")?[2..], "{:?}", t.rows)
+            holds!(done == [1728.0; 6] && min(&good) >= 0.0 && good.iter().zip(&all).all(|(g, a)| g <= a)
+                && row(t, "fcfs slo-blind")?.get(2..) == row(t, "fcfs slo-aware")?.get(2..), "{:?}", t.rows)
         }),
     claim("ext_slo/multi-turn-dedup-beats-single-shot", Holds,
         "Parked histories dedup across turns: more than ext_prefix's single-shot shared pool.",
@@ -774,7 +917,9 @@ fn every_claim_reads_as_expected_on_the_committed_results() {
             mismatches.push(format!("{}: unknown experiment or duplicate id", c.id));
             continue;
         }
-        let load = |exp| rkvc_tensor::json::from_str(&results_text(exp)?).map_err(|e| format!("{exp}.json: {e}"));
+        let load = |exp| {
+            rkvc_tensor::json::from_str(&results_text(exp)?).map_err(|e| format!("{exp}.json: {e}"))
+        };
         let outcome = match results.entry(c.exp).or_insert_with(|| load(c.exp)) {
             Ok(r) => (c.check)(r),
             Err(e) => Err(format!("{SHAPE}{e}")),
@@ -789,10 +934,18 @@ fn every_claim_reads_as_expected_on_the_committed_results() {
             )),
         }
     }
-    for exp in ids.iter().filter(|exp| !claims.iter().any(|c| c.exp == **exp)) {
+    for exp in ids
+        .iter()
+        .filter(|exp| !claims.iter().any(|c| c.exp == **exp))
+    {
         mismatches.push(format!("{exp}: no claim reads results/{exp}.json"));
     }
-    assert!(mismatches.is_empty(), "{} claim mismatch(es):\n{}", mismatches.len(), mismatches.join("\n"));
+    assert!(
+        mismatches.is_empty(),
+        "{} claim mismatch(es):\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
 }
 
 fn experiments_md() -> String {
@@ -802,8 +955,15 @@ fn experiments_md() -> String {
 /// Every `✓ [id]` / `✗ [id]` citation in `doc`, in order; a mark with no
 /// bracketed id after it yields an empty id.
 fn citations(doc: &str) -> Vec<(&str, &str)> {
-    let id = |i: usize| doc[i..].strip_prefix(" [").and_then(|r| r.split_once(']')).map_or("", |(id, _)| id);
-    doc.match_indices(['✓', '✗']).map(|(i, mark)| (mark, id(i + mark.len()))).collect()
+    let id = |i: usize| {
+        doc[i..]
+            .strip_prefix(" [")
+            .and_then(|r| r.split_once(']'))
+            .map_or("", |(id, _)| id)
+    };
+    doc.match_indices(['✓', '✗'])
+        .map(|(i, mark)| (mark, id(i + mark.len())))
+        .collect()
 }
 
 #[test]
@@ -813,14 +973,25 @@ fn experiments_md_cites_every_claim_and_only_claims() {
     for (mark, id) in citations(&doc) {
         match claims.iter().find(|c| c.id == id) {
             None => problems.push(format!("{mark} [{id}] names no claim")),
-            Some(c) if matches!(c.expect, Holds) != (mark == "✓") => problems.push(format!("{mark} [{id}] contradicts the claim")),
+            Some(c) if matches!(c.expect, Holds) != (mark == "✓") => {
+                problems.push(format!("{mark} [{id}] contradicts the claim"))
+            }
             Some(_) => {
                 cited.insert(id);
             }
         }
     }
-    problems.extend(claims.iter().filter(|c| !cited.contains(c.id)).map(|c| format!("[{}] is never cited", c.id)));
-    assert!(problems.is_empty(), "EXPERIMENTS.md vs claims:\n{}", problems.join("\n"));
+    problems.extend(
+        claims
+            .iter()
+            .filter(|c| !cited.contains(c.id))
+            .map(|c| format!("[{}] is never cited", c.id)),
+    );
+    assert!(
+        problems.is_empty(),
+        "EXPERIMENTS.md vs claims:\n{}",
+        problems.join("\n")
+    );
 }
 
 /// Every number in `text`: the maximal runs of digits and dots that start
@@ -835,7 +1006,8 @@ fn numbers(text: &str) -> Vec<f64> {
 /// A bold span that is a number, optionally followed by `%`, `x`, `×` or `s`.
 fn bold_number(span: &str) -> Option<f64> {
     let n = span.strip_suffix(['%', 'x', '×', 's']).unwrap_or(span);
-    let digits = n.starts_with(|ch: char| ch.is_ascii_digit()) && n.chars().all(|ch| ch.is_ascii_digit() || ch == '.');
+    let digits = n.starts_with(|ch: char| ch.is_ascii_digit())
+        && n.chars().all(|ch| ch.is_ascii_digit() || ch == '.');
     digits.then(|| n.parse().ok()).flatten()
 }
 
@@ -856,8 +1028,16 @@ fn every_bold_number_in_experiments_md_occurs_in_its_results() {
     let mut problems = Vec::new();
     for section in &sections {
         let heading = section.lines().next().unwrap_or("");
-        let bold: Vec<&str> = section.split("**").skip(1).step_by(2).filter(|s| bold_number(s).is_some()).collect();
-        let exps: BTreeSet<&str> = citations(section).iter().filter_map(|(_, id)| Some(id.split_once('/')?.0)).collect();
+        let bold: Vec<&str> = section
+            .split("**")
+            .skip(1)
+            .step_by(2)
+            .filter(|s| bold_number(s).is_some())
+            .collect();
+        let exps: BTreeSet<&str> = citations(section)
+            .iter()
+            .filter_map(|(_, id)| Some(id.split_once('/')?.0))
+            .collect();
         let mut known = Vec::new();
         for exp in exps.iter().filter(|_| !bold.is_empty()) {
             match results_text(exp) {
@@ -865,9 +1045,16 @@ fn every_bold_number_in_experiments_md_occurs_in_its_results() {
                 Err(e) => problems.push(e),
             }
         }
-        for span in bold.iter().filter(|s| !known.contains(&bold_number(s).unwrap_or(f64::NAN))) {
+        for span in bold
+            .iter()
+            .filter(|s| !known.contains(&bold_number(s).unwrap_or(f64::NAN)))
+        {
             problems.push(format!("{heading}: **{span}** occurs in none of {exps:?}"));
         }
     }
-    assert!(problems.is_empty(), "bold numbers without data:\n{}", problems.join("\n"));
+    assert!(
+        problems.is_empty(),
+        "bold numbers without data:\n{}",
+        problems.join("\n")
+    );
 }
