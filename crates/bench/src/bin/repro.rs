@@ -1,8 +1,7 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! repro [--exp <id>|all] [--scale quick|paper] [--scheduler fcfs|spf|preemptive]
-//!       [--out <dir>] [--list]
+//! repro [--exp <id>|all|figures] [--scale quick|paper] [--out <dir>] [--list]
 //! ```
 //!
 //! Prints each experiment's rows/series in paper layout and writes a JSON
@@ -11,15 +10,13 @@
 use rkvc_core::experiments::{experiment_ids, run_by_id, RunOptions, Scale};
 use rkvc_core::figures::render_all;
 use rkvc_core::report::save_json;
-use rkvc_serving::SchedulerConfig;
 
 /// The default directory `repro` writes JSON and SVG into.
 const RESULTS_DIR: &str = "results";
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--exp <id>|all|figures] [--scale quick|paper] \
-         [--scheduler fcfs|spf|preemptive] [--out <dir>] [--list]\n\
+        "usage: repro [--exp <id>|all|figures] [--scale quick|paper] [--out <dir>] [--list]\n\
          experiments: {} (plus 'figures' to render the SVG figure set)",
         experiment_ids().join(", ")
     );
@@ -30,7 +27,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut exp = "all".to_owned();
     let mut scale = Scale::Paper;
-    let mut scheduler = SchedulerConfig::Fcfs;
     let mut out = RESULTS_DIR.to_owned();
 
     let mut it = args.iter();
@@ -42,12 +38,6 @@ fn main() {
                     Some("quick") => Scale::Quick,
                     Some("paper") => Scale::Paper,
                     _ => usage(),
-                }
-            }
-            "--scheduler" => {
-                scheduler = match it.next().and_then(|s| SchedulerConfig::parse(s)) {
-                    Some(s) => s,
-                    None => usage(),
                 }
             }
             "--out" => out = it.next().unwrap_or_else(|| usage()).clone(),
@@ -67,8 +57,7 @@ fn main() {
 
     let opts = RunOptions {
         scale,
-        seed: 0x5EED,
-        scheduler,
+        ..RunOptions::paper()
     };
     // A run that could not write an output must not read as a success:
     // gate 5 of check_hermetic.sh diffs this directory.

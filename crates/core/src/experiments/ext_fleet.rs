@@ -41,11 +41,6 @@ const POOL_TOKENS: usize = 8192;
 /// Per-replica continuous-batching width, matching `ext_prefix`.
 const MAX_BATCH: usize = 12;
 
-/// Telemetry-epoch width (simulated seconds): long enough to amortize the
-/// merge barrier, short enough that the autoscaler sees each diurnal
-/// swing many times.
-const EPOCH_S: f64 = 5.0;
-
 /// The three offered-load shapes swept against both sharding policies.
 /// Rates are calibrated so a 16-replica fleet runs hot but serviceable at
 /// the crest (each replica sustains roughly 4–5 req/s at these lengths).
@@ -81,8 +76,8 @@ pub fn load_patterns() -> Vec<(&'static str, ArrivalPattern)> {
 ///
 /// # Panics
 ///
-/// Panics if `pattern` fails [`ArrivalPattern::valid`]; every other field
-/// is the fixed [`FleetWorkloadConfig::assistants`] shape.
+/// Panics if `pattern` fails [`ArrivalPattern::valid`]; the request shape
+/// is the sampler's fixed assistant service.
 pub fn fleet_workload(opts: &RunOptions, pattern: ArrivalPattern) -> Vec<SimRequest> {
     let n = opts.pick(10_000, 100_000);
     sample_fleet(&FleetWorkloadConfig::assistants(
@@ -114,7 +109,6 @@ pub fn serve_fleet(
     let cfg = FleetConfig {
         replicas,
         sharding,
-        epoch_s: EPOCH_S,
         serving: replica_config(),
         autoscale,
     };
@@ -132,7 +126,6 @@ fn serve_single_reference(requests: Vec<SimRequest>) -> FleetOutcome {
     let cfg = FleetConfig {
         replicas: 1,
         sharding: ShardPolicy::ConsistentHash,
-        epoch_s: EPOCH_S,
         serving: ServingConfig {
             max_batch: MAX_BATCH * REPLICAS,
             pool_tokens: Some(POOL_TOKENS * REPLICAS),
@@ -300,8 +293,9 @@ pub fn run(opts: &RunOptions) -> ExperimentResult {
         notes: vec![
             format!(
                 "{REPLICAS} A6000/LMDeploy llama2-7b FP16 replicas, per-replica pool \
-                 {POOL_TOKENS} tokens / batch {MAX_BATCH}, prefix sharing on, {EPOCH_S}s \
-                 telemetry epochs; 16 shared system prompts of 256 tokens."
+                 {POOL_TOKENS} tokens / batch {MAX_BATCH}, prefix sharing on, {epoch_s}s \
+                 telemetry epochs; 16 shared system prompts of 256 tokens.",
+                epoch_s = FleetConfig::EPOCH_S,
             ),
             format!(
                 "Dedup preservation: consistent hashing keeps {:.1}% of the single-server \

@@ -30,7 +30,6 @@ pub(crate) fn family_representatives() -> Vec<(&'static str, &'static str, Compr
         ("head", "SnapKV-56", CompressionConfig::SnapKv(rkvc_kvcache::SnapKvParams {
             budget: 56,
             obs_window: 8,
-            kernel: 5,
         })),
         // Channel family: keep half the key channels (length-independent).
         ("channel", "ThinK-50", CompressionConfig::think(0.5)),

@@ -20,9 +20,7 @@
 //! preemption count/rate, demoted/refilled block counts, and TTFT/E2E
 //! latency summaries.
 
-use rkvc_serving::{
-    SchedulerConfig, ServerSim, ServingConfig, ServingMetrics, SimRequest, TierConfig,
-};
+use rkvc_serving::{SchedulerConfig, ServerSim, ServingConfig, ServingMetrics, SimRequest};
 use rkvc_workload::{sample_shared_prefix, PrefixRequest, SharedPrefixConfig};
 
 use super::{ExperimentResult, RunOptions};
@@ -67,11 +65,12 @@ pub(crate) fn prefix_workload(opts: &RunOptions) -> Vec<PrefixRequest> {
 
 /// Serves the workload on one pinned-pool A6000 server with the given
 /// block-manager configuration (preemptive scheduling throughout — the
-/// regime where the tier matters).
+/// regime where the tier matters). `tier` is the host spill tier's
+/// capacity in blocks.
 pub(crate) fn serve_prefix_workload(
     reqs: &[PrefixRequest],
     prefix_sharing: bool,
-    tier: Option<TierConfig>,
+    tier: Option<usize>,
 ) -> PrefixOutcome {
     let cfg = ServingConfig {
         max_batch: MAX_BATCH,
@@ -114,17 +113,14 @@ pub(crate) fn serve_prefix_workload(
     }
 }
 
-/// The three variants, in baseline-first order.
-pub fn variants() -> Vec<(&'static str, bool, Option<TierConfig>)> {
-    let tier = TierConfig {
-        l2_blocks: L2_BLOCKS,
-        ..TierConfig::default()
-    };
+/// The four variants, in baseline-first order: label, prefix sharing,
+/// spill-tier capacity.
+pub fn variants() -> Vec<(&'static str, bool, Option<usize>)> {
     vec![
         ("flat", false, None),
-        ("flat+tiered", false, Some(tier)),
+        ("flat+tiered", false, Some(L2_BLOCKS)),
         ("shared", true, None),
-        ("shared+tiered", true, Some(tier)),
+        ("shared+tiered", true, Some(L2_BLOCKS)),
     ]
 }
 

@@ -67,8 +67,9 @@ fn quant_bytes_per_token(env: &AttentionEnv<'_>, bits: u8, group: usize) -> f64 
     let kvd = env.kv_dim_per_gpu();
     // K + V codes.
     let codes = 2.0 * kvd * bits as f64 / 8.0;
-    // Per-group constants (scale + zero at FP16): keys amortize over the
-    // token group, values pay one constant set per token per head.
+    // Quantization constants (scale + zero at FP16): keys amortize theirs
+    // over the token group; values are charged one 4-byte pair per token
+    // in total, whatever the head count.
     let constants = kvd * 4.0 / group as f64 + 4.0;
     codes + constants
 }
@@ -106,13 +107,13 @@ pub(crate) fn attention_decode_time(
 
     // Tokens an evicting policy still stores, hence attends over. Called
     // inside its arms, where the variant is known and the lookup folds away.
-    let stored = || algo.retained_cap().map_or(kv_len, |cap| cap.min(kv_len)) as f64;
+    let stored = || algo.token_split(kv_len).0 as f64;
 
     match *algo {
         CompressionConfig::Fp16 => base(kv_len as f64),
         CompressionConfig::Kivi(p) => {
-            let residual = (p.residual.min(kv_len)) as f64;
-            let quant = (kv_len as f64 - residual).max(0.0);
+            let (residual, quant) = algo.token_split(kv_len);
+            let (residual, quant) = (residual as f64, quant as f64);
             // Residual window: dense FP16 path.
             let t_res = base(residual);
             // Quantized path: smaller reads, dequant ALU work, irregular
@@ -126,8 +127,8 @@ pub(crate) fn attention_decode_time(
             t_res + t_quant + env.engine.extra_kernel_overhead_s()
         }
         CompressionConfig::Gear(p) => {
-            let residual = (p.buffer.min(kv_len)) as f64;
-            let quant = (kv_len as f64 - residual).max(0.0);
+            let (residual, quant) = algo.token_split(kv_len);
+            let (residual, quant) = (residual as f64, quant as f64);
             let t_res = base(residual);
             let q_traffic = b * quant * quant_bytes_per_token(env, p.bits, p.buffer) * paged;
             let q_flops = b * 2.0 * quant * heads * hd * 2.0;
@@ -232,14 +233,14 @@ pub(crate) fn attention_prefill_time(
     // Prompt tokens an evicting policy keeps, i.e. the window it compacts.
     // Called inside its arms, where the variant is known and the lookup
     // folds away.
-    let retained = || algo.retained_cap().map_or(l, |cap| (cap as f64).min(l));
+    let retained = || algo.token_split(prompt_len).0 as f64;
 
     match *algo {
         CompressionConfig::Fp16 => base,
         CompressionConfig::Kivi(p) => {
             // Prompt KV beyond the residual window is written quantized:
             // less write traffic, small quantization ALU cost.
-            let quant_tokens = (l - p.residual as f64).max(0.0);
+            let quant_tokens = algo.token_split(prompt_len).1 as f64;
             let saved = b * quant_tokens
                 * (kvd * 2.0 * FP16 - quant_bytes_per_token(env, p.bits, p.group_size));
             let quant_flops = b * quant_tokens * kvd * 2.0 * 2.0;

@@ -59,22 +59,6 @@ pub fn kv_bytes_per_token(llm: &LlmSpec, algo: &CompressionConfig, tp: usize) ->
     }
 }
 
-/// Number of logical tokens a policy actually retains at KV length `kv_len`
-/// (per sequence), split into `(fp16_tokens, compressed_tokens)`.
-fn retained_tokens(algo: &CompressionConfig, kv_len: usize) -> (usize, usize) {
-    match *algo {
-        CompressionConfig::Kivi(p) => {
-            let res = p.residual.min(kv_len);
-            (res, kv_len - res)
-        }
-        CompressionConfig::Gear(p) => {
-            let res = p.buffer.min(kv_len);
-            (res, kv_len - res)
-        }
-        _ => (algo.retained_cap().map_or(kv_len, |cap| cap.min(kv_len)), 0),
-    }
-}
-
 /// Per-GPU memory needed to decode at `kv_len` with batch `batch`.
 ///
 /// Non-paged engines (TRL) preallocate each sequence's KV to `reserve_len`
@@ -96,7 +80,7 @@ pub fn decode_memory_bytes(
     } else {
         kv_len.max(reserve_len)
     };
-    let (fp16_tokens, quant_tokens) = retained_tokens(algo, alloc_len);
+    let (fp16_tokens, quant_tokens) = algo.token_split(alloc_len);
     let kv_cache = (batch as f64
         * (fp16_tokens as f64 * fp16_per_tok + quant_tokens as f64 * quant_per_tok))
         as u64;
@@ -212,7 +196,6 @@ mod tests {
         let huge = CompressionConfig::SnapKv(rkvc_kvcache::SnapKvParams {
             budget: usize::MAX,
             obs_window: 1,
-            kernel: 1,
         });
         let mem = |algo: &CompressionConfig| {
             decode_memory_bytes(&llm, EngineKind::LmDeploy, algo, 8, 4096, 1, 4096).kv_cache

@@ -218,7 +218,6 @@ impl CompressionConfig {
             CompressionConfig::PyramidKv(p) => Retention::PrefillVote(SnapKvParams {
                 budget: pyramid_budget(p),
                 obs_window: p.obs_window,
-                kernel: 5,
             }),
         };
         Ok(Box::new(DenseCache::new(head_dim, rule)?))
@@ -295,25 +294,37 @@ impl CompressionConfig {
         }
     }
 
-    /// The most tokens the policy keeps stored per sequence, or `None` when
-    /// it stores every token (FP16, the quantizers, ThinK's channel pruning,
-    /// Quest's query-time selection). The one definition the cost model and
-    /// the serving simulator size an evicting cache by; saturating, so a
-    /// decoded config with an absurd budget caps at `usize::MAX` instead of
+    /// How the policy stores a sequence of `kv_len` tokens, as
+    /// `(fp16_tokens, compressed_tokens)`. The quantizers keep their window
+    /// (KIVI's residual, GEAR's buffer) in FP16 and pack the rest; an
+    /// evicting policy keeps at most its budget, all in FP16; FP16, ThinK
+    /// (which prunes channels, not tokens) and Quest (which selects at
+    /// query time) keep every token in FP16. The one split the cost model
+    /// and the serving simulator size a cache by. Saturating, so a decoded
+    /// config with an absurd budget keeps every token instead of
     /// overflowing.
-    pub fn retained_cap(&self) -> Option<usize> {
-        match *self {
-            CompressionConfig::H2O(p) => Some(p.budget()),
-            CompressionConfig::Streaming(p) => Some(p.budget()),
-            CompressionConfig::SnapKv(p) => Some(p.budget.saturating_add(p.obs_window)),
-            CompressionConfig::Tova(p) => Some(p.budget),
-            CompressionConfig::PyramidKv(p) => Some(p.mean_budget().saturating_add(p.obs_window)),
-            CompressionConfig::Fp16
-            | CompressionConfig::Kivi(_)
-            | CompressionConfig::Gear(_)
-            | CompressionConfig::Think(_)
-            | CompressionConfig::Quest(_) => None,
-        }
+    ///
+    /// The FP16 count is the window itself: a quantizer's store holds
+    /// `window` to `window + chunk − 1` FP16 rows, because it packs a chunk
+    /// only once a whole one has aged out of the window.
+    #[inline]
+    pub fn token_split(&self, kv_len: usize) -> (usize, usize) {
+        let cap = match *self {
+            CompressionConfig::Kivi(KiviParams { residual: window, .. })
+            | CompressionConfig::Gear(GearParams { buffer: window, .. }) => {
+                let fp16 = window.min(kv_len);
+                return (fp16, kv_len - fp16);
+            }
+            CompressionConfig::H2O(p) => p.budget(),
+            CompressionConfig::Streaming(p) => p.budget(),
+            CompressionConfig::SnapKv(p) => p.budget.saturating_add(p.obs_window),
+            CompressionConfig::Tova(p) => p.budget,
+            CompressionConfig::PyramidKv(p) => p.mean_budget().saturating_add(p.obs_window),
+            CompressionConfig::Fp16 | CompressionConfig::Think(_) | CompressionConfig::Quest(_) => {
+                kv_len
+            }
+        };
+        (cap.min(kv_len), 0)
     }
 
     /// The policy's family (quantization vs sparsity vs none).
@@ -434,29 +445,118 @@ impl rkvc_tensor::json::FromJson for CompressionConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BlockRows;
 
     #[test]
-    fn retained_cap_is_the_stored_token_budget_and_saturates() {
-        assert_eq!(CompressionConfig::h2o(64, 448).retained_cap(), Some(512));
-        assert_eq!(CompressionConfig::streaming(64, 448).retained_cap(), Some(512));
-        assert_eq!(CompressionConfig::tova(256).retained_cap(), Some(256));
-        let snap = SnapKvParams { budget: 448, obs_window: 32, kernel: 5 };
-        assert_eq!(CompressionConfig::SnapKv(snap).retained_cap(), Some(480));
+    fn token_split_is_the_stored_token_budget_and_saturates() {
+        assert_eq!(CompressionConfig::h2o(64, 448).token_split(4096), (512, 0));
+        assert_eq!(CompressionConfig::streaming(64, 448).token_split(4096), (512, 0));
+        assert_eq!(CompressionConfig::tova(256).token_split(4096), (256, 0));
+        assert_eq!(CompressionConfig::tova(256).token_split(100), (100, 0));
+        let snap = SnapKvParams { budget: 448, obs_window: 32 };
+        assert_eq!(CompressionConfig::SnapKv(snap).token_split(4096), (480, 0));
         let pyramid = PyramidKvParams { first_layer_budget: 96, last_layer_budget: 32, obs_window: 8 };
-        assert_eq!(CompressionConfig::PyramidKv(pyramid).retained_cap(), Some(72));
+        assert_eq!(CompressionConfig::PyramidKv(pyramid).token_split(4096), (72, 0));
+        assert_eq!(CompressionConfig::kivi(4).token_split(4096), (128, 3968));
+        assert_eq!(CompressionConfig::kivi(4).token_split(100), (100, 0));
+        assert_eq!(CompressionConfig::gear(4).token_split(4096), (16, 4080));
         for keeps_all in [
             CompressionConfig::Fp16,
-            CompressionConfig::kivi(4),
-            CompressionConfig::gear(4),
             CompressionConfig::think(0.5),
             CompressionConfig::quest(16, 8),
         ] {
-            assert_eq!(keeps_all.retained_cap(), None, "{keeps_all}");
+            assert_eq!(keeps_all.token_split(4096), (4096, 0), "{keeps_all}");
         }
         let huge = SnapKvParams { budget: usize::MAX, ..snap };
-        assert_eq!(CompressionConfig::SnapKv(huge).retained_cap(), Some(usize::MAX));
+        assert_eq!(CompressionConfig::SnapKv(huge).token_split(4096), (4096, 0));
         let huge = PyramidKvParams { first_layer_budget: usize::MAX, last_layer_budget: usize::MAX, ..pyramid };
-        assert_eq!(CompressionConfig::PyramidKv(huge).retained_cap(), Some(usize::MAX));
+        assert_eq!(CompressionConfig::PyramidKv(huge).token_split(4096), (4096, 0));
+    }
+
+    /// All ten variants, each small enough to cross its threshold in a few
+    /// dozen appends, with that threshold: the budget of an evicting
+    /// policy, the flush point `window + chunk` of a quantizer, a page
+    /// boundary or an arbitrary length for the rest.
+    fn one_of_each_variant() -> [(CompressionConfig, usize); 10] {
+        [
+            (CompressionConfig::Fp16, 8),
+            (CompressionConfig::Kivi(KiviParams { bits: 4, group_size: 4, residual: 8 }), 12),
+            (
+                CompressionConfig::Gear(GearParams {
+                    bits: 4,
+                    outlier_ratio: 0.05,
+                    rank_ratio: 0.25,
+                    buffer: 4,
+                }),
+                8,
+            ),
+            (CompressionConfig::h2o(2, 5), 7),
+            (CompressionConfig::streaming(2, 6), 8),
+            (CompressionConfig::SnapKv(SnapKvParams { budget: 4, obs_window: 3 }), 7),
+            (CompressionConfig::tova(6), 6),
+            (CompressionConfig::think(0.5), 8),
+            (
+                CompressionConfig::PyramidKv(PyramidKvParams {
+                    first_layer_budget: 8,
+                    last_layer_budget: 4,
+                    obs_window: 2,
+                }),
+                8,
+            ),
+            (CompressionConfig::quest(4, 2), 8),
+        ]
+    }
+
+    rkvc_tensor::det_cases! {
+        /// `token_split` against the stores themselves: after `n` appends
+        /// (each followed by a uniform attention observation) and
+        /// `finish_prefill`, every cache holds exactly the split's total,
+        /// for `n` on both sides of every budget and flush threshold. A
+        /// quantizer's FP16 window is the one named gap: the cost model
+        /// charges exactly `window` FP16 tokens, while the store holds
+        /// `window` to `window + chunk − 1` rows, since it packs a chunk
+        /// only once a whole one has aged out of the window.
+        fn token_split_matches_what_each_store_holds(rng, cases = 16) {
+            for (cfg, threshold) in one_of_each_variant() {
+                let below = rng.gen_range(0..threshold);
+                let above = rng.gen_range(threshold + 1..4 * threshold + 1);
+                for n in [below, threshold - 1, threshold, threshold + 1, above] {
+                    let (fp16, compressed) = cfg.token_split(n);
+                    let (codec, window, chunk) = match cfg {
+                        CompressionConfig::Kivi(p) => (Codec::Kivi(p), p.residual, p.group_size),
+                        CompressionConfig::Gear(p) => (Codec::Gear(p), p.buffer, p.buffer),
+                        _ => {
+                            let mut cache = cfg.build(HEAD_DIM);
+                            fill(cache.as_mut(), n, rng);
+                            assert_eq!(cache.len(), fp16 + compressed, "{cfg} at n = {n}");
+                            assert_eq!(compressed, 0, "{cfg} at n = {n}");
+                            continue;
+                        }
+                    };
+                    let mut cache = ChunkedCache::new(HEAD_DIM, codec).expect("valid codec");
+                    fill(&mut cache, n, rng);
+                    assert_eq!(cache.len(), fp16 + compressed, "{cfg} at n = {n}");
+                    assert_eq!(fp16, window.min(n), "{cfg} at n = {n}");
+                    let rows = BlockRows::window(&cache).len();
+                    assert!((fp16..fp16 + chunk).contains(&rows), "{cfg} at n = {n}: {rows} FP16 rows");
+                }
+            }
+        }
+    }
+
+    const HEAD_DIM: usize = 4;
+
+    /// Appends `n` random tokens, each followed by a uniform attention
+    /// observation, then finishes the prefill.
+    fn fill(cache: &mut dyn KvCache, n: usize, rng: &mut rkvc_tensor::det::SeededRng) {
+        for pos in 0..n {
+            let k: Vec<f32> = (0..HEAD_DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let v: Vec<f32> = (0..HEAD_DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            cache.append(&k, &v, pos);
+            let len = cache.len();
+            cache.observe_attention(&vec![1.0 / len as f32; len]);
+        }
+        cache.finish_prefill();
     }
 
     #[test]
@@ -527,10 +627,8 @@ mod tests {
             ),
             (r#"{"H2O":{"heavy":0,"recent":0}}"#, invalid("heavy + recent must be >= 1")),
             (r#"{"Streaming":{"sinks":0,"recent":0}}"#, invalid("sinks + recent must be >= 1")),
-            (r#"{"SnapKv":{"budget":0,"obs_window":32,"kernel":5}}"#, invalid("budget must be >= 1")),
-            (r#"{"SnapKv":{"budget":8,"obs_window":0,"kernel":5}}"#, invalid("obs_window must be >= 1")),
-            (r#"{"SnapKv":{"budget":8,"obs_window":32,"kernel":4}}"#, invalid("kernel must be odd and >= 1")),
-            (r#"{"SnapKv":{"budget":8,"obs_window":32,"kernel":0}}"#, invalid("kernel must be odd and >= 1")),
+            (r#"{"SnapKv":{"budget":0,"obs_window":32}}"#, invalid("budget must be >= 1")),
+            (r#"{"SnapKv":{"budget":8,"obs_window":0}}"#, invalid("obs_window must be >= 1")),
             (r#"{"Tova":{"budget":0}}"#, invalid("budget must be >= 1")),
             (r#"{"Think":{"keep_ratio":0.0}}"#, invalid("keep_ratio must be in (0, 1]")),
             (r#"{"Think":{"keep_ratio":1.5}}"#, invalid("keep_ratio must be in (0, 1]")),

@@ -92,16 +92,17 @@ pub struct SnapKvParams {
     /// Number of trailing prompt queries whose attention votes for
     /// importance (paper: 16–64).
     pub obs_window: usize,
-    /// 1-D max-pool kernel for clustering votes (paper: 5–7, odd).
-    pub kernel: usize,
 }
+
+/// Width of SnapKV's 1-D max-pool over the prompt votes (paper: 5–7, odd):
+/// a heavily voted position drags its neighbours into the selection.
+const VOTE_POOL_KERNEL: usize = 5;
 
 impl Default for SnapKvParams {
     fn default() -> Self {
         SnapKvParams {
             budget: 448,
             obs_window: 32,
-            kernel: 5,
         }
     }
 }
@@ -149,7 +150,7 @@ impl QuestParams {
 rkvc_tensor::json_struct!(StreamingParams { sinks, recent });
 rkvc_tensor::json_struct!(H2OParams { heavy, recent });
 rkvc_tensor::json_struct!(TovaParams { budget });
-rkvc_tensor::json_struct!(SnapKvParams { budget, obs_window, kernel });
+rkvc_tensor::json_struct!(SnapKvParams { budget, obs_window });
 rkvc_tensor::json_struct!(ThinkParams { keep_ratio });
 rkvc_tensor::json_struct!(QuestParams { page_size, top_k_pages });
 
@@ -183,7 +184,7 @@ rkvc_tensor::json_struct!(QuestParams { page_size, top_k_pages });
 /// let h2o = prefill(Retention::HeavyHitters(H2OParams { heavy: 2, recent: 6 }), 4, 20)?;
 /// assert_eq!(h2o.len(), 8); // Capped at heavy + recent.
 /// assert!(prefill(Retention::LeastAttended(TovaParams { budget: 8 }), 4, 20)?.len() <= 8);
-/// let snap = SnapKvParams { budget: 4, obs_window: 2, kernel: 3 };
+/// let snap = SnapKvParams { budget: 4, obs_window: 2 };
 /// assert!(prefill(Retention::PrefillVote(snap), 2, 16)?.len() <= 4 + 2); // budget + observation window
 /// let think = prefill(Retention::ChannelPrune(ThinkParams { keep_ratio: 0.5 }), 8, 16)?;
 /// assert_eq!(think.len(), 16);            // No tokens dropped...
@@ -297,7 +298,7 @@ impl DenseCache {
     /// Returns [`CacheError::InvalidParameter`] if a budget, window or page
     /// dimension of the rule is zero (`SinkWindow`/`HeavyHitters`: if both
     /// parts are) or overflows `usize` in the arithmetic done on it later,
-    /// if the `PrefillVote` kernel is even, or unless `0 < keep_ratio <= 1`.
+    /// or unless `0 < keep_ratio <= 1`.
     pub fn new(head_dim: usize, rule: Retention) -> Result<Self, CacheError> {
         let check = |ok: bool, msg| ok.then_some(()).ok_or(CacheError::InvalidParameter(msg));
         match rule {
@@ -317,8 +318,7 @@ impl DenseCache {
             }
             Retention::PrefillVote(p) => {
                 check(p.budget >= 1, "budget must be >= 1")?;
-                check(p.obs_window >= 1, "obs_window must be >= 1")?;
-                check(p.kernel % 2 == 1, "kernel must be odd and >= 1")
+                check(p.obs_window >= 1, "obs_window must be >= 1")
             }
             Retention::ChannelPrune(p) => {
                 check(p.keep_ratio > 0.0 && p.keep_ratio <= 1.0, "keep_ratio must be in (0, 1]")
@@ -368,7 +368,7 @@ impl DenseCache {
 
     /// `PrefillVote`: aggregated, max-pooled vote scores over the current
     /// prompt positions.
-    fn pooled_votes(&self, kernel: usize) -> Vec<f32> {
+    fn pooled_votes(&self) -> Vec<f32> {
         let n = self.rows.len();
         let mut votes = vec![0.0f32; n];
         for obs in &self.observations {
@@ -377,7 +377,7 @@ impl DenseCache {
             }
         }
         // 1-D max pooling clusters neighbouring importance.
-        let half = kernel / 2;
+        let half = VOTE_POOL_KERNEL / 2;
         let mut pooled = vec![0.0f32; n];
         for i in 0..n {
             let lo = i.saturating_sub(half);
@@ -400,7 +400,7 @@ impl DenseCache {
         if prefix <= p.budget {
             return; // Nothing to compress.
         }
-        let mut selected = top_k(&self.pooled_votes(p.kernel)[..prefix], p.budget);
+        let mut selected = top_k(&self.pooled_votes()[..prefix], p.budget);
         selected.sort_unstable();
         selected.extend(prefix..n); // Observation window always kept.
         self.rows.select(&selected);
@@ -919,8 +919,8 @@ mod tests {
     mod snapkv {
         use super::*;
 
-        fn snap(budget: usize, obs_window: usize, kernel: usize) -> DenseCache {
-            cache(2, Retention::PrefillVote(SnapKvParams { budget, obs_window, kernel }))
+        fn snap(budget: usize, obs_window: usize) -> DenseCache {
+            cache(2, Retention::PrefillVote(SnapKvParams { budget, obs_window }))
         }
 
         /// Appends positions `0..n`, every query voting only for position
@@ -938,7 +938,7 @@ mod tests {
 
         #[test]
         fn compresses_only_at_prefill_end() {
-            let mut c = fill(snap(3, 2, 3), 0..12, true);
+            let mut c = fill(snap(3, 2), 0..12, true);
             assert_eq!(c.len(), 12); // No compression yet.
             c.finish_prefill();
             assert_eq!(c.len(), 3 + 2);
@@ -947,7 +947,7 @@ mod tests {
 
         #[test]
         fn decode_tokens_never_evicted() {
-            let mut c = fill(snap(2, 2, 3), 0..10, true);
+            let mut c = fill(snap(2, 2), 0..10, true);
             c.finish_prefill();
             let after_prefill = c.len();
             c = fill(c, 10..20, false);
@@ -956,7 +956,9 @@ mod tests {
 
         #[test]
         fn heavily_attended_positions_survive() {
-            let mut c = snap(2, 2, 1);
+            // The budget covers position 3's pooled neighbourhood, 1..=5
+            // (ties go to the lower position).
+            let mut c = snap(VOTE_POOL_KERNEL, 2);
             // All queries vote hard for position 3.
             fill_voting_for(&mut c, 10, 3);
             c.finish_prefill();
@@ -965,7 +967,7 @@ mod tests {
 
         #[test]
         fn observation_window_always_kept() {
-            let mut c = fill(snap(1, 3, 3), 0..9, true);
+            let mut c = fill(snap(1, 3), 0..9, true);
             c.finish_prefill();
             let v = c.view();
             for want in 6..9 {
@@ -975,7 +977,7 @@ mod tests {
 
         #[test]
         fn short_prompts_untouched() {
-            let mut c = fill(snap(8, 4, 3), 0..6, true);
+            let mut c = fill(snap(8, 4), 0..6, true);
             c.finish_prefill();
             assert_eq!(c.len(), 6);
             assert_eq!(c.stats().tokens_evicted, 0);
@@ -983,21 +985,21 @@ mod tests {
 
         #[test]
         fn kernel_clusters_neighbours() {
-            // With a kernel of 3, a single high vote should drag in neighbours
-            // via max pooling, so the selection is a contiguous cluster.
-            let mut c = snap(3, 1, 3);
+            // A single high vote drags in its neighbours via max pooling,
+            // so the selection is the contiguous cluster 3..=7 around it.
+            let mut c = snap(VOTE_POOL_KERNEL, 1);
             fill_voting_for(&mut c, 12, 5);
             c.finish_prefill();
             let v = c.view();
-            assert!(v.positions.contains(&4));
-            assert!(v.positions.contains(&5));
-            assert!(v.positions.contains(&6));
+            for want in 3..=7 {
+                assert!(v.positions.contains(&want), "{:?}", v.positions);
+            }
         }
 
         #[test]
         fn rejects_bad_params() {
-            for (budget, obs_window, kernel) in [(0, 2, 3), (2, 0, 3), (2, 2, 4)] {
-                let rule = Retention::PrefillVote(SnapKvParams { budget, obs_window, kernel });
+            for (budget, obs_window) in [(0, 2), (2, 0)] {
+                let rule = Retention::PrefillVote(SnapKvParams { budget, obs_window });
                 assert!(DenseCache::new(2, rule).is_err());
             }
         }

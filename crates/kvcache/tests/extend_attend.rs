@@ -56,7 +56,7 @@ fn every_variant(rng: &mut SeededRng) -> Vec<(CompressionConfig, usize)> {
         (CompressionConfig::H2O(H2OParams { heavy: 2, recent: 5 }), 1),
         (CompressionConfig::Streaming(StreamingParams { sinks: 2, recent: 6 }), 8),
         (
-            CompressionConfig::SnapKv(SnapKvParams { budget: 4, obs_window: 3, kernel: 3 }),
+            CompressionConfig::SnapKv(SnapKvParams { budget: 4, obs_window: 3 }),
             1,
         ),
         (CompressionConfig::Tova(TovaParams { budget: 6 }), 1),

@@ -521,7 +521,6 @@ mod tests {
             CompressionConfig::SnapKv(rkvc_kvcache::SnapKvParams {
                 budget: 12,
                 obs_window: 4,
-                kernel: 3,
             }),
             CompressionConfig::tova(14),
             CompressionConfig::quest(4, 3),

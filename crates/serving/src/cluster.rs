@@ -5,8 +5,8 @@
 //! the routing decision as the engine's dispatch closure, and leaves all
 //! admission/decode/preemption mechanics to [`ServerSim`].
 
-use crate::request::{check_arrivals, ArrivalFault};
-use crate::{CompletedRequest, Engine, ServerSim, SimRequest};
+use crate::request::check_arrivals;
+use crate::{ArrivalFault, CompletedRequest, Engine, ServerSim, SimRequest};
 
 /// Routing policies from Table 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,53 +86,15 @@ impl RoutePredictor for OraclePredictor {
 pub enum ClusterError {
     /// A cluster needs at least one server.
     EmptyCluster,
-    /// A request's arrival time is NaN or infinite.
-    NonFiniteArrival {
-        /// Index of the offending request.
-        index: usize,
-        /// Its arrival time.
-        arrival_s: f64,
-    },
-    /// The arrival stream is not sorted by arrival time.
-    UnsortedArrivals {
-        /// Index of the out-of-order request.
-        index: usize,
-        /// Its arrival time.
-        arrival_s: f64,
-        /// The preceding request's arrival time.
-        prev_s: f64,
-    },
-}
-
-impl From<ArrivalFault> for ClusterError {
-    fn from(fault: ArrivalFault) -> Self {
-        match fault {
-            ArrivalFault::NonFinite { index, arrival_s } => {
-                ClusterError::NonFiniteArrival { index, arrival_s }
-            }
-            ArrivalFault::Unsorted { index, arrival_s, prev_s } => {
-                ClusterError::UnsortedArrivals { index, arrival_s, prev_s }
-            }
-        }
-    }
+    /// The arrival stream is not finite and sorted.
+    Arrival(ArrivalFault),
 }
 
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ClusterError::EmptyCluster => write!(f, "cluster needs at least one server"),
-            ClusterError::NonFiniteArrival { index, arrival_s } => write!(
-                f,
-                "arrival times must be finite: request #{index} arrives at {arrival_s}s"
-            ),
-            ClusterError::UnsortedArrivals {
-                index,
-                arrival_s,
-                prev_s,
-            } => write!(
-                f,
-                "requests must be sorted by arrival time: request #{index} arrives at {arrival_s}s after {prev_s}s"
-            ),
+            ClusterError::Arrival(fault) => write!(f, "{fault}"),
         }
     }
 }
@@ -220,15 +182,14 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NonFiniteArrival`] if an arrival time is NaN or
-    /// infinite, [`ClusterError::UnsortedArrivals`] if `requests` is not
-    /// sorted by arrival time.
+    /// [`ClusterError::Arrival`] if an arrival time is NaN or infinite, or
+    /// `requests` is not sorted by arrival time.
     pub fn run(
         self,
         requests: Vec<SimRequest>,
         predictor: &dyn RoutePredictor,
     ) -> Result<Vec<CompletedRequest>, ClusterError> {
-        check_arrivals(&requests)?;
+        check_arrivals(&requests).map_err(ClusterError::Arrival)?;
         let policy = self.policy;
         Ok(Engine::new(self.servers).run(
             requests,
@@ -356,11 +317,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            ClusterError::UnsortedArrivals {
+            ClusterError::Arrival(ArrivalFault::Unsorted {
                 index: 2,
                 arrival_s: 0.2,
                 prev_s: 100.0
-            }
+            })
         );
     }
 

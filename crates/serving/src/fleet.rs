@@ -42,11 +42,11 @@ use rkvc_kvcache::CompressionConfig;
 use rkvc_tensor::par::par_chunks_mut;
 
 use crate::scaling::{AutoscaleConfig, Autoscaler, FleetTelemetry, ScaleAction};
-use crate::request::{check_arrivals, ArrivalFault};
+use crate::request::check_arrivals;
 use crate::shard::{shard_key, ShardPolicy};
 use crate::{
-    CompletedRequest, ConfigError, ServerSim, ServingConfig, ServingMetrics, SimRequest,
-    SloMetrics,
+    ArrivalFault, CompletedRequest, ConfigError, ServerSim, ServingConfig, ServingMetrics,
+    SimRequest, SloMetrics,
 };
 
 /// Construction-time fleet parameters, validated by [`Fleet::new`].
@@ -56,10 +56,6 @@ pub struct FleetConfig {
     pub replicas: usize,
     /// Dispatch policy.
     pub sharding: ShardPolicy,
-    /// Telemetry-epoch width in simulated seconds (> 0). Replicas
-    /// synchronize — and the autoscaler may act — only at multiples of
-    /// this; smaller epochs mean fresher signals but more barriers.
-    pub epoch_s: f64,
     /// Per-replica serving configuration.
     pub serving: ServingConfig,
     /// Autoscaling thresholds; `None` keeps the replica set fixed.
@@ -71,7 +67,6 @@ impl Default for FleetConfig {
         FleetConfig {
             replicas: 4,
             sharding: ShardPolicy::default(),
-            epoch_s: 5.0,
             serving: ServingConfig::default(),
             autoscale: None,
         }
@@ -79,6 +74,12 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
+    /// Telemetry-epoch width in simulated seconds. Replicas synchronize —
+    /// and the autoscaler may act — only at multiples of this: long enough
+    /// to amortize the merge barrier, short enough that the autoscaler
+    /// sees each diurnal swing many times.
+    pub const EPOCH_S: f64 = 5.0;
+
     /// Validates the parameters.
     ///
     /// # Errors
@@ -87,9 +88,6 @@ impl FleetConfig {
     pub fn validate(&self) -> Result<(), FleetError> {
         if self.replicas == 0 {
             return Err(FleetError::NoReplicas);
-        }
-        if !(self.epoch_s > 0.0) || !self.epoch_s.is_finite() {
-            return Err(FleetError::BadEpoch);
         }
         self.serving.validate().map_err(FleetError::Config)?;
         if let Some(a) = &self.autoscale {
@@ -119,8 +117,6 @@ impl FleetConfig {
 pub enum FleetError {
     /// A fleet needs at least one replica.
     NoReplicas,
-    /// The telemetry epoch must be positive and finite.
-    BadEpoch,
     /// The per-replica serving config is invalid.
     Config(ConfigError),
     /// Autoscale bounds/thresholds are inconsistent (zero floor or step,
@@ -129,42 +125,14 @@ pub enum FleetError {
     /// The initial replica count must sit inside the autoscaler's
     /// `[min_replicas, max_replicas]` band.
     ReplicasOutsideScaleBounds,
-    /// A request's arrival time is NaN or infinite.
-    NonFiniteArrival {
-        /// Index of the offending request.
-        index: usize,
-        /// Its arrival time.
-        arrival_s: f64,
-    },
-    /// The arrival stream is not sorted by arrival time.
-    UnsortedArrivals {
-        /// Index of the out-of-order request.
-        index: usize,
-        /// Its arrival time.
-        arrival_s: f64,
-        /// The preceding request's arrival time.
-        prev_s: f64,
-    },
-}
-
-impl From<ArrivalFault> for FleetError {
-    fn from(fault: ArrivalFault) -> Self {
-        match fault {
-            ArrivalFault::NonFinite { index, arrival_s } => {
-                FleetError::NonFiniteArrival { index, arrival_s }
-            }
-            ArrivalFault::Unsorted { index, arrival_s, prev_s } => {
-                FleetError::UnsortedArrivals { index, arrival_s, prev_s }
-            }
-        }
-    }
+    /// The arrival stream is not finite and sorted.
+    Arrival(ArrivalFault),
 }
 
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             FleetError::NoReplicas => write!(f, "fleet needs at least one replica"),
-            FleetError::BadEpoch => write!(f, "epoch_s must be positive and finite"),
             FleetError::Config(e) => write!(f, "invalid replica serving config: {e}"),
             FleetError::BadAutoscale => {
                 write!(f, "autoscale bounds/thresholds are inconsistent")
@@ -173,18 +141,7 @@ impl std::fmt::Display for FleetError {
                 f,
                 "initial replicas must lie within the autoscaler's min/max band"
             ),
-            FleetError::NonFiniteArrival { index, arrival_s } => write!(
-                f,
-                "arrival times must be finite: request #{index} arrives at {arrival_s}s"
-            ),
-            FleetError::UnsortedArrivals {
-                index,
-                arrival_s,
-                prev_s,
-            } => write!(
-                f,
-                "requests must be sorted by arrival time: request #{index} arrives at {arrival_s}s after {prev_s}s"
-            ),
+            FleetError::Arrival(fault) => write!(f, "{fault}"),
         }
     }
 }
@@ -298,13 +255,12 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`FleetError::NonFiniteArrival`] if an arrival time is NaN or
-    /// infinite, [`FleetError::UnsortedArrivals`] if the stream is out of
-    /// order.
+    /// [`FleetError::Arrival`] if an arrival time is NaN or infinite, or
+    /// the stream is out of order.
     pub fn run(mut self, requests: Vec<SimRequest>) -> Result<FleetOutcome, FleetError> {
-        check_arrivals(&requests)?;
+        check_arrivals(&requests).map_err(FleetError::Arrival)?;
 
-        let epoch_s = self.cfg.epoch_s;
+        let epoch_s = FleetConfig::EPOCH_S;
         // Each completion lives here once: replicas hand theirs off at every
         // barrier. At most one per request, so this never reallocates.
         let mut completed: Vec<CompletedRequest> = Vec::with_capacity(requests.len());
@@ -499,7 +455,6 @@ mod tests {
         FleetConfig {
             replicas,
             sharding,
-            epoch_s: 2.0,
             serving: ServingConfig {
                 max_batch: 8,
                 pool_tokens: Some(8192),
@@ -606,7 +561,6 @@ mod tests {
     #[test]
     fn autoscaler_adds_replicas_under_load_and_drains_when_idle() {
         let mut c = cfg(2, ShardPolicy::ConsistentHash);
-        c.epoch_s = 1.0;
         c.autoscale = Some(AutoscaleConfig {
             min_replicas: 1,
             max_replicas: 8,
@@ -646,7 +600,6 @@ mod tests {
         // Force a drain while work is in flight: every completion must
         // still appear (drained ≠ dropped).
         let mut c = cfg(4, ShardPolicy::ConsistentHash);
-        c.epoch_s = 0.5;
         c.autoscale = Some(AutoscaleConfig {
             min_replicas: 1,
             max_replicas: 4,
@@ -688,11 +641,6 @@ mod tests {
         };
         assert_eq!(bad.validate(), Err(FleetError::NoReplicas));
         let bad = FleetConfig {
-            epoch_s: 0.0,
-            ..FleetConfig::default()
-        };
-        assert_eq!(bad.validate(), Err(FleetError::BadEpoch));
-        let bad = FleetConfig {
             autoscale: Some(AutoscaleConfig {
                 min_replicas: 8,
                 max_replicas: 2,
@@ -720,7 +668,7 @@ mod tests {
             .expect("valid fleet");
         assert!(matches!(
             fleet.run(unsorted),
-            Err(FleetError::UnsortedArrivals { index: 1, .. })
+            Err(FleetError::Arrival(ArrivalFault::Unsorted { index: 1, .. }))
         ));
     }
 }

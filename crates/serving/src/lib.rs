@@ -5,8 +5,9 @@
 //! * [`BlockManager`] — a PagedAttention-style KV block allocator with
 //!   per-block identity: content-hashed copy-on-write prefix sharing
 //!   (refcounted immutable prefix blocks deduplicated across sequences),
-//!   an L1 (GPU) / L2 (host-spill) tier with explicit demote/refill
-//!   policies ([`TierConfig`]), and physical fragmentation accounting.
+//!   an L1 (GPU) / L2 (host-spill) tier (preemption spills a victim's
+//!   private blocks over PCIe, re-admission refills them;
+//!   [`ServingConfig::tier`]), and physical fragmentation accounting.
 //! * [`Engine`] — the discrete-event core: a binary-heap event queue keyed
 //!   on `(sim_time_bits, rank, seq)` for reproducible tie-breaks, driving
 //!   per-server iteration events and cluster arrivals on one simulated
@@ -23,8 +24,8 @@
 //!   continuous batching over the [`rkvc_gpu`] cost model: all per-server
 //!   state and the one copy of the iteration logic; emits per-request
 //!   TTFT / queue-delay / end-to-end latency. Configured via
-//!   [`ServingConfig`] (batch width, KV block size, pool pinning,
-//!   scheduler).
+//!   [`ServingConfig`] (batch width, pool pinning, scheduler, prefix
+//!   sharing, spill tier).
 //! * [`Cluster`] — a multi-GPU deployment with the paper's four routing
 //!   policies (§5.4, Table 8): load balance, throughput-predictor routing,
 //!   length-predictor routing, and combined.
@@ -107,7 +108,6 @@ mod scheduler;
 mod server;
 mod shard;
 mod slo;
-mod tier;
 
 pub use blocks::{
     prefix_hash_chain, session_hash_chain, BlockError, BlockManager, BlockPoolStats, BlockTier,
@@ -118,10 +118,9 @@ pub use cluster::{Cluster, ClusterError, OraclePredictor, RoutePredictor, Routin
 pub use engine::Engine;
 pub use fleet::{Fleet, FleetConfig, FleetError, FleetOutcome};
 pub use metrics::{ClassMetrics, LatencySummary, ServingMetrics, SloMetrics};
-pub use request::{CompletedRequest, SessionRef, SimRequest};
+pub use request::{ArrivalFault, CompletedRequest, SessionRef, SimRequest};
 pub use scaling::{AutoscaleConfig, Autoscaler, FleetTelemetry, ScaleAction};
 pub use scheduler::{AdmitOrder, Scheduler, SchedulerConfig, VictimRule};
 pub use shard::{jump_hash, shard_key, ShardPolicy};
 pub use server::{ConfigError, ServerSim, ServingConfig};
 pub use slo::{SloClass, SloPolicy, SloTarget, SloTargets};
-pub use tier::{DemotePolicy, RefillPolicy, TierConfig};

@@ -110,16 +110,50 @@ impl SimRequest {
     }
 }
 
-/// Why [`check_arrivals`] rejected a stream; the cluster and fleet drivers
-/// both require finite, arrival-sorted streams and report a violation
-/// through their own error types.
+/// Why an arrival stream was rejected: the cluster and fleet drivers both
+/// require finite, arrival-sorted streams and carry a violation as
+/// [`ClusterError::Arrival`](crate::ClusterError::Arrival) or
+/// [`FleetError::Arrival`](crate::FleetError::Arrival).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ArrivalFault {
-    /// `arrival_s` at `index` is NaN or infinite.
-    NonFinite { index: usize, arrival_s: f64 },
-    /// The request at `index` arrives before its predecessor (`prev_s`).
-    Unsorted { index: usize, arrival_s: f64, prev_s: f64 },
+pub enum ArrivalFault {
+    /// A request's arrival time is NaN or infinite.
+    NonFinite {
+        /// Index of the offending request.
+        index: usize,
+        /// Its arrival time.
+        arrival_s: f64,
+    },
+    /// The stream is not sorted by arrival time.
+    Unsorted {
+        /// Index of the out-of-order request.
+        index: usize,
+        /// Its arrival time.
+        arrival_s: f64,
+        /// The preceding request's arrival time.
+        prev_s: f64,
+    },
 }
+
+impl std::fmt::Display for ArrivalFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ArrivalFault::NonFinite { index, arrival_s } => write!(
+                f,
+                "arrival times must be finite: request #{index} arrives at {arrival_s}s"
+            ),
+            ArrivalFault::Unsorted {
+                index,
+                arrival_s,
+                prev_s,
+            } => write!(
+                f,
+                "requests must be sorted by arrival time: request #{index} arrives at {arrival_s}s after {prev_s}s"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ArrivalFault {}
 
 /// Checks that every arrival time is finite and the stream is sorted by
 /// arrival. Finiteness is checked first, over the whole stream: a NaN
@@ -230,61 +264,6 @@ mod tests {
         assert!((c.tbot_s() - 0.1).abs() < 1e-12);
         let single = CompletedRequest { generated: 1, ..c };
         assert_eq!(single.tbot_s(), 0.0);
-    }
-
-    /// A NaN or infinite arrival used to pass both drivers' sortedness scan:
-    /// the cluster returned NaN latencies that panicked in the metrics, the
-    /// fleet panicked in its telemetry, and `+inf` kept the fleet's epoch
-    /// loop running forever. Every position is a typed error from both.
-    #[test]
-    fn non_finite_arrivals_are_a_typed_error_from_both_drivers() {
-        use crate::{
-            Cluster, ClusterError, Fleet, FleetConfig, FleetError, OraclePredictor, RoutingPolicy,
-            ServerSim,
-        };
-        use rkvc_gpu::{DeploymentSpec, EngineKind, GpuSpec, LlmSpec};
-        use rkvc_kvcache::CompressionConfig;
-
-        let dep = DeploymentSpec {
-            gpu: GpuSpec::a6000(),
-            llm: LlmSpec::llama2_7b(),
-            engine: EngineKind::LmDeploy,
-            tensor_parallel: 1,
-        };
-        // (stream length, index of the bad arrival, its value).
-        let cases = [
-            (3, 0, f64::NAN),
-            (3, 1, f64::NAN),
-            (3, 2, f64::NAN),
-            (1, 0, f64::NAN),
-            (3, 2, f64::INFINITY),
-            (1, 0, f64::INFINITY),
-            (3, 0, f64::NEG_INFINITY),
-        ];
-        for (len, bad, value) in cases {
-            let mut stream: Vec<SimRequest> =
-                (0..len).map(|i| SimRequest::new(i as u64, i as f64 * 0.1, 64, 8)).collect();
-            stream[bad].arrival_s = value;
-            let same = |index: usize, arrival_s: f64| {
-                index == bad && arrival_s.to_bits() == value.to_bits()
-            };
-
-            let server = ServerSim::new(0, dep.clone(), CompressionConfig::Fp16, 8);
-            let cluster = Cluster::new(vec![server], RoutingPolicy::LoadBalance).unwrap();
-            match cluster.run(stream.clone(), &OraclePredictor) {
-                Err(ClusterError::NonFiniteArrival { index, arrival_s })
-                    if same(index, arrival_s) => {}
-                other => panic!("cluster, {value} at {bad} of {len}: {other:?}"),
-            }
-
-            let fleet =
-                Fleet::new(dep.clone(), CompressionConfig::Fp16, FleetConfig::default()).unwrap();
-            match fleet.run(stream) {
-                Err(FleetError::NonFiniteArrival { index, arrival_s })
-                    if same(index, arrival_s) => {}
-                other => panic!("fleet, {value} at {bad} of {len}: {other:?}"),
-            }
-        }
     }
 
     /// A caller-chosen id anywhere in `u64` serializes and reads back

@@ -154,8 +154,8 @@ impl Scheduler {
     /// gate itself: a pick that has not yet arrived admits only on an idle
     /// server (which jumps its clock to the arrival). With nothing arrived
     /// yet every ordering falls back to the earliest arrival, so idle
-    /// servers wake exactly like FCFS. `slo` carries the server's
-    /// per-class targets; only [`AdmitOrder::Deadline`] reads it.
+    /// servers wake exactly like FCFS. `slo` is the per-class target
+    /// table; only [`AdmitOrder::Deadline`] reads it.
     pub(crate) fn admit_pick(
         &self,
         queue: &QueueView<'_>,

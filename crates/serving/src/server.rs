@@ -10,11 +10,22 @@ use std::collections::VecDeque;
 use crate::blocks::{prefix_hash_chain, session_hash_chain};
 use crate::engine::{RANK_DECODE, RANK_IDLE_START};
 use crate::scheduler::QueueView;
-use crate::tier::{DemotePolicy, RefillPolicy};
 use crate::{
     BlockError, BlockManager, BlockPoolStats, CompletedRequest, SchedulerConfig, SimClock,
-    SimRequest, SloPolicy, SloTargets, TierConfig,
+    SimRequest, SloPolicy, SloTargets,
 };
+
+/// Tokens per KV block (vLLM/LMDeploy use 16–64; 16 matches the seed
+/// simulator).
+const BLOCK_TOKENS: usize = 16;
+
+/// Bandwidth of the host link the spill tier moves KV over, in GB/s
+/// (PCIe 4.0 x16 sustains ~25).
+const PCIE_GBS: f64 = 25.0;
+
+/// Fixed cost of one spill or refill transfer in seconds (DMA setup +
+/// sync).
+const TRANSFER_LATENCY_S: f64 = 50e-6;
 
 /// Construction-time serving parameters, validated by
 /// [`ServerSim::with_config`].
@@ -22,12 +33,9 @@ use crate::{
 pub struct ServingConfig {
     /// Maximum concurrent running sequences (continuous-batching width).
     pub max_batch: usize,
-    /// Tokens per KV block (vLLM/LMDeploy default is 16–64). The default
-    /// of 16 matches the seed simulator.
-    pub block_tokens: usize,
     /// Pins the KV pool capacity in tokens instead of deriving it from the
     /// deployment's free HBM — used to create block pressure in scheduler
-    /// and block-size ablations.
+    /// ablations.
     pub pool_tokens: Option<usize>,
     /// Admission/preemption policy.
     pub scheduler: SchedulerConfig,
@@ -35,13 +43,15 @@ pub struct ServingConfig {
     /// requests must carry `prefix_group`/`prefix_len` annotations). Off
     /// by default: the flat pool is the seed-compatible baseline.
     pub prefix_sharing: bool,
-    /// Optional host spill tier. `None` (the default) preempts by
+    /// Capacity in blocks of the host (L2) spill tier. With a tier,
+    /// preemption moves the victim's private blocks to host memory over
+    /// PCIe and re-admission moves them back, both priced by
+    /// `DeploymentSpec::kv_transfer_time`; a full tier falls back to
+    /// dropping them. `None` (the default) preempts by
     /// evict-and-recompute, exactly as the seed did.
-    pub tier: Option<TierConfig>,
-    /// Per-class TTFT/TBT targets used for per-request SLO attainment
-    /// and (under [`SloPolicy::Aware`]) deadline-slack scheduling.
-    pub slo: SloTargets,
-    /// Whether schedulers consult SLO classes. [`SloPolicy::Blind`] (the
+    pub tier: Option<usize>,
+    /// Whether schedulers consult SLO classes (the per-class targets are
+    /// [`SloTargets::default`]). [`SloPolicy::Blind`] (the
     /// default) keeps every existing ordering bit-for-bit.
     pub slo_policy: SloPolicy,
 }
@@ -50,12 +60,10 @@ impl Default for ServingConfig {
     fn default() -> Self {
         ServingConfig {
             max_batch: 8,
-            block_tokens: 16,
             pool_tokens: None,
             scheduler: SchedulerConfig::Fcfs,
             prefix_sharing: false,
             tier: None,
-            slo: SloTargets::default(),
             slo_policy: SloPolicy::Blind,
         }
     }
@@ -80,25 +88,11 @@ impl ServingConfig {
         if self.max_batch == 0 {
             return Err(ConfigError::ZeroMaxBatch);
         }
-        if self.block_tokens == 0 {
-            return Err(ConfigError::ZeroBlockTokens);
-        }
         if self.pool_tokens == Some(0) {
             return Err(ConfigError::ZeroPoolTokens);
         }
-        if let Some(t) = self.tier {
-            if t.l2_blocks == 0 {
-                return Err(ConfigError::ZeroL2Blocks);
-            }
-            if !(t.pcie_gbs > 0.0) || !t.pcie_gbs.is_finite() {
-                return Err(ConfigError::BadLinkBandwidth);
-            }
-            if !(t.transfer_latency_s >= 0.0) || !t.transfer_latency_s.is_finite() {
-                return Err(ConfigError::BadLinkLatency);
-            }
-        }
-        if !self.slo.valid() {
-            return Err(ConfigError::BadSloTarget);
+        if self.tier == Some(0) {
+            return Err(ConfigError::ZeroL2Blocks);
         }
         Ok(())
     }
@@ -110,36 +104,18 @@ impl ServingConfig {
 pub enum ConfigError {
     /// `max_batch` must admit at least one sequence.
     ZeroMaxBatch,
-    /// `block_tokens` must be positive (blocks hold at least one token).
-    ZeroBlockTokens,
     /// A pinned pool must hold at least one token.
     ZeroPoolTokens,
     /// A configured spill tier must hold at least one block.
     ZeroL2Blocks,
-    /// The tier's link bandwidth must be positive and finite.
-    BadLinkBandwidth,
-    /// The tier's transfer latency must be non-negative and finite.
-    BadLinkLatency,
-    /// Every per-class SLO target must be positive and finite.
-    BadSloTarget,
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroMaxBatch => write!(f, "max_batch must be at least 1"),
-            ConfigError::ZeroBlockTokens => write!(f, "block_tokens must be at least 1"),
             ConfigError::ZeroPoolTokens => write!(f, "pool_tokens override must be at least 1"),
-            ConfigError::ZeroL2Blocks => write!(f, "tier.l2_blocks must be at least 1"),
-            ConfigError::BadLinkBandwidth => {
-                write!(f, "tier.pcie_gbs must be positive and finite")
-            }
-            ConfigError::BadLinkLatency => {
-                write!(f, "tier.transfer_latency_s must be non-negative and finite")
-            }
-            ConfigError::BadSloTarget => {
-                write!(f, "slo targets must be positive and finite for every class")
-            }
+            ConfigError::ZeroL2Blocks => write!(f, "tier must hold at least 1 block"),
         }
     }
 }
@@ -291,9 +267,9 @@ impl ServerSim {
             }
         };
         let blocks = BlockManager::with_tier(
-            (capacity_tokens / cfg.block_tokens).max(1),
-            cfg.block_tokens,
-            cfg.tier.map_or(0, |t| t.l2_blocks),
+            (capacity_tokens / BLOCK_TOKENS).max(1),
+            BLOCK_TOKENS,
+            cfg.tier.unwrap_or(0),
         );
         ServerSim {
             id,
@@ -578,12 +554,12 @@ impl ServerSim {
         let Some(s) = r.req.session else {
             return false;
         };
-        let blocks = self.retained(r.kv_len) / self.cfg.block_tokens;
+        let blocks = self.retained(r.kv_len) / BLOCK_TOKENS;
         let hashes = session_hash_chain(
             r.req.prefix_group,
             r.req.prefix_len,
             s.session,
-            self.cfg.block_tokens,
+            BLOCK_TOKENS,
             blocks,
         );
         match self.blocks.publish_seq(r.req.id, &hashes) {
@@ -601,40 +577,33 @@ impl ServerSim {
     /// Tokens the policy actually retains for a sequence at logical KV
     /// length `n` (eviction policies cap it).
     fn retained(&self, n: usize) -> usize {
-        self.algo.retained_cap().map_or(n, |cap| n.min(cap))
+        let (fp16, compressed) = self.algo.token_split(n);
+        fp16 + compressed
     }
 
     /// Evicts `running[victim]` back to the head of the queue. With a
     /// spill tier its private blocks demote to L2 (the DMA charges this
     /// server's clock synchronously) and re-admission refills them;
-    /// otherwise — no tier, `DemotePolicy::Drop`, or a full host tier —
-    /// the blocks are released and re-admission recomputes the full
-    /// context, exactly as the seed did. `finished` indices past the
-    /// victim shift down with the removal.
+    /// otherwise — no tier, or a full host tier — the blocks are released
+    /// and re-admission recomputes the full context, exactly as the seed
+    /// did. `finished` indices past the victim shift down with the
+    /// removal.
     fn preempt(&mut self, victim: usize, finished: &mut [usize]) {
         let r = self.running.remove(victim);
-        let spilled = match self.cfg.tier {
-            Some(t) if t.demote == DemotePolicy::Spill => {
-                match self.blocks.demote_seq(r.req.id) {
-                    Ok(mv) => {
-                        let dma = self.dep.kv_transfer_time(
-                            &self.algo,
-                            mv.tokens,
-                            t.pcie_gbs,
-                            t.transfer_latency_s,
-                        );
-                        self.clock.advance(dma);
-                        true
-                    }
-                    Err(_) => {
-                        // Host tier full (or unknown seq): fall back to
-                        // evict-and-recompute.
-                        let _ = self.blocks.free_seq(r.req.id);
-                        false
-                    }
-                }
+        let demoted = match self.cfg.tier {
+            Some(_) => self.blocks.demote_seq(r.req.id).ok(),
+            None => None,
+        };
+        let spilled = match demoted {
+            Some(mv) => {
+                let dma = self
+                    .dep
+                    .kv_transfer_time(&self.algo, mv.tokens, PCIE_GBS, TRANSFER_LATENCY_S);
+                self.clock.advance(dma);
+                true
             }
-            _ => {
+            None => {
+                // No tier, or the host tier is full: evict-and-recompute.
                 // Running sequences are registered by construction.
                 let _ = self.blocks.free_seq(r.req.id);
                 false
@@ -673,13 +642,14 @@ impl ServerSim {
     /// the block pool.
     pub(crate) fn iteration(&mut self) -> bool {
         let sched = self.cfg.scheduler.policy(self.cfg.slo_policy);
+        let slo = SloTargets::default();
 
         // Admit while there is room. A request is admissible once it has
         // arrived (the clock jumps to the pick's arrival when idle).
         let mut admitted = false;
         while self.running.len() < self.cfg.max_batch {
             let view = QueueView::new(&self.queue, self.queue_sorted);
-            let Some(pick) = sched.admit_pick(&view, self.clock, &self.cfg.slo) else {
+            let Some(pick) = sched.admit_pick(&view, self.clock, &slo) else {
                 break;
             };
             let Some(waiting) = self.queue.get(pick) else {
@@ -705,35 +675,11 @@ impl ServerSim {
             // pool untouched on failure, so breaking to wait for
             // completions is always safe.
             let mut refilled_tokens = 0usize;
-            let mut recompute_spilled = false;
             let mut shared_tokens = 0usize;
             if spilled {
-                let refill = self.cfg.tier.map_or(RefillPolicy::Transfer, |t| t.refill);
-                match refill {
-                    RefillPolicy::Transfer => {
-                        match self.retry_evicting_parked(None, |b| b.refill_seq(picked_id)) {
-                            Ok(mv) => refilled_tokens = mv.tokens,
-                            Err(_) => break, // No L1 room; wait for completions.
-                        }
-                    }
-                    RefillPolicy::Recompute => {
-                        // Discard the spilled copy and re-register for a
-                        // full recompute.
-                        if self.blocks.free_seq(picked_id).is_err() {
-                            break;
-                        }
-                        let fresh = self
-                            .retry_evicting_parked(None, |b| b.register_seq(picked_id, retained));
-                        if fresh.is_err() {
-                            // Its blocks are gone: future admissions go
-                            // through the plain recompute path.
-                            if let Some(wm) = self.queue.get_mut(pick) {
-                                wm.spilled = false;
-                            }
-                            break;
-                        }
-                        recompute_spilled = true;
-                    }
+                match self.retry_evicting_parked(None, |b| b.refill_seq(picked_id)) {
+                    Ok(mv) => refilled_tokens = mv.tokens,
+                    Err(_) => break, // No L1 room; wait for completions.
                 }
             } else if self.cfg.prefix_sharing
                 && session.map_or(false, |s| s.carried_tokens > 0)
@@ -746,14 +692,9 @@ impl ServerSim {
                 // on residency.
                 let sid = session.map_or(0, |s| s.session);
                 let carried = session.map_or(0, |s| s.carried_tokens);
-                let shareable = carried.min(retained) / self.cfg.block_tokens;
-                let hashes = session_hash_chain(
-                    prefix_group,
-                    prefix_len,
-                    sid,
-                    self.cfg.block_tokens,
-                    shareable,
-                );
+                let shareable = carried.min(retained) / BLOCK_TOKENS;
+                let hashes =
+                    session_hash_chain(prefix_group, prefix_len, sid, BLOCK_TOKENS, shareable);
                 let shared = self.retry_evicting_parked(Some(sid), |b| {
                     b.register_seq_shared(picked_id, retained, &hashes)
                 });
@@ -769,8 +710,8 @@ impl ServerSim {
                 // sequence re-shares them on re-admission just like a
                 // fresh one. Only whole blocks that survive the retention
                 // cap are shareable.
-                let shareable = prefix_len.min(retained) / self.cfg.block_tokens;
-                let hashes = prefix_hash_chain(prefix_group, self.cfg.block_tokens, shareable);
+                let shareable = prefix_len.min(retained) / BLOCK_TOKENS;
+                let hashes = prefix_hash_chain(prefix_group, BLOCK_TOKENS, shareable);
                 let shared = self.retry_evicting_parked(None, |b| {
                     b.register_seq_shared(picked_id, retained, &hashes)
                 });
@@ -795,17 +736,10 @@ impl ServerSim {
                 Some(q) => q,
                 None => self.clock.since(arrival),
             };
-            let cost = if spilled && !recompute_spilled {
+            let cost = if spilled {
                 // Refill DMA: the spilled blocks stream back over PCIe.
-                match self.cfg.tier {
-                    Some(t) => self.dep.kv_transfer_time(
-                        &self.algo,
-                        refilled_tokens,
-                        t.pcie_gbs,
-                        t.transfer_latency_s,
-                    ),
-                    None => 0.0, // Unreachable: sequences spill only with a tier.
-                }
+                self.dep
+                    .kv_transfer_time(&self.algo, refilled_tokens, PCIE_GBS, TRANSFER_LATENCY_S)
             } else if w.generated == 0 {
                 // Shared prefix KV is already resident — prefill covers
                 // only the private remainder.
@@ -938,7 +872,7 @@ impl ServerSim {
                 slo_ok: false,
                 session: r.req.session,
             };
-            done.slo_ok = self.cfg.slo.target(done.slo).met(done.ttft_s, done.tbot_s());
+            done.slo_ok = slo.target(done.slo).met(done.ttft_s, done.tbot_s());
             self.completed.push(done);
         }
         finished.clear();
@@ -1044,7 +978,6 @@ mod tests {
         let unbounded = mk(CompressionConfig::SnapKv(rkvc_kvcache::SnapKvParams {
             budget: usize::MAX,
             obs_window: 1,
-            kernel: 1,
         }));
         assert_eq!(unbounded, fp16);
     }
@@ -1077,85 +1010,48 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_zero_fields() {
-        let bad_block = ServingConfig {
-            block_tokens: 0,
-            ..ServingConfig::default()
-        };
-        assert_eq!(bad_block.validate(), Err(ConfigError::ZeroBlockTokens));
         let bad_batch = ServingConfig {
             max_batch: 0,
             ..ServingConfig::default()
         };
         assert_eq!(bad_batch.validate(), Err(ConfigError::ZeroMaxBatch));
+        assert!(ServerSim::with_config(0, dep(), CompressionConfig::Fp16, bad_batch).is_err());
         let bad_pool = ServingConfig {
             pool_tokens: Some(0),
             ..ServingConfig::default()
         };
         assert_eq!(bad_pool.validate(), Err(ConfigError::ZeroPoolTokens));
         assert!(ServingConfig::default().validate().is_ok());
-        assert!(ServerSim::with_config(0, dep(), CompressionConfig::Fp16, bad_block).is_err());
         let bad_tier = ServingConfig {
-            tier: Some(TierConfig {
-                l2_blocks: 0,
-                ..TierConfig::default()
-            }),
+            tier: Some(0),
             ..ServingConfig::default()
         };
         assert_eq!(bad_tier.validate(), Err(ConfigError::ZeroL2Blocks));
-        let bad_link = ServingConfig {
-            tier: Some(TierConfig {
-                pcie_gbs: 0.0,
-                ..TierConfig::default()
-            }),
-            ..ServingConfig::default()
-        };
-        assert_eq!(bad_link.validate(), Err(ConfigError::BadLinkBandwidth));
-        let bad_latency = ServingConfig {
-            tier: Some(TierConfig {
-                transfer_latency_s: f64::NAN,
-                ..TierConfig::default()
-            }),
-            ..ServingConfig::default()
-        };
-        assert_eq!(bad_latency.validate(), Err(ConfigError::BadLinkLatency));
         let good_tier = ServingConfig {
-            tier: Some(TierConfig::default()),
+            tier: Some(1),
             ..ServingConfig::default()
         };
         assert!(good_tier.validate().is_ok());
-        let mut bad_slo = ServingConfig::default();
-        bad_slo.slo.interactive.ttft_s = 0.0;
-        assert_eq!(bad_slo.validate(), Err(ConfigError::BadSloTarget));
-        let mut nan_slo = ServingConfig::default();
-        nan_slo.slo.batch.tbt_s = f64::NAN;
-        assert_eq!(nan_slo.validate(), Err(ConfigError::BadSloTarget));
     }
 
     #[test]
-    fn block_tokens_is_configurable_and_defaults_to_sixteen() {
-        let d = dep();
-        let default = ServerSim::new(0, d.clone(), CompressionConfig::Fp16, 4);
-        assert_eq!(default.config().block_tokens, 16);
-        let coarse = ServerSim::with_config(
+    fn pinned_pool_is_cut_into_sixteen_token_blocks() {
+        let mut s = ServerSim::with_config(
             0,
-            d,
+            dep(),
             CompressionConfig::Fp16,
             ServingConfig {
                 max_batch: 4,
-                block_tokens: 64,
                 pool_tokens: Some(4096),
-                scheduler: SchedulerConfig::Fcfs,
                 ..ServingConfig::default()
             },
         )
         .expect("valid config");
-        assert_eq!(coarse.config().block_tokens, 64);
-        // 4096 tokens / 64-token blocks = 64 blocks; one 65-token prompt
-        // spans two blocks, so utilization is 2/64.
-        let mut coarse = coarse;
-        coarse.enqueue(SimRequest::new(0, 0.0, 65, 8));
-        coarse.iteration();
-        assert!((coarse.memory_utilization() - 2.0 / 64.0).abs() < 1e-12);
+        // 4096 tokens / 16-token blocks = 256 blocks; one 65-token prompt
+        // spans five blocks, so utilization is 5/256.
+        s.enqueue(SimRequest::new(0, 0.0, 65, 8));
+        s.iteration();
+        assert!((s.memory_utilization() - 5.0 / 256.0).abs() < 1e-12);
     }
 
     #[test]

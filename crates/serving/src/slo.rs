@@ -3,8 +3,7 @@
 //! Production traffic is not homogeneous: an interactive chat turn has a
 //! tight time-to-first-token budget, a background summarization job does
 //! not. This module gives every request an [`SloClass`] with per-class
-//! TTFT/TBT targets ([`SloTargets`], validated by
-//! [`ServingConfig::validate`](crate::ServingConfig::validate)), and an
+//! TTFT/TBT targets (the one [`SloTargets::default`] table), and an
 //! [`SloPolicy`] knob that switches the SPF and preemptive schedulers
 //! between their SLO-blind orderings (the bitwise oracles) and
 //! deadline-slack / class-aware variants.
@@ -80,20 +79,12 @@ impl SloTarget {
     pub fn met(&self, ttft_s: f64, tbot_s: f64) -> bool {
         ttft_s <= self.ttft_s && tbot_s <= self.tbt_s
     }
-
-    fn valid(&self) -> bool {
-        self.ttft_s > 0.0
-            && self.ttft_s.is_finite()
-            && self.tbt_s > 0.0
-            && self.tbt_s.is_finite()
-    }
 }
 
 rkvc_tensor::json_struct!(SloTarget { ttft_s, tbt_s });
 
-/// Per-class latency targets, validated by
-/// [`ServingConfig::validate`](crate::ServingConfig::validate): every
-/// target must be positive and finite.
+/// Per-class latency targets. Every server scores and schedules against
+/// the one [`SloTargets::default`] table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloTargets {
     /// Targets for [`SloClass::Interactive`].
@@ -139,11 +130,6 @@ impl SloTargets {
     /// `arrival_s`: the instant its first token must be out.
     pub fn ttft_deadline(&self, class: SloClass, arrival_s: f64) -> f64 {
         arrival_s + self.target(class).ttft_s
-    }
-
-    /// Whether every per-class target is positive and finite.
-    pub(crate) fn valid(&self) -> bool {
-        self.interactive.valid() && self.standard.valid() && self.batch.valid()
     }
 }
 
@@ -216,9 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn default_targets_are_ordered_and_valid() {
+    fn default_targets_are_ordered_and_positive() {
         let t = SloTargets::default();
-        assert!(t.valid());
+        for class in SloClass::all() {
+            let target = t.target(class);
+            assert!(target.ttft_s > 0.0 && target.ttft_s.is_finite());
+            assert!(target.tbt_s > 0.0 && target.tbt_s.is_finite());
+        }
         assert!(t.interactive.ttft_s < t.standard.ttft_s);
         assert!(t.standard.ttft_s < t.batch.ttft_s);
         assert!(t.ttft_deadline(SloClass::Interactive, 1.0) > 1.0);

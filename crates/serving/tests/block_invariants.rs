@@ -10,7 +10,7 @@ use rkvc_gpu::{DeploymentSpec, EngineKind, GpuSpec, LlmSpec};
 use rkvc_kvcache::CompressionConfig;
 use rkvc_serving::{
     prefix_hash_chain, BlockManager, BlockTier, BlockView, CompletedRequest, SchedulerConfig,
-    ServerSim, ServingConfig, SimRequest, TierConfig,
+    ServerSim, ServingConfig, SimRequest,
 };
 use rkvc_tensor::par;
 
@@ -373,10 +373,7 @@ rkvc_tensor::det_cases! {
                 pool_tokens: Some(pool),
                 scheduler: SchedulerConfig::Preemptive,
                 prefix_sharing: true,
-                tier: Some(TierConfig {
-                    l2_blocks: 96,
-                    ..TierConfig::default()
-                }),
+                tier: Some(96),
                 ..ServingConfig::default()
             };
             let mut s = ServerSim::with_config(0, dep(), CompressionConfig::Fp16, cfg)

@@ -210,7 +210,6 @@ rkvc_tensor::det_cases! {
         let cfg = FleetConfig {
             replicas: rng.gen_range(1usize..=4),
             sharding,
-            epoch_s: rng.gen_range(0.25..3.0),
             serving: ServingConfig {
                 max_batch: rng.gen_range(1usize..=8),
                 pool_tokens: Some(8192),
@@ -257,7 +256,6 @@ fn duplicate_id_across_replicas_lists_the_lower_replica_first() {
     let cfg = FleetConfig {
         replicas: 2,
         sharding: ShardPolicy::RoundRobin,
-        epoch_s: 1.0,
         serving: ServingConfig {
             max_batch: 4,
             pool_tokens: Some(8192),
@@ -276,7 +274,7 @@ fn duplicate_id_across_replicas_lists_the_lower_replica_first() {
     assert_eq!(order, [(3, 0), (7, 0), (7, 1)]);
     let finish = |c: &CompletedRequest| c.arrival_s + c.e2e_s;
     // The planted premise: replica 1 finished its copy an epoch earlier.
-    assert!(finish(&out.completed[2]) + 1.0 < finish(&out.completed[1]));
+    assert!(finish(&out.completed[2]) + FleetConfig::EPOCH_S < finish(&out.completed[1]));
 }
 
 /// Many copies of two ids on one replica, one at a time (batch width 1),
@@ -288,7 +286,6 @@ fn duplicate_ids_on_one_replica_keep_their_completion_order() {
     let cfg = FleetConfig {
         replicas: 1,
         sharding: ShardPolicy::RoundRobin,
-        epoch_s: 0.5,
         serving: ServingConfig {
             max_batch: 1,
             pool_tokens: Some(8192),

@@ -15,7 +15,7 @@
 //! class mix (so goodput is measurable), all deterministic per seed.
 
 use rkvc_serving::{SimRequest, SloClass};
-use rkvc_tensor::det::{Exp, LogNormal};
+use rkvc_tensor::det::{Exp, LogNormal, SeededRng};
 use rkvc_tensor::seeded_rng;
 
 /// Instantaneous arrival-rate shape `λ(t)` in requests/second.
@@ -123,62 +123,58 @@ impl ArrivalPattern {
     }
 }
 
-/// Configuration for the fleet-scale request sampler.
+/// Distinct shared system prompts (prefix groups) in a fleet stream.
+/// Sixteen keeps every prompt's traffic frequent enough that its shared
+/// blocks stay resident on whichever replica owns it — the regime where
+/// sharding policy decides whether dedup survives.
+const N_GROUPS: usize = 16;
+
+/// Tokens in each shared prefix.
+const PREFIX_LEN: usize = 256;
+
+/// Log-normal `(mu, sigma)` of the private suffix length: median ~96.
+const SUFFIX_LOG: (f64, f64) = (4.56, 0.5);
+
+/// Suffix length clamp (min, max).
+const SUFFIX_CLAMP: (usize, usize) = (16, 512);
+
+/// Log-normal `(mu, sigma)` of the response length: median ~48.
+const RESPONSE_LOG: (f64, f64) = (3.87, 0.5);
+
+/// Response length clamp (min, max).
+const RESPONSE_CLAMP: (usize, usize) = (8, 160);
+
+/// Draws an SLO class from the 2:1:1 interactive/standard/batch mix of
+/// the fleet and session samplers.
+pub(crate) fn draw_slo_class(rng: &mut SeededRng) -> SloClass {
+    match rng.gen_range(0..4usize) {
+        0 | 1 => SloClass::Interactive,
+        2 => SloClass::Standard,
+        _ => SloClass::Batch,
+    }
+}
+
+/// Configuration for the fleet-scale request sampler: a fleet-sized
+/// assistant service with 16 system prompts of 256 tokens, suffix median
+/// ~96, response median ~48 and a 2:1:1 class mix — small enough
+/// per-request footprints that a single replica holds dozens, so offered
+/// load (not memory) is the binding constraint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetWorkloadConfig {
     /// Requests to draw.
     pub n_requests: usize,
     /// Arrival-rate shape.
     pub pattern: ArrivalPattern,
-    /// Distinct shared system prompts (prefix groups).
-    pub n_groups: usize,
-    /// Tokens in each shared prefix.
-    pub prefix_len: usize,
-    /// Log-normal `mu` of the private suffix length.
-    pub suffix_log_mean: f64,
-    /// Log-normal `sigma` of the suffix length.
-    pub suffix_log_std: f64,
-    /// Suffix length clamp (min, max).
-    pub suffix_clamp: (usize, usize),
-    /// Log-normal `mu` of the response length.
-    pub response_log_mean: f64,
-    /// Log-normal `sigma` of the response length.
-    pub response_log_std: f64,
-    /// Response length clamp (min, max).
-    pub response_clamp: (usize, usize),
-    /// Weight of [`SloClass::Interactive`] in the class draw.
-    pub interactive_weight: u32,
-    /// Weight of [`SloClass::Standard`].
-    pub standard_weight: u32,
-    /// Weight of [`SloClass::Batch`].
-    pub batch_weight: u32,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl FleetWorkloadConfig {
-    /// A fleet-sized assistant service: 16 system prompts of 256 tokens,
-    /// suffix median ~96, response median ~48, a 2:1:1 class mix — small
-    /// enough per-request footprints that a single replica holds dozens,
-    /// so offered load (not memory) is the binding constraint. Sixteen
-    /// groups keeps every prompt's traffic frequent enough that its shared
-    /// blocks stay resident on whichever replica owns it — the regime
-    /// where sharding policy decides whether dedup survives.
+    /// `n_requests` of the assistant service arriving by `pattern`.
     pub fn assistants(n_requests: usize, pattern: ArrivalPattern, seed: u64) -> Self {
         FleetWorkloadConfig {
             n_requests,
             pattern,
-            n_groups: 16,
-            prefix_len: 256,
-            suffix_log_mean: 4.56, // median ~96
-            suffix_log_std: 0.5,
-            suffix_clamp: (16, 512),
-            response_log_mean: 3.87, // median ~48
-            response_log_std: 0.5,
-            response_clamp: (8, 160),
-            interactive_weight: 2,
-            standard_weight: 1,
-            batch_weight: 1,
             seed,
         }
     }
@@ -187,26 +183,11 @@ impl FleetWorkloadConfig {
     ///
     /// # Errors
     ///
-    /// [`FleetWorkloadError`] naming the offending field.
+    /// [`FleetWorkloadError::BadPattern`] if the pattern fails
+    /// [`ArrivalPattern::valid`].
     pub fn validate(&self) -> Result<(), FleetWorkloadError> {
         if !self.pattern.valid() {
             return Err(FleetWorkloadError::BadPattern);
-        }
-        for (mu, sigma) in [
-            (self.suffix_log_mean, self.suffix_log_std),
-            (self.response_log_mean, self.response_log_std),
-        ] {
-            if LogNormal::new(mu, sigma).is_err() {
-                return Err(FleetWorkloadError::BadLengthDistribution);
-            }
-        }
-        if self.suffix_clamp.0 > self.suffix_clamp.1
-            || self.response_clamp.0 > self.response_clamp.1
-        {
-            return Err(FleetWorkloadError::InvertedClamp);
-        }
-        if self.prefix_len.checked_add(self.suffix_clamp.1).is_none() {
-            return Err(FleetWorkloadError::PromptOverflow);
         }
         Ok(())
     }
@@ -217,13 +198,6 @@ impl FleetWorkloadConfig {
 pub enum FleetWorkloadError {
     /// The arrival pattern fails [`ArrivalPattern::valid`].
     BadPattern,
-    /// A length log-normal has a non-finite `mu`, or a `sigma` that is
-    /// negative or non-finite.
-    BadLengthDistribution,
-    /// A length clamp's minimum exceeds its maximum.
-    InvertedClamp,
-    /// `prefix_len` plus the longest suffix overflows `usize`.
-    PromptOverflow,
     /// The `n_requests`-long stream cannot be allocated.
     TooManyRequests,
     /// The arrival clock left the finite range before the stream was full
@@ -237,11 +211,6 @@ impl std::fmt::Display for FleetWorkloadError {
             FleetWorkloadError::BadPattern => {
                 "arrival pattern rates, period or fraction are invalid"
             }
-            FleetWorkloadError::BadLengthDistribution => {
-                "length log-normals need a finite mu and a finite sigma >= 0"
-            }
-            FleetWorkloadError::InvertedClamp => "a length clamp's minimum exceeds its maximum",
-            FleetWorkloadError::PromptOverflow => "prefix_len plus the longest suffix overflows",
             FleetWorkloadError::TooManyRequests => "n_requests does not fit in memory",
             FleetWorkloadError::ArrivalOverflow => "arrival times overflowed before n_requests",
         })
@@ -277,22 +246,20 @@ impl std::error::Error for FleetWorkloadError {}
 pub fn sample_fleet(cfg: &FleetWorkloadConfig) -> Result<Vec<SimRequest>, FleetWorkloadError> {
     cfg.validate()?;
     let mut rng = seeded_rng(cfg.seed);
-    let bad_lengths = |_| FleetWorkloadError::BadLengthDistribution;
-    let mut suffix_dist =
-        LogNormal::new(cfg.suffix_log_mean, cfg.suffix_log_std).map_err(bad_lengths)?;
-    let mut resp_dist =
-        LogNormal::new(cfg.response_log_mean, cfg.response_log_std).map_err(bad_lengths)?;
     let peak = cfg.pattern.peak_rate();
-    let mut envelope = Exp::new(peak).map_err(|_| FleetWorkloadError::BadPattern)?;
+    // Every distribution here constructs: the envelope's rate comes from a
+    // pattern `validate` accepted, and the length log-normals are constants.
+    let draws = (
+        LogNormal::new(SUFFIX_LOG.0, SUFFIX_LOG.1),
+        LogNormal::new(RESPONSE_LOG.0, RESPONSE_LOG.1),
+        Exp::new(peak),
+    );
+    let (Ok(mut suffix_dist), Ok(mut resp_dist), Ok(mut envelope)) = draws else {
+        return Err(FleetWorkloadError::BadPattern);
+    };
     let mut out = Vec::new();
     out.try_reserve_exact(cfg.n_requests)
         .map_err(|_| FleetWorkloadError::TooManyRequests)?;
-    let weights = [
-        (SloClass::Interactive, cfg.interactive_weight as u64),
-        (SloClass::Standard, cfg.standard_weight as u64),
-        (SloClass::Batch, cfg.batch_weight as u64),
-    ];
-    let total_weight: u64 = weights.iter().map(|(_, w)| *w).sum::<u64>().max(1);
 
     let mut t = 0.0f64;
     while out.len() < cfg.n_requests {
@@ -306,23 +273,15 @@ pub fn sample_fleet(cfg: &FleetWorkloadConfig) -> Result<Vec<SimRequest>, FleetW
             continue;
         }
         let id = out.len() as u64;
-        let group = rng.gen_range(0..cfg.n_groups.max(1)) as u64;
-        let suffix_len = (suffix_dist.sample(&mut rng) as usize)
-            .clamp(cfg.suffix_clamp.0, cfg.suffix_clamp.1);
-        let response_len = (resp_dist.sample(&mut rng) as usize)
-            .clamp(cfg.response_clamp.0, cfg.response_clamp.1);
-        let mut draw = rng.gen_range(0..total_weight as usize) as u64;
-        let mut slo = SloClass::Standard;
-        for (class, w) in weights {
-            if draw < w {
-                slo = class;
-                break;
-            }
-            draw -= w;
-        }
+        let group = rng.gen_range(0..N_GROUPS) as u64;
+        let suffix_len =
+            (suffix_dist.sample(&mut rng) as usize).clamp(SUFFIX_CLAMP.0, SUFFIX_CLAMP.1);
+        let response_len =
+            (resp_dist.sample(&mut rng) as usize).clamp(RESPONSE_CLAMP.0, RESPONSE_CLAMP.1);
+        let slo = draw_slo_class(&mut rng);
         out.push(
-            SimRequest::new(id, t, cfg.prefix_len + suffix_len, response_len)
-                .with_shared_prefix(group, cfg.prefix_len)
+            SimRequest::new(id, t, PREFIX_LEN + suffix_len, response_len)
+                .with_shared_prefix(group, PREFIX_LEN)
                 .with_slo(slo),
         );
     }
@@ -332,17 +291,6 @@ pub fn sample_fleet(cfg: &FleetWorkloadConfig) -> Result<Vec<SimRequest>, FleetW
 rkvc_tensor::json_struct!(FleetWorkloadConfig {
     n_requests,
     pattern,
-    n_groups,
-    prefix_len,
-    suffix_log_mean,
-    suffix_log_std,
-    suffix_clamp,
-    response_log_mean,
-    response_log_std,
-    response_clamp,
-    interactive_weight,
-    standard_weight,
-    batch_weight,
     seed,
 });
 
@@ -480,8 +428,8 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
         for (i, r) in a.iter().enumerate() {
             assert_eq!(r.id, i as u64);
-            assert_eq!(r.prefix_len, cfg.prefix_len);
-            assert!((r.prefix_group as usize) < cfg.n_groups);
+            assert_eq!(r.prefix_len, PREFIX_LEN);
+            assert!((r.prefix_group as usize) < N_GROUPS);
             assert!(r.prompt_len > r.prefix_len);
         }
         // The 2:1:1 mix puts every class on the floor at this n.
@@ -552,10 +500,6 @@ mod tests {
         ])
     }
 
-    fn any_len(rng: &mut rkvc_tensor::det::SeededRng) -> usize {
-        *rng.choose(&[0, 1, 16, 300, usize::MAX])
-    }
-
     /// `sane`, or with probability 1/8 a draw from `hostile`: most configs
     /// break one or two fields, and some break none.
     fn or_hostile<T>(
@@ -571,11 +515,11 @@ mod tests {
     }
 
     rkvc_tensor::det_cases! {
-        /// Whatever the config, `sample_fleet` returns instead of
-        /// panicking: `Err` exactly when `validate` rejects it (or the
-        /// stream cannot be allocated or timed), else a stream of the asked
-        /// length whose arrivals are finite and sorted and whose lengths
-        /// respect the clamps.
+        /// Whatever the pattern and length, `sample_fleet` returns instead
+        /// of panicking: `Err` exactly when `validate` rejects the config
+        /// (or the stream cannot be allocated or timed), else a stream of
+        /// the asked length whose arrivals are finite and sorted and whose
+        /// lengths respect the clamps.
         fn hostile_fleet_configs_return_errors_not_panics(rng, cases = 256) {
             let (a, b, c, d) = (
                 or_hostile(rng, 4.0, any_f64),
@@ -594,19 +538,7 @@ mod tests {
                 },
             };
             let n = or_hostile(rng, 60, |rng| *rng.choose(&[0, 1, usize::MAX, 1 << 60]));
-            let mut cfg = FleetWorkloadConfig::assistants(n, pattern, rng.next_u64());
-            cfg.n_groups = or_hostile(rng, 16, |rng| *rng.choose(&[0, 1]));
-            cfg.prefix_len = or_hostile(rng, 256, any_len);
-            cfg.suffix_log_mean = or_hostile(rng, 4.56, any_f64);
-            cfg.suffix_log_std = or_hostile(rng, 0.5, any_f64);
-            cfg.suffix_clamp = (or_hostile(rng, 16, any_len), or_hostile(rng, 512, any_len));
-            cfg.response_log_mean = or_hostile(rng, 3.87, any_f64);
-            cfg.response_log_std = or_hostile(rng, 0.5, any_f64);
-            cfg.response_clamp = (or_hostile(rng, 8, any_len), or_hostile(rng, 160, any_len));
-            let weight = |rng: &mut rkvc_tensor::det::SeededRng| *rng.choose(&[0, u32::MAX]);
-            cfg.interactive_weight = or_hostile(rng, 2, weight);
-            cfg.standard_weight = or_hostile(rng, 1, weight);
-            cfg.batch_weight = or_hostile(rng, 1, weight);
+            let cfg = FleetWorkloadConfig::assistants(n, pattern, rng.next_u64());
             match sample_fleet(&cfg) {
                 Err(e) => assert!(
                     cfg.validate().is_err()
@@ -623,10 +555,9 @@ mod tests {
                     assert!(reqs.iter().all(|r| r.arrival_s.is_finite()));
                     assert!(reqs.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
                     for r in &reqs {
-                        let suffix = r.prompt_len - cfg.prefix_len;
-                        assert!((cfg.suffix_clamp.0..=cfg.suffix_clamp.1).contains(&suffix));
-                        let resp = cfg.response_clamp;
-                        assert!((resp.0..=resp.1).contains(&r.response_len));
+                        let suffix = r.prompt_len - PREFIX_LEN;
+                        assert!((SUFFIX_CLAMP.0..=SUFFIX_CLAMP.1).contains(&suffix));
+                        assert!((RESPONSE_CLAMP.0..=RESPONSE_CLAMP.1).contains(&r.response_len));
                     }
                 }
             }
@@ -640,45 +571,10 @@ mod tests {
         let cases = [
             (
                 FleetWorkloadConfig {
-                    suffix_clamp: (512, 16),
-                    ..ok
-                },
-                FleetWorkloadError::InvertedClamp,
-            ),
-            (
-                FleetWorkloadConfig {
-                    response_clamp: (9, 8),
-                    ..ok
-                },
-                FleetWorkloadError::InvertedClamp,
-            ),
-            (
-                FleetWorkloadConfig {
-                    suffix_log_std: -0.5,
-                    ..ok
-                },
-                FleetWorkloadError::BadLengthDistribution,
-            ),
-            (
-                FleetWorkloadConfig {
-                    response_log_std: f64::NAN,
-                    ..ok
-                },
-                FleetWorkloadError::BadLengthDistribution,
-            ),
-            (
-                FleetWorkloadConfig {
                     pattern: ArrivalPattern::Uniform { rps: 0.0 },
                     ..ok
                 },
                 FleetWorkloadError::BadPattern,
-            ),
-            (
-                FleetWorkloadConfig {
-                    prefix_len: usize::MAX,
-                    ..ok
-                },
-                FleetWorkloadError::PromptOverflow,
             ),
             (
                 FleetWorkloadConfig {

@@ -8,61 +8,54 @@
 //! measurable — a prefix-sharing KV pool stores each system prompt once,
 //! while a flat pool pays for it per request.
 //!
-//! [`sample_shared_prefix`] draws that traffic shape: `n_groups` system
-//! prompts of `prefix_len` tokens, Poisson arrivals, each request assigned
-//! a group uniformly and given log-normal suffix/response lengths. The
+//! [`sample_shared_prefix`] draws that traffic shape: four system prompts
+//! of 1024 tokens, Poisson arrivals, each request assigned a group
+//! uniformly and given log-normal suffix/response lengths. The
 //! serving layer consumes the `(group, prefix_len)` annotation via
 //! `SimRequest::with_shared_prefix`.
 
 use rkvc_tensor::det::{Exp, LogNormal};
 use rkvc_tensor::seeded_rng;
 
-/// Configuration for the shared-prefix sampler.
+/// Distinct system prompts (prefix groups).
+const N_GROUPS: usize = 4;
+
+/// Tokens in each shared system prompt.
+const PREFIX_LEN: usize = 1024;
+
+/// Log-normal `(mu, sigma)` of the user-specific suffix length: median
+/// ~128.
+const SUFFIX_LOG: (f64, f64) = (4.85, 0.6);
+
+/// Suffix length clamp (min, max).
+const SUFFIX_CLAMP: (usize, usize) = (16, 1024);
+
+/// Log-normal `(mu, sigma)` of the response length: median ~96.
+const RESPONSE_LOG: (f64, f64) = (4.56, 0.5);
+
+/// Response length clamp (min, max).
+const RESPONSE_CLAMP: (usize, usize) = (8, 256);
+
+/// Mean arrival rate (requests/second) of the Poisson process.
+const ARRIVAL_RPS: f64 = 10.0;
+
+/// Configuration for the shared-prefix sampler: a multi-assistant chat
+/// service with four 1024-token system prompts, suffix median ~128 tokens
+/// and response median ~96 — the prefix dominates each request's KV
+/// footprint, so sharing it is the difference between fitting a handful
+/// of sequences and dozens.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedPrefixConfig {
     /// Number of requests to draw.
     pub n_requests: usize,
-    /// Number of distinct system prompts (prefix groups).
-    pub n_groups: usize,
-    /// Tokens in each shared system prompt.
-    pub prefix_len: usize,
-    /// Log-normal `mu` of the user-specific suffix length.
-    pub suffix_log_mean: f64,
-    /// Log-normal `sigma` of the suffix length.
-    pub suffix_log_std: f64,
-    /// Suffix length clamp (min, max).
-    pub suffix_clamp: (usize, usize),
-    /// Log-normal `mu` of the response length.
-    pub response_log_mean: f64,
-    /// Log-normal `sigma` of the response length.
-    pub response_log_std: f64,
-    /// Response length clamp (min, max).
-    pub response_clamp: (usize, usize),
-    /// Mean arrival rate (requests/second) for the Poisson process.
-    pub arrival_rps: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl SharedPrefixConfig {
-    /// A multi-assistant chat service: four 1024-token system prompts,
-    /// suffix median ~128 tokens, response median ~96 — the prefix
-    /// dominates each request's KV footprint, so sharing it is the
-    /// difference between fitting a handful of sequences and dozens.
+    /// `n_requests` of the assistant service.
     pub fn assistants(n_requests: usize, seed: u64) -> Self {
-        SharedPrefixConfig {
-            n_requests,
-            n_groups: 4,
-            prefix_len: 1024,
-            suffix_log_mean: 4.85, // median ~128
-            suffix_log_std: 0.6,
-            suffix_clamp: (16, 1024),
-            response_log_mean: 4.56, // median ~96
-            response_log_std: 0.5,
-            response_clamp: (8, 256),
-            arrival_rps: 10.0,
-            seed,
-        }
+        SharedPrefixConfig { n_requests, seed }
     }
 }
 
@@ -105,26 +98,26 @@ impl PrefixRequest {
 /// ```
 pub fn sample_shared_prefix(cfg: &SharedPrefixConfig) -> Vec<PrefixRequest> {
     let mut rng = seeded_rng(cfg.seed);
-    let mut suffix_dist = LogNormal::new(cfg.suffix_log_mean, cfg.suffix_log_std)
+    let mut suffix_dist = LogNormal::new(SUFFIX_LOG.0, SUFFIX_LOG.1)
         .expect("valid log-normal parameters");
-    let mut resp_dist = LogNormal::new(cfg.response_log_mean, cfg.response_log_std)
+    let mut resp_dist = LogNormal::new(RESPONSE_LOG.0, RESPONSE_LOG.1)
         .expect("valid log-normal parameters");
-    let mut interarrival = Exp::new(cfg.arrival_rps).expect("positive rate");
+    let mut interarrival = Exp::new(ARRIVAL_RPS).expect("positive rate");
 
     let mut t = 0.0f64;
     (0..cfg.n_requests)
         .map(|id| {
             t += interarrival.sample(&mut rng);
-            let group = rng.gen_range(0..cfg.n_groups.max(1)) as u64;
-            let suffix_len = (suffix_dist.sample(&mut rng) as usize)
-                .clamp(cfg.suffix_clamp.0, cfg.suffix_clamp.1);
-            let response_len = (resp_dist.sample(&mut rng) as usize)
-                .clamp(cfg.response_clamp.0, cfg.response_clamp.1);
+            let group = rng.gen_range(0..N_GROUPS) as u64;
+            let suffix_len =
+                (suffix_dist.sample(&mut rng) as usize).clamp(SUFFIX_CLAMP.0, SUFFIX_CLAMP.1);
+            let response_len =
+                (resp_dist.sample(&mut rng) as usize).clamp(RESPONSE_CLAMP.0, RESPONSE_CLAMP.1);
             PrefixRequest {
                 id,
                 arrival_s: t,
                 group,
-                prefix_len: cfg.prefix_len,
+                prefix_len: PREFIX_LEN,
                 suffix_len,
                 response_len,
             }
@@ -132,19 +125,7 @@ pub fn sample_shared_prefix(cfg: &SharedPrefixConfig) -> Vec<PrefixRequest> {
         .collect()
 }
 
-rkvc_tensor::json_struct!(SharedPrefixConfig {
-    n_requests,
-    n_groups,
-    prefix_len,
-    suffix_log_mean,
-    suffix_log_std,
-    suffix_clamp,
-    response_log_mean,
-    response_log_std,
-    response_clamp,
-    arrival_rps,
-    seed,
-});
+rkvc_tensor::json_struct!(SharedPrefixConfig { n_requests, seed });
 rkvc_tensor::json_struct!(PrefixRequest {
     id,
     arrival_s,
@@ -169,14 +150,13 @@ mod tests {
 
     #[test]
     fn arrivals_increase_and_lengths_respect_clamps() {
-        let cfg = SharedPrefixConfig::assistants(100, 9);
-        let reqs = sample_shared_prefix(&cfg);
+        let reqs = sample_shared_prefix(&SharedPrefixConfig::assistants(100, 9));
         assert!(reqs.windows(2).all(|w| w[0].arrival_s < w[1].arrival_s));
         for r in &reqs {
-            assert!((cfg.suffix_clamp.0..=cfg.suffix_clamp.1).contains(&r.suffix_len));
-            assert!((cfg.response_clamp.0..=cfg.response_clamp.1).contains(&r.response_len));
+            assert!((SUFFIX_CLAMP.0..=SUFFIX_CLAMP.1).contains(&r.suffix_len));
+            assert!((RESPONSE_CLAMP.0..=RESPONSE_CLAMP.1).contains(&r.response_len));
             assert_eq!(r.prompt_len(), r.prefix_len + r.suffix_len);
-            assert!((r.group as usize) < cfg.n_groups);
+            assert!((r.group as usize) < N_GROUPS);
         }
     }
 

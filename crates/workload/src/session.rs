@@ -13,7 +13,7 @@
 //!
 //! [`sample_sessions`] draws the static shape deterministically: Poisson
 //! session starts, geometric turn counts, a shared system prompt per
-//! session (uniform over `n_groups`), log-normal user/response lengths per
+//! session (uniform over four), log-normal user/response lengths per
 //! turn, log-normal think-time gaps between turns, and an
 //! [`SloClass`] per session from a weighted mix (a conversation keeps one
 //! latency class for its whole lifetime). Only the *timing* of turns
@@ -24,7 +24,37 @@ use rkvc_serving::{CompletedRequest, SessionRef, SimRequest, SloClass};
 use rkvc_tensor::det::{Exp, LogNormal};
 use rkvc_tensor::seeded_rng;
 
-/// Configuration for the multi-turn session sampler.
+use crate::arrivals::draw_slo_class;
+
+/// Distinct system prompts (prefix groups).
+const N_GROUPS: usize = 4;
+
+/// Tokens in each shared system prompt.
+const PREFIX_LEN: usize = 512;
+
+/// Log-normal `(mu, sigma)` of each user turn's length: median ~64.
+const USER_LOG: (f64, f64) = (4.16, 0.5);
+
+/// User turn length clamp (min, max).
+const USER_CLAMP: (usize, usize) = (16, 256);
+
+/// Log-normal `(mu, sigma)` of the response length: median ~96.
+const RESPONSE_LOG: (f64, f64) = (4.56, 0.5);
+
+/// Response length clamp (min, max).
+const RESPONSE_CLAMP: (usize, usize) = (16, 256);
+
+/// Log-normal `(mu, sigma)` of the think time between turns (seconds):
+/// median ~2 s.
+const THINK_LOG: (f64, f64) = (0.69, 0.8);
+
+/// Think time clamp in seconds (min, max).
+const THINK_CLAMP: (f64, f64) = (0.25, 30.0);
+
+/// Configuration for the multi-turn session sampler: a mixed-class chat
+/// service with 512-token system prompts over four assistants, user turns
+/// of median ~64 tokens, responses of median ~96, think times of median
+/// ~2 s, and a 2:1:1 interactive/standard/batch mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionWorkloadConfig {
     /// Number of conversations to draw.
@@ -35,63 +65,19 @@ pub struct SessionWorkloadConfig {
     pub mean_turns: f64,
     /// Hard cap on turns per session (also spaces request ids).
     pub max_turns: usize,
-    /// Number of distinct system prompts (prefix groups).
-    pub n_groups: usize,
-    /// Tokens in each shared system prompt.
-    pub prefix_len: usize,
-    /// Log-normal `mu` of each user turn's length.
-    pub user_log_mean: f64,
-    /// Log-normal `sigma` of the user turn length.
-    pub user_log_std: f64,
-    /// User turn length clamp (min, max).
-    pub user_clamp: (usize, usize),
-    /// Log-normal `mu` of the response length.
-    pub response_log_mean: f64,
-    /// Log-normal `sigma` of the response length.
-    pub response_log_std: f64,
-    /// Response length clamp (min, max).
-    pub response_clamp: (usize, usize),
-    /// Log-normal `mu` of the think time between turns (seconds).
-    pub think_log_mean: f64,
-    /// Log-normal `sigma` of the think time.
-    pub think_log_std: f64,
-    /// Think time clamp in seconds (min, max).
-    pub think_clamp: (f64, f64),
-    /// Weight of [`SloClass::Interactive`] in the per-session class draw.
-    pub interactive_weight: u32,
-    /// Weight of [`SloClass::Standard`].
-    pub standard_weight: u32,
-    /// Weight of [`SloClass::Batch`].
-    pub batch_weight: u32,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl SessionWorkloadConfig {
-    /// A mixed-class chat service: 512-token system prompts over four
-    /// assistants, ~3-turn conversations, user turns of median ~64 tokens,
-    /// responses of median ~96, think times of median ~2 s, and a
-    /// 2:1:1 interactive/standard/batch mix.
+    /// `n_sessions` of the chat service: one session start per second,
+    /// ~3-turn conversations of at most six turns.
     pub fn chat(n_sessions: usize, seed: u64) -> Self {
         SessionWorkloadConfig {
             n_sessions,
             arrival_rps: 1.0,
             mean_turns: 3.0,
             max_turns: 6,
-            n_groups: 4,
-            prefix_len: 512,
-            user_log_mean: 4.16, // median ~64
-            user_log_std: 0.5,
-            user_clamp: (16, 256),
-            response_log_mean: 4.56, // median ~96
-            response_log_std: 0.5,
-            response_clamp: (16, 256),
-            think_log_mean: 0.69, // median ~2 s
-            think_log_std: 0.8,
-            think_clamp: (0.25, 30.0),
-            interactive_weight: 2,
-            standard_weight: 1,
-            batch_weight: 1,
             seed,
         }
     }
@@ -162,35 +148,21 @@ impl SessionSpec {
 /// ```
 pub fn sample_sessions(cfg: &SessionWorkloadConfig) -> Vec<SessionSpec> {
     let mut rng = seeded_rng(cfg.seed);
-    let mut user_dist =
-        LogNormal::new(cfg.user_log_mean, cfg.user_log_std).expect("valid log-normal parameters");
-    let mut resp_dist = LogNormal::new(cfg.response_log_mean, cfg.response_log_std)
+    let mut user_dist = LogNormal::new(USER_LOG.0, USER_LOG.1)
         .expect("valid log-normal parameters");
-    let mut think_dist = LogNormal::new(cfg.think_log_mean, cfg.think_log_std)
+    let mut resp_dist = LogNormal::new(RESPONSE_LOG.0, RESPONSE_LOG.1)
+        .expect("valid log-normal parameters");
+    let mut think_dist = LogNormal::new(THINK_LOG.0, THINK_LOG.1)
         .expect("valid log-normal parameters");
     let mut interarrival = Exp::new(cfg.arrival_rps).expect("positive rate");
     let continue_p = 1.0 - 1.0 / cfg.mean_turns.max(1.0);
-    let weights = [
-        (SloClass::Interactive, cfg.interactive_weight as u64),
-        (SloClass::Standard, cfg.standard_weight as u64),
-        (SloClass::Batch, cfg.batch_weight as u64),
-    ];
-    let total_weight: u64 = weights.iter().map(|(_, w)| *w).sum::<u64>().max(1);
 
     let mut t = 0.0f64;
     (0..cfg.n_sessions)
         .map(|id| {
             t += interarrival.sample(&mut rng);
-            let group = rng.gen_range(0..cfg.n_groups.max(1)) as u64;
-            let mut draw = rng.gen_range(0..total_weight as usize) as u64;
-            let mut slo = SloClass::Standard;
-            for (class, w) in weights {
-                if draw < w {
-                    slo = class;
-                    break;
-                }
-                draw -= w;
-            }
+            let group = rng.gen_range(0..N_GROUPS) as u64;
+            let slo = draw_slo_class(&mut rng);
             let mut n_turns = 1usize;
             while n_turns < cfg.max_turns.max(1) && rng.gen_f64() < continue_p {
                 n_turns += 1;
@@ -198,15 +170,15 @@ pub fn sample_sessions(cfg: &SessionWorkloadConfig) -> Vec<SessionSpec> {
             let turns = (0..n_turns)
                 .map(|turn| SessionTurn {
                     user_len: (user_dist.sample(&mut rng) as usize)
-                        .clamp(cfg.user_clamp.0, cfg.user_clamp.1),
+                        .clamp(USER_CLAMP.0, USER_CLAMP.1),
                     response_len: (resp_dist.sample(&mut rng) as usize)
-                        .clamp(cfg.response_clamp.0, cfg.response_clamp.1),
+                        .clamp(RESPONSE_CLAMP.0, RESPONSE_CLAMP.1),
                     think_gap_s: if turn == 0 {
                         0.0
                     } else {
                         think_dist
                             .sample(&mut rng)
-                            .clamp(cfg.think_clamp.0, cfg.think_clamp.1)
+                            .clamp(THINK_CLAMP.0, THINK_CLAMP.1)
                     },
                 })
                 .collect();
@@ -214,7 +186,7 @@ pub fn sample_sessions(cfg: &SessionWorkloadConfig) -> Vec<SessionSpec> {
                 session: id as u64,
                 arrival_s: t,
                 group,
-                prefix_len: cfg.prefix_len,
+                prefix_len: PREFIX_LEN,
                 slo,
                 turns,
             }
@@ -316,20 +288,6 @@ rkvc_tensor::json_struct!(SessionWorkloadConfig {
     arrival_rps,
     mean_turns,
     max_turns,
-    n_groups,
-    prefix_len,
-    user_log_mean,
-    user_log_std,
-    user_clamp,
-    response_log_mean,
-    response_log_std,
-    response_clamp,
-    think_log_mean,
-    think_log_std,
-    think_clamp,
-    interactive_weight,
-    standard_weight,
-    batch_weight,
     seed,
 });
 rkvc_tensor::json_struct!(SessionTurn {
@@ -366,18 +324,14 @@ mod tests {
         assert!(sessions.windows(2).all(|w| w[0].arrival_s < w[1].arrival_s));
         for s in &sessions {
             assert!((1..=cfg.max_turns).contains(&s.turns.len()));
-            assert!((s.group as usize) < cfg.n_groups);
-            assert_eq!(s.prefix_len, cfg.prefix_len);
+            assert!((s.group as usize) < N_GROUPS);
+            assert_eq!(s.prefix_len, PREFIX_LEN);
             assert_eq!(s.turns[0].think_gap_s, 0.0);
             for (i, t) in s.turns.iter().enumerate() {
-                assert!((cfg.user_clamp.0..=cfg.user_clamp.1).contains(&t.user_len));
-                assert!(
-                    (cfg.response_clamp.0..=cfg.response_clamp.1).contains(&t.response_len)
-                );
+                assert!((USER_CLAMP.0..=USER_CLAMP.1).contains(&t.user_len));
+                assert!((RESPONSE_CLAMP.0..=RESPONSE_CLAMP.1).contains(&t.response_len));
                 if i > 0 {
-                    assert!(
-                        (cfg.think_clamp.0..=cfg.think_clamp.1).contains(&t.think_gap_s)
-                    );
+                    assert!((THINK_CLAMP.0..=THINK_CLAMP.1).contains(&t.think_gap_s));
                 }
             }
         }
@@ -446,7 +400,7 @@ mod tests {
             }),
         };
         let next = trace.follow_up(&done).expect("turn 1 exists");
-        assert!(next.arrival_s >= spec.arrival_s + 3.0 + cfg.think_clamp.0);
+        assert!(next.arrival_s >= spec.arrival_s + 3.0 + THINK_CLAMP.0);
         assert_eq!(next.prompt_len, spec.prompt_len(1));
         let sref = next.session.expect("session annotation");
         assert_eq!(sref.turn, 1);

@@ -49,7 +49,6 @@ fn random_algo(rng: &mut SeededRng) -> CompressionConfig {
         5 => CompressionConfig::SnapKv(SnapKvParams {
             budget: rng.gen_range(2usize..10),
             obs_window: 2,
-            kernel: 3,
         }),
         6 => CompressionConfig::tova(rng.gen_range(1usize..12)),
         7 => CompressionConfig::think([0.25f32, 0.5, 1.0][rng.gen_range(0usize..3)]),
