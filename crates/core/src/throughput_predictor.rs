@@ -103,11 +103,6 @@ impl ThroughputPredictor {
         self.prefill_fixed_s + self.prefill_per_token_s * (batch * prompt_len) as f64 + attn
     }
 
-    /// Predicted prefill throughput (tokens/s).
-    pub fn predict_prefill_throughput(&self, batch: usize, prompt_len: usize) -> f64 {
-        (batch * prompt_len) as f64 / self.predict_prefill(batch, prompt_len)
-    }
-
     /// Paper accuracy metric `(1 - |pred - gt| / gt) * 100%`, averaged over
     /// an off-grid evaluation sweep against the (possibly noisy) ground
     /// truth provided by `ground_truth(batch, kv_len, decode) -> seconds`.

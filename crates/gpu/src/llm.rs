@@ -62,20 +62,6 @@ impl LlmSpec {
         }
     }
 
-    /// LLaMA-3.1-8B (GQA, 8 KV heads) — used in the paper's length and
-    /// negative-sample studies.
-    pub fn llama31_8b() -> Self {
-        LlmSpec {
-            name: "LLaMA-3.1-8B".to_owned(),
-            n_layers: 32,
-            d_model: 4096,
-            n_heads: 32,
-            n_kv_heads: 8,
-            d_ff: 14336,
-            vocab: 128256,
-        }
-    }
-
     /// Mistral-7B-v0.1 (GQA, 8 KV heads).
     pub fn mistral_7b() -> Self {
         LlmSpec {

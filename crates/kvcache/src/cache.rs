@@ -435,7 +435,7 @@ const MAX_BLOCK_QUERIES: usize = 32;
 /// `lanes[c]` holds channel `c` of the eight queries, so one channel step
 /// is `R` broadcasts against two 4-wide vectors and the `R x 8`
 /// accumulators stay in registers (`R = 4`: eight vectors, as in the
-/// matmul microkernel).
+/// baseline tile of `rkvc_tensor::gemm`).
 #[inline]
 fn score_tile<const R: usize>(rows: [&[f32]; R], lanes: &[[f32; LANES]]) -> [[f32; LANES]; R] {
     let rows = rows.map(|row| &row[..lanes.len()]);

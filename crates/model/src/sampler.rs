@@ -1,6 +1,6 @@
 //! Token sampling.
 
-use rkvc_tensor::{argmax, seeded_rng, softmax_row, SeededRng};
+use rkvc_tensor::{argmax, seeded_rng, softmax_slice, SeededRng};
 
 use crate::vocab::TokenId;
 
@@ -53,8 +53,8 @@ impl Sampler {
         if self.temperature == 0.0 {
             return argmax(logits);
         }
-        let scaled: Vec<f32> = logits.iter().map(|l| l / self.temperature).collect();
-        let probs = softmax_row(&scaled);
+        let mut probs: Vec<f32> = logits.iter().map(|l| l / self.temperature).collect();
+        softmax_slice(&mut probs);
         let u: f32 = self.rng.gen_range(0.0..1.0);
         let mut acc = 0.0;
         for (i, p) in probs.iter().enumerate() {

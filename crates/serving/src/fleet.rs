@@ -127,6 +127,9 @@ pub enum FleetError {
     ReplicasOutsideScaleBounds,
     /// The arrival stream is not finite and sorted.
     Arrival(ArrivalFault),
+    /// `replicas` passes validation but its replica table cannot be
+    /// reserved (`usize::MAX` replicas overflow the allocation size).
+    TooManyReplicas,
 }
 
 impl std::fmt::Display for FleetError {
@@ -142,6 +145,9 @@ impl std::fmt::Display for FleetError {
                 "initial replicas must lie within the autoscaler's min/max band"
             ),
             FleetError::Arrival(fault) => write!(f, "{fault}"),
+            FleetError::TooManyReplicas => {
+                write!(f, "the replica table cannot be allocated for that many replicas")
+            }
         }
     }
 }
@@ -213,17 +219,24 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`FleetError`] if the configuration is invalid.
+    /// [`FleetError`] if the configuration is invalid, or
+    /// [`FleetError::TooManyReplicas`] if its replica table cannot be
+    /// reserved.
     pub fn new(
         dep: DeploymentSpec,
         algo: CompressionConfig,
         cfg: FleetConfig,
     ) -> Result<Self, FleetError> {
         cfg.validate()?;
+        let (mut replicas, mut active) = (Vec::new(), Vec::new());
+        replicas
+            .try_reserve_exact(cfg.replicas)
+            .and_then(|()| active.try_reserve_exact(cfg.replicas))
+            .map_err(|_| FleetError::TooManyReplicas)?;
         let mut fleet = Fleet {
             autoscaler: cfg.autoscale.clone().map(Autoscaler::new),
-            replicas: Vec::with_capacity(cfg.replicas),
-            active: Vec::with_capacity(cfg.replicas),
+            replicas,
+            active,
             cfg,
             dep,
             algo,

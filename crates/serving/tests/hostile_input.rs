@@ -86,7 +86,10 @@ rkvc_tensor::det_cases! {
     /// `ServerSim::with_config` and `Fleet::new` fail exactly when it
     /// does, and every config they accept serves a stream — including one
     /// request no pool of a token or a block can ever fit — without
-    /// panicking. (Fleets wider than eight replicas are only validated.)
+    /// panicking. A valid fleet of `usize::MAX` or `isize::MAX` replicas
+    /// is `TooManyReplicas` from `Fleet::new`: its replica table overflows
+    /// the allocation size, so the reservation fails before allocating.
+    /// (Other fleets wider than eight replicas are only validated.)
     fn hostile_configs_are_typed_errors_never_panics(rng, cases = 256) {
         let serving = ServingConfig {
             max_batch: *rng.choose(&[0, 1, 8, usize::MAX]),
@@ -121,14 +124,17 @@ rkvc_tensor::det_cases! {
             step: *rng.choose(&[0, 1, 4, usize::MAX]),
         });
         let fleet = FleetConfig {
-            replicas: *rng.choose(&[0, 1, 3, 8, usize::MAX]),
+            replicas: *rng.choose(&[0, 1, 3, 8, isize::MAX as usize, usize::MAX]),
             sharding: *rng.choose(&ShardPolicy::all()),
             serving,
             autoscale,
         };
         let want = fleet_verdict(&fleet);
         assert_eq!(fleet.validate(), want, "{fleet:?}");
-        if fleet.replicas <= 8 {
+        if fleet.replicas >= isize::MAX as usize {
+            let want = want.and(Err(FleetError::TooManyReplicas));
+            assert_eq!(Fleet::new(dep(), algo, fleet.clone()).map(|_| ()), want, "{fleet:?}");
+        } else if fleet.replicas <= 8 {
             match Fleet::new(dep(), algo, fleet.clone()) {
                 Err(e) => assert_eq!(Err(e), want, "{fleet:?}"),
                 Ok(f) => {

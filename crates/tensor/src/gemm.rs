@@ -25,12 +25,40 @@
 //! `±0.0` to it is the identity. A packed product therefore equals the
 //! naive oracle bit for bit too (`tests/packed_gemm.rs`).
 
-use crate::matrix::{matmul_rows_per_chunk, Matrix, MICRO_OPS_PER_MAC};
-use crate::TensorError;
+use crate::{Matrix, TensorError};
 
 /// Columns per packed panel: the widest tile any instantiation uses, so
 /// one layout serves them all.
 pub const PANEL: usize = 16;
+
+/// Register-tile height of both instantiations, so also the fewest rows
+/// for which [`Matrix::matmul`] packs its right-hand operand.
+pub(crate) const MR: usize = 4;
+
+/// Fewest output rows in a parallel chunk: two register-tile stripes.
+const MATMUL_ROW_BLOCK: usize = 8;
+
+/// Per multiply-add estimate that [`crate::par::grain_for`] sizes every
+/// product's fan-out from, so the inline/parallel decision is a pure
+/// function of shape — never of wall-clock, which would break run-to-run
+/// determinism. One multiply plus one add, with operand loads and the
+/// accumulator spill amortized across the register tile.
+const MICRO_OPS_PER_MAC: usize = 2;
+
+/// Rows per parallel chunk of a product whose rows each cost `row_ops`:
+/// sized by [`crate::par::grain_for`], snapped up to [`MATMUL_ROW_BLOCK`]
+/// so each chunk is whole register-tile stripes. Returns `rows` (single
+/// chunk → inline) whenever the whole product is below the dispatch
+/// threshold. Pure in the shape, so the inline/parallel decision is
+/// thread-count-invariant.
+fn matmul_rows_per_chunk(rows: usize, row_ops: usize) -> usize {
+    let rpc = crate::par::grain_for(rows, row_ops);
+    if rpc >= rows {
+        rows
+    } else {
+        rpc.max(MATMUL_ROW_BLOCK).min(rows)
+    }
+}
 
 /// The kernel signature both instantiations share.
 type Kernel = fn(&[f32], Panels<'_>, &mut [f32]);
@@ -282,7 +310,7 @@ fn rows_into_tiles<const MR: usize, const NT: usize, const NP: usize>(
 /// registers, two tiles at once for a lone row. Also what every non-x86
 /// target runs.
 fn rows_into_baseline(a: &[f32], w: Panels<'_>, out: &mut [f32]) {
-    rows_into_tiles::<4, 8, 2>(a, w, out);
+    rows_into_tiles::<MR, 8, 2>(a, w, out);
 }
 
 /// The AVX2 instantiation: 4x16 tiles fill eight 8-wide registers, four
@@ -291,7 +319,7 @@ fn rows_into_baseline(a: &[f32], w: Panels<'_>, out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn rows_into_avx2(a: &[f32], w: Panels<'_>, out: &mut [f32]) {
-    rows_into_tiles::<4, 16, 4>(a, w, out);
+    rows_into_tiles::<MR, 16, 4>(a, w, out);
 }
 
 /// `out = a * w` through the instantiation the host supports. The

@@ -24,16 +24,6 @@ impl LowRankFactors {
     pub fn reconstruct(&self) -> Matrix {
         self.u.matmul(&self.v)
     }
-
-    /// Rank of the factorization.
-    pub fn rank(&self) -> usize {
-        self.u.cols()
-    }
-
-    /// Number of f32 values stored by the factors (storage cost proxy).
-    pub fn stored_values(&self) -> usize {
-        self.u.len() + self.v.len()
-    }
 }
 
 /// Computes a rank-`rank` approximation of `m` using orthogonal iteration.
@@ -354,13 +344,5 @@ mod tests {
             assert_same_bits(&got.u, &want.u, &format!("{what} u"));
             assert_same_bits(&got.v, &want.v, &format!("{what} v"));
         }
-    }
-
-    #[test]
-    fn factors_report_storage() {
-        let m = rank_k_matrix(10, 8, 2, 7);
-        let f = low_rank_approximate(&m, 2, 8).unwrap();
-        assert_eq!(f.rank(), 2);
-        assert_eq!(f.stored_values(), 10 * 2 + 2 * 8);
     }
 }

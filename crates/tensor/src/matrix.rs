@@ -1,6 +1,6 @@
 //! Row-major dense f32 matrix.
 
-use crate::gemm::PackedMatrix;
+use crate::gemm::{PackedMatrix, MR};
 use crate::json::{self, FromJson, JsonError, JsonValue, ToJson};
 
 /// A row-major dense matrix of `f32` values.
@@ -50,135 +50,6 @@ impl FromJson for Matrix {
             )));
         }
         Ok(Matrix { rows, cols, data })
-    }
-}
-
-/// Output rows per parallel chunk in the blocked matmul kernels.
-const MATMUL_ROW_BLOCK: usize = 8;
-
-/// Register-tile height of the transposed microkernel — and of both
-/// [`crate::gemm`] instantiations, so also the fewest rows for which
-/// [`Matrix::matmul`] packs its right-hand operand.
-const MR: usize = 4;
-
-/// Register-tile width of the transposed microkernel: output columns per
-/// accumulator block. `MR x NR = 32` f32 accumulators occupy eight
-/// 4-wide vector registers on the baseline x86-64/SSE2 target (half the
-/// register file), leaving room for the streamed `b` tile and the
-/// broadcast `a` values; wider tiles spill, narrower ones leave the
-/// vector units idle.
-const NR: usize = 8;
-
-/// Per multiply-add estimate that [`crate::par::grain_for`] sizes every
-/// matmul fan-out from, so the inline/parallel decision is a pure
-/// function of shape — never of wall-clock, which would break run-to-run
-/// determinism. One multiply plus one add, with operand loads and the
-/// accumulator spill amortized across the register tile of the packed
-/// product ([`crate::PackedMatrix::mul_rows_into`], one row or many) and
-/// of [`Matrix::matmul_transposed`]. The row-streaming kernel behind
-/// [`Matrix::matmul_blocked`] retires MACs at essentially the same rate
-/// (its j-inner loop vectorizes and streams), so it shares the constant.
-pub(crate) const MICRO_OPS_PER_MAC: usize = 2;
-
-/// Rows per parallel chunk for a matmul-shaped kernel: sized by
-/// [`crate::par::grain_for`] from the per-row flop estimate, snapped up to
-/// [`MATMUL_ROW_BLOCK`] so each chunk is whole register-tile stripes. Returns
-/// `rows` (single chunk → inline) whenever the whole product is below the
-/// dispatch threshold. Pure in the shape, so the inline/parallel decision
-/// is thread-count-invariant.
-pub(crate) fn matmul_rows_per_chunk(rows: usize, row_ops: usize) -> usize {
-    let rpc = crate::par::grain_for(rows, row_ops);
-    if rpc >= rows {
-        rows
-    } else {
-        rpc.max(MATMUL_ROW_BLOCK).min(rows)
-    }
-}
-
-/// Accumulates `a[i0.., :] * b` into `out_chunk` (a block of contiguous
-/// output rows), one output row at a time: every output element adds its
-/// terms in ascending-`k` order in place with the naive zero-skip —
-/// exactly the i-k-j association of [`Matrix::matmul_naive`], non-finite
-/// `b` entries included.
-fn matmul_rows_into(a: &[f32], a_cols: usize, b: &[f32], cols: usize, i0: usize, out_chunk: &mut [f32]) {
-    for (i, out_row) in out_chunk.chunks_exact_mut(cols).enumerate() {
-        let a_row = &a[(i0 + i) * a_cols..(i0 + i + 1) * a_cols];
-        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(cols)) {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Register-tiled inner kernel for [`Matrix::matmul_transposed`]: `MR`
-/// rows of `a` against `NR` rows of `b` accumulate into a 16-register
-/// tile, breaking the single-accumulator dependency chain of the serial
-/// dot in [`Matrix::matmul_transposed_naive`] while keeping each output
-/// element's fold order untouched (ascending `k` from `0.0`), so results
-/// are bit-identical to the oracle.
-fn matmul_transposed_rows_into_micro(
-    a: &[f32],
-    a_cols: usize,
-    other: &Matrix,
-    i0: usize,
-    out_chunk: &mut [f32],
-) {
-    let b = other.as_slice();
-    let b_rows = other.rows;
-    let rows_here = out_chunk.len() / b_rows;
-    let mut i = 0;
-    while i + MR <= rows_here {
-        let mut j = 0;
-        while j + NR <= b_rows {
-            let mut acc = [[0.0f32; NR]; MR];
-            for k in 0..a_cols {
-                let mut bv = [0.0f32; NR];
-                for (c, v) in bv.iter_mut().enumerate() {
-                    *v = b[(j + c) * a_cols + k];
-                }
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = a[(i0 + i + r) * a_cols + k];
-                    for (o, &bvc) in acc_row.iter_mut().zip(&bv) {
-                        *o += av * bvc;
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                out_chunk[(i + r) * b_rows + j..][..NR].copy_from_slice(acc_row);
-            }
-            j += NR;
-        }
-        // Column remainder: serial dots, identical fold order.
-        for r in 0..MR {
-            let a_row = &a[(i0 + i + r) * a_cols..(i0 + i + r + 1) * a_cols];
-            for (c, o) in out_chunk[(i + r) * b_rows..(i + r + 1) * b_rows]
-                .iter_mut()
-                .enumerate()
-                .skip(j)
-            {
-                let mut dot = 0.0f32;
-                for (x, y) in a_row.iter().zip(other.row(c)) {
-                    dot += x * y;
-                }
-                *o = dot;
-            }
-        }
-        i += MR;
-    }
-    // Row remainder: serial dots.
-    for r in i..rows_here {
-        let a_row = &a[(i0 + r) * a_cols..(i0 + r + 1) * a_cols];
-        for (c, o) in out_chunk[r * b_rows..(r + 1) * b_rows].iter_mut().enumerate() {
-            let mut dot = 0.0f32;
-            for (x, y) in a_row.iter().zip(other.row(c)) {
-                dot += x * y;
-            }
-            *o = dot;
-        }
     }
 }
 
@@ -308,18 +179,12 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Matrix product `self * other`: `other` is packed on the fly and
     /// the product runs through [`Matrix::matmul_packed`] (see
     /// [`crate::gemm`]). With fewer rows than one register tile the pack
     /// cannot pay for itself, and a non-finite `other` cannot be packed
-    /// at all; both go through the row-streaming kernel of
-    /// [`Matrix::matmul_blocked`] instead. Every route is bit-identical
-    /// to [`Matrix::matmul_naive`] at every thread count.
+    /// at all; both go through [`Matrix::matmul_naive`] instead, so
+    /// every route is bit-identical to it at every thread count.
     ///
     /// # Panics
     ///
@@ -330,40 +195,13 @@ impl Matrix {
                 return self.matmul_packed(&packed);
             }
         }
-        self.matmul_blocked(other)
+        self.matmul_naive(other)
     }
 
-    /// Matrix product via the row-streaming kernel: pool-dispatched like
-    /// [`Matrix::matmul_packed`], but re-touching the full output row
-    /// once per `k` instead of holding an accumulator tile in registers.
-    /// It is what [`Matrix::matmul`] runs for products too short to pack;
-    /// bit-identical to [`Matrix::matmul_naive`] for any operands,
-    /// non-finite ones included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul_blocked(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        if self.rows == 0 || self.cols == 0 || other.cols == 0 {
-            return out;
-        }
-        let cols = other.cols;
-        let grain = matmul_rows_per_chunk(self.rows, MICRO_OPS_PER_MAC * self.cols * cols) * cols;
-        crate::par::par_chunks_mut(&mut out.data, grain, |chunk_idx, out_chunk| {
-            let i0 = chunk_idx * (grain / cols);
-            matmul_rows_into(&self.data, self.cols, &other.data, cols, i0, out_chunk);
-        });
-        out
-    }
-
-    /// Reference scalar matmul (i-k-j loop), retained as the test oracle
-    /// for the blocked and packed kernels.
+    /// Reference scalar matmul: the oracle of the packed kernel and the
+    /// fallback of [`Matrix::matmul`]. The i-k-j loop streams each output
+    /// row once per `k`, adding the terms of every element in ascending
+    /// `k` and skipping those whose `self` entry is `±0.0`.
     ///
     /// # Panics
     ///
@@ -375,17 +213,17 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows.
-        for i in 0..self.rows {
-            let out_row = i * other.cols;
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
+        if self.cols == 0 || other.cols == 0 {
+            return out;
+        }
+        let a_rows = self.data.chunks_exact(self.cols);
+        for (a_row, out_row) in a_rows.zip(out.data.chunks_exact_mut(other.cols)) {
+            for (&a, b_row) in a_row.iter().zip(other.data.chunks_exact(other.cols)) {
                 if a == 0.0 {
                     continue;
                 }
-                let b_row = k * other.cols;
-                for j in 0..other.cols {
-                    out.data[out_row + j] += a * other.data[b_row + j];
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
                 }
             }
         }
@@ -393,15 +231,8 @@ impl Matrix {
     }
 
     /// Matrix product with the transpose of `other`: `self * other^T`,
-    /// via the register-tiled microkernel.
-    ///
-    /// This avoids materializing the transpose in attention score
-    /// computation (`Q * K^T`). `MR x NR` output tiles accumulate 16
-    /// independent dots at once — breaking the serial single-accumulator
-    /// dependency chain of the naive dot — and rows fan across
-    /// [`crate::par`] for large products. Each output element keeps the
-    /// naive sequential fold order, so the result is bit-identical to
-    /// [`Matrix::matmul_transposed_naive`].
+    /// one serial dot per output element, its terms added in ascending
+    /// `k` from `0.0`. This avoids materializing the transpose.
     ///
     /// # Panics
     ///
@@ -413,40 +244,14 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        if self.rows == 0 || other.rows == 0 {
-            return out;
-        }
-        let b_rows = other.rows;
-        let grain = matmul_rows_per_chunk(self.rows, MICRO_OPS_PER_MAC * self.cols * b_rows) * b_rows;
-        crate::par::par_chunks_mut(&mut out.data, grain, |chunk_idx, out_chunk| {
-            let i0 = chunk_idx * (grain / b_rows);
-            matmul_transposed_rows_into_micro(&self.data, self.cols, other, i0, out_chunk);
-        });
-        out
-    }
-
-    /// Reference scalar transpose-product, retained as the test oracle
-    /// for the blocked/parallel [`Matrix::matmul_transposed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_transposed_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transposed shape mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.rows);
         for i in 0..self.rows {
             let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
+            for (j, o) in out.row_mut(i).iter_mut().enumerate() {
                 let mut acc = 0.0;
-                for (a, b) in a_row.iter().zip(b_row) {
+                for (a, b) in a_row.iter().zip(other.row(j)) {
                     acc += a * b;
                 }
-                out.data[i * other.rows + j] = acc;
+                *o = acc;
             }
         }
         out

@@ -1,15 +1,15 @@
-//! Matmul kernels (`matmul` over the packed-panel GEMM, the row-streaming
-//! `matmul_blocked` it falls back to, and the register-tiled transposed
-//! microkernel) vs the naive oracles: exact (bitwise) equality over
-//! adversarial shapes and thread counts.
+//! `Matrix::matmul` (the packed-panel GEMM, with the naive loop as its
+//! fallback) against `matmul_naive`, and `matmul_transposed`'s serial dots
+//! against the naive product with the explicit transpose: exact (bitwise)
+//! equality over adversarial shapes and thread counts.
 
 use rkvc_tensor::{par, seeded_rng, Matrix};
 
 fn random_matrix(rng: &mut rkvc_tensor::SeededRng, rows: usize, cols: usize) -> Matrix {
     let data: Vec<f32> = (0..rows * cols)
         .map(|_| {
-            // Mixed magnitudes plus exact zeros so the kernels' zero-skip
-            // paths get exercised; any reassociation would flip bits.
+            // Mixed magnitudes plus exact zeros so the oracle's zero-skip
+            // gets exercised; any reassociation would flip bits.
             if rng.gen_bool(0.125) {
                 0.0
             } else {
@@ -27,30 +27,33 @@ fn assert_bit_identical(a: &Matrix, b: &Matrix, what: &str) {
     }
 }
 
+/// `a * bt^T` by both products: the serial dots skip no term and the
+/// naive loop skips zero `a` entries, which agree for finite operands.
+fn assert_transposed_matches_naive(a: &Matrix, bt: &Matrix, what: &str) {
+    assert_bit_identical(&a.matmul_transposed(bt), &a.matmul_naive(&bt.transposed()), what);
+}
+
 rkvc_tensor::det_cases! {
-    fn micro_matmul_matches_naive_oracle(rng, cases = 96) {
+    fn matmul_matches_naive_oracle(rng, cases = 96) {
         let rows = rng.gen_range(0usize..33);
         let k = rng.gen_range(0usize..70);
         let cols = rng.gen_range(0usize..33);
         let a = random_matrix(rng, rows, k);
         let b = random_matrix(rng, k, cols);
-        let oracle = a.matmul_naive(&b);
-        assert_bit_identical(&a.matmul(&b), &oracle, "matmul micro");
-        assert_bit_identical(&a.matmul_blocked(&b), &oracle, "matmul blocked");
+        assert_bit_identical(&a.matmul(&b), &a.matmul_naive(&b), "matmul");
     }
 
-    fn micro_matmul_transposed_matches_naive_oracle(rng, cases = 96) {
+    fn matmul_transposed_matches_naive_oracle(rng, cases = 96) {
         let rows = rng.gen_range(0usize..33);
         let k = rng.gen_range(0usize..70);
         let b_rows = rng.gen_range(0usize..33);
         let a = random_matrix(rng, rows, k);
         let b = random_matrix(rng, b_rows, k);
-        let oracle = a.matmul_transposed_naive(&b);
-        assert_bit_identical(&a.matmul_transposed(&b), &oracle, "matmul_transposed micro");
+        assert_transposed_matches_naive(&a, &b, "matmul_transposed");
     }
 }
 
-/// Odd fixed shapes the blocked kernel must not mis-tile: 1x1, empty
+/// Odd fixed shapes the packed kernel must not mis-tile: 1x1, empty
 /// inner dimension, tall/skinny, and sizes that are not a multiple of the
 /// row block or register tile.
 #[test]
@@ -72,13 +75,8 @@ fn edge_shapes_match_oracle_exactly() {
         let a = random_matrix(&mut rng, rows, k);
         let b = random_matrix(&mut rng, k, cols);
         assert_bit_identical(&a.matmul(&b), &a.matmul_naive(&b), "edge matmul");
-        assert_bit_identical(&a.matmul_blocked(&b), &a.matmul_naive(&b), "edge matmul blocked");
         let bt = random_matrix(&mut rng, cols, k);
-        assert_bit_identical(
-            &a.matmul_transposed(&bt),
-            &a.matmul_transposed_naive(&bt),
-            "edge matmul_transposed",
-        );
+        assert_transposed_matches_naive(&a, &bt, "edge matmul_transposed");
     }
 }
 
@@ -90,16 +88,11 @@ fn large_matmul_is_thread_count_invariant() {
     let a = random_matrix(&mut rng, 96, 130);
     let b = random_matrix(&mut rng, 130, 96);
     let oracle = a.matmul_naive(&b);
-    let oracle_t = a.matmul_transposed_naive(&b.transposed());
+    let bt = b.transposed();
     for threads in [1usize, 2, 3, 4] {
         par::set_threads(Some(threads));
         assert_bit_identical(&a.matmul(&b), &oracle, "matmul sweep");
-        assert_bit_identical(&a.matmul_blocked(&b), &oracle, "matmul blocked sweep");
-        assert_bit_identical(
-            &a.matmul_transposed(&b.transposed()),
-            &oracle_t,
-            "matmul_transposed sweep",
-        );
+        assert_bit_identical(&a.matmul_transposed(&bt), &oracle, "matmul_transposed sweep");
     }
     par::set_threads(None);
 }

@@ -119,24 +119,6 @@ impl LengthStats {
             .map(|(i, c)| (lo + width * (i as f64 + 0.5), c))
             .collect()
     }
-
-    /// Gaussian kernel density estimate evaluated at `points` with
-    /// bandwidth `h` (the line overlay in Figure 4).
-    pub fn kde(&self, points: &[f64], h: f64) -> Vec<f64> {
-        assert!(h > 0.0, "bandwidth must be positive");
-        if self.values.is_empty() {
-            return vec![0.0; points.len()];
-        }
-        let norm = 1.0 / (self.values.len() as f64 * h * (2.0 * std::f64::consts::PI).sqrt());
-        points
-            .iter()
-            .map(|&x| {
-                norm * rkvc_tensor::seq_sum_f64(
-                    self.values.iter().map(|&v| (-0.5 * ((x - v) / h).powi(2)).exp()),
-                )
-            })
-            .collect()
-    }
 }
 
 rkvc_tensor::json_struct!(LengthStats { values });
@@ -167,15 +149,6 @@ mod tests {
         let total: usize = hist.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 5); // Out-of-range clamped, not dropped.
         assert_eq!(hist.len(), 4);
-    }
-
-    #[test]
-    fn kde_integrates_to_roughly_one() {
-        let s = LengthStats::new(vec![0.0, 0.1, -0.1, 0.2, -0.2]);
-        let points: Vec<f64> = (0..400).map(|i| -2.0 + i as f64 * 0.01).collect();
-        let dens = s.kde(&points, 0.2);
-        let integral: f64 = dens.iter().sum::<f64>() * 0.01;
-        assert!((integral - 1.0).abs() < 0.05, "integral {integral}");
     }
 
     #[test]

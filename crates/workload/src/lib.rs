@@ -23,7 +23,7 @@
 //! * [`semantic`] — token-overlap F1 scoring (the stand-in for the paper's
 //!   ChatGPT-reference semantic score in Table 4).
 //! * [`length`] — the paper's response-length difference statistic
-//!   `D = (L_un - L_cs)/L_un`, histograms, and KDE.
+//!   `D = (L_un - L_cs)/L_un` and its histograms.
 //! * [`suite`] — the compression-algorithm suite scaled to TinyLM context
 //!   lengths.
 //! * [`arrivals`] — non-stationary arrival processes (diurnal
