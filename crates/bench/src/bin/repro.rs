@@ -5,11 +5,12 @@
 //! ```
 //!
 //! Prints each experiment's rows/series in paper layout and writes a JSON
-//! copy under the output directory.
+//! copy under the output directory. An output whose bytes are unchanged is
+//! left untouched.
 
 use rkvc_core::experiments::{experiment_ids, run_by_id, RunOptions, Scale};
 use rkvc_core::figures::render_all;
-use rkvc_core::report::save_json;
+use rkvc_core::report::{save_json, write_if_changed};
 
 /// The default directory `repro` writes JSON and SVG into.
 const RESULTS_DIR: &str = "results";
@@ -70,8 +71,9 @@ fn main() {
         }
         for (name, svg) in render_all(&opts) {
             let path = dir.join(&name);
-            match std::fs::write(&path, svg) {
-                Ok(()) => println!("wrote {}", path.display()),
+            match write_if_changed(&path, svg) {
+                Ok(true) => println!("wrote {}", path.display()),
+                Ok(false) => println!("unchanged {}", path.display()),
                 Err(e) => {
                     eprintln!("error: could not write {}: {e}", path.display());
                     write_failed = true;

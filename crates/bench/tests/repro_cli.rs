@@ -70,3 +70,44 @@ fn saved_json_is_save_json_of_run_by_id() {
     assert_eq!(read(&cli), read(&lib));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_rerun_leaves_unchanged_json_untouched_and_rewrites_a_stale_one() {
+    let dir = scratch_dir("rerun");
+    let run = || {
+        let out = repro()
+            .args(["--exp", "fig2", "--scale", "quick", "--out"])
+            .arg(&dir)
+            .output()
+            .expect("repro runs");
+        assert!(out.status.success());
+    };
+    let path = dir.join("fig2.json");
+    run();
+    let fresh = std::fs::read(&path).expect("fig2.json was written");
+    let mtime = || {
+        std::fs::metadata(&path)
+            .and_then(|m| m.modified())
+            .expect("fig2.json has an mtime")
+    };
+    let past = mtime() - std::time::Duration::from_secs(86_400);
+    std::fs::File::options()
+        .write(true)
+        .open(&path)
+        .and_then(|f| f.set_modified(past))
+        .expect("fig2.json mtime is settable");
+    run();
+    assert_eq!(std::fs::read(&path).expect("fig2.json is readable"), fresh);
+    assert_eq!(mtime(), past, "unchanged fig2.json was rewritten");
+
+    let mut stale = fresh.clone();
+    stale.truncate(stale.len() / 2);
+    std::fs::write(&path, &stale).expect("temp dir is writable");
+    run();
+    assert_eq!(
+        std::fs::read(&path).expect("fig2.json is readable"),
+        fresh,
+        "stale fig2.json survived"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -81,8 +81,30 @@ pub(crate) fn fmt_pct(frac: f64) -> String {
     format!("{:.1}%", frac * 100.0)
 }
 
+/// Writes `bytes` to `path` unless the file already holds exactly those
+/// bytes; returns whether it wrote. A missing, different or unreadable
+/// file is written as [`std::fs::write`] does.
+///
+/// Replacing a file's contents on ext4 costs tens of milliseconds, by
+/// truncate or by temp file + rename alike; reading and comparing costs
+/// microseconds, and a deterministic run's outputs are almost always
+/// unchanged (DESIGN.md, "Output writer").
+///
+/// # Errors
+///
+/// Returns the write's I/O error.
+pub fn write_if_changed(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> std::io::Result<bool> {
+    let (path, bytes) = (path.as_ref(), bytes.as_ref());
+    if std::fs::read(path).is_ok_and(|old| old == bytes) {
+        return Ok(false);
+    }
+    std::fs::write(path, bytes)?;
+    Ok(true)
+}
+
 /// Serializes a result to pretty JSON under `results/<name>.json`,
-/// creating the directory if needed.
+/// creating the directory if needed. An unchanged file is left untouched
+/// (see [`write_if_changed`]).
 ///
 /// # Errors
 ///
@@ -95,7 +117,7 @@ pub fn save_json<T: ToJson>(
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let json = rkvc_tensor::json::to_string_pretty(value);
-    std::fs::write(dir.join(format!("{name}.json")), json)
+    write_if_changed(dir.join(format!("{name}.json")), json).map(|_| ())
 }
 
 rkvc_tensor::json_struct!(Table { title, headers, rows });
@@ -103,6 +125,7 @@ rkvc_tensor::json_struct!(Table { title, headers, rows });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn renders_aligned_columns() {
@@ -128,6 +151,51 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("X", &["a", "b"]);
         t.push_row(vec!["only-one".into()]);
+    }
+
+    /// A fresh directory per test (tests run on parallel threads).
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rkvc-report-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn identical_bytes_leave_the_file_untouched() {
+        let dir = scratch_dir("same");
+        let path = dir.join("out.json");
+        assert!(write_if_changed(&path, b"[1]").unwrap(), "missing file");
+        let mtime = |p: &Path| std::fs::metadata(p).unwrap().modified().unwrap();
+        let past = mtime(&path) - Duration::from_secs(86_400);
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(past)
+            .unwrap();
+        assert!(!write_if_changed(&path, b"[1]").unwrap());
+        assert_eq!(mtime(&path), past);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn changed_bytes_land_exactly() {
+        let dir = scratch_dir("changed");
+        let path = dir.join("out.json");
+        std::fs::write(&path, b"0123456789").unwrap();
+        for next in [&b"0123456789abcdef"[..], b"xyz", b"xyz\n", b""] {
+            assert!(write_if_changed(&path, next).unwrap());
+            assert_eq!(std::fs::read(&path).unwrap(), next);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_path_is_an_error() {
+        let dir = scratch_dir("dir");
+        assert!(write_if_changed(&dir, b"bytes").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

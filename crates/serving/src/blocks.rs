@@ -350,11 +350,6 @@ impl BlockManager {
         self.total_blocks - self.l1_used
     }
 
-    /// Tokens the free L1 blocks could hold.
-    pub fn free_tokens(&self) -> usize {
-        self.free_blocks() * self.block_size
-    }
-
     /// Spill-tier capacity in blocks (0 without a tier).
     pub fn l2_total_blocks(&self) -> usize {
         self.l2_total_blocks

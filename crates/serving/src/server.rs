@@ -810,8 +810,7 @@ impl ServerSim {
             // Grow or cap the sequence's block allocation. Append may hit a
             // full pool — a preemptive scheduler then evicts a victim and
             // retries; otherwise the sequence runs on at its capped
-            // footprint and the follow-up truncate is a no-op error, not an
-            // abort.
+            // footprint, not an abort.
             let mut append = self.blocks.append_token(seq);
             while let Err(BlockError::OutOfBlocks { .. }) = append {
                 if self.running[i].is_finished() {
@@ -841,8 +840,13 @@ impl ServerSim {
                 }
                 append = self.blocks.append_token(seq);
             }
+            // Only an eviction cap shrinks the chain. At `retained ==
+            // kv_len` a truncate would be a no-op (the append left chain
+            // and tail fill exact) or, after a failed append, an error.
             let retained = self.retained(self.running[i].kv_len);
-            let _ = self.blocks.truncate_seq(seq, retained);
+            if retained < self.running[i].kv_len {
+                let _ = self.blocks.truncate_seq(seq, retained);
+            }
             if self.running[i].is_finished() {
                 finished.push(i);
             }

@@ -162,6 +162,11 @@ rkvc_tensor::det_cases! {
                         let seq = live[rng.gen_range(0usize..live.len())];
                         if m.append_token(seq).is_ok() {
                             *tokens.get_mut(&seq).expect("live seq") += 1;
+                            // The engine skips truncating to the length an
+                            // append just reached: that call must be a no-op.
+                            let grown = m.seq_blocks(seq);
+                            m.truncate_seq(seq, tokens[&seq]).expect("live seq truncates");
+                            assert_eq!(m.seq_blocks(seq), grown, "truncate to own length mutated");
                         }
                     }
                 }
