@@ -43,9 +43,9 @@ pub mod table7;
 pub mod table8;
 pub mod workloads;
 
-
-use crate::report::Table;
+use crate::report::{str_array, Table};
 use rkvc_serving::SchedulerConfig;
+use rkvc_tensor::json::{JsonValue, ToJson};
 
 /// Sampling scale for an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,6 +110,20 @@ pub struct ExperimentResult {
     pub notes: Vec<String>,
 }
 
+impl ToJson for ExperimentResult {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("id", JsonValue::Str(self.id.clone())),
+            ("title", JsonValue::Str(self.title.clone())),
+            (
+                "tables",
+                JsonValue::Array(self.tables.iter().map(ToJson::to_json).collect()),
+            ),
+            ("notes", str_array(&self.notes)),
+        ])
+    }
+}
+
 impl std::fmt::Display for ExperimentResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "# [{}] {}", self.id, self.title)?;
@@ -170,10 +184,6 @@ pub fn run_by_id(id: &str, opts: &RunOptions) -> Option<ExperimentResult> {
     let &(_, run) = EXPERIMENTS.iter().find(|(known, _)| *known == id)?;
     Some(run(opts))
 }
-
-rkvc_tensor::json_unit_enum!(Scale { Quick, Paper });
-rkvc_tensor::json_struct!(RunOptions { scale, seed, scheduler });
-rkvc_tensor::json_struct!(ExperimentResult { id, title, tables, notes });
 
 #[cfg(test)]
 mod tests {

@@ -215,20 +215,6 @@ impl LengthPredictor {
     }
 }
 
-rkvc_tensor::json_struct!(LengthFeatures {
-    prompt_len,
-    eos_count,
-    last_span,
-    tail_len,
-    sep_count,
-    query_count,
-    distinct_frac,
-    sep_to_eos_span,
-});
-
-rkvc_tensor::json_struct!(LengthDataset { features, lengths });
-rkvc_tensor::json_struct!(LengthPredictor { model });
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -138,13 +138,6 @@ fn solve(a: &mut Matrix, b: &mut [f32]) -> Vec<f32> {
     x
 }
 
-rkvc_tensor::json_struct!(RidgeRegression {
-    weights,
-    intercept,
-    feature_means,
-    feature_stds,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

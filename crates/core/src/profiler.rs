@@ -147,10 +147,6 @@ fn locate(axis: &[usize], x: f64) -> (usize, usize, f64) {
     (i, i + 1, t)
 }
 
-rkvc_tensor::json_struct!(ProfileGrid { batches, lengths });
-
-rkvc_tensor::json_struct!(ProfileTable { grid, times });
-
 #[cfg(test)]
 mod tests {
     use super::*;

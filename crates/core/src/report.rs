@@ -1,6 +1,7 @@
 //! Plain-text table rendering and JSON result persistence.
 
-use rkvc_tensor::json::ToJson;
+use crate::experiments::ExperimentResult;
+use rkvc_tensor::json::{JsonValue, ToJson};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -38,6 +39,24 @@ impl Table {
     /// Convenience: appends a row of displayable cells.
     pub fn row(&mut self, cells: &[&dyn std::fmt::Display]) {
         self.push_row(cells.iter().map(|c| c.to_string()).collect());
+    }
+}
+
+/// `strings` as a JSON array of strings.
+pub(crate) fn str_array(strings: &[String]) -> JsonValue {
+    JsonValue::Array(strings.iter().cloned().map(JsonValue::Str).collect())
+}
+
+impl ToJson for Table {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("title", JsonValue::Str(self.title.clone())),
+            ("headers", str_array(&self.headers)),
+            (
+                "rows",
+                JsonValue::Array(self.rows.iter().map(|r| str_array(r)).collect()),
+            ),
+        ])
     }
 }
 
@@ -109,18 +128,16 @@ pub fn write_if_changed(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> std:
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn save_json<T: ToJson>(
+pub fn save_json(
     dir: impl AsRef<Path>,
     name: &str,
-    value: &T,
+    result: &ExperimentResult,
 ) -> std::io::Result<()> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
-    let json = rkvc_tensor::json::to_string_pretty(value);
+    let json = rkvc_tensor::json::to_string_pretty(result);
     write_if_changed(dir.join(format!("{name}.json")), json).map(|_| ())
 }
-
-rkvc_tensor::json_struct!(Table { title, headers, rows });
 
 #[cfg(test)]
 mod tests {
@@ -201,9 +218,39 @@ mod tests {
     #[test]
     fn saves_json() {
         let dir = std::env::temp_dir().join("rkvc_report_test");
-        save_json(&dir, "demo", &vec![1, 2, 3]).unwrap();
+        let mut table = Table::new("T", &["a", "b"]);
+        table.push_row(vec!["1".into(), "x\"y".into()]);
+        let result = ExperimentResult {
+            id: "demo".into(),
+            title: "Demo".into(),
+            tables: vec![table],
+            notes: vec!["n".into()],
+        };
+        save_json(&dir, "demo", &result).unwrap();
         let body = std::fs::read_to_string(dir.join("demo.json")).unwrap();
-        assert!(body.contains('1'));
+        let expected = r#"{
+  "id": "demo",
+  "title": "Demo",
+  "tables": [
+    {
+      "title": "T",
+      "headers": [
+        "a",
+        "b"
+      ],
+      "rows": [
+        [
+          "1",
+          "x\"y"
+        ]
+      ]
+    }
+  ],
+  "notes": [
+    "n"
+  ]
+}"#;
+        assert_eq!(body, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,7 +6,6 @@
 //! and computes those gap statistics programmatically, so the argument of
 //! §3.1.3 and §3.2 is reproducible from the data rather than asserted.
 
-
 /// Compression family of a surveyed algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
@@ -238,46 +237,6 @@ pub(crate) fn survey_stats() -> SurveyStats {
         benchmarks_with_per_sample: t2.iter().filter(|b| b.per_sample_analysis).count(),
     }
 }
-
-rkvc_tensor::json_unit_enum!(Family { Quant, Sparse, Hybrid });
-rkvc_tensor::json_unit_enum!(Framework {
-    Transformers,
-    DeepSpeed,
-    FlashInfer,
-    Vllm,
-});
-rkvc_tensor::json_to_struct!(SurveyEntry {
-    date,
-    name,
-    family,
-    feature,
-    max_model_b,
-    max_batch,
-    max_prompt,
-    mem_reduction,
-    prefill_speedup,
-    decode_speedup,
-    frameworks,
-});
-rkvc_tensor::json_to_struct!(BenchmarkStudy {
-    name,
-    measures_accuracy,
-    measures_throughput,
-    covers_sparsity,
-    per_sample_analysis,
-});
-rkvc_tensor::json_struct!(SurveyStats {
-    total,
-    transformers_only,
-    report_prefill,
-    report_decode,
-    quant_small_scale,
-    quant_total,
-    sparse_large_scale,
-    sparse_total,
-    benchmarks_with_throughput,
-    benchmarks_with_per_sample,
-});
 
 #[cfg(test)]
 mod tests {

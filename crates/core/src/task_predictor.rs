@@ -156,18 +156,6 @@ pub fn task_aware_policy(
     }
 }
 
-rkvc_tensor::json_struct!(TaskFeatures {
-    prompt_len,
-    eos_count,
-    sep_count,
-    query_count,
-    distinct_frac,
-    ends_with_query,
-    eos_spacing,
-});
-
-rkvc_tensor::json_struct!(TaskPredictor { scorers });
-
 #[cfg(test)]
 mod tests {
     use super::*;

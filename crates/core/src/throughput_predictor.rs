@@ -157,17 +157,6 @@ impl ThroughputPredictor {
     }
 }
 
-rkvc_tensor::json_struct!(ThroughputPredictor {
-    dep,
-    algo,
-    prefill_attention,
-    decode_attention,
-    decode_fixed_s,
-    decode_per_seq_s,
-    prefill_fixed_s,
-    prefill_per_token_s,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

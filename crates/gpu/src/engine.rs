@@ -1,6 +1,5 @@
 //! Serving-engine kernel models.
 
-
 /// The three serving stacks the paper measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
@@ -100,8 +99,6 @@ impl std::fmt::Display for EngineKind {
         f.write_str(self.label())
     }
 }
-
-rkvc_tensor::json_unit_enum!(EngineKind { TrlEager, TrlFlash, LmDeploy });
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,5 @@
 //! GPU hardware specifications.
 
-
 /// A GPU's relevant capabilities for the roofline model.
 ///
 /// `compute_efficiency` and `memory_efficiency` are the achievable fractions
@@ -76,17 +75,6 @@ impl GpuSpec {
         (bytes / self.effective_bandwidth()).max(flops / self.effective_flops())
     }
 }
-
-rkvc_tensor::json_struct!(GpuSpec {
-    name,
-    fp16_tflops,
-    mem_bw_gbs,
-    hbm_gib,
-    interconnect_gbs,
-    compute_efficiency,
-    memory_efficiency,
-    collective_latency_s,
-});
 
 #[cfg(test)]
 mod tests {

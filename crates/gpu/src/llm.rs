@@ -1,7 +1,6 @@
 //! LLM architecture specifications (the real model dimensions, used
 //! analytically).
 
-
 /// Transformer dimensions of an LLM, carrying exactly the numbers the cost
 /// model needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,16 +107,6 @@ impl LlmSpec {
         (2 * self.n_layers * self.kv_dim() * 2) as u64
     }
 }
-
-rkvc_tensor::json_struct!(LlmSpec {
-    name,
-    n_layers,
-    d_model,
-    n_heads,
-    n_kv_heads,
-    d_ff,
-    vocab,
-});
 
 #[cfg(test)]
 mod tests {

@@ -117,13 +117,6 @@ pub fn fits_in_memory(gpu: &GpuSpec, breakdown: &MemoryBreakdown) -> bool {
     breakdown.total() <= gpu.hbm_bytes()
 }
 
-rkvc_tensor::json_struct!(MemoryBreakdown {
-    weights,
-    kv_cache,
-    workspace,
-    activations,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

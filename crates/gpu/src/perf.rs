@@ -220,19 +220,6 @@ impl DeploymentSpec {
     }
 }
 
-rkvc_tensor::json_struct!(DeploymentSpec {
-    gpu,
-    llm,
-    engine,
-    tensor_parallel,
-});
-rkvc_tensor::json_struct!(StageTime {
-    linear_s,
-    attention_s,
-    overhead_s,
-    comm_s,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -66,14 +66,6 @@ impl Default for GearParams {
     }
 }
 
-rkvc_tensor::json_struct!(KiviParams { bits, group_size, residual });
-rkvc_tensor::json_struct!(GearParams {
-    bits,
-    outlier_ratio,
-    rank_ratio,
-    buffer,
-});
-
 /// How a [`ChunkedCache`] packs the tokens that age out of its window.
 ///
 /// # Examples

@@ -1,6 +1,5 @@
 //! Unified configuration for all compression policies.
 
-
 use crate::{
     CacheError, ChunkedCache, Codec, DenseCache, GearParams, H2OParams, KiviParams, KvCache,
     QuestParams, Retention, SnapKvParams, StreamingParams, ThinkParams, TovaParams,
@@ -76,8 +75,8 @@ impl std::fmt::Display for CompressionFamily {
 
 /// Configuration of a KV-cache compression policy.
 ///
-/// This is the single entry point experiments use to instantiate caches; it
-/// is serializable so experiment manifests can record exactly what ran.
+/// This is the single entry point experiments use to instantiate caches;
+/// its [`label`](CompressionConfig::label) names in results what ran.
 ///
 /// # Examples
 ///
@@ -231,8 +230,8 @@ impl CompressionConfig {
     /// # Errors
     ///
     /// Returns [`CacheError::InvalidParameter`](crate::CacheError) if the
-    /// configuration carries invalid parameters (e.g. a config deserialized
-    /// from untrusted JSON; the per-algorithm constructors on
+    /// configuration carries invalid parameters (e.g. a struct literal
+    /// built from untrusted input; the per-algorithm constructors on
     /// `CompressionConfig` never produce such values).
     pub fn try_build(&self, head_dim: usize) -> Result<Box<dyn KvCache>, CacheError> {
         self.build_with(head_dim, |p| p.mean_budget())
@@ -367,78 +366,6 @@ impl CompressionConfig {
 impl std::fmt::Display for CompressionConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-rkvc_tensor::json_struct!(PyramidKvParams {
-    first_layer_budget,
-    last_layer_budget,
-    obs_window,
-});
-rkvc_tensor::json_unit_enum!(CompressionFamily {
-    None,
-    Quantization,
-    Sparsity,
-});
-
-// `CompressionConfig` carries per-algorithm parameter payloads, so the
-// unit-enum macro does not apply; serialize in serde's externally-tagged
-// shape by hand: `"Fp16"` for the unit variant, `{"Kivi": {...}}` for
-// newtype variants.
-impl rkvc_tensor::json::ToJson for CompressionConfig {
-    fn to_json(&self) -> rkvc_tensor::json::JsonValue {
-        use rkvc_tensor::json::JsonValue;
-        let tagged = |tag: &str, inner: JsonValue| {
-            JsonValue::Object(vec![(tag.to_owned(), inner)])
-        };
-        match self {
-            CompressionConfig::Fp16 => JsonValue::Str("Fp16".to_owned()),
-            CompressionConfig::Kivi(p) => tagged("Kivi", p.to_json()),
-            CompressionConfig::Gear(p) => tagged("Gear", p.to_json()),
-            CompressionConfig::H2O(p) => tagged("H2O", p.to_json()),
-            CompressionConfig::Streaming(p) => tagged("Streaming", p.to_json()),
-            CompressionConfig::SnapKv(p) => tagged("SnapKv", p.to_json()),
-            CompressionConfig::Tova(p) => tagged("Tova", p.to_json()),
-            CompressionConfig::Think(p) => tagged("Think", p.to_json()),
-            CompressionConfig::PyramidKv(p) => tagged("PyramidKv", p.to_json()),
-            CompressionConfig::Quest(p) => tagged("Quest", p.to_json()),
-        }
-    }
-}
-
-impl rkvc_tensor::json::FromJson for CompressionConfig {
-    fn from_json(
-        v: &rkvc_tensor::json::JsonValue,
-    ) -> Result<Self, rkvc_tensor::json::JsonError> {
-        use rkvc_tensor::json::{FromJson, JsonError, JsonValue};
-        match v {
-            JsonValue::Str(s) if s == "Fp16" => Ok(CompressionConfig::Fp16),
-            JsonValue::Object(fields) if fields.len() == 1 => {
-                let (tag, inner) = &fields[0];
-                match tag.as_str() {
-                    "Kivi" => Ok(CompressionConfig::Kivi(FromJson::from_json(inner)?)),
-                    "Gear" => Ok(CompressionConfig::Gear(FromJson::from_json(inner)?)),
-                    "H2O" => Ok(CompressionConfig::H2O(FromJson::from_json(inner)?)),
-                    "Streaming" => {
-                        Ok(CompressionConfig::Streaming(FromJson::from_json(inner)?))
-                    }
-                    "SnapKv" => Ok(CompressionConfig::SnapKv(FromJson::from_json(inner)?)),
-                    "Tova" => Ok(CompressionConfig::Tova(FromJson::from_json(inner)?)),
-                    "Think" => Ok(CompressionConfig::Think(FromJson::from_json(inner)?)),
-                    "PyramidKv" => {
-                        Ok(CompressionConfig::PyramidKv(FromJson::from_json(inner)?))
-                    }
-                    "Quest" => Ok(CompressionConfig::Quest(FromJson::from_json(inner)?)),
-                    other => Err(JsonError::new(format!(
-                        "unknown CompressionConfig variant '{other}'"
-                    ))),
-                }
-            }
-            other => Err(JsonError::new(format!(
-                "expected CompressionConfig, got {}",
-                other.kind()
-            ))),
-        }
     }
 }
 
@@ -591,68 +518,50 @@ mod tests {
         }
     }
 
+    /// Every documented bad parameter of every variant, as an untrusted
+    /// manifest could spell it: both build entry points return the typed
+    /// error with its message, and nothing panics, the label included.
+    /// (`Fp16` has no parameter to get wrong; it must build.)
     #[test]
-    fn config_round_trips_through_json() {
-        let cfg = CompressionConfig::kivi(2);
-        let json = rkvc_tensor::json::to_string(&cfg);
-        let back: CompressionConfig = rkvc_tensor::json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
-    }
-
-    fn decode(json: &str) -> CompressionConfig {
-        rkvc_tensor::json::from_str(json).unwrap_or_else(|e| panic!("{json}: {e}"))
-    }
-
-    /// Every documented bad parameter of every variant, decoded from JSON
-    /// as an untrusted manifest would be: both build entry points return
-    /// the typed error with its message, and nothing panics, the label
-    /// included. (`Fp16` has no parameter to get wrong; it must build.)
-    #[test]
-    fn bad_parameters_from_json_are_typed_errors_on_both_build_paths() {
+    fn bad_parameters_are_typed_errors_on_both_build_paths() {
+        use CompressionConfig as C;
         let invalid = CacheError::InvalidParameter;
+        let kivi = KiviParams::default();
+        let gear = GearParams::default();
+        let pyramid = PyramidKvParams { first_layer_budget: 96, last_layer_budget: 32, obs_window: 0 };
         let cases = [
-            (r#"{"Kivi":{"bits":3,"group_size":32,"residual":128}}"#, CacheError::UnsupportedBits(3)),
-            (r#"{"Kivi":{"bits":4,"group_size":0,"residual":128}}"#, invalid("group_size must be >= 1")),
-            (
-                r#"{"Gear":{"bits":4,"outlier_ratio":-0.1,"rank_ratio":0.02,"buffer":16}}"#,
-                invalid("outlier_ratio must be in [0, 1]"),
-            ),
-            (
-                r#"{"Gear":{"bits":4,"outlier_ratio":0.02,"rank_ratio":1.5,"buffer":16}}"#,
-                invalid("rank_ratio must be in [0, 1]"),
-            ),
-            (
-                r#"{"Gear":{"bits":4,"outlier_ratio":0.02,"rank_ratio":0.02,"buffer":0}}"#,
-                invalid("buffer must be >= 1"),
-            ),
-            (r#"{"H2O":{"heavy":0,"recent":0}}"#, invalid("heavy + recent must be >= 1")),
-            (r#"{"Streaming":{"sinks":0,"recent":0}}"#, invalid("sinks + recent must be >= 1")),
-            (r#"{"SnapKv":{"budget":0,"obs_window":32}}"#, invalid("budget must be >= 1")),
-            (r#"{"SnapKv":{"budget":8,"obs_window":0}}"#, invalid("obs_window must be >= 1")),
-            (r#"{"Tova":{"budget":0}}"#, invalid("budget must be >= 1")),
-            (r#"{"Think":{"keep_ratio":0.0}}"#, invalid("keep_ratio must be in (0, 1]")),
-            (r#"{"Think":{"keep_ratio":1.5}}"#, invalid("keep_ratio must be in (0, 1]")),
-            (
-                r#"{"PyramidKv":{"first_layer_budget":96,"last_layer_budget":32,"obs_window":0}}"#,
-                invalid("obs_window must be >= 1"),
-            ),
-            (r#"{"Quest":{"page_size":0,"top_k_pages":4}}"#, invalid("page_size must be >= 1")),
-            (r#"{"Quest":{"page_size":16,"top_k_pages":0}}"#, invalid("top_k_pages must be >= 1")),
+            (C::Kivi(KiviParams { bits: 3, ..kivi }), CacheError::UnsupportedBits(3)),
+            (C::Kivi(KiviParams { group_size: 0, ..kivi }), invalid("group_size must be >= 1")),
+            (C::Gear(GearParams { outlier_ratio: -0.1, ..gear }), invalid("outlier_ratio must be in [0, 1]")),
+            (C::Gear(GearParams { rank_ratio: 1.5, ..gear }), invalid("rank_ratio must be in [0, 1]")),
+            (C::Gear(GearParams { buffer: 0, ..gear }), invalid("buffer must be >= 1")),
+            (C::H2O(H2OParams { heavy: 0, recent: 0 }), invalid("heavy + recent must be >= 1")),
+            (C::Streaming(StreamingParams { sinks: 0, recent: 0 }), invalid("sinks + recent must be >= 1")),
+            (C::SnapKv(SnapKvParams { budget: 0, obs_window: 32 }), invalid("budget must be >= 1")),
+            (C::SnapKv(SnapKvParams { budget: 8, obs_window: 0 }), invalid("obs_window must be >= 1")),
+            (C::Tova(TovaParams { budget: 0 }), invalid("budget must be >= 1")),
+            (C::Think(ThinkParams { keep_ratio: 0.0 }), invalid("keep_ratio must be in (0, 1]")),
+            (C::Think(ThinkParams { keep_ratio: 1.5 }), invalid("keep_ratio must be in (0, 1]")),
+            (C::PyramidKv(pyramid), invalid("obs_window must be >= 1")),
+            (C::Quest(QuestParams { page_size: 0, top_k_pages: 4 }), invalid("page_size must be >= 1")),
+            (C::Quest(QuestParams { page_size: 16, top_k_pages: 0 }), invalid("top_k_pages must be >= 1")),
         ];
-        for (json, want) in cases {
-            let cfg = decode(json);
-            assert_eq!(cfg.try_build(8).unwrap_err(), want, "{json}");
-            assert_eq!(cfg.try_build_for_layer(8, 1, 4).unwrap_err(), want, "{json}");
-            assert!(!cfg.to_string().is_empty(), "{json}");
+        for (cfg, want) in cases {
+            assert_eq!(cfg.try_build(8).unwrap_err(), want, "{cfg:?}");
+            assert_eq!(
+                cfg.try_build_for_layer(8, 1, 4).unwrap_err(),
+                want,
+                "{cfg:?}"
+            );
+            assert!(!cfg.to_string().is_empty(), "{cfg:?}");
         }
-        assert!(decode(r#""Fp16""#).try_build_for_layer(8, 1, 4).is_ok());
+        assert!(C::Fp16.try_build_for_layer(8, 1, 4).is_ok());
     }
 
     /// Budgets whose arithmetic does not fit `usize` are construction
-    /// errors, and their labels saturate instead of overflowing. The Quest
-    /// geometry is reachable from JSON (integers decode up to `i64::MAX`),
-    /// the others only from code. The two quantizers used to build and
-    /// then panic on their first append, the flush threshold wrapping.
+    /// errors, and their labels saturate instead of overflowing. The two
+    /// quantizers used to build and then panic on their first append, the
+    /// flush threshold wrapping.
     #[test]
     fn overflowing_budgets_are_errors_and_their_labels_saturate() {
         let max = usize::MAX;
@@ -669,7 +578,10 @@ mod tests {
                 "gear-4".to_owned(),
             ),
             (
-                decode(r#"{"Quest":{"page_size":4611686018427387904,"top_k_pages":4}}"#),
+                CompressionConfig::Quest(QuestParams {
+                    page_size: 1 << 62,
+                    top_k_pages: 4,
+                }),
                 "page_size * top_k_pages overflows usize",
                 format!("quest-{max}"),
             ),

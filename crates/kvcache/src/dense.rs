@@ -147,13 +147,6 @@ impl QuestParams {
     }
 }
 
-rkvc_tensor::json_struct!(StreamingParams { sinks, recent });
-rkvc_tensor::json_struct!(H2OParams { heavy, recent });
-rkvc_tensor::json_struct!(TovaParams { budget });
-rkvc_tensor::json_struct!(SnapKvParams { budget, obs_window });
-rkvc_tensor::json_struct!(ThinkParams { keep_ratio });
-rkvc_tensor::json_struct!(QuestParams { page_size, top_k_pages });
-
 /// Which rows of a [`DenseCache`] stay, and when the others leave.
 ///
 /// # Examples

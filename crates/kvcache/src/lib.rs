@@ -17,8 +17,8 @@
 //!   the whole difference within the quantization family: `Kivi` and
 //!   `Gear`.
 //!
-//! Experiments name none of them: a [`CompressionConfig`] (ten variants,
-//! serializable) builds the right one as a `Box<dyn KvCache>`.
+//! Experiments name none of them: a [`CompressionConfig`] (ten variants)
+//! builds the right one as a `Box<dyn KvCache>`.
 //!
 //! All quantization is *real*: values are packed into `u8` words at
 //! 1/2/4/8 bits and dequantized on read, so compression genuinely perturbs

@@ -1,6 +1,5 @@
 //! Cache statistics reported by every policy.
 
-
 /// Aggregate statistics of a KV cache instance.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheStats {
@@ -45,16 +44,6 @@ impl CacheStats {
         }
     }
 }
-
-rkvc_tensor::json_struct!(CacheStats {
-    tokens_seen,
-    tokens_retained,
-    tokens_evicted,
-    memory_bytes,
-    resident_bytes,
-    fp16_baseline_bytes,
-    mean_quant_error,
-});
 
 #[cfg(test)]
 mod tests {

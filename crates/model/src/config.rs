@@ -1,6 +1,5 @@
 //! TinyLM architecture configuration.
 
-
 use crate::vocab;
 
 /// Architecture and construction parameters for [`crate::TinyLm`].
@@ -158,21 +157,6 @@ impl ModelConfig {
         );
     }
 }
-
-rkvc_tensor::json_struct!(ModelConfig {
-    vocab_size,
-    code_dim,
-    pos_dim,
-    n_layers,
-    n_heads,
-    n_kv_heads,
-    mlp_hidden,
-    induction_layer,
-    beta,
-    gain,
-    noise_scale,
-    seed,
-});
 
 #[cfg(test)]
 mod tests {

@@ -106,18 +106,6 @@ impl TinyLm {
     }
 }
 
-rkvc_tensor::json_struct!(GenerateParams {
-    max_new_tokens,
-    temperature,
-    seed,
-});
-rkvc_tensor::json_struct!(GenerationOutput {
-    tokens,
-    stopped_by_eos,
-    prompt_len,
-    cache_stats,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

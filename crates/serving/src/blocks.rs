@@ -161,19 +161,6 @@ impl BlockPoolStats {
     }
 }
 
-rkvc_tensor::json_struct!(BlockPoolStats {
-    logical_blocks_registered,
-    physical_blocks_registered,
-    shared_hits,
-    cow_copies,
-    demoted_blocks,
-    demoted_tokens,
-    refilled_blocks,
-    refilled_tokens,
-    peak_resident_seqs,
-    peak_l1_used_blocks,
-});
-
 /// What a shared registration reused from the dedup index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 // rkvc-allow(C001): return type of BlockManager::register_shared; consumers bind registrations without naming the type
@@ -276,16 +263,16 @@ struct SeqEntry {
     tokens: usize,
 }
 
-/// Fixed-size KV block allocator with per-block identity: refcounted
-/// content-hashed prefix sharing, copy-on-write tails, and L1/L2 tiering.
-/// See the module docs for the sharing/tiering model and the zero-token
-/// contract.
+/// The physical side of a [`BlockManager`]: block slots, tier occupancy,
+/// the dedup index and the counters. A field of its own, apart from the
+/// sequence table, so an operation can hold a sequence's entry while it
+/// allocates or releases blocks here.
 #[derive(Debug, Clone)]
-pub struct BlockManager {
+struct BlockTable {
     block_size: usize,
     total_blocks: usize,
     l2_total_blocks: usize,
-    /// Physical block table; freed slots are recycled via `free_ids`.
+    /// Physical block slots; freed slots are recycled via `free_ids`.
     blocks: Vec<Block>,
     /// LIFO free list of recycled `blocks` slots (deterministic reuse).
     free_ids: Vec<u32>,
@@ -293,147 +280,27 @@ pub struct BlockManager {
     l2_used: usize,
     /// Content hash -> published (L1-resident, immutable) block.
     dedup: BTreeMap<u64, u32>,
-    seqs: BTreeMap<u64, SeqEntry>,
     stats: BlockPoolStats,
 }
 
-impl BlockManager {
-    /// Creates a pool of `total_blocks` GPU-resident blocks of
-    /// `block_size` tokens and no spill tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size == 0`.
-    pub fn new(total_blocks: usize, block_size: usize) -> Self {
-        Self::with_tier(total_blocks, block_size, 0)
-    }
-
-    /// Creates a pool with `total_blocks` L1 (GPU) blocks plus an
-    /// `l2_blocks`-block host spill tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size == 0`.
-    pub fn with_tier(total_blocks: usize, block_size: usize, l2_blocks: usize) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        BlockManager {
-            block_size,
-            total_blocks,
-            l2_total_blocks: l2_blocks,
-            blocks: Vec::new(),
-            free_ids: Vec::new(),
-            l1_used: 0,
-            l2_used: 0,
-            dedup: BTreeMap::new(),
-            seqs: BTreeMap::new(),
-            stats: BlockPoolStats::default(),
-        }
-    }
-
-    /// Tokens per block.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Total L1 pool capacity in blocks.
-    pub fn total_blocks(&self) -> usize {
-        self.total_blocks
-    }
-
-    /// L1 blocks currently allocated.
-    pub fn used_blocks(&self) -> usize {
-        self.l1_used
-    }
-
-    /// L1 blocks currently free.
-    pub fn free_blocks(&self) -> usize {
+impl BlockTable {
+    fn free_blocks(&self) -> usize {
         self.total_blocks - self.l1_used
     }
 
-    /// Spill-tier capacity in blocks (0 without a tier).
-    pub fn l2_total_blocks(&self) -> usize {
-        self.l2_total_blocks
-    }
-
-    /// Spill-tier blocks currently in use.
-    pub fn l2_used_blocks(&self) -> usize {
-        self.l2_used
-    }
-
-    /// Fraction of the L1 pool in use.
-    pub fn utilization(&self) -> f64 {
-        if self.total_blocks == 0 {
-            0.0
-        } else {
-            self.l1_used as f64 / self.total_blocks as f64
+    /// [`BlockError::OutOfBlocks`] unless `n` L1 blocks are free.
+    fn check_free(&self, n: usize) -> Result<(), BlockError> {
+        if n > self.free_blocks() {
+            return Err(BlockError::OutOfBlocks {
+                requested: n,
+                available: self.free_blocks(),
+            });
         }
+        Ok(())
     }
 
-    /// Tokens wasted to internal fragmentation: allocated-but-unfilled
-    /// slots summed over *physical* blocks (either tier), so a block
-    /// shared by many chains is counted once and a zero-token sequence
-    /// (which holds no blocks) contributes nothing.
-    pub fn internal_fragmentation_tokens(&self) -> usize {
-        self.blocks
-            .iter()
-            .filter(|b| b.refs > 0)
-            .map(|b| self.block_size - b.filled)
-            .sum()
-    }
-
-    /// Number of registered sequences (running or spilled).
-    pub fn seq_count(&self) -> usize {
-        self.seqs.len()
-    }
-
-    /// Sum of chain lengths over registered sequences — the *logical*
-    /// block demand. Exceeds `used + l2_used` exactly when blocks are
-    /// shared.
-    pub fn logical_blocks(&self) -> usize {
-        self.seqs.values().map(|e| e.chain.len()).sum()
-    }
-
-    /// Cumulative sharing/tiering counters.
-    pub fn stats(&self) -> &BlockPoolStats {
-        &self.stats
-    }
-
-    /// Whether `seq` is registered with every block L1-resident (a
-    /// spilled sequence reports `false` until refilled; an unknown id
-    /// reports `false`).
-    pub fn is_fully_resident(&self, seq: u64) -> bool {
-        match self.seqs.get(&seq) {
-            Some(e) => e
-                .chain
-                .iter()
-                .all(|&id| self.blocks[id as usize].tier == BlockTier::L1),
-            None => false,
-        }
-    }
-
-    /// The sequence's chain as block views (introspection for tests and
-    /// experiments), or `None` if unregistered.
-    pub fn seq_blocks(&self, seq: u64) -> Option<Vec<BlockView>> {
-        let e = self.seqs.get(&seq)?;
-        Some(
-            e.chain
-                .iter()
-                .map(|&id| {
-                    let b = &self.blocks[id as usize];
-                    BlockView {
-                        id,
-                        refs: b.refs,
-                        filled: b.filled,
-                        tier: b.tier,
-                        published: b.hash.is_some(),
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    fn blocks_for(&self, tokens: usize) -> usize {
-        tokens.div_ceil(self.block_size)
+    fn note_l1_peak(&mut self) {
+        self.stats.peak_l1_used_blocks = self.stats.peak_l1_used_blocks.max(self.l1_used);
     }
 
     /// Allocates one L1 block (caller has verified capacity), publishing
@@ -456,13 +323,18 @@ impl BlockManager {
             }
         };
         self.l1_used += 1;
-        if self.l1_used > self.stats.peak_l1_used_blocks {
-            self.stats.peak_l1_used_blocks = self.l1_used;
-        }
+        self.note_l1_peak();
         if let Some(h) = hash {
             self.dedup.insert(h, id);
         }
         id
+    }
+
+    /// Takes a block out of the dedup index, if it is published.
+    fn unpublish(&mut self, id: u32) {
+        if let Some(h) = self.blocks[id as usize].hash.take() {
+            self.dedup.remove(&h);
+        }
     }
 
     /// Drops one reference; the last reference frees the block (and
@@ -473,24 +345,161 @@ impl BlockManager {
         if b.refs > 0 {
             return;
         }
-        let hash = b.hash.take();
         match b.tier {
             BlockTier::L1 => self.l1_used -= 1,
             BlockTier::L2 => self.l2_used -= 1,
         }
-        if let Some(h) = hash {
-            self.dedup.remove(&h);
-        }
+        self.unpublish(id);
         self.free_ids.push(id);
     }
+}
 
-    fn note_registered(&mut self, logical: usize, fresh: usize, hits: usize) {
-        self.stats.logical_blocks_registered += logical as u64;
-        self.stats.physical_blocks_registered += fresh as u64;
-        self.stats.shared_hits += hits as u64;
-        if self.seqs.len() > self.stats.peak_resident_seqs {
-            self.stats.peak_resident_seqs = self.seqs.len();
+/// Fixed-size KV block allocator with per-block identity: refcounted
+/// content-hashed prefix sharing, copy-on-write tails, and L1/L2 tiering.
+/// See the module docs for the sharing/tiering model and the zero-token
+/// contract.
+#[derive(Debug, Clone)]
+pub struct BlockManager {
+    table: BlockTable,
+    seqs: BTreeMap<u64, SeqEntry>,
+}
+
+impl BlockManager {
+    /// Creates a pool of `total_blocks` GPU-resident blocks of
+    /// `block_size` tokens and no spill tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size == 0`.
+    pub fn new(total_blocks: usize, block_size: usize) -> Self {
+        Self::with_tier(total_blocks, block_size, 0)
+    }
+
+    /// Creates a pool with `total_blocks` L1 (GPU) blocks plus an
+    /// `l2_blocks`-block host spill tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size == 0`.
+    pub fn with_tier(total_blocks: usize, block_size: usize, l2_blocks: usize) -> Self {
+        assert!(block_size > 0, "block size must be positive");
+        BlockManager {
+            table: BlockTable {
+                block_size,
+                total_blocks,
+                l2_total_blocks: l2_blocks,
+                blocks: Vec::new(),
+                free_ids: Vec::new(),
+                l1_used: 0,
+                l2_used: 0,
+                dedup: BTreeMap::new(),
+                stats: BlockPoolStats::default(),
+            },
+            seqs: BTreeMap::new(),
         }
+    }
+
+    /// Tokens per block.
+    pub fn block_size(&self) -> usize {
+        self.table.block_size
+    }
+
+    /// Total L1 pool capacity in blocks.
+    pub fn total_blocks(&self) -> usize {
+        self.table.total_blocks
+    }
+
+    /// L1 blocks currently allocated.
+    pub fn used_blocks(&self) -> usize {
+        self.table.l1_used
+    }
+
+    /// L1 blocks currently free.
+    pub fn free_blocks(&self) -> usize {
+        self.table.free_blocks()
+    }
+
+    /// Spill-tier capacity in blocks (0 without a tier).
+    pub fn l2_total_blocks(&self) -> usize {
+        self.table.l2_total_blocks
+    }
+
+    /// Spill-tier blocks currently in use.
+    pub fn l2_used_blocks(&self) -> usize {
+        self.table.l2_used
+    }
+
+    /// Fraction of the L1 pool in use.
+    pub fn utilization(&self) -> f64 {
+        if self.table.total_blocks == 0 {
+            0.0
+        } else {
+            self.table.l1_used as f64 / self.table.total_blocks as f64
+        }
+    }
+
+    /// Tokens wasted to internal fragmentation: allocated-but-unfilled
+    /// slots summed over *physical* blocks (either tier), so a block
+    /// shared by many chains is counted once and a zero-token sequence
+    /// (which holds no blocks) contributes nothing.
+    pub fn internal_fragmentation_tokens(&self) -> usize {
+        self.table
+            .blocks
+            .iter()
+            .filter(|b| b.refs > 0)
+            .map(|b| self.table.block_size - b.filled)
+            .sum()
+    }
+
+    /// Number of registered sequences (running or spilled).
+    pub fn seq_count(&self) -> usize {
+        self.seqs.len()
+    }
+
+    /// Sum of chain lengths over registered sequences — the *logical*
+    /// block demand. Exceeds `used + l2_used` exactly when blocks are
+    /// shared.
+    pub fn logical_blocks(&self) -> usize {
+        self.seqs.values().map(|e| e.chain.len()).sum()
+    }
+
+    /// Cumulative sharing/tiering counters.
+    pub fn stats(&self) -> &BlockPoolStats {
+        &self.table.stats
+    }
+
+    /// Whether `seq` is registered with every block L1-resident (a
+    /// spilled sequence reports `false` until refilled; an unknown id
+    /// reports `false`).
+    pub fn is_fully_resident(&self, seq: u64) -> bool {
+        match self.seqs.get(&seq) {
+            Some(e) => e
+                .chain
+                .iter()
+                .all(|&id| self.table.blocks[id as usize].tier == BlockTier::L1),
+            None => false,
+        }
+    }
+
+    /// The sequence's chain as block views (introspection for tests and
+    /// experiments), or `None` if unregistered.
+    pub fn seq_blocks(&self, seq: u64) -> Option<Vec<BlockView>> {
+        let e = self.seqs.get(&seq)?;
+        Some(
+            e.chain
+                .iter()
+                .map(|&id| {
+                    let b = &self.table.blocks[id as usize];
+                    BlockView {
+                        id,
+                        refs: b.refs,
+                        filled: b.filled,
+                        tier: b.tier,
+                        published: b.hash.is_some(),
+                    }
+                })
+                .collect(),
+        )
     }
 
     /// Registers a sequence holding `tokens` tokens (its prefill
@@ -530,47 +539,44 @@ impl BlockManager {
         if self.seqs.contains_key(&seq) {
             return Err(BlockError::DuplicateSeq { seq });
         }
-        let need = self.blocks_for(tokens);
+        let t = &mut self.table;
+        let bs = t.block_size;
+        let need = tokens.div_ceil(bs);
         // Only blocks the sequence fills completely are shareable — a
         // partial tail is private by construction.
-        let shareable = prefix_hashes.len().min(tokens / self.block_size);
-        let mut hits = 0;
-        while hits < shareable && self.dedup.contains_key(&prefix_hashes[hits]) {
-            hits += 1;
-        }
+        let shareable = prefix_hashes.len().min(tokens / bs);
+        let hits = prefix_hashes[..shareable]
+            .iter()
+            .take_while(|h| t.dedup.contains_key(h))
+            .count();
         let fresh = need - hits;
-        if fresh > self.free_blocks() {
-            return Err(BlockError::OutOfBlocks {
-                requested: fresh,
-                available: self.free_blocks(),
-            });
-        }
+        t.check_free(fresh)?;
         let mut chain = Vec::with_capacity(need);
-        for h in prefix_hashes.iter().take(hits) {
-            if let Some(&id) = self.dedup.get(h) {
-                self.blocks[id as usize].refs += 1;
+        for h in &prefix_hashes[..hits] {
+            if let Some(&id) = t.dedup.get(h) {
+                t.blocks[id as usize].refs += 1;
                 chain.push(id);
             }
         }
-        for i in hits..need {
-            let filled = if i + 1 < need || tokens % self.block_size == 0 {
-                self.block_size
+        // Publish the full prefix blocks this sequence brings in.
+        let publish = prefix_hashes[hits..shareable].iter().copied().map(Some);
+        for (i, hash) in (hits..need).zip(publish.chain(std::iter::repeat(None))) {
+            let filled = if i + 1 < need || tokens.is_multiple_of(bs) {
+                bs
             } else {
-                tokens % self.block_size
+                tokens % bs
             };
-            // Publish the full prefix blocks this sequence brings in.
-            let hash = if i < shareable {
-                Some(prefix_hashes[i])
-            } else {
-                None
-            };
-            chain.push(self.alloc_block(filled, hash));
+            chain.push(t.alloc_block(filled, hash));
         }
         self.seqs.insert(seq, SeqEntry { chain, tokens });
-        self.note_registered(need, fresh, hits);
+        let stats = &mut self.table.stats;
+        stats.logical_blocks_registered += need as u64;
+        stats.physical_blocks_registered += fresh as u64;
+        stats.shared_hits += hits as u64;
+        stats.peak_resident_seqs = stats.peak_resident_seqs.max(self.seqs.len());
         Ok(SharedRegistration {
             shared_blocks: hits,
-            shared_tokens: hits * self.block_size,
+            shared_tokens: hits * bs,
         })
     }
 
@@ -586,70 +592,46 @@ impl BlockManager {
     /// and none is free (the sequence is left unchanged);
     /// [`BlockError::NotResident`] if the tail is demoted to L2.
     pub fn append_token(&mut self, seq: u64) -> Result<(), BlockError> {
-        let (chain_len, tokens, tail) = match self.seqs.get(&seq) {
-            Some(e) => (e.chain.len(), e.tokens, e.chain.last().copied()),
-            None => return Err(BlockError::UnknownSeq { seq }),
-        };
-        // Private blocks always follow the shared prefix, and demotion
-        // moves every private block — so a demoted tail is exactly the
-        // "some block is on L2" condition, at either branch below.
-        if let Some(t) = tail {
-            if self.blocks[t as usize].tier == BlockTier::L2 {
+        let e = self
+            .seqs
+            .get_mut(&seq)
+            .ok_or(BlockError::UnknownSeq { seq })?;
+        let t = &mut self.table;
+        // Tokens in the tail block: `block_size` at a boundary, which is
+        // where an empty chain stands too.
+        let in_tail = e.tokens + t.block_size - e.chain.len() * t.block_size;
+        match e.chain.last_mut() {
+            // Private blocks always follow the shared prefix, and demotion
+            // moves every private block — so a demoted tail is exactly the
+            // "some block is on L2" condition, whichever arm would follow.
+            Some(tail) if t.blocks[*tail as usize].tier == BlockTier::L2 => {
                 return Err(BlockError::NotResident { seq });
             }
-        }
-        // Boundary (including the empty chain): open a fresh private block.
-        if tokens == chain_len * self.block_size {
-            if self.free_blocks() == 0 {
-                return Err(BlockError::OutOfBlocks {
-                    requested: 1,
-                    available: 0,
-                });
-            }
-            let id = self.alloc_block(1, None);
-            if let Some(e) = self.seqs.get_mut(&seq) {
-                e.chain.push(id);
-                e.tokens += 1;
-            }
-            return Ok(());
-        }
-        let Some(tail) = tail else {
-            // Unreachable: tokens > 0 implies a non-empty chain.
-            return Err(BlockError::UnknownSeq { seq });
-        };
-        let in_tail = tokens - (chain_len - 1) * self.block_size;
-        let refs = self.blocks[tail as usize].refs;
-        if refs > 1 {
-            // Divergent append into a shared block: copy-on-write. The
-            // copy takes this sequence's `in_tail` tokens plus the new one;
-            // the shared original is untouched.
-            if self.free_blocks() == 0 {
-                return Err(BlockError::OutOfBlocks {
-                    requested: 1,
-                    available: 0,
-                });
-            }
-            let id = self.alloc_block(in_tail + 1, None);
-            self.release_ref(tail);
-            if let Some(e) = self.seqs.get_mut(&seq) {
-                if let Some(last) = e.chain.last_mut() {
-                    *last = id;
+            Some(tail) if in_tail < t.block_size => {
+                let id = *tail;
+                if t.blocks[id as usize].refs > 1 {
+                    // Divergent append into a shared block: copy-on-write.
+                    // The copy takes this sequence's `in_tail` tokens plus
+                    // the new one; the shared original is untouched.
+                    t.check_free(1)?;
+                    *tail = t.alloc_block(in_tail + 1, None);
+                    t.release_ref(id);
+                    t.stats.cow_copies += 1;
+                } else {
+                    // Sole owner. A still-published block must leave the
+                    // dedup index before it mutates — published content is
+                    // immutable by contract.
+                    t.unpublish(id);
+                    t.blocks[id as usize].filled = in_tail + 1;
                 }
-                e.tokens += 1;
             }
-            self.stats.cow_copies += 1;
-            return Ok(());
+            // Boundary: open a fresh private block.
+            _ => {
+                t.check_free(1)?;
+                e.chain.push(t.alloc_block(1, None));
+            }
         }
-        // Sole owner. A still-published block must leave the dedup index
-        // before it mutates — published content is immutable by contract.
-        let hash = self.blocks[tail as usize].hash.take();
-        if let Some(h) = hash {
-            self.dedup.remove(&h);
-        }
-        self.blocks[tail as usize].filled = in_tail + 1;
-        if let Some(e) = self.seqs.get_mut(&seq) {
-            e.tokens += 1;
-        }
+        e.tokens += 1;
         Ok(())
     }
 
@@ -662,37 +644,29 @@ impl BlockManager {
     /// [`BlockError::UnknownSeq`] if `seq` is not registered;
     /// [`BlockError::TruncateGrow`] if `tokens` exceeds its current count.
     pub fn truncate_seq(&mut self, seq: u64, tokens: usize) -> Result<(), BlockError> {
-        let have = match self.seqs.get(&seq) {
-            Some(e) => e.tokens,
-            None => return Err(BlockError::UnknownSeq { seq }),
-        };
-        if tokens > have {
+        let e = self
+            .seqs
+            .get_mut(&seq)
+            .ok_or(BlockError::UnknownSeq { seq })?;
+        if tokens > e.tokens {
             return Err(BlockError::TruncateGrow {
                 seq,
-                have,
+                have: e.tokens,
                 want: tokens,
             });
         }
-        let keep = self.blocks_for(tokens);
-        let released = match self.seqs.get_mut(&seq) {
-            Some(e) => {
-                e.tokens = tokens;
-                e.chain.split_off(keep)
-            }
-            None => Vec::new(),
-        };
-        for id in released {
-            self.release_ref(id);
+        let t = &mut self.table;
+        let keep = tokens.div_ceil(t.block_size);
+        e.tokens = tokens;
+        for id in e.chain.drain(keep..) {
+            t.release_ref(id);
         }
-        if keep > 0 {
-            let tail = self.seqs.get(&seq).and_then(|e| e.chain.last().copied());
-            if let Some(tail) = tail {
-                let b = &mut self.blocks[tail as usize];
-                // Only a private tail's fill tracks this sequence; shared
-                // or published tails keep their full (immutable) contents.
-                if b.refs == 1 && b.hash.is_none() {
-                    b.filled = tokens - (keep - 1) * self.block_size;
-                }
+        if let Some(&tail) = e.chain.last() {
+            let b = &mut t.blocks[tail as usize];
+            // Only a private tail's fill tracks this sequence; shared
+            // or published tails keep their full (immutable) contents.
+            if b.refs == 1 && b.hash.is_none() {
+                b.filled = tokens - (keep - 1) * t.block_size;
             }
         }
         Ok(())
@@ -710,7 +684,7 @@ impl BlockManager {
             .remove(&seq)
             .ok_or(BlockError::UnknownSeq { seq })?;
         for id in entry.chain {
-            self.release_ref(id);
+            self.table.release_ref(id);
         }
         Ok(())
     }
@@ -733,14 +707,12 @@ impl BlockManager {
     ///
     /// [`BlockError::UnknownSeq`] if `seq` is not registered.
     pub fn publish_seq(&mut self, seq: u64, hashes: &[u64]) -> Result<usize, BlockError> {
-        let chain: Vec<u32> = match self.seqs.get(&seq) {
-            Some(e) => e.chain.clone(),
-            None => return Err(BlockError::UnknownSeq { seq }),
-        };
+        let e = self.seqs.get(&seq).ok_or(BlockError::UnknownSeq { seq })?;
+        let t = &mut self.table;
         let mut published = 0usize;
-        for (&id, &h) in chain.iter().zip(hashes) {
-            let b = &self.blocks[id as usize];
-            if b.tier != BlockTier::L1 || b.filled != self.block_size {
+        for (&id, &h) in e.chain.iter().zip(hashes) {
+            let b = &mut t.blocks[id as usize];
+            if b.tier != BlockTier::L1 || b.filled != t.block_size {
                 break;
             }
             match b.hash {
@@ -749,14 +721,14 @@ impl BlockManager {
                 }
                 Some(_) => break,
                 None => {
-                    if self.dedup.contains_key(&h) {
+                    if t.dedup.contains_key(&h) {
                         // Another block already owns this hash (identical
                         // content published elsewhere); chains that need
                         // it will share that copy instead.
                         break;
                     }
-                    self.blocks[id as usize].hash = Some(h);
-                    self.dedup.insert(h, id);
+                    b.hash = Some(h);
+                    t.dedup.insert(h, id);
                     published += 1;
                 }
             }
@@ -777,18 +749,18 @@ impl BlockManager {
     /// [`BlockError::OutOfBlocks`] (moving nothing) if the spill tier
     /// cannot hold every candidate block.
     pub fn demote_seq(&mut self, seq: u64) -> Result<TierMove, BlockError> {
-        let chain: Vec<u32> = match self.seqs.get(&seq) {
-            Some(e) => e.chain.clone(),
-            None => return Err(BlockError::UnknownSeq { seq }),
-        };
-        let candidates: Vec<u32> = chain
-            .into_iter()
+        let e = self.seqs.get(&seq).ok_or(BlockError::UnknownSeq { seq })?;
+        let t = &mut self.table;
+        let candidates: Vec<u32> = e
+            .chain
+            .iter()
+            .copied()
             .filter(|&id| {
-                let b = &self.blocks[id as usize];
+                let b = &t.blocks[id as usize];
                 b.tier == BlockTier::L1 && b.refs == 1
             })
             .collect();
-        let l2_free = self.l2_total_blocks - self.l2_used;
+        let l2_free = t.l2_total_blocks - t.l2_used;
         if candidates.len() > l2_free {
             return Err(BlockError::OutOfBlocks {
                 requested: candidates.len(),
@@ -797,19 +769,16 @@ impl BlockManager {
         }
         let mut mv = TierMove::default();
         for id in candidates {
-            let hash = self.blocks[id as usize].hash.take();
-            if let Some(h) = hash {
-                self.dedup.remove(&h);
-            }
-            let b = &mut self.blocks[id as usize];
+            t.unpublish(id);
+            let b = &mut t.blocks[id as usize];
             b.tier = BlockTier::L2;
-            self.l1_used -= 1;
-            self.l2_used += 1;
+            t.l1_used -= 1;
+            t.l2_used += 1;
             mv.blocks += 1;
             mv.tokens += b.filled;
         }
-        self.stats.demoted_blocks += mv.blocks as u64;
-        self.stats.demoted_tokens += mv.tokens as u64;
+        t.stats.demoted_blocks += mv.blocks as u64;
+        t.stats.demoted_tokens += mv.tokens as u64;
         Ok(mv)
     }
 
@@ -822,34 +791,27 @@ impl BlockManager {
     /// [`BlockError::OutOfBlocks`] (moving nothing) if L1 lacks room for
     /// every spilled block.
     pub fn refill_seq(&mut self, seq: u64) -> Result<TierMove, BlockError> {
-        let chain: Vec<u32> = match self.seqs.get(&seq) {
-            Some(e) => e.chain.clone(),
-            None => return Err(BlockError::UnknownSeq { seq }),
-        };
-        let spilled: Vec<u32> = chain
-            .into_iter()
-            .filter(|&id| self.blocks[id as usize].tier == BlockTier::L2)
+        let e = self.seqs.get(&seq).ok_or(BlockError::UnknownSeq { seq })?;
+        let t = &mut self.table;
+        let spilled: Vec<u32> = e
+            .chain
+            .iter()
+            .copied()
+            .filter(|&id| t.blocks[id as usize].tier == BlockTier::L2)
             .collect();
-        if spilled.len() > self.free_blocks() {
-            return Err(BlockError::OutOfBlocks {
-                requested: spilled.len(),
-                available: self.free_blocks(),
-            });
-        }
+        t.check_free(spilled.len())?;
         let mut mv = TierMove::default();
         for id in spilled {
-            let b = &mut self.blocks[id as usize];
+            let b = &mut t.blocks[id as usize];
             b.tier = BlockTier::L1;
-            self.l2_used -= 1;
-            self.l1_used += 1;
+            t.l2_used -= 1;
+            t.l1_used += 1;
             mv.blocks += 1;
             mv.tokens += b.filled;
         }
-        if self.l1_used > self.stats.peak_l1_used_blocks {
-            self.stats.peak_l1_used_blocks = self.l1_used;
-        }
-        self.stats.refilled_blocks += mv.blocks as u64;
-        self.stats.refilled_tokens += mv.tokens as u64;
+        t.note_l1_peak();
+        t.stats.refilled_blocks += mv.blocks as u64;
+        t.stats.refilled_tokens += mv.tokens as u64;
         Ok(mv)
     }
 }

@@ -203,13 +203,6 @@ impl Cluster {
     }
 }
 
-rkvc_tensor::json_unit_enum!(RoutingPolicy {
-    LoadBalance,
-    ThroughputAware,
-    LengthAware,
-    Both,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,23 +1,9 @@
 //! Latency reductions: percentiles and CDFs, plus per-request serving
-//! metric summaries (TTFT / TBT / queue delay / E2E) for experiment JSON —
+//! metric summaries (TTFT / TBT / queue delay / E2E) for experiment tables —
 //! and, for mixed-class traffic, per-[`SloClass`] breakdowns with
 //! attainment and goodput ([`SloMetrics`]).
 
 use crate::{CompletedRequest, SloClass};
-
-/// Above this sample count a serialized summary switches from the full
-/// `sorted` array to a fixed quantile digest (`count` + `mean` +
-/// [`QUANTILE_GRID`] pairs) — a million-request fleet run must not write a
-/// million raw floats per metric. Every committed result file holds
-/// summaries well under this limit, so their bytes are untouched.
-const FULL_SAMPLE_LIMIT: usize = 1_000;
-
-/// The digest's percentile grid: the points experiments actually report
-/// (`row` uses p50/p95/p99) plus enough of the body and tail to replot a
-/// coarse CDF.
-const QUANTILE_GRID: [f64; 12] = [
-    0.0, 1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0,
-];
 
 /// Summary statistics over a set of latencies (seconds): every sample,
 /// sorted.
@@ -114,35 +100,6 @@ impl LatencySummary {
     }
 }
 
-// Hand-written (rather than `json_to_struct!`) so every serialized summary
-// leads with its sample `count` — results JSON stays greppable without
-// measuring the `sorted` array. At most FULL_SAMPLE_LIMIT samples
-// serialize verbatim; above that the digest form (`count` + `mean` +
-// nearest-rank `quantiles` on QUANTILE_GRID) keeps a million-request fleet
-// run's result file O(1) per metric instead of O(requests). Summaries are
-// written, never parsed back.
-impl rkvc_tensor::json::ToJson for LatencySummary {
-    fn to_json(&self) -> rkvc_tensor::json::JsonValue {
-        use rkvc_tensor::json::{JsonValue, ToJson};
-        let count = ("count".to_owned(), ToJson::to_json(&self.len()));
-        if self.len() <= FULL_SAMPLE_LIMIT {
-            let sorted = ("sorted".to_owned(), ToJson::to_json(&self.sorted));
-            return JsonValue::Object(vec![count, sorted]);
-        }
-        let quantiles = QUANTILE_GRID
-            .iter()
-            .map(|&p| {
-                JsonValue::Array(vec![JsonValue::Float(p), JsonValue::Float(self.percentile(p))])
-            })
-            .collect();
-        JsonValue::Object(vec![
-            count,
-            ("mean".to_owned(), JsonValue::Float(self.mean())),
-            ("quantiles".to_owned(), JsonValue::Array(quantiles)),
-        ])
-    }
-}
-
 /// Per-request serving metric summaries over a set of completions — the
 /// paper's serving-quality surface (§2.4): time-to-first-token, time
 /// between output tokens, scheduler queue delay, and end-to-end latency,
@@ -187,15 +144,6 @@ impl ServingMetrics {
     }
 }
 
-rkvc_tensor::json_to_struct!(ServingMetrics {
-    completed,
-    ttft,
-    tbt,
-    queue_delay,
-    e2e,
-    preemptions,
-});
-
 /// One [`SloClass`]'s slice of a mixed-class run: completions, per-request
 /// SLO attainment, token counts, and the class's own latency summaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,17 +177,6 @@ impl ClassMetrics {
         }
     }
 }
-
-rkvc_tensor::json_to_struct!(ClassMetrics {
-    class,
-    completed,
-    slo_met,
-    generated_tokens,
-    attained_tokens,
-    ttft,
-    tbt,
-    e2e,
-});
 
 /// SLO-centric summary of a mixed-class run: per-class breakdowns plus the
 /// run-level throughput/goodput pair. *Goodput* counts only tokens from
@@ -334,17 +271,6 @@ impl SloMetrics {
         }
     }
 }
-
-rkvc_tensor::json_to_struct!(SloMetrics {
-    per_class,
-    completed,
-    slo_met,
-    generated_tokens,
-    attained_tokens,
-    makespan_s,
-    throughput_tps,
-    goodput_tps,
-});
 
 #[cfg(test)]
 mod tests {
@@ -441,38 +367,6 @@ mod tests {
         assert_eq!(m.e2e.max(), 11.0);
         let empty = ServingMetrics::from_completed(&[]);
         assert_eq!(empty.row(&empty.ttft), [0.0; 4]);
-    }
-
-    #[test]
-    fn latency_summary_json_leads_with_count() {
-        let s = LatencySummary::new(vec![3.0, 1.0, 2.0]);
-        let text = rkvc_tensor::json::to_string(&s);
-        assert_eq!(text, r#"{"count":3,"sorted":[1.0,2.0,3.0]}"#);
-    }
-
-    #[test]
-    fn large_summary_serializes_as_quantile_digest() {
-        let n = FULL_SAMPLE_LIMIT + 500;
-        let s = LatencySummary::new((1..=n).map(|i| i as f64).collect());
-        let text = rkvc_tensor::json::to_string(&s);
-        assert!(text.contains("\"quantiles\""), "large form must digest");
-        assert!(!text.contains("\"sorted\""), "raw samples must be dropped");
-        // The digest is O(grid), not O(n).
-        assert!(text.len() < 600, "digest blew up: {} bytes", text.len());
-        // Its grid holds the exact nearest-rank values.
-        let grid: Vec<String> = QUANTILE_GRID
-            .iter()
-            .map(|&p| rkvc_tensor::json::to_string(&vec![p, s.percentile(p)]))
-            .collect();
-        assert!(text.contains(&format!("\"quantiles\":[{}]", grid.join(","))), "{text}");
-    }
-
-    #[test]
-    fn full_form_holds_exactly_at_the_limit() {
-        let s = LatencySummary::new((1..=FULL_SAMPLE_LIMIT).map(|i| i as f64).collect());
-        let text = rkvc_tensor::json::to_string(&s);
-        assert!(text.contains("\"sorted\""));
-        assert!(!text.contains("\"quantiles\""));
     }
 
     #[test]

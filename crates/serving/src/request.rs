@@ -23,13 +23,6 @@ pub struct SessionRef {
     pub last_turn: bool,
 }
 
-rkvc_tensor::json_struct!(SessionRef {
-    session,
-    turn,
-    carried_tokens,
-    last_turn,
-});
-
 /// A request submitted to a server or cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimRequest {
@@ -217,31 +210,6 @@ impl CompletedRequest {
     }
 }
 
-rkvc_tensor::json_struct!(SimRequest {
-    id,
-    arrival_s,
-    prompt_len,
-    response_len,
-    response_len_by_server,
-    prefix_group,
-    prefix_len,
-    slo,
-    session,
-});
-rkvc_tensor::json_struct!(CompletedRequest {
-    id,
-    server_id,
-    arrival_s,
-    ttft_s,
-    e2e_s,
-    generated,
-    queue_delay_s,
-    preemptions,
-    slo,
-    slo_ok,
-    session,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,18 +232,6 @@ mod tests {
         assert!((c.tbot_s() - 0.1).abs() < 1e-12);
         let single = CompletedRequest { generated: 1, ..c };
         assert_eq!(single.tbot_s(), 0.0);
-    }
-
-    /// A caller-chosen id anywhere in `u64` serializes and reads back
-    /// exactly (ids above `i64::MAX` used to panic the JSON writer).
-    #[test]
-    fn requests_with_any_u64_id_round_trip_through_json() {
-        for id in [0, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
-            let r = SimRequest::new(id, 0.0, 1, 1).with_shared_prefix(u64::MAX, 1);
-            let text = rkvc_tensor::json::to_string(&r);
-            let back: SimRequest = rkvc_tensor::json::from_str(&text).expect("round trip");
-            assert_eq!(back, r);
-        }
     }
 
     #[test]

@@ -47,16 +47,6 @@ impl Default for AutoscaleConfig {
     }
 }
 
-rkvc_tensor::json_struct!(AutoscaleConfig {
-    min_replicas,
-    max_replicas,
-    queue_high,
-    queue_low,
-    p99_ttft_high_s,
-    cooldown_epochs,
-    step,
-});
-
 /// One epoch-boundary telemetry frame, aggregated over active replicas.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetTelemetry {
@@ -78,17 +68,6 @@ pub struct FleetTelemetry {
     /// p99 TTFT over this epoch's completions (0 when none completed).
     pub epoch_p99_ttft_s: f64,
 }
-
-rkvc_tensor::json_struct!(FleetTelemetry {
-    epoch,
-    time_s,
-    active_replicas,
-    draining_replicas,
-    queued,
-    running,
-    epoch_completed,
-    epoch_p99_ttft_s,
-});
 
 impl FleetTelemetry {
     /// Builds a frame from raw epoch aggregates; the p99 signal comes from

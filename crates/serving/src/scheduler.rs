@@ -297,12 +297,6 @@ impl SchedulerConfig {
     }
 }
 
-rkvc_tensor::json_unit_enum!(SchedulerConfig {
-    Fcfs,
-    ShortestPredictedFirst,
-    Preemptive,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

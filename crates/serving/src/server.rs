@@ -681,49 +681,49 @@ impl ServerSim {
                     Ok(mv) => refilled_tokens = mv.tokens,
                     Err(_) => break, // No L1 room; wait for completions.
                 }
-            } else if self.cfg.prefix_sharing
-                && session.map_or(false, |s| s.carried_tokens > 0)
-            {
-                // A follow-up conversation turn: walk the session hash
-                // chain (shared system prefix, then this session's private
-                // history) onto whatever KV the previous turn parked. When
-                // the cache was evicted in between, the walk misses and the
-                // whole history is re-prefilled — correctness never depends
-                // on residency.
-                let sid = session.map_or(0, |s| s.session);
-                let carried = session.map_or(0, |s| s.carried_tokens);
-                let shareable = carried.min(retained) / BLOCK_TOKENS;
-                let hashes =
-                    session_hash_chain(prefix_group, prefix_len, sid, BLOCK_TOKENS, shareable);
-                let shared = self.retry_evicting_parked(Some(sid), |b| {
-                    b.register_seq_shared(picked_id, retained, &hashes)
-                });
-                match shared {
-                    Ok(r) => shared_tokens = r.shared_tokens,
-                    Err(_) => break, // No KV room; wait for completions.
-                }
-                // This turn now holds its own references to the carried
-                // blocks; the previous turn's parked owner can go.
-                self.unpark_session(sid);
-            } else if self.cfg.prefix_sharing && prefix_len > 0 {
-                // Prefix blocks are content-determined, so a preempted
-                // sequence re-shares them on re-admission just like a
-                // fresh one. Only whole blocks that survive the retention
-                // cap are shareable.
-                let shareable = prefix_len.min(retained) / BLOCK_TOKENS;
-                let hashes = prefix_hash_chain(prefix_group, BLOCK_TOKENS, shareable);
-                let shared = self.retry_evicting_parked(None, |b| {
-                    b.register_seq_shared(picked_id, retained, &hashes)
-                });
-                match shared {
-                    Ok(r) => shared_tokens = r.shared_tokens,
-                    Err(_) => break, // No KV room; wait for completions.
-                }
             } else {
-                let fresh =
-                    self.retry_evicting_parked(None, |b| b.register_seq(picked_id, retained));
-                if fresh.is_err() {
-                    break; // No KV room; wait for completions.
+                // Walk a content-hash chain onto resident KV. A follow-up
+                // conversation turn walks its session chain (shared system
+                // prefix, then this session's private history) onto what
+                // the previous turn parked; when that cache was evicted in
+                // between, the walk misses and the whole history is
+                // re-prefilled — correctness never depends on residency.
+                // Any other pick walks its prefix chain (empty without a
+                // prefix): prefix blocks are content-determined, so a
+                // preempted sequence re-shares them on re-admission just
+                // like a fresh one. Only whole blocks that survive the
+                // retention cap are shareable.
+                let follow_up = session.filter(|s| self.cfg.prefix_sharing && s.carried_tokens > 0);
+                let hashes = match follow_up {
+                    Some(s) => {
+                        let blocks = s.carried_tokens.min(retained) / BLOCK_TOKENS;
+                        session_hash_chain(
+                            prefix_group,
+                            prefix_len,
+                            s.session,
+                            BLOCK_TOKENS,
+                            blocks,
+                        )
+                    }
+                    None if self.cfg.prefix_sharing => prefix_hash_chain(
+                        prefix_group,
+                        BLOCK_TOKENS,
+                        prefix_len.min(retained) / BLOCK_TOKENS,
+                    ),
+                    None => Vec::new(),
+                };
+                let spare = follow_up.map(|s| s.session);
+                let shared = self.retry_evicting_parked(spare, |b| {
+                    b.register_seq_shared(picked_id, retained, &hashes)
+                });
+                match shared {
+                    Ok(r) => shared_tokens = r.shared_tokens,
+                    Err(_) => break, // No KV room; wait for completions.
+                }
+                // A follow-up turn now holds its own references to the
+                // carried blocks; the previous turn's parked owner can go.
+                if let Some(sid) = spare {
+                    self.unpark_session(sid);
                 }
             }
             let Some(w) = self.queue.remove(pick) else {

@@ -110,8 +110,6 @@ impl ShardPolicy {
     }
 }
 
-rkvc_tensor::json_unit_enum!(ShardPolicy { RoundRobin, ConsistentHash });
-
 #[cfg(test)]
 mod tests {
     use super::*;

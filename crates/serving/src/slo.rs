@@ -63,8 +63,6 @@ impl SloClass {
     }
 }
 
-rkvc_tensor::json_unit_enum!(SloClass { Interactive, Standard, Batch });
-
 /// One class's latency targets (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloTarget {
@@ -80,8 +78,6 @@ impl SloTarget {
         ttft_s <= self.ttft_s && tbot_s <= self.tbt_s
     }
 }
-
-rkvc_tensor::json_struct!(SloTarget { ttft_s, tbt_s });
 
 /// Per-class latency targets. Every server scores and schedules against
 /// the one [`SloTargets::default`] table.
@@ -133,12 +129,6 @@ impl SloTargets {
     }
 }
 
-rkvc_tensor::json_struct!(SloTargets {
-    interactive,
-    standard,
-    batch,
-});
-
 /// Whether schedulers consult SLO classes. `Blind` (the default) keeps the
 /// existing orderings bit-for-bit — the oracles every refactor is verified
 /// against — while `Aware` switches SPF to deadline-slack admission and the
@@ -176,8 +166,6 @@ impl SloPolicy {
         }
     }
 }
-
-rkvc_tensor::json_unit_enum!(SloPolicy { Blind, Aware });
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,6 @@
 //! Row-major dense f32 matrix.
 
 use crate::gemm::{PackedMatrix, MR};
-use crate::json::{self, FromJson, JsonError, JsonValue, ToJson};
 
 /// A row-major dense matrix of `f32` values.
 ///
@@ -23,34 +22,6 @@ pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-}
-
-impl ToJson for Matrix {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("rows", self.rows.to_json()),
-            ("cols", self.cols.to_json()),
-            ("data", self.data.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Matrix {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| JsonError::new("expected object for Matrix"))?;
-        let rows: usize = json::field(fields, "rows")?;
-        let cols: usize = json::field(fields, "cols")?;
-        let data: Vec<f32> = json::field(fields, "data")?;
-        if data.len() != rows * cols {
-            return Err(JsonError::new(format!(
-                "matrix buffer length {} does not match {rows}x{cols}",
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
-    }
 }
 
 impl Matrix {

@@ -288,83 +288,6 @@ pub fn sample_fleet(cfg: &FleetWorkloadConfig) -> Result<Vec<SimRequest>, FleetW
     Ok(out)
 }
 
-rkvc_tensor::json_struct!(FleetWorkloadConfig {
-    n_requests,
-    pattern,
-    seed,
-});
-
-impl rkvc_tensor::json::ToJson for ArrivalPattern {
-    fn to_json(&self) -> rkvc_tensor::json::JsonValue {
-        use rkvc_tensor::json::JsonValue;
-        let (kind, fields) = match *self {
-            ArrivalPattern::Uniform { rps } => ("uniform", vec![("rps", rps)]),
-            ArrivalPattern::Diurnal {
-                base_rps,
-                peak_rps,
-                period_s,
-            } => (
-                "diurnal",
-                vec![
-                    ("base_rps", base_rps),
-                    ("peak_rps", peak_rps),
-                    ("period_s", period_s),
-                ],
-            ),
-            ArrivalPattern::Bursty {
-                base_rps,
-                burst_rps,
-                period_s,
-                burst_fraction,
-            } => (
-                "bursty",
-                vec![
-                    ("base_rps", base_rps),
-                    ("burst_rps", burst_rps),
-                    ("period_s", period_s),
-                    ("burst_fraction", burst_fraction),
-                ],
-            ),
-        };
-        let mut obj = vec![("kind".to_owned(), JsonValue::Str(kind.to_owned()))];
-        for (k, v) in fields {
-            obj.push((k.to_owned(), JsonValue::Float(v)));
-        }
-        JsonValue::Object(obj)
-    }
-}
-
-impl rkvc_tensor::json::FromJson for ArrivalPattern {
-    fn from_json(
-        v: &rkvc_tensor::json::JsonValue,
-    ) -> Result<Self, rkvc_tensor::json::JsonError> {
-        use rkvc_tensor::json::{field, JsonError};
-        let fields = v
-            .as_object()
-            .ok_or_else(|| JsonError::new("expected object for ArrivalPattern"))?;
-        let kind: String = field(fields, "kind")?;
-        match kind.as_str() {
-            "uniform" => Ok(ArrivalPattern::Uniform {
-                rps: field(fields, "rps")?,
-            }),
-            "diurnal" => Ok(ArrivalPattern::Diurnal {
-                base_rps: field(fields, "base_rps")?,
-                peak_rps: field(fields, "peak_rps")?,
-                period_s: field(fields, "period_s")?,
-            }),
-            "bursty" => Ok(ArrivalPattern::Bursty {
-                base_rps: field(fields, "base_rps")?,
-                burst_rps: field(fields, "burst_rps")?,
-                period_s: field(fields, "period_s")?,
-                burst_fraction: field(fields, "burst_fraction")?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown ArrivalPattern kind '{other}'"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,29 +518,5 @@ mod tests {
         for (cfg, want) in cases {
             assert_eq!(sample_fleet(&cfg).err(), Some(want), "{cfg:?}");
         }
-    }
-
-    #[test]
-    fn patterns_round_trip_through_json() {
-        for p in [
-            ArrivalPattern::Uniform { rps: 12.5 },
-            diurnal(),
-            ArrivalPattern::Bursty {
-                base_rps: 2.0,
-                burst_rps: 40.0,
-                period_s: 20.0,
-                burst_fraction: 0.25,
-            },
-        ] {
-            let text = rkvc_tensor::json::to_string(&p);
-            let back: ArrivalPattern =
-                rkvc_tensor::json::from_str(&text).expect("round trip");
-            assert_eq!(back, p);
-        }
-        let cfg = FleetWorkloadConfig::assistants(10, diurnal(), 1);
-        let text = rkvc_tensor::json::to_string(&cfg);
-        let back: FleetWorkloadConfig =
-            rkvc_tensor::json::from_str(&text).expect("round trip");
-        assert_eq!(back, cfg);
     }
 }

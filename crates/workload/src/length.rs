@@ -4,7 +4,6 @@
 //! uncompressed response length and `L_cs` the compressed one. `D < 0`
 //! means compression made the response *longer*.
 
-
 /// The paper's length-difference statistic `D = (L_un - L_cs) / L_un`.
 ///
 /// Returns 0 when `l_un == 0` (no reference to compare against).
@@ -120,8 +119,6 @@ impl LengthStats {
             .collect()
     }
 }
-
-rkvc_tensor::json_struct!(LengthStats { values });
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,7 @@ use crate::semantic::token_f1;
 /// LongBench task categories (paper Figure 7 / Table 7 granularity).
 ///
 /// `Ord` follows declaration order so `BTreeMap<TaskType, _>` breakdowns
-/// iterate (and serialize) in this fixed order.
+/// iterate in this fixed order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TaskType {
     /// Single-document question answering.
@@ -385,62 +385,6 @@ pub fn generate_sample(
                 scorer: Scorer::PrefixFraction(nv.to_vec()),
                 max_new_tokens: 6,
             }
-        }
-    }
-}
-
-rkvc_tensor::json_unit_enum!(TaskType {
-    SingleDocQA,
-    MultiDocQA,
-    Summarization,
-    FewShot,
-    Code,
-    Synthetic,
-});
-rkvc_tensor::json_struct!(TaskSample {
-    id,
-    task,
-    prompt,
-    scorer,
-    max_new_tokens,
-});
-rkvc_tensor::json_struct!(LongBenchConfig {
-    samples_per_task,
-    context_len,
-    vocab_size,
-    seed,
-});
-
-// `Scorer` variants carry token payloads; serialize externally tagged,
-// matching serde's default for newtype variants.
-impl rkvc_tensor::json::ToJson for Scorer {
-    fn to_json(&self) -> rkvc_tensor::json::JsonValue {
-        use rkvc_tensor::json::JsonValue;
-        let (tag, tokens) = match self {
-            Scorer::ExactPrefix(t) => ("ExactPrefix", t),
-            Scorer::PrefixFraction(t) => ("PrefixFraction", t),
-            Scorer::TokenF1(t) => ("TokenF1", t),
-        };
-        JsonValue::Object(vec![(tag.to_owned(), tokens.to_json())])
-    }
-}
-
-impl rkvc_tensor::json::FromJson for Scorer {
-    fn from_json(
-        v: &rkvc_tensor::json::JsonValue,
-    ) -> Result<Self, rkvc_tensor::json::JsonError> {
-        use rkvc_tensor::json::{FromJson, JsonError};
-        let fields = v
-            .as_object()
-            .filter(|f| f.len() == 1)
-            .ok_or_else(|| JsonError::new("expected single-field object for Scorer"))?;
-        let (tag, inner) = &fields[0];
-        let tokens: Vec<TokenId> = FromJson::from_json(inner)?;
-        match tag.as_str() {
-            "ExactPrefix" => Ok(Scorer::ExactPrefix(tokens)),
-            "PrefixFraction" => Ok(Scorer::PrefixFraction(tokens)),
-            "TokenF1" => Ok(Scorer::TokenF1(tokens)),
-            other => Err(JsonError::new(format!("unknown Scorer variant '{other}'"))),
         }
     }
 }

@@ -125,16 +125,6 @@ pub fn sample_shared_prefix(cfg: &SharedPrefixConfig) -> Vec<PrefixRequest> {
         .collect()
 }
 
-rkvc_tensor::json_struct!(SharedPrefixConfig { n_requests, seed });
-rkvc_tensor::json_struct!(PrefixRequest {
-    id,
-    arrival_s,
-    group,
-    prefix_len,
-    suffix_len,
-    response_len,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -283,27 +283,6 @@ impl SessionTrace {
     }
 }
 
-rkvc_tensor::json_struct!(SessionWorkloadConfig {
-    n_sessions,
-    arrival_rps,
-    mean_turns,
-    max_turns,
-    seed,
-});
-rkvc_tensor::json_struct!(SessionTurn {
-    user_len,
-    response_len,
-    think_gap_s,
-});
-rkvc_tensor::json_struct!(SessionSpec {
-    session,
-    arrival_s,
-    group,
-    prefix_len,
-    slo,
-    turns,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

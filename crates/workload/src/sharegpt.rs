@@ -191,26 +191,6 @@ pub fn sample_conversations(
         .collect()
 }
 
-rkvc_tensor::json_struct!(ShareGptConfig {
-    n_requests,
-    seed,
-    prompt_log_mean,
-    prompt_log_std,
-    response_log_mean,
-    response_log_std,
-    prompt_clamp,
-    response_clamp,
-    arrival_rps,
-});
-rkvc_tensor::json_struct!(ConversationRequest {
-    id,
-    arrival_s,
-    prompt_len,
-    reference_response_len,
-    prompt,
-    reference_response,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -101,8 +101,6 @@ pub fn compression_ratio_sweep() -> Vec<ScaledAlgo> {
     ]
 }
 
-rkvc_tensor::json_struct!(ScaledAlgo { label, config });
-
 #[cfg(test)]
 mod tests {
     use super::*;

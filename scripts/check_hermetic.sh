@@ -28,7 +28,10 @@
 #      of the analyzer's H001.)
 #   2. `cargo build --release --offline --workspace --all-targets` with
 #      RUSTFLAGS="-D warnings" — every lib, bin, test and example
-#      compiles warning-free with the network unreachable.
+#      compiles warning-free with the network unreachable — then
+#      `cargo check` of the benchmark's own workspace (`benchmark/`, all
+#      targets, `--locked`): it calls the libraries from outside, so a
+#      library change that breaks the surface it uses fails here.
 #   3. `cargo test -q --offline --workspace` — the full test suite
 #      passes offline, including `tests/paper_claims.rs`, which checks
 #      every paper verdict in EXPERIMENTS.md against the committed
@@ -126,6 +129,7 @@ gate_done 1
 
 echo "== gate 2: offline warning-free release build (all targets) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
+cargo check --offline --locked --manifest-path benchmark/Cargo.toml --all-targets
 gate_done 2
 
 echo "== gate 3: offline test suite =="

@@ -13,6 +13,7 @@ use std::path::PathBuf;
 
 use rethink_kv_compression::core::experiments::{experiment_ids, ExperimentResult};
 use rethink_kv_compression::core::report::Table;
+use rkvc_tensor::json::JsonValue;
 
 /// What a claim's check is expected to return on the committed results.
 enum Expect {
@@ -905,6 +906,43 @@ fn results_text(exp: &str) -> Result<String, String> {
     std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
+/// Reads `results/<exp>.json` back into the `ExperimentResult` that wrote it.
+fn load_result(exp: &str) -> Result<ExperimentResult, String> {
+    fn strings(v: &JsonValue) -> Option<Vec<String>> {
+        v.as_array()?
+            .iter()
+            .map(|s| s.as_str().map(str::to_owned))
+            .collect()
+    }
+    fn table(t: &JsonValue) -> Option<Table> {
+        Some(Table {
+            title: t.get("title")?.as_str()?.to_owned(),
+            headers: strings(t.get("headers")?)?,
+            rows: t
+                .get("rows")?
+                .as_array()?
+                .iter()
+                .map(strings)
+                .collect::<Option<_>>()?,
+        })
+    }
+    let doc = JsonValue::parse(&results_text(exp)?).map_err(|e| format!("{exp}.json: {e}"))?;
+    let result = || {
+        Some(ExperimentResult {
+            id: doc.get("id")?.as_str()?.to_owned(),
+            title: doc.get("title")?.as_str()?.to_owned(),
+            tables: doc
+                .get("tables")?
+                .as_array()?
+                .iter()
+                .map(table)
+                .collect::<Option<_>>()?,
+            notes: strings(doc.get("notes")?)?,
+        })
+    };
+    result().ok_or_else(|| format!("{exp}.json: not an experiment result"))
+}
+
 /// Runs every claim: a `Holds` that fails, a `Diverges` that holds, and a
 /// results file that is missing or does not parse are all reported, together.
 #[test]
@@ -917,10 +955,7 @@ fn every_claim_reads_as_expected_on_the_committed_results() {
             mismatches.push(format!("{}: unknown experiment or duplicate id", c.id));
             continue;
         }
-        let load = |exp| {
-            rkvc_tensor::json::from_str(&results_text(exp)?).map_err(|e| format!("{exp}.json: {e}"))
-        };
-        let outcome = match results.entry(c.exp).or_insert_with(|| load(c.exp)) {
+        let outcome = match results.entry(c.exp).or_insert_with(|| load_result(c.exp)) {
             Ok(r) => (c.check)(r),
             Err(e) => Err(format!("{SHAPE}{e}")),
         };
