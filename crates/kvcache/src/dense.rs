@@ -372,11 +372,11 @@ impl DenseCache {
         // 1-D max pooling clusters neighbouring importance.
         let half = VOTE_POOL_KERNEL / 2;
         let mut pooled = vec![0.0f32; n];
-        for i in 0..n {
+        for (i, slot) in pooled.iter_mut().enumerate() {
             let lo = i.saturating_sub(half);
             let hi = (i + half + 1).min(n);
             // rkvc-allow(D006): max-pooling is order-insensitive over the finite vote scores
-            pooled[i] = votes[lo..hi].iter().copied().fold(0.0, f32::max);
+            *slot = votes[lo..hi].iter().copied().fold(0.0, f32::max);
         }
         pooled
     }
@@ -458,7 +458,7 @@ impl DenseCache {
         let full_pages = self.summaries.len();
         let p = match self.rule {
             Retention::PageSelect(p) if full_pages > p.top_k_pages => p,
-            _ => return vec![0..n],
+            _ => return std::iter::once(0..n).collect(),
         };
         let bounds: Vec<f32> = (0..full_pages).map(|page| self.page_bound(page, query)).collect();
         let mut selected = top_k(&bounds, p.top_k_pages);
@@ -541,10 +541,8 @@ impl KvCache for DenseCache {
                     self.rows.set_key(last, c, 0.0);
                 }
             }
-            Retention::PageSelect(p) => {
-                if self.rows.len() % p.page_size == 0 {
-                    self.summarize_last_page(p.page_size);
-                }
+            Retention::PageSelect(p) if self.rows.len().is_multiple_of(p.page_size) => {
+                self.summarize_last_page(p.page_size);
             }
             _ => {}
         }

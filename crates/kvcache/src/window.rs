@@ -272,7 +272,7 @@ impl RowWindow {
     /// Pops the ring's `n` oldest rows and returns copies of them.
     pub(crate) fn pop_ring_rows(&mut self, n: usize) -> KvView {
         let h = self.head.len;
-        let rows = self.gather(&[h..h + n]);
+        let rows = self.gather(std::slice::from_ref(&(h..h + n)));
         for _ in 0..n {
             self.ring.pop_front();
         }
@@ -339,7 +339,7 @@ impl RowWindow {
 
     /// Copies of every row, oldest first.
     pub(crate) fn view(&self) -> KvView {
-        self.gather(&[0..self.len()])
+        self.gather(std::slice::from_ref(&(0..self.len())))
     }
 
     /// Copies of the rows in `ranges` (ascending, disjoint), in order.

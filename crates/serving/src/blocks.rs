@@ -32,8 +32,6 @@
 //! shared by many sequences contributes at most once and a zero-token
 //! sequence contributes nothing.
 
-use std::collections::BTreeMap;
-
 /// Typed error for every fallible [`BlockManager`] operation. The serving
 /// stack must degrade via `Result`, never abort, so malformed sequence ids
 /// are errors rather than panics.
@@ -263,6 +261,150 @@ struct SeqEntry {
     tokens: usize,
 }
 
+/// Open-addressing map from `u64` keys, the block pool's two point-query
+/// tables (content hash -> published block, sequence id -> entry).
+///
+/// A key's home slot is the top bits of the key times a fixed odd
+/// constant, so placement is a pure function of the key and the slot
+/// count: no per-process random state. Collisions probe linearly; removal
+/// shifts the rest of the probe run back (no tombstones); the table
+/// doubles before it passes half load. Nothing reads entries in slot
+/// order — the only whole-table query is an integer sum.
+#[derive(Debug, Clone)]
+struct U64Index<V> {
+    /// Power-of-two slot array (empty until the first insert).
+    slots: Vec<Option<(u64, V)>>,
+    len: usize,
+}
+
+impl<V> U64Index<V> {
+    /// 2^64 / golden ratio, odd: multiplying spreads keys that differ
+    /// only in their high or low bits across the top bits.
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+    const MIN_SLOTS: usize = 8;
+
+    fn new() -> Self {
+        U64Index {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// Home slot of `key` in a table of `slots.len()` (>= 8) slots.
+    fn home(&self, key: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(Self::MULTIPLIER) >> (64 - bits)) as usize
+    }
+
+    /// `Ok(slot)` holding `key`, or `Err(slot)` where it would go: the
+    /// empty slot that ends its probe run. The table must have slots.
+    fn probe(&self, key: u64) -> Result<usize, usize> {
+        let mut i = self.home(key);
+        loop {
+            match &self.slots[i] {
+                Some((k, _)) if *k == key => return Ok(i),
+                Some(_) => i = (i + 1) & self.mask(),
+                None => return Err(i),
+            }
+        }
+    }
+
+    /// The slot holding `key`, if any.
+    fn find(&self, key: u64) -> Option<usize> {
+        if self.len == 0 {
+            None
+        } else {
+            self.probe(key).ok()
+        }
+    }
+
+    fn get(&self, key: u64) -> Option<&V> {
+        let i = self.find(key)?;
+        self.slots[i].as_ref().map(|(_, v)| v)
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        let i = self.find(key)?;
+        self.slots[i].as_mut().map(|(_, v)| v)
+    }
+
+    /// [`probe`](Self::probe) after doubling the table if one more entry
+    /// would pass half load.
+    fn probe_for_insert(&mut self, key: u64) -> Result<usize, usize> {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let slots = (2 * self.slots.len()).max(Self::MIN_SLOTS);
+            let old = std::mem::replace(&mut self.slots, (0..slots).map(|_| None).collect());
+            for (k, v) in old.into_iter().flatten() {
+                let (Ok(i) | Err(i)) = self.probe(k);
+                self.slots[i] = Some((k, v));
+            }
+        }
+        self.probe(key)
+    }
+
+    /// Maps `key` to `value`, returning the value it replaces.
+    fn insert(&mut self, key: u64, value: V) -> Option<V> {
+        match self.probe_for_insert(key) {
+            Ok(i) => self.slots[i].replace((key, value)).map(|(_, v)| v),
+            Err(i) => {
+                self.slots[i] = Some((key, value));
+                self.len += 1;
+                None
+            }
+        }
+    }
+
+    /// Maps `key` to `value` unless `key` is present; returns whether it
+    /// did. One probe either way.
+    fn insert_new(&mut self, key: u64, value: V) -> bool {
+        match self.probe_for_insert(key) {
+            Ok(_) => false,
+            Err(i) => {
+                self.slots[i] = Some((key, value));
+                self.len += 1;
+                true
+            }
+        }
+    }
+
+    /// Removes `key`, then walks the rest of its probe run moving each
+    /// entry whose home lies at or before the hole back into it, so every
+    /// remaining key stays reachable from its home without a gap.
+    fn remove(&mut self, key: u64) -> Option<V> {
+        let mut hole = self.find(key)?;
+        let (_, value) = self.slots[hole].take()?;
+        self.len -= 1;
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let Some((k, _)) = &self.slots[j] else {
+                return Some(value);
+            };
+            // Distances back from `j`: to the entry's home and to the hole.
+            let to_home = j.wrapping_sub(self.home(*k)) & mask;
+            if to_home >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[j].take();
+                hole = j;
+            }
+        }
+    }
+
+    /// Sum of `f` over every value — order-free, since integer addition
+    /// commutes.
+    fn sum_by(&self, f: impl Fn(&V) -> usize) -> usize {
+        self.slots.iter().flatten().map(|(_, v)| f(v)).sum()
+    }
+}
+
 /// The physical side of a [`BlockManager`]: block slots, tier occupancy,
 /// the dedup index and the counters. A field of its own, apart from the
 /// sequence table, so an operation can hold a sequence's entry while it
@@ -279,7 +421,7 @@ struct BlockTable {
     l1_used: usize,
     l2_used: usize,
     /// Content hash -> published (L1-resident, immutable) block.
-    dedup: BTreeMap<u64, u32>,
+    dedup: U64Index<u32>,
     stats: BlockPoolStats,
 }
 
@@ -333,7 +475,7 @@ impl BlockTable {
     /// Takes a block out of the dedup index, if it is published.
     fn unpublish(&mut self, id: u32) {
         if let Some(h) = self.blocks[id as usize].hash.take() {
-            self.dedup.remove(&h);
+            self.dedup.remove(h);
         }
     }
 
@@ -361,7 +503,7 @@ impl BlockTable {
 #[derive(Debug, Clone)]
 pub struct BlockManager {
     table: BlockTable,
-    seqs: BTreeMap<u64, SeqEntry>,
+    seqs: U64Index<SeqEntry>,
 }
 
 impl BlockManager {
@@ -392,10 +534,10 @@ impl BlockManager {
                 free_ids: Vec::new(),
                 l1_used: 0,
                 l2_used: 0,
-                dedup: BTreeMap::new(),
+                dedup: U64Index::new(),
                 stats: BlockPoolStats::default(),
             },
-            seqs: BTreeMap::new(),
+            seqs: U64Index::new(),
         }
     }
 
@@ -460,7 +602,7 @@ impl BlockManager {
     /// block demand. Exceeds `used + l2_used` exactly when blocks are
     /// shared.
     pub fn logical_blocks(&self) -> usize {
-        self.seqs.values().map(|e| e.chain.len()).sum()
+        self.seqs.sum_by(|e| e.chain.len())
     }
 
     /// Cumulative sharing/tiering counters.
@@ -472,7 +614,7 @@ impl BlockManager {
     /// spilled sequence reports `false` until refilled; an unknown id
     /// reports `false`).
     pub fn is_fully_resident(&self, seq: u64) -> bool {
-        match self.seqs.get(&seq) {
+        match self.seqs.get(seq) {
             Some(e) => e
                 .chain
                 .iter()
@@ -484,7 +626,7 @@ impl BlockManager {
     /// The sequence's chain as block views (introspection for tests and
     /// experiments), or `None` if unregistered.
     pub fn seq_blocks(&self, seq: u64) -> Option<Vec<BlockView>> {
-        let e = self.seqs.get(&seq)?;
+        let e = self.seqs.get(seq)?;
         Some(
             e.chain
                 .iter()
@@ -536,27 +678,28 @@ impl BlockManager {
         tokens: usize,
         prefix_hashes: &[u64],
     ) -> Result<SharedRegistration, BlockError> {
-        if self.seqs.contains_key(&seq) {
+        if self.seqs.get(seq).is_some() {
             return Err(BlockError::DuplicateSeq { seq });
         }
         let t = &mut self.table;
         let bs = t.block_size;
         let need = tokens.div_ceil(bs);
         // Only blocks the sequence fills completely are shareable — a
-        // partial tail is private by construction.
+        // partial tail is private by construction. One probe per hash
+        // collects the hits; their references are taken only once the
+        // unshared remainder is known to fit.
         let shareable = prefix_hashes.len().min(tokens / bs);
-        let hits = prefix_hashes[..shareable]
-            .iter()
-            .take_while(|h| t.dedup.contains_key(h))
-            .count();
+        let mut chain = Vec::with_capacity(need);
+        chain.extend(
+            prefix_hashes[..shareable]
+                .iter()
+                .map_while(|&h| t.dedup.get(h).copied()),
+        );
+        let hits = chain.len();
         let fresh = need - hits;
         t.check_free(fresh)?;
-        let mut chain = Vec::with_capacity(need);
-        for h in &prefix_hashes[..hits] {
-            if let Some(&id) = t.dedup.get(h) {
-                t.blocks[id as usize].refs += 1;
-                chain.push(id);
-            }
+        for &id in &chain {
+            t.blocks[id as usize].refs += 1;
         }
         // Publish the full prefix blocks this sequence brings in.
         let publish = prefix_hashes[hits..shareable].iter().copied().map(Some);
@@ -594,7 +737,7 @@ impl BlockManager {
     pub fn append_token(&mut self, seq: u64) -> Result<(), BlockError> {
         let e = self
             .seqs
-            .get_mut(&seq)
+            .get_mut(seq)
             .ok_or(BlockError::UnknownSeq { seq })?;
         let t = &mut self.table;
         // Tokens in the tail block: `block_size` at a boundary, which is
@@ -646,7 +789,7 @@ impl BlockManager {
     pub fn truncate_seq(&mut self, seq: u64, tokens: usize) -> Result<(), BlockError> {
         let e = self
             .seqs
-            .get_mut(&seq)
+            .get_mut(seq)
             .ok_or(BlockError::UnknownSeq { seq })?;
         if tokens > e.tokens {
             return Err(BlockError::TruncateGrow {
@@ -681,7 +824,7 @@ impl BlockManager {
     pub fn free_seq(&mut self, seq: u64) -> Result<(), BlockError> {
         let entry = self
             .seqs
-            .remove(&seq)
+            .remove(seq)
             .ok_or(BlockError::UnknownSeq { seq })?;
         for id in entry.chain {
             self.table.release_ref(id);
@@ -707,7 +850,7 @@ impl BlockManager {
     ///
     /// [`BlockError::UnknownSeq`] if `seq` is not registered.
     pub fn publish_seq(&mut self, seq: u64, hashes: &[u64]) -> Result<usize, BlockError> {
-        let e = self.seqs.get(&seq).ok_or(BlockError::UnknownSeq { seq })?;
+        let e = self.seqs.get(seq).ok_or(BlockError::UnknownSeq { seq })?;
         let t = &mut self.table;
         let mut published = 0usize;
         for (&id, &h) in e.chain.iter().zip(hashes) {
@@ -721,14 +864,13 @@ impl BlockManager {
                 }
                 Some(_) => break,
                 None => {
-                    if t.dedup.contains_key(&h) {
+                    if !t.dedup.insert_new(h, id) {
                         // Another block already owns this hash (identical
                         // content published elsewhere); chains that need
                         // it will share that copy instead.
                         break;
                     }
                     b.hash = Some(h);
-                    t.dedup.insert(h, id);
                     published += 1;
                 }
             }
@@ -749,7 +891,7 @@ impl BlockManager {
     /// [`BlockError::OutOfBlocks`] (moving nothing) if the spill tier
     /// cannot hold every candidate block.
     pub fn demote_seq(&mut self, seq: u64) -> Result<TierMove, BlockError> {
-        let e = self.seqs.get(&seq).ok_or(BlockError::UnknownSeq { seq })?;
+        let e = self.seqs.get(seq).ok_or(BlockError::UnknownSeq { seq })?;
         let t = &mut self.table;
         let candidates: Vec<u32> = e
             .chain
@@ -791,7 +933,7 @@ impl BlockManager {
     /// [`BlockError::OutOfBlocks`] (moving nothing) if L1 lacks room for
     /// every spilled block.
     pub fn refill_seq(&mut self, seq: u64) -> Result<TierMove, BlockError> {
-        let e = self.seqs.get(&seq).ok_or(BlockError::UnknownSeq { seq })?;
+        let e = self.seqs.get(seq).ok_or(BlockError::UnknownSeq { seq })?;
         let t = &mut self.table;
         let spilled: Vec<u32> = e
             .chain
@@ -815,6 +957,9 @@ impl BlockManager {
         Ok(mv)
     }
 }
+
+#[cfg(test)]
+mod index_model;
 
 #[cfg(test)]
 mod tests {

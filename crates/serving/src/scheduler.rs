@@ -214,7 +214,7 @@ impl Scheduler {
             unfinished += 1;
             let rank = if by_class { r.req.slo.victim_rank() } else { 0 };
             let key = (rank, r.admit_seq);
-            if victim.map_or(true, |(_, best)| key > best) {
+            if victim.is_none_or(|(_, best)| key > best) {
                 victim = Some((idx, key));
             }
         }

@@ -414,7 +414,7 @@ impl ServerSim {
             if self.running.is_empty()
                 && self
                     .earliest_queued_arrival()
-                    .map_or(true, |a| SimClock::from_secs(a) > target)
+                    .is_none_or(|a| SimClock::from_secs(a) > target)
             {
                 break;
             }

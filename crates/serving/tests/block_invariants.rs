@@ -152,8 +152,17 @@ rkvc_tensor::det_cases! {
                     let want = rng.gen_range(0usize..(2 * bs * (pblocks + 2)));
                     let seq = next_seq;
                     next_seq += 1;
+                    let chains = |m: &BlockManager| -> Vec<Vec<BlockView>> {
+                        live.iter().map(|&s| m.seq_blocks(s).expect("live seq")).collect()
+                    };
+                    let before = (chains(&m), *m.stats());
                     if m.register_seq_shared(seq, want, &hashes).is_ok() {
                         tokens.insert(seq, want);
+                    } else {
+                        // Fails before mutating: no reference taken, no
+                        // block published or unpublished, no counter moved.
+                        assert_eq!((chains(&m), *m.stats()), before, "failed shared registration mutated");
+                        assert_eq!(m.seq_blocks(seq), None);
                     }
                 }
                 // Decode growth (may CoW inside a shared tail).

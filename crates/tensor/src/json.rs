@@ -487,32 +487,61 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four hex digits (no sign: `u32::from_str_radix` alone
+    /// would take `+041`).
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
         let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+            .ok()
+            .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
+    /// One or more ASCII digits; `part` names the number part for the
+    /// error.
+    fn digits(&mut self, part: &str) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err(&format!("expected a digit in {part}")));
+        }
+        Ok(())
+    }
+
+    /// RFC 8259 number: `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
     fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in number"));
             }
+        } else {
+            self.digits("number")?;
+        }
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("fraction")?;
+            is_float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("exponent")?;
+            is_float = true;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
@@ -593,6 +622,29 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "should reject: {bad}");
         }
+    }
+
+    /// Numbers follow RFC 8259: no leading zeros, a digit after `.` and
+    /// in an exponent; a `\u` escape is exactly four hex digits.
+    #[test]
+    fn numbers_and_escapes_follow_the_rfc_grammar() {
+        for bad in [
+            "01", "-01", "00", "1.", "1.e5", "-", "1e", "1e+", ".5", "+1", "\"\\u+041\"",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "should reject: {bad}");
+        }
+        for (good, v) in [
+            ("0", JsonValue::Int(0)),
+            ("-0", JsonValue::Int(0)),
+            ("0.5", JsonValue::Float(0.5)),
+            ("1e5", JsonValue::Float(1e5)),
+            ("1E+5", JsonValue::Float(1e5)),
+            ("-0.0e-0", JsonValue::Float(-0.0)),
+        ] {
+            assert_eq!(JsonValue::parse(good).unwrap(), v, "{good}");
+        }
+        let escaped = JsonValue::parse("\"\\u00e9\\u00C9\"").unwrap();
+        assert_eq!(escaped.as_str(), Some("\u{e9}\u{c9}"));
     }
 
     #[test]

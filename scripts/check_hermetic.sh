@@ -31,7 +31,9 @@
 #      compiles warning-free with the network unreachable — then
 #      `cargo check` of the benchmark's own workspace (`benchmark/`, all
 #      targets, `--locked`): it calls the libraries from outside, so a
-#      library change that breaks the surface it uses fails here.
+#      library change that breaks the surface it uses fails here —
+#      then `cargo clippy -p rkvc-serving --all-targets -D warnings`,
+#      which also lints the workspace crates it depends on.
 #   3. `cargo test -q --offline --workspace` — the full test suite
 #      passes offline, including `tests/paper_claims.rs`, which checks
 #      every paper verdict in EXPERIMENTS.md against the committed
@@ -130,6 +132,7 @@ gate_done 1
 echo "== gate 2: offline warning-free release build (all targets) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 cargo check --offline --locked --manifest-path benchmark/Cargo.toml --all-targets
+cargo clippy --offline --locked -p rkvc-serving --all-targets -- -D warnings
 gate_done 2
 
 echo "== gate 3: offline test suite =="
